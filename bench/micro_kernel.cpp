@@ -41,6 +41,27 @@ void BM_SimulatorSelfRescheduling(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorSelfRescheduling);
 
+void BM_SimulatorFarFuture(benchmark::State& state) {
+  // A deep pending set: 10^5 events spread over 8 ms, far past the
+  // ~4.2 us ring window, so nearly every event waits in tier 2 or on
+  // the far list and reaches the ring by promotion — the path a
+  // torus upgrade's pending set lives on.
+  constexpr int kEvents = 100'000;
+  constexpr std::uint64_t kSpreadPs = 8'000'000'000;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    std::uint64_t x = 1;
+    for (int i = 0; i < kEvents; ++i) {
+      x = x * 6364136223846793005ull + 1442695040888963407ull;
+      sim.schedule_at(sim::SimTime::picoseconds(static_cast<std::int64_t>((x >> 20) % kSpreadPs)),
+                      [] {});
+    }
+    benchmark::DoNotOptimize(sim.run_until());
+  }
+  state.SetItemsProcessed(state.iterations() * kEvents);
+}
+BENCHMARK(BM_SimulatorFarFuture);
+
 void BM_RandomExponential(benchmark::State& state) {
   sim::RandomStream rng(1);
   for (auto _ : state) {

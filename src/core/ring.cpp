@@ -71,9 +71,12 @@ void ControlRing::collect_node(phy::NodeId node, SimTime epoch_length, RackSnaps
     obs.power_watts = l.power_watts();
     obs.mean_queue_delay_ns = net_->link_mean_queue_delay(id).ns();
 
+    if (id >= prev_busy_.size()) {
+      prev_busy_.resize(id + 1, SimTime::zero());
+      prev_packets_.resize(id + 1, 0);
+    }
     const SimTime busy_now = net_->link_busy_time(id);
-    const SimTime busy_prev =
-        prev_busy_.contains(id) ? prev_busy_[id] : SimTime::zero();
+    const SimTime busy_prev = prev_busy_[id];
     prev_busy_[id] = busy_now;
     if (epoch_length > SimTime::zero()) {
       obs.utilization = (busy_now - busy_prev).ratio(epoch_length);
@@ -82,7 +85,7 @@ void ControlRing::collect_node(phy::NodeId node, SimTime epoch_length, RackSnaps
     }
 
     const std::uint64_t pkts_now = net_->link_packets(id);
-    const std::uint64_t pkts_prev = prev_packets_.contains(id) ? prev_packets_[id] : 0;
+    const std::uint64_t pkts_prev = prev_packets_[id];
     prev_packets_[id] = pkts_now;
     obs.packets_in_epoch = pkts_now - pkts_prev;
 

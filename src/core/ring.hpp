@@ -10,8 +10,9 @@
 // latency, which the benches report as part of reaction time.
 #pragma once
 
+#include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <vector>
 
 #include "core/observations.hpp"
 #include "fabric/network.hpp"
@@ -63,9 +64,10 @@ class ControlRing {
   fabric::Topology* topo_;
   fabric::Network* net_;
   ControlRingConfig config_;
-  // Cumulative counters from the previous circulation, for epoch diffs.
-  std::unordered_map<phy::LinkId, rsf::sim::SimTime> prev_busy_;
-  std::unordered_map<phy::LinkId, std::uint64_t> prev_packets_;
+  // Cumulative counters from the previous circulation, for epoch diffs,
+  // indexed by LinkId (dense). Links first seen get a zero baseline.
+  std::vector<rsf::sim::SimTime> prev_busy_;
+  std::vector<std::uint64_t> prev_packets_;
 };
 
 }  // namespace rsf::core

@@ -8,6 +8,7 @@ namespace rsf::sim {
 
 Simulator::Simulator() {
   heads_.fill(kNilIndex);
+  heads2_.fill(kNilIndex);
   batch_.reserve(16);
 }
 
@@ -20,23 +21,21 @@ void Simulator::throw_past_time(SimTime when) const {
                          " precedes now " + now_.to_string());
 }
 
-// Overflow-to-ring migration only: the record already carries a full
-// header, it just needs a slab slot and a bucket link.
-void Simulator::insert_record(const EventRecord& rec) {
-  const std::int64_t rel = rec.time.ps() - base_ps_;
-  if (rel >= kWindowPs) {
-    overflow_.push_back(rec);
-    return;
+// Out of line: only schedules past the ring window and the far-list
+// redistribution come here.
+void Simulator::link_beyond_ring(std::uint32_t index, SimTime when) {
+  const std::int64_t rel2 = when.ps() - base2_ps_;
+  if (rel2 < kTier2SpanPs) {
+    const auto b = static_cast<std::size_t>(rel2 >> kWindowShift);
+    record_next_[index] = heads2_[b];
+    heads2_[b] = index;
+    occupied2_[b >> 6] |= std::uint64_t{1} << (b & 63);
+    ++tier2_count_;
+  } else {
+    record_next_[index] = far_head_;
+    far_head_ = index;
+    if (when < far_min_) far_min_ = when;
   }
-  const auto b = static_cast<std::size_t>(rel >> kBucketShift);
-  const std::uint32_t index = claim_record_index();
-  records_[index] = rec;
-  record_next_[index] = heads_[b];
-  heads_[b] = index;
-  occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
-  if ((b >> 6) < scan_word_) scan_word_ = b >> 6;
-  sole_ring_index_ = ring_count_ == 0 ? index : kNilIndex;
-  ++ring_count_;
 }
 
 bool Simulator::cancel(EventId id) {
@@ -52,7 +51,7 @@ bool Simulator::cancel(EventId id) {
 
 bool Simulator::next_batch(SimTime until) {
   for (;;) {
-    if (ring_count_ == 0 && !promote_overflow(until)) return false;
+    if (ring_count_ == 0 && !promote_tier2(until)) return false;
     // Sole-record fast path: with exactly one record in the ring it is
     // the earliest by definition and the head (and only node) of its
     // bucket — no scan, no walk.
@@ -89,23 +88,9 @@ bool Simulator::next_batch(SimTime until) {
     scan_word_ = word;
     const std::size_t b =
         (word << 6) + static_cast<std::size_t>(std::countr_zero(occupied_[word]));
-    // Pass 1: unlink tombstones, find the earliest live time.
-    SimTime min_time = SimTime::infinity();
-    std::uint32_t index = heads_[b];
-    std::uint32_t prev = kNilIndex;
-    while (index != kNilIndex) {
-      const std::uint32_t next = record_next_[index];
-      const EventRecord& rec = records_[index];
-      if (!slots_.is_live(rec.slot, rec.generation)) {
-        (prev == kNilIndex ? heads_[b] : record_next_[prev]) = next;
-        free_record_index(index);
-        --ring_count_;
-      } else {
-        if (rec.time < min_time) min_time = rec.time;
-        prev = index;
-      }
-      index = next;
-    }
+    std::size_t freed = 0;
+    const SimTime min_time = sweep_tombstones(heads_[b], freed);
+    ring_count_ -= freed;
     if (heads_[b] == kNilIndex) {
       occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
       continue;
@@ -123,10 +108,10 @@ bool Simulator::next_batch(SimTime until) {
       batch_time_ = min_time;
       return true;
     }
-    // Pass 2: extract every record at min_time into the batch (their
-    // slab indices; the records stay in place until drained).
-    index = heads_[b];
-    prev = kNilIndex;
+    // Extract every record at min_time into the batch (their slab
+    // indices; the records stay in place until drained).
+    std::uint32_t index = heads_[b];
+    std::uint32_t prev = kNilIndex;
     while (index != kNilIndex) {
       const std::uint32_t next = record_next_[index];
       if (records_[index].time == min_time) {
@@ -152,36 +137,81 @@ bool Simulator::next_batch(SimTime until) {
   }
 }
 
-bool Simulator::promote_overflow(SimTime until) {
-  // The ring is empty. Sweep overflow tombstones and find the earliest
-  // live event without committing to anything.
+SimTime Simulator::sweep_tombstones(std::uint32_t& head, std::size_t& freed) {
   SimTime min_time = SimTime::infinity();
-  std::size_t i = 0;
-  while (i < overflow_.size()) {
-    const EventRecord& rec = overflow_[i];
+  std::uint32_t index = head;
+  std::uint32_t prev = kNilIndex;
+  while (index != kNilIndex) {
+    const std::uint32_t next = record_next_[index];
+    const EventRecord& rec = records_[index];
     if (!slots_.is_live(rec.slot, rec.generation)) {
-      overflow_[i] = overflow_.back();
-      overflow_.pop_back();
-      continue;
+      (prev == kNilIndex ? head : record_next_[prev]) = next;
+      free_record_index(index);
+      ++freed;
+    } else {
+      if (rec.time < min_time) min_time = rec.time;
+      prev = index;
     }
-    if (rec.time < min_time) min_time = rec.time;
-    ++i;
+    index = next;
   }
-  if (overflow_.empty() || min_time > until) return false;
-  // Committed to executing at min_time: re-anchor the window there and
-  // migrate everything that now fits. Peeking alone must not re-anchor:
-  // base_ps_ may never pass now_, or a schedule between them would
-  // compute a negative bucket.
-  base_ps_ = (min_time.ps() >> kBucketShift) << kBucketShift;
-  i = 0;
-  while (i < overflow_.size()) {
-    if (overflow_[i].time.ps() - base_ps_ < kWindowPs) {
-      insert_record(overflow_[i]);
-      overflow_[i] = overflow_.back();
-      overflow_.pop_back();
+  return min_time;
+}
+
+bool Simulator::promote_tier2(SimTime until) {
+  // The ring is empty; its successor is the lowest occupied tier-2
+  // bucket, exactly one window wide.
+  for (;;) {
+    if (tier2_count_ == 0 && !refill_tier2(until)) return false;
+    std::size_t word = 0;
+    while (occupied2_[word] == 0) ++word;
+    const std::size_t b =
+        (word << 6) + static_cast<std::size_t>(std::countr_zero(occupied2_[word]));
+    const std::int64_t start = base2_ps_ + (static_cast<std::int64_t>(b) << kWindowShift);
+    if (start > until.ps()) return false;  // the whole bucket lies past the horizon
+    std::size_t freed = 0;
+    const SimTime min_time = sweep_tombstones(heads2_[b], freed);
+    tier2_count_ -= freed;
+    if (heads2_[b] == kNilIndex) {
+      occupied2_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
       continue;
     }
-    ++i;
+    // Peeking alone must not re-anchor: base_ps_ may never pass now_,
+    // or a schedule between them would compute a negative bucket.
+    if (min_time > until) return false;
+    // Committed to executing at min_time: the ring window becomes this
+    // bucket, and every record in it moves by relinking.
+    base_ps_ = start;
+    std::uint32_t index = heads2_[b];
+    heads2_[b] = kNilIndex;
+    occupied2_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+    while (index != kNilIndex) {
+      const std::uint32_t next = record_next_[index];
+      link_ring(index, records_[index].time.ps() - base_ps_);
+      --tier2_count_;
+      index = next;
+    }
+    return true;
+  }
+}
+
+bool Simulator::refill_tier2(SimTime until) {
+  // Tier 2 is empty too. Only now is the far list rescanned: sweep its
+  // tombstones and find its earliest live time.
+  if (far_head_ == kNilIndex || far_min_ > until) return false;
+  std::size_t freed = 0;
+  far_min_ = sweep_tombstones(far_head_, freed);
+  if (far_head_ == kNilIndex || far_min_ > until) return false;
+  // Committed (the minimum is within the horizon): re-anchor tier 2 on
+  // the minimum's window and redistribute — what now fits goes into
+  // tier 2, the rest back onto the far list.
+  base2_ps_ = (far_min_.ps() >> kWindowShift) << kWindowShift;
+  std::uint32_t index = far_head_;
+  far_head_ = kNilIndex;
+  far_min_ = SimTime::infinity();
+  while (index != kNilIndex) {
+    const std::uint32_t next = record_next_[index];
+    link_beyond_ring(index, records_[index].time);
+    index = next;
   }
   return true;
 }
@@ -248,7 +278,6 @@ __attribute__((flatten)) std::size_t Simulator::run_events(std::size_t max_event
 }
 
 Simulator::PendingKey Simulator::next_key() const {
-  PendingKey best = PendingKey::infinite();
   // An in-flight batch resumes first: any live remainder runs at
   // batch_time_, which is <= every still-queued time, and the batch is
   // seq-sorted, so the first live record from the cursor is minimal.
@@ -256,36 +285,47 @@ Simulator::PendingKey Simulator::next_key() const {
     const EventRecord& rec = records_[batch_[c]];
     if (slots_.is_live(rec.slot, rec.generation)) return {batch_time_, rec.seq};
   }
-  // Ring scan, earliest occupied bucket first. Buckets partition the
-  // window by time, so the first bucket holding a live record contains
-  // the ring minimum (and every record at that time — one time maps to
-  // one bucket — so the min seq is found in the same walk). Tombstone-
-  // only buckets are skipped, not swept — this is a const peek;
-  // next_batch() reclaims them.
+  // Then ring, tier 2, far list: every level lies wholly after the one
+  // before it, so the first level holding a live record holds the
+  // minimum.
+  PendingKey best = PendingKey::infinite();
   if (ring_count_ != 0) {
-    for (std::size_t word = scan_word_; word < occupied_.size(); ++word) {
-      std::uint64_t bits = occupied_[word];
-      while (bits != 0) {
-        const auto b = (word << 6) + static_cast<std::size_t>(std::countr_zero(bits));
-        bits &= bits - 1;
-        for (std::uint32_t index = heads_[b]; index != kNilIndex;
-             index = record_next_[index]) {
-          const EventRecord& rec = records_[index];
-          if (slots_.is_live(rec.slot, rec.generation) &&
-              PendingKey{rec.time, rec.seq} < best) {
-            best = {rec.time, rec.seq};
-          }
-        }
-        if (best.time != SimTime::infinity()) return best;
-      }
+    best = first_live_key(heads_, occupied_, scan_word_);
+    if (best.time != SimTime::infinity()) return best;
+  }
+  if (tier2_count_ != 0) {
+    best = first_live_key(heads2_, occupied2_, 0);
+    if (best.time != SimTime::infinity()) return best;
+  }
+  for (std::uint32_t index = far_head_; index != kNilIndex; index = record_next_[index]) {
+    const EventRecord& rec = records_[index];
+    if (slots_.is_live(rec.slot, rec.generation) && PendingKey{rec.time, rec.seq} < best) {
+      best = {rec.time, rec.seq};
     }
   }
-  // Overflow only matters when the ring has no live record: overflow
-  // times sit beyond the window, hence beyond every ring time.
-  for (const EventRecord& rec : overflow_) {
-    if (slots_.is_live(rec.slot, rec.generation) &&
-        PendingKey{rec.time, rec.seq} < best) {
-      best = {rec.time, rec.seq};
+  return best;
+}
+
+Simulator::PendingKey Simulator::first_live_key(const Buckets& heads, const Bitmap& occupied,
+                                                std::size_t word) const {
+  // Earliest occupied bucket first. Buckets partition the level by
+  // time, so the first bucket holding a live record contains the
+  // level's minimum (and every record at that time — one time maps to
+  // one bucket — so the min seq is found in the same walk). Tombstone-
+  // only buckets are skipped, not swept — this is a const peek.
+  PendingKey best = PendingKey::infinite();
+  for (; word < occupied.size(); ++word) {
+    std::uint64_t bits = occupied[word];
+    while (bits != 0) {
+      const auto b = (word << 6) + static_cast<std::size_t>(std::countr_zero(bits));
+      bits &= bits - 1;
+      for (std::uint32_t index = heads[b]; index != kNilIndex; index = record_next_[index]) {
+        const EventRecord& rec = records_[index];
+        if (slots_.is_live(rec.slot, rec.generation) && PendingKey{rec.time, rec.seq} < best) {
+          best = {rec.time, rec.seq};
+        }
+      }
+      if (best.time != SimTime::infinity()) return best;
     }
   }
   return best;
@@ -300,20 +340,24 @@ void Simulator::fast_forward_to(SimTime when) {
   }
   // Everything still queued is a tombstone (no live events, and a
   // tombstone owns nothing — cancel freed its slot and handler). Drop
-  // them all and re-anchor the ring at the new clock.
+  // them all and re-anchor both levels at the new clock's window.
   heads_.fill(kNilIndex);
+  heads2_.fill(kNilIndex);
   batch_.clear();
   batch_cursor_ = 0;
-  overflow_.clear();
   records_.clear();
   record_next_.clear();
-  record_free_.clear();
-  record_spare_ = kNilIndex;
+  record_free_ = kNilIndex;
   occupied_.fill(0);
+  occupied2_.fill(0);
   ring_count_ = 0;
   sole_ring_index_ = kNilIndex;
+  tier2_count_ = 0;
+  far_head_ = kNilIndex;
+  far_min_ = SimTime::infinity();
   now_ = when;
-  base_ps_ = (when.ps() >> kBucketShift) << kBucketShift;
+  base2_ps_ = (when.ps() >> kWindowShift) << kWindowShift;
+  base_ps_ = base2_ps_;
 }
 
 }  // namespace rsf::sim

@@ -6,18 +6,31 @@
 // single-threaded: determinism is a design requirement because every
 // experiment in the benchmark suite must be re-runnable bit-for-bit.
 //
-// Internally the future-event set is a calendar queue of trivially
-// copyable EventRecords (see event.hpp):
+// Internally the future-event set is a three-level calendar of
+// trivially copyable EventRecords (see event.hpp). Every record lives
+// in one grow-only slab (recycled through a free list) and each level
+// is a set of intrusive singly linked lists threaded through the slab,
+// so a bucket is just a head index — constructing a Simulator
+// allocates nothing, steady-state scheduling reuses slab slots, and no
+// level ever copies a record:
 //
 //  - **Calendar ring.** 1024 buckets of 2^12 ps (~4 ns) cover a ~4.2 µs
 //    window starting at base_ps_; scheduling into the window is an
-//    index computation and a push onto that bucket's intrusive list.
-//    Records live in one grow-only slab (recycled through a free
-//    list), so a bucket is just a head index — constructing a
-//    Simulator allocates nothing and steady-state scheduling reuses
-//    slab slots. Events beyond the window land in an overflow list
-//    and migrate into the ring when the window re-anchors past them
-//    (watchdogs, far-future epochs).
+//    index computation and a push onto that bucket's list.
+//  - **Tier 2.** 1024 buckets, each exactly one ring window (2^22 ps)
+//    wide, cover ~4.3 ms from base2_ps_. The ring window is always one
+//    tier-2 bucket, so when the ring drains the lowest occupied tier-2
+//    bucket is relinked into it whole: each event is promoted once, in
+//    O(1), and nothing is rescanned.
+//  - **Far list.** One unsorted list for everything beyond tier 2
+//    (watchdogs, far-future epochs). It is rescanned only when tier 2
+//    is empty, to re-anchor base2_ps_ at its minimum and distribute
+//    what now fits into tier 2.
+//  - **Re-anchor rule.** A base moves only once the kernel has
+//    committed to executing an event in the range it newly covers —
+//    never on a peek or a run that stops short — so neither base
+//    passes now_ and a schedule at or after now_ always finds its
+//    level and bucket.
 //  - **Liveness slots.** Each pending event claims a dense
 //    core::SlotPool slot; its EventId packs {slot+1, generation}, so
 //    cancel() and liveness checks are an index + generation compare —
@@ -157,12 +170,15 @@ class Simulator {
   // Calendar geometry: 1024 buckets of 2^12 ps give a ~4.2 us window,
   // matching the sub-us inter-event gaps of the packet paths. The ring
   // is a flat window [base_ps_, base_ps_ + kWindowPs) — it only
-  // re-anchors when empty, so buckets never wrap.
+  // re-anchors when empty, so buckets never wrap. Tier 2 repeats the
+  // shape one level up: 1024 buckets of one window each.
   static constexpr int kBucketShift = 12;  // 2^12 ps ≈ 4 ns per bucket
   static constexpr std::size_t kBucketCount = 1024;
-  static constexpr std::int64_t kBucketWidthPs = std::int64_t{1} << kBucketShift;
-  static constexpr std::int64_t kWindowPs =
-      static_cast<std::int64_t>(kBucketCount) << kBucketShift;
+  static constexpr int kWindowShift = kBucketShift + 10;
+  static constexpr std::int64_t kWindowPs = std::int64_t{1} << kWindowShift;
+  static constexpr std::int64_t kTier2SpanPs =
+      static_cast<std::int64_t>(kBucketCount) << kWindowShift;
+  static_assert(kWindowPs == static_cast<std::int64_t>(kBucketCount) << kBucketShift);
 
   struct EventSlot {
     /// Engaged only for cold-arm events; the handler dies with the
@@ -214,35 +230,54 @@ class Simulator {
   // not cost a cross-TU call.
   EventId schedule_cold(SimTime when, EventHandler handler, bool weak);
   EventRecord& acquire_record(SimTime when, bool weak);
-  void insert_record(const EventRecord& rec);
+  /// Pushes slab record `index` onto its ring bucket; `rel` is its time
+  /// minus base_ps_, inside the window.
+  void link_ring(std::uint32_t index, std::int64_t rel) {
+    const auto b = static_cast<std::size_t>(rel >> kBucketShift);
+    record_next_[index] = heads_[b];
+    heads_[b] = index;
+    occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
+    if ((b >> 6) < scan_word_) scan_word_ = b >> 6;
+    sole_ring_index_ = ring_count_ == 0 ? index : kNilIndex;
+    ++ring_count_;
+  }
+  /// Pushes slab record `index`, due at `when` past the ring window,
+  /// onto its tier-2 bucket or the far list.
+  void link_beyond_ring(std::uint32_t index, SimTime when);
   [[noreturn]] static void throw_empty_handler();
   [[noreturn]] void throw_past_time(SimTime when) const;
 
+  using Buckets = std::array<std::uint32_t, kBucketCount>;
+  using Bitmap = std::array<std::uint64_t, kBucketCount / 64>;
+
   bool next_batch(SimTime until);
-  bool promote_overflow(SimTime until);
+  /// Unlinks and frees the tombstones of the list at `head`, counting
+  /// them into `freed`; returns the earliest live time left (infinity
+  /// when none is).
+  SimTime sweep_tombstones(std::uint32_t& head, std::size_t& freed);
+  bool promote_tier2(SimTime until);
+  bool refill_tier2(SimTime until);
+  PendingKey first_live_key(const Buckets& heads, const Bitmap& occupied,
+                            std::size_t word) const;
   std::size_t drain_one();
 
-  /// Record-slab free list with its top element in record_spare_:
-  /// one-deep churn (the schedule/drain cycle of chained events) stays
-  /// out of the vector. LIFO reuse order is unchanged.
+  /// The record-slab free list is threaded through record_next_ like
+  /// every queue level, so freeing a record never allocates — however
+  /// many tombstones a run leaves behind. Reuse is LIFO.
   std::uint32_t claim_record_index() {
-    std::uint32_t index;
-    if (record_spare_ != kNilIndex) {
-      index = record_spare_;
-      record_spare_ = kNilIndex;
-    } else if (!record_free_.empty()) {
-      index = record_free_.back();
-      record_free_.pop_back();
-    } else {
-      index = static_cast<std::uint32_t>(records_.size());
-      records_.emplace_back();
-      record_next_.emplace_back();
+    if (record_free_ != kNilIndex) {
+      const std::uint32_t index = record_free_;
+      record_free_ = record_next_[index];
+      return index;
     }
+    const auto index = static_cast<std::uint32_t>(records_.size());
+    records_.emplace_back();
+    record_next_.emplace_back();
     return index;
   }
   void free_record_index(std::uint32_t index) {
-    if (record_spare_ != kNilIndex) record_free_.push_back(record_spare_);
-    record_spare_ = index;
+    record_next_[index] = record_free_;
+    record_free_ = index;
   }
 
   static EventId encode_id(std::uint32_t slot, std::uint32_t generation) {
@@ -267,27 +302,38 @@ class Simulator {
   // allocates.
   core::SlotPool<EventSlot, std::uint32_t, core::AlwaysRecyclable, EventSlotReset> slots_;
 
-  // The record slab: ring records live here, threaded into per-bucket
-  // singly linked lists via record_next_. Freed indices recycle LIFO.
+  // The record slab: every pending record lives here, threaded into
+  // its level's singly linked lists (or the free list) via
+  // record_next_.
   std::vector<EventRecord> records_;
   std::vector<std::uint32_t> record_next_;
-  std::vector<std::uint32_t> record_free_;
-  std::uint32_t record_spare_ = kNilIndex;  // top of the record free stack
-  std::array<std::uint32_t, kBucketCount> heads_;
+  std::uint32_t record_free_ = kNilIndex;  // head of the free list
+  Buckets heads_;
   // One bit per non-empty bucket; the next candidate bucket is the
   // lowest set bit (buckets below it were swept empty). scan_word_ is
   // a lower bound on the first non-zero word: every word below it is
   // zero. Scans advance it past zeros; inserts pull it back down.
-  std::array<std::uint64_t, kBucketCount / 64> occupied_{};
+  Bitmap occupied_{};
   std::size_t scan_word_ = 0;
-  std::vector<EventRecord> overflow_;
-  std::int64_t base_ps_ = 0;        // ring window origin, bucket-aligned
+  std::int64_t base_ps_ = 0;        // ring window origin, a tier-2 bucket start
   std::size_t ring_count_ = 0;      // records (live + tombstone) in the ring
   // When ring_count_ == 1, the slab index of that one record (else
   // kNilIndex). Chained workloads — one pending event at a time —
   // spend their whole life in this state, and next_batch() then skips
   // the bitmap scan and bucket walk outright.
   std::uint32_t sole_ring_index_ = kNilIndex;
+
+  // Tier 2: window-wide buckets over [base2_ps_, base2_ps_ +
+  // kTier2SpanPs); every occupied one lies later than the ring window.
+  Buckets heads2_;
+  Bitmap occupied2_{};
+  std::int64_t base2_ps_ = 0;       // tier-2 origin, window-aligned
+  std::size_t tier2_count_ = 0;     // records (live + tombstone) in tier 2
+  // The far list, past tier 2. far_min_ is a lower bound on its
+  // earliest live time (cancels only raise the true minimum), so a
+  // bounded run stops short of it without rescanning.
+  std::uint32_t far_head_ = kNilIndex;
+  SimTime far_min_ = SimTime::infinity();
 
   // The batch being drained: slab indices of all records at
   // batch_time_, in insertion order. Persists across run_*() calls so
@@ -325,26 +371,19 @@ inline EventRecord& Simulator::acquire_record(SimTime when, bool weak) {
   const auto slot = slots_.claim();
   slots_[slot.index].weak = weak;
   ++(weak ? weak_count_ : strong_count_);
+  const std::uint32_t index = claim_record_index();
   const std::int64_t rel = when.ps() - base_ps_;
-  EventRecord* rec;
-  if (rel >= kWindowPs) {
-    rec = &overflow_.emplace_back();
+  if (rel < kWindowPs) {
+    link_ring(index, rel);
   } else {
-    const auto b = static_cast<std::size_t>(rel >> kBucketShift);
-    const std::uint32_t index = claim_record_index();
-    record_next_[index] = heads_[b];
-    heads_[b] = index;
-    occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
-    if ((b >> 6) < scan_word_) scan_word_ = b >> 6;
-    sole_ring_index_ = ring_count_ == 0 ? index : kNilIndex;
-    ++ring_count_;
-    rec = &records_[index];
+    link_beyond_ring(index, when);
   }
-  rec->time = when;
-  rec->seq = (*seq_src_)++;
-  rec->slot = slot.index;
-  rec->generation = slot.generation;
-  return *rec;
+  EventRecord& rec = records_[index];
+  rec.time = when;
+  rec.seq = (*seq_src_)++;
+  rec.slot = slot.index;
+  rec.generation = slot.generation;
+  return rec;
 }
 
 inline EventId Simulator::schedule_cold(SimTime when, EventHandler handler, bool weak) {

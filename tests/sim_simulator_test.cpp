@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 namespace rsf::sim {
@@ -22,6 +24,14 @@ struct SimulatorTestPeer {
   }
   static std::uint32_t generation_of(EventId id) {
     return static_cast<std::uint32_t>(id & 0xFFFFFFFFu);
+  }
+  // The calendar geometry, for tests that aim at level boundaries.
+  static constexpr std::int64_t kWindowPs = Simulator::kWindowPs;
+  static constexpr std::int64_t kTier2SpanPs = Simulator::kTier2SpanPs;
+  /// The re-anchor rule: tier 2's base, then the ring's, at or before
+  /// the clock.
+  static bool bases_behind_clock(const Simulator& sim) {
+    return sim.base2_ps_ <= sim.base_ps_ && sim.base_ps_ <= sim.now_.ps();
   }
 };
 
@@ -378,132 +388,268 @@ TEST(Simulator, GenerationWrapKeepsStaleIdsStale) {
   EXPECT_TRUE(fired);
 }
 
-// Events beyond the calendar window land in the overflow list and
-// migrate into the ring when the window re-anchors past them; their
-// order and times are unaffected.
-TEST(Simulator, FarFutureEventsMigrateFromOverflow) {
+// Events beyond the ring window land in tier 2 (up to ~4.3 ms out) or
+// on the far list, and are promoted into the ring when it drains;
+// their order and times are unaffected.
+TEST(Simulator, FarFutureEventsPromoteThroughTiers) {
   Simulator sim;
   std::vector<int> order;
   std::vector<SimTime> at;
+  const auto record = [&](int tag) {
+    order.push_back(tag);
+    at.push_back(sim.now());
+  };
   // Far beyond the ~4.2 us window, deliberately out of order, with a
-  // same-time pair to check seq ordering survives migration.
-  sim.schedule_at(SimTime::milliseconds(2), [&] {
-    order.push_back(3);
-    at.push_back(sim.now());
-  });
-  sim.schedule_at(SimTime::milliseconds(1), [&] {
-    order.push_back(1);
-    at.push_back(sim.now());
-  });
-  sim.schedule_at(SimTime::milliseconds(1), [&] {
-    order.push_back(2);
-    at.push_back(sim.now());
-  });
-  sim.schedule_at(10_ns, [&] {
-    order.push_back(0);
-    at.push_back(sim.now());
-  });
-  EXPECT_EQ(sim.run_until(), 4u);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-  EXPECT_EQ(at[0], 10_ns);
-  EXPECT_EQ(at[1], SimTime::milliseconds(1));
-  EXPECT_EQ(at[2], SimTime::milliseconds(1));
-  EXPECT_EQ(at[3], SimTime::milliseconds(2));
+  // same-time pair in tier 2 and one on the far list to check seq
+  // ordering survives promotion.
+  sim.schedule_at(SimTime::milliseconds(20), [&] { record(5); });
+  sim.schedule_at(SimTime::milliseconds(2), [&] { record(3); });
+  sim.schedule_at(SimTime::milliseconds(1), [&] { record(1); });
+  sim.schedule_at(SimTime::milliseconds(1), [&] { record(2); });
+  sim.schedule_at(SimTime::milliseconds(20), [&] { record(6); });
+  sim.schedule_at(SimTime::milliseconds(9), [&] { record(4); });
+  sim.schedule_at(10_ns, [&] { record(0); });
+  EXPECT_EQ(sim.run_until(), 7u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(at, (std::vector<SimTime>{10_ns, 1_ms, 1_ms, 2_ms, 9_ms, 20_ms, 20_ms}));
 }
 
-// A cancelled far-future event is a tombstone in the overflow list: it
-// neither fires nor blocks the idle horizon.
-TEST(Simulator, CancelledOverflowEventLeavesNoTrace) {
+// Cancelled far-future events are tombstones in tier 2 and on the far
+// list: they neither fire nor block the idle horizon.
+TEST(Simulator, CancelledTier2AndFarEventsLeaveNoTrace) {
   Simulator sim;
   bool fired = false;
-  const EventId id =
-      sim.schedule_at(SimTime::milliseconds(5), [&] { fired = true; });
+  const EventId tier2 = sim.schedule_at(SimTime::milliseconds(2), [&] { fired = true; });
+  const EventId far = sim.schedule_at(SimTime::milliseconds(5), [&] { fired = true; });
   bool near_fired = false;
   sim.schedule_at(10_ns, [&] { near_fired = true; });
-  EXPECT_TRUE(sim.cancel(id));
+  EXPECT_TRUE(sim.cancel(tier2));
+  EXPECT_TRUE(sim.cancel(far));
+  EXPECT_EQ(sim.next_time(), 10_ns);
   EXPECT_EQ(sim.run_until(SimTime::milliseconds(10)), 1u);
   EXPECT_TRUE(near_fired);
   EXPECT_FALSE(fired);
   EXPECT_EQ(sim.now(), SimTime::milliseconds(10));
+  EXPECT_EQ(sim.next_time(), SimTime::infinity());
+}
+
+// The ring window is [base, base + kWindowPs): an event at exactly the
+// window's end is the first instant of tier 2's next bucket.
+TEST(Simulator, EventAtExactWindowEdgeLandsInTier2) {
+  constexpr std::int64_t kW = SimulatorTestPeer::kWindowPs;
+  Simulator sim;
+  std::vector<int> order;
+  std::vector<std::int64_t> fired_ps;
+  const auto at = [&](std::int64_t t, int tag) {
+    sim.schedule_at(SimTime::picoseconds(t), [&, tag] {
+      order.push_back(tag);
+      fired_ps.push_back(sim.now().ps());
+    });
+  };
+  at(kW + 1, 3);
+  at(kW, 1);
+  at(kW - 1, 0);
+  at(kW, 2);
+  EXPECT_EQ(sim.next_time().ps(), kW - 1);
+  EXPECT_EQ(sim.run_until(SimTime::picoseconds(kW - 1)), 1u);
+  EXPECT_EQ(sim.next_time().ps(), kW);
+  EXPECT_EQ(sim.run_until(SimTime::picoseconds(kW)), 2u);
+  EXPECT_EQ(sim.next_time().ps(), kW + 1);
+  EXPECT_EQ(sim.run_until(), 1u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(fired_ps, (std::vector<std::int64_t>{kW - 1, kW, kW, kW + 1}));
+}
+
+// Tier 2 spans [base2, base2 + kTier2SpanPs): an event at exactly the
+// span's end goes to the far list and still fires in order, right
+// after the last instant tier 2 holds.
+TEST(Simulator, EventAtExactTier2SpanEdgeGoesFar) {
+  constexpr std::int64_t kS = SimulatorTestPeer::kTier2SpanPs;
+  Simulator sim;
+  std::vector<std::int64_t> fired_ps;
+  for (const std::int64_t t : {kS, kS + 1, kS - 1}) {
+    sim.schedule_at(SimTime::picoseconds(t), [&] { fired_ps.push_back(sim.now().ps()); });
+  }
+  EXPECT_EQ(sim.next_time().ps(), kS - 1);
+  EXPECT_EQ(sim.run_until(SimTime::picoseconds(kS - 1)), 1u);
+  EXPECT_EQ(sim.next_time().ps(), kS);
+  // A schedule into the ring window that tier 2's last bucket became
+  // still sorts ahead of the far list.
+  sim.schedule_at(SimTime::picoseconds(kS - 1), [&] { fired_ps.push_back(-1); });
+  EXPECT_EQ(sim.run_until(), 3u);
+  EXPECT_EQ(fired_ps, (std::vector<std::int64_t>{kS - 1, -1, kS, kS + 1}));
+}
+
+// A bounded run that stops between tiers must not re-anchor either
+// base on its peek: a schedule that then lands before the far minimum
+// (behind where a premature re-anchor would have put the bases) still
+// finds its bucket and fires first.
+TEST(Simulator, HorizonBetweenTiersNeverReAnchors) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(500_us, [&] { order.push_back(0); });
+  // Weak, so the clock parks at each horizon once the strong work is done.
+  sim.schedule_weak_at(20_ms, [&] { order.push_back(4); });
+  // A cancelled far event leaves the far list's lower bound stale, so
+  // the 19 ms horizon below makes the kernel rescan the list.
+  EXPECT_TRUE(sim.cancel(sim.schedule_at(12_ms, [&] { order.push_back(-1); })));
+  // Stops with the ring and tier 2 drained, short of the far minimum.
+  EXPECT_EQ(sim.run_until(2_ms), 1u);
+  EXPECT_EQ(sim.now(), 2_ms);
+  EXPECT_TRUE(SimulatorTestPeer::bases_behind_clock(sim));
+  EXPECT_EQ(sim.next_time(), 20_ms);
+  // Lands in tier 2, before the far minimum.
+  sim.schedule_at(3_ms, [&] { order.push_back(2); });
+  EXPECT_EQ(sim.next_time(), 3_ms);
+  // Stops inside that event's tier-2 bucket, just short of it.
+  EXPECT_EQ(sim.run_until(3_ms - 1_ns), 0u);
+  EXPECT_EQ(sim.now(), 2_ms);  // strong work pending: the clock stays put
+  EXPECT_TRUE(SimulatorTestPeer::bases_behind_clock(sim));
+  // Lands ahead of both.
+  sim.schedule_at(2_ms + 1_us, [&] { order.push_back(1); });
+  EXPECT_EQ(sim.next_time(), 2_ms + 1_us);
+  EXPECT_EQ(sim.run_until(19_ms), 2u);
+  EXPECT_TRUE(SimulatorTestPeer::bases_behind_clock(sim));
+  // Tier 2 is empty again: one more event before the far minimum.
+  sim.schedule_at(SimTime::milliseconds(19.5), [&] { order.push_back(3); });
+  EXPECT_EQ(sim.run_until(25_ms), 2u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(sim.next_time(), SimTime::infinity());
+}
+
+// With every far event cancelled the kernel is idle, so fast_forward_to
+// may jump; the tombstones it drops must not resurface, and the
+// re-anchored levels take new near and far work.
+TEST(Simulator, FastForwardAfterCancellingEveryFarEvent) {
+  Simulator sim;
+  int stale = 0;
+  std::vector<EventId> ids;
+  for (int ms : {1, 3, 6, 40, 900}) {
+    ids.push_back(sim.schedule_at(SimTime::milliseconds(ms), [&] { ++stale; }));
+  }
+  ids.push_back(sim.schedule_weak_at(7_ms, [&] { ++stale; }));
+  for (EventId id : ids) EXPECT_TRUE(sim.cancel(id));
+  EXPECT_TRUE(sim.idle());
+  EXPECT_EQ(sim.next_time(), SimTime::infinity());
+  const SimTime jump = SimTime::milliseconds(123.456789);
+  sim.fast_forward_to(jump);
+  EXPECT_EQ(sim.now(), jump);
+  std::vector<SimTime> at;
+  for (SimTime d : {5_ms, 1_ns, 10_ms, 100_us}) {
+    sim.schedule_at(jump + d, [&] { at.push_back(sim.now()); });
+  }
+  EXPECT_EQ(sim.next_time(), jump + 1_ns);
+  EXPECT_EQ(sim.run_until(), 4u);
+  EXPECT_EQ(stale, 0);
+  EXPECT_EQ(at, (std::vector<SimTime>{jump + 1_ns, jump + 100_us, jump + 5_ms, jump + 10_ms}));
 }
 
 // Randomized oracle: the calendar kernel against a straightforward
-// sorted-reference kernel, over a seeded op mix of schedules (near,
-// far, duplicate-time, weak), cancels (live and stale), and bounded
-// runs. Execution order, cancel results, clocks, and the executed
-// counter must agree exactly.
-TEST(Simulator, RandomizedOracleAgainstSortedReference) {
-  struct RefEvent {
-    std::int64_t time_ps;
-    std::uint64_t seq;
-    int tag;
-    bool weak;
-    bool alive;
-  };
-  struct RefKernel {
-    std::vector<RefEvent> events;
-    std::int64_t now_ps = 0;
-    std::uint64_t next_seq = 0;
-    std::uint64_t executed = 0;
+// sorted-reference kernel, over a seeded op mix of schedules (same
+// instant, in the ring, in tier 2, on the far list, weak), cancels
+// (live and stale), and bounded runs. Execution order, cancel results,
+// clocks, the next_key() peek and the executed counter must agree
+// exactly.
+struct RefEvent {
+  std::int64_t time_ps;
+  std::uint64_t seq;
+  int tag;
+  bool weak;
+  bool alive;
+};
 
-    std::size_t schedule(std::int64_t t, int tag, bool weak) {
-      events.push_back(RefEvent{t, next_seq++, tag, weak, true});
-      return events.size() - 1;
-    }
-    bool cancel(std::size_t ref_id) {
-      if (!events[ref_id].alive) return false;
-      events[ref_id].alive = false;
-      return true;
-    }
-    bool strong_pending() const {
-      return std::any_of(events.begin(), events.end(),
-                         [](const RefEvent& e) { return e.alive && !e.weak; });
-    }
-    void run_until(std::int64_t until_ps, std::vector<int>& fired) {
-      for (;;) {
-        const RefEvent* best = nullptr;
-        for (const RefEvent& e : events) {
-          if (!e.alive || e.time_ps > until_ps) continue;
-          if (best == nullptr || e.time_ps < best->time_ps ||
-              (e.time_ps == best->time_ps && e.seq < best->seq)) {
-            best = &e;
-          }
-        }
-        if (best == nullptr) break;
-        RefEvent& e = events[static_cast<std::size_t>(best - events.data())];
-        now_ps = e.time_ps;
-        e.alive = false;
-        ++executed;
-        fired.push_back(e.tag);
+struct RefKernel {
+  std::vector<RefEvent> events;
+  std::int64_t now_ps = 0;
+  std::uint64_t next_seq = 1;  // the Simulator's first sequence number
+  std::uint64_t executed = 0;
+
+  std::size_t schedule(std::int64_t t, int tag, bool weak) {
+    events.push_back(RefEvent{t, next_seq++, tag, weak, true});
+    return events.size() - 1;
+  }
+  bool cancel(std::size_t ref_id) {
+    if (!events[ref_id].alive) return false;
+    events[ref_id].alive = false;
+    return true;
+  }
+  bool strong_pending() const {
+    return std::any_of(events.begin(), events.end(),
+                       [](const RefEvent& e) { return e.alive && !e.weak; });
+  }
+  /// The earliest live event at or before `until_ps`, by (time, seq).
+  RefEvent* earliest(std::int64_t until_ps) {
+    RefEvent* best = nullptr;
+    for (RefEvent& e : events) {
+      if (!e.alive || e.time_ps > until_ps) continue;
+      if (best == nullptr || e.time_ps < best->time_ps ||
+          (e.time_ps == best->time_ps && e.seq < best->seq)) {
+        best = &e;
       }
-      if (!strong_pending() && now_ps < until_ps) now_ps = until_ps;
     }
-  };
+    return best;
+  }
+  Simulator::PendingKey min_live() {
+    const RefEvent* e = earliest(INT64_MAX);
+    if (e == nullptr) return Simulator::PendingKey::infinite();
+    return {SimTime::picoseconds(e->time_ps), e->seq};
+  }
+  void run_until(std::int64_t until_ps, std::vector<int>& fired) {
+    while (RefEvent* e = earliest(until_ps)) {
+      now_ps = e->time_ps;
+      e->alive = false;
+      ++executed;
+      fired.push_back(e->tag);
+    }
+    if (!strong_pending() && now_ps < until_ps) now_ps = until_ps;
+  }
+};
 
+struct OracleMix {
+  const char* name;
+  std::uint32_t schedule_pct;  // share of ops that schedule
+  std::uint32_t cancel_pct;    // share that cancel; the rest run
+  bool far_heavy;              // draw delays from the beyond-ring set only
+};
+
+void run_oracle(std::uint64_t seed, const OracleMix& mix) {
+  SCOPED_TRACE(testing::Message() << "mix " << mix.name << ", seed " << seed);
   Simulator sim;
   RefKernel ref;
   std::vector<int> sim_fired;
   std::vector<int> ref_fired;
   std::vector<std::pair<EventId, std::size_t>> ids;  // (sim id, ref id)
 
-  std::uint64_t rng = 0x9E3779B97F4A7C15ull;
+  std::uint64_t rng = 0x9E3779B97F4A7C15ull * seed;
   const auto rand_u32 = [&rng] {
     rng ^= rng << 13;
     rng ^= rng >> 7;
     rng ^= rng << 17;
     return static_cast<std::uint32_t>(rng >> 32);
   };
+  const auto expect_peek_agrees = [&](int round) {
+    const Simulator::PendingKey got = sim.next_key();
+    const Simulator::PendingKey want = ref.min_live();
+    ASSERT_EQ(got.time, want.time) << "round " << round;
+    ASSERT_EQ(got.seq, want.seq) << "round " << round;
+  };
+
+  // Same instant and in the ring; then 10 and 60 us (tier 2), 5 ms
+  // (tier 2 or far, depending on the base), 50 ms and 1 s (far).
+  static constexpr std::int64_t kDelaysPs[] = {
+      0, 100, 4096, 50000, 10'000'000, 60'000'000, 5'000'000'000, 50'000'000'000,
+      1'000'000'000'000};
+  static constexpr std::size_t kDelayCount = std::size(kDelaysPs);
+  static constexpr std::size_t kFirstBeyondRing = 4;
 
   int next_tag = 0;
   for (int round = 0; round < 400; ++round) {
-    const std::uint32_t op = rand_u32() % 10;
-    if (op < 6) {
-      // Schedule: delays mix same-instant (0), in-window, and far
-      // beyond the ~4.2 us calendar window to force overflow traffic.
-      static constexpr std::int64_t kDelaysPs[] = {0, 100, 4096, 50000,
-                                                   10000000, 60000000};
-      const std::int64_t delay = kDelaysPs[rand_u32() % 6];
-      const SimTime when = sim.now() + SimTime::picoseconds(delay);
+    const std::uint32_t op = rand_u32() % 100;
+    if (op < mix.schedule_pct) {
+      const std::size_t d = mix.far_heavy
+                                ? kFirstBeyondRing + rand_u32() % (kDelayCount - kFirstBeyondRing)
+                                : rand_u32() % kDelayCount;
+      const SimTime when = sim.now() + SimTime::picoseconds(kDelaysPs[d]);
       const bool weak = rand_u32() % 4 == 0;
       const int tag = next_tag++;
       EventId id;
@@ -513,16 +659,30 @@ TEST(Simulator, RandomizedOracleAgainstSortedReference) {
         id = sim.schedule_at(when, [&sim_fired, tag] { sim_fired.push_back(tag); });
       }
       ids.emplace_back(id, ref.schedule(when.ps(), tag, weak));
-    } else if (op < 8 && !ids.empty()) {
+    } else if (op < mix.schedule_pct + mix.cancel_pct) {
+      if (ids.empty()) continue;
       // Cancel a random id — may be live, fired, or already cancelled.
-      const auto& [sim_id, ref_id] = ids[rand_u32() % ids.size()];
+      // Half the picks favour the most recent ids, which are likely
+      // still pending, so tombstones pile up in every level.
+      const std::size_t pick = rand_u32() % 2 == 0
+                                   ? ids.size() - 1 - rand_u32() % std::min<std::size_t>(ids.size(), 8)
+                                   : rand_u32() % ids.size();
+      const auto& [sim_id, ref_id] = ids[pick];
       EXPECT_EQ(sim.cancel(sim_id), ref.cancel(ref_id));
     } else {
-      const SimTime until = sim.now() + SimTime::nanoseconds(rand_u32() % 20000);
+      // Horizons from within the ring to well past the far list.
+      static constexpr std::int64_t kHorizonPs[] = {20'000'000, 10'000'000'000,
+                                                    2'000'000'000'000};
+      const std::int64_t h = kHorizonPs[rand_u32() % 3];
+      const SimTime until = sim.now() + SimTime::picoseconds(
+                                            static_cast<std::int64_t>(rand_u32()) % h);
+      expect_peek_agrees(round);
       sim.run_until(until);
       ref.run_until(until.ps(), ref_fired);
       ASSERT_EQ(sim.now().ps(), ref.now_ps) << "round " << round;
       ASSERT_EQ(sim_fired, ref_fired) << "round " << round;
+      ASSERT_TRUE(SimulatorTestPeer::bases_behind_clock(sim)) << "round " << round;
+      expect_peek_agrees(round);
     }
   }
   sim.run_until(sim.now() + SimTime::seconds(1));
@@ -530,6 +690,19 @@ TEST(Simulator, RandomizedOracleAgainstSortedReference) {
   EXPECT_EQ(sim_fired, ref_fired);
   EXPECT_EQ(sim.executed(), ref.executed);
   EXPECT_EQ(sim.pending(), 0u);
+}
+
+TEST(Simulator, RandomizedOracleAgainstSortedReference) {
+  static constexpr OracleMix kMixes[] = {
+      {"balanced", 60, 20, false},
+      {"far-and-cancel-heavy", 45, 40, true},
+  };
+  for (const OracleMix& mix : kMixes) {
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      run_oracle(seed, mix);
+      if (testing::Test::HasFatalFailure()) return;
+    }
+  }
 }
 
 }  // namespace
