@@ -5,7 +5,10 @@
 // pushes millions of events through these paths).
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "phy/fec.hpp"
+#include "phy/plant.hpp"
 #include "runtime/runtime.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
@@ -89,6 +92,30 @@ void BM_FecFrameLoss(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FecFrameLoss);
+
+void BM_AccountFrame(benchmark::State& state) {
+  // PLP #5 accounting of one 1 KB frame per iteration, as every rack
+  // hop does: Arg(1) is a 2-lane adjacent RS-KR4 link, Arg(5) a 2-lane
+  // bypass link over 5 cable segments (10 lanes visited).
+  const int segments = static_cast<int>(state.range(0));
+  phy::PhysicalPlant plant;
+  std::vector<phy::LinkSegment> path;
+  for (int s = 0; s < segments; ++s) {
+    const auto cable = plant.add_cable(static_cast<phy::NodeId>(s), static_cast<phy::NodeId>(s + 1),
+                                       2.0, phy::Medium::kFiber, 2, phy::DataRate::gbps(25));
+    path.push_back(phy::LinkSegment{cable, {0, 1}});
+  }
+  const phy::LinkId link =
+      plant.create_link(0, static_cast<phy::NodeId>(segments), std::move(path),
+                        phy::FecSpec::of(phy::FecScheme::kRsKr4));
+  sim::RandomStream rng(3, "account");
+  for (auto _ : state) {
+    plant.account_frame(link, phy::DataSize::bytes(1024), rng);
+  }
+  benchmark::DoNotOptimize(plant.cable(0).lane(0).stats().corrected_codewords);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_AccountFrame)->Arg(1)->Arg(5);
 
 void BM_RouterDijkstra(benchmark::State& state) {
   runtime::RuntimeConfig cfg;

@@ -27,16 +27,16 @@ double price_link(const LinkObservation& obs, const PriceWeights& w) {
 }
 
 void PriceBook::update(const RackSnapshot& snapshot, const PriceWeights& weights) {
-  prices_.clear();
+  constexpr double kNoOpinion = std::numeric_limits<double>::quiet_NaN();
+  std::fill(prices_.begin(), prices_.end(), kNoOpinion);
+  observed_ = 0;
   for (const LinkObservation& obs : snapshot.links) {
-    prices_[obs.link] = price_link(obs, weights);
+    if (obs.link >= prices_.size()) prices_.resize(obs.link + 1, kNoOpinion);
+    double& p = prices_[obs.link];
+    if (std::isnan(p)) ++observed_;
+    p = price_link(obs, weights);
   }
   ++generation_;
-}
-
-double PriceBook::price(phy::LinkId link) const {
-  auto it = prices_.find(link);
-  return it == prices_.end() ? std::numeric_limits<double>::quiet_NaN() : it->second;
 }
 
 }  // namespace rsf::core

@@ -7,7 +7,10 @@
 // nanosecond-equivalent units so the latency term needs no scaling.
 #pragma once
 
-#include <unordered_map>
+#include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <vector>
 
 #include "core/observations.hpp"
 #include "phy/types.hpp"
@@ -55,14 +58,20 @@ class PriceBook {
   /// falls back to its default cost) — this keeps the fabric routable
   /// between CRC start and the first snapshot, and covers links
   /// created mid-epoch.
-  [[nodiscard]] double price(phy::LinkId link) const;
+  /// Inline: every Dijkstra relaxation and next-hop argmin asks.
+  [[nodiscard]] double price(phy::LinkId link) const {
+    return link < prices_.size() ? prices_[link] : std::numeric_limits<double>::quiet_NaN();
+  }
 
-  [[nodiscard]] std::size_t size() const { return prices_.size(); }
+  /// Links the last update observed.
+  [[nodiscard]] std::size_t size() const { return observed_; }
   [[nodiscard]] std::uint64_t generation() const { return generation_; }
 
  private:
-  // rsf-lint: order-insensitive(rebuilt wholesale per epoch, read by per-link point lookup only)
-  std::unordered_map<phy::LinkId, double> prices_;
+  // Indexed by LinkId (dense and never reused), NaN where the last
+  // snapshot had no observation.
+  std::vector<double> prices_;
+  std::size_t observed_ = 0;
   std::uint64_t generation_ = 0;
 };
 

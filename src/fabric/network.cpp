@@ -120,13 +120,13 @@ void Network::record_switched_bits(const Packet& pkt) {
   // Dynamic switching energy is charged at the sending node's element
   // (the source NIC for hop 0).
   switched_bits_total_ += static_cast<std::uint64_t>(pkt.size.bit_count());
-  switched_bits_log_.emplace_back(sim_->now(), switched_bits_total_);
+  switched_bits_log_.push_back({sim_->now(), switched_bits_total_});
   // Age out entries older than the retention window so the log stays
   // bounded however long the run is.
   const SimTime cutoff = sim_->now() - power_retention_;
-  while (!switched_bits_log_.empty() && switched_bits_log_.front().first < cutoff) {
-    switched_bits_pruned_ = switched_bits_log_.front().second;
-    switched_bits_pruned_time_ = switched_bits_log_.front().first;
+  while (!switched_bits_log_.empty() && switched_bits_log_.front().t < cutoff) {
+    switched_bits_pruned_ = switched_bits_log_.front().bits;
+    switched_bits_pruned_time_ = switched_bits_log_.front().t;
     switched_bits_log_.pop_front();
   }
 }
@@ -145,7 +145,7 @@ void Network::hop(Packet pkt, phy::NodeId node, SimTime head_ready, SimTime tail
   // A flow that owns a reserved circuit from here toward its
   // destination takes it unconditionally (the CRC built it for us).
   std::optional<phy::LinkId> link_opt;
-  if (pkt.flow != kNoFlow) {
+  if (pkt.flow != kNoFlow && plant_->reserved_link_count() != 0) {
     for (phy::LinkId id : topo_->links_at(node)) {
       if (!topo_->usable(id)) continue;
       const phy::LogicalLink& l = plant_->link(id);
@@ -414,11 +414,20 @@ double Network::switch_power_watts(SimTime window) const {
   // Baseline: cumulative bits at the last entry before the (covered)
   // window starts. If every retained entry is inside the window the
   // baseline is whatever was pruned off the front.
-  std::uint64_t bits_before = switched_bits_pruned_;
-  for (const auto& [t, bits] : switched_bits_log_) {
-    if (t >= covered_from) break;
-    bits_before = bits;
+  // Entries are appended in clock order, so those before the window
+  // form a prefix of the log: binary-search its end.
+  std::size_t lo = 0;
+  std::size_t hi = switched_bits_log_.size();
+  while (lo < hi) {
+    const std::size_t mid = lo + (hi - lo) / 2;
+    if (switched_bits_log_[mid].t < covered_from) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
   }
+  const std::uint64_t bits_before =
+      lo == 0 ? switched_bits_pruned_ : switched_bits_log_[lo - 1].bits;
   const double bits_in_window = static_cast<double>(switched_bits_total_ - bits_before);
   const double seconds = covered_from > from
                              ? std::max((now - covered_from).sec(), 1e-12)

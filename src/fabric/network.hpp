@@ -16,13 +16,13 @@
 // loss probability) are retransmitted from the source.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
+#include "core/chunked_ring.hpp"
 #include "core/slot_pool.hpp"
 #include "fabric/packet.hpp"
 #include "fabric/router.hpp"
@@ -234,12 +234,18 @@ class Network {
   std::uint64_t flows_completed_ = 0;
   std::uint64_t flows_failed_ = 0;
 
-  // Sliding window accounting for dynamic switch power. The log keeps
+  // Sliding window accounting for dynamic switch power: (time,
+  // cumulative switched bits) per hop, oldest first. The log keeps
   // only the trailing retention window (the largest window any power
   // query has asked for): entries age out on append, so the log stays
-  // bounded over arbitrarily long runs.
+  // bounded over arbitrarily long runs, and once it spans the window
+  // appending reuses slots instead of allocating.
+  struct SwitchedBits {
+    rsf::sim::SimTime t;
+    std::uint64_t bits = 0;
+  };
   std::uint64_t switched_bits_total_ = 0;
-  std::deque<std::pair<rsf::sim::SimTime, std::uint64_t>> switched_bits_log_;
+  core::ChunkedRing<SwitchedBits> switched_bits_log_;
   /// Cumulative bits (and timestamp) at the newest pruned entry: the
   /// baseline for a query whose window spans the whole retained log,
   /// and the start of the span the log actually covers.

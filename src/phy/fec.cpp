@@ -83,17 +83,20 @@ double FecSpec::codeword_error_prob(double ber) const {
 }
 
 double FecSpec::frame_loss_prob(double ber, DataSize frame) const {
-  ber = std::clamp(ber, 0.0, 1.0);
+  return frame_loss_prob_from_cw_err(codeword_error_prob(ber), frame);
+}
+
+double FecSpec::frame_loss_prob_from_cw_err(double cw_err, DataSize frame) const {
   if (frame.bit_count() <= 0) return 0.0;
   if (n == 0) {
-    // Any bit error kills the frame (FCS check).
+    // Any bit error kills the frame (FCS check). Uncoded, cw_err is the
+    // clamped BER.
     const double bits = static_cast<double>(frame.bit_count());
     // 1-(1-ber)^bits, stable for tiny ber via expm1.
-    return std::clamp(-std::expm1(bits * std::log1p(-ber)), 0.0, 1.0);
+    return std::clamp(-std::expm1(bits * std::log1p(-cw_err)), 0.0, 1.0);
   }
   const double payload_bits_per_cw = static_cast<double>(k * symbol_bits);
   const double codewords = std::ceil(static_cast<double>(frame.bit_count()) / payload_bits_per_cw);
-  const double cw_err = codeword_error_prob(ber);
   if (cw_err <= 0.0) return 0.0;
   return std::clamp(-std::expm1(codewords * std::log1p(-cw_err)), 0.0, 1.0);
 }

@@ -59,6 +59,10 @@ struct FecSpec {
   /// Probability a frame of `frame` payload bits is delivered with an
   /// uncorrected error (and therefore dropped / retransmitted).
   [[nodiscard]] double frame_loss_prob(double ber, DataSize frame) const;
+  /// The same, given `cw_err` = codeword_error_prob(ber): for a caller
+  /// that keeps that BER-only part (a tail sum of lgamma terms) across
+  /// frame sizes. Returns exactly what frame_loss_prob(ber, frame) does.
+  [[nodiscard]] double frame_loss_prob_from_cw_err(double cw_err, DataSize frame) const;
 
   /// Residual bit error rate after correction; used for PLP per-lane
   /// statistics and CRC link-health pricing.

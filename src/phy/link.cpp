@@ -70,8 +70,8 @@ double LogicalLink::frame_loss_prob(DataSize frame) const {
   // segment loses it. Segments share the FEC config, so combine the
   // per-segment loss probabilities (worst-lane BER per segment).
   // The FEC tail sum is expensive (lgamma loop) and its inputs repeat
-  // hop after hop, so memoize it per (ber, frame) — a fresh BER simply
-  // misses the memo.
+  // hop after hop, so memoize the result per (ber, frame) and the tail
+  // sum per ber — a fresh BER simply misses both.
   double survive = 1.0;
   for (const LinkSegment& seg : segments_) {
     const Cable& c = plant_->cable(seg.cable);
@@ -85,13 +85,23 @@ double LogicalLink::frame_loss_prob(DataSize frame) const {
       }
     }
     if (seg_loss < 0.0) {
-      seg_loss = fec_.frame_loss_prob(seg_ber, frame);
+      seg_loss = fec_.frame_loss_prob_from_cw_err(codeword_error_prob(seg_ber), frame);
       loss_memo_[loss_memo_next_] = LossMemo{seg_ber, frame.bit_count(), seg_loss};
       loss_memo_next_ = (loss_memo_next_ + 1) % loss_memo_.size();
     }
     survive *= 1.0 - seg_loss;
   }
   return 1.0 - survive;
+}
+
+double LogicalLink::codeword_error_prob(double ber) const {
+  for (const CwErrMemo& m : cw_err_memo_) {
+    if (m.ber == ber) return m.cw_err;
+  }
+  const double cw_err = fec_.codeword_error_prob(ber);
+  cw_err_memo_[cw_err_memo_next_] = CwErrMemo{ber, cw_err};
+  cw_err_memo_next_ = (cw_err_memo_next_ + 1) % cw_err_memo_.size();
+  return cw_err;
 }
 
 double LogicalLink::post_fec_ber() const { return fec_.post_fec_ber(worst_pre_fec_ber()); }

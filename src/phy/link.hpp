@@ -10,6 +10,7 @@
 
 #include <array>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -115,6 +116,8 @@ class LogicalLink {
   void invalidate_fec_caches() {
     eff_rate_valid_ = false;
     loss_memo_.fill(LossMemo{});
+    cw_err_memo_.fill(CwErrMemo{});
+    for (FrameMemo& m : frame_memo_) m.frame_bits = -1;
   }
 
   const PhysicalPlant* plant_;
@@ -141,6 +144,35 @@ class LogicalLink {
   };
   mutable std::array<LossMemo, 4> loss_memo_{};
   mutable unsigned loss_memo_next_ = 0;
+  // Behind loss_memo_: the codeword error probability, which depends on
+  // the BER alone. A flow's tail frame has a size no memo has seen; with
+  // this it costs a log1p and an expm1 instead of the tail sum.
+  struct CwErrMemo {
+    double ber = -1.0;
+    double cw_err = 0.0;
+  };
+  mutable std::array<CwErrMemo, 4> cw_err_memo_{};
+  mutable unsigned cw_err_memo_next_ = 0;
+  [[nodiscard]] double codeword_error_prob(double ber) const;
+
+  // PhysicalPlant::account_frame's memo for the two most recent frame
+  // sizes: each member lane's mean corrected-codeword count and its
+  // Knuth limit exp(-mean), with the lane BER they were computed at.
+  // Cable& is public, so a lane's BER can change without the plant
+  // seeing it: every frame compares each lane's BER and recomputes that
+  // lane on a mismatch. The initial NaN never compares equal.
+  struct LaneDraw {
+    double ber = std::numeric_limits<double>::quiet_NaN();
+    double mean = 0.0;
+    double limit = 1.0;
+  };
+  struct FrameMemo {
+    std::int64_t frame_bits = -1;
+    double codewords = 0.0;       // per frame, striped across lanes
+    std::vector<LaneDraw> lanes;  // in for_each_lane order
+  };
+  std::array<FrameMemo, 2> frame_memo_{};
+  unsigned frame_memo_last_ = 0;  // the slot a miss must not evict
   /// -1 unknown, else 0/1. See ready().
   mutable std::int8_t ready_cache_ = -1;
 };

@@ -9,6 +9,31 @@
 
 namespace rsf::phy {
 
+namespace {
+
+/// Splits a frame's bits across the lanes of every segment, called once
+/// per lane in for_each_lane order: bits / lanes each, plus one bit to
+/// each of a segment's first bits % lanes lanes.
+class LaneShare {
+ public:
+  LaneShare(std::int64_t bits, int lanes)
+      : per_lane_(bits / lanes), extra_(bits % lanes), lanes_(lanes) {}
+
+  std::uint64_t next() {
+    const std::int64_t share = per_lane_ + (pos_ < extra_ ? 1 : 0);
+    if (++pos_ == lanes_) pos_ = 0;
+    return static_cast<std::uint64_t>(share);
+  }
+
+ private:
+  std::int64_t per_lane_;
+  std::int64_t extra_;
+  int lanes_;
+  int pos_ = 0;
+};
+
+}  // namespace
+
 CableId PhysicalPlant::add_cable(NodeId a, NodeId b, double length_m, Medium medium,
                                  int lane_count, DataRate lane_rate,
                                  LanePowerParams lane_power, double initial_ber) {
@@ -117,6 +142,8 @@ LinkId PhysicalPlant::create_adjacent_link(CableId cable_id, std::vector<int> la
 
 void PhysicalPlant::destroy_link(LinkId id) {
   if (!has_link(id)) throw std::invalid_argument("destroy_link: unknown link");
+  // A circuit torn down while still reserved stops counting here.
+  if (links_[id]->reserved_for_) --reserved_links_;
   release_lanes(links_[id]->segments());
   links_[id].reset();
   --link_count_;
@@ -267,8 +294,8 @@ std::pair<LinkId, LinkId> PhysicalPlant::bypass_sever(LinkId id, NodeId at) {
   return {f, s};
 }
 
-void PhysicalPlant::for_each_lane(const LogicalLink& l,
-                                  const std::function<void(Lane&)>& fn) {
+template <typename Fn>
+void PhysicalPlant::for_each_lane(const LogicalLink& l, Fn&& fn) {
   for (const LinkSegment& seg : l.segments()) {
     Cable& c = cable(seg.cable);
     for (int lane : seg.lanes) fn(c.lane(lane));
@@ -302,6 +329,11 @@ void PhysicalPlant::set_fec(LinkId id, FecSpec fec) {
 void PhysicalPlant::set_reservation(LinkId id, std::optional<std::uint64_t> flow) {
   LogicalLink& l = mutable_link(id);
   if (l.reserved_for_ == flow) return;
+  if (!l.reserved_for_) {
+    ++reserved_links_;
+  } else if (!flow) {
+    --reserved_links_;
+  }
   l.reserved_for_ = flow;
   // Reservations change what public routing may use without changing
   // the link set: notify, so topology versions bump and memoized
@@ -313,34 +345,65 @@ void PhysicalPlant::account_bits(LinkId id, std::int64_t bits) {
   LogicalLink& l = mutable_link(id);
   const int lanes = l.lane_count();
   if (lanes == 0 || bits <= 0) return;
-  const auto per_lane = static_cast<std::uint64_t>(bits / lanes);
-  for_each_lane(l, [per_lane](Lane& lane) { lane.mutable_stats().bits_carried += per_lane; });
+  LaneShare share(bits, lanes);
+  for_each_lane(l, [&share](Lane& lane) { lane.mutable_stats().bits_carried += share.next(); });
+}
+
+LogicalLink::FrameMemo& PhysicalPlant::frame_memo(LogicalLink& l, std::int64_t frame_bits) {
+  // Two slots: a miss evicts the slot that did not serve the previous
+  // frame, so a flow's full-size frames keep theirs while one-off
+  // short tail frames take turns in the other.
+  unsigned slot = l.frame_memo_last_;
+  if (l.frame_memo_[slot].frame_bits != frame_bits) {
+    slot ^= 1U;
+    LogicalLink::FrameMemo& m = l.frame_memo_[slot];
+    if (m.frame_bits != frame_bits) {
+      const FecSpec& fec = l.fec();
+      m.frame_bits = frame_bits;
+      // Codewords per frame, striped across lanes.
+      const double payload_per_cw = static_cast<double>(fec.k * fec.symbol_bits);
+      m.codewords = std::ceil(static_cast<double>(frame_bits) / payload_per_cw);
+      m.lanes.assign(l.segments().size() * static_cast<std::size_t>(l.lane_count()),
+                     LogicalLink::LaneDraw{});
+    }
+    l.frame_memo_last_ = slot;
+  }
+  return l.frame_memo_[slot];
 }
 
 void PhysicalPlant::account_frame(LinkId id, DataSize frame, rsf::sim::RandomStream& rng) {
   LogicalLink& l = mutable_link(id);
   const int lanes = l.lane_count();
-  if (lanes == 0 || frame.bit_count() <= 0) return;
+  const std::int64_t bits = frame.bit_count();
+  if (lanes == 0 || bits <= 0) return;
   const FecSpec& fec = l.fec();
-  account_bits(id, frame.bit_count());
-  if (fec.n == 0) return;  // uncoded: no decoder telemetry
-  // Codewords per frame, striped across lanes.
-  const double payload_per_cw = static_cast<double>(fec.k * fec.symbol_bits);
-  const double cw_total = std::ceil(static_cast<double>(frame.bit_count()) / payload_per_cw);
-  for (const LinkSegment& seg : l.segments()) {
-    Cable& c = cable(seg.cable);
-    for (int lane_idx : seg.lanes) {
-      Lane& lane = c.lane(lane_idx);
-      const double ber = lane.pre_fec_ber();
-      if (ber <= 0) continue;
+  if (fec.n == 0) {  // uncoded: no decoder telemetry
+    account_bits(id, bits);
+    return;
+  }
+  LaneShare share(bits, lanes);
+  LogicalLink::FrameMemo& memo = frame_memo(l, bits);
+  LogicalLink::LaneDraw* draw = memo.lanes.data();
+  for_each_lane(l, [&](Lane& lane) {
+    LaneStats& stats = lane.mutable_stats();
+    stats.bits_carried += share.next();
+    LogicalLink::LaneDraw& d = *draw++;
+    const double ber = lane.pre_fec_ber();
+    if (d.ber != ber) {
+      d.ber = ber;
       // Mean corrected codewords on this lane: its share of codeword
       // symbols times the symbol error rate (small-p approximation:
-      // one corrected codeword per symbol error).
-      const double p_sym = 1.0 - std::pow(1.0 - ber, fec.symbol_bits);
-      const double mean = cw_total / lanes * fec.n * p_sym;
-      lane.mutable_stats().corrected_codewords += rng.poisson(mean);
+      // one corrected codeword per symbol error). A lane with BER <= 0
+      // gets mean 0, which draws nothing.
+      d.mean = 0.0;
+      if (!(ber <= 0)) {
+        const double p_sym = 1.0 - std::pow(1.0 - ber, fec.symbol_bits);
+        d.mean = memo.codewords / lanes * fec.n * p_sym;
+      }
+      d.limit = std::exp(-d.mean);
     }
-  }
+    stats.corrected_codewords += rng.poisson(d.mean, d.limit);
+  });
 }
 
 double PhysicalPlant::estimated_pre_fec_ber(LinkId id) const {

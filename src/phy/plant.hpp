@@ -130,15 +130,25 @@ class PhysicalPlant {
   /// change observers (routing caches key on the topology version).
   void set_reservation(LinkId id, std::optional<std::uint64_t> flow);
 
+  /// Links currently reserved. Kept by set_reservation and
+  /// destroy_link (a destroyed reserved link stops counting), so the
+  /// transport can skip its reserved-circuit scan when this is 0.
+  [[nodiscard]] std::size_t reserved_link_count() const { return reserved_links_; }
+
   // --- PLP #5: statistics ---
 
-  /// Account `bits` carried by every member lane (split evenly).
+  /// Account `bits` carried by every segment of the link, split evenly
+  /// across its lanes; the bits % lanes remainder goes one bit each to
+  /// a segment's first lanes, so every segment accounts all of `bits`.
   void account_bits(LinkId id, std::int64_t bits);
 
   /// Account one frame crossing the link *and* sample the FEC decoder
   /// telemetry real transceivers expose: the number of corrected
   /// codewords, drawn per lane from the lane's true BER. Feeds the
-  /// pre-FEC BER estimator below (PLP #5).
+  /// pre-FEC BER estimator below (PLP #5). One pass over the lanes;
+  /// each lane's Poisson mean and limit come from the link's frame
+  /// memo (see LogicalLink), recomputed only when the frame size, the
+  /// FEC mode or that lane's BER changed.
   void account_frame(LinkId id, DataSize frame, rsf::sim::RandomStream& rng);
 
   /// Pre-FEC BER of the link as *estimated from decoder telemetry*
@@ -194,7 +204,13 @@ class PhysicalPlant {
   void check_segments(NodeId end_a, NodeId end_b,
                       const std::vector<LinkSegment>& segments) const;
   [[nodiscard]] LogicalLink& mutable_link(LinkId id);
-  void for_each_lane(const LogicalLink& link, const std::function<void(Lane&)>& fn);
+  /// Visit every member lane, segment by segment in stored order. A
+  /// template so the per-frame visitor inlines (defined in plant.cpp,
+  /// its only user).
+  template <typename Fn>
+  void for_each_lane(const LogicalLink& link, Fn&& fn);
+  /// account_frame's memo slot for `frame_bits` (re-keyed on a miss).
+  LogicalLink::FrameMemo& frame_memo(LogicalLink& link, std::int64_t frame_bits);
 
   PlantConfig config_;
   std::vector<ChangeObserver> change_observers_;
@@ -205,6 +221,7 @@ class PhysicalPlant {
   // skips them (and stays sorted for deterministic iteration).
   std::vector<std::unique_ptr<LogicalLink>> links_;
   std::size_t link_count_ = 0;
+  std::size_t reserved_links_ = 0;
   // rsf-lint: order-insensitive(point lookups only — lane_owner()/free_lanes() probe by key, never iterate)
   std::unordered_map<LaneRef, LinkId> lane_owner_;
   LinkId next_link_id_ = 0;

@@ -49,6 +49,11 @@ class RandomStream {
   /// Poisson-distributed count with the given mean (Knuth for small
   /// means, normal approximation above 64).
   std::uint64_t poisson(double mean);
+  /// The same draw with the Knuth limit exp(-mean) precomputed by a
+  /// caller that samples one mean many times: identical result and
+  /// identical draws to poisson(mean). `limit` is read only when
+  /// 0 < mean <= 64.
+  std::uint64_t poisson(double mean, double limit);
 
   /// Derive an independent child stream; used to hand sub-components
   /// their own streams without threading the experiment seed around.

@@ -100,6 +100,38 @@ TEST(PriceBook, UpdateAndLookup) {
   EXPECT_EQ(book.generation(), 1u);
 }
 
+TEST(PriceBook, UnknownAndOutOfRangeIdsHaveNoOpinion) {
+  PriceBook book;
+  EXPECT_EQ(book.size(), 0u);
+  EXPECT_TRUE(std::isnan(book.price(0)));
+  EXPECT_TRUE(std::isnan(book.price(phy::kInvalidLink)));
+
+  RackSnapshot snap;
+  auto far = base_obs();
+  far.link = 40;
+  snap.links.push_back(far);
+  auto low = base_obs();
+  low.link = 3;
+  snap.links.push_back(low);
+  book.update(snap, PriceWeights::latency_only());
+  EXPECT_EQ(book.size(), 2u);
+  EXPECT_DOUBLE_EQ(book.price(40), 300.0);
+  EXPECT_DOUBLE_EQ(book.price(3), 300.0);
+  EXPECT_TRUE(std::isnan(book.price(4)));   // between observed ids
+  EXPECT_TRUE(std::isnan(book.price(41)));  // past the highest id
+  EXPECT_TRUE(std::isnan(book.price(phy::kInvalidLink)));
+
+  // Each update replaces the book: a link the next snapshot misses
+  // (destroyed by a reconfiguration) has no opinion again.
+  RackSnapshot next;
+  next.links.push_back(low);
+  book.update(next, PriceWeights::latency_only());
+  EXPECT_EQ(book.size(), 1u);
+  EXPECT_TRUE(std::isnan(book.price(40)));
+  EXPECT_DOUBLE_EQ(book.price(3), 300.0);
+  EXPECT_EQ(book.generation(), 2u);
+}
+
 // --- break-even ---
 
 TEST(BreakEven, ClosedFormMatchesDefinition) {

@@ -109,15 +109,32 @@ TEST_F(SchedFixture, SmallFlowRunsOnPacketFabric) {
 
 TEST_F(SchedFixture, LargeFlowBuildsUsesAndTearsDownCircuit) {
   saturate_path();
+  EXPECT_EQ(rack.plant->reserved_link_count(), 0u);
   std::optional<std::pair<bool, bool>> outcome;
+  std::size_t reserved_at_completion = 0;
+  std::uint64_t circuit_packets = 0;
   sched->submit(flow(0, 5, DataSize::megabytes(100)),
                 [&](const fabric::FlowResult& r, bool circuit) {
                   outcome = {r.failed, circuit};
+                  // The callback runs before teardown: the circuit is
+                  // still reserved, and every packet of the flow took it.
+                  reserved_at_completion = rack.plant->reserved_link_count();
+                  for (LinkId id : rack.plant->link_ids()) {
+                    if (rack.plant->link(id).reserved_for() == std::optional<std::uint64_t>(1)) {
+                      circuit_packets = rack.network->link_packets(id);
+                    }
+                  }
                 });
   sim.run_until();
   ASSERT_TRUE(outcome.has_value());
   EXPECT_FALSE(outcome->first);
   EXPECT_TRUE(outcome->second);
+  EXPECT_EQ(reserved_at_completion, 1u);
+  EXPECT_GE(circuit_packets, static_cast<std::uint64_t>(
+                                 DataSize::megabytes(100).packet_count(DataSize::bytes(1024))));
+  // Teardown severs the circuit without clearing its reservation; the
+  // destroyed link stops counting all the same.
+  EXPECT_EQ(rack.plant->reserved_link_count(), 0u);
   EXPECT_EQ(sched->circuits_built(), 1u);
   EXPECT_EQ(sched->circuit_flows(), 1u);
   // After teardown the fabric is fully re-bundled: every link 2 lanes,

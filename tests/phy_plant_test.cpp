@@ -4,6 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
+#include <cstdint>
+#include <vector>
+
 #include "sim/random.hpp"
 
 namespace rsf::phy {
@@ -278,6 +284,76 @@ TEST(Plant, AccountBitsSpreadsAcrossLanes) {
   EXPECT_EQ(f.plant.cable(f.c01).lane(2).stats().bits_carried, 0u);
 }
 
+TEST(Plant, AccountBitsKeepsRemainderOnThreeLaneLink) {
+  ChainFixture f;
+  const LinkId id = f.plant.create_adjacent_link(f.c01, {0, 1, 2});
+  rsf::sim::RandomStream rng(1);
+  f.plant.account_bits(id, 1000);                         // 333 each + 1
+  f.plant.account_frame(id, DataSize::bits(1001), rng);  // 333 each + 2
+  const auto carried = [&](int lane) { return f.plant.cable(f.c01).lane(lane).stats().bits_carried; };
+  EXPECT_EQ(carried(0) + carried(1) + carried(2), 2001u);
+  // The remainder goes to a segment's first lanes, deterministically.
+  EXPECT_EQ(carried(0), 668u);
+  EXPECT_EQ(carried(1), 667u);
+  EXPECT_EQ(carried(2), 666u);
+}
+
+TEST(Plant, AccountBitsCountsEverySegmentOfABypassLink) {
+  ChainFixture f;
+  const LinkId id = f.plant.create_link(
+      0, 3,
+      {LinkSegment{f.c01, {0, 1, 2}}, LinkSegment{f.c12, {0, 1, 2}}, LinkSegment{f.c23, {0, 1, 2}}});
+  f.plant.account_bits(id, 1001);
+  for (const CableId c : {f.c01, f.c12, f.c23}) {
+    std::uint64_t sum = 0;
+    for (int lane = 0; lane < 3; ++lane) sum += f.plant.cable(c).lane(lane).stats().bits_carried;
+    EXPECT_EQ(sum, 1001u) << "cable " << c;
+  }
+}
+
+TEST(Plant, ReservedLinkCountFollowsReservationsAndTeardown) {
+  ChainFixture f;
+  const LinkId a = f.plant.create_adjacent_link(f.c01, {0, 1});
+  EXPECT_EQ(f.plant.reserved_link_count(), 0u);
+  f.plant.set_reservation(a, 5);
+  EXPECT_EQ(f.plant.reserved_link_count(), 1u);
+  f.plant.set_reservation(a, 6);  // handed to another flow: still one link
+  EXPECT_EQ(f.plant.reserved_link_count(), 1u);
+  f.plant.set_reservation(a, std::nullopt);
+  EXPECT_EQ(f.plant.reserved_link_count(), 0u);
+  f.plant.set_reservation(a, std::nullopt);
+  EXPECT_EQ(f.plant.reserved_link_count(), 0u);
+
+  // Every structural operation destroys its inputs, and a destroyed
+  // reserved link stops counting.
+  f.plant.set_reservation(a, 1);
+  f.plant.destroy_link(a);
+  EXPECT_EQ(f.plant.reserved_link_count(), 0u);
+
+  const LinkId wide = f.plant.create_adjacent_link(f.c01, {0, 1, 2, 3});
+  f.plant.set_reservation(wide, 2);
+  const auto [lo, hi] = f.plant.split_link(wide, 2);
+  EXPECT_EQ(f.plant.reserved_link_count(), 0u);
+
+  f.plant.set_reservation(lo, 3);
+  f.plant.set_reservation(hi, 4);
+  const LinkId bundled = f.plant.bundle_links(lo, hi);
+  EXPECT_EQ(f.plant.reserved_link_count(), 0u);
+
+  const LinkId l12 = f.plant.create_adjacent_link(f.c12, {0, 1, 2, 3});
+  f.plant.set_reservation(bundled, 5);
+  f.plant.set_reservation(l12, 6);
+  EXPECT_EQ(f.plant.reserved_link_count(), 2u);
+  const LinkId joined = f.plant.bypass_join(bundled, l12);
+  EXPECT_EQ(f.plant.reserved_link_count(), 0u);
+
+  f.plant.set_reservation(joined, 7);
+  const auto [left, right] = f.plant.bypass_sever(joined, 1);
+  EXPECT_EQ(f.plant.reserved_link_count(), 0u);
+  EXPECT_FALSE(f.plant.link(left).reserved_for().has_value());
+  EXPECT_FALSE(f.plant.link(right).reserved_for().has_value());
+}
+
 TEST(Plant, SetCableBerPropagatesToLinkModel) {
   ChainFixture f;
   const LinkId id = f.plant.create_adjacent_link(f.c01, {0, 1},
@@ -360,6 +436,222 @@ INSTANTIATE_TEST_SUITE_P(
                       BerEstimatorCase{1e-6, FecScheme::kRsKr4},
                       BerEstimatorCase{1e-5, FecScheme::kRsKp4},
                       BerEstimatorCase{1e-4, FecScheme::kRsKp4}));
+
+// --- PLP #5 exactness: the memoized account_frame against a reference ---
+
+/// Which RandomStream::poisson branch each reference draw took.
+struct DrawBranches {
+  int none = 0;    // mean 0 (BER <= 0 or underflow): no draw
+  int knuth = 0;   // 0 < mean <= 64
+  int normal = 0;  // mean > 64: Box-Muller
+};
+
+/// RandomStream::poisson as written before its precomputed-limit
+/// overload existed.
+std::uint64_t reference_poisson(rsf::sim::RandomStream& rng, double mean, DrawBranches& seen) {
+  if (mean == 0) {
+    ++seen.none;
+    return 0;
+  }
+  if (mean > 64.0) {
+    ++seen.normal;
+    const double v = rng.normal(mean, std::sqrt(mean));
+    return v <= 0 ? 0 : static_cast<std::uint64_t>(v + 0.5);
+  }
+  ++seen.knuth;
+  const double limit = std::exp(-mean);
+  double product = rng.uniform();
+  std::uint64_t count = 0;
+  while (product > limit) {
+    ++count;
+    product *= rng.uniform();
+  }
+  return count;
+}
+
+/// account_frame as written before the per-link frame memo: pow and exp
+/// for every lane of every frame, bits in a pass of their own. Its one
+/// change is the bit-split remainder fix the plant now also has (a
+/// segment's first bits % lanes lanes carry one more bit).
+void reference_account_frame(PhysicalPlant& plant, LinkId id, DataSize frame,
+                             rsf::sim::RandomStream& rng, DrawBranches& seen) {
+  const LogicalLink& l = plant.link(id);
+  const int lanes = l.lane_count();
+  if (lanes == 0 || frame.bit_count() <= 0) return;
+  const FecSpec& fec = l.fec();
+  const std::int64_t bits = frame.bit_count();
+  for (const LinkSegment& seg : l.segments()) {
+    for (std::size_t i = 0; i < seg.lanes.size(); ++i) {
+      const std::int64_t extra = static_cast<std::int64_t>(i) < bits % lanes ? 1 : 0;
+      plant.cable(seg.cable).lane(seg.lanes[i]).mutable_stats().bits_carried +=
+          static_cast<std::uint64_t>(bits / lanes + extra);
+    }
+  }
+  if (fec.n == 0) return;
+  const double payload_per_cw = static_cast<double>(fec.k * fec.symbol_bits);
+  const double cw_total = std::ceil(static_cast<double>(bits) / payload_per_cw);
+  for (const LinkSegment& seg : l.segments()) {
+    Cable& c = plant.cable(seg.cable);
+    for (int lane_idx : seg.lanes) {
+      Lane& lane = c.lane(lane_idx);
+      const double ber = lane.pre_fec_ber();
+      if (ber <= 0) {
+        ++seen.none;
+        continue;
+      }
+      const double p_sym = 1.0 - std::pow(1.0 - ber, fec.symbol_bits);
+      const double mean = cw_total / lanes * fec.n * p_sym;
+      lane.mutable_stats().corrected_codewords += reference_poisson(rng, mean, seen);
+    }
+  }
+}
+
+/// A chain 0-1-...-6 of 4-lane cables carrying 1-, 2-, 3- and 4-lane
+/// adjacent links and two bypass links (2 lanes x 3 segments, 1 lane x
+/// 4 segments).
+struct OraclePlant {
+  PhysicalPlant plant;
+  std::vector<CableId> cables;
+  std::vector<LinkId> links;
+
+  OraclePlant() {
+    for (NodeId n = 0; n < 6; ++n) {
+      cables.push_back(plant.add_cable(n, n + 1, 2.0, Medium::kFiber, 4, DataRate::gbps(25),
+                                       test_power()));
+    }
+    const FecSpec kr4 = FecSpec::of(FecScheme::kRsKr4);
+    links.push_back(plant.create_adjacent_link(cables[0], {0}, kr4));
+    links.push_back(plant.create_adjacent_link(cables[0], {1, 2, 3}, kr4));
+    links.push_back(plant.create_adjacent_link(cables[1], {0, 1, 2, 3}, kr4));
+    links.push_back(plant.create_adjacent_link(cables[2], {0, 1}, kr4));
+    links.push_back(plant.create_link(3, 6,
+                                      {LinkSegment{cables[3], {0, 1}},
+                                       LinkSegment{cables[4], {0, 1}},
+                                       LinkSegment{cables[5], {0, 1}}},
+                                      kr4));
+    links.push_back(plant.create_link(2, 6,
+                                      {LinkSegment{cables[2], {2}}, LinkSegment{cables[3], {2}},
+                                       LinkSegment{cables[4], {2}}, LinkSegment{cables[5], {2}}},
+                                      kr4));
+  }
+};
+
+void expect_same_lane_stats(const PhysicalPlant& ref, const PhysicalPlant& memo, int step) {
+  for (CableId c = 0; c < ref.cable_count(); ++c) {
+    for (int i = 0; i < ref.cable(c).lane_count(); ++i) {
+      const LaneStats& a = ref.cable(c).lane(i).stats();
+      const LaneStats& b = memo.cable(c).lane(i).stats();
+      ASSERT_EQ(a.bits_carried, b.bits_carried) << "step " << step << " cable " << c << " lane " << i;
+      ASSERT_EQ(a.corrected_codewords, b.corrected_codewords)
+          << "step " << step << " cable " << c << " lane " << i;
+      ASSERT_EQ(a.uncorrected_codewords, b.uncorrected_codewords);
+      ASSERT_EQ(a.observed_pre_fec_ber, b.observed_pre_fec_ber);
+      ASSERT_EQ(a.total_up_time, b.total_up_time);
+      ASSERT_EQ(a.total_training_time, b.total_training_time);
+    }
+  }
+}
+
+TEST(AccountFrameOracle, MemoizedPathMatchesReferenceDrawForDraw) {
+  constexpr std::array<double, 7> kBers = {0.0, 1e-12, 1e-9, 1e-6, 1e-4, 1e-3, 2e-2};
+  constexpr std::array<std::int64_t, 4> kFullFrameBytes = {64, 1024, 1500, 9000};
+  DrawBranches seen;
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    OraclePlant ref;
+    OraclePlant memo;
+    rsf::sim::RandomStream ops(seed, "oracle-ops");
+    rsf::sim::RandomStream ref_rng(seed, "account");
+    rsf::sim::RandomStream memo_rng(seed, "account");
+    const auto pick = [&ops](std::size_t n) {
+      return static_cast<std::size_t>(ops.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    };
+    for (int step = 0; step < 4000; ++step) {
+      const int op = static_cast<int>(ops.uniform_int(0, 9));
+      if (op < 7) {
+        // Mostly full-size frames (memo hits), sometimes a short tail
+        // of any bit length (misses, and 3-lane remainders).
+        const DataSize frame = ops.uniform_int(0, 3) == 0
+                                   ? DataSize::bits(ops.uniform_int(1, 8 * 9000))
+                                   : DataSize::bytes(kFullFrameBytes[pick(kFullFrameBytes.size())]);
+        const std::size_t link = pick(ref.links.size());
+        reference_account_frame(ref.plant, ref.links[link], frame, ref_rng, seen);
+        memo.plant.account_frame(memo.links[link], frame, memo_rng);
+      } else if (op == 7) {
+        const std::size_t link = pick(ref.links.size());
+        const FecSpec fec = FecSpec::of(kAllFecSchemes[pick(kAllFecSchemes.size())]);
+        ref.plant.set_fec(ref.links[link], fec);
+        memo.plant.set_fec(memo.links[link], fec);
+      } else if (op == 8) {
+        const std::size_t cable = pick(ref.cables.size());
+        const double ber = kBers[pick(kBers.size())];
+        ref.plant.set_cable_ber(ref.cables[cable], ber);
+        memo.plant.set_cable_ber(memo.cables[cable], ber);
+      } else {
+        // Behind the plant's back: only the per-frame BER check sees it.
+        const std::size_t cable = pick(ref.cables.size());
+        const int lane = static_cast<int>(pick(4));
+        const double ber = kBers[pick(kBers.size())];
+        ref.plant.cable(ref.cables[cable]).lane(lane).set_pre_fec_ber(ber);
+        memo.plant.cable(memo.cables[cable]).lane(lane).set_pre_fec_ber(ber);
+      }
+      expect_same_lane_stats(ref.plant, memo.plant, step);
+      if (::testing::Test::HasFatalFailure()) return;
+      ASSERT_EQ(ref_rng(), memo_rng()) << "seed " << seed << " step " << step;
+      ASSERT_EQ(ref_rng.normal(0.0, 1.0), memo_rng.normal(0.0, 1.0))
+          << "seed " << seed << " step " << step;
+    }
+  }
+  // Every poisson branch was exercised.
+  EXPECT_GT(seen.none, 0);
+  EXPECT_GT(seen.knuth, 0);
+  EXPECT_GT(seen.normal, 0);
+}
+
+/// LogicalLink::frame_loss_prob without its memos: the FEC model per
+/// segment at the segment's worst lane BER.
+double reference_frame_loss(const PhysicalPlant& plant, LinkId id, DataSize frame) {
+  const LogicalLink& l = plant.link(id);
+  double survive = 1.0;
+  for (const LinkSegment& seg : l.segments()) {
+    double seg_ber = 0.0;
+    for (int lane : seg.lanes) {
+      seg_ber = std::max(seg_ber, plant.cable(seg.cable).lane(lane).pre_fec_ber());
+    }
+    survive *= 1.0 - l.fec().frame_loss_prob(seg_ber, frame);
+  }
+  return 1.0 - survive;
+}
+
+TEST(FrameLossOracle, MemoizedLossMatchesModelExactly) {
+  // Frame sizes, FEC switches and BER writes (through the plant and
+  // behind its back) in random order: both memo levels, the (BER, frame)
+  // result and the per-BER codeword error, must never serve a stale value.
+  constexpr std::array<double, 6> kBers = {0.0, 1e-9, 1e-6, 1e-4, 1e-3, 2e-2};
+  OraclePlant o;
+  rsf::sim::RandomStream ops(11, "loss-oracle");
+  const auto pick = [&ops](std::size_t n) {
+    return static_cast<std::size_t>(ops.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  for (int step = 0; step < 6000; ++step) {
+    const int op = static_cast<int>(ops.uniform_int(0, 9));
+    if (op == 7) {
+      o.plant.set_fec(o.links[pick(o.links.size())],
+                      FecSpec::of(kAllFecSchemes[pick(kAllFecSchemes.size())]));
+    } else if (op == 8) {
+      o.plant.set_cable_ber(o.cables[pick(o.cables.size())], kBers[pick(kBers.size())]);
+    } else if (op == 9) {
+      o.plant.cable(o.cables[pick(o.cables.size())])
+          .lane(static_cast<int>(pick(4)))
+          .set_pre_fec_ber(kBers[pick(kBers.size())]);
+    }
+    const DataSize frame = ops.uniform_int(0, 1) == 0
+                               ? DataSize::bytes(1024)
+                               : DataSize::bits(ops.uniform_int(1, 8 * 9000));
+    const LinkId id = o.links[pick(o.links.size())];
+    ASSERT_EQ(o.plant.link(id).frame_loss_prob(frame), reference_frame_loss(o.plant, id, frame))
+        << "step " << step << " link " << id;
+  }
+}
 
 // --- Property test: random op sequences keep invariants ---
 

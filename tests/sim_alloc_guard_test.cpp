@@ -5,7 +5,8 @@
 // copy-out) fails here immediately rather than as a silent perf cliff.
 //
 // Far-future events (tier 2 and the far list) are held to the same bar:
-// they live in the same record slab and reuse its slots.
+// they live in the same record slab and reuse its slots. So is the rack
+// transport's per-hop path on top of the kernel.
 //
 // The counters instrument the global operator new/delete for this test
 // binary only. gtest itself allocates freely between the probe windows;
@@ -17,6 +18,9 @@
 
 #include <gtest/gtest.h>
 
+#include "fabric/packet.hpp"
+#include "phy/units.hpp"
+#include "runtime/runtime.hpp"
 #include "sim/event.hpp"
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
@@ -181,6 +185,41 @@ TEST(SimAllocGuardTest, DrainingFarFutureChainIsAllocationFree) {
   EXPECT_EQ(g_allocations - allocs_before, 0u) << "far-future drain touched the heap";
   EXPECT_EQ(g_deallocations - deallocs_before, 0u) << "far-future drain freed to the heap";
   EXPECT_EQ(sim.executed(), (128u + 64u) * 201u);
+}
+
+// The rack hop path under the same bar: once a CRC-less rack is warm
+// (router tables built, port and link-use vectors sized, the
+// switched-bits ring grown to its retention window, every link's frame
+// memo keyed), forwarding the middle of a long flow allocates nothing.
+TEST(SimAllocGuardTest, RackHopPathIsAllocationFree) {
+  runtime::RuntimeConfig cfg;
+  cfg.rack.width = 4;
+  cfg.rack.height = 4;
+  cfg.enable_crc = false;
+  runtime::FabricRuntime rt(cfg);
+  fabric::FlowSpec spec;
+  spec.id = 1;
+  spec.src = 0;
+  spec.dst = 15;
+  spec.size = phy::DataSize::megabytes(32);
+  rt.network().start_flow(spec, nullptr);
+
+  // Warm for two retention windows (the ring keeps 1 ms of hops).
+  rt.run_until(SimTime::milliseconds(2));
+  ASSERT_EQ(rt.network().flows_completed(), 0u);
+  const std::size_t events_before = rt.sim().executed();
+  const std::size_t allocs_before = g_allocations;
+  const std::size_t deallocs_before = g_deallocations;
+  rt.run_until(SimTime::milliseconds(4));
+  const std::size_t allocs = g_allocations - allocs_before;
+  const std::size_t deallocs = g_deallocations - deallocs_before;
+  ASSERT_EQ(rt.network().flows_completed(), 0u) << "the bracket must sit inside the flow";
+  EXPECT_GT(rt.sim().executed(), events_before + 10'000);
+  EXPECT_EQ(allocs, 0u) << "rack hop path touched the heap";
+  EXPECT_EQ(deallocs, 0u) << "rack hop path freed to the heap";
+
+  rt.run_until();
+  EXPECT_EQ(rt.network().flows_completed(), 1u);
 }
 
 }  // namespace

@@ -185,6 +185,20 @@ TEST(RandomStream, PoissonLargeMeanUsesNormalApprox) {
   EXPECT_NEAR(sum / n, 500.0, 2.0);
 }
 
+TEST(RandomStream, PoissonWithPrecomputedLimitDrawsIdentically) {
+  // Twin streams: one computes exp(-mean) itself, the other is handed
+  // it. Results and stream positions must agree across both branches.
+  RandomStream a(37, "twin");
+  RandomStream b(37, "twin");
+  for (double mean : {0.0, 1e-9, 0.3, 3.0, 64.0, 64.5, 500.0}) {
+    for (int i = 0; i < 200; ++i) {
+      ASSERT_EQ(a.poisson(mean), b.poisson(mean, std::exp(-mean))) << "mean " << mean;
+    }
+    ASSERT_EQ(a(), b());
+  }
+  EXPECT_THROW(b.poisson(-1.0, 1.0), std::invalid_argument);
+}
+
 TEST(RandomStream, ForkIsIndependentAndDeterministic) {
   RandomStream parent(31, "root");
   RandomStream c1 = parent.fork("child");
