@@ -13,14 +13,10 @@
 // Each run carries the chaos invariant verifier (bounded, conserving,
 // leak-free); the JSON artifact (--json <path>; bench-smoke
 // schema-validates and uploads it) reports the verdicts per arm, and
-// the CI determinism gate byte-diffs the whole output at
-// --fleet-workers 1 vs 4.
-#include <atomic>
+// the CI determinism gate byte-diffs the whole output at --workers 1
+// vs 4.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -41,9 +37,8 @@ struct Arm {
   ChaosScenarioResult result;
 };
 
-ChaosScenarioConfig arm_config(const std::string& name, int fleet_workers) {
+ChaosScenarioConfig arm_config(const std::string& name) {
   ChaosScenarioConfig cfg;
-  cfg.workers = fleet_workers;
   auto us = [](int t) { return SimTime::microseconds(t); };
   if (name == "baseline") {
     // No chaos: the SLO reference every degradation is judged against.
@@ -162,26 +157,10 @@ void emit_json(const std::vector<Arm>& arms, const std::string& path) {
 
 int main(int argc, char** argv) {
   bench::quiet_logs();
-  std::string json_path = "bench-ext10_chaos_sweep.json";
-  // --workers N: arm-level parallelism (independent simulations on a
-  // pool; output assembled in fixed arm order, so it is byte-identical
-  // for every N). --fleet-workers N: each arm's FleetRuntime drives
-  // its racks through the conservative-PDES engine — byte-identical
-  // to the serial oracle by construction, and the CI determinism gate
-  // diffs exactly that.
-  int sweep_workers = 1;
-  int fleet_workers = 1;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--workers") == 0) sweep_workers = std::atoi(argv[i + 1]);
-    if (std::strcmp(argv[i], "--fleet-workers") == 0) {
-      fleet_workers = std::atoi(argv[i + 1]);
-    }
-  }
-  if (sweep_workers < 1 || fleet_workers < 1) {
-    std::fprintf(stderr, "ext10: --workers/--fleet-workers must be >= 1\n");
-    return 2;
-  }
+  // --workers N runs the arms on N threads; output is byte-identical
+  // for every N.
+  const bench::SweepArgs args =
+      bench::parse_sweep_args(argc, argv, "bench-ext10_chaos_sweep.json");
   bench::print_header(
       "EXT10", "correlated-failure chaos sweep (degraded-mode SLOs)",
       "under trench cuts, flap storms, brownouts and controller restarts the "
@@ -192,27 +171,13 @@ int main(int argc, char** argv) {
   for (const char* name :
        {"baseline", "baseline_long", "srlg_cut", "srlg_flap", "brownout",
         "restart_cold", "restart_ckpt", "combined", "random"}) {
-    arms.push_back(Arm{name, arm_config(name, fleet_workers), {}});
+    arms.push_back(Arm{name, arm_config(name), {}});
   }
 
-  std::atomic<std::size_t> next{0};
-  auto pump = [&] {
-    for (;;) {
-      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= arms.size()) return;
-      ChaosScenario scenario(arms[i].cfg);
-      arms[i].result = scenario.run();
-    }
-  };
-  if (sweep_workers == 1) {
-    pump();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(sweep_workers) - 1);
-    for (int t = 1; t < sweep_workers; ++t) pool.emplace_back(pump);
-    pump();
-    for (std::thread& t : pool) t.join();
-  }
+  bench::run_indexed(arms.size(), args.workers, [&arms](std::size_t i) {
+    ChaosScenario scenario(arms[i].cfg);
+    arms[i].result = scenario.run();
+  });
 
   telemetry::Table table(
       "ext10 — degraded-mode SLOs per chaos arm",
@@ -248,7 +213,7 @@ int main(int argc, char** argv) {
     table.cell(ok ? "ok" : "VIOLATED");
   }
   table.print();
-  emit_json(arms, json_path);
+  emit_json(arms, args.json_path);
 
   // Invariant violations fail the bench (bench-smoke runs this).
   for (const Arm& a : arms) {

@@ -16,12 +16,8 @@
 // acceptance artifact: in at least one skewed arm the slotted regime
 // must beat the carve on background slowdown at greater-or-equal hot
 // speedup.
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -60,13 +56,11 @@ const char* regime_name(SlottedRegime r) {
   return "?";
 }
 
-SlottedScenarioResult run_cell(SlottedArm arm, SlottedRegime regime, double loss,
-                               int fleet_workers) {
+SlottedScenarioResult run_cell(SlottedArm arm, SlottedRegime regime, double loss) {
   SlottedScenarioConfig cfg;
   cfg.arm = arm;
   cfg.regime = regime;
   cfg.loss_prob = loss;
-  cfg.workers = fleet_workers;
   SlottedFleetScenario scenario(cfg);
   return scenario.run();
 }
@@ -149,28 +143,11 @@ void emit_json(const std::vector<SweepPoint>& points, const std::string& path) {
 
 int main(int argc, char** argv) {
   bench::quiet_logs();
-  std::string json_path = "bench-ext11_slotted_sweep.json";
-  // --workers N: sweep-level parallelism — the 18 scenario cells (6
-  // points x packet/carve/slotted) are independent simulations, so a
-  // pool of N threads runs them concurrently and the table/JSON are
-  // assembled serially afterwards in the fixed sweep order: output is
-  // byte-identical for every N. --fleet-workers N: intra-run
-  // parallelism — each cell's FleetRuntime drives its racks through
-  // the conservative-PDES engine; also byte-identical by construction
-  // (the CI determinism gate diffs it against the serial oracle).
-  int sweep_workers = 1;
-  int fleet_workers = 1;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--workers") == 0) sweep_workers = std::atoi(argv[i + 1]);
-    if (std::strcmp(argv[i], "--fleet-workers") == 0) {
-      fleet_workers = std::atoi(argv[i + 1]);
-    }
-  }
-  if (sweep_workers < 1 || fleet_workers < 1) {
-    std::fprintf(stderr, "ext11: --workers/--fleet-workers must be >= 1\n");
-    return 2;
-  }
+  // --workers N runs the 18 scenario cells (6 points x
+  // packet/carve/slotted) on N threads; output is byte-identical for
+  // every N.
+  const bench::SweepArgs args =
+      bench::parse_sweep_args(argc, argv, "bench-ext11_slotted_sweep.json");
   bench::print_header(
       "EXT11", "carve vs. slotted vs. packet transport regimes (SIGCOMM §2, TDMA arm)",
       "periodic slot schedules match the carve's hot-pair speedup while their "
@@ -190,49 +167,14 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Run every cell, possibly on a pool. Results land in slots indexed
-  // by (point, regime), so completion order never touches output
-  // order.
-  struct Cell {
-    std::size_t point;
-    SlottedRegime regime;
-  };
-  std::vector<Cell> cells;
-  cells.reserve(points.size() * 3);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    cells.push_back({i, SlottedRegime::kPacket});
-    cells.push_back({i, SlottedRegime::kCarve});
-    cells.push_back({i, SlottedRegime::kSlotted});
-  }
-  std::atomic<std::size_t> next{0};
-  auto pump = [&] {
-    for (;;) {
-      const std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= cells.size()) return;
-      SweepPoint& p = points[cells[c].point];
-      SlottedScenarioResult r = run_cell(p.arm, cells[c].regime, p.loss, fleet_workers);
-      switch (cells[c].regime) {
-        case SlottedRegime::kPacket:
-          p.packet = r;
-          break;
-        case SlottedRegime::kCarve:
-          p.carve = r;
-          break;
-        case SlottedRegime::kSlotted:
-          p.slotted = r;
-          break;
-      }
-    }
-  };
-  if (sweep_workers == 1) {
-    pump();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(sweep_workers) - 1);
-    for (int t = 1; t < sweep_workers; ++t) pool.emplace_back(pump);
-    pump();
-    for (std::thread& t : pool) t.join();
-  }
+  // Cell 3i + k is point i under regime k (packet, carve, slotted).
+  static constexpr SlottedRegime kRegimes[] = {SlottedRegime::kPacket, SlottedRegime::kCarve,
+                                               SlottedRegime::kSlotted};
+  bench::run_indexed(points.size() * 3, args.workers, [&points](std::size_t c) {
+    SweepPoint& p = points[c / 3];
+    SlottedScenarioResult* const slot[] = {&p.packet, &p.carve, &p.slotted};
+    *slot[c % 3] = run_cell(p.arm, kRegimes[c % 3], p.loss);
+  });
 
   telemetry::Table table("ext11 — transport-regime crossover per sweep point",
                          {"arm", "loss", "hot pkt (us)", "hot carve (us)",
@@ -267,6 +209,6 @@ int main(int argc, char** argv) {
     table.cell(buf);
   }
   table.print();
-  emit_json(points, json_path);
+  emit_json(points, args.json_path);
   return 0;
 }

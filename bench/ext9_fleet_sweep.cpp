@@ -12,12 +12,8 @@
 // job completion improves under a reservation, and how much the
 // background traffic sharing the residual degrades — both quantified
 // in the emitted JSON (--json <path>; bench-smoke uploads it).
-#include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -44,13 +40,12 @@ const char* kind_name(SkewedScenarioKind k) {
 }
 
 SkewedScenarioResult run_arm(SkewedScenarioKind kind, double loss, double weight,
-                             bool reservations, int fleet_workers) {
+                             bool reservations) {
   SkewedScenarioConfig cfg;
   cfg.kind = kind;
   cfg.loss_prob = loss;
   cfg.utilization_weight = weight;
   cfg.reservations = reservations;
-  cfg.workers = fleet_workers;
   SkewedFleetScenario scenario(cfg);
   return scenario.run();
 }
@@ -119,28 +114,10 @@ void emit_json(const std::vector<SweepPoint>& points, const std::string& path) {
 
 int main(int argc, char** argv) {
   bench::quiet_logs();
-  std::string json_path = "bench-ext9_fleet_sweep.json";
-  // --workers N: sweep-level parallelism — the 24 scenario arms (12
-  // points x packet/reserved) are independent simulations, so a pool
-  // of N threads runs them concurrently and the table/JSON are
-  // assembled serially afterwards in the fixed sweep order: output is
-  // byte-identical for every N. --fleet-workers N: intra-run
-  // parallelism — each arm's FleetRuntime drives its racks through
-  // the conservative-PDES engine; also byte-identical by construction
-  // (the CI determinism gate diffs it against the serial oracle).
-  int sweep_workers = 1;
-  int fleet_workers = 1;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--workers") == 0) sweep_workers = std::atoi(argv[i + 1]);
-    if (std::strcmp(argv[i], "--fleet-workers") == 0) {
-      fleet_workers = std::atoi(argv[i + 1]);
-    }
-  }
-  if (sweep_workers < 1 || fleet_workers < 1) {
-    std::fprintf(stderr, "ext9: --workers/--fleet-workers must be >= 1\n");
-    return 2;
-  }
+  // --workers N runs the 24 scenario arms (12 points x
+  // packet/reserved) on N threads; output is byte-identical for every N.
+  const bench::SweepArgs args =
+      bench::parse_sweep_args(argc, argv, "bench-ext9_fleet_sweep.json");
   bench::print_header(
       "EXT9", "fleet-scope circuit vs. packet regimes (SIGCOMM §2, at fleet scale)",
       "reserving capacity for a persistently hot rack pair improves its job "
@@ -165,38 +142,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Run every arm, possibly on a pool. Results land in slots indexed
-  // by (point, arm), so completion order never touches output order.
-  struct Arm {
-    std::size_t point;
-    bool reservations;
-  };
-  std::vector<Arm> arms;
-  arms.reserve(points.size() * 2);
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    arms.push_back({i, false});
-    arms.push_back({i, true});
-  }
-  std::atomic<std::size_t> next{0};
-  auto pump = [&] {
-    for (;;) {
-      const std::size_t a = next.fetch_add(1, std::memory_order_relaxed);
-      if (a >= arms.size()) return;
-      SweepPoint& p = points[arms[a].point];
-      SkewedScenarioResult r =
-          run_arm(p.kind, p.loss, p.weight, arms[a].reservations, fleet_workers);
-      (arms[a].reservations ? p.reserved : p.packet) = r;
-    }
-  };
-  if (sweep_workers == 1) {
-    pump();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(sweep_workers) - 1);
-    for (int t = 1; t < sweep_workers; ++t) pool.emplace_back(pump);
-    pump();
-    for (std::thread& t : pool) t.join();
-  }
+  // Arm 2i is point i's packet arm, 2i + 1 its reserved arm.
+  bench::run_indexed(points.size() * 2, args.workers, [&points](std::size_t a) {
+    SweepPoint& p = points[a / 2];
+    const bool reserved = a % 2 == 1;
+    (reserved ? p.reserved : p.packet) = run_arm(p.kind, p.loss, p.weight, reserved);
+  });
 
   telemetry::Table table("ext9 — reservation crossover per sweep point",
                          {"scenario", "loss", "w_util", "hot off (us)", "hot on (us)",
@@ -226,6 +177,6 @@ int main(int argc, char** argv) {
     table.cell(buf);
   }
   table.print();
-  emit_json(points, json_path);
+  emit_json(points, args.json_path);
   return 0;
 }

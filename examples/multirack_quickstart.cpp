@@ -13,8 +13,6 @@
 // fleet metrics table shows every rack's telemetry under its
 // "rack<N>." prefix next to the spine's and the controller's.
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "runtime/fleet.hpp"
 #include "sim/log.hpp"
@@ -22,22 +20,11 @@
 using namespace rsf;
 using namespace rsf::sim::literals;
 
-int main(int argc, char** argv) {
+int main() {
   sim::LogConfig::set_level(sim::LogLevel::kOff);
-
-  // --workers N drives the same fleet through the conservative-PDES
-  // engine; the output must stay byte-identical to the default (the
-  // CI determinism gate diffs the two).
-  int workers = 1;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--workers") == 0 && i + 1 < argc) {
-      workers = std::atoi(argv[++i]);
-    }
-  }
 
   // --- 1. Describe the fleet: three racks, three shapes ---
   runtime::FleetConfig cfg;
-  cfg.workers = workers;
 
   runtime::RackSpec compute;  // adaptive grid, CRC on
   compute.config.shape = runtime::RackShape::kGrid;

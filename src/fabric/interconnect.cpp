@@ -73,16 +73,6 @@ const Interconnect::SpineLink& Interconnect::at(SpineLinkId id) const {
 
 const SpineLinkParams& Interconnect::link(SpineLinkId id) const { return at(id).params; }
 
-rsf::sim::SimTime Interconnect::min_lookahead() const {
-  rsf::sim::SimTime floor = rsf::sim::SimTime::infinity();
-  // Administrative state is ignored on purpose: a down link can come
-  // back up mid-run, and the horizon must already have accounted for
-  // it (lookahead is a static property of the fabric, not of the
-  // moment's routing table).
-  for (const SpineLink& l : links_) floor = std::min(floor, l.params.latency);
-  return floor;
-}
-
 void Interconnect::set_link_up(SpineLinkId id, bool up) {
   static_cast<void>(at(id));  // validate
   // Idempotent: overlapping shared-risk groups legitimately fail the

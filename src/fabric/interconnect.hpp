@@ -182,19 +182,6 @@ class Interconnect {
   /// actually changes; the route cache keys on it.
   [[nodiscard]] std::uint64_t version() const { return version_; }
 
-  /// Conservative-PDES lookahead of one spine link: the minimum delay
-  /// between a send decision at one gateway and any observable effect
-  /// at the far one (the link's propagation latency; serialization
-  /// only adds to it).
-  [[nodiscard]] rsf::sim::SimTime lookahead(SpineLinkId id) const {
-    return link(id).latency;
-  }
-  /// The fleet-wide lookahead floor: the minimum lookahead over every
-  /// spine link (infinity when there are none — unlinked racks never
-  /// interact). The parallel fleet engine derives its sync horizon
-  /// from this and FleetRuntime refuses workers > 1 when it is zero.
-  [[nodiscard]] rsf::sim::SimTime min_lookahead() const;
-
   /// The far endpoint of `id` as seen from `from_rack`.
   [[nodiscard]] const RackNode& far_end(SpineLinkId id, std::uint32_t from_rack) const;
 

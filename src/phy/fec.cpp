@@ -42,9 +42,16 @@ FecSpec FecSpec::of(FecScheme s) {
 
 namespace {
 
+/// log Gamma(x) via the reentrant lgamma_r: std::lgamma writes the
+/// global signgam, a data race when sweep arms run on several threads.
+double log_gamma(double x) {
+  int sign = 0;
+  return ::lgamma_r(x, &sign);
+}
+
 /// log of the binomial coefficient C(n, k).
 double log_choose(int n, int k) {
-  return std::lgamma(n + 1.0) - std::lgamma(k + 1.0) - std::lgamma(n - k + 1.0);
+  return log_gamma(n + 1.0) - log_gamma(k + 1.0) - log_gamma(n - k + 1.0);
 }
 
 /// P(X > t) for X ~ Binomial(n, p), computed as 1 - sum_{j<=t} pmf(j)

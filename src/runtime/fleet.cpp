@@ -1,29 +1,13 @@
 #include "runtime/fleet.hpp"
 
 #include <algorithm>
-#include <functional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
-#include "runtime/fleet_parallel.hpp"
-
 namespace rsf::runtime {
 
 using rsf::sim::SimTime;
-
-// Serial drive (the oracle) runs the body inline with zero
-// indirection added; parallel drive materializes it as the mailbox
-// continuation. A template so the 1-worker hot path never constructs
-// a std::function it won't defer.
-template <typename F>
-void FleetRuntime::defer_rack(std::uint32_t rack, F&& fn) {
-  if (engine_ == nullptr) {
-    fn();
-    return;
-  }
-  engine_->emit(rack, std::function<void()>(std::forward<F>(fn)));
-}
 
 FleetRuntime::FleetRuntime(FleetConfig config) : config_(std::move(config)) {
   if (config_.racks.empty()) {
@@ -38,27 +22,9 @@ FleetRuntime::FleetRuntime(FleetConfig config) : config_(std::move(config)) {
   if (config_.retry_delay < SimTime::zero()) {
     throw std::invalid_argument("FleetRuntime: negative retry_delay");
   }
-  if (config_.workers < 1) {
-    throw std::invalid_argument("FleetRuntime: workers < 1");
-  }
-  const bool parallel = config_.workers > 1;
   racks_.reserve(config_.racks.size());
-  if (parallel) shard_sims_.reserve(config_.racks.size());
   for (const RackSpec& spec : config_.racks) {
-    if (parallel) {
-      // Each rack on its own calendar ring: same EventRecord format,
-      // private slab and SlotPool, drained by the merge engine. All
-      // rings draw insertion sequences from the fleet ring's counter
-      // (before the rack schedules anything), so the fleet-wide
-      // (time, seq) order is total — the merge replays the oracle's
-      // schedule key for key.
-      shard_sims_.push_back(std::make_unique<rsf::sim::Simulator>());
-      rsf::sim::ParallelMergePeer::share_sequence(*shard_sims_.back(), sim_);
-      racks_.push_back(
-          std::make_unique<FabricRuntime>(shard_sims_.back().get(), spec.config));
-    } else {
-      racks_.push_back(std::make_unique<FabricRuntime>(&sim_, spec.config));
-    }
+    racks_.push_back(std::make_unique<FabricRuntime>(&sim_, spec.config));
   }
   for (std::size_t i = 0; i < config_.racks.size(); ++i) {
     const phy::NodeId gw = config_.racks[i].gateway;
@@ -88,38 +54,6 @@ FleetRuntime::FleetRuntime(FleetConfig config) : config_(std::move(config)) {
     controller_ = std::make_unique<FleetController>(&sim_, spine_.get(),
                                                     config_.controller, &registry_);
   }
-  if (parallel) {
-    // Zero-lookahead refusal: a zero-latency spine link makes
-    // gateway-to-gateway influence same-instant, degenerating the
-    // conservative horizon fleet-wide. Refuse with a clear error
-    // instead of deadlocking or silently serializing. (A spineless
-    // fleet has infinite lookahead and passes.)
-    if (spine_->min_lookahead() <= SimTime::zero()) {
-      throw std::invalid_argument(
-          "FleetRuntime: workers > 1 needs a positive conservative lookahead, "
-          "but a spine link has zero latency; run with workers = 1");
-    }
-    std::vector<rsf::sim::Simulator*> shard_ptrs;
-    shard_ptrs.reserve(shard_sims_.size());
-    for (auto& s : shard_sims_) shard_ptrs.push_back(s.get());
-    engine_ = std::make_unique<ParallelFleetEngine>(&sim_, std::move(shard_ptrs),
-                                                    config_.workers);
-  }
-}
-
-FleetRuntime::~FleetRuntime() = default;
-
-std::size_t FleetRuntime::run_until(SimTime until) {
-  if (engine_) return engine_->run_until(until);
-  return sim_.run_until(until);
-}
-
-std::uint64_t FleetRuntime::sync_windows() const {
-  return engine_ ? engine_->sync_windows() : 0;
-}
-
-std::uint64_t FleetRuntime::cross_shard_events() const {
-  return engine_ ? engine_->cross_shard_events() : 0;
 }
 
 FabricRuntime& FleetRuntime::rack(std::size_t i) {
@@ -412,30 +346,24 @@ void FleetRuntime::packet_step(std::uint32_t pkt_idx) {
 void FleetRuntime::packet_rack_leg(std::uint32_t pkt_idx, phy::NodeId to) {
   FleetPacket& pkt = packets_[pkt_idx];
   pkt.leg_to = to;
-  const std::uint32_t rack = pkt.at.rack;
-  // Both lambdas fit std::function's inline buffer: no per-stage heap
-  // allocation on the packet hot path. The delivery event fires inside
-  // the rack shard, so everything touching fleet state rides
-  // defer_rack back to the fleet layer (inline under serial drive).
-  racks_[rack]->network().send_probe(
-      pkt.at.node, to, pkt.size,
-      [this, rack, pkt_idx](SimTime, int, bool delivered) {
-        defer_rack(rack, [this, pkt_idx, delivered] {
-          // rsf-lint: unguarded-slot-ok(each packet slot has exactly one in-flight event; release happens only inside it)
-          FleetPacket& p = packets_[pkt_idx];
-          const FleetFlowState* f = live_flow(p);
-          if (f == nullptr || f->done) {
-            release_packet(pkt_idx);
-            return;
-          }
-          if (!delivered) {  // the rack fabric exhausted its own retries
-            packet_retry(pkt_idx);
-            return;
-          }
-          p.at.node = p.leg_to;
-          ++p.rack_legs;
-          packet_step(pkt_idx);
-        });
+  // The lambda fits std::function's inline buffer: no per-stage heap
+  // allocation on the packet hot path.
+  racks_[pkt.at.rack]->network().send_probe(
+      pkt.at.node, to, pkt.size, [this, pkt_idx](SimTime, int, bool delivered) {
+        // rsf-lint: unguarded-slot-ok(each packet slot has exactly one in-flight event; release happens only inside it)
+        FleetPacket& p = packets_[pkt_idx];
+        const FleetFlowState* f = live_flow(p);
+        if (f == nullptr || f->done) {
+          release_packet(pkt_idx);
+          return;
+        }
+        if (!delivered) {  // the rack fabric exhausted its own retries
+          packet_retry(pkt_idx);
+          return;
+        }
+        p.at.node = p.leg_to;
+        ++p.rack_legs;
+        packet_step(pkt_idx);
       });
 }
 
@@ -583,20 +511,15 @@ void FleetRuntime::run_rack_leg(std::uint32_t flow_idx, phy::NodeId to) {
   leg.start = sim_.now();
   ++f.rack_legs;
   const std::uint64_t gen = flows_.generation(flow_idx);
-  const std::uint32_t rack = f.at.rack;
-  // The completion fires inside the rack shard; the body defers back
-  // to the fleet layer (inline under serial drive).
-  racks_[rack]->network().start_flow(
-      leg, [this, rack, flow_idx, gen, to](const fabric::FlowResult& r) {
-        defer_rack(rack, [this, flow_idx, gen, to, failed = r.failed] {
-          if (!flows_.is_live(flow_idx, gen)) return;  // slot recycled since
-          if (failed) {
-            finish_fleet_flow(flow_idx, true);
-            return;
-          }
-          flows_[flow_idx].at.node = to;
-          advance(flow_idx);
-        });
+  racks_[f.at.rack]->network().start_flow(
+      leg, [this, flow_idx, gen, to](const fabric::FlowResult& r) {
+        if (!flows_.is_live(flow_idx, gen)) return;  // slot recycled since
+        if (r.failed) {
+          finish_fleet_flow(flow_idx, true);
+          return;
+        }
+        flows_[flow_idx].at.node = to;
+        advance(flow_idx);
       });
 }
 

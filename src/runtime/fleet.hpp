@@ -7,15 +7,11 @@
 // ONE shared Simulator clock, so cross-rack causality is exact and
 // runs stay bit-for-bit deterministic.
 //
-// FleetConfig::workers > 1 switches the drive train, not the model:
-// each rack shard gets a private calendar ring and a worker thread
-// pool drains them under a conservative-PDES merge
-// (ParallelFleetEngine, fleet_parallel.hpp), while the fleet layer —
-// spine, controller, retries, flow bookkeeping — stays serial on the
-// caller's thread. The 1-worker default is exactly the shared-clock
-// code path above (the determinism oracle), and the engine is built
-// so N-worker runs replay the oracle's event order byte for byte —
-// CI diffs the two on every scenario.
+// There is one drive train: the fleet layer (spine, controller,
+// retries, flow bookkeeping) and every rack shard schedule onto the
+// same calendar ring, and rack-network callbacks run the fleet-layer
+// continuation inline. The event order is therefore a pure function
+// of the config and seed — the same seed renders the same bytes.
 //
 // Cross-rack transport is per-packet (SpineTransport::kPacketized, the
 // default): a fleet flow is packetized at the source and each packet
@@ -61,6 +57,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -71,8 +68,6 @@
 #include "workload/crossrack.hpp"
 
 namespace rsf::runtime {
-
-class ParallelFleetEngine;
 
 struct RackSpec {
   RuntimeConfig config;
@@ -114,14 +109,6 @@ struct FleetConfig {
   /// from their RackSpec configs, so adding a rack never perturbs
   /// another rack's draws.
   std::uint64_t seed = 1;
-  /// Drive threads. 1 (the default) is the shared-clock serial path —
-  /// the determinism oracle. N > 1 gives every rack its own calendar
-  /// ring, drained by N threads (the caller's plus N-1 helpers) under
-  /// the conservative-PDES merge; results and telemetry are
-  /// byte-identical to workers = 1. Requires a positive spine
-  /// lookahead (no zero-latency spine link) — the constructor refuses
-  /// otherwise rather than risking a degenerate horizon.
-  int workers = 1;
   /// Construct the spine-aware FleetController. start() arms its
   /// epoch loop.
   bool enable_controller = false;
@@ -164,7 +151,6 @@ class FleetRuntime {
   static constexpr fabric::FlowId kLegFlowBase = fabric::FlowId{1} << 62;
 
   explicit FleetRuntime(FleetConfig config);
-  ~FleetRuntime();  // out of line: ParallelFleetEngine is incomplete here
 
   FleetRuntime(const FleetRuntime&) = delete;
   FleetRuntime& operator=(const FleetRuntime&) = delete;
@@ -207,11 +193,10 @@ class FleetRuntime {
   /// Throws std::logic_error when built with enable_controller = false
   /// or while a controller is still alive.
   void restart_controller(const FleetControllerCheckpoint* ckpt = nullptr);
-  /// Drain the fleet to `until`. workers = 1 runs the shared clock
-  /// directly; workers > 1 hands the same horizon to the
-  /// conservative-PDES merge engine (identical semantics and event
-  /// order, down to the parked clock at a drained horizon).
-  std::size_t run_until(rsf::sim::SimTime until = rsf::sim::SimTime::infinity());
+  /// Drain the fleet's shared clock to `until`.
+  std::size_t run_until(rsf::sim::SimTime until = rsf::sim::SimTime::infinity()) {
+    return sim_.run_until(until);
+  }
   [[nodiscard]] rsf::sim::SimTime now() const { return sim_.now(); }
 
   // --- cross-rack transport ---
@@ -251,13 +236,6 @@ class FleetRuntime {
   /// total — the chaos verifier's stale-handle/leak check.
   [[nodiscard]] std::size_t packet_slots() const { return packets_.size(); }
   [[nodiscard]] std::size_t free_packet_slots() const { return packets_.free_count(); }
-
-  /// Parallel-drive observability (both 0 with workers = 1). Exposed
-  /// as accessors — the fleet.sync_windows / fleet.cross_shard_events
-  /// gauges of docs/METRICS.md — rather than registry rows, so the
-  /// metrics table stays byte-identical across worker counts.
-  [[nodiscard]] std::uint64_t sync_windows() const;
-  [[nodiscard]] std::uint64_t cross_shard_events() const;
 
  private:
   struct FleetFlowState {
@@ -347,15 +325,6 @@ class FleetRuntime {
   void advance(std::uint32_t flow_idx);
   void run_rack_leg(std::uint32_t flow_idx, phy::NodeId to);
 
-  /// Route a rack-network callback body back to the fleet layer.
-  /// Serial drive invokes it inline (the oracle's synchronous call);
-  /// parallel drive defers it through the shard's mailbox so it runs
-  /// on the merge thread at the same instant, right after the
-  /// emitting event — the oracle's exact position. Defined in
-  /// fleet.cpp (all callers live there).
-  template <typename F>
-  void defer_rack(std::uint32_t rack, F&& fn);
-
   void finish_fleet_flow(std::uint32_t flow_idx, bool failed);
   /// Return the slot to the free list once the flow is done and its
   /// last straggler packet has drained (the pool's FleetFlowDrained
@@ -378,9 +347,6 @@ class FleetRuntime {
 
   FleetConfig config_;
   rsf::sim::Simulator sim_;
-  /// Parallel drive only: rack i runs on shard_sims_[i] instead of
-  /// sim_. Declared before racks_ so shards outlive their runtimes.
-  std::vector<std::unique_ptr<rsf::sim::Simulator>> shard_sims_;
   // Declared before the racks/spine: spine instruments point here.
   telemetry::Registry registry_;
   // Fleet-layer accounting folded into the live "spine.*" set; cached
@@ -403,9 +369,6 @@ class FleetRuntime {
   std::uint64_t flows_failed_ = 0;
   std::vector<std::unique_ptr<workload::CrossRackShuffle>> shuffles_;
   std::vector<std::unique_ptr<workload::CrossRackIncast>> incasts_;
-  /// Null with workers = 1. Declared last: its destructor parks the
-  /// worker threads before anything they reference goes away.
-  std::unique_ptr<ParallelFleetEngine> engine_;
 };
 
 }  // namespace rsf::runtime

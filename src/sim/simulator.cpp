@@ -277,43 +277,39 @@ __attribute__((flatten)) std::size_t Simulator::run_events(std::size_t max_event
   return count;
 }
 
-Simulator::PendingKey Simulator::next_key() const {
+SimTime Simulator::next_time() const {
   // An in-flight batch resumes first: any live remainder runs at
-  // batch_time_, which is <= every still-queued time, and the batch is
-  // seq-sorted, so the first live record from the cursor is minimal.
+  // batch_time_, which is <= every still-queued time.
   for (std::size_t c = batch_cursor_; c < batch_.size(); ++c) {
     const EventRecord& rec = records_[batch_[c]];
-    if (slots_.is_live(rec.slot, rec.generation)) return {batch_time_, rec.seq};
+    if (slots_.is_live(rec.slot, rec.generation)) return batch_time_;
   }
   // Then ring, tier 2, far list: every level lies wholly after the one
   // before it, so the first level holding a live record holds the
   // minimum.
-  PendingKey best = PendingKey::infinite();
+  SimTime best = SimTime::infinity();
   if (ring_count_ != 0) {
-    best = first_live_key(heads_, occupied_, scan_word_);
-    if (best.time != SimTime::infinity()) return best;
+    best = first_live_time(heads_, occupied_, scan_word_);
+    if (best != SimTime::infinity()) return best;
   }
   if (tier2_count_ != 0) {
-    best = first_live_key(heads2_, occupied2_, 0);
-    if (best.time != SimTime::infinity()) return best;
+    best = first_live_time(heads2_, occupied2_, 0);
+    if (best != SimTime::infinity()) return best;
   }
   for (std::uint32_t index = far_head_; index != kNilIndex; index = record_next_[index]) {
     const EventRecord& rec = records_[index];
-    if (slots_.is_live(rec.slot, rec.generation) && PendingKey{rec.time, rec.seq} < best) {
-      best = {rec.time, rec.seq};
-    }
+    if (slots_.is_live(rec.slot, rec.generation) && rec.time < best) best = rec.time;
   }
   return best;
 }
 
-Simulator::PendingKey Simulator::first_live_key(const Buckets& heads, const Bitmap& occupied,
-                                                std::size_t word) const {
+SimTime Simulator::first_live_time(const Buckets& heads, const Bitmap& occupied,
+                                   std::size_t word) const {
   // Earliest occupied bucket first. Buckets partition the level by
   // time, so the first bucket holding a live record contains the
-  // level's minimum (and every record at that time — one time maps to
-  // one bucket — so the min seq is found in the same walk). Tombstone-
-  // only buckets are skipped, not swept — this is a const peek.
-  PendingKey best = PendingKey::infinite();
+  // level's minimum. Tombstone-only buckets are skipped, not swept —
+  // this is a const peek.
+  SimTime best = SimTime::infinity();
   for (; word < occupied.size(); ++word) {
     std::uint64_t bits = occupied[word];
     while (bits != 0) {
@@ -321,11 +317,9 @@ Simulator::PendingKey Simulator::first_live_key(const Buckets& heads, const Bitm
       bits &= bits - 1;
       for (std::uint32_t index = heads[b]; index != kNilIndex; index = record_next_[index]) {
         const EventRecord& rec = records_[index];
-        if (slots_.is_live(rec.slot, rec.generation) && PendingKey{rec.time, rec.seq} < best) {
-          best = {rec.time, rec.seq};
-        }
+        if (slots_.is_live(rec.slot, rec.generation) && rec.time < best) best = rec.time;
       }
-      if (best.time != SimTime::infinity()) return best;
+      if (best != SimTime::infinity()) return best;
     }
   }
   return best;

@@ -45,10 +45,6 @@
 // The (time, insertion-sequence) total order is what callers observe;
 // bucket layout and batch boundaries are invisible to it. Handlers
 // must not re-enter run_until()/run_events().
-//
-// The record/queue split is deliberate groundwork for conservative-
-// PDES sharding: a shard is this queue plus its slot pool, and records
-// already move by memcpy.
 #pragma once
 
 #include <array>
@@ -132,40 +128,14 @@ class Simulator {
   /// used by tests to set up mid-run scenarios.
   void fast_forward_to(SimTime when);
 
-  /// The (time, insertion-sequence) key of the earliest live pending
-  /// event. Orders lexicographically; infinite() when nothing is
-  /// pending.
-  struct PendingKey {
-    SimTime time = SimTime::infinity();
-    std::uint64_t seq = UINT64_MAX;
-    [[nodiscard]] static PendingKey infinite() { return {}; }
-    [[nodiscard]] bool operator<(const PendingKey& o) const {
-      return time < o.time || (time == o.time && seq < o.seq);
-    }
-  };
-
   /// Time of the earliest live pending event (strong or weak), or
   /// infinity when none remain. A pure peek: no batch is formed, no
   /// window re-anchor is committed (tombstones are skipped, not
-  /// reclaimed). This is the horizon the conservative-PDES merge
-  /// engine compares across shard rings.
-  [[nodiscard]] SimTime next_time() const { return next_key().time; }
-
-  /// Full merge key of the earliest live pending event. With rings
-  /// sharing one sequence counter (ParallelMergePeer::share_sequence)
-  /// the keys are totally ordered across rings, and merging on them
-  /// replays the single-clock oracle's (time, insertion-sequence)
-  /// schedule exactly — including cross-ring same-instant ties.
-  [[nodiscard]] PendingKey next_key() const;
+  /// reclaimed).
+  [[nodiscard]] SimTime next_time() const;
 
  private:
   friend struct SimulatorTestPeer;
-  /// Conservative-PDES merge seam (runtime::ParallelFleetEngine): a
-  /// clock advance that skips fast_forward_to's idle check because the
-  /// engine has *proved* no pending event precedes the target (the
-  /// merge invariant: it only advances a ring to the fleet-wide
-  /// frontier, which is <= every ring's next_time()).
-  friend struct ParallelMergePeer;
 
   // Calendar geometry: 1024 buckets of 2^12 ps give a ~4.2 us window,
   // matching the sub-us inter-event gaps of the packet paths. The ring
@@ -257,8 +227,8 @@ class Simulator {
   SimTime sweep_tombstones(std::uint32_t& head, std::size_t& freed);
   bool promote_tier2(SimTime until);
   bool refill_tier2(SimTime until);
-  PendingKey first_live_key(const Buckets& heads, const Bitmap& occupied,
-                            std::size_t word) const;
+  SimTime first_live_time(const Buckets& heads, const Bitmap& occupied,
+                          std::size_t word) const;
   std::size_t drain_one();
 
   /// The record-slab free list is threaded through record_next_ like
@@ -286,13 +256,6 @@ class Simulator {
 
   SimTime now_ = SimTime::zero();
   std::uint64_t next_seq_ = 1;
-  /// Where insertion sequences are drawn from — self by default. The
-  /// parallel fleet drive points every shard ring at the fleet ring's
-  /// counter so the (time, seq) order stays total across rings. One
-  /// extra indirection on schedule; never concurrent (at most one
-  /// thread executes simulation code at a time, and the engine's
-  /// window handoff orders the accesses).
-  std::uint64_t* seq_src_ = &next_seq_;
   std::uint64_t executed_ = 0;
   std::size_t strong_count_ = 0;
   std::size_t weak_count_ = 0;
@@ -344,28 +307,6 @@ class Simulator {
   SimTime batch_time_ = SimTime::zero();
 };
 
-/// The parallel fleet drive's window into the kernel (the engine and
-/// FleetRuntime's shard setup). Every member assumes the drive's
-/// conservative invariants; nothing else may use this (tests use
-/// SimulatorTestPeer).
-struct ParallelMergePeer {
-  /// Set the clock to `t` without draining. Caller proves t <= the
-  /// ring's next_time(); times at or before now() are a no-op, so the
-  /// engine can blanket-advance every ring to the frontier.
-  static void advance_clock(Simulator& s, SimTime t) {
-    if (t > s.now_) s.now_ = t;
-  }
-  static std::size_t strong_pending(const Simulator& s) { return s.strong_count_; }
-  static std::size_t weak_pending(const Simulator& s) { return s.weak_count_; }
-  /// Draw `follower`'s insertion sequences from `leader`'s counter.
-  /// Must run before anything schedules on `follower`; with every
-  /// shard ring following the fleet ring, schedule calls interleave
-  /// into one total (time, seq) order — the oracle's.
-  static void share_sequence(Simulator& follower, Simulator& leader) {
-    follower.seq_src_ = leader.seq_src_;
-  }
-};
-
 inline EventRecord& Simulator::acquire_record(SimTime when, bool weak) {
   if (when < now_) throw_past_time(when);
   const auto slot = slots_.claim();
@@ -380,7 +321,7 @@ inline EventRecord& Simulator::acquire_record(SimTime when, bool weak) {
   }
   EventRecord& rec = records_[index];
   rec.time = when;
-  rec.seq = (*seq_src_)++;
+  rec.seq = next_seq_++;
   rec.slot = slot.index;
   rec.generation = slot.generation;
   return rec;

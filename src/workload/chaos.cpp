@@ -45,8 +45,7 @@ runtime::SpineSpec chaos_link(std::uint32_t a, std::uint32_t b, double cost) {
 /// outside both trenches. Cutting one trench leaves the line whole on
 /// the other; cutting both partitions rack 3; a rack-1 brownout
 /// (links 0..3) still leaves 2 -> 0 and 3 -> 0 routable over the
-/// bypass. Every latency is equal, so the parallel drive's lookahead
-/// is uniform.
+/// bypass. Every latency is equal.
 runtime::FleetConfig chaos_fleet(const ChaosScenarioConfig& cfg) {
   runtime::FleetConfig fc;
   for (std::uint32_t i = 0; i < kRacks; ++i) fc.racks.push_back(chaos_rack());
@@ -59,7 +58,6 @@ runtime::FleetConfig chaos_fleet(const ChaosScenarioConfig& cfg) {
   fc.spine.push_back(chaos_link(0, 2, 2.5));  // 6: the brownout bypass
   for (runtime::SpineSpec& s : fc.spine) s.loss_prob = cfg.loss_prob;
   fc.seed = cfg.seed;
-  fc.workers = cfg.workers;
   fc.enable_controller = true;
   fc.controller.epoch = SimTime::microseconds(20);
   fc.controller.reservations.enable = cfg.reservations;
@@ -75,7 +73,7 @@ runtime::FleetConfig chaos_fleet(const ChaosScenarioConfig& cfg) {
 /// Merge the scripted timeline with the seeded-random one and sort by
 /// time (stable: scripted events keep their relative order on ties,
 /// random events follow in draw order). Pure — same config and seed,
-/// same timeline, on every worker count.
+/// same timeline.
 std::vector<ChaosEvent> resolve_timeline(const ChaosScenarioConfig& cfg) {
   std::vector<ChaosEvent> events = cfg.timeline;
   if (cfg.random.enable) {
@@ -122,9 +120,8 @@ ChaosScenario::ChaosScenario(ChaosScenarioConfig config)
   if (config_.horizon <= SimTime::zero()) {
     throw std::invalid_argument("ChaosScenario: non-positive horizon");
   }
-  // Resolve the chaos counter set now, while no worker threads exist:
-  // metrics() snapshots every rack registry, which event handlers on
-  // the parallel drive must never do mid-run.
+  // Resolve the chaos counter set once: metrics() snapshots every rack
+  // registry, far too much work for a per-event handler.
   chaos_counters_ = &fleet_->metrics().counters("chaos");
   fabric::Interconnect& spine = fleet_->spine();
   const auto a = spine.add_shared_risk_group({0, 2, 4});
@@ -272,8 +269,7 @@ ChaosScenarioResult ChaosScenario::run() {
   launch_flow(f.at(2, 3, 3), f.at(0, 3, 3), false);
 
   // The timeline rides weak fleet-ring events: chaos never keeps a
-  // drained fleet alive, and the conservative-PDES merge replays the
-  // exact oracle order, so runs stay byte-identical across workers.
+  // drained fleet alive.
   for (const ChaosEvent& e : timeline_) {
     f.sim().schedule_weak_at(e.at, [this, e] { apply(e); });
   }

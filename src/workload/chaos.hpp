@@ -13,10 +13,7 @@
 // Timelines are scripted (an explicit ChaosEvent vector), seeded-
 // random (a RandomStream draws cut targets and times; same seed, same
 // timeline, byte-identical run), or both. Every event is scheduled as
-// a weak fleet-ring event: chaos never keeps a drained fleet alive,
-// and under the conservative-PDES drive the events merge at exactly
-// the oracle's position — chaos runs are byte-identical at workers
-// 1 vs 4 like everything else (CI diffs one).
+// a weak fleet-ring event: chaos never keeps a drained fleet alive.
 //
 // Every run is wrapped in an invariant verifier:
 //  * no hangs — the run is bounded by a horizon watchdog; flows still
@@ -99,8 +96,6 @@ struct ChaosRandomTimeline {
 struct ChaosScenarioConfig {
   /// Seeds the fleet (spine loss) and the random timeline's draws.
   std::uint64_t seed = 1;
-  /// FleetConfig::workers passthrough (1 = the serial oracle).
-  int workers = 1;
   /// Per-packet loss probability on every spine link.
   double loss_prob = 0.0;
   /// Bytes per hot-incast source (background sources move the same).
@@ -179,7 +174,7 @@ class ChaosScenario {
   ChaosScenarioResult run();
 
   /// The underlying fleet (valid for the scenario's lifetime) — tests
-  /// byte-diff fleet().metrics_table() across seeds and workers.
+  /// byte-diff fleet().metrics_table() across seeds and reruns.
   [[nodiscard]] runtime::FleetRuntime& fleet() { return *fleet_; }
 
   /// The merged scripted + seeded-random timeline, sorted by time —
@@ -205,7 +200,7 @@ class ChaosScenario {
   std::vector<ChaosEvent> timeline_;
   /// Cached at construction: event handlers must not walk the fleet's
   /// rack snapshots mid-run (FleetRuntime::metrics() reads every shard
-  /// registry — not for the parallel drive's event handlers).
+  /// registry).
   telemetry::CounterSet* chaos_counters_ = nullptr;
   bool ran_ = false;
 

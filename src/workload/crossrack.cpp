@@ -166,7 +166,6 @@ runtime::FleetConfig scenario_fleet(const SkewedScenarioConfig& cfg) {
       break;
   }
   fc.seed = cfg.seed;
-  fc.workers = cfg.workers;
   fc.enable_controller = true;
   fc.controller.epoch = rsf::sim::SimTime::microseconds(20);
   fc.controller.utilization_weight = cfg.utilization_weight;

@@ -174,10 +174,6 @@ struct SkewedScenarioConfig {
   double utilization_weight = 8.0;
   /// Seeds the fleet (spine loss sampler); same seed, same bytes.
   std::uint64_t seed = 1;
-  /// FleetConfig::workers passthrough: 1 is the serial oracle, N > 1
-  /// the conservative-PDES drive. Byte-identical results either way
-  /// (the CI determinism gate diffs them on every scenario).
-  int workers = 1;
   /// Bytes the hot job moves per (src, dst) pair. Background pairs
   /// move the same amount, so the contention is sustained for the
   /// whole hot job — the regime where circuits pay off.

@@ -65,7 +65,6 @@ runtime::FleetConfig scenario_fleet(const SlottedScenarioConfig& cfg) {
   fc.spine.push_back(spine_link(2, 1, 50, cfg.loss_prob));
   fc.spine.push_back(spine_link(2, 1, 50, cfg.loss_prob));
   fc.seed = cfg.seed;
-  fc.workers = cfg.workers;
   fc.enable_controller = true;
   fc.controller.epoch = SimTime::microseconds(20);
   // Freeze prices (backlog term included): the three regimes must
@@ -185,9 +184,7 @@ SlottedScenarioResult SlottedFleetScenario::run() {
   background.run([&result](const CrossRackResult& r) { result.background = r; });
 
   if (config_.arm == SlottedArm::kFlap) {
-    // Weak events: the flap never keeps a drained fleet alive, and
-    // under the conservative-PDES drive it merges at the oracle's
-    // exact position — runs stay byte-identical across workers.
+    // Weak events: the flap never keeps a drained fleet alive.
     fabric::Interconnect& spine = f.spine();
     for (const auto& [at, up] :
          {std::pair{kFlapDown1, false}, std::pair{kFlapUp1, true},

@@ -30,9 +30,9 @@
 // 0) so the regimes differ only in how they share capacity, not in
 // where routes land.
 //
-// Deterministic: same config and seed, byte-identical metrics across
-// FleetConfig::workers 1 vs N (the property test and the ext11
-// determinism gate both diff exactly that).
+// Deterministic: same config and seed, byte-identical metrics (the
+// property test and the ext11 determinism gate both diff exactly
+// that).
 #pragma once
 
 #include <cstdint>
@@ -72,8 +72,6 @@ struct SlottedScenarioConfig {
   double loss_prob = 0.0;
   /// Seeds the fleet (spine loss sampler); same seed, same bytes.
   std::uint64_t seed = 1;
-  /// FleetConfig::workers passthrough (1 = the serial oracle).
-  int workers = 1;
   /// Bytes each hot source moves in total (split across waves in the
   /// churn arm — each wave must span several flow windows, or the
   /// whole wave's demand lands in one epoch and never builds a
@@ -127,7 +125,7 @@ class SlottedFleetScenario {
   SlottedScenarioResult run();
 
   /// The underlying fleet (valid for the scenario's lifetime) — tests
-  /// byte-diff fleet().metrics_table() across seeds and workers.
+  /// byte-diff fleet().metrics_table() across seeds and reruns.
   [[nodiscard]] runtime::FleetRuntime& fleet() { return *fleet_; }
 
   /// The hot transit pair every regime's policy promotes.

@@ -3,8 +3,8 @@
 // bypass exists, a killed FleetController loses its leases and a
 // restarted one re-earns them (checkpointed: on the first post-restart
 // epoch), and every ChaosScenario run holds the invariant triple —
-// bounded, conserving, leak-free — byte-identically across worker
-// counts. Plus the failure-path bugfix sweep: loss_prob == 1.0
+// bounded, conserving, leak-free — byte-identically across reruns.
+// Plus the failure-path bugfix sweep: loss_prob == 1.0
 // blackhole links, double set_link_up, and zero-delay retries against
 // a link that died in the same batch.
 #include <gtest/gtest.h>
@@ -298,17 +298,16 @@ TEST(FleetChaosBugfix, ZeroDelayRetryReresolvesARouteThatDiedInTheSameBatch) {
   // clean. With retry_delay = 0 a loss's retry re-enters the pipeline
   // at the very instant the loss landed — and if link 0 was cut in
   // that same batch, the retry must re-resolve the route (finding
-  // link 1) instead of blindly re-entering the dead hop. Workers 1
-  // and 2 must agree byte for byte.
-  auto run = [](int workers) {
+  // link 1) instead of blindly re-entering the dead hop. Two runs
+  // must agree byte for byte.
+  auto run = [] {
     FleetConfig fc = two_rack_fleet();
     fc.spine.push_back(fast_link(0, 1, 1.0, 1.0));
     fc.spine.push_back(fast_link(0, 1, 3.0, 0.0));
     fc.retry_delay = SimTime::zero();
-    fc.workers = workers;
     FleetRuntime fleet(fc);
     // The cut lands mid-run, between the first losses' arrivals, as a
-    // fleet-ring event (deterministic across worker counts).
+    // fleet-ring event.
     fleet.sim().schedule_weak_at(2300_ns,
                                  [&] { fleet.spine().set_link_up(0, false); });
     runtime::FleetFlowSpec spec;
@@ -328,8 +327,8 @@ TEST(FleetChaosBugfix, ZeroDelayRetryReresolvesARouteThatDiedInTheSameBatch) {
     EXPECT_EQ(fleet.free_packet_slots(), fleet.packet_slots());
     return fleet.metrics_table().to_string();
   };
-  const std::string serial = run(1);
-  EXPECT_EQ(serial, run(2));
+  const std::string first = run();
+  EXPECT_EQ(first, run());
 }
 
 TEST(FleetChaosBugfix, KillAndRestartControllerValidateTheirPreconditions) {
@@ -632,16 +631,15 @@ TEST(ChaosScenario, RandomTimelineIsDeterministicPerSeedAndOrdered) {
   EXPECT_THROW(ChaosScenario{miss}, std::invalid_argument);
 }
 
-TEST(ChaosScenario, FlapStormUnderSeededLossStaysByteIdenticalAcrossWorkers) {
+TEST(ChaosScenario, FlapStormUnderSeededLossReplaysByteIdentically) {
   // The hysteresis-defeating flap: trench cuts landing at controller
   // epoch boundaries (so a promotion decision and the cut race at the
-  // same instant) plus seeded packet loss — the satellite's "flap
-  // between the promotion decision and its reserve() call" window.
-  // Workers 1 and 4 must agree byte for byte.
-  auto run = [](int workers) {
+  // same instant) plus seeded packet loss — the "flap between the
+  // promotion decision and its reserve() call" window. Two runs must
+  // agree byte for byte.
+  auto run = [] {
     ChaosScenarioConfig cfg;
     cfg.seed = 5;
-    cfg.workers = workers;
     cfg.loss_prob = 0.01;
     // Cuts at 40/80/120 us land exactly on 20 us epoch ticks, applied
     // (as earlier-scheduled weak events) just before each tick runs.
@@ -657,19 +655,18 @@ TEST(ChaosScenario, FlapStormUnderSeededLossStaysByteIdenticalAcrossWorkers) {
     EXPECT_EQ(r.srlg_cuts, 3u);
     return chaos.fleet().metrics_table().to_string();
   };
-  const std::string serial = run(1);
-  EXPECT_EQ(serial, run(4));
+  const std::string first = run();
+  EXPECT_EQ(first, run());
 }
 
 TEST(ChaosScenario, AcceptanceSrlgCutFlapAndCheckpointedRestartRelearns) {
-  // The ISSUE's acceptance scenario: periodic checkpoints, a trench
-  // cut, a mid-epoch controller kill, a checkpointed restart, repair,
-  // and a flap tail — conservation holds, the restarted controller
-  // re-earns the hot pair's reservation within K epochs, and the whole
-  // run is byte-identical at fleet workers 1 vs 4.
-  auto run = [](int workers) {
+  // The acceptance scenario: periodic checkpoints, a trench cut, a
+  // mid-epoch controller kill, a checkpointed restart, repair, and a
+  // flap tail — conservation holds, the restarted controller re-earns
+  // the hot pair's reservation within K epochs, and two runs are
+  // byte-identical.
+  auto run = [] {
     ChaosScenarioConfig cfg;
-    cfg.workers = workers;
     cfg.checkpoint_every = 60_us;
     cfg.timeline.push_back({100_us, ChaosAction::kCutGroup, ChaosScenario::kTrenchA});
     cfg.timeline.push_back({110_us, ChaosAction::kKillController, 0});
@@ -691,8 +688,8 @@ TEST(ChaosScenario, AcceptanceSrlgCutFlapAndCheckpointedRestartRelearns) {
     EXPECT_LE(r.relearn_epochs, 6);
     return chaos.fleet().metrics_table().to_string();
   };
-  const std::string serial = run(1);
-  EXPECT_EQ(serial, run(4));
+  const std::string first = run();
+  EXPECT_EQ(first, run());
 }
 
 TEST(ChaosScenario, ColdRestartRelearnsMoreSlowlyThanCheckpointed) {

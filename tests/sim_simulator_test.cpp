@@ -548,7 +548,7 @@ TEST(Simulator, FastForwardAfterCancellingEveryFarEvent) {
 // sorted-reference kernel, over a seeded op mix of schedules (same
 // instant, in the ring, in tier 2, on the far list, weak), cancels
 // (live and stale), and bounded runs. Execution order, cancel results,
-// clocks, the next_key() peek and the executed counter must agree
+// clocks, the next_time() peek and the executed counter must agree
 // exactly.
 struct RefEvent {
   std::int64_t time_ps;
@@ -589,10 +589,9 @@ struct RefKernel {
     }
     return best;
   }
-  Simulator::PendingKey min_live() {
+  SimTime min_live_time() {
     const RefEvent* e = earliest(INT64_MAX);
-    if (e == nullptr) return Simulator::PendingKey::infinite();
-    return {SimTime::picoseconds(e->time_ps), e->seq};
+    return e == nullptr ? SimTime::infinity() : SimTime::picoseconds(e->time_ps);
   }
   void run_until(std::int64_t until_ps, std::vector<int>& fired) {
     while (RefEvent* e = earliest(until_ps)) {
@@ -628,10 +627,7 @@ void run_oracle(std::uint64_t seed, const OracleMix& mix) {
     return static_cast<std::uint32_t>(rng >> 32);
   };
   const auto expect_peek_agrees = [&](int round) {
-    const Simulator::PendingKey got = sim.next_key();
-    const Simulator::PendingKey want = ref.min_live();
-    ASSERT_EQ(got.time, want.time) << "round " << round;
-    ASSERT_EQ(got.seq, want.seq) << "round " << round;
+    ASSERT_EQ(sim.next_time(), ref.min_live_time()) << "round " << round;
   };
 
   // Same instant and in the ring; then 10 and 60 us (tier 2), 5 ms

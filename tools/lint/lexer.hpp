@@ -9,9 +9,7 @@
 // rules see every translation unit (headers included) without needing
 // a compiler, headers, or flags — at the cost of name-based rather
 // than type-based resolution, which the annotation escape hatch and
-// the baseline ratchet absorb. The optional libclang frontend
-// (clang_frontend.cpp, built only when RSF_LINT_WITH_LIBCLANG finds
-// clang-c/Index.h) cross-checks the D2 loop rule on a real AST.
+// the baseline ratchet absorb.
 #pragma once
 
 #include <string>

@@ -23,14 +23,6 @@
 #include "lexer.hpp"
 #include "rules.hpp"
 
-#ifdef RSF_LINT_HAVE_LIBCLANG
-namespace rsflint {
-int clang_cross_check(const std::string& compdb_path,
-                      const std::vector<std::string>& files,
-                      std::vector<Finding>* findings);
-}
-#endif
-
 namespace {
 
 namespace fs = std::filesystem;
@@ -134,8 +126,7 @@ void usage() {
       "  --metrics-doc FILE  enable rule D5 against this metrics document\n"
       "  --baseline FILE     ratchet file: listed findings pass, stale entries fail\n"
       "  --update-baseline   rewrite --baseline with the current findings\n"
-      "  --rule LIST         comma-separated subset of D0,D1,D2,D3,D4,D5\n"
-      "  --ast-check         cross-check with the libclang frontend (if built in)\n";
+      "  --rule LIST         comma-separated subset of D0,D1,D2,D3,D4,D5\n";
 }
 
 }  // namespace
@@ -147,7 +138,6 @@ int main(int argc, char** argv) {
   std::string metrics_doc_path;
   std::string baseline_path;
   bool update_baseline = false;
-  bool ast_check = false;
   rsflint::AnalyzerConfig cfg;
 
   for (int i = 1; i < argc; ++i) {
@@ -164,7 +154,6 @@ int main(int argc, char** argv) {
     else if (arg == "--metrics-doc") metrics_doc_path = next();
     else if (arg == "--baseline") baseline_path = next();
     else if (arg == "--update-baseline") update_baseline = true;
-    else if (arg == "--ast-check") ast_check = true;
     else if (arg == "--rule") {
       std::istringstream ss(next());
       std::string r;
@@ -260,18 +249,6 @@ int main(int argc, char** argv) {
     sources.push_back(std::move(sf));
   }
   std::vector<Finding> findings = rsflint::analyze(sources, cfg);
-
-#ifdef RSF_LINT_HAVE_LIBCLANG
-  if (ast_check) {
-    std::vector<std::string> file_list(files.begin(), files.end());
-    rsflint::clang_cross_check(compdb_path, file_list, &findings);
-  }
-#else
-  if (ast_check) {
-    std::cerr << "rsf-lint: built without libclang; --ast-check ignored "
-                 "(configure with -DRSF_LINT_WITH_LIBCLANG=ON)\n";
-  }
-#endif
 
   // ---- baseline ratchet ----
   std::vector<BaselineEntry> baseline;
