@@ -69,8 +69,8 @@ int main() {
   cfg.enable_controller = true;
   cfg.controller.epoch = 50_us;
   cfg.controller.utilization_weight = 8.0;
-  cfg.controller.reservations.enable = true;
-  cfg.controller.reservations.fraction = 0.5;
+  cfg.controller.booking.discipline = runtime::BookingDiscipline::kCarve;
+  cfg.controller.booking.fraction = 0.5;
 
   runtime::FleetRuntime fleet(cfg);
   fleet.start();  // arm every rack's control loop + the fleet's

@@ -13,7 +13,7 @@
 // Staleness is detected by generation: every slot carries a counter
 // bumped at recycle, and claim() returns a {index, generation} Handle.
 // A closure (or an externally held versioned handle like
-// SpineReservationHandle) that captured a handle outliving its slot
+// SpineBookingHandle) that captured a handle outliving its slot
 // fails is_live() / get_live() instead of corrupting the slot's next
 // occupant. The generation wraps at its type's limit; staleness
 // checks are pure equality, so the wrap is benign (only an exact

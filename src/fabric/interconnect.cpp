@@ -1,6 +1,7 @@
 #include "fabric/interconnect.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <queue>
 #include <stdexcept>
@@ -42,16 +43,21 @@ SpineLinkId Interconnect::add_link(SpineLinkParams params) {
   if (params.a.rack == params.b.rack) {
     throw std::invalid_argument("Interconnect: spine link must join two racks");
   }
-  if (params.rate.gbps_value() <= 0) {
-    throw std::invalid_argument("Interconnect: non-positive spine rate");
+  // Negated comparisons so NaN fails every check: a bad link must be
+  // refused here, not surface later as a scheduling error mid-run.
+  if (!(params.rate.gbps_value() > 0) || !std::isfinite(params.rate.gbps_value())) {
+    throw std::invalid_argument("Interconnect: non-positive or non-finite spine rate");
   }
-  if (params.cost <= 0) {
-    throw std::invalid_argument("Interconnect: non-positive spine cost");
+  if (params.latency < SimTime::zero()) {
+    throw std::invalid_argument("Interconnect: negative spine latency");
+  }
+  if (!(params.cost > 0) || !std::isfinite(params.cost)) {
+    throw std::invalid_argument("Interconnect: non-positive or non-finite spine cost");
   }
   // The closed interval: loss_prob == 1 is a blackhole link — a
   // legitimate chaos configuration (the retransmit path above it is
   // bounded by max_retries), not a misconfiguration.
-  if (params.loss_prob < 0 || params.loss_prob > 1) {
+  if (!(params.loss_prob >= 0 && params.loss_prob <= 1)) {
     throw std::invalid_argument("Interconnect: loss_prob outside [0, 1]");
   }
   const auto id = static_cast<SpineLinkId>(links_.size());
@@ -84,26 +90,15 @@ void Interconnect::set_link_up(SpineLinkId id, bool up) {
   ++version_;
   counters_.add(up ? "spine.links_restored" : "spine.links_failed");
   if (!up) {
-    // A failed link preempts every reservation pinned across it: the
-    // carve returns to the residual and holders' handles go stale, so
-    // their traffic falls back to the shared FIFO of whatever route
-    // the transport re-plans.
-    for (std::uint32_t idx = 0; idx < reservations_.size(); ++idx) {
-      if (!reservations_.live(idx)) continue;
-      const Reservation& r = reservations_[idx];
-      if (std::find(r.route.begin(), r.route.end(), id) == r.route.end()) continue;
-      teardown_reservation(idx);
-      counters_.add("spine.reservation_preemptions");
-    }
-    // Slot schedules pinned across the dead link are preempted the
-    // same way: slots return to the calendar, the residual share
-    // comes back, and holders degrade through the stale handle.
-    for (std::uint32_t idx = 0; idx < schedules_.size(); ++idx) {
-      if (!schedules_.live(idx)) continue;
-      const SlotSchedule& s = schedules_[idx];
-      if (std::find(s.route.begin(), s.route.end(), id) == s.route.end()) continue;
-      teardown_schedule(idx);
-      counters_.add("spine.slot_preemptions");
+    // A failed link preempts every booking pinned across it: the share
+    // (and any slots) returns to the residual and holders' handles go
+    // stale, so their traffic falls back to the shared FIFO of
+    // whatever route the transport re-plans.
+    for (std::uint32_t idx = 0; idx < bookings_.size(); ++idx) {
+      if (!bookings_.live(idx)) continue;
+      const std::vector<SpineLinkId>& route = bookings_[idx].route;
+      if (std::find(route.begin(), route.end(), id) == route.end()) continue;
+      teardown_booking(idx, Teardown::kPreempt);
     }
   }
 }
@@ -180,7 +175,9 @@ std::vector<SpineLinkId> Interconnect::rack_attachments(std::uint32_t rack) cons
 
 void Interconnect::set_link_cost(SpineLinkId id, double cost) {
   static_cast<void>(at(id));  // validate
-  if (cost <= 0) throw std::invalid_argument("Interconnect: non-positive spine cost");
+  if (!(cost > 0) || !std::isfinite(cost)) {
+    throw std::invalid_argument("Interconnect: non-positive or non-finite spine cost");
+  }
   if (links_[id].cost == cost) return;
   links_[id].cost = cost;
   ++version_;
@@ -218,11 +215,6 @@ std::optional<std::vector<SpineLinkId>> Interconnect::route(std::uint32_t src_ra
 }
 
 std::optional<std::vector<SpineLinkId>> Interconnect::compute_route(
-    std::uint32_t src_rack, std::uint32_t dst_rack) const {
-  return compute_route_avoiding(src_rack, dst_rack, {});
-}
-
-std::optional<std::vector<SpineLinkId>> Interconnect::compute_route_avoiding(
     std::uint32_t src_rack, std::uint32_t dst_rack,
     const std::vector<SpineLinkId>& avoid) const {
   if (src_rack == dst_rack) return std::vector<SpineLinkId>{};
@@ -285,122 +277,173 @@ std::optional<std::vector<SpineLinkId>> Interconnect::compute_route_avoiding(
 }
 
 // ---------------------------------------------------------------------------
-// Circuit reservations.
+// Bookings: carves and slot schedules.
 // ---------------------------------------------------------------------------
 
-std::optional<SpineReservationHandle> Interconnect::reserve(std::uint32_t src_rack,
-                                                            std::uint32_t dst_rack,
-                                                            double bandwidth_fraction) {
-  if (bandwidth_fraction <= 0 || bandwidth_fraction >= 1) {
-    throw std::invalid_argument("Interconnect: reservation fraction outside (0, 1)");
+std::optional<SpineBookingHandle> Interconnect::book(std::uint32_t src_rack,
+                                                     std::uint32_t dst_rack,
+                                                     BookingDiscipline discipline,
+                                                     const std::vector<SpineLinkId>& avoid) {
+  const Slots* slots = std::get_if<Slots>(&discipline);
+  // Malformed disciplines are caller bugs and throw; everything below
+  // is a legitimate runtime refusal and returns nullopt.
+  double fraction = 0.0;
+  if (slots == nullptr) {
+    fraction = std::get<Carve>(discipline).fraction;
+    if (!(fraction > 0 && fraction < 1)) {  // NaN fails too
+      throw std::invalid_argument("Interconnect: reservation fraction outside (0, 1)");
+    }
+  } else {
+    SlotCalendar::validate_shape(slots->period, slots->duty);
+    fraction = static_cast<double>(slots->duty) / static_cast<double>(slots->period);
   }
+  // Refusal counters stay per discipline: carves count headroom misses
+  // only, slots count every refusal past the self-pair check.
+  const auto refuse = [&](bool headroom) -> std::optional<SpineBookingHandle> {
+    if (slots != nullptr) {
+      counters_.add("spine.slot_refusals");
+    } else if (headroom) {
+      counters_.add("spine.reservations_refused");
+    }
+    return std::nullopt;
+  };
   if (src_rack == dst_rack) return std::nullopt;
-  if (reservation_by_pair_.contains(pair_key(src_rack, dst_rack))) return std::nullopt;
-  auto route_opt = compute_route(src_rack, dst_rack);
-  if (!route_opt || route_opt->empty()) return std::nullopt;
+  const std::uint64_t key = pair_key(src_rack, dst_rack);
+  if (slots == nullptr) {
+    if (const auto it = bookings_by_pair_.find(key); it != bookings_by_pair_.end()) {
+      for (const std::uint32_t idx : it->second) {
+        if (bookings_[idx].carve()) return std::nullopt;  // one carve per pair
+      }
+    }
+  }
+  auto route_opt = compute_route(src_rack, dst_rack, avoid);
+  if (!route_opt || route_opt->empty()) return refuse(false);
   const std::vector<SpineLinkId>& route = *route_opt;
-  // Admission: every crossed direction must keep a positive residual
-  // after the carve. Checked before any mutation, so a refused
-  // reservation leaves no partial carve behind.
+  // Admission, phase 1 — headroom: every crossed direction must keep a
+  // positive shared residual after the booking's share leaves it (a
+  // slot booking with duty == period therefore always refuses).
+  // Checked before any mutation, so a refusal leaves nothing behind.
   std::vector<int> hop_dir(route.size());
+  std::vector<SlotCalendar::LineId> lines(route.size());
   std::uint32_t rack = src_rack;
   for (std::size_t h = 0; h < route.size(); ++h) {
     const SpineLink& l = at(route[h]);
     const int d = direction_index(l, rack);
-    if (l.dir[d].reserved_fraction + l.dir[d].slotted_fraction + bandwidth_fraction >=
-        1.0) {
-      counters_.add("spine.reservations_refused");
-      return std::nullopt;
-    }
+    if (l.dir[d].booked_fraction + fraction >= 1.0) return refuse(true);
     hop_dir[h] = d;
+    lines[h] = line_of(route[h], d);
     rack = far_end(route[h], rack).rack;
   }
+  // Admission, phase 2 (slots) — contention: the calendar must find
+  // `duty` offsets free on every crossed line simultaneously. A
+  // refusal here (third-party overlap) also leaves no partial state.
+  SlotMask mask = 0;
+  SlotCalendar::Handle claim;
+  if (slots != nullptr) {
+    mask = calendar_.propose(lines, slots->period, slots->duty);
+    if (mask == 0) return refuse(false);
+    // Unreachable after a successful propose() (same lines and mask).
+    claim = calendar_.book(std::move(lines), mask);
+    if (!claim.valid()) return refuse(false);
+  }
   for (std::size_t h = 0; h < route.size(); ++h) {
-    links_[route[h]].dir[hop_dir[h]].reserved_fraction += bandwidth_fraction;
+    links_[route[h]].dir[hop_dir[h]].booked_fraction += fraction;
   }
-  const auto slot = reservations_.claim();
-  Reservation& r = reservations_[slot.index];
-  r.src_rack = src_rack;
-  r.dst_rack = dst_rack;
-  r.fraction = bandwidth_fraction;
-  r.route = route;
-  r.hop_dir = std::move(hop_dir);
-  r.hop_busy_until.assign(route.size(), SimTime::zero());
-  reservation_by_pair_[pair_key(src_rack, dst_rack)] = slot.index;
-  ++reservation_version_;
-  counters_.add("spine.reservations");
-  return SpineReservationHandle{slot.index, slot.generation};
+  const auto slot = bookings_.claim();
+  Booking& b = bookings_[slot.index];
+  b.src_rack = src_rack;
+  b.dst_rack = dst_rack;
+  b.fraction = fraction;
+  b.mask = mask;
+  b.route = route;
+  b.hop_dir = std::move(hop_dir);
+  b.hop_busy_until.assign(route.size(), SimTime::zero());
+  b.claim = claim;
+  b.last_activity = sim_->now();
+  b.timeout = slot_timeout_;
+  bookings_by_pair_[key].push_back(slot.index);
+  ++booking_version_;
+  if (slots == nullptr) {
+    ++carve_version_;
+    counters_.add("spine.reservations");
+  } else {
+    counters_.add("spine.slot_reservations");
+    arm_expiry(slot.index, slot.generation);
+  }
+  return SpineBookingHandle{slot.index, slot.generation};
 }
 
-void Interconnect::teardown_reservation(std::uint32_t idx) {
-  const Reservation& r = reservations_[idx];
-  for (std::size_t h = 0; h < r.route.size(); ++h) {
-    double& carved = links_[r.route[h]].dir[r.hop_dir[h]].reserved_fraction;
-    carved -= r.fraction;
-    // Float hygiene: a direction whose last reservation left must
+void Interconnect::teardown_booking(std::uint32_t idx, Teardown why) {
+  const Booking& b = bookings_[idx];
+  const bool carve = b.carve();
+  if (!carve) calendar_.release(b.claim);
+  for (std::size_t h = 0; h < b.route.size(); ++h) {
+    double& booked = links_[b.route[h]].dir[b.hop_dir[h]].booked_fraction;
+    booked -= b.fraction;
+    // Float hygiene: a direction whose last booking left must
     // serialize at exactly the full link rate again.
-    if (carved < 1e-12) carved = 0.0;
+    if (booked < 1e-12) booked = 0.0;
   }
-  reservation_by_pair_.erase(pair_key(r.src_rack, r.dst_rack));
+  const auto it = bookings_by_pair_.find(pair_key(b.src_rack, b.dst_rack));
+  std::vector<std::uint32_t>& pair = it->second;
+  pair.erase(std::find(pair.begin(), pair.end(), idx));
+  if (pair.empty()) bookings_by_pair_.erase(it);
   // The recycle bumps the slot generation, stale-ifying every
-  // outstanding handle.
-  reservations_.recycle(idx);
-  ++reservation_version_;
+  // outstanding handle (and disarming a pending expiry event).
+  bookings_.recycle(idx);
+  ++booking_version_;
+  if (carve) ++carve_version_;
+  // Counter names stay per discipline; only slot bookings expire.
+  static constexpr const char* kCounter[2][3] = {
+      {"spine.reservation_releases", "spine.reservation_preemptions", nullptr},
+      {"spine.slot_releases", "spine.slot_preemptions", "spine.slot_expirations"}};
+  counters_.add(kCounter[carve ? 0 : 1][static_cast<int>(why)]);
 }
 
-void Interconnect::release(SpineReservationHandle handle) {
-  if (live_reservation(handle) == nullptr) return;  // stale: idempotent no-op
-  teardown_reservation(handle.id);
-  counters_.add("spine.reservation_releases");
+void Interconnect::release(SpineBookingHandle handle) {
+  if (live_booking(handle) == nullptr) return;  // stale: idempotent no-op
+  teardown_booking(handle.id, Teardown::kRelease);
 }
 
-bool Interconnect::reservation_active(SpineReservationHandle handle) const {
-  return live_reservation(handle) != nullptr;
+bool Interconnect::booking_active(SpineBookingHandle handle) const {
+  return live_booking(handle) != nullptr;
 }
 
-std::optional<SpineReservationHandle> Interconnect::find_reservation(
-    std::uint32_t src_rack, std::uint32_t dst_rack) const {
-  const auto it = reservation_by_pair_.find(pair_key(src_rack, dst_rack));
-  if (it == reservation_by_pair_.end()) return std::nullopt;
-  return SpineReservationHandle{it->second, reservations_.generation(it->second)};
+std::vector<SpineBookingHandle> Interconnect::find_bookings(std::uint32_t src_rack,
+                                                            std::uint32_t dst_rack) const {
+  std::vector<SpineBookingHandle> out;
+  const auto it = bookings_by_pair_.find(pair_key(src_rack, dst_rack));
+  if (it == bookings_by_pair_.end()) return out;
+  out.reserve(it->second.size());
+  for (const std::uint32_t idx : it->second) {
+    out.push_back(SpineBookingHandle{idx, bookings_.generation(idx)});
+  }
+  return out;
 }
 
-const std::vector<SpineLinkId>& Interconnect::reservation_route(
-    SpineReservationHandle handle) const {
-  const Reservation* r = live_reservation(handle);
-  if (r == nullptr) throw std::invalid_argument("Interconnect: stale reservation handle");
-  return r->route;
+const SpineBooking& Interconnect::booking(SpineBookingHandle handle) const {
+  const Booking* b = live_booking(handle);
+  if (b == nullptr) throw std::invalid_argument("Interconnect: stale booking handle");
+  return *b;
 }
 
-double Interconnect::reservation_fraction(SpineReservationHandle handle) const {
-  const Reservation* r = live_reservation(handle);
-  if (r == nullptr) throw std::invalid_argument("Interconnect: stale reservation handle");
-  return r->fraction;
-}
-
-double Interconnect::reserved_fraction(SpineLinkId id, std::uint32_t from_rack) const {
+double Interconnect::booked_fraction(SpineLinkId id, std::uint32_t from_rack) const {
   const SpineLink& l = at(id);
-  return l.dir[direction_index(l, from_rack)].reserved_fraction;
+  return l.dir[direction_index(l, from_rack)].booked_fraction;
 }
 
 phy::DataRate Interconnect::residual_rate(SpineLinkId id, std::uint32_t from_rack) const {
   const SpineLink& l = at(id);
-  // Same expression occupy() serializes shared traffic at: × (1 − 0.0
-  // − 0.0) is exact, so an uncarved, unslotted direction advertises
-  // the nameplate rate.
-  const Direction& dir = l.dir[direction_index(l, from_rack)];
-  return l.params.rate * (1.0 - dir.reserved_fraction - dir.slotted_fraction);
+  // Same expression occupy() serializes shared traffic at: × (1 − 0.0)
+  // is exact, so an unbooked direction advertises the nameplate rate.
+  return l.params.rate * (1.0 - l.dir[direction_index(l, from_rack)].booked_fraction);
 }
-
-// ---------------------------------------------------------------------------
-// Slot schedules (the TDMA regime).
-// ---------------------------------------------------------------------------
 
 void Interconnect::set_slot_duration(SimTime d) {
   if (d <= SimTime::zero()) {
     throw std::invalid_argument("Interconnect: non-positive slot duration");
   }
-  if (schedule_count() > 0) {
+  if (calendar_.booking_count() > 0) {
     throw std::logic_error(
         "Interconnect: slot duration cannot change under live schedules");
   }
@@ -412,147 +455,6 @@ void Interconnect::set_slot_timeout(SimTime timeout) {
     throw std::invalid_argument("Interconnect: non-positive slot timeout");
   }
   slot_timeout_ = timeout;
-}
-
-std::optional<SpineScheduleHandle> Interconnect::reserve_slots(
-    std::uint32_t src_rack, std::uint32_t dst_rack, int period, int duty,
-    const std::vector<SpineLinkId>& avoid) {
-  // Shape errors are caller bugs and throw; everything below is a
-  // legitimate runtime refusal and returns nullopt.
-  if (period < 1 || period > SlotCalendar::kFrameSlots ||
-      SlotCalendar::kFrameSlots % period != 0 || duty < 1 || duty > period) {
-    throw std::invalid_argument("Interconnect: invalid slot schedule shape");
-  }
-  if (src_rack == dst_rack) return std::nullopt;
-  auto route_opt = avoid.empty() ? compute_route(src_rack, dst_rack)
-                                 : compute_route_avoiding(src_rack, dst_rack, avoid);
-  if (!route_opt || route_opt->empty()) {
-    counters_.add("spine.slot_refusals");
-    return std::nullopt;
-  }
-  const std::vector<SpineLinkId>& route = *route_opt;
-  const double fraction = static_cast<double>(duty) / static_cast<double>(period);
-  // Admission, phase 1 — headroom: every crossed direction must keep a
-  // positive shared residual after the schedule's share leaves it
-  // (duty == period therefore always refuses: a schedule may not starve
-  // the shared FIFO outright). Checked before any mutation.
-  std::vector<int> hop_dir(route.size());
-  std::vector<SlotCalendar::LineId> lines(route.size());
-  std::uint32_t rack = src_rack;
-  for (std::size_t h = 0; h < route.size(); ++h) {
-    const SpineLink& l = at(route[h]);
-    const int d = direction_index(l, rack);
-    if (l.dir[d].reserved_fraction + l.dir[d].slotted_fraction + fraction >= 1.0) {
-      counters_.add("spine.slot_refusals");
-      return std::nullopt;
-    }
-    hop_dir[h] = d;
-    lines[h] = line_of(route[h], d);
-    rack = far_end(route[h], rack).rack;
-  }
-  // Admission, phase 2 — contention: the calendar must find `duty`
-  // offsets free on every crossed line simultaneously. A refusal here
-  // (third-party overlap) also leaves no partial state behind.
-  const SlotMask mask = calendar_.propose(lines, period, duty);
-  if (mask == 0) {
-    counters_.add("spine.slot_refusals");
-    return std::nullopt;
-  }
-  const SlotCalendar::Handle booking =
-      calendar_.book(std::vector<SlotCalendar::LineId>(lines), mask);
-  if (!booking.valid()) {
-    // Unreachable after a successful propose() (same lines, same
-    // mask, no mutation in between), but refuse defensively rather
-    // than leak an untracked claim.
-    counters_.add("spine.slot_refusals");
-    return std::nullopt;
-  }
-  for (std::size_t h = 0; h < route.size(); ++h) {
-    links_[route[h]].dir[hop_dir[h]].slotted_fraction += fraction;
-  }
-  const auto slot = schedules_.claim();
-  SlotSchedule& s = schedules_[slot.index];
-  s.src_rack = src_rack;
-  s.dst_rack = dst_rack;
-  s.fraction = fraction;
-  s.booking = booking;
-  s.mask = mask;
-  s.route = route;
-  s.hop_dir = std::move(hop_dir);
-  s.hop_busy_until.assign(route.size(), SimTime::zero());
-  s.last_activity = sim_->now();
-  s.timeout = slot_timeout_;
-  schedules_by_pair_[pair_key(src_rack, dst_rack)].push_back(slot.index);
-  ++schedule_version_;
-  counters_.add("spine.slot_reservations");
-  arm_schedule_expiry(slot.index, slot.generation);
-  return SpineScheduleHandle{slot.index, slot.generation};
-}
-
-void Interconnect::teardown_schedule(std::uint32_t idx) {
-  const SlotSchedule& s = schedules_[idx];
-  calendar_.release(s.booking);
-  for (std::size_t h = 0; h < s.route.size(); ++h) {
-    double& slotted = links_[s.route[h]].dir[s.hop_dir[h]].slotted_fraction;
-    slotted -= s.fraction;
-    // Float hygiene: a direction whose last schedule left must
-    // serialize shared traffic at exactly the full residual again.
-    if (slotted < 1e-12) slotted = 0.0;
-  }
-  const auto it = schedules_by_pair_.find(pair_key(s.src_rack, s.dst_rack));
-  std::vector<std::uint32_t>& pair = it->second;
-  pair.erase(std::find(pair.begin(), pair.end(), idx));
-  if (pair.empty()) schedules_by_pair_.erase(it);
-  // The recycle bumps the slot generation, stale-ifying every
-  // outstanding handle (and disarming the pending expiry event).
-  schedules_.recycle(idx);
-  ++schedule_version_;
-}
-
-void Interconnect::release_slots(SpineScheduleHandle handle) {
-  if (live_schedule(handle) == nullptr) return;  // stale: idempotent no-op
-  teardown_schedule(handle.id);
-  counters_.add("spine.slot_releases");
-}
-
-bool Interconnect::schedule_active(SpineScheduleHandle handle) const {
-  return live_schedule(handle) != nullptr;
-}
-
-std::vector<SpineScheduleHandle> Interconnect::find_schedules(
-    std::uint32_t src_rack, std::uint32_t dst_rack) const {
-  std::vector<SpineScheduleHandle> out;
-  const auto it = schedules_by_pair_.find(pair_key(src_rack, dst_rack));
-  if (it == schedules_by_pair_.end()) return out;
-  out.reserve(it->second.size());
-  for (const std::uint32_t idx : it->second) {
-    out.push_back(SpineScheduleHandle{idx, schedules_.generation(idx)});
-  }
-  return out;
-}
-
-const std::vector<SpineLinkId>& Interconnect::schedule_route(
-    SpineScheduleHandle handle) const {
-  const SlotSchedule* s = live_schedule(handle);
-  if (s == nullptr) throw std::invalid_argument("Interconnect: stale schedule handle");
-  return s->route;
-}
-
-SlotMask Interconnect::schedule_mask(SpineScheduleHandle handle) const {
-  const SlotSchedule* s = live_schedule(handle);
-  if (s == nullptr) throw std::invalid_argument("Interconnect: stale schedule handle");
-  return s->mask;
-}
-
-double Interconnect::schedule_fraction(SpineScheduleHandle handle) const {
-  const SlotSchedule* s = live_schedule(handle);
-  if (s == nullptr) throw std::invalid_argument("Interconnect: stale schedule handle");
-  return s->fraction;
-}
-
-double Interconnect::slotted_fraction(SpineLinkId id, std::uint32_t from_rack) const {
-  const SpineLink& l = at(id);
-  return l.dir[direction_index(l, from_rack)].slotted_fraction;
 }
 
 SimTime Interconnect::next_owned_time(SimTime from, SlotMask mask) const {
@@ -569,24 +471,23 @@ SimTime Interconnect::next_owned_time(SimTime from, SlotMask mask) const {
   return from;  // unreachable for a live schedule's mask
 }
 
-void Interconnect::arm_schedule_expiry(std::uint32_t idx, std::uint32_t generation) {
-  const SlotSchedule& s = schedules_[idx];
-  const SimTime deadline = s.last_activity + s.timeout;
+void Interconnect::arm_expiry(std::uint32_t idx, std::uint32_t generation) {
+  const Booking& b = bookings_[idx];
+  const SimTime deadline = b.last_activity + b.timeout;
   // Weak: a fleet idling toward drain must not be kept alive by lease
   // housekeeping. The generation capture disarms the event when the
-  // schedule is released/preempted and the slot recycled before it
-  // fires — possibly into a different pair's schedule.
+  // booking is released/preempted and the slot recycled before it
+  // fires — possibly into a different pair's booking.
   sim_->schedule_weak_at(deadline, [this, idx, generation] {
-    if (schedules_.get_live(idx, generation) == nullptr) return;
-    const SlotSchedule& sched = schedules_[idx];
-    if (sim_->now() >= sched.last_activity + sched.timeout) {
-      teardown_schedule(idx);
-      counters_.add("spine.slot_expirations");
+    const Booking* live = bookings_.get_live(idx, generation);
+    if (live == nullptr) return;
+    if (sim_->now() >= live->last_activity + live->timeout) {
+      teardown_booking(idx, Teardown::kExpire);
       return;
     }
     // A send renewed the lease since this was armed; chase the new
     // deadline.
-    arm_schedule_expiry(idx, generation);
+    arm_expiry(idx, generation);
   });
 }
 
@@ -610,19 +511,17 @@ SimTime Interconnect::occupy_fifo(SimTime& busy_until, phy::DataRate rate,
 SimTime Interconnect::occupy(SpineLink& l, int d, phy::DataSize size) {
   Direction& dir = l.dir[d];
   const SimTime before = dir.busy_until;
-  // × (1 − 0.0 − 0.0) is exact in IEEE arithmetic: with nothing
-  // reserved and nothing slotted the residual serialization is
-  // bit-identical to the full-rate spine.
-  const SimTime arrival = occupy_fifo(
-      dir.busy_until,
-      l.params.rate * (1.0 - dir.reserved_fraction - dir.slotted_fraction),
-      l.params.latency, size);
+  // × (1 − 0.0) is exact in IEEE arithmetic: with nothing booked the
+  // residual serialization is bit-identical to the full-rate spine.
+  const SimTime arrival = occupy_fifo(dir.busy_until,
+                                      l.params.rate * (1.0 - dir.booked_fraction),
+                                      l.params.latency, size);
   dir.busy_total += dir.busy_until - std::max(sim_->now(), before);
   return arrival;
 }
 
 bool Interconnect::send_packet(SpineLinkId id, std::uint32_t from_rack, phy::DataSize size,
-                               SpineReservationHandle reservation, PacketCallback cb) {
+                               SpineBookingHandle booking, PacketCallback cb) {
   const SpineLink& l = at(id);
   const int d = direction_index(l, from_rack);
   if (!l.up) {
@@ -631,70 +530,40 @@ bool Interconnect::send_packet(SpineLinkId id, std::uint32_t from_rack, phy::Dat
   }
   SpineLink& ml = links_[id];
   SimTime arrival = SimTime::zero();
-  bool reserved_slice = false;
-  if (const Reservation* r = live_reservation(reservation)) {
-    // The packet rides its circuit only on hops the reservation
-    // actually pinned in this direction; anything else (a re-planned
-    // detour, a stale handle) shares the residual like everyone.
-    for (std::size_t h = 0; h < r->route.size(); ++h) {
-      if (r->route[h] == id && r->hop_dir[h] == d) {
-        Reservation& mr = reservations_[reservation.id];
-        arrival = occupy_fifo(mr.hop_busy_until[h], ml.params.rate * r->fraction,
-                              ml.params.latency, size);
-        reserved_slice = true;
-        reserved_bytes_slot_ +=
-            static_cast<std::uint64_t>(std::max<std::int64_t>(0, size.bit_count() / 8));
-        break;
-      }
-    }
-  }
-  if (!reserved_slice) arrival = occupy(ml, d, size);
-  return finish_packet(ml, d, arrival, std::move(cb));
-}
-
-bool Interconnect::send_packet(SpineLinkId id, std::uint32_t from_rack, phy::DataSize size,
-                               SpineScheduleHandle schedule, PacketCallback cb) {
-  const SpineLink& l = at(id);
-  const int d = direction_index(l, from_rack);
-  if (!l.up) {
-    counters_.add("spine.packets_refused");
-    return false;
-  }
-  SpineLink& ml = links_[id];
-  SimTime arrival = SimTime::zero();
-  bool slotted = false;
-  if (const SlotSchedule* s = live_schedule(schedule)) {
-    // The packet rides its slots only on hops the schedule actually
+  bool booked = false;
+  if (const Booking* b = live_booking(booking)) {
+    // The packet rides its booking only on hops the booking actually
     // pinned in this direction; anything else (a re-planned detour, a
     // stale handle) shares the residual like everyone.
-    for (std::size_t h = 0; h < s->route.size(); ++h) {
-      if (s->route[h] == id && s->hop_dir[h] == d) {
-        SlotSchedule& ms = schedules_[schedule.id];
+    for (std::size_t h = 0; h < b->route.size(); ++h) {
+      if (b->route[h] != id || b->hop_dir[h] != d) continue;
+      Booking& mb = bookings_[booking.id];
+      const auto bytes =
+          static_cast<std::uint64_t>(std::max<std::int64_t>(0, size.bit_count() / 8));
+      if (mb.carve()) {
+        // The carve's private FIFO at the carved rate.
+        arrival = occupy_fifo(mb.hop_busy_until[h], ml.params.rate * mb.fraction,
+                              ml.params.latency, size);
+        reserved_bytes_slot_ += bytes;
+      } else {
         // Wait for the pair's next owned calendar slot past both now
-        // and the schedule's own per-hop FIFO, then serialize at the
+        // and the booking's own per-hop FIFO, then serialize at the
         // FULL link rate inside it — the calendar's admission rule
         // guarantees nobody else owns these slots, so the hop is
-        // collision-free.
-        const SimTime start =
-            next_owned_time(std::max(sim_->now(), ms.hop_busy_until[h]), ms.mask);
-        ms.hop_busy_until[h] = start;
-        arrival = occupy_fifo(ms.hop_busy_until[h], ml.params.rate, ml.params.latency,
-                              size);
-        // Each slotted send renews the inactivity lease.
-        ms.last_activity = sim_->now();
-        slotted = true;
-        slotted_bytes_slot_ +=
-            static_cast<std::uint64_t>(std::max<std::int64_t>(0, size.bit_count() / 8));
-        break;
+        // collision-free. Each slotted send renews the lease.
+        mb.hop_busy_until[h] =
+            next_owned_time(std::max(sim_->now(), mb.hop_busy_until[h]), mb.mask);
+        arrival = occupy_fifo(mb.hop_busy_until[h], ml.params.rate, ml.params.latency, size);
+        mb.last_activity = sim_->now();
+        slotted_bytes_slot_ += bytes;
       }
+      booked = true;
+      break;
     }
   }
-  if (!slotted) arrival = occupy(ml, d, size);
-  return finish_packet(ml, d, arrival, std::move(cb));
-}
-
-bool Interconnect::finish_packet(SpineLink& ml, int d, SimTime arrival,
-                                 PacketCallback cb) {
+  if (!booked) arrival = occupy(ml, d, size);
+  // Counters, then the RNG draw, then the scheduled callback: the
+  // ordering is part of the determinism contract.
   ++ml.dir[d].packets;
   ++packets_slot_;
   ++*ml.packets_slot;

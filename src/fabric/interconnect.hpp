@@ -21,19 +21,24 @@
 // repricing hook) bump the version, so cached routes are invalidated
 // exactly when the graph or its prices change.
 //
-// Circuit-style capacity can be carved on top of the packetized
-// spine: reserve(src, dst, fraction) pins the current cheapest route
-// for a (rack, rack) pair and dedicates `fraction` of every crossed
-// link's capacity — in the direction of travel only — to that pair.
-// Packets sent under the reservation's versioned handle serialize on
-// the reservation's private per-hop FIFO at the carved rate,
-// bypassing the shared FIFO's contention, while unreserved traffic
-// sees the link's residual rate (rate × (1 − reserved fraction)).
-// Reservations survive repricing (the route is pinned) but are torn
-// down when any crossed link fails — their traffic falls back to the
-// shared residual via the stale-handle check. With no reservations
-// configured the shared path is arithmetically identical to the
-// pre-reservation spine: the packetized default is untouched.
+// Circuit-style capacity is booked on top of the packetized spine.
+// book(src, dst, discipline) pins a route for a (rack, rack) pair and
+// takes a share of every crossed link-direction (direction of travel
+// only) under one of two disciplines:
+//   - Carve{fraction}: packets sent under the booking's handle
+//     serialize on a private per-hop FIFO at rate × fraction, clear of
+//     the shared FIFO's contention.
+//   - Slots{period, duty}: the pair owns `duty` offsets of every
+//     `period` calendar slots; its packets wait for the next owned slot
+//     and ride it at the full link rate, collision-free by the
+//     SlotCalendar's admission rule.
+// Every booking subtracts its share from the crossed directions'
+// shared residual (rate × (1 − booked fraction)). Bookings survive
+// repricing (the route is pinned) but are torn down when any crossed
+// link fails, and slot bookings also expire after an inactivity
+// lease; holders' traffic then falls back to the shared residual via
+// the stale-handle check. With nothing booked the shared path is
+// arithmetically identical to the pre-booking spine.
 //
 // Metrics land in the owning registry under "spine.*", including
 // per-link packet counters ("spine.link3.packets") the fleet
@@ -44,6 +49,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "core/slot_pool.hpp"
@@ -69,32 +75,48 @@ struct RackNode {
 
 using SpineLinkId = std::uint32_t;
 
-/// Versioned handle to a spine circuit reservation. Slots are
-/// recycled; the generation detects a handle that outlived its
-/// reservation (released, or preempted by a link failure) — stale
-/// handles are safely inert everywhere they are accepted.
-struct SpineReservationHandle {
+/// Versioned handle to a spine booking. Slots are recycled; the
+/// generation detects a handle that outlived its booking (released,
+/// expired, or preempted by a link failure) — stale handles are safely
+/// inert everywhere they are accepted.
+struct SpineBookingHandle {
   static constexpr std::uint32_t kInvalidId = 0xFFFFFFFFu;
   std::uint32_t id = kInvalidId;
   std::uint32_t generation = 0;
 
   [[nodiscard]] bool valid() const { return id != kInvalidId; }
-  friend bool operator==(const SpineReservationHandle&,
-                         const SpineReservationHandle&) = default;
+  friend bool operator==(const SpineBookingHandle&, const SpineBookingHandle&) = default;
 };
 
-/// Versioned handle to a spine slot schedule (the TDMA regime's
-/// counterpart of SpineReservationHandle): same recycled-slot +
-/// generation staleness contract — released, expired, or preempted
-/// schedules leave holders with an inert handle.
-struct SpineScheduleHandle {
-  static constexpr std::uint32_t kInvalidId = 0xFFFFFFFFu;
-  std::uint32_t id = kInvalidId;
-  std::uint32_t generation = 0;
+/// Dedicate `fraction` (0 < fraction < 1) of each crossed direction to
+/// the pair through a private FIFO. One carve per pair.
+struct Carve {
+  double fraction = 0.0;
+};
 
-  [[nodiscard]] bool valid() const { return id != kInvalidId; }
-  friend bool operator==(const SpineScheduleHandle&,
-                         const SpineScheduleHandle&) = default;
+/// Own `duty` of every `period` calendar slots (period divides
+/// SlotCalendar::kFrameSlots, 1 <= duty <= period) on each crossed
+/// direction. A pair may hold several (the multi-path split).
+struct Slots {
+  int period = 0;
+  int duty = 0;
+};
+
+using BookingDiscipline = std::variant<Carve, Slots>;
+
+/// A live booking as Interconnect::booking() reports it.
+struct SpineBooking {
+  std::uint32_t src_rack = 0;
+  std::uint32_t dst_rack = 0;
+  /// The capacity share subtracted from every crossed direction's
+  /// shared residual: a carve's fraction, or duty / period.
+  double fraction = 0.0;
+  /// Owned calendar offsets; 0 for a carve.
+  SlotMask mask = 0;
+  /// The pinned route, in crossing order.
+  std::vector<SpineLinkId> route;
+
+  [[nodiscard]] bool carve() const { return mask == 0; }
 };
 
 struct SpineLinkParams {
@@ -196,136 +218,89 @@ class Interconnect {
 
   /// The uncached computation behind route(); exposed so tests can
   /// assert the cache hit path returns exactly what a fresh search
-  /// would.
+  /// would. Links in `avoid` are skipped as if administratively down
+  /// (the multi-path slot split finds its link-disjoint second route
+  /// this way).
   [[nodiscard]] std::optional<std::vector<SpineLinkId>> compute_route(
-      std::uint32_t src_rack, std::uint32_t dst_rack) const;
-
-  /// compute_route with an avoid-set: links in `avoid` are skipped as
-  /// if administratively down. The multi-path schedule split uses it
-  /// to find a second route link-disjoint from the first.
-  [[nodiscard]] std::optional<std::vector<SpineLinkId>> compute_route_avoiding(
       std::uint32_t src_rack, std::uint32_t dst_rack,
-      const std::vector<SpineLinkId>& avoid) const;
+      const std::vector<SpineLinkId>& avoid = {}) const;
 
-  // --- circuit reservations ---
+  // --- bookings (carves and slot schedules) ---
 
-  /// Carve `fraction` (0 < fraction < 1) of per-direction capacity for
-  /// the pair (src_rack, dst_rack) along the current cheapest route,
-  /// which is pinned for the reservation's lifetime. Fails (nullopt)
-  /// when src == dst, no route exists, the pair already holds a
-  /// reservation, or any crossed direction lacks the headroom (the
-  /// total carved fraction per direction must stay below 1). Bumps the
-  /// reservation version so transports re-check their pair bindings.
-  std::optional<SpineReservationHandle> reserve(std::uint32_t src_rack,
-                                                std::uint32_t dst_rack,
-                                                double bandwidth_fraction);
+  /// Book capacity for (src_rack, dst_rack) on the cheapest current
+  /// route, or the cheapest avoiding `avoid`'s links when given (the
+  /// multi-path split); the route is pinned for the booking's
+  /// lifetime. Malformed disciplines (a fraction outside (0, 1), a
+  /// slot shape the calendar rejects) throw. Refusals return nullopt
+  /// and leave no partial state: src == dst, no route, a second carve
+  /// for the pair, a crossed direction without headroom (the booked
+  /// fraction per direction must stay below 1), or — for slots — any
+  /// third-party calendar overlap on any crossed direction. Carves
+  /// count headroom refusals in "spine.reservations_refused"; slots
+  /// count every refusal except src == dst in "spine.slot_refusals".
+  /// A slot booking expires on its own after slot_timeout() without a
+  /// send. Bumps booking_version(). `avoid` is read before any
+  /// mutation, so it may alias a live booking's route.
+  std::optional<SpineBookingHandle> book(std::uint32_t src_rack, std::uint32_t dst_rack,
+                                         BookingDiscipline discipline,
+                                         const std::vector<SpineLinkId>& avoid = {});
 
-  /// Tear the reservation down and return its capacity to the shared
-  /// residual. Stale handles are a no-op (release is idempotent and
-  /// races with failure-driven preemption are benign).
-  void release(SpineReservationHandle handle);
+  /// Tear the booking down and return its capacity (and slots) to the
+  /// shared residual. Stale handles are a no-op (release is idempotent
+  /// and races with expiry and failure-driven preemption are benign).
+  void release(SpineBookingHandle handle);
 
-  /// True while `handle` names a live reservation (same generation).
-  [[nodiscard]] bool reservation_active(SpineReservationHandle handle) const;
+  /// True while `handle` names a live booking (same generation).
+  [[nodiscard]] bool booking_active(SpineBookingHandle handle) const;
 
-  /// The live reservation for (src_rack, dst_rack), if any.
-  [[nodiscard]] std::optional<SpineReservationHandle> find_reservation(
-      std::uint32_t src_rack, std::uint32_t dst_rack) const;
+  /// Every live booking of (src_rack, dst_rack), booking order.
+  [[nodiscard]] std::vector<SpineBookingHandle> find_bookings(std::uint32_t src_rack,
+                                                              std::uint32_t dst_rack) const;
 
-  /// The pinned route of a live reservation (crossing order).
-  /// Throws on stale handles — check reservation_active first.
-  [[nodiscard]] const std::vector<SpineLinkId>& reservation_route(
-      SpineReservationHandle handle) const;
-  [[nodiscard]] double reservation_fraction(SpineReservationHandle handle) const;
+  /// A live booking's pair, route, share and slot mask. Throws on
+  /// stale handles — check booking_active first. The reference lives
+  /// until the next book().
+  [[nodiscard]] const SpineBooking& booking(SpineBookingHandle handle) const;
 
-  /// Live reservations right now.
-  [[nodiscard]] std::size_t reservation_count() const {
-    return reservations_.size() - reservations_.free_count();
+  /// Live bookings right now.
+  [[nodiscard]] std::size_t booking_count() const {
+    return bookings_.size() - bookings_.free_count();
   }
 
-  /// Monotonic version of the reservation table: bumped by reserve(),
-  /// release(), and failure-driven preemption. Transports poll it to
-  /// adopt or drop a pair's reservation without a per-packet lookup.
-  /// Stays 0 while reservations are never used.
-  [[nodiscard]] std::uint64_t reservation_version() const { return reservation_version_; }
+  /// Monotonic version of the booking table: bumped by book(),
+  /// release(), expiry and failure-driven preemption. Transports poll
+  /// it to adopt or drop a pair's bookings without a per-packet
+  /// lookup. Stays 0 while bookings are never used.
+  [[nodiscard]] std::uint64_t booking_version() const { return booking_version_; }
 
-  /// Fraction of direction (`id`, leaving `from_rack`) currently
-  /// carved out by reservations.
-  [[nodiscard]] double reserved_fraction(SpineLinkId id, std::uint32_t from_rack) const;
+  /// Monotonic count of carve changes (book, release, preemption).
+  /// A carve pins its pair's flow route, so the fleet transport
+  /// re-resolves every flow's route when this moves.
+  [[nodiscard]] std::uint64_t carve_version() const { return carve_version_; }
 
-  /// The rate shared (unreserved) traffic actually sees on direction
-  /// (`id`, leaving `from_rack`): the nameplate rate minus every
-  /// carve crossing it — rate × (1 − reserved_fraction). This is what
-  /// the FleetController prices against; with nothing carved it is
-  /// exactly the nameplate rate.
+  /// Fraction of direction (`id`, leaving `from_rack`) currently taken
+  /// by bookings of either discipline.
+  [[nodiscard]] double booked_fraction(SpineLinkId id, std::uint32_t from_rack) const;
+
+  /// The rate shared (unbooked) traffic actually sees on direction
+  /// (`id`, leaving `from_rack`): rate × (1 − booked_fraction). This
+  /// is what the FleetController prices against; with nothing booked
+  /// it is exactly the nameplate rate.
   [[nodiscard]] phy::DataRate residual_rate(SpineLinkId id, std::uint32_t from_rack) const;
-
-  // --- slot schedules (the TDMA regime) ---
 
   /// Wall-clock length of one calendar slot; slot s of the repeating
   /// frame covers [s·d, (s+1)·d) modulo kFrameSlots·d. Changing it
-  /// mid-run is refused while any schedule is live (booked slot sets
-  /// would silently shift under their owners).
+  /// mid-run is refused while any slot booking is live (booked slot
+  /// sets would silently shift under their owners).
   void set_slot_duration(rsf::sim::SimTime d);
   [[nodiscard]] rsf::sim::SimTime slot_duration() const { return slot_duration_; }
 
-  /// Inactivity window after which a schedule self-expires: a pair
+  /// Inactivity window after which a slot booking self-expires: a pair
   /// that stopped sending returns its slots without controller help
-  /// (each slotted send renews the lease). Applies to schedules booked
+  /// (each slotted send renews the lease). Applies to bookings made
   /// after the call.
   void set_slot_timeout(rsf::sim::SimTime timeout);
   [[nodiscard]] rsf::sim::SimTime slot_timeout() const { return slot_timeout_; }
-
-  /// Book a periodic slot schedule for (src_rack, dst_rack): `duty`
-  /// owned offsets per `period` slots (period divides
-  /// SlotCalendar::kFrameSlots) on every link-direction of the pinned
-  /// route — the cheapest current route, or the cheapest avoiding
-  /// `avoid`'s links when given (the multi-path split). Admission is
-  /// all-or-nothing through the SlotCalendar: any third-party overlap
-  /// on any crossed direction refuses the whole booking (nullopt,
-  /// "spine.slot_refusals") and leaves no partial claim. A booked
-  /// schedule subtracts duty/period from every crossed direction's
-  /// shared residual and expires on its own after slot_timeout() of
-  /// inactivity. Bumps the schedule version.
-  std::optional<SpineScheduleHandle> reserve_slots(
-      std::uint32_t src_rack, std::uint32_t dst_rack, int period, int duty,
-      const std::vector<SpineLinkId>& avoid = {});
-
-  /// Tear the schedule down and return its slots and residual
-  /// fraction. Stale handles are a no-op (idempotent; races with
-  /// expiry and failure-driven preemption are benign).
-  void release_slots(SpineScheduleHandle handle);
-
-  /// True while `handle` names a live schedule (same generation).
-  [[nodiscard]] bool schedule_active(SpineScheduleHandle handle) const;
-
-  /// Every live schedule of (src_rack, dst_rack), booking order — one
-  /// pair may hold several (the multi-path split books one per route).
-  [[nodiscard]] std::vector<SpineScheduleHandle> find_schedules(
-      std::uint32_t src_rack, std::uint32_t dst_rack) const;
-
-  /// The pinned route / owned slot set / capacity share of a live
-  /// schedule. Throw on stale handles — check schedule_active first.
-  [[nodiscard]] const std::vector<SpineLinkId>& schedule_route(
-      SpineScheduleHandle handle) const;
-  [[nodiscard]] SlotMask schedule_mask(SpineScheduleHandle handle) const;
-  [[nodiscard]] double schedule_fraction(SpineScheduleHandle handle) const;
-
-  /// Live schedules right now.
-  [[nodiscard]] std::size_t schedule_count() const {
-    return schedules_.size() - schedules_.free_count();
-  }
-
-  /// Monotonic version of the schedule table: bumped by
-  /// reserve_slots(), release_slots(), expiry, and failure-driven
-  /// preemption. Transports poll it to adopt or drop a pair's
-  /// schedules without a per-packet lookup. Stays 0 while slot
-  /// schedules are never used.
-  [[nodiscard]] std::uint64_t schedule_version() const { return schedule_version_; }
-
-  /// Fraction of direction (`id`, leaving `from_rack`) currently owned
-  /// by slot schedules (the sum of their duty/period shares).
-  [[nodiscard]] double slotted_fraction(SpineLinkId id, std::uint32_t from_rack) const;
 
   /// The slot-admission ledger (tests assert occupancy against it).
   [[nodiscard]] const SlotCalendar& slot_calendar() const { return calendar_; }
@@ -359,27 +334,19 @@ class Interconnect {
   /// at arrival either way. Returns false (no callback) when the link
   /// is down.
   ///
-  /// When `reservation` is live and its pinned route crosses `id`
-  /// leaving `from_rack`, the packet serializes on the reservation's
-  /// private per-hop FIFO at the carved rate instead of the shared
-  /// residual FIFO. A stale or foreign handle falls back to the
-  /// shared residual — preempted traffic degrades, never errors.
+  /// When `booking` is live and its pinned route crosses `id` leaving
+  /// `from_rack`, the packet rides it: a carve serializes on its
+  /// private per-hop FIFO at rate × fraction; slots wait for the
+  /// pair's next owned slot on that hop, serialize at the full rate
+  /// inside it and renew the lease. A stale, foreign or absent handle
+  /// falls back to the shared residual — preempted or expired traffic
+  /// degrades, never errors.
   bool send_packet(SpineLinkId id, std::uint32_t from_rack, phy::DataSize size,
-                   SpineReservationHandle reservation, PacketCallback cb);
+                   SpineBookingHandle booking, PacketCallback cb);
   bool send_packet(SpineLinkId id, std::uint32_t from_rack, phy::DataSize size,
                    PacketCallback cb) {
-    return send_packet(id, from_rack, size, SpineReservationHandle{}, std::move(cb));
+    return send_packet(id, from_rack, size, SpineBookingHandle{}, std::move(cb));
   }
-
-  /// Slotted variant: when `schedule` is live and its pinned route
-  /// crosses `id` leaving `from_rack`, the packet waits for the
-  /// pair's next owned calendar slot on that hop and serializes at the
-  /// full link rate inside it — collision-free by the calendar's
-  /// admission rule — and the send renews the schedule's inactivity
-  /// lease. A stale or foreign handle falls back to the shared
-  /// residual: expired or preempted traffic degrades, never errors.
-  bool send_packet(SpineLinkId id, std::uint32_t from_rack, phy::DataSize size,
-                   SpineScheduleHandle schedule, PacketCallback cb);
 
   /// Bulk store-and-forward transfer: the whole payload occupies the
   /// direction for its serialization time. Comparison baseline for
@@ -409,26 +376,23 @@ class Interconnect {
     rsf::sim::SimTime busy_total = rsf::sim::SimTime::zero();
     std::uint64_t packets = 0;
     std::uint64_t drops = 0;
-    /// Capacity carved out by reservations crossing this direction.
-    /// The shared FIFO serializes at rate × (1 − reserved_fraction −
-    /// slotted_fraction); 0 keeps the arithmetic identical to the
-    /// unreserved spine.
-    double reserved_fraction = 0.0;
-    /// Capacity owned by slot schedules crossing this direction (the
-    /// sum of their duty/period shares). Same residual arithmetic as
-    /// reserved_fraction; 0 while slot schedules are unused.
-    double slotted_fraction = 0.0;
+    /// Capacity taken by bookings crossing this direction. The shared
+    /// FIFO serializes at rate × (1 − booked_fraction); 0 keeps the
+    /// arithmetic identical to the unbooked spine.
+    double booked_fraction = 0.0;
   };
-  struct Reservation {
-    std::uint32_t src_rack = 0;
-    std::uint32_t dst_rack = 0;
-    double fraction = 0.0;
-    /// Pinned route and, per hop, the direction index on that link
-    /// and the private FIFO's booking horizon. Liveness and the
-    /// stale-handle generation live in the SlotPool.
-    std::vector<SpineLinkId> route;
+  /// A booking plus its per-hop state: the direction index on each
+  /// pinned link, the private FIFO's horizon per hop (successive
+  /// packets of the pair queue behind each other, never against third
+  /// parties), and — for slots — the calendar claim and the inactivity
+  /// lease. Liveness and the stale-handle generation live in the
+  /// SlotPool.
+  struct Booking : SpineBooking {
     std::vector<int> hop_dir;
     std::vector<rsf::sim::SimTime> hop_busy_until;
+    SlotCalendar::Handle claim;
+    rsf::sim::SimTime last_activity = rsf::sim::SimTime::zero();
+    rsf::sim::SimTime timeout = rsf::sim::SimTime::zero();
   };
   /// A shared-risk group's membership and its own up/down state. The
   /// group state tracks set_group_up calls only — individual
@@ -465,52 +429,18 @@ class Interconnect {
                                 rsf::sim::SimTime latency, phy::DataSize size);
   /// Book one serialization on the shared residual FIFO of (l, d).
   rsf::sim::SimTime occupy(SpineLink& l, int d, phy::DataSize size);
-  /// The shared send_packet tail: per-direction and per-link packet
-  /// counters, the loss draw, and the completion event. The ordering
-  /// (counters, then the RNG draw, then the scheduled callback) is
-  /// part of the determinism contract — every overload shares it.
-  bool finish_packet(SpineLink& ml, int d, rsf::sim::SimTime arrival, PacketCallback cb);
-  [[nodiscard]] const Reservation* live_reservation(SpineReservationHandle h) const {
-    // SpineReservationHandle::kInvalidId is SlotPool's invalid index,
-    // so stale, foreign and never-valid handles all fail is_live.
-    return reservations_.get_live(h.id, h.generation);
+  [[nodiscard]] const Booking* live_booking(SpineBookingHandle h) const {
+    // SpineBookingHandle::kInvalidId is SlotPool's invalid index, so
+    // stale, foreign and never-valid handles all fail is_live.
+    return bookings_.get_live(h.id, h.generation);
   }
-  /// Tear one reservation down and return its carve (shared by
-  /// release() and failure-driven preemption).
-  void teardown_reservation(std::uint32_t idx);
-
-  /// One pair's periodic slot schedule: a SlotCalendar booking plus
-  /// the pinned route, the per-hop slotted FIFO horizon, and the
-  /// inactivity lease. Liveness and the stale-handle generation live
-  /// in the SlotPool.
-  struct SlotSchedule {
-    std::uint32_t src_rack = 0;
-    std::uint32_t dst_rack = 0;
-    /// duty / period — the capacity share subtracted from every
-    /// crossed direction's shared residual while the schedule lives.
-    double fraction = 0.0;
-    SlotCalendar::Handle booking;
-    SlotMask mask = 0;
-    std::vector<SpineLinkId> route;
-    std::vector<int> hop_dir;
-    /// Per-hop booking horizon of the schedule's private slotted
-    /// FIFO (successive packets of the pair queue behind each other
-    /// inside their own slots, never against third parties).
-    std::vector<rsf::sim::SimTime> hop_busy_until;
-    /// Inactivity lease: bumped by every slotted send; the weak
-    /// expiry event tears the schedule down when it goes stale.
-    rsf::sim::SimTime last_activity = rsf::sim::SimTime::zero();
-    rsf::sim::SimTime timeout = rsf::sim::SimTime::zero();
-  };
-
-  [[nodiscard]] const SlotSchedule* live_schedule(SpineScheduleHandle h) const {
-    return schedules_.get_live(h.id, h.generation);
-  }
-  /// Tear one schedule down and return its slots + residual share
-  /// (shared by release_slots(), expiry, and failure preemption).
-  void teardown_schedule(std::uint32_t idx);
-  /// Arm (or re-arm) the schedule's weak inactivity-expiry event.
-  void arm_schedule_expiry(std::uint32_t idx, std::uint32_t generation);
+  /// Why a booking ends; picks the per-discipline counter.
+  enum class Teardown { kRelease, kPreempt, kExpire };
+  /// The one teardown path: return the booking's share (and slots),
+  /// drop it from its pair, recycle the slot and bump the versions.
+  void teardown_booking(std::uint32_t idx, Teardown why);
+  /// Arm (or re-arm) a slot booking's weak inactivity-expiry event.
+  void arm_expiry(std::uint32_t idx, std::uint32_t generation);
   /// The earliest instant >= `from` inside a slot `mask` owns.
   [[nodiscard]] rsf::sim::SimTime next_owned_time(rsf::sim::SimTime from,
                                                   SlotMask mask) const;
@@ -532,16 +462,13 @@ class Interconnect {
   // stamp, so set_link_up / repricing cost one O(1) bump, not a walk.
   mutable std::uint64_t cache_version_ = 0;
   mutable std::map<std::uint64_t, std::optional<std::vector<SpineLinkId>>> route_cache_;
-  // Reservation table: a SlotPool whose per-slot generation makes
-  // recycled SpineReservationHandles detectably stale.
-  core::SlotPool<Reservation> reservations_;
-  std::map<std::uint64_t, std::uint32_t> reservation_by_pair_;
-  std::uint64_t reservation_version_ = 0;
-  // Slot-schedule table: same SlotPool staleness contract as the
-  // reservation table; a pair may hold several schedules (multi-path).
-  core::SlotPool<SlotSchedule> schedules_;
-  std::map<std::uint64_t, std::vector<std::uint32_t>> schedules_by_pair_;
-  std::uint64_t schedule_version_ = 0;
+  // Booking table: a SlotPool whose per-slot generation makes
+  // recycled SpineBookingHandles detectably stale; a pair may hold
+  // one carve and several slot bookings.
+  core::SlotPool<Booking> bookings_;
+  std::map<std::uint64_t, std::vector<std::uint32_t>> bookings_by_pair_;
+  std::uint64_t booking_version_ = 0;
+  std::uint64_t carve_version_ = 0;
   SlotCalendar calendar_;
   rsf::sim::SimTime slot_duration_ = rsf::sim::SimTime::microseconds(1);
   rsf::sim::SimTime slot_timeout_ = rsf::sim::SimTime::microseconds(150);

@@ -70,6 +70,11 @@ class SlotCalendar {
   /// 0 <= offset < period and period validly divides the frame.
   [[nodiscard]] static SlotMask periodic_mask(int period, int offset);
 
+  /// Throws std::invalid_argument unless `period` divides kFrameSlots
+  /// and 1 <= duty <= period — the one slot-shape rule every layer
+  /// (calendar, spine bookings, controller policy) enforces.
+  static void validate_shape(int period, int duty);
+
   /// Propose a slot set with `duty` owned offsets per `period` slots,
   /// free on every line of `lines` simultaneously: offsets are scanned
   /// ascending and the first `duty` contention-free ones win
@@ -123,7 +128,6 @@ class SlotCalendar {
   [[nodiscard]] const Booking* live(Handle h) const {
     return bookings_.get_live(h.id, h.generation);
   }
-  static void validate_shape(int period, int duty);
 
   core::SlotPool<Booking> bookings_;
   /// Per-line occupancy; absent means fully free. Entries are erased

@@ -94,13 +94,10 @@ void FleetRuntime::kill_controller() {
     throw std::logic_error("FleetRuntime: no controller alive to kill");
   }
   controller_->stop();
-  // The fabric expires a dead controller's leases: its carves and
-  // booked slots return to the shared residual immediately, and any
-  // traffic still tagged with the old handles degrades through the
-  // stale-handle fallback. (Schedules would also self-expire after
-  // slot_timeout() of inactivity; the kill just doesn't wait.)
-  controller_->release_reservations();
-  controller_->release_schedules();
+  // The fabric expires a dead controller's leases: its bookings return
+  // to the shared residual immediately, and any traffic still tagged
+  // with the old handles degrades through the stale-handle fallback.
+  controller_->release_bookings();
   controller_.reset();
   registry_.counters("fleet").add("fleet.controller_kills");
 }
@@ -186,50 +183,39 @@ void FleetRuntime::pump_packets(std::uint32_t flow_idx) {
         f.next_seq >= f.packets_total) {
       return;
     }
-    // Reservation binding: when the spine's reservation table moved,
-    // adopt (or drop) the pair's circuit. reservation_version() stays
-    // 0 until the first reserve(), so unreserved fleets never enter
-    // this branch and the default path is untouched.
-    if (f.reservation_version != spine_->reservation_version()) {
-      f.reservation_version = spine_->reservation_version();
-      f.reservation =
-          spine_->find_reservation(f.spec.src.rack, f.spec.dst.rack)
-              .value_or(fabric::SpineReservationHandle{});
-      f.route.reset();  // re-resolve: pinned circuit or shared route
-    }
-    // Slot-schedule binding: the same version-gated adoption for the
-    // TDMA regime. schedule_version() stays 0 until the first
-    // reserve_slots(), so unslotted fleets never enter this branch
-    // either. A pair may hold several schedules (the controller's
-    // multi-path split); each pins its own route, copied once per
-    // adoption and shared by every packet riding it.
-    if (f.schedule_version != spine_->schedule_version()) {
-      f.schedule_version = spine_->schedule_version();
-      f.schedules.clear();
-      f.schedule_routes.clear();
-      for (const fabric::SpineScheduleHandle h :
-           spine_->find_schedules(f.spec.src.rack, f.spec.dst.rack)) {
-        f.schedules.push_back(h);
-        f.schedule_routes.push_back(
-            std::make_shared<const std::vector<fabric::SpineLinkId>>(
-                spine_->schedule_route(h)));
+    // Booking binding: when the spine's booking table moved, adopt
+    // (or drop) the pair's bookings. booking_version() stays 0 until
+    // the first book(), so unbooked fleets never enter this branch and
+    // the default path is untouched. Each booking pins its own route,
+    // copied once per adoption and shared by every packet riding it.
+    if (f.booking_version != spine_->booking_version()) {
+      f.booking_version = spine_->booking_version();
+      f.bookings = spine_->find_bookings(f.spec.src.rack, f.spec.dst.rack);
+      f.booking_routes.clear();
+      f.carve_route.reset();
+      for (const fabric::SpineBookingHandle h : f.bookings) {
+        const fabric::SpineBooking& b = spine_->booking(h);
+        f.booking_routes.push_back(
+            std::make_shared<const std::vector<fabric::SpineLinkId>>(b.route));
+        if (b.carve()) f.carve_route = f.booking_routes.back();
+      }
+      // A carve pins the flow's own route, so any carve change anywhere
+      // re-resolves it: the pinned circuit or the shared route.
+      if (f.carve_version != spine_->carve_version()) {
+        f.carve_version = spine_->carve_version();
+        f.route.reset();
       }
     }
     // The route is resolved against the spine version: controller
     // repricing (a version bump) redirects the very next packet, and
     // between bumps every packet shares one immutable path (refcount,
-    // not a per-packet vector copy). A live reservation pins its
-    // route instead — repricing cannot shift circuit traffic.
+    // not a per-packet vector copy). A carve's route is immutable:
+    // adopt it once when the flow binds, then just refresh the stamp
+    // across repricing instead of re-resolving every controller epoch.
     if (!f.route || f.route_version != spine_->version()) {
-      const bool reserved = spine_->reservation_active(f.reservation);
-      // A live reservation's route is immutable: copy it once when
-      // the flow binds, then just refresh the stamp across repricing
-      // version bumps instead of re-copying an identical vector every
-      // controller epoch.
-      if (!reserved || !f.route) {
-        if (reserved) {
-          f.route = std::make_shared<const std::vector<fabric::SpineLinkId>>(
-              spine_->reservation_route(f.reservation));
+      if (!f.carve_route || !f.route) {
+        if (f.carve_route) {
+          f.route = f.carve_route;
         } else {
           auto route = spine_->route(f.spec.src.rack, f.spec.dst.rack);
           if (!route) {
@@ -253,17 +239,16 @@ void FleetRuntime::pump_packets(std::uint32_t flow_idx) {
     FleetPacket& pkt = packets_[pkt_idx];
     pkt.flow_idx = flow_idx;
     pkt.flow_gen = gen;
-    pkt.reservation = f.reservation;
     pkt.size = f.spec.size.packet_at(static_cast<std::int64_t>(f.next_seq),
                                      f.spec.packet_size);
-    if (!f.schedules.empty()) {
-      // Round-robin across the pair's schedules (the multi-path
-      // split): successive packets alternate the parallel routes.
-      const auto k = static_cast<std::size_t>(f.next_seq % f.schedules.size());
-      pkt.schedule = f.schedules[k];
-      pkt.path = f.schedule_routes[k];
+    if (!f.bookings.empty()) {
+      // Round-robin across the pair's bookings (the multi-path split):
+      // successive packets alternate the parallel routes.
+      const auto k = static_cast<std::size_t>(f.next_seq % f.bookings.size());
+      pkt.booking = f.bookings[k];
+      pkt.path = f.booking_routes[k];
     } else {
-      pkt.schedule = fabric::SpineScheduleHandle{};
+      pkt.booking = fabric::SpineBookingHandle{};
       pkt.path = f.route;
     }
     pkt.next_hop = 0;
@@ -294,7 +279,7 @@ std::uint32_t FleetRuntime::release_packet(std::uint32_t pkt_idx) {
     maybe_recycle_flow(flow_idx);
   }
   // The recycle resets the slot in place, dropping the route refcount
-  // and the reservation handle.
+  // and the booking handle.
   packets_.recycle(pkt_idx);
   return flow_idx;
 }
@@ -389,14 +374,9 @@ void FleetRuntime::packet_spine_hop(std::uint32_t pkt_idx) {
     ++p.spine_hops;
     packet_step(pkt_idx);
   };
-  // Slotted packets ride their schedule's owned calendar slots; the
-  // rest ride the reservation overload (which itself degrades a stale
-  // or absent handle to the shared residual). Either way the delivery
-  // continuation is the same.
-  const bool ok =
-      pkt.schedule.valid()
-          ? spine_->send_packet(hop, from_rack, pkt.size, pkt.schedule, on_hop)
-          : spine_->send_packet(hop, from_rack, pkt.size, pkt.reservation, on_hop);
+  // The send degrades a stale or absent booking to the shared
+  // residual itself.
+  const bool ok = spine_->send_packet(hop, from_rack, pkt.size, pkt.booking, on_hop);
   // packet_step checked link_up() synchronously, so today a refusal
   // can't happen — but it is a failure-path event, not a logic
   // regression: treat a link that died between the check and the send
@@ -484,7 +464,7 @@ void FleetRuntime::advance(std::uint32_t flow_idx) {
     }
     // Bulk crossings note pair demand too (payload bytes per spine
     // hop crossed — byte·hops, the same unit the packetized path
-    // records): without this the reservation policy is blind under
+    // records): without this the booking policy is blind under
     // the store-and-forward comparison baseline.
     spine_->pair_demand_slot(f.spec.src.rack, f.spec.dst.rack) +=
         static_cast<std::uint64_t>(std::max<std::int64_t>(0, f.spec.size.bit_count() / 8));
@@ -548,7 +528,7 @@ void FleetRuntime::finish_fleet_flow(std::uint32_t flow_idx, bool failed) {
 
 void FleetRuntime::maybe_recycle_flow(std::uint32_t flow_idx) {
   // Gated on done + last straggler drained. The pool reset drops the
-  // route/reservation refs and the bumped generation makes every
+  // route/booking refs and the bumped generation makes every
   // closure that captured the old (idx, gen) pair detectably stale.
   flows_.maybe_recycle(flow_idx);
 }

@@ -30,17 +30,17 @@
 // 1-shard fleet is behaviourally identical to a standalone
 // FabricRuntime.
 //
-// Spine circuit reservations compose on top of the packetized path:
-// every pump a flow re-checks (against the spine's reservation
-// version, 0 while reservations are unused) whether its (src, dst)
-// rack pair holds a live reservation; if so the flow pins the
-// reservation's route and tags its packets with the versioned handle,
-// so they ride the carved per-hop slices instead of the shared
-// residual FIFOs. Preemption (spine link failure) makes the handle
-// stale: in-flight packets fall back to the shared residual and the
-// next pump re-plans the shared route. Offered cross-rack load is
-// noted per (src, dst) pair at packetization time — the
-// FleetController's promotion input.
+// Spine bookings compose on top of the packetized path: every pump a
+// flow re-checks (against the spine's booking version, 0 while
+// bookings are unused) which bookings its (src, dst) rack pair holds,
+// and tags its packets with them round-robin, so they ride the carved
+// slice or the owned slots instead of the shared residual FIFOs. A
+// carve also pins the flow's own route (and so its demand hop count);
+// slot bookings pin only their packets' paths. Preemption (spine link
+// failure) or slot expiry makes a handle stale: in-flight packets fall
+// back to the shared residual and the next pump re-binds. Offered
+// cross-rack load is noted per (src, dst) pair at packetization time —
+// the FleetController's promotion input.
 //
 // Completed fleet flows recycle their dense flows_ slots through the
 // shared core::SlotPool (like Network::flows_): a slot returns when
@@ -178,8 +178,8 @@ class FleetRuntime {
   // --- controller kill/restart (the chaos harness's primitive) ---
 
   /// Crash the controller mid-epoch: stop its tick loop, expire its
-  /// reservation leases (the fabric releases a dead controller's
-  /// carves), and destroy it. Learned state is lost unless a
+  /// booking leases (the fabric releases a dead controller's
+  /// bookings), and destroy it. Learned state is lost unless a
   /// checkpoint was taken beforehand (controller().checkpoint()).
   /// Throws std::logic_error when no controller is alive.
   void kill_controller();
@@ -187,7 +187,7 @@ class FleetRuntime {
   /// Bring a controller back after kill_controller(): rebuild it from
   /// the fleet's controller config, optionally load `ckpt`, and — when
   /// the fleet is started — arm its epoch loop at the current time. A
-  /// cold restart (null ckpt) re-learns reservations from scratch; a
+  /// cold restart (null ckpt) re-learns bookings from scratch; a
   /// checkpointed restart re-earns them on the first post-restart
   /// epoch if the pair is still hot. Counts fleet.controller_restarts.
   /// Throws std::logic_error when built with enable_controller = false
@@ -253,19 +253,16 @@ class FleetRuntime {
     /// copy, per packet) and re-resolved when the spine version moves.
     std::shared_ptr<const std::vector<fabric::SpineLinkId>> route;
     std::uint64_t route_version = 0;
-    /// The pair's spine reservation, re-checked when the spine's
-    /// reservation version moves (it stays 0 while reservations are
-    /// never used, so unreserved fleets skip the whole branch).
-    fabric::SpineReservationHandle reservation;
-    std::uint64_t reservation_version = 0;
-    /// The pair's slot schedules and their pinned routes (the
-    /// multi-path split books several; packets round-robin across
-    /// them), re-checked when the spine's schedule version moves — it
-    /// stays 0 while slot schedules are never used, so unslotted
-    /// fleets skip that branch the same way.
-    std::vector<fabric::SpineScheduleHandle> schedules;
-    std::vector<std::shared_ptr<const std::vector<fabric::SpineLinkId>>> schedule_routes;
-    std::uint64_t schedule_version = 0;
+    /// The pair's bookings and their pinned routes (copied once per
+    /// adoption, shared by every packet riding them), re-checked when
+    /// the spine's booking version moves — it stays 0 while bookings
+    /// are never used, so unbooked fleets skip the whole branch. A
+    /// carve's route, when the pair holds one, also pins `route`.
+    std::vector<fabric::SpineBookingHandle> bookings;
+    std::vector<std::shared_ptr<const std::vector<fabric::SpineLinkId>>> booking_routes;
+    std::shared_ptr<const std::vector<fabric::SpineLinkId>> carve_route;
+    std::uint64_t booking_version = 0;
+    std::uint64_t carve_version = 0;
     /// Demand accounting resolved with the route: a stable slot into
     /// the spine's pair-demand map plus the route's hop count, so the
     /// per-packet byte·hop bump is a pointer add, not a map lookup.
@@ -288,12 +285,10 @@ class FleetRuntime {
     std::uint32_t flow_idx = 0;
     /// Generation of the flow slot at injection (stale-slot guard).
     std::uint64_t flow_gen = 0;
-    /// The flow's reservation at injection; a handle gone stale by
-    /// arrival (preemption) degrades to the shared residual.
-    fabric::SpineReservationHandle reservation;
-    /// The slot schedule this packet rides (valid() only when its flow
-    /// bound one at injection); same stale-handle degradation.
-    fabric::SpineScheduleHandle schedule;
+    /// The booking this packet rides (valid() only when its flow held
+    /// one at injection); a handle gone stale by arrival (preemption,
+    /// expiry) degrades to the shared residual.
+    fabric::SpineBookingHandle booking;
     phy::DataSize size = phy::DataSize::zero();
     /// Spine links still ahead of the packet (from path[next_hop] on).
     /// Shared with the flow until a mid-flight re-plan clones it.

@@ -24,38 +24,32 @@ FleetController::FleetController(rsf::sim::Simulator* sim, fabric::Interconnect*
   if (config_.epoch <= SimTime::zero()) {
     throw std::invalid_argument("FleetController: non-positive epoch");
   }
-  if (config_.base_cost <= 0) {
+  // Every weight must be finite and the base positive, or the first
+  // loaded tick would hand set_link_cost a non-positive or NaN cost
+  // and throw out of the middle of a run.
+  if (!std::isfinite(config_.base_cost) || config_.base_cost <= 0) {
     throw std::invalid_argument("FleetController: non-positive base cost");
+  }
+  if (!std::isfinite(config_.utilization_weight) || config_.utilization_weight < 0 ||
+      !std::isfinite(config_.backlog_weight_per_us) || config_.backlog_weight_per_us < 0) {
+    throw std::invalid_argument("FleetController: negative or non-finite cost weight");
   }
   if (config_.demand_half_life_epochs < 0) {
     throw std::invalid_argument("FleetController: negative demand half-life");
   }
-  const FleetReservationPolicy& rp = config_.reservations;
-  if (rp.enable) {
-    if (rp.fraction <= 0 || rp.fraction >= 1) {
-      throw std::invalid_argument("FleetController: reservation fraction outside (0, 1)");
-    }
-    if (rp.promote_after < 1 || rp.demote_after < 1) {
-      throw std::invalid_argument("FleetController: non-positive hysteresis epochs");
-    }
+  const FleetBookingPolicy& bp = config_.booking;
+  if (bp.discipline == BookingDiscipline::kNone) return;
+  if (bp.discipline == BookingDiscipline::kCarve && !(bp.fraction > 0 && bp.fraction < 1)) {
+    throw std::invalid_argument("FleetController: reservation fraction outside (0, 1)");
   }
-  const FleetSchedulePolicy& sp = config_.schedules;
-  if (sp.enable) {
-    // One circuit discipline per controller: a pair holding both a
-    // carve and a schedule would double-subtract from the shared
-    // residual and the policies' demotion logic would fight.
-    if (rp.enable) {
-      throw std::invalid_argument(
-          "FleetController: reservation and schedule policies are mutually exclusive");
-    }
-    if (sp.period < 1 || sp.period > fabric::SlotCalendar::kFrameSlots ||
-        fabric::SlotCalendar::kFrameSlots % sp.period != 0 || sp.duty < 1 ||
-        sp.duty > sp.period) {
-      throw std::invalid_argument("FleetController: invalid slot schedule shape");
-    }
-    if (sp.promote_after < 1 || sp.demote_after < 1) {
-      throw std::invalid_argument("FleetController: non-positive hysteresis epochs");
-    }
+  if (bp.discipline == BookingDiscipline::kSlots) {
+    fabric::SlotCalendar::validate_shape(bp.period, bp.duty);
+  }
+  if (bp.promote_after < 1 || bp.demote_after < 1) {
+    throw std::invalid_argument("FleetController: non-positive hysteresis epochs");
+  }
+  if (bp.idle_bytes_per_epoch >= bp.hot_bytes_per_epoch) {
+    throw std::invalid_argument("FleetController: idle threshold not below hot threshold");
   }
 }
 
@@ -91,13 +85,8 @@ FleetControllerCheckpoint FleetController::checkpoint() const {
   ckpt.epochs = epochs_;
   ckpt.pairs.reserve(pair_state_.size());
   for (const auto& [key, st] : pair_state_) {
-    bool scheduled = false;
-    for (const fabric::SpineScheduleHandle h : st.sched) {
-      scheduled = scheduled || spine_->schedule_active(h);
-    }
-    ckpt.pairs.push_back({key, st.last_bytes, st.score, st.hot_streak, st.idle_streak,
-                          st.handle.valid() && spine_->reservation_active(st.handle),
-                          scheduled});
+    ckpt.pairs.push_back(
+        {key, st.last_bytes, st.score, st.hot_streak, st.idle_streak, booked(st)});
   }
   return ckpt;
 }
@@ -114,48 +103,37 @@ void FleetController::restore(const FleetControllerCheckpoint& ckpt) {
     st.score = e.score;
     st.hot_streak = e.hot_streak;
     st.idle_streak = e.idle_streak;
-    // A reservation intent restores as a full promote streak: if the
-    // pair is still hot in the first post-restart epoch, the normal
-    // pass-2 admission re-earns the carve immediately; if it cooled
-    // during the outage, the streak resets to zero there and nothing
-    // is re-reserved. Handles are never resurrected.
-    if (e.reserved) {
-      st.hot_streak = std::max(st.hot_streak, config_.reservations.promote_after);
-    }
-    // Schedule intents restore the same way: a full promote streak,
-    // never a handle (the booked slots expired with the outage).
-    if (e.scheduled) {
-      st.hot_streak = std::max(st.hot_streak, config_.schedules.promote_after);
-    }
+    // A booking intent restores as a full promote streak: if the pair
+    // is still hot in the first post-restart epoch, the normal pass-2
+    // admission re-books it immediately; if it cooled during the
+    // outage, the streak resets to zero there and nothing is booked.
+    // Handles are never resurrected.
+    if (e.booked) st.hot_streak = std::max(st.hot_streak, config_.booking.promote_after);
     pair_state_.emplace(e.key, st);
   }
 }
 
-std::size_t FleetController::release_reservations() {
-  std::size_t released = 0;
-  for (auto& [key, st] : pair_state_) {
-    if (!st.handle.valid() || !spine_->reservation_active(st.handle)) {
-      st.handle = {};
-      continue;
-    }
-    spine_->release(st.handle);
-    st.handle = {};
-    ++released;
-  }
-  promoted_ = 0;
-  return released;
+bool FleetController::booked(const PairState& st) const {
+  return !st.bookings.empty() &&
+         std::all_of(st.bookings.begin(), st.bookings.end(),
+                     [this](fabric::SpineBookingHandle h) { return spine_->booking_active(h); });
 }
 
-std::size_t FleetController::release_schedules() {
-  std::size_t released = 0;
-  for (auto& [key, st] : pair_state_) {
-    for (const fabric::SpineScheduleHandle h : st.sched) {
-      if (!spine_->schedule_active(h)) continue;  // expired/preempted already
-      spine_->release_slots(h);
-      ++released;
-    }
-    st.sched.clear();
+std::size_t FleetController::release_pair(PairState& st) {
+  // Legs that already expired or were preempted are stale; release()
+  // is a no-op on them.
+  std::size_t live = 0;
+  for (const fabric::SpineBookingHandle h : st.bookings) {
+    live += spine_->booking_active(h) ? 1 : 0;
+    spine_->release(h);
   }
+  st.bookings.clear();
+  return live;
+}
+
+std::size_t FleetController::release_bookings() {
+  std::size_t released = 0;
+  for (auto& [key, st] : pair_state_) released += release_pair(st);
   promoted_ = 0;
   return released;
 }
@@ -191,11 +169,11 @@ void FleetController::tick() {
       // Price what shared traffic actually sees, not the nameplate
       // rate: `u` is the fraction of the epoch the *residual* FIFO
       // spent serializing, so re-express it against full capacity
-      // (× residual/rate) and add the carved fraction back — carved
+      // (× residual/rate) and add the booked fraction back — booked
       // capacity is spoken-for whether or not the circuit is busy, so
-      // a hot reserved direction can no longer advertise itself as
-      // cheap. With nothing carved the ratio is exactly 1 and this is
-      // the pre-reservation arithmetic, bit for bit.
+      // a hot booked direction can no longer advertise itself as
+      // cheap. With nothing booked the ratio is exactly 1 and this is
+      // the pre-booking arithmetic, bit for bit.
       const double residual_ratio = spine_->residual_rate(id, rack_of[d]) / p.rate;
       u = u * residual_ratio + (1.0 - residual_ratio);
       util = std::max(util, u);
@@ -215,15 +193,16 @@ void FleetController::tick() {
   }
   last_max_util_ = max_util;
   util_series_.record(sim_->now(), max_util);
-  if (config_.reservations.enable) run_reservation_policy();
-  if (config_.schedules.enable) run_schedule_policy();
+  if (config_.booking.discipline != BookingDiscipline::kNone) run_booking_policy();
   ++epochs_;
   counters_.add("fleet.epochs");
   next_tick_ = sim_->schedule_weak_after(config_.epoch, [this] { tick(); });
 }
 
-void FleetController::run_reservation_policy() {
-  const FleetReservationPolicy& rp = config_.reservations;
+void FleetController::run_booking_policy() {
+  const FleetBookingPolicy& bp = config_.booking;
+  // Counter names stay per discipline.
+  const bool slots = bp.discipline == BookingDiscipline::kSlots;
   // Per-epoch multiplicative decay of the ranking score: 2^(−1/h)
   // halves a silent pair's score every h epochs, so ancient heat
   // stops outranking current heat. Half-life 0 disables decay (factor
@@ -242,165 +221,84 @@ void FleetController::run_reservation_policy() {
     const std::uint64_t delta = total_bytes - st.last_bytes;
     st.last_bytes = total_bytes;
     st.score = st.score * decay + static_cast<double>(delta);
-    if (st.handle.valid() && !spine_->reservation_active(st.handle)) {
-      // Preempted by a link failure since the last epoch: forget the
-      // handle; the pair re-earns its promotion on the new topology.
-      st.handle = {};
+    if (!st.bookings.empty() && !booked(st)) {
+      // Preempted by a link failure (or, for slots, expired) since
+      // the last epoch, possibly one leg of a split at a time: forfeit
+      // the rest; the pair re-earns its promotion on the new topology.
+      release_pair(st);
       st.hot_streak = 0;
       st.idle_streak = 0;
       --promoted_;
     }
-    if (!st.handle.valid()) {
-      st.hot_streak = delta >= rp.hot_bytes_per_epoch ? st.hot_streak + 1 : 0;
+    if (st.bookings.empty()) {
+      st.hot_streak = delta >= bp.hot_bytes_per_epoch ? st.hot_streak + 1 : 0;
       // Rank candidates by the decayed demand score, not this epoch's
       // delta: a long multi-hop pair fills its pipeline slower and
       // would lose an early delta race to a short-haul burst.
-      if (st.hot_streak >= rp.promote_after) candidates.emplace_back(st.score, key);
+      if (st.hot_streak >= bp.promote_after) candidates.emplace_back(st.score, key);
       continue;
     }
-    st.idle_streak = delta <= rp.idle_bytes_per_epoch ? st.idle_streak + 1 : 0;
-    if (st.idle_streak >= rp.demote_after) {
-      spine_->release(st.handle);
-      st.handle = {};
+    st.idle_streak = delta <= bp.idle_bytes_per_epoch ? st.idle_streak + 1 : 0;
+    if (st.idle_streak >= bp.demote_after) {
+      release_pair(st);
       st.hot_streak = 0;
       st.idle_streak = 0;
       --promoted_;
       ++demotions_;
-      counters_.add("fleet.demotions");
+      counters_.add(slots ? "fleet.schedule_demotions" : "fleet.demotions");
     }
   }
   // Pass 2 — promotions, hottest first: when several pairs cleared
-  // the streak this epoch, the scarce carve goes to the largest
+  // the streak this epoch, the scarce capacity goes to the largest
   // decayed demand score (key ascending on ties — deterministic).
   std::sort(candidates.begin(), candidates.end(),
             [](const auto& a, const auto& b) {
               return a.first != b.first ? a.first > b.first : a.second < b.second;
             });
   for (const auto& [score, key] : candidates) {
-    if (promoted_ >= rp.max_reservations) break;
+    if (promoted_ >= bp.max_pairs) break;
     PairState& st = pair_state_[key];
     const auto src = static_cast<std::uint32_t>(key >> 32);
     const auto dst = static_cast<std::uint32_t>(key & 0xFFFFFFFFu);
-    if (auto h = spine_->reserve(src, dst, rp.fraction)) {
-      st.handle = *h;
+    if (book_pair(src, dst, st)) {
       st.idle_streak = 0;
       ++promoted_;
       ++promotions_;
-      counters_.add("fleet.promotions");
+      counters_.add(slots ? "fleet.schedule_promotions" : "fleet.promotions");
     } else {
-      // No headroom (or no route): back off a full promote window
-      // instead of hammering the admission check every epoch.
+      // No headroom, no slots or no route: back off a full promote
+      // window instead of hammering admission every epoch.
       st.hot_streak = 0;
     }
   }
 }
 
-bool FleetController::book_pair_schedules(std::uint32_t src, std::uint32_t dst,
-                                          PairState& st) {
-  const FleetSchedulePolicy& sp = config_.schedules;
-  if (sp.multipath && sp.duty >= 2) {
-    // Rotor-style split: duty − duty/2 on the cheapest route, the
-    // rest on the cheapest route avoiding the primary's links, so
-    // parallel spine links carry the pair concurrently (the transport
-    // round-robins its packets across the legs).
-    const int secondary_duty = sp.duty / 2;
-    const int primary_duty = sp.duty - secondary_duty;
-    if (auto h1 = spine_->reserve_slots(src, dst, sp.period, primary_duty)) {
-      if (auto h2 = spine_->reserve_slots(src, dst, sp.period, secondary_duty,
-                                          spine_->schedule_route(*h1))) {
-        st.sched = {*h1, *h2};
-        counters_.add("fleet.schedule_splits");
-        return true;
-      }
-      // No disjoint second route (or no capacity there): top the pair
-      // back up to the full duty on the default route.
-      if (auto h2 = spine_->reserve_slots(src, dst, sp.period, secondary_duty)) {
-        st.sched = {*h1, *h2};
-        return true;
-      }
-      // Even the top-up was refused; the reduced primary still beats
-      // nothing — keep it.
-      st.sched = {*h1};
-      return true;
-    }
-    return false;
+bool FleetController::book_pair(std::uint32_t src, std::uint32_t dst, PairState& st) {
+  const FleetBookingPolicy& bp = config_.booking;
+  if (bp.discipline == BookingDiscipline::kCarve) {
+    const auto h = spine_->book(src, dst, fabric::Carve{bp.fraction});
+    if (h) st.bookings = {*h};
+    return h.has_value();
   }
-  if (auto h = spine_->reserve_slots(src, dst, sp.period, sp.duty)) {
-    st.sched = {*h};
-    return true;
+  // Rotor-style split: duty − duty/2 on the cheapest route, the rest
+  // on the cheapest route avoiding the primary's links, so parallel
+  // spine links carry the pair concurrently.
+  const int secondary = bp.duty / 2;
+  const auto primary = spine_->book(src, dst, fabric::Slots{bp.period, bp.duty - secondary});
+  if (!primary) return false;
+  st.bookings = {*primary};
+  if (secondary == 0) return true;
+  if (const auto h = spine_->book(src, dst, fabric::Slots{bp.period, secondary},
+                                  spine_->booking(*primary).route)) {
+    st.bookings.push_back(*h);
+    counters_.add("fleet.schedule_splits");
+  } else if (const auto top_up = spine_->book(src, dst, fabric::Slots{bp.period, secondary})) {
+    // No disjoint second route (or no capacity there): top the pair
+    // back up to the full duty on the default route. When even that
+    // is refused the reduced primary still beats nothing.
+    st.bookings.push_back(*top_up);
   }
-  return false;
-}
-
-void FleetController::run_schedule_policy() {
-  const FleetSchedulePolicy& sp = config_.schedules;
-  // The same two-pass machinery as the reservation policy, driving
-  // reserve_slots/release_slots instead of reserve/release. One extra
-  // wrinkle: schedules can disappear on their own (inactivity expiry,
-  // failure preemption), possibly one leg of a split at a time — a
-  // pair that lost any leg forfeits the rest and re-earns promotion.
-  const double decay = config_.demand_half_life_epochs > 0
-                           ? std::exp2(-1.0 / config_.demand_half_life_epochs)
-                           : 1.0;
-  std::vector<std::pair<double, std::uint64_t>> candidates;  // (score, key)
-  for (const auto& [key, total_bytes] : spine_->pair_demand()) {
-    PairState& st = pair_state_[key];
-    const std::uint64_t delta = total_bytes - st.last_bytes;
-    st.last_bytes = total_bytes;
-    st.score = st.score * decay + static_cast<double>(delta);
-    if (!st.sched.empty()) {
-      bool lost = false;
-      for (const fabric::SpineScheduleHandle h : st.sched) {
-        lost = lost || !spine_->schedule_active(h);
-      }
-      if (lost) {
-        for (const fabric::SpineScheduleHandle h : st.sched) {
-          if (spine_->schedule_active(h)) spine_->release_slots(h);
-        }
-        st.sched.clear();
-        st.hot_streak = 0;
-        st.idle_streak = 0;
-        --promoted_;
-      }
-    }
-    if (st.sched.empty()) {
-      st.hot_streak = delta >= sp.hot_bytes_per_epoch ? st.hot_streak + 1 : 0;
-      if (st.hot_streak >= sp.promote_after) candidates.emplace_back(st.score, key);
-      continue;
-    }
-    st.idle_streak = delta <= sp.idle_bytes_per_epoch ? st.idle_streak + 1 : 0;
-    if (st.idle_streak >= sp.demote_after) {
-      for (const fabric::SpineScheduleHandle h : st.sched) {
-        if (spine_->schedule_active(h)) spine_->release_slots(h);
-      }
-      st.sched.clear();
-      st.hot_streak = 0;
-      st.idle_streak = 0;
-      --promoted_;
-      ++demotions_;
-      counters_.add("fleet.schedule_demotions");
-    }
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const auto& a, const auto& b) {
-              return a.first != b.first ? a.first > b.first : a.second < b.second;
-            });
-  for (const auto& [score, key] : candidates) {
-    if (promoted_ >= sp.max_schedules) break;
-    PairState& st = pair_state_[key];
-    const auto src = static_cast<std::uint32_t>(key >> 32);
-    const auto dst = static_cast<std::uint32_t>(key & 0xFFFFFFFFu);
-    if (book_pair_schedules(src, dst, st)) {
-      st.idle_streak = 0;
-      ++promoted_;
-      ++promotions_;
-      counters_.add("fleet.schedule_promotions");
-    } else {
-      // No slots anywhere: back off a full promote window instead of
-      // hammering the calendar every epoch.
-      st.hot_streak = 0;
-    }
-  }
+  return true;
 }
 
 }  // namespace rsf::runtime

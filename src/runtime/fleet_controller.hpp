@@ -12,21 +12,23 @@
 // traffic off hot spine links without touching any in-flight packet.
 //
 // The controller also mirrors the CRC's intra-rack circuit loop at
-// fleet scope: with the reservation policy enabled it diffs the
+// fleet scope: with a booking discipline configured it diffs the
 // spine's per-(src, dst) rack-pair demand between epochs, promotes
-// pairs that stay hot for `promote_after` consecutive epochs into
-// spine circuit reservations (Interconnect::reserve, hottest decayed
-// demand score first — `demand_half_life_epochs` forgets ancient
-// heat), and demotes pairs that stay idle for `demote_after` epochs
-// (release) — hysteresis on both edges so bursty demand doesn't
-// thrash the reservation table. Pairs preempted by a link failure are
-// forgotten and must re-earn their promotion on the surviving
-// topology.
+// pairs that stay hot for `promote_after` consecutive epochs into spine
+// bookings (Interconnect::book, hottest decayed demand score first —
+// `demand_half_life_epochs` forgets ancient heat), and demotes pairs
+// that stay idle for `demote_after` epochs (release) — hysteresis on
+// both edges so bursty demand doesn't thrash the booking table. The
+// discipline only changes what a promotion books: one carve, or slots
+// split across two routes when the duty allows (rotor-style
+// multi-path). A pair that lost any booking to a link failure or to
+// slot expiry forfeits the rest and must re-earn its promotion on the
+// surviving topology.
 //
-// Repricing is reservation-aware: utilisation is judged against the
+// Repricing is booking-aware: utilisation is judged against the
 // residual rate a direction advertises (Interconnect::residual_rate),
-// with the carved fraction counted as spoken-for capacity — so a hot
-// reserved link can no longer advertise itself as cheap to the shared
+// with the booked fraction counted as spoken-for capacity — so a hot
+// booked link can no longer advertise itself as cheap to the shared
 // traffic that would only get its residual.
 //
 // The loop schedules weak events (like the CRC's epochs), so "run
@@ -35,8 +37,10 @@
 // controller on.
 //
 // Metrics land in the owning registry under "fleet.*":
-// fleet.epochs, fleet.reprices, fleet.hot_links, fleet.promotions,
-// fleet.demotions (counters) and fleet.max_spine_util (time series).
+// fleet.epochs, fleet.reprices, fleet.hot_links, fleet.promotions /
+// fleet.demotions (carves), fleet.schedule_promotions /
+// fleet.schedule_demotions / fleet.schedule_splits (slots) and
+// fleet.max_spine_util (time series).
 #pragma once
 
 #include <array>
@@ -54,56 +58,37 @@
 
 namespace rsf::runtime {
 
-/// Promote/demote policy for spine circuit reservations. Disabled by
-/// default: the packetized shared path is the untouched baseline and
-/// the reservation layer composes on top.
-struct FleetReservationPolicy {
-  bool enable = false;
-  /// Per-direction capacity fraction carved per promoted pair.
+/// What a promotion books: nothing (the packetized shared path, the
+/// untouched baseline), a Carve, or Slots.
+enum class BookingDiscipline { kNone, kCarve, kSlots };
+
+/// Promote/demote policy for spine bookings. Disabled by default.
+struct FleetBookingPolicy {
+  BookingDiscipline discipline = BookingDiscipline::kNone;
+  /// Carve: per-direction capacity fraction booked per promoted pair.
   double fraction = 0.4;
+  /// Slots: `duty` owned offsets per `period` slots (period divides
+  /// SlotCalendar::kFrameSlots, 1 <= duty <= period). A promotion books
+  /// duty − duty/2 on the cheapest route and duty/2 on the cheapest
+  /// route avoiding the primary's links (parallel spine links carry
+  /// the pair concurrently; packets round-robin the legs); without a
+  /// disjoint route the remainder books on the default route, and
+  /// when even that fails the pair keeps the reduced primary.
+  int period = 4;
+  int duty = 2;
   /// Offered byte·hops per epoch (the pair's spine resource
   /// footprint, see Interconnect::pair_demand_slot) at or above which
   /// a pair counts hot.
   std::uint64_t hot_bytes_per_epoch = 64 * 1024;
   /// Offered byte·hops per epoch at or below which a promoted pair
-  /// counts idle (set well below hot_bytes_per_epoch for hysteresis).
+  /// counts idle. Must stay below hot_bytes_per_epoch (hysteresis).
   std::uint64_t idle_bytes_per_epoch = 4 * 1024;
   /// Consecutive hot epochs before a pair is promoted.
   int promote_after = 2;
   /// Consecutive idle epochs before a promoted pair is demoted.
   int demote_after = 4;
-  /// Cap on concurrently promoted pairs.
-  std::size_t max_reservations = 4;
-};
-
-/// Promote/demote policy for spine slot schedules — the TDMA regime's
-/// counterpart of FleetReservationPolicy, building rotor-style
-/// periodic schedules for the hottest rack pairs from the same
-/// byte·hops demand ranking. Mutually exclusive with the reservation
-/// policy (one circuit discipline per controller; the constructor
-/// refuses both). Disabled by default.
-struct FleetSchedulePolicy {
-  bool enable = false;
-  /// Slot set booked per promoted pair: `duty` owned offsets per
-  /// `period` slots (period must divide SlotCalendar::kFrameSlots,
-  /// 1 <= duty <= period). duty/period is the pair's capacity share.
-  int period = 4;
-  int duty = 2;
-  /// Hot/idle demand thresholds and hysteresis streaks, same
-  /// semantics as FleetReservationPolicy.
-  std::uint64_t hot_bytes_per_epoch = 64 * 1024;
-  std::uint64_t idle_bytes_per_epoch = 4 * 1024;
-  int promote_after = 2;
-  int demote_after = 4;
-  /// Cap on concurrently scheduled pairs (a split pair counts once).
-  std::size_t max_schedules = 4;
-  /// Split a promoted pair's duty across two routes when possible:
-  /// duty − duty/2 on the cheapest route, duty/2 on the cheapest
-  /// route avoiding the primary's links (parallel spine links carry
-  /// the pair concurrently; packets round-robin the legs). When no
-  /// disjoint second route exists the remainder books on the default
-  /// route; when even that fails the pair keeps the reduced primary.
-  bool multipath = false;
+  /// Cap on concurrently promoted pairs (a split pair counts once).
+  std::size_t max_pairs = 4;
 };
 
 struct FleetControllerConfig {
@@ -130,21 +115,19 @@ struct FleetControllerConfig {
   /// hot an hour ago stops outranking a pair that is hot now. 0
   /// disables decay (a decay factor of 1 — the cumulative ranking).
   double demand_half_life_epochs = 0.0;
-  /// Spine circuit reservation promote/demote policy.
-  FleetReservationPolicy reservations{};
-  /// Spine slot-schedule promote/demote policy (mutually exclusive
-  /// with the reservation policy).
-  FleetSchedulePolicy schedules{};
+  /// Spine booking promote/demote policy.
+  FleetBookingPolicy booking{};
 };
 
 /// A serialized snapshot of the controller's learned state: per-pair
 /// demand baselines, decayed ranking scores, hysteresis streaks, and
-/// reservation *intents*. Intents, not handles: a controller that died
-/// lost its leases (the fabric releases a dead controller's carves, the
-/// mcsotdma renewal/timeout model collapsed to immediate expiry), so a
-/// restore never resurrects a handle — it marks the pair as holding a
-/// full promote streak, and the first post-restart epoch re-earns the
-/// carve through the normal admission path if the pair is still hot.
+/// booking *intents*. Intents, not handles: a controller that died
+/// lost its leases (the fabric releases a dead controller's bookings,
+/// the mcsotdma renewal/timeout model collapsed to immediate expiry),
+/// so a restore never resurrects a handle — it marks the pair as
+/// holding a full promote streak, and the first post-restart epoch
+/// re-books through the normal admission path if the pair is still
+/// hot.
 struct FleetControllerCheckpoint {
   struct PairEntry {
     /// (src_rack << 32) | dst_rack.
@@ -153,13 +136,10 @@ struct FleetControllerCheckpoint {
     double score = 0.0;
     int hot_streak = 0;
     int idle_streak = 0;
-    /// The pair held a live reservation at checkpoint time.
-    bool reserved = false;
-    /// The pair held live slot schedules at checkpoint time. Same
-    /// intent-not-handle contract: restore marks a full promote
-    /// streak and the first post-restart epoch re-books through the
-    /// normal admission path if the pair is still hot.
-    bool scheduled = false;
+    /// Every booking the pair held was live at checkpoint time. A pair
+    /// that lost any leg is not booked: the live policy forfeits it
+    /// and makes it re-earn its streak, and a restore must agree.
+    bool booked = false;
   };
   std::vector<PairEntry> pairs;
   /// Epochs the checkpointing controller had completed (informational;
@@ -198,27 +178,21 @@ class FleetController {
   [[nodiscard]] FleetControllerCheckpoint checkpoint() const;
 
   /// Load a checkpoint into a stopped (typically freshly built)
-  /// controller, replacing any existing pair state. Reservation
-  /// intents are restored as full promote streaks — see
+  /// controller, replacing any existing pair state. Booking intents
+  /// are restored as full promote streaks — see
   /// FleetControllerCheckpoint. Throws while running.
   void restore(const FleetControllerCheckpoint& ckpt);
 
-  /// Release every reservation this controller holds and forget the
+  /// Release every booking this controller holds and forget the
   /// handles (streaks survive). The kill path: the fabric expiring a
-  /// dead controller's leases before the process goes away. Returns
-  /// how many were released.
-  std::size_t release_reservations();
-
-  /// The slot-schedule counterpart of release_reservations(): release
-  /// every schedule this controller booked and forget the handles
-  /// (streaks survive). Returns how many were released. Note that
-  /// unlike carves, schedules would also expire on their own after
-  /// slot_timeout() of inactivity — this just returns them promptly.
-  std::size_t release_schedules();
+  /// dead controller's leases before the process goes away (slot
+  /// bookings would also expire on their own after slot_timeout(); this
+  /// returns them promptly). Returns how many were released.
+  std::size_t release_bookings();
 
   [[nodiscard]] std::uint64_t epochs_completed() const { return epochs_; }
   [[nodiscard]] std::uint64_t reprices() const { return reprices_; }
-  /// Rack pairs promoted into / demoted out of spine reservations.
+  /// Rack pairs promoted into / demoted out of spine bookings.
   [[nodiscard]] std::uint64_t promotions() const { return promotions_; }
   [[nodiscard]] std::uint64_t demotions() const { return demotions_; }
   [[nodiscard]] const FleetControllerConfig& config() const { return config_; }
@@ -236,13 +210,9 @@ class FleetController {
   /// Capture every direction's cumulative busy time as the baseline
   /// the next tick diffs against (links added mid-run start cold).
   void snapshot_busy();
-  /// One epoch of the reservation policy: diff per-pair demand,
-  /// advance hot/idle streaks, promote and demote.
-  void run_reservation_policy();
-  /// One epoch of the slot-schedule policy: the same demand machinery
-  /// driving reserve_slots/release_slots, including the multi-path
-  /// duty split.
-  void run_schedule_policy();
+  /// One epoch of the booking policy: diff per-pair demand, advance
+  /// hot/idle streaks, promote and demote.
+  void run_booking_policy();
 
   rsf::sim::Simulator* sim_;
   fabric::Interconnect* spine_;
@@ -258,10 +228,10 @@ class FleetController {
   /// Per link, per direction ([0]: leaving a.rack): busy_total at the
   /// last tick.
   std::vector<std::array<rsf::sim::SimTime, 2>> last_busy_;
-  /// Reservation policy state per (src << 32 | dst) rack pair:
-  /// demand baseline, the decayed ranking score, hysteresis streaks,
-  /// and the held handle. Ordered map → deterministic promote order
-  /// within an epoch.
+  /// Booking policy state per (src << 32 | dst) rack pair: demand
+  /// baseline, the decayed ranking score, hysteresis streaks, and the
+  /// held handles. Ordered map → deterministic promote order within
+  /// an epoch.
   struct PairState {
     std::uint64_t last_bytes = 0;
     /// Decayed byte·hops: score × 2^(−1/half_life) per epoch, plus
@@ -269,18 +239,19 @@ class FleetController {
     double score = 0.0;
     int hot_streak = 0;
     int idle_streak = 0;
-    fabric::SpineReservationHandle handle;
-    /// Slot-schedule handles (schedule policy): one, or two when the
-    /// promotion split across disjoint routes. Empty = not scheduled.
-    std::vector<fabric::SpineScheduleHandle> sched;
+    /// One carve, or one or two slot legs. Empty = not promoted.
+    std::vector<fabric::SpineBookingHandle> bookings;
   };
-  /// Book a promoted pair's schedule(s) into `st`; false when the
-  /// spine refused everything (the caller backs the streak off).
-  bool book_pair_schedules(std::uint32_t src, std::uint32_t dst, PairState& st);
+  /// Book a promoted pair into `st`; false when the spine refused
+  /// everything (the caller backs the streak off).
+  bool book_pair(std::uint32_t src, std::uint32_t dst, PairState& st);
+  /// The pair holds bookings and every one is live.
+  [[nodiscard]] bool booked(const PairState& st) const;
+  /// Release the pair's bookings and forget them; returns how many
+  /// were still live.
+  std::size_t release_pair(PairState& st);
   std::map<std::uint64_t, PairState> pair_state_;
-  /// Pairs holding live reservations (≤ max_reservations) or live
-  /// schedules (≤ max_schedules) — the policies are exclusive, so one
-  /// count serves both.
+  /// Pairs holding live bookings (≤ max_pairs).
   std::size_t promoted_ = 0;
 
   // Instruments live in the registry (owned locally only when the

@@ -60,13 +60,15 @@ runtime::FleetConfig chaos_fleet(const ChaosScenarioConfig& cfg) {
   fc.seed = cfg.seed;
   fc.enable_controller = true;
   fc.controller.epoch = SimTime::microseconds(20);
-  fc.controller.reservations.enable = cfg.reservations;
-  fc.controller.reservations.fraction = 0.6;
-  fc.controller.reservations.hot_bytes_per_epoch = 8 * 1024;
-  fc.controller.reservations.idle_bytes_per_epoch = 1024;
-  fc.controller.reservations.promote_after = 2;
-  fc.controller.reservations.demote_after = 6;
-  fc.controller.reservations.max_reservations = 1;
+  runtime::FleetBookingPolicy& bp = fc.controller.booking;
+  bp.discipline = cfg.reservations ? runtime::BookingDiscipline::kCarve
+                                   : runtime::BookingDiscipline::kNone;
+  bp.fraction = 0.6;
+  bp.hot_bytes_per_epoch = 8 * 1024;
+  bp.idle_bytes_per_epoch = 1024;
+  bp.promote_after = 2;
+  bp.demote_after = 6;
+  bp.max_pairs = 1;
   return fc;
 }
 
@@ -236,7 +238,7 @@ void ChaosScenario::schedule_probe() {
   fleet_->sim().schedule_weak_after(epoch, [this] {
     if (!probing_) return;
     ++probe_epochs_;
-    if (fleet_->spine().find_reservation(kHotSrcRack, kHotDstRack).has_value()) {
+    if (!fleet_->spine().find_bookings(kHotSrcRack, kHotDstRack).empty()) {
       tally_.reservation_relearned = true;
       tally_.relearn_epochs = probe_epochs_;
       probing_ = false;

@@ -172,17 +172,19 @@ runtime::FleetConfig scenario_fleet(const SkewedScenarioConfig& cfg) {
   // "Weight 0 freezes prices" must mean it: zero the backlog term too,
   // or its 0.25 default keeps repricing behind the sweep's back.
   if (cfg.utilization_weight == 0.0) fc.controller.backlog_weight_per_us = 0.0;
-  fc.controller.reservations.enable = cfg.reservations;
-  fc.controller.reservations.fraction = cfg.reservation_fraction;
+  runtime::FleetBookingPolicy& bp = fc.controller.booking;
+  bp.discipline = cfg.reservations ? runtime::BookingDiscipline::kCarve
+                                   : runtime::BookingDiscipline::kNone;
+  bp.fraction = cfg.reservation_fraction;
   // Low enough that a multi-hop pair still filling its pipeline keeps
   // its hot streak; the cumulative-demand ranking picks the winner.
-  fc.controller.reservations.hot_bytes_per_epoch = 8 * 1024;
-  fc.controller.reservations.idle_bytes_per_epoch = 1024;
-  fc.controller.reservations.promote_after = 2;
-  fc.controller.reservations.demote_after = 6;
+  bp.hot_bytes_per_epoch = 8 * 1024;
+  bp.idle_bytes_per_epoch = 1024;
+  bp.promote_after = 2;
+  bp.demote_after = 6;
   // One scarce circuit: the hottest pair wins it, everyone else
   // shares the residual — the crossover the ext9 sweep quantifies.
-  fc.controller.reservations.max_reservations = 1;
+  bp.max_pairs = 1;
   return fc;
 }
 

@@ -72,38 +72,35 @@ runtime::FleetConfig scenario_fleet(const SlottedScenarioConfig& cfg) {
   // cache lands after a repricing epoch.
   fc.controller.utilization_weight = 0.0;
   fc.controller.backlog_weight_per_us = 0.0;
-  // Shared hysteresis shape for both policies: promote fast, demote
-  // slower than the churn arm's wave gap — the carve is *supposed* to
-  // sit on its fraction through every gap while the fabric-level slot
-  // timeout returns the slotted capacity on its own. Both policies
-  // cap at two grants: the background pair's sustained demand earns
-  // promotion alongside the hot transit pair, and the regimes split
-  // on admission — two 0.6 carves cannot share a leg (headroom), but
-  // two duty-3 slot masks tile the same calendar collision-free.
+  // One policy, two disciplines, a shared hysteresis shape: promote
+  // fast, demote slower than the churn arm's wave gap — the carve is
+  // *supposed* to sit on its fraction through every gap while the
+  // fabric-level slot timeout returns the slotted capacity on its own.
+  // Both cap at two grants: the background pair's sustained demand
+  // earns promotion alongside the hot transit pair, and the regimes
+  // split on admission — two 0.6 carves cannot share a leg
+  // (headroom), but two duty-3 slot masks tile the same calendar
+  // collision-free. The policy reads only its discipline's shape
+  // (the fraction, or the period and duty).
+  runtime::FleetBookingPolicy& bp = fc.controller.booking;
   switch (cfg.regime) {
     case SlottedRegime::kPacket:
-      break;
+      return fc;
     case SlottedRegime::kCarve:
-      fc.controller.reservations.enable = true;
-      fc.controller.reservations.fraction = cfg.carve_fraction;
-      fc.controller.reservations.hot_bytes_per_epoch = 8 * 1024;
-      fc.controller.reservations.idle_bytes_per_epoch = 1024;
-      fc.controller.reservations.promote_after = 2;
-      fc.controller.reservations.demote_after = 8;
-      fc.controller.reservations.max_reservations = 2;
+      bp.discipline = runtime::BookingDiscipline::kCarve;
       break;
     case SlottedRegime::kSlotted:
-      fc.controller.schedules.enable = true;
-      fc.controller.schedules.period = cfg.slot_period;
-      fc.controller.schedules.duty = cfg.slot_duty;
-      fc.controller.schedules.hot_bytes_per_epoch = 8 * 1024;
-      fc.controller.schedules.idle_bytes_per_epoch = 1024;
-      fc.controller.schedules.promote_after = 2;
-      fc.controller.schedules.demote_after = 8;
-      fc.controller.schedules.max_schedules = 2;
-      fc.controller.schedules.multipath = true;
+      bp.discipline = runtime::BookingDiscipline::kSlots;
       break;
   }
+  bp.fraction = cfg.carve_fraction;
+  bp.period = cfg.slot_period;
+  bp.duty = cfg.slot_duty;
+  bp.hot_bytes_per_epoch = 8 * 1024;
+  bp.idle_bytes_per_epoch = 1024;
+  bp.promote_after = 2;
+  bp.demote_after = 8;
+  bp.max_pairs = 2;
   return fc;
 }
 

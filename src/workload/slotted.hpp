@@ -2,9 +2,9 @@
 //
 // The ext9 sweep compares two spine-sharing regimes end-to-end: pure
 // packet (statistical FIFO sharing) and fraction carves (the
-// controller's reservation policy). This file adds the third regime —
-// per-link TDMA slot schedules (Interconnect::reserve_slots + the
-// FleetController schedule policy) — and a scenario family built to
+// controller's booking policy with Carve). This file adds the third
+// regime — per-link TDMA slot schedules (Interconnect::book with Slots,
+// driven by the same policy) — and a scenario family built to
 // expose where each wins:
 //
 //  * kSkew  — a persistently hot rack pair sharing one spine leg with
@@ -58,9 +58,9 @@ enum class SlottedArm {
 enum class SlottedRegime {
   /// Statistical sharing only (the repricing controller still runs).
   kPacket,
-  /// Fraction carves: the controller's reservation policy.
+  /// Fraction carves: the controller's booking policy with Carve.
   kCarve,
-  /// TDMA slot schedules: the controller's schedule policy, with
+  /// TDMA slot schedules: the controller's booking policy with Slots,
   /// multipath splitting across the parallel hot legs.
   kSlotted,
 };

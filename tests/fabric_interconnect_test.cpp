@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -248,8 +249,35 @@ TEST_F(SpineFixture, RejectsBadLinkParams) {
   bad_loss.loss_prob = -0.01;
   EXPECT_THROW(spine.add_link(bad_loss), std::invalid_argument);
 
+  // Values no ordinary comparison catches: NaN cost and loss, a
+  // non-finite rate, and a negative latency (which would only surface
+  // at the first send, as a schedule-in-the-past error out of
+  // run_until).
+  constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+  SpineLinkParams bad;
+  bad.a = {0, 0};
+  bad.b = {1, 0};
+  bad.cost = kNaN;
+  EXPECT_THROW(spine.add_link(bad), std::invalid_argument);
+  bad.cost = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(spine.add_link(bad), std::invalid_argument);
+  bad.cost = 1.0;
+  bad.loss_prob = kNaN;
+  EXPECT_THROW(spine.add_link(bad), std::invalid_argument);
+  bad.loss_prob = 0.0;
+  bad.rate = phy::DataRate::gbps(std::numeric_limits<double>::infinity());
+  EXPECT_THROW(spine.add_link(bad), std::invalid_argument);
+  bad.rate = phy::DataRate::gbps(400);
+  bad.latency = SimTime::microseconds(-5);
+  EXPECT_THROW(spine.add_link(bad), std::invalid_argument);
+  EXPECT_EQ(spine.link_count(), 0u);  // nothing half-added
+
   const SpineLinkId id = add(0, 1);
   EXPECT_THROW(spine.set_link_cost(id, -1.0), std::invalid_argument);
+  EXPECT_THROW(spine.set_link_cost(id, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  EXPECT_THROW(spine.set_link_cost(id, std::numeric_limits<double>::infinity()),
+               std::invalid_argument);
   EXPECT_THROW(spine.set_link_cost(99, 1.0), std::invalid_argument);
   EXPECT_THROW(static_cast<void>(spine.link_packets(id, 7)), std::invalid_argument);
 }

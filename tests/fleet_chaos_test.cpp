@@ -221,7 +221,7 @@ TEST_F(SrlgFixture, PreemptionLandsWhileAReservedPacketIsMidSpineHop) {
   // the handle is stale (preempted exactly once), the packet's fate is
   // already sealed, and nothing corrupts or hangs.
   const auto l = add(0, 1);
-  const auto h = spine.reserve(0, 1, 0.5);
+  const auto h = spine.book(0, 1, fabric::Carve{0.5});
   ASSERT_TRUE(h.has_value());
   std::optional<bool> outcome;
   EXPECT_TRUE(spine.send_packet(l, 0, DataSize::bytes(1000), *h,
@@ -231,7 +231,7 @@ TEST_F(SrlgFixture, PreemptionLandsWhileAReservedPacketIsMidSpineHop) {
   sim.run_until();
   ASSERT_TRUE(outcome.has_value());
   EXPECT_TRUE(*outcome);  // the in-flight packet was already committed
-  EXPECT_FALSE(spine.reservation_active(*h));
+  EXPECT_FALSE(spine.booking_active(*h));
   EXPECT_EQ(count("spine.reservation_preemptions"), 1u);
   // Stale-handle sends on the repaired link degrade to the shared
   // residual instead of erroring.
@@ -239,7 +239,7 @@ TEST_F(SrlgFixture, PreemptionLandsWhileAReservedPacketIsMidSpineHop) {
   EXPECT_TRUE(spine.send_packet(l, 0, DataSize::bytes(1000), *h,
                                 [](SimTime, bool) {}));
   sim.run_until();
-  EXPECT_EQ(spine.reservation_count(), 0u);
+  EXPECT_EQ(spine.booking_count(), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -359,13 +359,13 @@ TEST(FleetChaosBugfix, KillAndRestartControllerValidateTheirPreconditions) {
 FleetControllerConfig hot_pair_config() {
   FleetControllerConfig cfg;
   cfg.epoch = 10_us;
-  cfg.reservations.enable = true;
-  cfg.reservations.fraction = 0.5;
-  cfg.reservations.hot_bytes_per_epoch = 1000;
-  cfg.reservations.idle_bytes_per_epoch = 10;
-  cfg.reservations.promote_after = 2;
-  cfg.reservations.demote_after = 100;
-  cfg.reservations.max_reservations = 1;
+  cfg.booking.discipline = runtime::BookingDiscipline::kCarve;
+  cfg.booking.fraction = 0.5;
+  cfg.booking.hot_bytes_per_epoch = 1000;
+  cfg.booking.idle_bytes_per_epoch = 10;
+  cfg.booking.promote_after = 2;
+  cfg.booking.demote_after = 100;
+  cfg.booking.max_pairs = 1;
   return cfg;
 }
 
@@ -386,20 +386,20 @@ TEST(FleetControllerCheckpoint, CheckpointedRestartReearnsTheCarveInOneEpoch) {
     sim.schedule_at(t, [&] { demand += 100'000; });
   }
   sim.run_until(35_us);
-  ASSERT_TRUE(spine.find_reservation(0, 1).has_value());  // promoted at 20 us
+  ASSERT_FALSE(spine.find_bookings(0, 1).empty());  // promoted at 20 us
 
   const auto ckpt = ctrl->checkpoint();
   ASSERT_EQ(ckpt.pairs.size(), 1u);
   EXPECT_EQ(ckpt.pairs[0].key, std::uint64_t{0} << 32 | 1u);
-  EXPECT_TRUE(ckpt.pairs[0].reserved);
+  EXPECT_TRUE(ckpt.pairs[0].booked);
   EXPECT_GT(ckpt.pairs[0].score, 0.0);
   // A running controller refuses a restore (state would tear mid-epoch).
   EXPECT_THROW(ctrl->restore(ckpt), std::logic_error);
 
   // The kill: leases expire with their owner.
   ctrl->stop();
-  EXPECT_EQ(ctrl->release_reservations(), 1u);
-  EXPECT_FALSE(spine.find_reservation(0, 1).has_value());
+  EXPECT_EQ(ctrl->release_bookings(), 1u);
+  EXPECT_TRUE(spine.find_bookings(0, 1).empty());
   ctrl.reset();
 
   // The restarted controller restores intent, not handles — and while
@@ -412,8 +412,41 @@ TEST(FleetControllerCheckpoint, CheckpointedRestartReearnsTheCarveInOneEpoch) {
   fresh->start();
   sim.run_until(48_us);  // one tick, at 45 us
   EXPECT_EQ(fresh->epochs_completed(), 1u);
-  EXPECT_TRUE(spine.find_reservation(0, 1).has_value());
+  EXPECT_FALSE(spine.find_bookings(0, 1).empty());
   fresh->stop();
+}
+
+TEST(FleetControllerCheckpoint, SplitPairThatLostALegIsNotCheckpointedAsBooked) {
+  // The live policy forfeits a pair that lost any leg and makes it
+  // re-earn its streak; a checkpoint taken between the preemption and
+  // the next tick must agree, or a restore would skip the re-earn.
+  Simulator sim;
+  telemetry::Registry registry;
+  Interconnect spine(&sim, &registry);
+  SpineLinkParams p;
+  p.a = {0, 0};
+  p.b = {1, 0};
+  spine.add_link(p);
+  const SpineLinkId second = spine.add_link(p);
+  std::uint64_t& demand = spine.pair_demand_slot(0, 1);
+  FleetControllerConfig cfg = hot_pair_config();
+  cfg.booking.discipline = runtime::BookingDiscipline::kSlots;
+  cfg.booking.period = 4;
+  cfg.booking.duty = 2;
+  FleetController ctrl(&sim, &spine, cfg, &registry);
+  ctrl.start();
+  for (const auto t : {5_us, 15_us, 25_us}) {
+    sim.schedule_at(t, [&] { demand += 100'000; });
+  }
+  sim.run_until(21_us);  // promoted at 20 us, split over both links
+  ASSERT_EQ(spine.find_bookings(0, 1).size(), 2u);
+  ASSERT_EQ(registry.counters("fleet").get("fleet.schedule_splits"), 1u);
+  EXPECT_TRUE(ctrl.checkpoint().pairs[0].booked);
+
+  spine.set_link_up(second, false);  // preempts one leg only
+  ASSERT_EQ(spine.find_bookings(0, 1).size(), 1u);
+  EXPECT_FALSE(ctrl.checkpoint().pairs[0].booked);
+  ctrl.stop();
 }
 
 TEST(FleetControllerCheckpoint, ColdRestartSeedsBaselinesAndReearnsViaFullStreak) {
@@ -436,14 +469,14 @@ TEST(FleetControllerCheckpoint, ColdRestartSeedsBaselinesAndReearnsViaFullStreak
   sim.schedule_at(5_us, [&] { demand += 100; });  // keep ticks observing
   sim.run_until(12_us);  // first tick at 10 us
   // The pre-existing 50 MB never registered as heat: no promotion.
-  EXPECT_FALSE(spine.find_reservation(0, 1).has_value());
+  EXPECT_TRUE(spine.find_bookings(0, 1).empty());
   EXPECT_EQ(ctrl.promotions(), 0u);
 
   for (const auto t : {15_us, 25_us}) {
     sim.schedule_at(t, [&] { demand += 100'000; });
   }
   sim.run_until(35_us);  // two hot epochs -> streak 2 -> promote
-  EXPECT_TRUE(spine.find_reservation(0, 1).has_value());
+  EXPECT_FALSE(spine.find_bookings(0, 1).empty());
   ctrl.stop();
 }
 
@@ -478,7 +511,7 @@ TEST(FleetControllerCheckpoint, FlapAtThePromotionBoundaryCostsTheFullStreak) {
     sim.schedule_at(t, [&] { demand += 100'000; });
   }
   sim.run_until(22_us);  // ticks at 10 (streak 1) and 20 (flapped)
-  EXPECT_FALSE(spine.find_reservation(0, 1).has_value());
+  EXPECT_TRUE(spine.find_bookings(0, 1).empty());
   EXPECT_EQ(ctrl.promotions(), 0u);
   EXPECT_EQ(registry.counters("spine").get("spine.links_failed"), 1u);
   EXPECT_EQ(registry.counters("spine").get("spine.links_restored"), 1u);
@@ -486,9 +519,9 @@ TEST(FleetControllerCheckpoint, FlapAtThePromotionBoundaryCostsTheFullStreak) {
   // Re-earning takes promote_after = 2 fresh hot epochs: still nothing
   // at the 30 us tick, promoted at 40 us.
   sim.run_until(32_us);
-  EXPECT_FALSE(spine.find_reservation(0, 1).has_value());
+  EXPECT_TRUE(spine.find_bookings(0, 1).empty());
   sim.run_until(42_us);
-  EXPECT_TRUE(spine.find_reservation(0, 1).has_value());
+  EXPECT_FALSE(spine.find_bookings(0, 1).empty());
   EXPECT_EQ(ctrl.promotions(), 1u);
   ctrl.stop();
 }

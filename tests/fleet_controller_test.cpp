@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <optional>
 
 #include "runtime/fleet.hpp"
@@ -162,7 +163,7 @@ TEST(FleetController, CarvedDirectionRepricesAgainstTheAdvertisedResidual) {
     p.rate = phy::DataRate::gbps(10);
     p.latency = SimTime::zero();
     const auto link = spine.add_link(p);
-    if (carve) EXPECT_TRUE(spine.reserve(0, 1, 0.6).has_value());
+    if (carve) EXPECT_TRUE(spine.book(0, 1, fabric::Carve{0.6}).has_value());
     // Defaults: 100 us epoch, base 1, w_u 8, epsilon 0.5.
     FleetController ctrl(&sim, &spine, FleetControllerConfig{}, &registry);
     ctrl.start();
@@ -211,13 +212,13 @@ TEST(FleetController, DemandDecayForgetsAncientHeatInThePromotionRanking) {
     FleetControllerConfig cfg;
     cfg.epoch = 100_us;
     cfg.demand_half_life_epochs = half_life;
-    cfg.reservations.enable = true;
-    cfg.reservations.fraction = 0.4;
-    cfg.reservations.hot_bytes_per_epoch = 1000;
-    cfg.reservations.idle_bytes_per_epoch = 10;
-    cfg.reservations.promote_after = 2;
-    cfg.reservations.demote_after = 100;
-    cfg.reservations.max_reservations = 1;
+    cfg.booking.discipline = runtime::BookingDiscipline::kCarve;
+    cfg.booking.fraction = 0.4;
+    cfg.booking.hot_bytes_per_epoch = 1000;
+    cfg.booking.idle_bytes_per_epoch = 10;
+    cfg.booking.promote_after = 2;
+    cfg.booking.demote_after = 100;
+    cfg.booking.max_pairs = 1;
     FleetController ctrl(&sim, &spine, cfg, &registry);
     std::uint64_t& old_hot = spine.pair_demand_slot(0, 1);
     std::uint64_t& new_hot = spine.pair_demand_slot(2, 3);
@@ -237,8 +238,8 @@ TEST(FleetController, DemandDecayForgetsAncientHeatInThePromotionRanking) {
     sim.run_until(1150_us);
     ctrl.stop();
     EXPECT_EQ(ctrl.promotions(), 1u);  // exactly one carve to hand out
-    const bool new_pair = spine.find_reservation(2, 3).has_value();
-    EXPECT_NE(new_pair, spine.find_reservation(0, 1).has_value());
+    const bool new_pair = !spine.find_bookings(2, 3).empty();
+    EXPECT_NE(new_pair, !spine.find_bookings(0, 1).empty());
     return new_pair;
   };
   // Decay off reproduces the cumulative ranking: ancient heat wins.
@@ -259,6 +260,33 @@ TEST(FleetController, RejectsBadConstruction) {
   FleetControllerConfig bad_half_life;
   bad_half_life.demand_half_life_epochs = -1.0;
   EXPECT_THROW(FleetController(&sim, &spine, bad_half_life), std::invalid_argument);
+  // Cost weights that would price a loaded link at a non-positive or
+  // NaN cost fail here, not from the first loaded tick mid-run.
+  FleetControllerConfig bad_weight;
+  bad_weight.utilization_weight = -100.0;
+  EXPECT_THROW(FleetController(&sim, &spine, bad_weight), std::invalid_argument);
+  bad_weight.utilization_weight = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(FleetController(&sim, &spine, bad_weight), std::invalid_argument);
+  FleetControllerConfig bad_backlog;
+  bad_backlog.backlog_weight_per_us = -0.25;
+  EXPECT_THROW(FleetController(&sim, &spine, bad_backlog), std::invalid_argument);
+  bad_backlog.backlog_weight_per_us = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(FleetController(&sim, &spine, bad_backlog), std::invalid_argument);
+  FleetControllerConfig bad_base;
+  bad_base.base_cost = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(FleetController(&sim, &spine, bad_base), std::invalid_argument);
+  bad_base.base_cost = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_THROW(FleetController(&sim, &spine, bad_base), std::invalid_argument);
+  // An idle threshold at or above the hot one inverts the hysteresis.
+  for (const auto discipline :
+       {runtime::BookingDiscipline::kCarve, runtime::BookingDiscipline::kSlots}) {
+    FleetControllerConfig inverted;
+    inverted.booking.discipline = discipline;
+    inverted.booking.idle_bytes_per_epoch = inverted.booking.hot_bytes_per_epoch;
+    EXPECT_THROW(FleetController(&sim, &spine, inverted), std::invalid_argument);
+    inverted.booking.idle_bytes_per_epoch = inverted.booking.hot_bytes_per_epoch - 1;
+    EXPECT_NO_THROW(FleetController(&sim, &spine, inverted));
+  }
   // Without a registry the controller owns a private one (unit-test
   // convenience, mirroring Network and CrcController).
   FleetController own(&sim, &spine);

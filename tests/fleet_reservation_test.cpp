@@ -25,7 +25,9 @@ namespace {
 
 using fabric::Interconnect;
 using fabric::SpineLinkParams;
-using fabric::SpineReservationHandle;
+using fabric::Carve;
+using fabric::Slots;
+using fabric::SpineBookingHandle;
 using phy::DataSize;
 using rsf::sim::SimTime;
 using rsf::sim::Simulator;
@@ -58,7 +60,7 @@ struct ReservationFixture : ::testing::Test {
 
   /// Send one packet and run to completion; returns the arrival time.
   SimTime send(fabric::SpineLinkId id, std::uint32_t from, std::int64_t bytes,
-               SpineReservationHandle res = {}) {
+               SpineBookingHandle res = {}) {
     std::optional<SimTime> arrival;
     EXPECT_TRUE(spine.send_packet(id, from, DataSize::bytes(bytes), res,
                                   [&](SimTime t, bool) { arrival = t; }));
@@ -75,9 +77,9 @@ TEST_F(ReservationFixture, ResidualRateArithmeticIsExact) {
 
   // Carving half leaves the shared residual at exactly half the rate:
   // the same packet now serializes in 2 us.
-  const auto res = spine.reserve(0, 1, 0.5);
+  const auto res = spine.book(0, 1, Carve{0.5});
   ASSERT_TRUE(res.has_value());
-  EXPECT_DOUBLE_EQ(spine.reserved_fraction(link, 0), 0.5);
+  EXPECT_DOUBLE_EQ(spine.booked_fraction(link, 0), 0.5);
   const SimTime t0 = sim.now();
   EXPECT_EQ((send(link, 0, 1000) - t0).us(), 2.0);
 
@@ -99,62 +101,62 @@ TEST_F(ReservationFixture, ResidualRateArithmeticIsExact) {
 
   // Releasing restores the full rate exactly.
   spine.release(*res);
-  EXPECT_DOUBLE_EQ(spine.reserved_fraction(link, 0), 0.0);
+  EXPECT_DOUBLE_EQ(spine.booked_fraction(link, 0), 0.0);
   const SimTime t2 = sim.now();
   EXPECT_EQ((send(link, 0, 1000) - t2).us(), 1.0);
 }
 
 TEST_F(ReservationFixture, ReverseDirectionIsNeverTouchedByACarve) {
   const auto link = add(0, 1);
-  const auto res = spine.reserve(0, 1, 0.5);
+  const auto res = spine.book(0, 1, Carve{0.5});
   ASSERT_TRUE(res.has_value());
   // The carve is per direction of travel: 1 -> 0 still runs at the
   // full rate.
-  EXPECT_DOUBLE_EQ(spine.reserved_fraction(link, 1), 0.0);
+  EXPECT_DOUBLE_EQ(spine.booked_fraction(link, 1), 0.0);
   const SimTime t0 = sim.now();
   EXPECT_EQ((send(link, 1, 1000) - t0).us(), 1.0);
 }
 
 TEST_F(ReservationFixture, AdmissionRefusesOversubscriptionAndDuplicates) {
   add(0, 1);
-  EXPECT_THROW(static_cast<void>(spine.reserve(0, 1, 0.0)), std::invalid_argument);
-  EXPECT_THROW(static_cast<void>(spine.reserve(0, 1, 1.0)), std::invalid_argument);
-  EXPECT_FALSE(spine.reserve(0, 0, 0.5).has_value());  // self pair
-  EXPECT_FALSE(spine.reserve(0, 7, 0.5).has_value());  // unreachable
-  const auto first = spine.reserve(0, 1, 0.6);
+  EXPECT_THROW(static_cast<void>(spine.book(0, 1, Carve{0.0})), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(spine.book(0, 1, Carve{1.0})), std::invalid_argument);
+  EXPECT_FALSE(spine.book(0, 0, Carve{0.5}).has_value());  // self pair
+  EXPECT_FALSE(spine.book(0, 7, Carve{0.5}).has_value());  // unreachable
+  const auto first = spine.book(0, 1, Carve{0.6});
   ASSERT_TRUE(first.has_value());
   // Same pair again: refused while the first is live.
-  EXPECT_FALSE(spine.reserve(0, 1, 0.1).has_value());
+  EXPECT_FALSE(spine.book(0, 1, Carve{0.1}).has_value());
   // Another pair over the same direction: 0.6 + 0.6 has no headroom.
   // (A second link 1 -> 2 makes pair (0, 2) routable through link 0.)
   add(1, 2);
-  EXPECT_FALSE(spine.reserve(0, 2, 0.6).has_value());
+  EXPECT_FALSE(spine.book(0, 2, Carve{0.6}).has_value());
   EXPECT_EQ(spine.counters().get("spine.reservations_refused"), 1u);
   // A fitting fraction is admitted, and no partial carve leaked from
   // the refusal.
-  EXPECT_DOUBLE_EQ(spine.reserved_fraction(0, 0), 0.6);
-  EXPECT_TRUE(spine.reserve(0, 2, 0.3).has_value());
-  EXPECT_DOUBLE_EQ(spine.reserved_fraction(0, 0), 0.9);
+  EXPECT_DOUBLE_EQ(spine.booked_fraction(0, 0), 0.6);
+  EXPECT_TRUE(spine.book(0, 2, Carve{0.3}).has_value());
+  EXPECT_DOUBLE_EQ(spine.booked_fraction(0, 0), 0.9);
 }
 
 TEST_F(ReservationFixture, SurvivesRepricingButDiesWithItsLink) {
   add(0, 1);
   const auto l12 = add(1, 2);
-  const auto res = spine.reserve(0, 2, 0.5);
+  const auto res = spine.book(0, 2, Carve{0.5});
   ASSERT_TRUE(res.has_value());
-  ASSERT_EQ(spine.reservation_route(*res).size(), 2u);
+  ASSERT_EQ(spine.booking(*res).route.size(), 2u);
 
   // Repricing every crossed link does not disturb the pinned circuit.
   spine.set_link_cost(0, 50.0);
   spine.set_link_cost(l12, 50.0);
-  EXPECT_TRUE(spine.reservation_active(*res));
-  EXPECT_EQ(spine.reservation_route(*res).size(), 2u);
+  EXPECT_TRUE(spine.booking_active(*res));
+  EXPECT_EQ(spine.booking(*res).route.size(), 2u);
 
   // A failed link on the route preempts it: capacity returns, the
   // handle goes stale, and the preemption is counted.
   spine.set_link_up(l12, false);
-  EXPECT_FALSE(spine.reservation_active(*res));
-  EXPECT_DOUBLE_EQ(spine.reserved_fraction(0, 0), 0.0);
+  EXPECT_FALSE(spine.booking_active(*res));
+  EXPECT_DOUBLE_EQ(spine.booked_fraction(0, 0), 0.0);
   EXPECT_EQ(spine.counters().get("spine.reservation_preemptions"), 1u);
 
   // Traffic still holding the stale handle falls back to the shared
@@ -169,20 +171,59 @@ TEST_F(ReservationFixture, SurvivesRepricingButDiesWithItsLink) {
 
 TEST_F(ReservationFixture, RecycledSlotsStaleifyOldHandles) {
   add(0, 1);
-  const auto first = spine.reserve(0, 1, 0.4);
+  const auto first = spine.book(0, 1, Carve{0.4});
   ASSERT_TRUE(first.has_value());
   spine.release(*first);
-  const std::uint64_t version_after_release = spine.reservation_version();
+  const std::uint64_t version_after_release = spine.booking_version();
   // The next reservation reuses the slot with a bumped generation:
   // the old handle stays stale.
-  const auto second = spine.reserve(1, 0, 0.4);
+  const auto second = spine.book(1, 0, Carve{0.4});
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->id, first->id);
   EXPECT_NE(second->generation, first->generation);
-  EXPECT_FALSE(spine.reservation_active(*first));
-  EXPECT_TRUE(spine.reservation_active(*second));
-  EXPECT_GT(spine.reservation_version(), version_after_release);
-  EXPECT_THROW(static_cast<void>(spine.reservation_route(*first)), std::invalid_argument);
+  EXPECT_FALSE(spine.booking_active(*first));
+  EXPECT_TRUE(spine.booking_active(*second));
+  EXPECT_GT(spine.booking_version(), version_after_release);
+  EXPECT_THROW(static_cast<void>(spine.booking(*first)), std::invalid_argument);
+}
+
+TEST_F(ReservationFixture, CarveAndSlotsShareOneBookedFractionPerDirection) {
+  // Both disciplines draw on the same per-direction budget: whichever
+  // books first, the second is refused once the sum would reach 1,
+  // shared traffic sees rate × (1 − sum), and tearing both down
+  // restores exactly the nameplate rate.
+  const auto link = add(0, 1);
+  const auto nameplate = spine.residual_rate(link, 0);
+
+  // Carve first, then slots.
+  const auto carve = spine.book(0, 1, Carve{0.5});
+  ASSERT_TRUE(carve.has_value());
+  EXPECT_FALSE(spine.book(0, 1, Slots{4, 2}).has_value());  // 0.5 + 0.5 reaches 1
+  EXPECT_EQ(spine.counters().get("spine.slot_refusals"), 1u);
+  const auto slots = spine.book(0, 1, Slots{8, 3});
+  ASSERT_TRUE(slots.has_value());
+  EXPECT_DOUBLE_EQ(spine.booked_fraction(link, 0), 0.875);
+  EXPECT_DOUBLE_EQ(spine.residual_rate(link, 0).gbps_value(), 8.0 * (1.0 - 0.875));
+  EXPECT_EQ(spine.find_bookings(0, 1).size(), 2u);
+  spine.release(*carve);
+  spine.release(*slots);
+  EXPECT_EQ(spine.booked_fraction(link, 0), 0.0);
+  EXPECT_EQ(spine.residual_rate(link, 0), nameplate);
+
+  // Slots first, then a carve; fractions that are inexact in binary
+  // still return the direction to exactly the nameplate rate.
+  const auto slots2 = spine.book(0, 1, Slots{8, 3});
+  ASSERT_TRUE(slots2.has_value());
+  EXPECT_FALSE(spine.book(0, 1, Carve{0.625}).has_value());  // 0.375 + 0.625 reaches 1
+  EXPECT_EQ(spine.counters().get("spine.reservations_refused"), 1u);
+  const auto carve2 = spine.book(0, 1, Carve{0.3});
+  ASSERT_TRUE(carve2.has_value());
+  EXPECT_DOUBLE_EQ(spine.residual_rate(link, 0).gbps_value(), 8.0 * (1.0 - 0.675));
+  spine.release(*carve2);
+  spine.release(*slots2);
+  EXPECT_EQ(spine.booked_fraction(link, 0), 0.0);
+  EXPECT_EQ(spine.residual_rate(link, 0), nameplate);
+  EXPECT_EQ(spine.booking_count(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -199,8 +240,8 @@ RuntimeConfig rack_config() {
 }
 
 /// Two racks over one slow spine link; the controller runs the
-/// reservation policy with fast hysteresis so a short test exercises
-/// both edges.
+/// booking policy with Carve and fast hysteresis so a short test
+/// exercises both edges.
 FleetConfig policy_fleet(bool reservations) {
   FleetConfig fc;
   fc.racks.push_back(RackSpec{rack_config(), 0});
@@ -212,16 +253,17 @@ FleetConfig policy_fleet(bool reservations) {
   fc.spine.push_back(s);
   fc.enable_controller = true;
   fc.controller.epoch = 20_us;
-  fc.controller.reservations.enable = reservations;
-  fc.controller.reservations.fraction = 0.5;
-  fc.controller.reservations.hot_bytes_per_epoch = 8 * 1024;
-  fc.controller.reservations.idle_bytes_per_epoch = 1024;
-  fc.controller.reservations.promote_after = 2;
-  fc.controller.reservations.demote_after = 3;
+  fc.controller.booking.discipline = reservations ? runtime::BookingDiscipline::kCarve
+                                                  : runtime::BookingDiscipline::kNone;
+  fc.controller.booking.fraction = 0.5;
+  fc.controller.booking.hot_bytes_per_epoch = 8 * 1024;
+  fc.controller.booking.idle_bytes_per_epoch = 1024;
+  fc.controller.booking.promote_after = 2;
+  fc.controller.booking.demote_after = 3;
   return fc;
 }
 
-TEST(FleetReservationPolicy, PromotesHotPairsAndDemotesIdleOnesWithHysteresis) {
+TEST(FleetCarvePolicy, PromotesHotPairsAndDemotesIdleOnesWithHysteresis) {
   FleetRuntime fleet(policy_fleet(true));
   std::optional<runtime::FleetFlowResult> result;
   runtime::FleetFlowSpec spec;
@@ -237,7 +279,7 @@ TEST(FleetReservationPolicy, PromotesHotPairsAndDemotesIdleOnesWithHysteresis) {
   // its packets rode the carved slice.
   EXPECT_EQ(fleet.controller().promotions(), 1u);
   EXPECT_GT(fleet.spine().counters().get("spine.reserved_bytes"), 0u);
-  EXPECT_TRUE(fleet.spine().find_reservation(0, 1).has_value());
+  EXPECT_FALSE(fleet.spine().find_bookings(0, 1).empty());
   // Hysteresis: one idle epoch is not a demotion...
   EXPECT_EQ(fleet.controller().demotions(), 0u);
   fleet.run_until(fleet.now() + 40_us);
@@ -245,12 +287,12 @@ TEST(FleetReservationPolicy, PromotesHotPairsAndDemotesIdleOnesWithHysteresis) {
   // ...but demote_after consecutive idle epochs are.
   fleet.run_until(fleet.now() + 200_us);
   EXPECT_EQ(fleet.controller().demotions(), 1u);
-  EXPECT_FALSE(fleet.spine().find_reservation(0, 1).has_value());
-  EXPECT_EQ(fleet.spine().reservation_count(), 0u);
+  EXPECT_TRUE(fleet.spine().find_bookings(0, 1).empty());
+  EXPECT_EQ(fleet.spine().booking_count(), 0u);
   fleet.stop();
 }
 
-TEST(FleetReservationPolicy, PolicyOffNeverReserves) {
+TEST(FleetCarvePolicy, PolicyOffNeverReserves) {
   FleetRuntime fleet(policy_fleet(false));
   std::optional<runtime::FleetFlowResult> result;
   runtime::FleetFlowSpec spec;
@@ -263,12 +305,12 @@ TEST(FleetReservationPolicy, PolicyOffNeverReserves) {
   fleet.stop();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(fleet.controller().promotions(), 0u);
-  EXPECT_EQ(fleet.spine().reservation_count(), 0u);
+  EXPECT_EQ(fleet.spine().booking_count(), 0u);
   EXPECT_EQ(fleet.spine().counters().get("spine.reserved_bytes"), 0u);
-  EXPECT_EQ(fleet.spine().reservation_version(), 0u);
+  EXPECT_EQ(fleet.spine().booking_version(), 0u);
 }
 
-TEST(FleetReservationPolicy, PreemptedPairFallsBackAndKeepsDelivering) {
+TEST(FleetCarvePolicy, PreemptedPairFallsBackAndKeepsDelivering) {
   // Two parallel spine links; the promoted circuit rides link 0, then
   // link 0 dies mid-flow: the reservation is preempted, packets fall
   // back to the shared residual of link 1, and the flow completes.
@@ -294,9 +336,9 @@ TEST(FleetReservationPolicy, PreemptedPairFallsBackAndKeepsDelivering) {
   EXPECT_GT(fleet.spine().link_packets(1, 0), 0u);
 }
 
-TEST(FleetReservationPolicy, PureBulkIncastNotesDemandAndPromotes) {
+TEST(FleetCarvePolicy, PureBulkIncastNotesDemandAndPromotes) {
   // Store-and-forward flows must feed the pair-demand tracker too:
-  // under the bulk comparison baseline the reservation policy used to
+  // under the bulk comparison baseline the carve policy used to
   // be blind (no packetization step ever noted byte·hops), so a
   // persistently hot rack pair was never promoted. A sustained
   // pure-bulk incast onto rack 1 must now earn its carve.
@@ -330,12 +372,12 @@ TEST(FleetReservationPolicy, PureBulkIncastNotesDemandAndPromotes) {
   EXPECT_GE(fleet.controller().promotions(), 1u);
 }
 
-TEST(FleetReservationPolicy, RejectsBadPolicyConfig) {
+TEST(FleetCarvePolicy, RejectsBadPolicyConfig) {
   FleetConfig fc = policy_fleet(true);
-  fc.controller.reservations.fraction = 1.0;
+  fc.controller.booking.fraction = 1.0;
   EXPECT_THROW(FleetRuntime bad(fc), std::invalid_argument);
-  fc.controller.reservations.fraction = 0.5;
-  fc.controller.reservations.promote_after = 0;
+  fc.controller.booking.fraction = 0.5;
+  fc.controller.booking.promote_after = 0;
   EXPECT_THROW(FleetRuntime bad(fc), std::invalid_argument);
 }
 
@@ -343,7 +385,7 @@ TEST(FleetReservationPolicy, RejectsBadPolicyConfig) {
 // Default-path regression and skewed-scenario determinism.
 // ---------------------------------------------------------------------------
 
-TEST(FleetReservationPolicy, DefaultPacketizedPathIsUntouchedByTheReservationLayer) {
+TEST(FleetCarvePolicy, DefaultPacketizedPathIsUntouchedByTheReservationLayer) {
   // Arm A never touches the reservation API. Arm B carves and
   // releases a reservation before traffic starts. The shared path's
   // timing must be bit-identical: a released carve leaves no residue.
@@ -351,7 +393,7 @@ TEST(FleetReservationPolicy, DefaultPacketizedPathIsUntouchedByTheReservationLay
     FleetConfig fc = policy_fleet(false);
     FleetRuntime fleet(fc);
     if (touch_reservations) {
-      const auto res = fleet.spine().reserve(0, 1, 0.7);
+      const auto res = fleet.spine().book(0, 1, Carve{0.7});
       EXPECT_TRUE(res.has_value());
       fleet.spine().release(*res);
     }

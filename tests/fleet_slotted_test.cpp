@@ -4,9 +4,8 @@
 // lease renewal on every slotted send with inactivity self-expiry,
 // failure-driven preemption with shared-path fallback for stale
 // handles, recycled-slot staleness, the controller's promote /
-// multipath-split / demote cycle over parallel legs, the
-// reservation-vs-schedule mutual-exclusivity guard, and the
-// slotted-scenario determinism anchor.
+// multipath-split / demote cycle over parallel legs, its config
+// validation, and the slotted-scenario determinism anchor.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -26,7 +25,8 @@ namespace {
 using fabric::Interconnect;
 using fabric::SlotCalendar;
 using fabric::SpineLinkParams;
-using fabric::SpineScheduleHandle;
+using fabric::Slots;
+using fabric::SpineBookingHandle;
 using phy::DataSize;
 using rsf::sim::SimTime;
 using rsf::sim::Simulator;
@@ -58,7 +58,7 @@ struct SlottedFixture : ::testing::Test {
 
   /// Send one packet and run to completion; returns the arrival time.
   SimTime send(fabric::SpineLinkId id, std::uint32_t from, std::int64_t bytes,
-               SpineScheduleHandle sched = {}) {
+               SpineBookingHandle sched = {}) {
     std::optional<SimTime> arrival;
     EXPECT_TRUE(spine.send_packet(id, from, DataSize::bytes(bytes), sched,
                                   [&](SimTime t, bool) { arrival = t; }));
@@ -74,16 +74,16 @@ TEST_F(SlottedFixture, WaitsForOwnedSlotsAndRidesThemAtFullRate) {
   // 8 Gb/s, 1000-byte packet: 1 us at the full rate; slot duration is
   // the default 1 us, so one packet fills exactly one slot.
   const auto link = add(0, 1);
-  const auto sched = spine.reserve_slots(0, 1, 4, 1);
+  const auto sched = spine.book(0, 1, Slots{4, 1});
   ASSERT_TRUE(sched.has_value());
-  EXPECT_TRUE(spine.schedule_active(*sched));
+  EXPECT_TRUE(spine.booking_active(*sched));
   // A fresh calendar books the first contention-free offsets: the
   // pair owns offset 0 of every period — wall-clock [0, 1), [4, 5)...
-  EXPECT_EQ(spine.schedule_mask(*sched), SlotCalendar::periodic_mask(4, 0));
-  EXPECT_DOUBLE_EQ(spine.schedule_fraction(*sched), 0.25);
-  EXPECT_DOUBLE_EQ(spine.slotted_fraction(link, 0), 0.25);
-  ASSERT_EQ(spine.schedule_route(*sched).size(), 1u);
-  EXPECT_EQ(spine.schedule_route(*sched)[0], link);
+  EXPECT_EQ(spine.booking(*sched).mask, SlotCalendar::periodic_mask(4, 0));
+  EXPECT_DOUBLE_EQ(spine.booking(*sched).fraction, 0.25);
+  EXPECT_DOUBLE_EQ(spine.booked_fraction(link, 0), 0.25);
+  ASSERT_EQ(spine.booking(*sched).route.size(), 1u);
+  EXPECT_EQ(spine.booking(*sched).route[0], link);
 
   // Sent inside an owned slot: serializes immediately at the FULL
   // link rate — 1 us — even though the pair owns only a quarter of
@@ -110,58 +110,58 @@ TEST_F(SlottedFixture, AdmissionIsAllOrNothingAcrossTheWholeRoute) {
   // Stagger the two lines' occupancy so their free offsets misalign:
   // l01 owns {0,1,2} via the neighbor pair, l12 owns {3,4,5} via a
   // booked-then-released shift of the far pair.
-  const auto neighbor = spine.reserve_slots(0, 1, 8, 3);
+  const auto neighbor = spine.book(0, 1, Slots{8, 3});
   ASSERT_TRUE(neighbor.has_value());
-  const auto far_first = spine.reserve_slots(1, 2, 8, 3);
-  const auto far_second = spine.reserve_slots(1, 2, 8, 3);
+  const auto far_first = spine.book(1, 2, Slots{8, 3});
+  const auto far_second = spine.book(1, 2, Slots{8, 3});
   ASSERT_TRUE(far_first.has_value() && far_second.has_value());
-  EXPECT_EQ(spine.schedule_mask(*far_second), SlotCalendar::periodic_mask(8, 3) |
-                                                  SlotCalendar::periodic_mask(8, 4) |
-                                                  SlotCalendar::periodic_mask(8, 5));
-  spine.release_slots(*far_first);
-  EXPECT_DOUBLE_EQ(spine.slotted_fraction(l01, 0), 0.375);
-  EXPECT_DOUBLE_EQ(spine.slotted_fraction(l12, 1), 0.375);
+  EXPECT_EQ(spine.booking(*far_second).mask, SlotCalendar::periodic_mask(8, 3) |
+                                                 SlotCalendar::periodic_mask(8, 4) |
+                                                 SlotCalendar::periodic_mask(8, 5));
+  spine.release(*far_first);
+  EXPECT_DOUBLE_EQ(spine.booked_fraction(l01, 0), 0.375);
+  EXPECT_DOUBLE_EQ(spine.booked_fraction(l12, 1), 0.375);
 
   // Headroom refusal: a schedule may never starve a direction's
   // shared residual outright (duty 5 of 8 on a 0.375-slotted line).
-  EXPECT_FALSE(spine.reserve_slots(0, 1, 8, 5).has_value());
+  EXPECT_FALSE(spine.book(0, 1, Slots{8, 5}).has_value());
   EXPECT_EQ(count("spine.slot_refusals"), 1u);
 
   // Contention refusal is judged across the WHOLE route at once:
   // each line has five free offsets, but only {6, 7} are free on
   // both, so the transit pair's duty-4 ask is refused outright and no
   // partial claim leaks onto either line.
-  EXPECT_FALSE(spine.reserve_slots(0, 2, 8, 4).has_value());
+  EXPECT_FALSE(spine.book(0, 2, Slots{8, 4}).has_value());
   EXPECT_EQ(count("spine.slot_refusals"), 2u);
-  EXPECT_DOUBLE_EQ(spine.slotted_fraction(l01, 0), 0.375);
-  EXPECT_DOUBLE_EQ(spine.slotted_fraction(l12, 1), 0.375);
-  EXPECT_EQ(spine.schedule_count(), 2u);
+  EXPECT_DOUBLE_EQ(spine.booked_fraction(l01, 0), 0.375);
+  EXPECT_DOUBLE_EQ(spine.booked_fraction(l12, 1), 0.375);
+  EXPECT_EQ(spine.booking_count(), 2u);
 
   // The duty that fits the shared free offsets is admitted on both
   // hops simultaneously.
-  const auto transit = spine.reserve_slots(0, 2, 8, 2);
+  const auto transit = spine.book(0, 2, Slots{8, 2});
   ASSERT_TRUE(transit.has_value());
-  EXPECT_EQ(spine.schedule_mask(*transit), SlotCalendar::periodic_mask(8, 6) |
-                                               SlotCalendar::periodic_mask(8, 7));
-  ASSERT_EQ(spine.schedule_route(*transit).size(), 2u);
-  EXPECT_DOUBLE_EQ(spine.slotted_fraction(l01, 0), 0.625);
-  EXPECT_DOUBLE_EQ(spine.slotted_fraction(l12, 1), 0.625);
+  EXPECT_EQ(spine.booking(*transit).mask, SlotCalendar::periodic_mask(8, 6) |
+                                              SlotCalendar::periodic_mask(8, 7));
+  ASSERT_EQ(spine.booking(*transit).route.size(), 2u);
+  EXPECT_DOUBLE_EQ(spine.booked_fraction(l01, 0), 0.625);
+  EXPECT_DOUBLE_EQ(spine.booked_fraction(l12, 1), 0.625);
 
   // Shape validation mirrors the calendar's contract.
-  EXPECT_THROW(static_cast<void>(spine.reserve_slots(0, 1, 3, 1)),
+  EXPECT_THROW(static_cast<void>(spine.book(0, 1, Slots{3, 1})),
                std::invalid_argument);  // period must divide the frame
-  EXPECT_THROW(static_cast<void>(spine.reserve_slots(0, 1, 8, 9)),
+  EXPECT_THROW(static_cast<void>(spine.book(0, 1, Slots{8, 9})),
                std::invalid_argument);  // duty > period
   // Unroutable pairs are refusals, not errors.
-  EXPECT_FALSE(spine.reserve_slots(0, 7, 4, 1).has_value());
+  EXPECT_FALSE(spine.book(0, 7, Slots{4, 1}).has_value());
 }
 
 TEST_F(SlottedFixture, SendsRenewTheLeaseAndInactivityExpiresIt) {
   spine.set_slot_timeout(10_us);
   const auto link = add(0, 1);
-  const auto sched = spine.reserve_slots(0, 1, 4, 2);
+  const auto sched = spine.book(0, 1, Slots{4, 2});
   ASSERT_TRUE(sched.has_value());
-  const std::uint64_t booked_version = spine.schedule_version();
+  const std::uint64_t booked_version = spine.booking_version();
 
   // A send every 6 us keeps the schedule alive well past 3x the
   // 10 us inactivity window: every slotted send renews the lease.
@@ -174,33 +174,33 @@ TEST_F(SlottedFixture, SendsRenewTheLeaseAndInactivityExpiresIt) {
   // Sentinel keeps the simulator alive past the (weak) expiry event.
   sim.schedule_at(60_us, [] {});
   sim.run_until(35_us);
-  EXPECT_TRUE(spine.schedule_active(*sched));
+  EXPECT_TRUE(spine.booking_active(*sched));
   EXPECT_EQ(count("spine.slot_expirations"), 0u);
 
   // Then the pair goes quiet: 10 us after the last send the schedule
   // self-expires — slots and residual return, the handle goes stale,
   // and the version bumps so transports drop it without a lookup.
   sim.run_until();
-  EXPECT_FALSE(spine.schedule_active(*sched));
+  EXPECT_FALSE(spine.booking_active(*sched));
   EXPECT_EQ(count("spine.slot_expirations"), 1u);
-  EXPECT_DOUBLE_EQ(spine.slotted_fraction(link, 0), 0.0);
-  EXPECT_EQ(spine.schedule_count(), 0u);
-  EXPECT_GT(spine.schedule_version(), booked_version);
+  EXPECT_DOUBLE_EQ(spine.booked_fraction(link, 0), 0.0);
+  EXPECT_EQ(spine.booking_count(), 0u);
+  EXPECT_GT(spine.booking_version(), booked_version);
 }
 
 TEST_F(SlottedFixture, LinkFailurePreemptsAndStaleHandlesFallBackShared) {
   add(0, 1);
   const auto l12 = add(1, 2);
-  const auto sched = spine.reserve_slots(0, 2, 4, 2);
+  const auto sched = spine.book(0, 2, Slots{4, 2});
   ASSERT_TRUE(sched.has_value());
-  EXPECT_DOUBLE_EQ(spine.slotted_fraction(0, 0), 0.5);
+  EXPECT_DOUBLE_EQ(spine.booked_fraction(0, 0), 0.5);
 
   // A failed link on the route preempts the whole schedule: capacity
   // returns on the surviving hop too, and the preemption is counted.
   spine.set_link_up(l12, false);
-  EXPECT_FALSE(spine.schedule_active(*sched));
+  EXPECT_FALSE(spine.booking_active(*sched));
   EXPECT_EQ(count("spine.slot_preemptions"), 1u);
-  EXPECT_DOUBLE_EQ(spine.slotted_fraction(0, 0), 0.0);
+  EXPECT_DOUBLE_EQ(spine.booked_fraction(0, 0), 0.0);
 
   // Traffic still holding the stale handle rides the shared FIFO of
   // the surviving link at the full rate instead of erroring.
@@ -208,30 +208,29 @@ TEST_F(SlottedFixture, LinkFailurePreemptsAndStaleHandlesFallBackShared) {
   EXPECT_EQ(count("spine.slotted_bytes"), 0u);
 
   // Releasing a stale handle is an idempotent no-op.
-  spine.release_slots(*sched);
+  spine.release(*sched);
   EXPECT_EQ(count("spine.slot_releases"), 0u);
 }
 
 TEST_F(SlottedFixture, RecycledScheduleSlotsStaleifyOldHandles) {
   add(0, 1);
-  const auto first = spine.reserve_slots(0, 1, 4, 1);
+  const auto first = spine.book(0, 1, Slots{4, 1});
   ASSERT_TRUE(first.has_value());
-  spine.release_slots(*first);
+  spine.release(*first);
   EXPECT_EQ(count("spine.slot_releases"), 1u);
   // The next booking reuses the slot with a bumped generation: the
   // old handle stays stale and its accessors throw.
-  const auto second = spine.reserve_slots(1, 0, 4, 1);
+  const auto second = spine.book(1, 0, Slots{4, 1});
   ASSERT_TRUE(second.has_value());
   EXPECT_EQ(second->id, first->id);
   EXPECT_NE(second->generation, first->generation);
-  EXPECT_FALSE(spine.schedule_active(*first));
-  EXPECT_TRUE(spine.schedule_active(*second));
-  EXPECT_THROW(static_cast<void>(spine.schedule_route(*first)), std::invalid_argument);
-  EXPECT_THROW(static_cast<void>(spine.schedule_mask(*first)), std::invalid_argument);
+  EXPECT_FALSE(spine.booking_active(*first));
+  EXPECT_TRUE(spine.booking_active(*second));
+  EXPECT_THROW(static_cast<void>(spine.booking(*first)), std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------------
-// Fleet-level: the controller's schedule policy.
+// Fleet-level: the controller's booking policy with Slots.
 // ---------------------------------------------------------------------------
 
 RuntimeConfig rack_config() {
@@ -244,7 +243,7 @@ RuntimeConfig rack_config() {
 }
 
 /// Two racks over two parallel spine links; the controller runs the
-/// schedule policy with fast hysteresis and multipath splitting.
+/// booking policy with Slots, fast hysteresis and the multipath split.
 FleetConfig schedule_fleet(bool schedules) {
   FleetConfig fc;
   fc.racks.push_back(RackSpec{rack_config(), 0});
@@ -258,18 +257,18 @@ FleetConfig schedule_fleet(bool schedules) {
   }
   fc.enable_controller = true;
   fc.controller.epoch = 20_us;
-  fc.controller.schedules.enable = schedules;
-  fc.controller.schedules.period = 4;
-  fc.controller.schedules.duty = 2;
-  fc.controller.schedules.hot_bytes_per_epoch = 8 * 1024;
-  fc.controller.schedules.idle_bytes_per_epoch = 1024;
-  fc.controller.schedules.promote_after = 2;
-  fc.controller.schedules.demote_after = 3;
-  fc.controller.schedules.multipath = true;
+  fc.controller.booking.discipline = schedules ? runtime::BookingDiscipline::kSlots
+                                               : runtime::BookingDiscipline::kNone;
+  fc.controller.booking.period = 4;
+  fc.controller.booking.duty = 2;
+  fc.controller.booking.hot_bytes_per_epoch = 8 * 1024;
+  fc.controller.booking.idle_bytes_per_epoch = 1024;
+  fc.controller.booking.promote_after = 2;
+  fc.controller.booking.demote_after = 3;
   return fc;
 }
 
-TEST(FleetSchedulePolicy, PromotesHotPairsSplitsLegsAndDemotesIdleOnes) {
+TEST(FleetSlotsPolicy, PromotesHotPairsSplitsLegsAndDemotesIdleOnes) {
   FleetRuntime fleet(schedule_fleet(true));
   // Keep the fabric's own inactivity expiry out of the way: this test
   // pins the demotion on the controller's idle hysteresis.
@@ -289,7 +288,7 @@ TEST(FleetSchedulePolicy, PromotesHotPairsSplitsLegsAndDemotesIdleOnes) {
   // both links.
   EXPECT_EQ(fleet.controller().promotions(), 1u);
   EXPECT_EQ(fleet.controller().counters().get("fleet.schedule_splits"), 1u);
-  EXPECT_EQ(fleet.spine().find_schedules(0, 1).size(), 2u);
+  EXPECT_EQ(fleet.spine().find_bookings(0, 1).size(), 2u);
   EXPECT_GT(fleet.spine().counters().get("spine.slotted_bytes"), 0u);
   EXPECT_GT(fleet.spine().link_packets(0, 0), 0u);
   EXPECT_GT(fleet.spine().link_packets(1, 0), 0u);
@@ -297,13 +296,13 @@ TEST(FleetSchedulePolicy, PromotesHotPairsSplitsLegsAndDemotesIdleOnes) {
   EXPECT_EQ(fleet.controller().demotions(), 0u);
   fleet.run_until(fleet.now() + 200_us);
   EXPECT_EQ(fleet.controller().demotions(), 1u);
-  EXPECT_TRUE(fleet.spine().find_schedules(0, 1).empty());
-  EXPECT_EQ(fleet.spine().schedule_count(), 0u);
+  EXPECT_TRUE(fleet.spine().find_bookings(0, 1).empty());
+  EXPECT_EQ(fleet.spine().booking_count(), 0u);
   EXPECT_EQ(fleet.spine().counters().get("spine.slot_releases"), 2u);
   fleet.stop();
 }
 
-TEST(FleetSchedulePolicy, PolicyOffNeverTouchesTheCalendar) {
+TEST(FleetSlotsPolicy, PolicyOffNeverTouchesTheCalendar) {
   FleetRuntime fleet(schedule_fleet(false));
   std::optional<runtime::FleetFlowResult> result;
   runtime::FleetFlowSpec spec;
@@ -316,26 +315,20 @@ TEST(FleetSchedulePolicy, PolicyOffNeverTouchesTheCalendar) {
   fleet.stop();
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(fleet.controller().promotions(), 0u);
-  EXPECT_EQ(fleet.spine().schedule_count(), 0u);
-  EXPECT_EQ(fleet.spine().schedule_version(), 0u);
+  EXPECT_EQ(fleet.spine().booking_count(), 0u);
+  EXPECT_EQ(fleet.spine().booking_version(), 0u);
   EXPECT_EQ(fleet.spine().counters().get("spine.slotted_bytes"), 0u);
 }
 
-TEST(FleetSchedulePolicy, ReservationAndSchedulePoliciesAreMutuallyExclusive) {
-  // A pair holding both a carve and a slot schedule would
-  // double-subtract from the shared residual: the controller refuses
-  // the configuration outright.
+TEST(FleetSlotsPolicy, RejectsBadPolicyConfig) {
   FleetConfig fc = schedule_fleet(true);
-  fc.controller.reservations.enable = true;
+  fc.controller.booking.period = 3;  // does not divide the frame
   EXPECT_THROW(FleetRuntime bad(fc), std::invalid_argument);
-  fc.controller.reservations.enable = false;
-  fc.controller.schedules.period = 3;  // does not divide the frame
+  fc.controller.booking.period = 4;
+  fc.controller.booking.duty = 5;  // duty > period
   EXPECT_THROW(FleetRuntime bad(fc), std::invalid_argument);
-  fc.controller.schedules.period = 4;
-  fc.controller.schedules.duty = 5;  // duty > period
-  EXPECT_THROW(FleetRuntime bad(fc), std::invalid_argument);
-  fc.controller.schedules.duty = 2;
-  fc.controller.schedules.promote_after = 0;
+  fc.controller.booking.duty = 2;
+  fc.controller.booking.promote_after = 0;
   EXPECT_THROW(FleetRuntime bad(fc), std::invalid_argument);
 }
 
