@@ -4,15 +4,10 @@
 // and prints the series as a table.
 #pragma once
 
-#include <atomic>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
-#include <utility>
-#include <vector>
 
 #include "runtime/runtime.hpp"
 #include "sim/log.hpp"
@@ -23,54 +18,17 @@ namespace rsf::bench {
 /// Benches run quiet: component logs off, results via tables only.
 inline void quiet_logs() { rsf::sim::LogConfig::set_level(rsf::sim::LogLevel::kOff); }
 
-/// Command line of the fleet sweeps (ext9/10/11).
-struct SweepArgs {
-  /// --json <path>: where the JSON artifact is written.
-  std::string json_path;
-  /// --workers <N>: arm-level parallelism (see run_indexed).
-  int workers = 1;
-};
-
-/// Parses `--json <path>` and `--workers <N>`. An unknown flag, a
-/// missing value or a worker count below 1 prints a usage line and
-/// exits 2, so a mistyped flag never silently runs the defaults.
-inline SweepArgs parse_sweep_args(int argc, char** argv, std::string default_json) {
-  SweepArgs args{std::move(default_json), 1};
-  const auto usage = [argv] {
-    std::fprintf(stderr, "usage: %s [--json <path>] [--workers <N >= 1>]\n", argv[0]);
+/// Parses the fleet sweeps' (ext9/10/11) one flag, `--json <path>`
+/// (where the JSON artifact is written), and returns the path. Any
+/// other argument or a missing value prints a usage line and exits 2,
+/// so a mistyped flag never silently runs the defaults.
+inline std::string parse_json_path(int argc, char** argv, std::string default_json) {
+  if (argc == 1) return default_json;
+  if (argc != 3 || std::strcmp(argv[1], "--json") != 0) {
+    std::fprintf(stderr, "usage: %s [--json <path>]\n", argv[0]);
     std::exit(2);
-  };
-  for (int i = 1; i < argc; ++i) {
-    const bool json = std::strcmp(argv[i], "--json") == 0;
-    if ((!json && std::strcmp(argv[i], "--workers") != 0) || i + 1 == argc) usage();
-    const char* value = argv[++i];
-    if (json) {
-      args.json_path = value;
-      continue;
-    }
-    const char* end = value + std::strlen(value);
-    const auto [ptr, ec] = std::from_chars(value, end, args.workers);
-    if (ec != std::errc{} || ptr != end || args.workers < 1) usage();
   }
-  return args;
-}
-
-/// Runs fn(i) for every i in [0, n) on `workers` threads (the caller's
-/// plus up to workers - 1 helpers, never more threads than indices)
-/// pulling indices from a shared counter.
-/// Each call must write only its own index-addressed result slot; the
-/// caller assembles output afterwards in index order, so the output
-/// never depends on completion order or on `workers`.
-template <typename Fn>
-void run_indexed(std::size_t n, int workers, Fn&& fn) {
-  std::atomic<std::size_t> next{0};
-  const auto pump = [&] {
-    for (std::size_t i = next++; i < n; i = next++) fn(i);
-  };
-  std::vector<std::thread> pool;
-  for (int t = 1; t < workers && static_cast<std::size_t>(t) < n; ++t) pool.emplace_back(pump);
-  pump();
-  for (std::thread& t : pool) t.join();
+  return argv[2];
 }
 
 inline void print_header(const char* id, const char* paper_artifact, const char* claim) {

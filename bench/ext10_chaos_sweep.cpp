@@ -13,8 +13,8 @@
 // Each run carries the chaos invariant verifier (bounded, conserving,
 // leak-free); the JSON artifact (--json <path>; bench-smoke
 // schema-validates and uploads it) reports the verdicts per arm, and
-// the CI determinism gate byte-diffs the whole output at --workers 1
-// vs 4.
+// the anchor_ext10_chaos_sweep ctest byte-diffs the whole output
+// against its golden.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -157,10 +157,8 @@ void emit_json(const std::vector<Arm>& arms, const std::string& path) {
 
 int main(int argc, char** argv) {
   bench::quiet_logs();
-  // --workers N runs the arms on N threads; output is byte-identical
-  // for every N.
-  const bench::SweepArgs args =
-      bench::parse_sweep_args(argc, argv, "bench-ext10_chaos_sweep.json");
+  const std::string json_path =
+      bench::parse_json_path(argc, argv, "bench-ext10_chaos_sweep.json");
   bench::print_header(
       "EXT10", "correlated-failure chaos sweep (degraded-mode SLOs)",
       "under trench cuts, flap storms, brownouts and controller restarts the "
@@ -174,10 +172,10 @@ int main(int argc, char** argv) {
     arms.push_back(Arm{name, arm_config(name), {}});
   }
 
-  bench::run_indexed(arms.size(), args.workers, [&arms](std::size_t i) {
-    ChaosScenario scenario(arms[i].cfg);
-    arms[i].result = scenario.run();
-  });
+  for (Arm& a : arms) {
+    ChaosScenario scenario(a.cfg);
+    a.result = scenario.run();
+  }
 
   telemetry::Table table(
       "ext10 — degraded-mode SLOs per chaos arm",
@@ -213,7 +211,7 @@ int main(int argc, char** argv) {
     table.cell(ok ? "ok" : "VIOLATED");
   }
   table.print();
-  emit_json(arms, args.json_path);
+  emit_json(arms, json_path);
 
   // Invariant violations fail the bench (bench-smoke runs this).
   for (const Arm& a : arms) {

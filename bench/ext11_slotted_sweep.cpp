@@ -143,11 +143,8 @@ void emit_json(const std::vector<SweepPoint>& points, const std::string& path) {
 
 int main(int argc, char** argv) {
   bench::quiet_logs();
-  // --workers N runs the 18 scenario cells (6 points x
-  // packet/carve/slotted) on N threads; output is byte-identical for
-  // every N.
-  const bench::SweepArgs args =
-      bench::parse_sweep_args(argc, argv, "bench-ext11_slotted_sweep.json");
+  const std::string json_path =
+      bench::parse_json_path(argc, argv, "bench-ext11_slotted_sweep.json");
   bench::print_header(
       "EXT11", "carve vs. slotted vs. packet transport regimes (SIGCOMM §2, TDMA arm)",
       "periodic slot schedules match the carve's hot-pair speedup while their "
@@ -167,14 +164,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Cell 3i + k is point i under regime k (packet, carve, slotted).
-  static constexpr SlottedRegime kRegimes[] = {SlottedRegime::kPacket, SlottedRegime::kCarve,
-                                               SlottedRegime::kSlotted};
-  bench::run_indexed(points.size() * 3, args.workers, [&points](std::size_t c) {
-    SweepPoint& p = points[c / 3];
-    SlottedScenarioResult* const slot[] = {&p.packet, &p.carve, &p.slotted};
-    *slot[c % 3] = run_cell(p.arm, kRegimes[c % 3], p.loss);
-  });
+  for (SweepPoint& p : points) {
+    p.packet = run_cell(p.arm, SlottedRegime::kPacket, p.loss);
+    p.carve = run_cell(p.arm, SlottedRegime::kCarve, p.loss);
+    p.slotted = run_cell(p.arm, SlottedRegime::kSlotted, p.loss);
+  }
 
   telemetry::Table table("ext11 — transport-regime crossover per sweep point",
                          {"arm", "loss", "hot pkt (us)", "hot carve (us)",
@@ -209,6 +203,6 @@ int main(int argc, char** argv) {
     table.cell(buf);
   }
   table.print();
-  emit_json(points, args.json_path);
+  emit_json(points, json_path);
   return 0;
 }

@@ -114,10 +114,8 @@ void emit_json(const std::vector<SweepPoint>& points, const std::string& path) {
 
 int main(int argc, char** argv) {
   bench::quiet_logs();
-  // --workers N runs the 24 scenario arms (12 points x
-  // packet/reserved) on N threads; output is byte-identical for every N.
-  const bench::SweepArgs args =
-      bench::parse_sweep_args(argc, argv, "bench-ext9_fleet_sweep.json");
+  const std::string json_path =
+      bench::parse_json_path(argc, argv, "bench-ext9_fleet_sweep.json");
   bench::print_header(
       "EXT9", "fleet-scope circuit vs. packet regimes (SIGCOMM §2, at fleet scale)",
       "reserving capacity for a persistently hot rack pair improves its job "
@@ -142,12 +140,10 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Arm 2i is point i's packet arm, 2i + 1 its reserved arm.
-  bench::run_indexed(points.size() * 2, args.workers, [&points](std::size_t a) {
-    SweepPoint& p = points[a / 2];
-    const bool reserved = a % 2 == 1;
-    (reserved ? p.reserved : p.packet) = run_arm(p.kind, p.loss, p.weight, reserved);
-  });
+  for (SweepPoint& p : points) {
+    p.packet = run_arm(p.kind, p.loss, p.weight, false);
+    p.reserved = run_arm(p.kind, p.loss, p.weight, true);
+  }
 
   telemetry::Table table("ext9 — reservation crossover per sweep point",
                          {"scenario", "loss", "w_util", "hot off (us)", "hot on (us)",
@@ -177,6 +173,6 @@ int main(int argc, char** argv) {
     table.cell(buf);
   }
   table.print();
-  emit_json(points, args.json_path);
+  emit_json(points, json_path);
   return 0;
 }

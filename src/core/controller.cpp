@@ -37,9 +37,7 @@ void CrcController::start() {
   if (running_) return;
   running_ = true;
   last_circulation_ = sim_->now();
-  if (config_.enable_price_routing) {
-    router_->set_price_fn([this](phy::LinkId id) { return prices_.price(id); });
-  }
+  router_->set_price_fn([this](phy::LinkId id) { return prices_.price(id); });
   tick();
 }
 
@@ -72,7 +70,7 @@ void CrcController::on_snapshot(const RackSnapshot& snapshot) {
 
   // 1. Price every link and publish to the router.
   prices_.update(snapshot, config_.weights);
-  if (config_.enable_price_routing) router_->bump_prices();
+  router_->bump_prices();
 
   // 2. Adaptive FEC.
   if (config_.enable_adaptive_fec) {

@@ -39,7 +39,6 @@ struct CrcConfig {
   /// controller stretches it if not.
   rsf::sim::SimTime epoch = rsf::sim::SimTime::microseconds(100);
   PriceWeights weights = PriceWeights::balanced();
-  bool enable_price_routing = true;
 
   bool enable_adaptive_fec = false;
   FecAdapterConfig fec;

@@ -1,6 +1,7 @@
 #include "fabric/network.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <set>
 #include <stdexcept>
 
@@ -36,6 +37,23 @@ Network::Network(rsf::sim::Simulator* sim, phy::PhysicalPlant* plant, Topology* 
     throw std::invalid_argument("Network: null dependency");
   }
   if (config_.flow_window < 1) throw std::invalid_argument("Network: flow_window < 1");
+  if (config_.max_retries < 0) throw std::invalid_argument("Network: max_retries < 0");
+  if (config_.max_hops < 1) throw std::invalid_argument("Network: max_hops < 1");
+  const SwitchParams& sp = config_.switch_params;
+  if (sp.switch_latency < SimTime::zero() || sp.nic_latency < SimTime::zero() ||
+      config_.retry_delay < SimTime::zero()) {
+    throw std::invalid_argument("Network: negative latency or retry_delay");
+  }
+  if (!(std::isfinite(sp.port_static_w) && sp.port_static_w >= 0) ||
+      !(std::isfinite(sp.pj_per_bit) && sp.pj_per_bit >= 0)) {
+    throw std::invalid_argument("Network: port_static_w and pj_per_bit must be finite, >= 0");
+  }
+}
+
+void Network::check_endpoints(phy::NodeId src, phy::NodeId dst, const char* who) const {
+  if (src >= topo_->node_count() || dst >= topo_->node_count()) {
+    throw std::invalid_argument(std::string(who) + ": endpoint outside the rack");
+  }
 }
 
 void Network::start_flow(const FlowSpec& spec, FlowCallback on_complete) {
@@ -46,6 +64,7 @@ void Network::start_flow(const FlowSpec& spec, FlowCallback on_complete) {
   if (spec.size.bit_count() <= 0 || spec.packet_size.bit_count() <= 0) {
     throw std::invalid_argument("start_flow: non-positive sizes");
   }
+  check_endpoints(spec.src, spec.dst, "start_flow");
   FlowState state;
   state.spec = spec;
   state.on_complete = std::move(on_complete);
@@ -95,6 +114,8 @@ void Network::pump_flow(std::uint32_t flow_idx) {
 
 void Network::send_probe(phy::NodeId src, phy::NodeId dst, phy::DataSize size,
                          ProbeCallback cb) {
+  check_endpoints(src, dst, "send_probe");
+  if (size.bit_count() <= 0) throw std::invalid_argument("send_probe: non-positive size");
   Packet pkt;
   pkt.id = next_packet_id_++;
   pkt.src = src;

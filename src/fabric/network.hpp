@@ -50,6 +50,10 @@ struct SwitchParams {
   double pj_per_bit = 15.0;
 };
 
+/// Checked by the Network constructor, which throws
+/// std::invalid_argument on a negative latency or retry_delay,
+/// flow_window < 1, max_retries < 0, max_hops < 1, or a negative or
+/// non-finite port_static_w / pj_per_bit.
 struct NetworkConfig {
   SwitchParams switch_params;
   /// Max packets a flow keeps in flight (source backpressure window).
@@ -82,10 +86,13 @@ class Network {
   Network& operator=(const Network&) = delete;
 
   /// Register a flow; packets start at spec.start. The callback fires
-  /// on completion (or failure after retry exhaustion).
+  /// on completion (or failure after retry exhaustion). Throws
+  /// std::invalid_argument on a bad spec or an endpoint outside the rack.
   void start_flow(const FlowSpec& spec, FlowCallback on_complete = nullptr);
 
-  /// One tracer packet; callback fires at delivery (or drop).
+  /// One tracer packet; callback fires at delivery (or drop). Throws
+  /// std::invalid_argument on a non-positive size or an endpoint
+  /// outside the rack.
   void send_probe(phy::NodeId src, phy::NodeId dst, phy::DataSize size,
                   ProbeCallback cb);
 
@@ -170,6 +177,7 @@ class Network {
     }
   };
 
+  void check_endpoints(phy::NodeId src, phy::NodeId dst, const char* who) const;
   void pump_flow(std::uint32_t flow_idx);
   void inject(Packet pkt, rsf::sim::SimTime when);
   /// Head of `pkt` is available at `node` at head_ready (switch/NIC

@@ -15,8 +15,10 @@
 // topology version or the price generation changes.
 #pragma once
 
+#include <cmath>
 #include <functional>
 #include <optional>
+#include <stdexcept>
 #include <vector>
 
 #include "fabric/topology.hpp"
@@ -63,7 +65,12 @@ class Router {
   [[nodiscard]] double default_cost(phy::LinkId link) const;
 
   /// Per-hop switching penalty included in default costs (ns units).
+  /// Negative or non-finite penalties throw: Dijkstra needs
+  /// non-negative edge costs to terminate.
   void set_hop_penalty_ns(double ns) {
+    if (!(std::isfinite(ns) && ns >= 0)) {
+      throw std::invalid_argument("Router: hop penalty must be finite and non-negative");
+    }
     hop_penalty_ns_ = ns;
     ++price_generation_;
   }

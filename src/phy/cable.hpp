@@ -6,6 +6,7 @@
 // how *logical links* use cable lanes, not the cables themselves.
 #pragma once
 
+#include <cmath>
 #include <stdexcept>
 #include <vector>
 
@@ -14,6 +15,10 @@
 #include "phy/types.hpp"
 
 namespace rsf::phy {
+
+/// A pre-FEC bit error rate a lane can carry: [0, 0.5]. Past 0.5 a bit
+/// is more likely flipped than not; NaN fails both compares.
+[[nodiscard]] inline bool is_valid_ber(double ber) { return ber >= 0.0 && ber <= 0.5; }
 
 class Cable {
  public:
@@ -24,6 +29,11 @@ class Cable {
     if (end_a == end_b) throw std::invalid_argument("Cable: self-loop");
     if (lane_count <= 0) throw std::invalid_argument("Cable: need >= 1 lane");
     if (length_m <= 0) throw std::invalid_argument("Cable: non-positive length");
+    const double bps = lane_rate.bits_per_second();
+    if (!(std::isfinite(bps) && bps > 0)) {
+      throw std::invalid_argument("Cable: lane rate must be positive and finite");
+    }
+    if (!is_valid_ber(initial_ber)) throw std::invalid_argument("Cable: BER outside [0, 0.5]");
     lanes_.reserve(static_cast<std::size_t>(lane_count));
     for (int i = 0; i < lane_count; ++i) {
       lanes_.emplace_back(lane_rate, lane_power, initial_ber);

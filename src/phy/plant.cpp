@@ -431,6 +431,7 @@ double PhysicalPlant::estimated_pre_fec_ber(LinkId id) const {
 }
 
 void PhysicalPlant::set_cable_ber(CableId id, double ber) {
+  if (!is_valid_ber(ber)) throw std::invalid_argument("set_cable_ber: BER outside [0, 0.5]");
   Cable& c = cable(id);
   for (int i = 0; i < c.lane_count(); ++i) c.lane(i).set_pre_fec_ber(ber);
 }

@@ -157,7 +157,8 @@ class PhysicalPlant {
   /// transceiver MIB. Compare Lane::pre_fec_ber(), the oracle truth.
   [[nodiscard]] double estimated_pre_fec_ber(LinkId id) const;
 
-  /// Set the environmental pre-FEC BER on every lane of a cable.
+  /// Set the environmental pre-FEC BER on every lane of a cable;
+  /// throws std::invalid_argument outside [0, 0.5] (NaN included).
   void set_cable_ber(CableId id, double ber);
 
   // --- Failures ---

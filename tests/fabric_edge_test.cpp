@@ -1,8 +1,9 @@
 // Edge-case and robustness tests of the transport and routing layers:
-// TTL backstops, reservations, store-and-forward arithmetic, and the
+// TTL backstops, reservations, exact idle-path latency, and the
 // estimated-BER control path end to end.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 
 #include "core/controller.hpp"
@@ -108,25 +109,58 @@ TEST(FabricEdge, ProbeOverReservedOnlyPathIsDropped) {
   EXPECT_FALSE(*delivered);
 }
 
-TEST(FabricEdge, StoreAndForwardLatencyArithmetic) {
-  // SF per-hop cost = full serialization + prop + switch pipeline; the
-  // closed form must match the measured probe exactly.
-  Simulator sim;
-  RackParams p;
-  p.net_config.switch_params.cut_through = false;
-  Rack rack = fabric::build_chain(&sim, 4, p);
-  const DataSize size = DataSize::bytes(1024);
-  const auto& l = rack.plant->link(*rack.topology->link_between(0, 1));
-  const auto& sp = rack.network->config().switch_params;
-  const SimTime per_link =
-      l.serialization_delay(size) + l.propagation_delay() + l.fec().latency;
-  const SimTime expected = sp.nic_latency + per_link * std::int64_t{3} +
-                           sp.switch_latency * std::int64_t{2} + sp.nic_latency;
-  std::optional<SimTime> measured;
-  rack.network->send_probe(0, 3, size, [&](SimTime lat, int, bool) { measured = lat; });
-  sim.run_until();
-  ASSERT_TRUE(measured.has_value());
-  EXPECT_EQ(*measured, expected);
+TEST(FabricEdge, IdleChainLatencyMatchesClosedFormsToThePicosecond) {
+  // An idle 5-node chain (H = 4 hops) has no queueing, so a packet's
+  // latency is a closed form. Cut-through forwards once the 64 B head
+  // clears each intermediate link and switch, and only the last link
+  // waits for the whole packet; store-and-forward buffers the whole
+  // packet at every hop. A one-packet flow on the same path must see
+  // the same latency as the probe.
+  constexpr int kHops = 4;
+  const std::int64_t h = kHops;
+  for (const bool cut_through : {true, false}) {
+    for (const std::int64_t bytes : {64, 1024, 9000}) {
+      Simulator sim;
+      RackParams p;
+      p.net_config.switch_params.cut_through = cut_through;
+      Rack rack = fabric::build_chain(&sim, kHops + 1, p);
+      const DataSize size = DataSize::bytes(bytes);
+      const auto& l = rack.plant->link(*rack.topology->link_between(0, 1));
+      const auto& sp = rack.network->config().switch_params;
+      const SimTime ser = l.serialization_delay(size);
+      const SimTime head = l.serialization_delay(std::min(DataSize::bytes(64), size));
+      const SimTime prop = l.propagation_delay() + l.fec().latency;
+      const SimTime expected =
+          cut_through
+              ? sp.nic_latency + (head + prop + sp.switch_latency) * (h - 1) + ser + prop +
+                    sp.nic_latency
+              : sp.nic_latency + (ser + prop) * h + sp.switch_latency * (h - 1) + sp.nic_latency;
+
+      std::optional<SimTime> probe;
+      rack.network->send_probe(0, kHops, size, [&](SimTime lat, int hops, bool ok) {
+        EXPECT_TRUE(ok);
+        EXPECT_EQ(hops, kHops);
+        probe = lat;
+      });
+      sim.run_until();
+      ASSERT_TRUE(probe.has_value());
+      EXPECT_EQ(*probe, expected) << "cut_through=" << cut_through << " bytes=" << bytes;
+
+      fabric::FlowSpec spec;
+      spec.id = 1;
+      spec.src = 0;
+      spec.dst = kHops;
+      spec.size = size;
+      spec.packet_size = size;
+      std::optional<fabric::FlowResult> flow;
+      rack.network->start_flow(spec, [&](const fabric::FlowResult& r) { flow = r; });
+      sim.run_until();
+      ASSERT_TRUE(flow.has_value());
+      EXPECT_EQ(flow->packets, 1u);
+      EXPECT_EQ(flow->completion_time(), expected)
+          << "cut_through=" << cut_through << " bytes=" << bytes;
+    }
+  }
 }
 
 TEST(FabricEdge, EstimatedBerDrivesAdaptiveFecEndToEnd) {

@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <iterator>
+#include <limits>
 #include <optional>
 
 #include "fabric/builders.hpp"
@@ -259,6 +261,83 @@ TEST_F(NetFixture, RejectsBadFlowSpecs) {
   bad.size = DataSize::bytes(10);
   rack.network->start_flow(bad, nullptr);
   EXPECT_THROW(rack.network->start_flow(bad, nullptr), std::invalid_argument);  // dup id
+}
+
+TEST_F(NetFixture, RejectsEndpointsOutsideTheRackAndEmptyProbes) {
+  const auto never = [](SimTime, int, bool) { ADD_FAILURE() << "a rejected probe fired"; };
+  EXPECT_THROW(rack.network->send_probe(0, 99, DataSize::bytes(64), never),
+               std::invalid_argument);
+  EXPECT_THROW(rack.network->send_probe(16, 0, DataSize::bytes(64), never),
+               std::invalid_argument);
+  EXPECT_THROW(rack.network->send_probe(0, phy::kInvalidNode, DataSize::bytes(64), never),
+               std::invalid_argument);
+  EXPECT_THROW(rack.network->send_probe(0, 1, DataSize::zero(), never), std::invalid_argument);
+  EXPECT_THROW(rack.network->send_probe(0, 1, DataSize::bytes(-64), never),
+               std::invalid_argument);
+
+  FlowSpec spec;
+  spec.id = 1;
+  spec.src = 0;
+  spec.dst = 99;
+  spec.size = DataSize::kilobytes(1);
+  EXPECT_THROW(rack.network->start_flow(spec, nullptr), std::invalid_argument);
+  spec.src = 99;
+  spec.dst = 0;
+  EXPECT_THROW(rack.network->start_flow(spec, nullptr), std::invalid_argument);
+  sim.run_until();
+  EXPECT_EQ(rack.network->counters().get("net.probes"), 0u);
+  EXPECT_EQ(rack.network->counters().get("net.packets_injected"), 0u);
+
+  // The rejected flow claimed nothing: its id is still free.
+  spec.src = 0;
+  spec.dst = 15;
+  std::optional<FlowResult> result;
+  rack.network->start_flow(spec, [&](const FlowResult& r) { result = r; });
+  sim.run_until();
+  ASSERT_TRUE(result.has_value());
+  EXPECT_FALSE(result->failed);
+}
+
+TEST(NetworkConfigValidation, InvalidConfigsFailAtConstruction) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::function<void(RackParams&)> bad[] = {
+      [](RackParams& p) { p.net_config.switch_params.switch_latency = SimTime::microseconds(-5); },
+      [](RackParams& p) { p.net_config.switch_params.nic_latency = SimTime::microseconds(-5); },
+      [](RackParams& p) { p.net_config.retry_delay = SimTime::microseconds(-5); },
+      [](RackParams& p) { p.net_config.max_retries = -3; },
+      [](RackParams& p) { p.net_config.max_hops = 0; },
+      [](RackParams& p) { p.net_config.flow_window = 0; },
+      [](RackParams& p) { p.net_config.switch_params.port_static_w = -1.5; },
+      [nan](RackParams& p) { p.net_config.switch_params.port_static_w = nan; },
+      [](RackParams& p) { p.net_config.switch_params.pj_per_bit = -15.0; },
+      [inf](RackParams& p) { p.net_config.switch_params.pj_per_bit = inf; },
+      [](RackParams& p) { p.lane_rate = phy::DataRate::zero(); },
+      [](RackParams& p) { p.initial_ber = 2.0; },
+      [nan](RackParams& p) { p.initial_ber = nan; },
+  };
+  for (std::size_t i = 0; i < std::size(bad); ++i) {
+    Simulator sim;
+    RackParams p;
+    bad[i](p);
+    EXPECT_THROW((void)build_grid(&sim, p), std::invalid_argument) << "case " << i;
+  }
+
+  // The boundaries themselves are valid and still deliver.
+  Simulator sim;
+  RackParams p;
+  p.net_config.switch_params.switch_latency = SimTime::zero();
+  p.net_config.switch_params.nic_latency = SimTime::zero();
+  p.net_config.switch_params.port_static_w = 0;
+  p.net_config.switch_params.pj_per_bit = 0;
+  p.net_config.retry_delay = SimTime::zero();
+  p.net_config.max_retries = 0;
+  Rack rack = build_grid(&sim, p);
+  std::optional<bool> delivered;
+  rack.network->send_probe(0, 15, DataSize::bytes(64),
+                           [&](SimTime, int, bool ok) { delivered = ok; });
+  sim.run_until();
+  EXPECT_EQ(delivered, true);
 }
 
 TEST_F(NetFixture, SwitchPowerGrowsWithTraffic) {

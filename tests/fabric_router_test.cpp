@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "fabric/builders.hpp"
 
 namespace rsf::fabric {
@@ -212,6 +214,17 @@ TEST_F(GridFixture, SetReservationBumpsTheVersionAndRefreshesTheMemo) {
   EXPECT_EQ(rack.topology->version(), reserved_version);
   rack.plant->set_reservation(*direct, std::nullopt);
   EXPECT_EQ(rack.router->next_hop(a, b), before);
+}
+
+TEST_F(GridFixture, HopPenaltyMustBeFiniteAndNonNegative) {
+  // Dijkstra does not terminate on negative edge costs, so a negative
+  // penalty must fail at the setter rather than hang next_hop.
+  for (const double ns : {-5000.0, -1e-3, std::numeric_limits<double>::infinity(),
+                          std::numeric_limits<double>::quiet_NaN()}) {
+    EXPECT_THROW(rack.router->set_hop_penalty_ns(ns), std::invalid_argument);
+  }
+  rack.router->set_hop_penalty_ns(0.0);
+  EXPECT_EQ(rack.router->hop_count(0, 15), 6);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "sim/random.hpp"
@@ -66,6 +67,35 @@ TEST(Cable, ValidatesConstruction) {
                std::invalid_argument);
   EXPECT_THROW(plant.add_cable(0, 1, -1.0, Medium::kFiber, 4, DataRate::gbps(25)),
                std::invalid_argument);
+}
+
+TEST(Cable, RejectsUnusableLaneRateAndImpossibleBer) {
+  // A zero lane rate saturates every serialization delay, and a BER
+  // past 0.5 (or NaN) makes every frame fail: both must fail here,
+  // not mid-run.
+  PhysicalPlant plant;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const DataRate rate :
+       {DataRate::zero(), DataRate::gbps(-25), DataRate::bps(inf), DataRate::bps(nan)}) {
+    EXPECT_THROW(plant.add_cable(0, 1, 2.0, Medium::kFiber, 4, rate), std::invalid_argument);
+  }
+  for (const double ber : {-1e-9, 0.6, 2.0, nan}) {
+    EXPECT_THROW(
+        plant.add_cable(0, 1, 2.0, Medium::kFiber, 4, DataRate::gbps(25), test_power(), ber),
+        std::invalid_argument);
+  }
+  EXPECT_EQ(plant.cable_count(), 0u);
+
+  // Both ends of [0, 0.5] are valid; set_cable_ber rejects the rest
+  // and leaves the lanes untouched.
+  const CableId c =
+      plant.add_cable(0, 1, 2.0, Medium::kFiber, 4, DataRate::gbps(25), test_power(), 0.5);
+  plant.set_cable_ber(c, 0.0);
+  for (const double ber : {-1e-9, 0.6, 2.0, nan}) {
+    EXPECT_THROW(plant.set_cable_ber(c, ber), std::invalid_argument);
+  }
+  EXPECT_EQ(plant.cable(c).lane(0).pre_fec_ber(), 0.0);
 }
 
 TEST(Cable, EndpointQueries) {

@@ -9,14 +9,10 @@
 # repetitions. Single back-to-back runs on a loaded host can differ by
 # ±25%; interleaved medians are the only numbers worth committing.
 #
-# Semantic anchors ride along: ext8's job_us counters and ext9's sweep
-# job_us values are simulated results, not speeds — any PR that moves
-# them changed behaviour, not performance.
-#
-# Since PR 7 the snapshot also records the ext9 sweep's wall time at
-# --workers 1 vs --workers 4 (the arm-pool parallel sweep) plus the
-# host's core count: a wall-time claim without the core count it was
-# measured on is not reproducible.
+# The snapshot records the host's core count next to the numbers: a
+# speed claim without the host it was measured on is not reproducible.
+# Simulated results (ext8's job_us counters, the sweeps' outputs) are
+# not recorded here; they are ctest anchors (`ctest -L anchor`).
 #
 # Usage:
 #   tools/bench_record.sh [--pr N] [--build-dir DIR] [--reps N]
@@ -74,8 +70,7 @@ fi
 
 MICRO="$BUILD_DIR/bench/micro_kernel"
 EXT8="$BUILD_DIR/bench/ext8_multirack_shuffle"
-EXT9="$BUILD_DIR/bench/ext9_fleet_sweep"
-for bin in "$MICRO" "$EXT8" "$EXT9"; do
+for bin in "$MICRO" "$EXT8"; do
   if [ ! -x "$bin" ]; then
     echo "missing bench binary: $bin (build with -DRSF_BUILD_BENCHES=ON)" >&2
     exit 1
@@ -95,7 +90,7 @@ def die(msg):
 
 if doc.get("schema") != "rsf-bench-trajectory-v1":
     die("schema tag must be rsf-bench-trajectory-v1")
-for key in ("pr", "commit", "config", "throughput", "semantic"):
+for key in ("pr", "commit", "config", "throughput"):
     if key not in doc:
         die(f"missing top-level key {key!r}")
 for name in ("BM_SimulatorSelfRescheduling", "BM_PacketTransportOneFlow",
@@ -106,29 +101,6 @@ for name in ("BM_SimulatorSelfRescheduling", "BM_PacketTransportOneFlow",
     v = entry.get("median_items_per_second")
     if not isinstance(v, (int, float)) or v <= 0:
         die(f"throughput[{name!r}] needs a positive median_items_per_second")
-ext8 = doc["semantic"].get("ext8_job_us")
-if not isinstance(ext8, dict) or not ext8:
-    die("semantic.ext8_job_us must be a non-empty object")
-if any(not isinstance(v, (int, float)) for v in ext8.values()):
-    die("semantic.ext8_job_us values must be numbers")
-ext9 = doc["semantic"].get("ext9_job_us")
-if not isinstance(ext9, list) or not ext9:
-    die("semantic.ext9_job_us must be a non-empty array")
-for point in ext9:
-    for key in ("scenario", "loss_prob", "utilization_weight",
-                "packet_hot_job_us", "packet_background_job_us",
-                "reserved_hot_job_us", "reserved_background_job_us"):
-        if key not in point:
-            die(f"ext9 point missing {key!r}")
-if isinstance(doc.get("pr"), int) and doc["pr"] >= 7:
-    par = doc.get("parallel")
-    if not isinstance(par, dict):
-        die("pr >= 7 snapshots must carry a 'parallel' block")
-    for key in ("host_cores", "ext9_wall_ms_workers1", "ext9_wall_ms_workers4",
-                "ext9_speedup_4w"):
-        v = par.get(key)
-        if not isinstance(v, (int, float)) or v <= 0:
-            die(f"parallel[{key!r}] must be a positive number")
 print(f"schema OK: {path}")
 PY
 }
@@ -159,27 +131,6 @@ for rep in $(seq 1 "$REPS"); do
                 > "$TMP/micro_old_$rep.json" 2>/dev/null
   fi
   echo "  rep $rep/$REPS done" >&2
-done
-
-# --- semantic anchors: one full deterministic run each ---
-"$EXT8" --benchmark_min_time=0.05 --benchmark_format=json \
-        > "$TMP/ext8_full.json" 2>/dev/null
-"$EXT9" --json "$TMP/ext9.json" >/dev/null
-
-# --- ext9 wall time, workers=1 vs 4 (arm-pool parallel sweep) ---
-# Alternated reps for the same drift-resistance reason as the
-# throughput interleave; the recorded value is the per-config median.
-WALL_REPS=3
-[ "$SMOKE" = 1 ] && WALL_REPS=1
-: > "$TMP/wall.txt"
-echo "timing ext9 sweep: workers 1 vs 4, $WALL_REPS rep(s) each" >&2
-for rep in $(seq 1 "$WALL_REPS"); do
-  for w in 1 4; do
-    t0=$(date +%s%N)
-    "$EXT9" --workers "$w" --json "$TMP/ext9_wall.json" >/dev/null
-    t1=$(date +%s%N)
-    echo "$w $(( (t1 - t0) / 1000000 ))" >> "$TMP/wall.txt"
-  done
 done
 
 COMMIT=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
@@ -227,41 +178,11 @@ if baseline:
             "speedup": round(new / old, 3),
         }
 
-with open(f"{tmp}/ext8_full.json") as f:
-    ext8 = {b["name"]: b["job_us"] for b in json.load(f)["benchmarks"]
-            if "job_us" in b}
-
-wall = {1: [], 4: []}
-with open(f"{tmp}/wall.txt") as f:
-    for line in f:
-        w, ms = line.split()
-        wall[int(w)].append(int(ms))
-wall1 = statistics.median(wall[1])
-wall4 = statistics.median(wall[4])
-parallel = {
-    "host_cores": os.cpu_count(),
-    "ext9_wall_ms_workers1": wall1,
-    "ext9_wall_ms_workers4": wall4,
-    # > 1 only when the host has the cores to back it; commit the
-    # host_cores alongside so the number is interpretable.
-    "ext9_speedup_4w": round(wall1 / wall4, 3),
-}
-
-with open(f"{tmp}/ext9.json") as f:
-    ext9 = [{
-        "scenario": p["scenario"],
-        "loss_prob": p["loss_prob"],
-        "utilization_weight": p["utilization_weight"],
-        "packet_hot_job_us": p["packet"]["hot_job_us"],
-        "packet_background_job_us": p["packet"]["background_job_us"],
-        "reserved_hot_job_us": p["reserved"]["hot_job_us"],
-        "reserved_background_job_us": p["reserved"]["background_job_us"],
-    } for p in json.load(f)["points"]]
-
 doc = {
     "schema": "rsf-bench-trajectory-v1",
     "pr": int(pr),
     "commit": commit,
+    "host_cores": os.cpu_count(),
     "config": {
         "repetitions": int(reps),
         "benchmark_min_time": float(min_time),
@@ -269,8 +190,6 @@ doc = {
     },
     "throughput": throughput,
     "baseline": baseline_block,
-    "parallel": parallel,
-    "semantic": {"ext8_job_us": ext8, "ext9_job_us": ext9},
 }
 with open(out, "w") as f:
     json.dump(doc, f, indent=2)
