@@ -5,6 +5,7 @@
 // pushes millions of events through these paths).
 #include <benchmark/benchmark.h>
 
+#include <cstdint>
 #include <vector>
 
 #include "phy/fec.hpp"
@@ -64,6 +65,50 @@ void BM_SimulatorFarFuture(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * kEvents);
 }
 BENCHMARK(BM_SimulatorFarFuture);
+
+// One continuation of the deep-queue workload: a 96-byte inline
+// capture (the size of a rack hop's) that reschedules itself at a
+// pseudo-random gap until the shared budget runs out.
+struct DeepQueueHop {
+  sim::Simulator* sim;
+  std::uint64_t* budget;
+  std::uint64_t rng;
+  std::uint64_t pad[9];
+
+  void operator()() {
+    if (*budget == 0) return;
+    --*budget;
+    rng = rng * 6364136223846793005ull + 1442695040888963407ull;
+    // Gaps of 1 ns to 1 ms, as queueing delays in a congested rack
+    // reach: a few land in the ~4.2 us ring window, the rest wait in
+    // tier 2 and arrive by promotion.
+    const auto gap_ps = static_cast<std::int64_t>(1'000 + (rng >> 24) % 1'000'000'000);
+    sim->schedule_after(sim::SimTime::picoseconds(gap_ps), *this);
+  }
+};
+static_assert(sizeof(DeepQueueHop) == sim::kInlineEventBytes);
+static_assert(sim::is_inline_event_v<DeepQueueHop>);
+
+void BM_SimulatorDeepQueue(benchmark::State& state) {
+  // About 10^5 events pending at once, each a full-size inline record
+  // whose gaps reach past the ring window — the regime of a torus
+  // upgrade under load. The chains start spread over the first 1 ms
+  // and fire four times each on average before the budget drains.
+  constexpr int kPending = 100'000;
+  constexpr std::uint64_t kReschedules = 300'000;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    std::uint64_t budget = kReschedules;
+    for (int i = 0; i < kPending; ++i) {
+      DeepQueueHop hop{&sim, &budget, (static_cast<std::uint64_t>(i) + 1) * 0x9E3779B97F4A7C15ull, {}};
+      const auto start_ps = static_cast<std::int64_t>((hop.rng >> 24) % 1'000'000'000);
+      sim.schedule_at(sim::SimTime::picoseconds(start_ps), hop);
+    }
+    benchmark::DoNotOptimize(sim.run_until());
+  }
+  state.SetItemsProcessed(state.iterations() * (kPending + kReschedules));
+}
+BENCHMARK(BM_SimulatorDeepQueue);
 
 void BM_RandomExponential(benchmark::State& state) {
   sim::RandomStream rng(1);

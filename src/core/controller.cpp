@@ -1,6 +1,7 @@
 #include "core/controller.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace rsf::core {
@@ -27,6 +28,15 @@ CrcController::CrcController(rsf::sim::Simulator* sim, phy::PhysicalPlant* plant
       price_series_(registry_->series("crc.mean_price")),
       counters_(registry_->counters("crc")) {
   if (router_ == nullptr) throw std::invalid_argument("CrcController: null router");
+  if (config_.epoch <= SimTime::zero()) {
+    throw std::invalid_argument("CrcController: epoch must be positive");
+  }
+  if (config_.torus_trigger_epochs < 1) {
+    throw std::invalid_argument("CrcController: torus_trigger_epochs < 1");
+  }
+  if (!std::isfinite(config_.torus_util_threshold)) {
+    throw std::invalid_argument("CrcController: non-finite torus_util_threshold");
+  }
   // The epoch cannot be shorter than one token circulation.
   if (config_.epoch < ring_.circulation_time()) {
     config_.epoch = ring_.circulation_time();

@@ -35,8 +35,9 @@
 namespace rsf::core {
 
 struct CrcConfig {
-  /// Control epoch. Must exceed the ring circulation time; the
-  /// controller stretches it if not.
+  /// Control epoch. Must be positive (the constructor throws
+  /// otherwise) and should exceed the ring circulation time; the
+  /// controller stretches a shorter one.
   rsf::sim::SimTime epoch = rsf::sim::SimTime::microseconds(100);
   PriceWeights weights = PriceWeights::balanced();
 
@@ -51,7 +52,8 @@ struct CrcConfig {
 
   /// Autonomous Figure-2 trigger: convert grid to torus after
   /// `torus_trigger_epochs` consecutive epochs of mean adjacent-link
-  /// utilisation above `torus_util_threshold`.
+  /// utilisation above `torus_util_threshold`. The constructor
+  /// rejects a trigger count below 1 and a non-finite threshold.
   bool enable_auto_torus = false;
   double torus_util_threshold = 0.45;
   int torus_trigger_epochs = 2;

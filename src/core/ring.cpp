@@ -16,6 +16,10 @@ ControlRing::ControlRing(rsf::sim::Simulator* sim, phy::PhysicalPlant* plant,
       net_ == nullptr) {
     throw std::invalid_argument("ControlRing: null dependency");
   }
+  // A negative delay would schedule the token into the past mid-run.
+  if (config_.hop_latency < SimTime::zero() || config_.node_processing < SimTime::zero()) {
+    throw std::invalid_argument("ControlRing: negative hop_latency or node_processing");
+  }
 }
 
 SimTime ControlRing::circulation_time() const {

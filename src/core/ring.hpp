@@ -25,6 +25,8 @@ namespace rsf::core {
 
 struct ControlRingConfig {
   /// Token flight time between adjacent nodes on the control ring.
+  /// This and node_processing must not be negative (the constructor
+  /// throws).
   rsf::sim::SimTime hop_latency = rsf::sim::SimTime::nanoseconds(200);
   /// Per-node processing (stat readout, append).
   rsf::sim::SimTime node_processing = rsf::sim::SimTime::nanoseconds(100);

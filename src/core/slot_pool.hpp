@@ -52,19 +52,7 @@ struct AlwaysRecyclable {
   }
 };
 
-/// Default recycle reset: assign a default-constructed T. Pools whose
-/// T makes that needlessly expensive (e.g. std::function's
-/// construct-and-swap move assignment) supply a cheaper Reset policy
-/// that clears the slot in place.
-struct AssignDefault {
-  template <typename T>
-  void operator()(T& slot) const {
-    slot = T{};
-  }
-};
-
-template <typename T, typename Gen = std::uint32_t, typename Gate = AlwaysRecyclable,
-          typename Reset = AssignDefault>
+template <typename T, typename Gen = std::uint32_t, typename Gate = AlwaysRecyclable>
 class SlotPool {
  public:
   /// A versioned slot reference: the index addresses the dense
@@ -121,7 +109,7 @@ class SlotPool {
     if (index >= meta_.size() || !meta_[index].live) {
       throw std::logic_error("SlotPool: recycle of a free or unknown slot");
     }
-    reset_(slots_[index]);
+    slots_[index] = T{};
     ++meta_[index].generation;
     meta_[index].live = false;
     if (spare_ != Handle::kInvalidIndex) free_.push_back(spare_);
@@ -215,7 +203,6 @@ class SlotPool {
   std::vector<std::uint32_t> free_;  // LIFO below spare_
   std::uint32_t spare_ = Handle::kInvalidIndex;  // top of the free stack
   [[no_unique_address]] Gate gate_{};
-  [[no_unique_address]] Reset reset_{};
 };
 
 }  // namespace rsf::core

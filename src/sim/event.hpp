@@ -12,9 +12,9 @@
 //    bucket, not a heap allocation.
 //  - **Cold arm.** Anything else (move-captured vectors, stored
 //    std::functions, oversized captures) is wrapped in an EventHandler
-//    riding in the event's liveness slot inside the Simulator. Cold
-//    callers keep working unchanged — they just don't get the inline
-//    fast path.
+//    parked in the Simulator's small handler pool; the record's payload
+//    carries the pool index. Cold callers keep working unchanged — they
+//    just don't get the inline fast path.
 //
 // The arm is selected automatically per call site by Simulator's
 // templated schedule_* front end (is_inline_event_v below), so no
@@ -33,10 +33,11 @@
 namespace rsf::sim {
 
 /// Identifies a scheduled event so it can be cancelled. An id packs
-/// the event's dense liveness slot and that slot's generation; slots
-/// are recycled, so a stale id (fired, cancelled, never existed, or
-/// outlived by 2^32 recycles of one slot) fails the generation check
-/// and cancel() reports false instead of touching the new occupant.
+/// the event's slab record index + 1 and that record's generation;
+/// indices are recycled, so a stale id (fired, cancelled, never
+/// existed, or outlived by 2^32 reuses of one index) fails the
+/// liveness check and cancel() reports false instead of touching the
+/// new occupant.
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEventId = 0;
 
@@ -76,14 +77,15 @@ inline constexpr bool is_inline_event_v =
 struct EventRecord {
   SimTime time;
   std::uint64_t seq;
-  /// Liveness: dense slot index + the generation it was claimed at.
-  /// A record whose slot has moved on (cancel, or fire + reuse) is a
-  /// tombstone, skipped and reclaimed when the queue next touches it.
-  std::uint32_t slot;
+  /// Liveness: `live` while pending. Cancel clears it, leaving a
+  /// tombstone the queue skips and reclaims when it next touches it;
+  /// freeing the slab index bumps `generation`, staling older ids.
   std::uint32_t generation;
+  bool live;
+  bool weak;
   /// Inline arm: monomorphized trampoline over `payload`.
-  /// nullptr tags the cold arm; the EventHandler then lives in the
-  /// event's liveness slot and the payload is unused.
+  /// nullptr tags the cold arm; the payload then holds the index of
+  /// the event's EventHandler in the Simulator's handler pool.
   void (*invoke)(void*);
   alignas(alignof(std::max_align_t)) std::byte payload[kInlineEventBytes];
 };

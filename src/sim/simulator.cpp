@@ -39,13 +39,14 @@ void Simulator::link_beyond_ring(std::uint32_t index, SimTime when) {
 }
 
 bool Simulator::cancel(EventId id) {
-  const std::uint64_t slot_plus_1 = id >> 32;
-  if (slot_plus_1 == 0) return false;
-  const auto index = static_cast<std::uint32_t>(slot_plus_1 - 1);
-  const auto generation = static_cast<std::uint32_t>(id & 0xFFFFFFFFu);
-  if (!slots_.is_live(index, generation)) return false;
-  --(slots_[index].weak ? weak_count_ : strong_count_);
-  slots_.recycle(index);
+  // An invalid id wraps to an index past any slab.
+  const std::uint64_t index = (id >> 32) - 1;
+  if (index >= records_.size()) return false;
+  EventRecord& rec = records_[index];
+  if (!rec.live || rec.generation != static_cast<std::uint32_t>(id)) return false;
+  rec.live = false;
+  --(rec.weak ? weak_count_ : strong_count_);
+  if (rec.invoke == nullptr) handlers_.recycle(cold_handler_index(rec));
   return true;
 }
 
@@ -61,7 +62,7 @@ bool Simulator::next_batch(SimTime until) {
       const EventRecord& rec = records_[index];
       const auto b =
           static_cast<std::size_t>((rec.time.ps() - base_ps_) >> kBucketShift);
-      if (!slots_.is_live(rec.slot, rec.generation)) {
+      if (!rec.live) {
         // A tombstone: reclaim it here and fall back around the loop.
         heads_[b] = kNilIndex;
         occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
@@ -144,7 +145,7 @@ SimTime Simulator::sweep_tombstones(std::uint32_t& head, std::size_t& freed) {
   while (index != kNilIndex) {
     const std::uint32_t next = record_next_[index];
     const EventRecord& rec = records_[index];
-    if (!slots_.is_live(rec.slot, rec.generation)) {
+    if (!rec.live) {
       (prev == kNilIndex ? head : record_next_[prev]) = next;
       free_record_index(index);
       ++freed;
@@ -218,31 +219,25 @@ bool Simulator::refill_tier2(SimTime until) {
 
 std::size_t Simulator::drain_one() {
   const std::uint32_t index = batch_[batch_cursor_++];
-  // `stored` stays valid until a handler runs: freeing the slab index
-  // only touches the free list, and everything the handler could need
-  // is copied out below before invocation.
-  const EventRecord& stored = records_[index];
-  const std::uint32_t slot = stored.slot;
-  const std::uint32_t generation = stored.generation;
-  void (*const invoke)(void*) = stored.invoke;
+  // Freed before the handler runs, so a handler cancelling its own id
+  // sees false and a chained reschedule reuses this index. `rec` stays
+  // valid until then: freeing touches only its header and the free list.
+  EventRecord& rec = records_[index];
+  const bool live = rec.live;
   free_record_index(index);
-  if (!slots_.is_live(slot, generation)) {
-    return 0;  // cancelled while batched; cancel already freed the slot
-  }
-  --(slots_[slot].weak ? weak_count_ : strong_count_);
+  if (!live) return 0;  // cancelled while batched
+  --(rec.weak ? weak_count_ : strong_count_);
   ++executed_;
-  if (invoke != nullptr) {
-    slots_.recycle(slot);
+  if (rec.invoke != nullptr) {
     // The trampoline copies the functor off the slab before running
     // it; no user code touches the record between here and that copy.
-    invoke(const_cast<std::byte*>(stored.payload));
+    rec.invoke(rec.payload);
   } else {
-    // Move the handler out before recycling and invoking: the slot is
-    // recycled first (so a handler cancelling its own id sees false,
-    // and a chained reschedule reuses it), and the handler may grow
-    // the pool mid-call.
-    EventHandler fn = std::move(slots_[slot].cold);
-    slots_.recycle(slot);
+    // Move the handler out before recycling and invoking: the handler
+    // may schedule cold events and grow the pool mid-call.
+    const std::uint32_t slot = cold_handler_index(rec);
+    EventHandler fn = std::move(handlers_[slot]);
+    handlers_.recycle(slot);
     fn();
   }
   return 1;
@@ -281,8 +276,7 @@ SimTime Simulator::next_time() const {
   // An in-flight batch resumes first: any live remainder runs at
   // batch_time_, which is <= every still-queued time.
   for (std::size_t c = batch_cursor_; c < batch_.size(); ++c) {
-    const EventRecord& rec = records_[batch_[c]];
-    if (slots_.is_live(rec.slot, rec.generation)) return batch_time_;
+    if (records_[batch_[c]].live) return batch_time_;
   }
   // Then ring, tier 2, far list: every level lies wholly after the one
   // before it, so the first level holding a live record holds the
@@ -298,7 +292,7 @@ SimTime Simulator::next_time() const {
   }
   for (std::uint32_t index = far_head_; index != kNilIndex; index = record_next_[index]) {
     const EventRecord& rec = records_[index];
-    if (slots_.is_live(rec.slot, rec.generation) && rec.time < best) best = rec.time;
+    if (rec.live && rec.time < best) best = rec.time;
   }
   return best;
 }
@@ -317,7 +311,7 @@ SimTime Simulator::first_live_time(const Buckets& heads, const Bitmap& occupied,
       bits &= bits - 1;
       for (std::uint32_t index = heads[b]; index != kNilIndex; index = record_next_[index]) {
         const EventRecord& rec = records_[index];
-        if (slots_.is_live(rec.slot, rec.generation) && rec.time < best) best = rec.time;
+        if (rec.live && rec.time < best) best = rec.time;
       }
       if (best != SimTime::infinity()) return best;
     }
@@ -332,16 +326,18 @@ void Simulator::fast_forward_to(SimTime when) {
   if (when < now_) {
     throw std::logic_error("Simulator::fast_forward_to: cannot rewind");
   }
-  // Everything still queued is a tombstone (no live events, and a
-  // tombstone owns nothing — cancel freed its slot and handler). Drop
-  // them all and re-anchor both levels at the new clock's window.
+  // Everything still queued is an ownerless tombstone. Free every index
+  // (high to low, so reuse starts at 0), bumping its generation: no id
+  // minted before the jump may cancel an event after it. Then re-anchor
+  // both levels at the new clock's window.
   heads_.fill(kNilIndex);
   heads2_.fill(kNilIndex);
   batch_.clear();
   batch_cursor_ = 0;
-  records_.clear();
-  record_next_.clear();
   record_free_ = kNilIndex;
+  for (auto index = static_cast<std::uint32_t>(records_.size()); index-- > 0;) {
+    free_record_index(index);
+  }
   occupied_.fill(0);
   occupied2_.fill(0);
   ring_count_ = 0;

@@ -31,11 +31,12 @@
 //    never on a peek or a run that stops short — so neither base
 //    passes now_ and a schedule at or after now_ always finds its
 //    level and bucket.
-//  - **Liveness slots.** Each pending event claims a dense
-//    core::SlotPool slot; its EventId packs {slot+1, generation}, so
-//    cancel() and liveness checks are an index + generation compare —
-//    no hashing. Cancelled events leave tombstone records that are
-//    reclaimed when the queue next touches their bucket.
+//  - **Liveness in the record.** EventId packs {slab index+1,
+//    generation}, so cancel() is a bounds check plus a live +
+//    generation compare on the record — no hashing, no side table. It
+//    leaves a tombstone, reclaimed when the queue next touches its
+//    bucket; freeing an index (drain or sweep) bumps its generation.
+//    Cold-arm handlers wait in a small pool, indexed from the payload.
 //  - **Batch drain.** run_*() extracts every record sharing the
 //    earliest pending timestamp as one batch, sorts it by insertion
 //    sequence, advances the clock once, and fires the batch in order.
@@ -50,6 +51,7 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -102,7 +104,7 @@ class Simulator {
   /// Cancel a previously scheduled event. Returns true if the event was
   /// pending (it will no longer fire); false if it already fired, was
   /// already cancelled, or never existed. Cancellation is O(1): the
-  /// liveness slot is recycled and the record becomes a tombstone.
+  /// record becomes a tombstone and a cold handler is destroyed at once.
   bool cancel(EventId id);
 
   /// Run until the event set is empty or `until` is reached (events at
@@ -150,24 +152,6 @@ class Simulator {
       static_cast<std::int64_t>(kBucketCount) << kWindowShift;
   static_assert(kWindowPs == static_cast<std::int64_t>(kBucketCount) << kBucketShift);
 
-  struct EventSlot {
-    /// Engaged only for cold-arm events; the handler dies with the
-    /// slot (fire moves it out, cancel's recycle destroys it in
-    /// place), so tombstone records never own anything.
-    EventHandler cold;
-    bool weak = false;
-  };
-
-  /// Recycle reset for the event pool: clearing in place is one
-  /// engaged-check branch, where the default assign-T{} would run
-  /// std::function's construct-and-swap move on every drained event.
-  struct EventSlotReset {
-    void operator()(EventSlot& slot) const {
-      slot.cold = nullptr;
-      slot.weak = false;
-    }
-  };
-
   template <typename F>
   EventId schedule_arm(SimTime when, F&& f, bool weak) {
     using Fn = std::decay_t<F>;
@@ -187,7 +171,7 @@ class Simulator {
         Fn fn = *std::launder(reinterpret_cast<Fn*>(payload));
         fn();
       };
-      return encode_id(rec.slot, rec.generation);
+      return encode_id(rec);
     } else {
       return schedule_cold(when, EventHandler(std::forward<F>(f)), weak);
     }
@@ -233,7 +217,8 @@ class Simulator {
 
   /// The record-slab free list is threaded through record_next_ like
   /// every queue level, so freeing a record never allocates — however
-  /// many tombstones a run leaves behind. Reuse is LIFO.
+  /// many tombstones a run leaves behind. Reuse is LIFO. Freeing clears
+  /// `live` and bumps the generation: every id minted for it goes stale.
   std::uint32_t claim_record_index() {
     if (record_free_ != kNilIndex) {
       const std::uint32_t index = record_free_;
@@ -246,12 +231,20 @@ class Simulator {
     return index;
   }
   void free_record_index(std::uint32_t index) {
+    records_[index].live = false;
+    ++records_[index].generation;
     record_next_[index] = record_free_;
     record_free_ = index;
   }
 
-  static EventId encode_id(std::uint32_t slot, std::uint32_t generation) {
-    return (static_cast<EventId>(slot) + 1) << 32 | generation;
+  static std::uint32_t cold_handler_index(const EventRecord& rec) {
+    std::uint32_t slot;
+    std::memcpy(&slot, rec.payload, sizeof slot);
+    return slot;
+  }
+  EventId encode_id(const EventRecord& rec) const {
+    const auto index = static_cast<EventId>(&rec - records_.data());
+    return (index + 1) << 32 | rec.generation;
   }
 
   SimTime now_ = SimTime::zero();
@@ -260,14 +253,14 @@ class Simulator {
   std::size_t strong_count_ = 0;
   std::size_t weak_count_ = 0;
 
-  // Liveness slots for pending events; a cold-arm event's handler
-  // rides in its slot. Slots recycle, so steady-state scheduling never
-  // allocates.
-  core::SlotPool<EventSlot, std::uint32_t, core::AlwaysRecyclable, EventSlotReset> slots_;
+  // Handlers of pending cold-arm events. A handler leaves the pool when
+  // its event fires or is cancelled, so the pool holds peak cold
+  // concurrency and recycles.
+  core::SlotPool<EventHandler> handlers_;
 
-  // The record slab: every pending record lives here, threaded into
-  // its level's singly linked lists (or the free list) via
-  // record_next_.
+  // The record slab: every pending record (and tombstone) lives here,
+  // threaded into its level's singly linked lists (or the free list)
+  // via record_next_.
   std::vector<EventRecord> records_;
   std::vector<std::uint32_t> record_next_;
   std::uint32_t record_free_ = kNilIndex;  // head of the free list
@@ -309,8 +302,6 @@ class Simulator {
 
 inline EventRecord& Simulator::acquire_record(SimTime when, bool weak) {
   if (when < now_) throw_past_time(when);
-  const auto slot = slots_.claim();
-  slots_[slot.index].weak = weak;
   ++(weak ? weak_count_ : strong_count_);
   const std::uint32_t index = claim_record_index();
   const std::int64_t rel = when.ps() - base_ps_;
@@ -322,19 +313,21 @@ inline EventRecord& Simulator::acquire_record(SimTime when, bool weak) {
   EventRecord& rec = records_[index];
   rec.time = when;
   rec.seq = next_seq_++;
-  rec.slot = slot.index;
-  rec.generation = slot.generation;
+  rec.live = true;
+  rec.weak = weak;
   return rec;
 }
 
 inline EventId Simulator::schedule_cold(SimTime when, EventHandler handler, bool weak) {
   if (!handler) throw_empty_handler();
   EventRecord& rec = acquire_record(when, weak);
-  // The slot's handler is empty (recycle clears it), so a swap is a
-  // plain member exchange — no construct-and-swap temporary.
-  slots_[rec.slot].cold.swap(handler);
+  const std::uint32_t slot = handlers_.claim().index;
+  // The pool's slot is empty (recycle clears it), so a swap is a plain
+  // member exchange — no construct-and-swap temporary.
+  handlers_[slot].swap(handler);
   rec.invoke = nullptr;
-  return encode_id(rec.slot, rec.generation);
+  std::memcpy(rec.payload, &slot, sizeof slot);
+  return encode_id(rec);
 }
 
 }  // namespace rsf::sim

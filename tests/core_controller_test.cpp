@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 #include <cmath>
 
+#include <limits>
 #include <optional>
+#include <stdexcept>
 
 #include "fabric/builders.hpp"
 #include "phy/ber_profile.hpp"
@@ -53,6 +55,37 @@ TEST_F(ControllerFixture, EpochStretchesToRingCirculation) {
   cfg.epoch = 1_ns;  // absurd: shorter than circulation
   CrcController crc = make(cfg);
   EXPECT_GE(crc.config().epoch, (200_ns + 100_ns) * std::int64_t{16});
+}
+
+// Configs that would silently misbehave (a negative epoch ticking
+// ~200x too often, a ring delay into the past mid-run, auto-torus
+// converting an idle rack, or a NaN threshold disabling it) fail at
+// construction instead.
+TEST_F(ControllerFixture, InvalidConfigsFailAtConstruction) {
+  CrcConfig negative_epoch;
+  negative_epoch.epoch = SimTime::zero() - 5_us;
+  EXPECT_THROW(make(negative_epoch), std::invalid_argument);
+  CrcConfig zero_epoch;
+  zero_epoch.epoch = SimTime::zero();
+  EXPECT_THROW(make(zero_epoch), std::invalid_argument);
+  CrcConfig bad_hop;
+  bad_hop.ring.hop_latency = SimTime::zero() - 900_ns;
+  EXPECT_THROW(make(bad_hop), std::invalid_argument);
+  CrcConfig bad_processing;
+  bad_processing.ring.node_processing = SimTime::zero() - 900_ns;
+  EXPECT_THROW(make(bad_processing), std::invalid_argument);
+  for (int epochs : {0, -1}) {
+    CrcConfig bad_trigger;
+    bad_trigger.enable_auto_torus = true;
+    bad_trigger.torus_trigger_epochs = epochs;
+    EXPECT_THROW(make(bad_trigger), std::invalid_argument) << epochs;
+  }
+  for (double threshold : {std::nan(""), std::numeric_limits<double>::infinity()}) {
+    CrcConfig bad_threshold;
+    bad_threshold.enable_auto_torus = true;
+    bad_threshold.torus_util_threshold = threshold;
+    EXPECT_THROW(make(bad_threshold), std::invalid_argument) << threshold;
+  }
 }
 
 TEST_F(ControllerFixture, StopCancelsTicking) {

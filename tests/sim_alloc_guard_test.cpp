@@ -99,8 +99,8 @@ void run_workload(Simulator& sim, int chain_events, int burst_width) {
 TEST(SimAllocGuardTest, DrainingInlineEventsIsAllocationFree) {
   Simulator sim;
   // Warm-up: an identical workload pre-sizes every internal vector —
-  // the liveness slot pool, the calendar slab and free list, the batch
-  // buffer. Steady state begins here.
+  // the calendar slab and its free list, the batch buffer. Steady state
+  // begins here.
   run_workload(sim, 10'000, 64);
 
   const std::size_t allocs_before = g_allocations;
@@ -132,6 +132,34 @@ TEST(SimAllocGuardTest, CancelOfInlineEventIsAllocationFree) {
   EXPECT_EQ(g_allocations - allocs_before, 0u);
   EXPECT_EQ(g_deallocations - deallocs_before, 0u);
   EXPECT_EQ(fired, 0);
+}
+
+// The cold arm under the same bar: a std::function small enough for its
+// small-buffer storage copies into the Simulator without allocating,
+// so once the handler pool is warm, schedule->fire and schedule->cancel
+// churn must recycle pool slots instead of growing the pool.
+void churn_cold(Simulator& sim, const EventHandler& handler, int rounds) {
+  for (int i = 0; i < rounds; ++i) {
+    sim.schedule_at(sim.now() + SimTime::nanoseconds(1), handler);
+    sim.schedule_at(sim.now() + SimTime::nanoseconds(2), handler);
+    const EventId doomed = sim.schedule_at(sim.now() + SimTime::nanoseconds(3), handler);
+    ASSERT_TRUE(sim.cancel(doomed));
+    sim.run_until(SimTime::infinity());
+  }
+}
+
+TEST(SimAllocGuardTest, ColdArmChurnIsAllocationFree) {
+  Simulator sim;
+  int fired = 0;
+  const EventHandler handler = [counter = &fired] { ++*counter; };
+  churn_cold(sim, handler, 100);
+
+  const std::size_t allocs_before = g_allocations;
+  const std::size_t deallocs_before = g_deallocations;
+  churn_cold(sim, handler, 1'000);
+  EXPECT_EQ(g_allocations - allocs_before, 0u) << "cold event churn touched the heap";
+  EXPECT_EQ(g_deallocations - deallocs_before, 0u) << "cold event churn freed to the heap";
+  EXPECT_EQ(fired, 2 * (100 + 1'000));
 }
 
 // A far-future chain: every firing reschedules itself 10 us to 10 ms

@@ -3,21 +3,23 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <iterator>
+#include <memory>
 #include <stdexcept>
 #include <utility>
 #include <vector>
 
 namespace rsf::sim {
 
-/// Test seam: forces a liveness slot's generation counter so the
-/// EventId generation wrap is coverable without 2^32 schedule/cancel
-/// cycles per slot.
+/// Test seam: forces an event record's generation counter so the
+/// EventId generation wrap is coverable without 2^32 schedule/fire
+/// cycles per record index.
 struct SimulatorTestPeer {
-  static void set_slot_generation(Simulator& sim, std::uint32_t slot,
-                                  std::uint32_t generation) {
-    sim.slots_.set_generation_for_test(slot, generation);
+  static void set_record_generation(Simulator& sim, std::uint32_t index,
+                                    std::uint32_t generation) {
+    sim.records_.at(index).generation = generation;
   }
   static std::uint32_t slot_of(EventId id) {
     return static_cast<std::uint32_t>((id >> 32) - 1);
@@ -347,36 +349,38 @@ TEST(Simulator, HandlerCancellingItselfSeesFalse) {
   EXPECT_FALSE(self_cancel);
 }
 
-// Generation wrap: a slot whose generation counter wraps past the
-// 32-bit limit keeps minting ids that stale correctly — an id from
-// before the wrap can never cancel the slot's post-wrap occupant.
+// Generation wrap: a record index whose generation counter wraps past
+// the 32-bit limit keeps minting ids that stale correctly — an id from
+// before the wrap can never cancel the index's post-wrap occupant.
+// Each reuse is reached by firing: a fired record frees its index at
+// once, where a cancelled one keeps it until the queue sweeps it.
 TEST(Simulator, GenerationWrapKeepsStaleIdsStale) {
   Simulator sim;
-  // Claim and release once so slot 0 exists, then pin its generation
+  // Fire once so record 0 exists and is free, then pin its generation
   // to the wrap boundary.
   const EventId warm = sim.schedule_at(1_ns, [] {});
   const std::uint32_t slot = SimulatorTestPeer::slot_of(warm);
-  EXPECT_TRUE(sim.cancel(warm));
-  SimulatorTestPeer::set_slot_generation(sim, slot, 0xFFFFFFFFu);
+  EXPECT_EQ(sim.run_until(), 1u);
+  SimulatorTestPeer::set_record_generation(sim, slot, 0xFFFFFFFFu);
 
-  // The LIFO free list hands the same slot back at the pinned
+  // The LIFO free list hands the same index back at the pinned
   // generation.
-  const EventId pre_wrap = sim.schedule_at(1_ns, [] {});
+  const EventId pre_wrap = sim.schedule_at(2_ns, [] {});
   ASSERT_EQ(SimulatorTestPeer::slot_of(pre_wrap), slot);
   EXPECT_EQ(SimulatorTestPeer::generation_of(pre_wrap), 0xFFFFFFFFu);
-  EXPECT_TRUE(sim.cancel(pre_wrap));  // recycle wraps the counter to 0
+  EXPECT_EQ(sim.run_until(), 1u);  // freeing wraps the counter to 0
 
-  // One more claim/cancel moves the slot to generation 1: `warm` was
+  // One more schedule/fire moves the index to generation 1: `warm` was
   // minted at generation 0, and an exact generation collision after a
-  // full wrap is the one alias the scheme cannot catch (documented in
-  // SlotPool) — the occupant under test must sit at a fresh generation.
-  const EventId mid = sim.schedule_at(1_ns, [] {});
+  // full wrap is the one alias the scheme cannot catch — the occupant
+  // under test must sit at a fresh generation.
+  const EventId mid = sim.schedule_at(3_ns, [] {});
   ASSERT_EQ(SimulatorTestPeer::slot_of(mid), slot);
   EXPECT_EQ(SimulatorTestPeer::generation_of(mid), 0u);
-  EXPECT_TRUE(sim.cancel(mid));
+  EXPECT_EQ(sim.run_until(), 1u);
 
   bool fired = false;
-  const EventId post_wrap = sim.schedule_at(1_ns, [&] { fired = true; });
+  const EventId post_wrap = sim.schedule_at(4_ns, [&] { fired = true; });
   ASSERT_EQ(SimulatorTestPeer::slot_of(post_wrap), slot);
   EXPECT_EQ(SimulatorTestPeer::generation_of(post_wrap), 1u);
 
@@ -386,6 +390,47 @@ TEST(Simulator, GenerationWrapKeepsStaleIdsStale) {
   EXPECT_FALSE(sim.cancel(mid));
   EXPECT_EQ(sim.run_until(), 1u);
   EXPECT_TRUE(fired);
+}
+
+// fast_forward_to drops every tombstone, but not their generations:
+// ids that fired or were cancelled before the jump — including a
+// cancelled far event whose tombstone was never swept — cannot cancel
+// the events that reuse their record indices after it.
+TEST(Simulator, FastForwardKeepsStaleIdsStale) {
+  Simulator sim;
+  std::vector<EventId> stale;
+  for (SimTime at : {1_ns, 2_ns, 3_ns, 1_ms}) {
+    stale.push_back(sim.schedule_at(at, [] {}));
+  }
+  EXPECT_TRUE(sim.cancel(stale[1]));
+  EXPECT_TRUE(sim.cancel(stale[3]));
+  EXPECT_EQ(sim.run_until(), 2u);
+  sim.fast_forward_to(2_ms);
+
+  int fired = 0;
+  for (int i = 0; i < 4; ++i) {
+    sim.schedule_at(2_ms + SimTime::nanoseconds(i + 1), [&] { ++fired; });
+  }
+  for (EventId id : stale) EXPECT_FALSE(sim.cancel(id));
+  EXPECT_EQ(sim.pending(), 4u);
+  EXPECT_EQ(sim.run_until(), 4u);
+  EXPECT_EQ(fired, 4);
+}
+
+// Cancelling a cold-arm event destroys its handler at once: captured
+// state is released at cancel(), not when the queue later sweeps the
+// tombstone.
+TEST(Simulator, CancelReleasesColdHandlerCapturesAtOnce) {
+  Simulator sim;
+  auto owned = std::make_shared<int>(7);
+  const std::weak_ptr<int> watch = owned;
+  std::array<char, 2 * kInlineEventBytes> ballast{};
+  const EventId id = sim.schedule_at(1_ms, [owned, ballast] { (void)ballast; });
+  owned.reset();
+  EXPECT_FALSE(watch.expired());
+  EXPECT_TRUE(sim.cancel(id));
+  EXPECT_TRUE(watch.expired());
+  EXPECT_EQ(sim.run_until(), 0u);
 }
 
 // Events beyond the ring window land in tier 2 (up to ~4.3 ms out) or

@@ -17,12 +17,14 @@
 # Usage:
 #   tools/bench_record.sh [--pr N] [--build-dir DIR] [--reps N]
 #                         [--baseline /path/to/old/micro_kernel]
-#                         [--out FILE] [--smoke]
+#                         [--layer NAME] [--out FILE] [--smoke]
 #
 #   --pr N        trajectory index; default 7 (writes BENCH_PR<N>.json)
 #   --baseline    also interleave an old micro_kernel binary and record
 #                 median-vs-median speedups (local use; CI has no
 #                 pre-change binary)
+#   --layer NAME  the layer a claimed speedup is attributed to (e.g.
+#                 "event kernel"); recorded as the file's `layer`
 #   --smoke       CI mode: validate the schema of the NEWEST committed
 #                 BENCH_PR<N>.json (highest N present, whatever --pr
 #                 says), then take a quick fresh recording (3 reps,
@@ -37,6 +39,7 @@ BUILD_DIR=build
 REPS=7
 MIN_TIME=0.2
 BASELINE=""
+LAYER=""
 SMOKE=0
 OUT=""
 
@@ -46,6 +49,7 @@ while [ $# -gt 0 ]; do
     --build-dir) BUILD_DIR="$2"; shift 2 ;;
     --reps) REPS="$2"; shift 2 ;;
     --baseline) BASELINE="$2"; shift 2 ;;
+    --layer) LAYER="$2"; shift 2 ;;
     --out) OUT="$2"; shift 2 ;;
     --smoke) SMOKE=1; shift ;;
     *) echo "unknown argument: $1" >&2; exit 2 ;;
@@ -117,16 +121,20 @@ fi
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
+# The kernel's deep-queue benchmarks ride along with the headline three:
+# they are where an event-kernel change shows.
+MICRO_FILTER='BM_SimulatorSelfRescheduling$|BM_SimulatorFarFuture$|BM_SimulatorDeepQueue$|BM_PacketTransportOneFlow$'
+
 echo "recording: $REPS interleaved repetitions, min_time=${MIN_TIME}s" >&2
 for rep in $(seq 1 "$REPS"); do
-  "$MICRO" --benchmark_filter='BM_SimulatorSelfRescheduling$|BM_PacketTransportOneFlow$' \
+  "$MICRO" --benchmark_filter="$MICRO_FILTER" \
            --benchmark_min_time="$MIN_TIME" --benchmark_format=json \
            > "$TMP/micro_new_$rep.json" 2>/dev/null
   "$EXT8" --benchmark_filter='BM_MultiRackShuffle/4$' \
           --benchmark_min_time="$MIN_TIME" --benchmark_format=json \
           > "$TMP/ext8_rep_$rep.json" 2>/dev/null
   if [ -n "$BASELINE" ]; then
-    "$BASELINE" --benchmark_filter='BM_SimulatorSelfRescheduling$|BM_PacketTransportOneFlow$' \
+    "$BASELINE" --benchmark_filter="$MICRO_FILTER" \
                 --benchmark_min_time="$MIN_TIME" --benchmark_format=json \
                 > "$TMP/micro_old_$rep.json" 2>/dev/null
   fi
@@ -135,12 +143,14 @@ done
 
 COMMIT=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
 
-python3 - "$TMP" "$OUT" "$PR" "$COMMIT" "$REPS" "$MIN_TIME" "$BASELINE" <<'PY'
+python3 - "$TMP" "$OUT" "$PR" "$COMMIT" "$REPS" "$MIN_TIME" "$BASELINE" "$LAYER" <<'PY'
 import glob, json, os, statistics, sys
 
-tmp, out, pr, commit, reps, min_time, baseline = sys.argv[1:8]
+tmp, out, pr, commit, reps, min_time, baseline, layer = sys.argv[1:9]
+MICRO = ("BM_SimulatorSelfRescheduling", "BM_SimulatorFarFuture",
+         "BM_SimulatorDeepQueue", "BM_PacketTransportOneFlow")
 
-def samples(pattern, name, field):
+def samples(pattern, name, field, required=True):
     vals = []
     for path in glob.glob(f"{tmp}/{pattern}"):
         with open(path) as f:
@@ -148,30 +158,29 @@ def samples(pattern, name, field):
         for bench in doc["benchmarks"]:
             if bench["name"] == name:
                 vals.append(bench[field])
-    if not vals:
+    if not vals and required:
         sys.exit(f"no samples for {name} in {pattern}")
     return vals
 
 throughput = {
-    "BM_SimulatorSelfRescheduling": {
-        "median_items_per_second": statistics.median(
-            samples("micro_new_*.json", "BM_SimulatorSelfRescheduling",
-                    "items_per_second"))},
-    "BM_PacketTransportOneFlow": {
-        "median_items_per_second": statistics.median(
-            samples("micro_new_*.json", "BM_PacketTransportOneFlow",
-                    "items_per_second"))},
-    "BM_MultiRackShuffle/4": {
-        "median_items_per_second": statistics.median(
-            samples("ext8_rep_*.json", "BM_MultiRackShuffle/4", "events/s"))},
+    name: {"median_items_per_second": statistics.median(
+        samples("micro_new_*.json", name, "items_per_second"))}
+    for name in MICRO
 }
+throughput["BM_MultiRackShuffle/4"] = {
+    "median_items_per_second": statistics.median(
+        samples("ext8_rep_*.json", "BM_MultiRackShuffle/4", "events/s"))}
 
 baseline_block = None
 if baseline:
     baseline_block = {"binary": baseline}
-    for name in ("BM_SimulatorSelfRescheduling", "BM_PacketTransportOneFlow"):
-        old = statistics.median(
-            samples("micro_old_*.json", name, "items_per_second"))
+    for name in MICRO:
+        # An older binary may predate a benchmark; it is then left out.
+        old_samples = samples("micro_old_*.json", name, "items_per_second",
+                              required=False)
+        if not old_samples:
+            continue
+        old = statistics.median(old_samples)
         new = throughput[name]["median_items_per_second"]
         baseline_block[name] = {
             "median_items_per_second": old,
@@ -191,6 +200,8 @@ doc = {
     "throughput": throughput,
     "baseline": baseline_block,
 }
+if layer:
+    doc["layer"] = layer
 with open(out, "w") as f:
     json.dump(doc, f, indent=2)
     f.write("\n")
