@@ -135,13 +135,13 @@ void emit_json(const std::vector<Arm>& arms, const std::string& path) {
         static_cast<unsigned long long>(r.flows_inflight_at_cutoff),
         r.flows_failed_pct, r.flow_p99.us(),
         p99_degradation_pct(r, matched_baseline(arms, a)),
-        r.hot_job.us(), r.background_job.us(), r.conservation_ok ? "true" : "false",
+        r.hot.job_completion.us(), r.background.job_completion.us(), r.conservation_ok ? "true" : "false",
         r.completed_before_horizon ? "true" : "false",
         r.slots_at_baseline ? "true" : "false",
         r.reservation_relearned ? "true" : "false", r.relearn_epochs,
         static_cast<unsigned long long>(r.controller_restarts),
         static_cast<unsigned long long>(r.srlg_cuts),
-        static_cast<unsigned long long>(r.preemptions),
+        static_cast<unsigned long long>(r.reservation_preemptions),
         static_cast<unsigned long long>(r.reroutes),
         static_cast<unsigned long long>(r.retransmits),
         static_cast<unsigned long long>(r.promotions),
@@ -192,7 +192,7 @@ int main(int argc, char** argv) {
     std::snprintf(buf, sizeof buf, "%.1f",
                   p99_degradation_pct(r, matched_baseline(arms, a)));
     table.cell(buf);
-    std::snprintf(buf, sizeof buf, "%.1f", r.hot_job.us());
+    std::snprintf(buf, sizeof buf, "%.1f", r.hot.job_completion.us());
     table.cell(buf);
     if (r.controller_restarts > 0) {
       std::snprintf(buf, sizeof buf, "%d ep", r.relearn_epochs);
@@ -203,7 +203,7 @@ int main(int argc, char** argv) {
     std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(r.srlg_cuts));
     table.cell(buf);
     std::snprintf(buf, sizeof buf, "%llu",
-                  static_cast<unsigned long long>(r.preemptions));
+                  static_cast<unsigned long long>(r.reservation_preemptions));
     table.cell(buf);
     std::snprintf(buf, sizeof buf, "%llu", static_cast<unsigned long long>(r.reroutes));
     table.cell(buf);

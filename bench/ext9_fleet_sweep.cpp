@@ -17,15 +17,15 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "workload/crossrack.hpp"
+#include "workload/skewed.hpp"
 
 namespace {
 
 using namespace rsf;
+using workload::FleetScenarioResult;
 using workload::SkewedFleetScenario;
 using workload::SkewedScenarioConfig;
 using workload::SkewedScenarioKind;
-using workload::SkewedScenarioResult;
 
 const char* kind_name(SkewedScenarioKind k) {
   switch (k) {
@@ -39,7 +39,7 @@ const char* kind_name(SkewedScenarioKind k) {
   return "?";
 }
 
-SkewedScenarioResult run_arm(SkewedScenarioKind kind, double loss, double weight,
+FleetScenarioResult run_arm(SkewedScenarioKind kind, double loss, double weight,
                              bool reservations) {
   SkewedScenarioConfig cfg;
   cfg.kind = kind;
@@ -54,8 +54,8 @@ struct SweepPoint {
   SkewedScenarioKind kind;
   double loss;
   double weight;
-  SkewedScenarioResult packet;    // reservations off
-  SkewedScenarioResult reserved;  // reservations on
+  FleetScenarioResult packet;    // reservations off
+  FleetScenarioResult reserved;  // reservations on
 
   [[nodiscard]] double hot_speedup_pct() const {
     const double off = packet.hot.job_completion.us();
@@ -67,7 +67,7 @@ struct SweepPoint {
   }
 };
 
-void emit_arm(FILE* f, const char* name, const SkewedScenarioResult& r) {
+void emit_arm(FILE* f, const char* name, const FleetScenarioResult& r) {
   std::fprintf(f,
                "      \"%s\": {\"hot_job_us\": %.3f, \"background_job_us\": %.3f, "
                "\"hot_retransmits\": %llu, \"background_retransmits\": %llu, "
@@ -81,7 +81,7 @@ void emit_arm(FILE* f, const char* name, const SkewedScenarioResult& r) {
                static_cast<unsigned long long>(r.background.failed),
                static_cast<unsigned long long>(r.promotions),
                static_cast<unsigned long long>(r.demotions),
-               static_cast<unsigned long long>(r.preemptions),
+               static_cast<unsigned long long>(r.reservation_preemptions),
                static_cast<unsigned long long>(r.reserved_bytes));
 }
 

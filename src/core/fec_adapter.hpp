@@ -20,7 +20,7 @@
 namespace rsf::core {
 
 struct FecAdapterConfig {
-  /// Maximum acceptable loss probability for the reference frame.
+  /// Maximum acceptable loss probability for phy::kReferenceFrame.
   double target_frame_loss = 1e-9;
   /// De-escalation requires the lighter mode to beat target by this
   /// factor (loss <= target * relax_margin).
@@ -31,7 +31,6 @@ struct FecAdapterConfig {
   /// de-escalating to kNone would blind the estimator permanently —
   /// keep at least a light RS code watching the channel.
   phy::FecScheme floor_scheme = phy::FecScheme::kNone;
-  phy::DataSize ref_frame = phy::DataSize::bytes(1024);
 };
 
 class FecAdapter {

@@ -19,10 +19,6 @@
 namespace rsf::core {
 
 struct HealthManagerConfig {
-  /// Links whose post-FEC BER exceeds this are treated as sick even if
-  /// still up (precautionary re-provisioning is not implemented; they
-  /// are only priced out — see PriceWeights::gamma_health).
-  double sick_post_fec_ber = 1e-6;
   /// Maximum remediations started per epoch.
   int max_ops_per_epoch = 2;
 };

@@ -6,6 +6,13 @@
 
 namespace rsf::core {
 
+namespace {
+/// Lanes are restored only while some link runs at least this hot.
+constexpr double kRestoreUtilization = 0.6;
+/// Never shed below this many lanes on a link.
+constexpr int kMinLanes = 1;
+}  // namespace
+
 PowerManager::PowerManager(plp::PlpEngine* engine, phy::PhysicalPlant* plant,
                            PowerManagerConfig config)
     : engine_(engine), plant_(plant), config_(config) {
@@ -31,7 +38,7 @@ int PowerManager::apply(const RackSnapshot& snapshot) {
     const bool pressure =
         std::any_of(snapshot.links.begin(), snapshot.links.end(),
                     [this](const LinkObservation& o) {
-                      return o.ready && o.utilization >= config_.restore_utilization;
+                      return o.ready && o.utilization >= kRestoreUtilization;
                     });
     if (pressure) {
       for (int i = 0; i < config_.max_ops_per_epoch && !shed_.empty(); ++i) {
@@ -47,7 +54,7 @@ void PowerManager::shed_one(const RackSnapshot& snapshot) {
   // Least-utilised ready link that still has lanes to give.
   const LinkObservation* best = nullptr;
   for (const LinkObservation& obs : snapshot.links) {
-    if (!obs.ready || obs.lane_count <= config_.min_lanes) continue;
+    if (!obs.ready || obs.lane_count <= kMinLanes) continue;
     if (!plant_->has_link(obs.link) || engine_->link_busy(obs.link)) continue;
     if (best == nullptr || obs.utilization < best->utilization) best = &obs;
   }

@@ -21,12 +21,10 @@ namespace rsf::core {
 struct PowerManagerConfig {
   double cap_watts = 1e18;  // effectively uncapped by default
   /// Restore lanes only when projected power stays below
-  /// cap - restore_margin (anti-flap gap).
+  /// cap - restore_margin (anti-flap gap). Lanes are restored only
+  /// while some link runs at or above 60% utilisation, and a link is
+  /// never shed below one lane.
   double restore_margin_watts = 10.0;
-  /// Links hotter than this are candidates for lane restoration.
-  double restore_utilization = 0.6;
-  /// Never shed below this many lanes on a link.
-  int min_lanes = 1;
   /// Max shed/restore operations per epoch (actuation budget).
   int max_ops_per_epoch = 2;
 };

@@ -12,6 +12,11 @@ using rsf::phy::DataRate;
 using rsf::phy::DataSize;
 using rsf::sim::SimTime;
 
+namespace {
+/// Flows below this never consider a circuit (fast path).
+constexpr DataSize kMinCircuitSize = DataSize::kilobytes(256);
+}  // namespace
+
 CircuitScheduler::CircuitScheduler(rsf::sim::Simulator* sim, plp::PlpEngine* engine,
                                    phy::PhysicalPlant* plant, fabric::Topology* topo,
                                    fabric::Router* router, fabric::Network* net,
@@ -95,7 +100,7 @@ ScheduleDecision CircuitScheduler::decide(const fabric::FlowSpec& spec) {
   d.est_circuit_completion = completion_time(spec.size, plan->circuit_rate,
                                              plan->setup + plan->circuit_prop);
   d.break_even = break_even_size(plan->packet_rate, plan->circuit_rate, plan->setup);
-  d.use_circuit = spec.size >= config_.min_circuit_size &&
+  d.use_circuit = spec.size >= kMinCircuitSize &&
                   active_circuits_ < config_.max_concurrent_circuits &&
                   d.est_circuit_completion < d.est_packet_completion;
   return d;

@@ -25,9 +25,8 @@
 
 namespace rsf::core {
 
+/// Flows below 256 KB never consider a circuit (fast path).
 struct CircuitSchedulerConfig {
-  /// Flows below this never consider a circuit (fast path).
-  phy::DataSize min_circuit_size = phy::DataSize::kilobytes(256);
   /// Concurrent circuits the scheduler will hold.
   int max_concurrent_circuits = 4;
 };

@@ -10,8 +10,6 @@ namespace rsf::fabric {
 
 namespace {
 constexpr double kUnreachable = std::numeric_limits<double>::infinity();
-/// Reference frame used to convert a link into an unloaded-latency cost.
-constexpr auto kRefFrame = rsf::phy::DataSize::bytes(1024);
 }  // namespace
 
 Router::Router(const Topology* topo, RoutingPolicy policy) : topo_(topo), policy_(policy) {
@@ -30,7 +28,7 @@ double Router::default_cost(phy::LinkId link) const {
   const phy::LogicalLink& l = topo_->plant().link(link);
   // Unloaded one-way latency of the reference frame, in nanoseconds,
   // plus the switching penalty paid at the hop's receiving node.
-  return l.one_way_latency(kRefFrame).ns() + hop_penalty_ns_;
+  return l.one_way_latency(phy::kReferenceFrame).ns() + hop_penalty_ns_;
 }
 
 double Router::cost(phy::LinkId link) const {

@@ -27,6 +27,11 @@ enum class FecScheme {
 inline constexpr std::array<FecScheme, 4> kAllFecSchemes = {
     FecScheme::kNone, FecScheme::kFireCode, FecScheme::kRsKr4, FecScheme::kRsKp4};
 
+/// The frame the control loops observe a link through: the router's
+/// unloaded-latency cost, the control ring's latency and loss
+/// observations, and the FEC adapter's frame-loss target.
+inline constexpr DataSize kReferenceFrame = DataSize::bytes(1024);
+
 [[nodiscard]] std::string_view to_string(FecScheme s);
 
 /// Static description of one FEC mode.

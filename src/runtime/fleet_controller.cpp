@@ -8,6 +8,16 @@ namespace rsf::runtime {
 
 using rsf::sim::SimTime;
 
+namespace {
+/// Cost floor every link returns to when idle.
+constexpr double kBaseCost = 1.0;
+/// Reprice only when the derived cost moved more than this from the
+/// link's current cost.
+constexpr double kCostEpsilon = 0.5;
+/// Utilisation at or above which a link counts toward "fleet.hot_links".
+constexpr double kHotThreshold = 0.7;
+}  // namespace
+
 FleetController::FleetController(rsf::sim::Simulator* sim, fabric::Interconnect* spine,
                                  FleetControllerConfig config,
                                  telemetry::Registry* registry)
@@ -24,12 +34,9 @@ FleetController::FleetController(rsf::sim::Simulator* sim, fabric::Interconnect*
   if (config_.epoch <= SimTime::zero()) {
     throw std::invalid_argument("FleetController: non-positive epoch");
   }
-  // Every weight must be finite and the base positive, or the first
-  // loaded tick would hand set_link_cost a non-positive or NaN cost
-  // and throw out of the middle of a run.
-  if (!std::isfinite(config_.base_cost) || config_.base_cost <= 0) {
-    throw std::invalid_argument("FleetController: non-positive base cost");
-  }
+  // Every weight must be finite and non-negative, or the first loaded
+  // tick would hand set_link_cost a non-positive or NaN cost and throw
+  // out of the middle of a run.
   if (!std::isfinite(config_.utilization_weight) || config_.utilization_weight < 0 ||
       !std::isfinite(config_.backlog_weight_per_us) || config_.backlog_weight_per_us < 0) {
     throw std::invalid_argument("FleetController: negative or non-finite cost weight");
@@ -180,10 +187,10 @@ void FleetController::tick() {
       backlog = std::max(backlog, spine_->queue_backlog(id, rack_of[d]));
     }
     max_util = std::max(max_util, util);
-    if (util >= config_.hot_threshold) counters_.add("fleet.hot_links");
-    const double cost = config_.base_cost + config_.utilization_weight * util +
+    if (util >= kHotThreshold) counters_.add("fleet.hot_links");
+    const double cost = kBaseCost + config_.utilization_weight * util +
                         config_.backlog_weight_per_us * backlog.us();
-    if (std::abs(cost - spine_->link_cost(id)) > config_.cost_epsilon) {
+    if (std::abs(cost - spine_->link_cost(id)) > kCostEpsilon) {
       // set_link_cost bumps the spine version: memoized routes drop
       // and the packetized transport re-plans at its next packet.
       spine_->set_link_cost(id, cost);

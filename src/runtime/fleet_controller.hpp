@@ -93,22 +93,18 @@ struct FleetBookingPolicy {
 
 struct FleetControllerConfig {
   /// Control epoch: how often spine links are observed and repriced.
+  /// Each epoch a link is priced 1 (the idle floor) plus the two
+  /// weighted terms below, and repriced only when that moved more than
+  /// 0.5 from its current cost (hysteresis, so stable load doesn't
+  /// thrash the route cache). Links at or above 70% utilisation count
+  /// toward "fleet.hot_links".
   rsf::sim::SimTime epoch = rsf::sim::SimTime::microseconds(100);
-  /// Cost floor every link returns to when idle.
-  double base_cost = 1.0;
   /// Cost added per unit of utilisation (fraction of the epoch the
   /// direction spent serializing; can exceed 1 when the FIFO is booked
   /// ahead of real time).
   double utilization_weight = 8.0;
   /// Cost added per microsecond of queued backlog at the tick.
   double backlog_weight_per_us = 0.25;
-  /// Reprice only when the derived cost moved more than this from the
-  /// link's current cost — hysteresis so stable load doesn't thrash
-  /// the route cache every epoch.
-  double cost_epsilon = 0.5;
-  /// Utilisation at or above which a link counts toward
-  /// "fleet.hot_links".
-  double hot_threshold = 0.7;
   /// Half-life, in epochs, of the per-pair demand score the promotion
   /// ranking orders by: each epoch the score decays by 2^(−1/h)
   /// before the epoch's fresh byte·hops are added, so a pair that was

@@ -15,14 +15,12 @@
 // timeline, byte-identical run), or both. Every event is scheduled as
 // a weak fleet-ring event: chaos never keeps a drained fleet alive.
 //
-// Every run is wrapped in an invariant verifier:
-//  * no hangs — the run is bounded by a horizon watchdog; flows still
-//    non-terminal at the cutoff are reported, never waited for;
-//  * conservation — offered = delivered + failed + in-flight-at-
-//    cutoff, in flows and in bytes, cross-checked against the
-//    FleetRuntime's own completion counters;
-//  * no leaked or stale slots — after a quiesced run the flow and
-//    packet SlotPool gauges must be back at baseline (free == total).
+// Its traffic is the hot-rack incast the skewed family also runs
+// (hot_rack_incast: rack 3 swarms rack 0 beside background from racks
+// 1 and 2), under the same one-circuit carve policy, and every run
+// goes through the shared FleetScenario verifier (scenario.hpp):
+// bounded by a horizon watchdog, conserving, leak-free. Chaos reports
+// the verdicts in its result instead of throwing.
 //
 // The scenario also measures the restart story end-to-end: after a
 // kRestartController event it probes once per controller epoch for
@@ -39,17 +37,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "fabric/interconnect.hpp"
 #include "phy/units.hpp"
 #include "runtime/fleet_controller.hpp"
 #include "sim/time.hpp"
-
-namespace rsf::runtime {
-class FleetRuntime;
-}  // namespace rsf::runtime
+#include "workload/scenario.hpp"
 
 namespace rsf::workload {
 
@@ -79,18 +72,14 @@ struct ChaosEvent {
 };
 
 /// Seeded-random timeline generation, layered on top of (and merged
-/// with) the scripted events. Each cut draws a group and a cut time,
-/// repairs after repair_delay, then flaps the same group
-/// `flap_cycles` more times with `flap_period` spacing — the
-/// hysteresis-defeating pattern.
+/// with) the scripted events. Each cut draws a group and a cut time in
+/// [60, 220] µs and repairs 60 µs later, then flaps the same group
+/// `flap_cycles` more times at a 24 µs period — the hysteresis-
+/// defeating pattern.
 struct ChaosRandomTimeline {
   bool enable = false;
   int cuts = 2;
-  rsf::sim::SimTime window_start = rsf::sim::SimTime::microseconds(60);
-  rsf::sim::SimTime window_end = rsf::sim::SimTime::microseconds(220);
-  rsf::sim::SimTime repair_delay = rsf::sim::SimTime::microseconds(60);
   int flap_cycles = 0;
-  rsf::sim::SimTime flap_period = rsf::sim::SimTime::microseconds(24);
 };
 
 struct ChaosScenarioConfig {
@@ -113,69 +102,46 @@ struct ChaosScenarioConfig {
   /// with_checkpoint restart restores the latest one — possibly
   /// stale, which is the realistic case.
   rsf::sim::SimTime checkpoint_every = rsf::sim::SimTime::zero();
-  /// Give up probing for the re-learned reservation after this many
-  /// post-restart epochs.
-  int relearn_probe_limit = 64;
 };
 
-struct ChaosScenarioResult {
-  // --- conservation (offered = delivered + failed + in-flight) ---
-  std::uint64_t flows_offered = 0;
-  std::uint64_t flows_delivered = 0;
-  std::uint64_t flows_failed = 0;
-  std::uint64_t flows_inflight_at_cutoff = 0;
+/// The shared verdicts and mechanics plus the chaos SLOs. Every chaos
+/// flow moves hot_bytes, so the byte tallies are flow tallies times
+/// hot_bytes.
+struct ChaosScenarioResult : FleetScenarioResult {
   std::uint64_t bytes_offered = 0;
   std::uint64_t bytes_delivered = 0;
   std::uint64_t bytes_failed = 0;
   std::uint64_t bytes_inflight_at_cutoff = 0;
-  /// The sums above hold AND the callback-level accounting matches
-  /// the FleetRuntime's own flows_completed / flows_failed counters.
-  bool conservation_ok = false;
-  /// Every flow reached a terminal state before the horizon cutoff.
-  bool completed_before_horizon = false;
-  /// Quiesced runs only: flow and packet SlotPool gauges back at
-  /// baseline (free == total). False when flows were still in flight
-  /// at the cutoff (nothing to assert then).
-  bool slots_at_baseline = false;
 
   // --- degraded-mode SLOs ---
   double flows_failed_pct = 0.0;
   /// Over delivered flows' completion times (zero when none).
   rsf::sim::SimTime flow_p99 = rsf::sim::SimTime::zero();
-  rsf::sim::SimTime hot_job = rsf::sim::SimTime::zero();
-  rsf::sim::SimTime background_job = rsf::sim::SimTime::zero();
 
   // --- reservation re-learning after a controller restart ---
   bool reservation_relearned = false;
   /// Controller epochs from the restart until the hot pair's
   /// reservation was held again (-1: no restart happened, or the
-  /// probe limit ran out).
+  /// 64-epoch probe limit ran out).
   int relearn_epochs = -1;
 
   // --- counter snapshot (fleet registry; survives restarts) ---
   std::uint64_t srlg_cuts = 0;
-  std::uint64_t preemptions = 0;
   std::uint64_t reroutes = 0;
   std::uint64_t retransmits = 0;
   std::uint64_t controller_restarts = 0;
-  std::uint64_t promotions = 0;
-  std::uint64_t demotions = 0;
 };
 
-class ChaosScenario {
+class ChaosScenario : public FleetScenario {
  public:
+  /// Throws std::invalid_argument for a non-positive hot_bytes or
+  /// horizon, a negative checkpoint_every, a negative random cut or
+  /// flap count, and a timeline event before time zero or targeting
+  /// no group or rack.
   explicit ChaosScenario(ChaosScenarioConfig config);
-  ~ChaosScenario();
-
-  ChaosScenario(const ChaosScenario&) = delete;
-  ChaosScenario& operator=(const ChaosScenario&) = delete;
 
   /// Run the scenario to the horizon (or drain); call once.
   ChaosScenarioResult run();
-
-  /// The underlying fleet (valid for the scenario's lifetime) — tests
-  /// byte-diff fleet().metrics_table() across seeds and reruns.
-  [[nodiscard]] runtime::FleetRuntime& fleet() { return *fleet_; }
 
   /// The merged scripted + seeded-random timeline, sorted by time —
   /// what run() will actually apply.
@@ -189,30 +155,26 @@ class ChaosScenario {
   static constexpr std::uint32_t kTrenchB = 1;
 
  private:
+  Jobs make_jobs(runtime::FleetRuntime& f) override;
+  void schedule_timeline() override;
   void apply(const ChaosEvent& e);
-  void launch_flow(const fabric::RackNode& src, const fabric::RackNode& dst, bool hot);
   void arm_relearn_probe();
   void schedule_probe();
   void take_checkpoint();
 
   ChaosScenarioConfig config_;
-  std::unique_ptr<runtime::FleetRuntime> fleet_;
   std::vector<ChaosEvent> timeline_;
   /// Cached at construction: event handlers must not walk the fleet's
   /// rack snapshots mid-run (FleetRuntime::metrics() reads every shard
   /// registry).
   telemetry::CounterSet* chaos_counters_ = nullptr;
-  bool ran_ = false;
-
-  // Flow accounting (the conservation invariant's inputs).
-  ChaosScenarioResult tally_;
-  std::vector<rsf::sim::SimTime> completions_;
 
   // Controller checkpoint/restart machinery.
   runtime::FleetControllerCheckpoint last_ckpt_;
   bool has_ckpt_ = false;
   bool probing_ = false;
   int probe_epochs_ = 0;
+  int relearn_epochs_ = -1;
 };
 
 }  // namespace rsf::workload

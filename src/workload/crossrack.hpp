@@ -13,22 +13,13 @@
 //    fleet converge on one sink node, the spine's pathological case.
 //
 // Both drive FleetRuntime::start_flow and aggregate per-flow results
-// into a job view (completion, straggler gap, spine hop counts).
-//
-// On top of the primitives sits the skewed-fleet scenario family
-// (SkewedFleetScenario): canned fleets whose load is deliberately
-// *not* uniform — a hot rack pair swamping one spine direction while
-// background traffic shares it, one spine leg running at a fraction
-// of its siblings' rate, and mixed rack sizes under a single
-// spanning shuffle. Every scenario runs with the controller's
-// reservation policy on or off, which is how the repro compares the
-// paper's circuit-style (reserved capacity) and packet-style
-// (statistical sharing) regimes end-to-end at fleet scale.
+// into a job view (completion, straggler gap, spine hop counts). The
+// fleet scenario families (workload/scenario.hpp) run their hot and
+// background traffic as these jobs.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <utility>
 #include <vector>
 
@@ -95,7 +86,16 @@ class CrossRackJob {
   virtual void run(DoneCallback on_done) = 0;
 
   [[nodiscard]] bool finished() const { return finished_; }
+  /// Live while the job runs: every field but median_flow tallies the
+  /// flows that have landed so far.
   [[nodiscard]] const CrossRackResult& result() const { return result_; }
+  /// Flows launched (0 before run()).
+  [[nodiscard]] std::uint64_t offered() const { return offered_; }
+  /// Completion times of the delivered flows, in landing order until
+  /// the job finishes, ascending after.
+  [[nodiscard]] const std::vector<rsf::sim::SimTime>& completion_times() const {
+    return completion_times_;
+  }
 
  protected:
   CrossRackJob(runtime::FleetRuntime* fleet, phy::DataSize packet_size,
@@ -111,6 +111,7 @@ class CrossRackJob {
   rsf::sim::SimTime start_;
   DoneCallback on_done_;
   std::vector<rsf::sim::SimTime> completion_times_;
+  std::uint64_t offered_ = 0;
   std::uint64_t outstanding_ = 0;
   bool finished_ = false;
   CrossRackResult result_;
@@ -137,83 +138,6 @@ class CrossRackIncast : public CrossRackJob {
 
  private:
   CrossRackIncastConfig config_;
-};
-
-// ---------------------------------------------------------------------------
-// Skewed-fleet scenarios: circuit vs. packet regimes under skew.
-// ---------------------------------------------------------------------------
-
-enum class SkewedScenarioKind {
-  /// One rack's nodes swarm a single victim rack (a persistently hot
-  /// (src, dst) pair) while background flows share the same spine
-  /// direction — the canonical promotion target.
-  kHotRackIncast,
-  /// A spine ring where one leg runs at a fraction of its siblings'
-  /// rate; the hot pair's direct route crosses the slow leg, so
-  /// repricing and reservations pull in different directions.
-  kSlowSpineLeg,
-  /// Racks of different sizes (2x2, 4x4, 3x3) under one spanning
-  /// shuffle, with a background incast fighting for the same spine.
-  kMixedRackSizes,
-};
-
-struct SkewedScenarioConfig {
-  SkewedScenarioKind kind = SkewedScenarioKind::kHotRackIncast;
-  /// Reservation policy on the fleet controller. Off = pure packet
-  /// sharing (the repricing controller itself always runs).
-  bool reservations = false;
-  /// Per-direction capacity carved per promoted pair. The circuit
-  /// only beats statistical sharing when the carve exceeds the share
-  /// the hot pair would win in the shared FIFO, so the default is a
-  /// deliberate majority carve.
-  double reservation_fraction = 0.6;
-  /// Per-packet loss probability applied to every spine link.
-  double loss_prob = 0.0;
-  /// Controller utilisation repricing weight. 0 freezes prices
-  /// entirely (the backlog repricing term is zeroed with it).
-  double utilization_weight = 8.0;
-  /// Seeds the fleet (spine loss sampler); same seed, same bytes.
-  std::uint64_t seed = 1;
-  /// Bytes the hot job moves per (src, dst) pair. Background pairs
-  /// move the same amount, so the contention is sustained for the
-  /// whole hot job — the regime where circuits pay off.
-  phy::DataSize hot_bytes = phy::DataSize::kilobytes(192);
-};
-
-/// Aggregate view of one finished skewed scenario: the skewed (hot)
-/// job against the background traffic sharing its spine, plus the
-/// reservation-control outcome.
-struct SkewedScenarioResult {
-  CrossRackResult hot;
-  CrossRackResult background;
-  std::uint64_t promotions = 0;
-  std::uint64_t demotions = 0;
-  std::uint64_t preemptions = 0;
-  std::uint64_t reserved_bytes = 0;
-};
-
-/// Builds the fleet for one SkewedScenarioKind, drives the hot and
-/// background jobs to completion on one shared clock, and aggregates
-/// the result. Deterministic: same config and seed, byte-identical
-/// metrics (tested).
-class SkewedFleetScenario {
- public:
-  explicit SkewedFleetScenario(SkewedScenarioConfig config);
-  ~SkewedFleetScenario();
-
-  SkewedFleetScenario(const SkewedFleetScenario&) = delete;
-  SkewedFleetScenario& operator=(const SkewedFleetScenario&) = delete;
-
-  /// Run the scenario to completion; call once.
-  SkewedScenarioResult run();
-
-  /// The underlying fleet (valid for the scenario's lifetime).
-  [[nodiscard]] runtime::FleetRuntime& fleet() { return *fleet_; }
-
- private:
-  SkewedScenarioConfig config_;
-  std::unique_ptr<runtime::FleetRuntime> fleet_;
-  bool ran_ = false;
 };
 
 }  // namespace rsf::workload

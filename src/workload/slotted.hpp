@@ -28,24 +28,18 @@
 // (feeder + leg). Background is rack 1 -> rack 0, one hop on the same
 // leg the hot primary crosses. Prices are frozen (utilisation weight
 // 0) so the regimes differ only in how they share capacity, not in
-// where routes land.
+// where routes land. The carve books 0.6 of a direction, the slotted
+// regime 6 of every 8 slots, and an idle slot booking self-expires
+// after 30 µs (the shared FleetScenario policy; see scenario.hpp).
 //
 // Deterministic: same config and seed, byte-identical metrics (the
-// property test and the ext11 determinism gate both diff exactly
-// that).
+// property sweep and the ext11 anchor both diff exactly that).
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <vector>
 
 #include "phy/units.hpp"
-#include "sim/time.hpp"
-#include "workload/crossrack.hpp"
-
-namespace rsf::runtime {
-class FleetRuntime;
-}  // namespace rsf::runtime
+#include "workload/scenario.hpp"
 
 namespace rsf::workload {
 
@@ -78,55 +72,22 @@ struct SlottedScenarioConfig {
   /// promote streak). Background sources each move twice this, so the
   /// background outlasts the hot job on the shared leg.
   phy::DataSize hot_bytes = phy::DataSize::kilobytes(96);
-  /// kCarve: per-direction fraction carved for the promoted pair.
-  double carve_fraction = 0.6;
-  /// kSlotted: slots owned per frame period. The controller splits
-  /// the duty across the two parallel hot legs (multipath), so the
-  /// pair's aggregate share is duty/period spread over both links.
-  int slot_period = 8;
-  int slot_duty = 6;
-  /// kSlotted: fabric-level inactivity window after which a booked
-  /// schedule self-expires. The churn arm's wave gaps are tuned to
-  /// exceed this while staying inside the carve's demote window.
-  rsf::sim::SimTime slot_timeout = rsf::sim::SimTime::microseconds(30);
 };
 
-/// Aggregate view of one finished slotted-crossover run: the hot job
-/// against the background job, plus the regime-mechanics counters the
-/// ext11 sweep reports.
-struct SlottedScenarioResult {
-  CrossRackResult hot;
-  CrossRackResult background;
-  std::uint64_t promotions = 0;
-  std::uint64_t demotions = 0;
-  std::uint64_t schedule_splits = 0;
-  std::uint64_t slot_reservations = 0;
-  std::uint64_t slot_expirations = 0;
-  std::uint64_t slot_preemptions = 0;
-  std::uint64_t slot_refusals = 0;
-  std::uint64_t slotted_bytes = 0;
-  std::uint64_t reserved_bytes = 0;
-  std::uint64_t reservation_preemptions = 0;
-};
+/// The result type perfbench and the ext11 sweep name.
+using SlottedScenarioResult = FleetScenarioResult;
 
 /// Builds the fixed three-rack fleet for one (arm, regime) cell,
 /// drives the hot and background jobs to completion on one shared
-/// clock, and aggregates the result. Deterministic: same config and
-/// seed, byte-identical metrics (tested).
-class SlottedFleetScenario {
+/// clock, and verifies the run. Deterministic: same config and seed,
+/// byte-identical metrics (tested).
+class SlottedFleetScenario : public FleetScenario {
  public:
   explicit SlottedFleetScenario(SlottedScenarioConfig config);
-  ~SlottedFleetScenario();
 
-  SlottedFleetScenario(const SlottedFleetScenario&) = delete;
-  SlottedFleetScenario& operator=(const SlottedFleetScenario&) = delete;
-
-  /// Run the scenario to completion; call once.
-  SlottedScenarioResult run();
-
-  /// The underlying fleet (valid for the scenario's lifetime) — tests
-  /// byte-diff fleet().metrics_table() across seeds and reruns.
-  [[nodiscard]] runtime::FleetRuntime& fleet() { return *fleet_; }
+  /// Run the scenario to completion; call once. Throws
+  /// std::logic_error when the verifier rejects the run.
+  SlottedScenarioResult run() { return drive(OnViolation::kThrow); }
 
   /// The hot transit pair every regime's policy promotes.
   static constexpr std::uint32_t kHotSrcRack = 2;
@@ -136,9 +97,10 @@ class SlottedFleetScenario {
   static constexpr std::uint32_t kFlapLink = 0;
 
  private:
+  Jobs make_jobs(runtime::FleetRuntime& f) override;
+  void schedule_timeline() override;
+
   SlottedScenarioConfig config_;
-  std::unique_ptr<runtime::FleetRuntime> fleet_;
-  bool ran_ = false;
 };
 
 }  // namespace rsf::workload

@@ -87,7 +87,7 @@ TEST_F(AdapterFixture, ChooseHysteresisBlocksMarginalRelax) {
   const double marginal_ber = [&] {
     for (double ber = 1e-3; ber > 1e-12; ber /= 1.2) {
       const auto spec = phy::FecSpec::of(FecScheme::kRsKr4);
-      const double loss = spec.frame_loss_prob(ber, cfg.ref_frame);
+      const double loss = spec.frame_loss_prob(ber, phy::kReferenceFrame);
       if (loss <= cfg.target_frame_loss && loss > cfg.target_frame_loss * cfg.relax_margin) {
         return ber;
       }
@@ -147,14 +147,14 @@ TEST_F(AdapterFixture, ShedStopsAtMinLanes) {
   cfg.cap_watts = 0.0;  // impossible budget: shed everything possible
   cfg.max_ops_per_epoch = 100;
   PowerManager pm(rack.engine.get(), rack.plant.get(), cfg);
-  // Run several epochs; eventually all links are at min_lanes.
+  // Run several epochs; eventually all links are at one lane.
   for (int epoch = 0; epoch < 12; ++epoch) {
     pm.apply(take_snapshot());
     sim.run_until();
   }
   for (LinkId id : rack.plant->link_ids()) {
     if (rack.plant->link(id).ready()) {
-      EXPECT_GE(rack.plant->link(id).lane_count(), cfg.min_lanes);
+      EXPECT_GE(rack.plant->link(id).lane_count(), 1);
     }
   }
   // Nothing shreddable remains: apply is a no-op.

@@ -531,6 +531,7 @@ TEST(FleetControllerCheckpoint, FlapAtThePromotionBoundaryCostsTheFullStreak) {
 // ---------------------------------------------------------------------
 
 void expect_invariants(const ChaosScenarioResult& r) {
+  EXPECT_TRUE(r.verified());
   EXPECT_TRUE(r.conservation_ok);
   EXPECT_TRUE(r.completed_before_horizon);
   EXPECT_TRUE(r.slots_at_baseline);
@@ -550,7 +551,7 @@ TEST(ChaosScenario, QuietTimelineDeliversEverythingAndHoldsInvariants) {
   EXPECT_EQ(r.flows_delivered, 8u);
   EXPECT_EQ(r.flows_failed_pct, 0.0);
   EXPECT_GT(r.flow_p99, SimTime::zero());
-  EXPECT_GT(r.hot_job, SimTime::zero());
+  EXPECT_GT(r.hot.job_completion, SimTime::zero());
   EXPECT_EQ(r.srlg_cuts, 0u);
   EXPECT_EQ(r.controller_restarts, 0u);
   // The hot incast promotes its pair without any chaos applied.
@@ -597,7 +598,7 @@ TEST(ChaosScenario, DoubleTrenchCutPartitionsAndPreemptsButConserves) {
   EXPECT_EQ(r.flows_delivered, 0u);
   EXPECT_DOUBLE_EQ(r.flows_failed_pct, 100.0);
   // The promoted hot pair was carrying packets when its route died.
-  EXPECT_GE(r.preemptions, 1u);
+  EXPECT_GE(r.reservation_preemptions, 1u);
 }
 
 TEST(ChaosScenario, RackBrownoutDegradesOverTheBypassInsteadOfPartitioning) {
@@ -656,12 +657,35 @@ TEST(ChaosScenario, RandomTimelineIsDeterministicPerSeedAndOrdered) {
     EXPECT_EQ(a.timeline()[i].target, b.timeline()[i].target);
     if (i > 0) EXPECT_LE(a.timeline()[i - 1].at, a.timeline()[i].at);
   }
-  ChaosScenarioConfig bad = cfg;
-  bad.random.window_end = 10_us;  // before window_start
-  EXPECT_THROW(ChaosScenario{bad}, std::invalid_argument);
   ChaosScenarioConfig miss;
   miss.timeline.push_back({1_us, ChaosAction::kCutGroup, 9});  // no such group
   EXPECT_THROW(ChaosScenario{miss}, std::invalid_argument);
+}
+
+TEST(ChaosScenario, InvalidTimelinesFailAtConstruction) {
+  // An event before time zero used to construct and then throw
+  // std::logic_error out of run() (the simulator refuses the past).
+  ChaosScenarioConfig past;
+  past.timeline.push_back({SimTime::zero() - 5_us, ChaosAction::kCutGroup, ChaosScenario::kTrenchA});
+  EXPECT_THROW(ChaosScenario{past}, std::invalid_argument);
+  // Negative random counts used to yield a silently empty timeline.
+  ChaosScenarioConfig counts;
+  counts.random.enable = true;
+  counts.random.cuts = -3;
+  counts.random.flap_cycles = -2;
+  EXPECT_THROW(ChaosScenario{counts}, std::invalid_argument);
+  counts.random.cuts = 1;
+  EXPECT_THROW(ChaosScenario{counts}, std::invalid_argument);
+  // A negative checkpoint cadence used to mean "never".
+  ChaosScenarioConfig cadence;
+  cadence.checkpoint_every = SimTime::zero() - 1_us;
+  EXPECT_THROW(ChaosScenario{cadence}, std::invalid_argument);
+  ChaosScenarioConfig horizon;
+  horizon.horizon = SimTime::zero();
+  EXPECT_THROW(ChaosScenario{horizon}, std::invalid_argument);
+  ChaosScenarioConfig bytes;
+  bytes.hot_bytes = DataSize::zero();
+  EXPECT_THROW(ChaosScenario{bytes}, std::invalid_argument);
 }
 
 TEST(ChaosScenario, FlapStormUnderSeededLossReplaysByteIdentically) {

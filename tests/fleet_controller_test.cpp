@@ -272,11 +272,6 @@ TEST(FleetController, RejectsBadConstruction) {
   EXPECT_THROW(FleetController(&sim, &spine, bad_backlog), std::invalid_argument);
   bad_backlog.backlog_weight_per_us = std::numeric_limits<double>::quiet_NaN();
   EXPECT_THROW(FleetController(&sim, &spine, bad_backlog), std::invalid_argument);
-  FleetControllerConfig bad_base;
-  bad_base.base_cost = std::numeric_limits<double>::infinity();
-  EXPECT_THROW(FleetController(&sim, &spine, bad_base), std::invalid_argument);
-  bad_base.base_cost = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_THROW(FleetController(&sim, &spine, bad_base), std::invalid_argument);
   // An idle threshold at or above the hot one inverts the hysteresis.
   for (const auto discipline :
        {runtime::BookingDiscipline::kCarve, runtime::BookingDiscipline::kSlots}) {

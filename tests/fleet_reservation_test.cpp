@@ -4,8 +4,9 @@
 // versioned-handle semantics (stale after release, idempotent,
 // recycled slots detectable), survival across repricing but teardown
 // on link failure with fallback to the shared residual, the
-// controller's promote/demote hysteresis, skewed-scenario
-// determinism, and the regression that the packetized default path is
+// controller's promote/demote hysteresis, the skewed scenario's
+// reservation crossover (its same-seed determinism lives in the
+// property sweep), and the regression that the packetized default path is
 // untouched while reservations are never configured.
 #include <gtest/gtest.h>
 
@@ -18,7 +19,7 @@
 #include "runtime/fleet.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/registry.hpp"
-#include "workload/crossrack.hpp"
+#include "workload/skewed.hpp"
 
 namespace rsf {
 namespace {
@@ -413,26 +414,6 @@ TEST(FleetCarvePolicy, DefaultPacketizedPathIsUntouchedByTheReservationLayer) {
   const auto [finished_b, events_b] = run_arm(true);
   EXPECT_EQ(finished_a.ps(), finished_b.ps());
   EXPECT_EQ(events_a, events_b);
-}
-
-TEST(SkewedFleetScenario, SameSeedRunsAreByteIdentical) {
-  for (const auto kind : {workload::SkewedScenarioKind::kHotRackIncast,
-                          workload::SkewedScenarioKind::kSlowSpineLeg,
-                          workload::SkewedScenarioKind::kMixedRackSizes}) {
-    workload::SkewedScenarioConfig cfg;
-    cfg.kind = kind;
-    cfg.reservations = true;
-    cfg.loss_prob = 0.01;  // exercise the spine RNG too
-    workload::SkewedFleetScenario a(cfg);
-    const auto ra = a.run();
-    workload::SkewedFleetScenario b(cfg);
-    const auto rb = b.run();
-    EXPECT_EQ(ra.hot.job_completion.ps(), rb.hot.job_completion.ps());
-    EXPECT_EQ(ra.background.job_completion.ps(), rb.background.job_completion.ps());
-    EXPECT_EQ(ra.promotions, rb.promotions);
-    EXPECT_EQ(a.fleet().metrics_table().to_string(),
-              b.fleet().metrics_table().to_string());
-  }
 }
 
 TEST(SkewedFleetScenario, HotRackIncastShowsTheReservationCrossover) {

@@ -5,7 +5,8 @@
 // failure-driven preemption with shared-path fallback for stale
 // handles, recycled-slot staleness, the controller's promote /
 // multipath-split / demote cycle over parallel legs, its config
-// validation, and the slotted-scenario determinism anchor.
+// validation. The slotted scenario's same-seed determinism lives in
+// the property sweep.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -17,7 +18,6 @@
 #include "runtime/fleet.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/registry.hpp"
-#include "workload/slotted.hpp"
 
 namespace rsf {
 namespace {
@@ -330,36 +330,6 @@ TEST(FleetSlotsPolicy, RejectsBadPolicyConfig) {
   fc.controller.booking.duty = 2;
   fc.controller.booking.promote_after = 0;
   EXPECT_THROW(FleetRuntime bad(fc), std::invalid_argument);
-}
-
-// ---------------------------------------------------------------------------
-// Scenario determinism anchor (the heavy seed sweep lives in the
-// property suite).
-// ---------------------------------------------------------------------------
-
-TEST(SlottedFleetScenario, SameSeedRunsAreByteIdenticalInEveryArm) {
-  for (const auto arm : {workload::SlottedArm::kSkew, workload::SlottedArm::kChurn,
-                         workload::SlottedArm::kFlap}) {
-    workload::SlottedScenarioConfig cfg;
-    cfg.arm = arm;
-    cfg.regime = workload::SlottedRegime::kSlotted;
-    cfg.loss_prob = 0.005;  // exercise the spine RNG too
-    cfg.hot_bytes = DataSize::kilobytes(48);
-    workload::SlottedFleetScenario a(cfg);
-    const auto ra = a.run();
-    workload::SlottedFleetScenario b(cfg);
-    const auto rb = b.run();
-    EXPECT_EQ(ra.hot.job_completion.ps(), rb.hot.job_completion.ps());
-    EXPECT_EQ(ra.background.job_completion.ps(), rb.background.job_completion.ps());
-    EXPECT_EQ(ra.promotions, rb.promotions);
-    EXPECT_EQ(ra.slot_reservations, rb.slot_reservations);
-    EXPECT_EQ(ra.slotted_bytes, rb.slotted_bytes);
-    EXPECT_EQ(a.fleet().metrics_table().to_string(),
-              b.fleet().metrics_table().to_string());
-    // The slotted regime actually engaged.
-    EXPECT_GT(ra.slot_reservations, 0u);
-    EXPECT_GT(ra.slotted_bytes, 0u);
-  }
 }
 
 }  // namespace
