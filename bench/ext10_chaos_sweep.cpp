@@ -135,7 +135,8 @@ void emit_json(const std::vector<Arm>& arms, const std::string& path) {
         static_cast<unsigned long long>(r.flows_inflight_at_cutoff),
         r.flows_failed_pct, r.flow_p99.us(),
         p99_degradation_pct(r, matched_baseline(arms, a)),
-        r.hot.job_completion.us(), r.background.job_completion.us(), r.conservation_ok ? "true" : "false",
+        r.hot.job_completion.us(), r.background.job_completion.us(),
+        r.conservation_ok ? "true" : "false",
         r.completed_before_horizon ? "true" : "false",
         r.slots_at_baseline ? "true" : "false",
         r.reservation_relearned ? "true" : "false", r.relearn_epochs,

@@ -40,7 +40,7 @@ const char* kind_name(SkewedScenarioKind k) {
 }
 
 FleetScenarioResult run_arm(SkewedScenarioKind kind, double loss, double weight,
-                             bool reservations) {
+                            bool reservations) {
   SkewedScenarioConfig cfg;
   cfg.kind = kind;
   cfg.loss_prob = loss;

@@ -663,12 +663,13 @@ TEST(ChaosScenario, RandomTimelineIsDeterministicPerSeedAndOrdered) {
 }
 
 TEST(ChaosScenario, InvalidTimelinesFailAtConstruction) {
-  // An event before time zero used to construct and then throw
-  // std::logic_error out of run() (the simulator refuses the past).
+  // An event before time zero fails here, not as a std::logic_error
+  // out of run() (the simulator refuses the past).
   ChaosScenarioConfig past;
-  past.timeline.push_back({SimTime::zero() - 5_us, ChaosAction::kCutGroup, ChaosScenario::kTrenchA});
+  past.timeline.push_back(
+      {SimTime::zero() - 5_us, ChaosAction::kCutGroup, ChaosScenario::kTrenchA});
   EXPECT_THROW(ChaosScenario{past}, std::invalid_argument);
-  // Negative random counts used to yield a silently empty timeline.
+  // Negative random counts would yield a silently empty timeline.
   ChaosScenarioConfig counts;
   counts.random.enable = true;
   counts.random.cuts = -3;
@@ -676,7 +677,7 @@ TEST(ChaosScenario, InvalidTimelinesFailAtConstruction) {
   EXPECT_THROW(ChaosScenario{counts}, std::invalid_argument);
   counts.random.cuts = 1;
   EXPECT_THROW(ChaosScenario{counts}, std::invalid_argument);
-  // A negative checkpoint cadence used to mean "never".
+  // A negative checkpoint cadence would silently mean "never".
   ChaosScenarioConfig cadence;
   cadence.checkpoint_every = SimTime::zero() - 1_us;
   EXPECT_THROW(ChaosScenario{cadence}, std::invalid_argument);
