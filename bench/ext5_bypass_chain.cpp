@@ -17,12 +17,11 @@ using namespace rsf;
 using namespace rsf::sim::literals;
 using phy::DataSize;
 using phy::LinkId;
-using sim::SimTime;
 
 double probe_us(runtime::FabricRuntime& rt, phy::NodeId dst) {
   double out = -1;
-  rt.network().send_probe(0, dst, DataSize::bytes(1024), [&](SimTime lat, int, bool ok) {
-    if (ok) out = lat.us();
+  rt.network().send_probe(0, dst, DataSize::bytes(1024), [&](const fabric::FlowResult& r) {
+    if (!r.failed) out = r.completion_time().us();
   });
   rt.run_until();
   return out;

@@ -19,7 +19,6 @@ namespace {
 using namespace rsf;
 using namespace rsf::sim::literals;
 using phy::DataSize;
-using sim::SimTime;
 
 void run(bool cut_through) {
   const int kMaxNodes = 21;  // 0..20 -> up to 40 m
@@ -42,8 +41,8 @@ void run(bool cut_through) {
   for (int k = 1; k < kMaxNodes; ++k) {
     double measured_ns = 0;
     rt.network().send_probe(0, static_cast<phy::NodeId>(k), probe,
-                            [&](SimTime lat, int, bool ok) {
-                              if (ok) measured_ns = lat.ns();
+                            [&](const fabric::FlowResult& r) {
+                              if (!r.failed) measured_ns = r.completion_time().ns();
                             });
     rt.run_until();
 

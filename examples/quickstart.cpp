@@ -36,10 +36,10 @@ int main() {
 
   // 3. A latency probe: one 1 KB packet corner to corner.
   rt.network().send_probe(rt.node_at(0, 0), rt.node_at(3, 3), phy::DataSize::bytes(1024),
-                          [](sim::SimTime latency, int hops, bool ok) {
+                          [](const fabric::FlowResult& r) {
                             std::printf("probe: %s over %d hops (%s)\n",
-                                        latency.to_string().c_str(), hops,
-                                        ok ? "delivered" : "dropped");
+                                        r.completion_time().to_string().c_str(), r.hops,
+                                        r.failed ? "dropped" : "delivered");
                           });
 
   // 4. A 1 MB flow with a completion callback.

@@ -35,7 +35,7 @@ phy::FecScheme FecAdapter::choose(double ber, phy::FecScheme current) const {
   int want = -1;
   for (std::size_t i = static_cast<std::size_t>(floor_idx); i < kLadder.size(); ++i) {
     const auto spec = phy::FecSpec::of(kLadder[i]);
-    if (spec.frame_loss_prob(ber, phy::kReferenceFrame) <= config_.target_frame_loss) {
+    if (spec.frame_loss_prob(ber, phy::kReferenceFrame) <= kTargetFrameLoss) {
       want = static_cast<int>(i);
       break;
     }
@@ -47,7 +47,7 @@ phy::FecScheme FecAdapter::choose(double ber, phy::FecScheme current) const {
     // the current one that beats the strict target. (Checking rungs
     // between `want` and `current` matters — the very lightest mode
     // may meet the plain target but sit inside the hysteresis band.)
-    const double strict = config_.target_frame_loss * config_.relax_margin;
+    const double strict = kTargetFrameLoss * kRelaxMargin;
     for (int i = want; i < cur_idx; ++i) {
       const auto spec = phy::FecSpec::of(kLadder[static_cast<std::size_t>(i)]);
       if (spec.frame_loss_prob(ber, phy::kReferenceFrame) <= strict) {

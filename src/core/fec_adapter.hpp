@@ -6,7 +6,7 @@
 // adapter rides as light as the error environment allows and deepens
 // protection when lanes degrade. Hysteresis: escalation is immediate
 // (loss is visible damage), de-escalation requires the lighter mode to
-// hold the target with `relax_margin` to spare, so the adapter cannot
+// hold the target with kRelaxMargin to spare, so the adapter cannot
 // flap between modes at a noisy BER boundary.
 #pragma once
 
@@ -20,11 +20,6 @@
 namespace rsf::core {
 
 struct FecAdapterConfig {
-  /// Maximum acceptable loss probability for phy::kReferenceFrame.
-  double target_frame_loss = 1e-9;
-  /// De-escalation requires the lighter mode to beat target by this
-  /// factor (loss <= target * relax_margin).
-  double relax_margin = 1e-2;
   /// Never relax below this mode. Essential when the control loop
   /// runs on *estimated* BER (ControlRingConfig::use_estimated_ber):
   /// an uncoded link has no decoder and therefore no telemetry, so
@@ -35,6 +30,12 @@ struct FecAdapterConfig {
 
 class FecAdapter {
  public:
+  /// Maximum acceptable loss probability for phy::kReferenceFrame.
+  static constexpr double kTargetFrameLoss = 1e-9;
+  /// De-escalation requires the lighter mode to beat the target by
+  /// this factor (loss <= kTargetFrameLoss * kRelaxMargin).
+  static constexpr double kRelaxMargin = 1e-2;
+
   FecAdapter(plp::PlpEngine* engine, phy::PhysicalPlant* plant, FecAdapterConfig config = {});
 
   /// The mode the policy wants for a link at bit-error-rate `ber`,

@@ -11,6 +11,9 @@ HealthManager::HealthManager(plp::PlpEngine* engine, phy::PhysicalPlant* plant,
   if (engine_ == nullptr || plant_ == nullptr) {
     throw std::invalid_argument("HealthManager: null dependency");
   }
+  if (config_.max_ops_per_epoch < 0) {
+    throw std::invalid_argument("HealthManager: max_ops_per_epoch < 0");
+  }
 }
 
 int HealthManager::apply(const RackSnapshot& snapshot) {

@@ -18,6 +18,8 @@
 
 namespace rsf::core {
 
+/// Checked by the HealthManager constructor, which throws
+/// std::invalid_argument on max_ops_per_epoch < 0.
 struct HealthManagerConfig {
   /// Maximum remediations started per epoch.
   int max_ops_per_epoch = 2;

@@ -1,6 +1,7 @@
 #include "core/power_manager.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <stdexcept>
 
@@ -11,6 +12,14 @@ namespace {
 constexpr double kRestoreUtilization = 0.6;
 /// Never shed below this many lanes on a link.
 constexpr int kMinLanes = 1;
+
+/// A NaN cap would silently disable capping: every comparison against
+/// it is false.
+void check_cap(double cap_watts) {
+  if (!(std::isfinite(cap_watts) && cap_watts >= 0)) {
+    throw std::invalid_argument("PowerManager: cap_watts must be finite and >= 0");
+  }
+}
 }  // namespace
 
 PowerManager::PowerManager(plp::PlpEngine* engine, phy::PhysicalPlant* plant,
@@ -19,6 +28,18 @@ PowerManager::PowerManager(plp::PlpEngine* engine, phy::PhysicalPlant* plant,
   if (engine_ == nullptr || plant_ == nullptr) {
     throw std::invalid_argument("PowerManager: null dependency");
   }
+  check_cap(config_.cap_watts);
+  if (!(std::isfinite(config_.restore_margin_watts) && config_.restore_margin_watts >= 0)) {
+    throw std::invalid_argument("PowerManager: restore_margin_watts must be finite and >= 0");
+  }
+  if (config_.max_ops_per_epoch < 0) {
+    throw std::invalid_argument("PowerManager: max_ops_per_epoch < 0");
+  }
+}
+
+void PowerManager::set_cap(double cap_watts) {
+  check_cap(cap_watts);
+  config_.cap_watts = cap_watts;
 }
 
 int PowerManager::apply(const RackSnapshot& snapshot) {

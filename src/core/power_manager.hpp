@@ -18,6 +18,9 @@
 
 namespace rsf::core {
 
+/// Checked by the PowerManager constructor (and set_cap for the cap),
+/// which throws std::invalid_argument on a negative or non-finite
+/// cap_watts or restore_margin_watts, or max_ops_per_epoch < 0.
 struct PowerManagerConfig {
   double cap_watts = 1e18;  // effectively uncapped by default
   /// Restore lanes only when projected power stays below
@@ -46,7 +49,7 @@ class PowerManager {
   /// Adjust the cap at runtime. Callers that size the cap relative to
   /// the built rack's draw (e.g. "95% of uncapped") set it after
   /// construction; the next epoch enforces it.
-  void set_cap(double cap_watts) { config_.cap_watts = cap_watts; }
+  void set_cap(double cap_watts);
 
  private:
   struct ShedRecord {

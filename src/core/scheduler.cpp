@@ -73,9 +73,8 @@ std::optional<CircuitScheduler::CircuitPlan> CircuitScheduler::plan_for(
   plan.packet_latency_overhead =
       prop_total + net_cfg.switch_params.switch_latency * (hops - 1) +
       net_cfg.switch_params.nic_latency * std::int64_t{2};
-  plan.circuit_prop =
-      prop_total +
-      plant_->config().bypass_latency * (hops - 1) + net_cfg.switch_params.nic_latency * std::int64_t{2};
+  plan.circuit_prop = prop_total + phy::kBypassLatency * (hops - 1) +
+                      net_cfg.switch_params.nic_latency * std::int64_t{2};
 
   // Setup: all splits run concurrently, joins tree-reduce.
   const auto& t = engine_->timings();

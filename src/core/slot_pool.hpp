@@ -1,12 +1,13 @@
 // rsf::core — the shared dense-slot free-list pool.
 //
 // SlotPool<T> is the one implementation of the recycled-slot idiom the
-// hot paths rely on (previously hand-rolled per site: Network probe
-// and flow slots, Interconnect reservation slots, FleetRuntime flow
-// and packet slots). Storage is a dense std::vector<T> addressed by small integer
-// indices; freed slots return to a LIFO free list, so claim() reuses
-// the most recently recycled slot — churning millions of short-lived
-// objects holds the pool at its peak concurrency, and the LIFO order
+// hot paths rely on: Network flow slots (probes are one-packet flows),
+// Interconnect booking slots, FleetRuntime flow and packet slots and
+// the Simulator's cold-handler pool. Storage is a dense
+// std::vector<T> addressed by small integer indices; freed slots
+// return to a LIFO free list, so claim() reuses the most recently
+// recycled slot — churning millions of short-lived objects holds the
+// pool at its peak concurrency, and the LIFO order
 // keeps recycled-index sequences (and therefore whole simulations)
 // bit-for-bit identical to the hand-rolled pools this replaces.
 //
@@ -31,8 +32,8 @@
 // recyclable only when it is done AND its last straggler packet has
 // drained) construct the pool with a Gate functor and use
 // maybe_recycle(), which recycles only when the gate passes. The
-// default gate always passes, so plain pools (probes, packets,
-// reservations) call recycle() directly or maybe_recycle()
+// default gate always passes, so plain pools (packets, bookings)
+// call recycle() directly or maybe_recycle()
 // interchangeably.
 #pragma once
 

@@ -41,7 +41,6 @@ struct RackParams {
   phy::LanePowerParams lane_power{};
   double initial_ber = 1e-12;
   phy::FecScheme fec = phy::FecScheme::kRsKr4;
-  phy::PlantConfig plant_config{};
   plp::PlpTimings plp_timings{};
   plp::PlpCapabilities plp_caps = plp::PlpCapabilities::all();
   NetworkConfig net_config{};

@@ -32,7 +32,7 @@ Network::Network(rsf::sim::Simulator* sim, phy::PhysicalPlant* plant, Topology* 
       counters_(registry_->counters("net")),
       injected_slot_(counters_.slot("net.packets_injected")),
       delivered_slot_(counters_.slot("net.packets_delivered")),
-      probes_slot_(counters_.slot("net.probes")) {
+      probe_count_slot_(counters_.slot("net.probes")) {
   if (sim_ == nullptr || plant_ == nullptr || topo_ == nullptr || router_ == nullptr) {
     throw std::invalid_argument("Network: null dependency");
   }
@@ -65,16 +65,14 @@ void Network::start_flow(const FlowSpec& spec, FlowCallback on_complete) {
     throw std::invalid_argument("start_flow: non-positive sizes");
   }
   check_endpoints(spec.src, spec.dst, "start_flow");
-  FlowState state;
-  state.spec = spec;
-  state.on_complete = std::move(on_complete);
-  state.packets_total =
-      static_cast<std::uint64_t>(spec.size.packet_count(spec.packet_size));
   // Claim a slot from the pool (a drained slot when one is free —
   // bounded pool under flow churn — else the dense pool grows).
   const auto handle = flows_.claim();
   const std::uint32_t idx = handle.index;
-  flows_[idx] = std::move(state);
+  FlowState& flow = flows_[idx];
+  flow.spec = spec;
+  flow.on_complete = std::move(on_complete);
+  flow.packets_total = static_cast<std::uint64_t>(spec.size.packet_count(spec.packet_size));
   flow_index_.emplace(spec.id, idx);
   counters_.add("net.flows_started");
   // A start time already in the past means "now". The start event can
@@ -99,33 +97,33 @@ void Network::pump_flow(std::uint32_t flow_idx) {
       return;
     }
     Packet pkt;
-    pkt.id = next_packet_id_++;
-    pkt.flow = flow.spec.id;
-    pkt.flow_idx = static_cast<std::int32_t>(flow_idx);
-    pkt.seq = flow.next_seq++;
+    pkt.flow_idx = flow_idx;
+    pkt.flow_gen = flows_.generation(flow_idx);
     pkt.src = flow.spec.src;
     pkt.dst = flow.spec.dst;
-    pkt.size = flow.spec.size.packet_at(static_cast<std::int64_t>(pkt.seq),
+    pkt.size = flow.spec.size.packet_at(static_cast<std::int64_t>(flow.next_seq++),
                                         flow.spec.packet_size);
     ++flow.inflight;
     inject(pkt, sim_->now());
   }
 }
 
-void Network::send_probe(phy::NodeId src, phy::NodeId dst, phy::DataSize size,
-                         ProbeCallback cb) {
+void Network::send_probe(phy::NodeId src, phy::NodeId dst, phy::DataSize size, FlowCallback cb) {
   check_endpoints(src, dst, "send_probe");
   if (size.bit_count() <= 0) throw std::invalid_argument("send_probe: non-positive size");
-  Packet pkt;
-  pkt.id = next_packet_id_++;
-  pkt.src = src;
-  pkt.dst = dst;
-  pkt.size = size;
-  const std::uint32_t slot = probes_.claim().index;
-  probes_[slot].cb = std::move(cb);
-  pkt.probe_idx = static_cast<std::int32_t>(slot);
-  ++probes_slot_;
-  inject(pkt, sim_->now());
+  // An untracked one-packet flow, filled in place and pumped now: no
+  // start event, no flow_index_ entry, no flow tallies.
+  const std::uint32_t idx = flows_.claim().index;
+  FlowState& probe = flows_[idx];
+  probe.spec.src = src;
+  probe.spec.dst = dst;
+  probe.spec.size = size;
+  probe.spec.packet_size = size;
+  probe.on_complete = std::move(cb);
+  probe.packets_total = 1;
+  probe.started = sim_->now();
+  ++probe_count_slot_;
+  pump_flow(idx);
 }
 
 void Network::inject(Packet pkt, SimTime when) {
@@ -144,10 +142,9 @@ void Network::record_switched_bits(const Packet& pkt) {
   switched_bits_log_.push_back({sim_->now(), switched_bits_total_});
   // Age out entries older than the retention window so the log stays
   // bounded however long the run is.
-  const SimTime cutoff = sim_->now() - power_retention_;
+  const SimTime cutoff = sim_->now() - kPowerWindow;
   while (!switched_bits_log_.empty() && switched_bits_log_.front().t < cutoff) {
     switched_bits_pruned_ = switched_bits_log_.front().bits;
-    switched_bits_pruned_time_ = switched_bits_log_.front().t;
     switched_bits_log_.pop_front();
   }
 }
@@ -166,11 +163,12 @@ void Network::hop(Packet pkt, phy::NodeId node, SimTime head_ready, SimTime tail
   // A flow that owns a reserved circuit from here toward its
   // destination takes it unconditionally (the CRC built it for us).
   std::optional<phy::LinkId> link_opt;
-  if (pkt.flow != kNoFlow && plant_->reserved_link_count() != 0) {
+  const FlowState* owner = plant_->reserved_link_count() != 0 ? live_flow(pkt) : nullptr;
+  if (owner != nullptr && owner->spec.id != kNoFlow) {
     for (phy::LinkId id : topo_->links_at(node)) {
       if (!topo_->usable(id)) continue;
       const phy::LogicalLink& l = plant_->link(id);
-      if (l.reserved_for() == pkt.flow && l.other_end(node) == pkt.dst) {
+      if (l.reserved_for() == owner->spec.id && l.other_end(node) == pkt.dst) {
         link_opt = id;
         break;
       }
@@ -257,16 +255,9 @@ void Network::deliver(const Packet& pkt, SimTime when) {
     packet_latency_.record(when - pkt.injected);
     hop_counts_.record(static_cast<double>(pkt.hops));
     ++delivered_slot_;
-    if (pkt.probe_idx >= 0) {
-      const auto slot = static_cast<std::uint32_t>(pkt.probe_idx);
-      // rsf-lint: unguarded-slot-ok(a probe slot has exactly one in-flight packet and recycles only here, at its terminal callback)
-      auto cb = std::move(probes_[slot].cb);
-      probes_.recycle(slot);  // before the callback: chained probes reuse it
-      if (cb) cb(when - pkt.injected, pkt.hops, true);
-      return;
-    }
-    if (live_flow(pkt) != nullptr) {
-      flow_packet_delivered(static_cast<std::uint32_t>(pkt.flow_idx));
+    if (FlowState* flow = live_flow(pkt)) {
+      flow->hops = pkt.hops;
+      flow_packet_delivered(pkt.flow_idx);
     }
   };
   if (when > sim_->now()) {
@@ -278,19 +269,12 @@ void Network::deliver(const Packet& pkt, SimTime when) {
 
 void Network::drop(const Packet& pkt, const char* reason) {
   counters_.add(std::string("net.drops.") + reason);
-  log_.debug("drop packet ", pkt.id, " (", reason, ")");
-  if (pkt.probe_idx >= 0) {
-    const auto slot = static_cast<std::uint32_t>(pkt.probe_idx);
-    auto cb = std::move(probes_[slot].cb);
-    probes_.recycle(slot);  // before the callback: chained probes reuse it
-    if (cb) cb(SimTime::zero(), pkt.hops, false);
-    return;
-  }
-  if (live_flow(pkt) != nullptr) {
-    const auto idx = static_cast<std::uint32_t>(pkt.flow_idx);
-    --flows_[idx].inflight;  // the dropped packet leaves flight here
-    if (!flows_[idx].done) finish_flow(idx, /*failed=*/true);
-    maybe_recycle_flow(idx);
+  log_.debug("drop packet ", pkt.src, "->", pkt.dst, " (", reason, ")");
+  if (FlowState* flow = live_flow(pkt)) {
+    flow->hops = pkt.hops;
+    --flow->inflight;  // the dropped packet leaves flight here
+    if (!flow->done) finish_flow(pkt.flow_idx, /*failed=*/true);
+    maybe_recycle_flow(pkt.flow_idx);
   }
 }
 
@@ -299,17 +283,18 @@ void Network::retransmit(Packet pkt) {
     drop(pkt, "retries_exhausted");
     return;
   }
-  if (FlowState* flow = live_flow(pkt); flow != nullptr && flow->done) {
+  FlowState* flow = live_flow(pkt);
+  if (flow != nullptr && flow->done) {
     // The flow already failed (another packet exhausted its budget):
     // don't keep retransmitting into a dead flow — account the packet
     // out of flight so the slot can recycle.
     --flow->inflight;
-    maybe_recycle_flow(static_cast<std::uint32_t>(pkt.flow_idx));
+    maybe_recycle_flow(pkt.flow_idx);
     return;
   }
   ++pkt.retries;
   counters_.add("net.retransmits");
-  if (FlowState* flow = live_flow(pkt)) ++flow->retransmits;
+  if (flow != nullptr) ++flow->retransmits;
   sim_->schedule_after(config_.retry_delay, [this, pkt]() mutable {
     pkt.hops = 0;
     const SimTime ready = sim_->now() + config_.switch_params.nic_latency;
@@ -335,21 +320,23 @@ void Network::flow_packet_delivered(std::uint32_t flow_idx) {
 void Network::finish_flow(std::uint32_t flow_idx, bool failed) {
   FlowState& flow = flows_[flow_idx];
   flow.done = true;
-  flow.failed = failed;
   FlowResult result;
   result.spec = flow.spec;
   result.started = flow.started;
   result.finished = sim_->now();
   result.packets = flow.delivered;
   result.retransmits = flow.retransmits;
+  result.hops = flow.hops;
   result.failed = failed;
-  if (failed) {
-    ++flows_failed_;
-    counters_.add("net.flows_failed");
-  } else {
-    ++flows_completed_;
-    counters_.add("net.flows_completed");
-    flow_completion_.record(result.completion_time());
+  if (flow.spec.id != kNoFlow) {  // a probe counts in net.probes only
+    if (failed) {
+      ++flows_failed_;
+      counters_.add("net.flows_failed");
+    } else {
+      ++flows_completed_;
+      counters_.add("net.flows_completed");
+      flow_completion_.record(result.completion_time());
+    }
   }
   // Move the callback out before invoking it: a completion callback may
   // start new flows, growing flows_ and invalidating `flow`. Recycle
@@ -363,12 +350,12 @@ void Network::finish_flow(std::uint32_t flow_idx, bool failed) {
 
 void Network::maybe_recycle_flow(std::uint32_t flow_idx) {
   // The FlowDrained gate holds the slot until done + last straggler
-  // drained; the pool's reset makes spec.id kNoFlow, so any
-  // (impossible by the inflight gate, but cheap to guard) stale dense
-  // index fails the live_flow() id-echo check instead of corrupting a
-  // new flow.
-  flows_.maybe_recycle(flow_idx,
-                       [this](FlowState& flow) { flow_index_.erase(flow.spec.id); });
+  // drained; the recycle bumps the generation, so any (impossible by
+  // the inflight gate, but cheap to guard) stale packet fails
+  // live_flow() instead of corrupting the slot's next occupant.
+  flows_.maybe_recycle(flow_idx, [this](FlowState& flow) {
+    if (flow.spec.id != kNoFlow) flow_index_.erase(flow.spec.id);
+  });
 }
 
 SimTime Network::link_busy_time(phy::LinkId id) const {
@@ -416,32 +403,25 @@ std::size_t Network::switching_port_count() const {
   return switching_ends_;
 }
 
-double Network::switch_power_watts(SimTime window) const {
+double Network::switch_power_watts() const {
   // Static: every cable end in switching use costs a port (cached
   // against the topology version; see switching_port_count).
   const double static_w =
       config_.switch_params.port_static_w * static_cast<double>(switching_port_count());
-  // Dynamic: bits switched in the trailing window. Remember the widest
-  // window ever queried so the append-side pruning keeps enough log.
-  power_retention_ = std::max(power_retention_, window);
+  // Dynamic: bits switched in the trailing kPowerWindow, which is
+  // exactly what the log retains.
   const SimTime now = sim_->now();
-  const SimTime from = now >= window ? now - window : SimTime::zero();
-  // A window wider than the retained history can only be answered for
-  // the covered span [pruned_time, now]: clamp the window start there
-  // and normalise by the covered duration, so the rate is exact over
-  // what was observed instead of silently under-counting. (Subsequent
-  // queries get full coverage — retention was widened above.)
-  const SimTime covered_from = std::max(from, switched_bits_pruned_time_);
-  // Baseline: cumulative bits at the last entry before the (covered)
-  // window starts. If every retained entry is inside the window the
-  // baseline is whatever was pruned off the front.
+  const SimTime from = now >= kPowerWindow ? now - kPowerWindow : SimTime::zero();
+  // Baseline: cumulative bits at the last entry before the window
+  // starts. If every retained entry is inside the window the baseline
+  // is whatever was pruned off the front.
   // Entries are appended in clock order, so those before the window
   // form a prefix of the log: binary-search its end.
   std::size_t lo = 0;
   std::size_t hi = switched_bits_log_.size();
   while (lo < hi) {
     const std::size_t mid = lo + (hi - lo) / 2;
-    if (switched_bits_log_[mid].t < covered_from) {
+    if (switched_bits_log_[mid].t < from) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -450,10 +430,8 @@ double Network::switch_power_watts(SimTime window) const {
   const std::uint64_t bits_before =
       lo == 0 ? switched_bits_pruned_ : switched_bits_log_[lo - 1].bits;
   const double bits_in_window = static_cast<double>(switched_bits_total_ - bits_before);
-  const double seconds = covered_from > from
-                             ? std::max((now - covered_from).sec(), 1e-12)
-                             : std::max(window.sec(), 1e-12);
-  const double dynamic_w = bits_in_window * config_.switch_params.pj_per_bit * 1e-12 / seconds;
+  const double dynamic_w =
+      bits_in_window * config_.switch_params.pj_per_bit * 1e-12 / kPowerWindow.sec();
   return static_w + dynamic_w;
 }
 

@@ -71,8 +71,6 @@ struct NetworkConfig {
 class Network {
  public:
   using FlowCallback = std::function<void(const FlowResult&)>;
-  using ProbeCallback =
-      std::function<void(rsf::sim::SimTime latency, int hops, bool delivered)>;
 
   /// Metrics land in `registry` under "net.*" when one is supplied
   /// (the FabricRuntime hands every component its registry); without
@@ -90,11 +88,13 @@ class Network {
   /// std::invalid_argument on a bad spec or an endpoint outside the rack.
   void start_flow(const FlowSpec& spec, FlowCallback on_complete = nullptr);
 
-  /// One tracer packet; callback fires at delivery (or drop). Throws
-  /// std::invalid_argument on a non-positive size or an endpoint
-  /// outside the rack.
-  void send_probe(phy::NodeId src, phy::NodeId dst, phy::DataSize size,
-                  ProbeCallback cb);
+  /// One tracer packet, injected now: an untracked one-packet flow
+  /// (id kNoFlow) that stays out of the flow tallies and counts in
+  /// net.probes. The callback fires at delivery or drop; its result
+  /// carries the latency (completion_time()) and the packet's hops.
+  /// Throws std::invalid_argument on a non-positive size or an
+  /// endpoint outside the rack.
+  void send_probe(phy::NodeId src, phy::NodeId dst, phy::DataSize size, FlowCallback cb);
 
   // --- observability ---
 
@@ -113,19 +113,20 @@ class Network {
   [[nodiscard]] std::uint64_t link_packets(phy::LinkId id) const;
 
   /// Switching-element power right now: static per in-use port plus
-  /// dynamic switching power from the recent bit rate. `window` sets
-  /// how far back "recent" looks.
-  [[nodiscard]] double switch_power_watts(
-      rsf::sim::SimTime window = rsf::sim::SimTime::milliseconds(1)) const;
+  /// dynamic switching power from the bit rate over the trailing
+  /// kPowerWindow.
+  [[nodiscard]] double switch_power_watts() const;
+  static constexpr rsf::sim::SimTime kPowerWindow = rsf::sim::SimTime::milliseconds(1);
 
   [[nodiscard]] std::uint64_t flows_completed() const { return flows_completed_; }
   [[nodiscard]] std::uint64_t flows_failed() const { return flows_failed_; }
   [[nodiscard]] const NetworkConfig& config() const { return config_; }
 
   /// Flow-slot pool observability: total slots ever allocated and how
-  /// many are currently free. A long-lived service churning millions
-  /// of flows holds slots() at its peak concurrency, not its flow
-  /// count — completed slots recycle through a SlotPool like probes.
+  /// many are currently free. Probes occupy flow slots too. A
+  /// long-lived service churning millions of flows holds slots() at
+  /// its peak concurrency, not its flow count — completed slots
+  /// recycle through a SlotPool.
   [[nodiscard]] std::size_t flow_slots() const { return flows_.size(); }
   [[nodiscard]] std::size_t free_flow_slots() const { return flows_.free_count(); }
 
@@ -142,13 +143,13 @@ class Network {
     std::uint64_t next_seq = 0;
     std::uint64_t delivered = 0;
     std::uint64_t retransmits = 0;
+    int hops = 0;  // of the last packet delivered or dropped
     /// Packets injected and not yet delivered or dropped (a lost
     /// packet awaiting retransmit still counts). A slot recycles only
     /// at done && inflight == 0, so no in-flight packet can ever see
     /// its slot reused.
     int inflight = 0;
     rsf::sim::SimTime started = rsf::sim::SimTime::zero();
-    bool failed = false;
     bool done = false;
   };
 
@@ -162,10 +163,6 @@ class Network {
     std::uint64_t queue_delay_samples = 0;
     std::uint64_t packets = 0;
     std::uint64_t bits = 0;
-  };
-
-  struct ProbeState {
-    ProbeCallback cb;
   };
 
   /// SlotPool recycle gate for flows_: a slot returns to the free list
@@ -193,13 +190,10 @@ class Network {
   /// last straggler packet has drained.
   void maybe_recycle_flow(std::uint32_t flow_idx);
   /// The flow a packet belongs to, or nullptr when the slot has been
-  /// recycled since (defensive: the id generation check makes stale
-  /// dense indices harmless).
+  /// recycled since (defensive: the inflight gate already keeps a
+  /// packet's slot alive until the packet drains).
   [[nodiscard]] FlowState* live_flow(const Packet& pkt) {
-    if (pkt.flow_idx < 0) return nullptr;
-    const auto idx = static_cast<std::uint32_t>(pkt.flow_idx);
-    if (idx >= flows_.size() || flows_[idx].spec.id != pkt.flow) return nullptr;
-    return &flows_[idx];
+    return flows_.get_live(pkt.flow_idx, pkt.flow_gen);
   }
   void record_switched_bits(const Packet& pkt);
 
@@ -225,41 +219,34 @@ class Network {
   rsf::sim::Logger log_;
 
   // Hot-path state is vector-indexed: ports and link usage by (dense,
-  // monotonically assigned) LinkId, flow and probe state by the dense
-  // index each Packet carries. The only hash map left is the cold
-  // FlowId -> index resolver used at start_flow time.
+  // monotonically assigned) LinkId, flow state by the dense index each
+  // Packet carries. The only hash map left is the cold FlowId -> index
+  // resolver used at start_flow time (probes, id kNoFlow, skip it).
   std::vector<PortState> ports_;   // 2 slots per link: [link*2 + side]
   std::vector<LinkUse> link_use_;  // by LinkId
-  // Flow and probe state live in shared SlotPools addressed by the
-  // dense index each Packet carries; flow slots recycle at
-  // done + last-straggler-drained (the FlowDrained gate), probe slots
-  // at their terminal callback.
-  core::SlotPool<FlowState, std::uint64_t, FlowDrained> flows_;
-  core::SlotPool<ProbeState> probes_;
+  // Flows and probes share one SlotPool addressed by the {index,
+  // generation} each Packet carries; a slot recycles at done +
+  // last-straggler-drained (the FlowDrained gate).
+  core::SlotPool<FlowState, std::uint32_t, FlowDrained> flows_;
   // rsf-lint: order-insensitive(cold point lookups at start_flow/recycle; never iterated)
   std::unordered_map<FlowId, std::uint32_t> flow_index_;
-  std::uint64_t next_packet_id_ = 1;
   std::uint64_t flows_completed_ = 0;
   std::uint64_t flows_failed_ = 0;
 
   // Sliding window accounting for dynamic switch power: (time,
   // cumulative switched bits) per hop, oldest first. The log keeps
-  // only the trailing retention window (the largest window any power
-  // query has asked for): entries age out on append, so the log stays
-  // bounded over arbitrarily long runs, and once it spans the window
-  // appending reuses slots instead of allocating.
+  // only the trailing kPowerWindow: entries age out on append, so the
+  // log stays bounded over arbitrarily long runs, and once it spans
+  // the window appending reuses slots instead of allocating.
   struct SwitchedBits {
     rsf::sim::SimTime t;
     std::uint64_t bits = 0;
   };
   std::uint64_t switched_bits_total_ = 0;
   core::ChunkedRing<SwitchedBits> switched_bits_log_;
-  /// Cumulative bits (and timestamp) at the newest pruned entry: the
-  /// baseline for a query whose window spans the whole retained log,
-  /// and the start of the span the log actually covers.
+  /// Cumulative bits at the newest pruned entry: the baseline for a
+  /// query whose window spans the whole retained log.
   std::uint64_t switched_bits_pruned_ = 0;
-  rsf::sim::SimTime switched_bits_pruned_time_ = rsf::sim::SimTime::zero();
-  mutable rsf::sim::SimTime power_retention_ = rsf::sim::SimTime::milliseconds(1);
 
   // Static switching-end count, cached against the topology version
   // (0 = never computed; real versions start at 1). Lane-state and
@@ -280,7 +267,7 @@ class Network {
   // counters_; see CounterSet::slot).
   std::uint64_t& injected_slot_;
   std::uint64_t& delivered_slot_;
-  std::uint64_t& probes_slot_;
+  std::uint64_t& probe_count_slot_;
 };
 
 }  // namespace rsf::fabric

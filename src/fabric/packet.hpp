@@ -13,26 +13,26 @@ using FlowId = std::uint64_t;
 inline constexpr FlowId kNoFlow = 0;
 
 /// A packet in flight. Packets are passed by value through hop events;
-/// there is no central packet table.
+/// there is no central packet table. Every packet belongs to a flow
+/// slot (a probe is a one-packet flow), named by the dense index and
+/// claim generation resolved once at injection, so the per-hop path
+/// never hashes the 64-bit flow id and a stale packet can never touch
+/// a recycled slot's next occupant.
 struct Packet {
-  std::uint64_t id = 0;
-  FlowId flow = kNoFlow;
-  std::uint64_t seq = 0;  // sequence within the flow
   phy::NodeId src = phy::kInvalidNode;
   phy::NodeId dst = phy::kInvalidNode;
   phy::DataSize size = phy::DataSize::zero();
   rsf::sim::SimTime injected = rsf::sim::SimTime::zero();
   int hops = 0;
   int retries = 0;
-  /// Dense index of the owning flow (or probe) in the transport's
-  /// id-indexed pools; resolved once at injection so the per-hop path
-  /// never hashes the 64-bit flow id. < 0 means "none".
-  std::int32_t flow_idx = -1;
-  std::int32_t probe_idx = -1;
+  std::uint32_t flow_idx = 0;
+  std::uint32_t flow_gen = 0;
 };
+static_assert(sizeof(Packet) == 40, "Packet rides by value in every per-hop event capture");
 
 /// A flow request: `size` bytes from src to dst, injected as
-/// `packet_size` packets starting at `start`.
+/// `packet_size` packets starting at `start`. Network::send_probe
+/// makes one with id kNoFlow and packet_size == size.
 struct FlowSpec {
   FlowId id = kNoFlow;
   phy::NodeId src = phy::kInvalidNode;
@@ -49,6 +49,8 @@ struct FlowResult {
   rsf::sim::SimTime finished = rsf::sim::SimTime::zero();
   std::uint64_t packets = 0;
   std::uint64_t retransmits = 0;
+  /// Hop count of the last packet delivered or dropped.
+  int hops = 0;
   bool failed = false;
 
   [[nodiscard]] rsf::sim::SimTime completion_time() const { return finished - started; }

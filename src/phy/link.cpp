@@ -41,7 +41,7 @@ SimTime LogicalLink::propagation_delay() const {
     t += plant_->cable(seg.cable).propagation_delay();
   }
   if (bypass_joints() > 0) {
-    t += plant_->config().bypass_latency * static_cast<std::int64_t>(bypass_joints());
+    t += kBypassLatency * static_cast<std::int64_t>(bypass_joints());
   }
   prop_cache_ = t;
   prop_valid_ = true;
@@ -112,7 +112,7 @@ double LogicalLink::power_watts() const {
     const Cable& c = plant_->cable(seg.cable);
     for (int lane : seg.lanes) w += c.lane(lane).power_watts();
   }
-  w += plant_->config().bypass_power_w * bypass_joints();
+  w += kBypassPowerW * bypass_joints();
   return w;
 }
 

@@ -472,7 +472,7 @@ std::vector<LaneRef> PhysicalPlant::failed_lanes_of_link(LinkId id) const {
 double PhysicalPlant::total_power_watts() const {
   double w = 0;
   for (const auto& c : cables_) w += c->power_watts();
-  w += config_.bypass_power_w * total_bypass_joints();
+  w += kBypassPowerW * total_bypass_joints();
   return w;
 }
 

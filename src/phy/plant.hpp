@@ -32,22 +32,17 @@
 
 namespace rsf::phy {
 
-/// Plant-wide physical constants.
-struct PlantConfig {
-  /// Latency added by one bypass joint (retimer / optical coupler).
-  rsf::sim::SimTime bypass_latency = rsf::sim::SimTime::nanoseconds(25);
-  /// Power of one active bypass joint.
-  double bypass_power_w = 0.3;
-};
+/// Latency added by one bypass joint (retimer / optical coupler).
+inline constexpr rsf::sim::SimTime kBypassLatency = rsf::sim::SimTime::nanoseconds(25);
+/// Power of one active bypass joint.
+inline constexpr double kBypassPowerW = 0.3;
 
 class PhysicalPlant {
  public:
-  explicit PhysicalPlant(PlantConfig config = {}) : config_(config) {}
+  PhysicalPlant() = default;
 
   PhysicalPlant(const PhysicalPlant&) = delete;
   PhysicalPlant& operator=(const PhysicalPlant&) = delete;
-
-  [[nodiscard]] const PlantConfig& config() const { return config_; }
 
   // --- Construction-time plumbing ---
 
@@ -213,7 +208,6 @@ class PhysicalPlant {
   /// account_frame's memo slot for `frame_bits` (re-keyed on a miss).
   LogicalLink::FrameMemo& frame_memo(LogicalLink& link, std::int64_t frame_bits);
 
-  PlantConfig config_;
   std::vector<ChangeObserver> change_observers_;
   std::vector<std::unique_ptr<Cable>> cables_;
   // Dense id-indexed pool: link ids are assigned sequentially and never

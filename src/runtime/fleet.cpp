@@ -334,7 +334,7 @@ void FleetRuntime::packet_rack_leg(std::uint32_t pkt_idx, phy::NodeId to) {
   // The lambda fits std::function's inline buffer: no per-stage heap
   // allocation on the packet hot path.
   racks_[pkt.at.rack]->network().send_probe(
-      pkt.at.node, to, pkt.size, [this, pkt_idx](SimTime, int, bool delivered) {
+      pkt.at.node, to, pkt.size, [this, pkt_idx](const fabric::FlowResult& r) {
         // rsf-lint: unguarded-slot-ok(each packet slot has exactly one in-flight event; release happens only inside it)
         FleetPacket& p = packets_[pkt_idx];
         const FleetFlowState* f = live_flow(p);
@@ -342,7 +342,7 @@ void FleetRuntime::packet_rack_leg(std::uint32_t pkt_idx, phy::NodeId to) {
           release_packet(pkt_idx);
           return;
         }
-        if (!delivered) {  // the rack fabric exhausted its own retries
+        if (r.failed) {  // the rack fabric exhausted its own retries
           packet_retry(pkt_idx);
           return;
         }

@@ -278,7 +278,7 @@ class FleetRuntime {
   };
 
   /// One fleet packet in flight. Packets live in a dense recycled
-  /// pool (like Network's probes) so the per-stage continuations
+  /// pool (like Network's flows) so the per-stage continuations
   /// capture only [this, pkt_idx] — small enough for std::function's
   /// inline buffer, no heap allocation per stage.
   struct FleetPacket {

@@ -2,6 +2,10 @@
 // manager.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <iterator>
+#include <limits>
+
 #include "core/fec_adapter.hpp"
 #include "core/power_manager.hpp"
 #include "core/ring.hpp"
@@ -78,17 +82,15 @@ TEST_F(AdapterFixture, ChooseEscalationMonotoneInBer) {
 }
 
 TEST_F(AdapterFixture, ChooseHysteresisBlocksMarginalRelax) {
-  FecAdapterConfig cfg;
-  cfg.target_frame_loss = 1e-9;
-  cfg.relax_margin = 1e-2;
-  FecAdapter adapter(rack.engine.get(), rack.plant.get(), cfg);
+  FecAdapter adapter(rack.engine.get(), rack.plant.get());
   // Find a BER where kRsKr4 barely meets target: relaxing from kRsKp4
   // must be refused there, but allowed at a clearly better BER.
   const double marginal_ber = [&] {
     for (double ber = 1e-3; ber > 1e-12; ber /= 1.2) {
       const auto spec = phy::FecSpec::of(FecScheme::kRsKr4);
       const double loss = spec.frame_loss_prob(ber, phy::kReferenceFrame);
-      if (loss <= cfg.target_frame_loss && loss > cfg.target_frame_loss * cfg.relax_margin) {
+      if (loss <= FecAdapter::kTargetFrameLoss &&
+          loss > FecAdapter::kTargetFrameLoss * FecAdapter::kRelaxMargin) {
         return ber;
       }
     }
@@ -206,6 +208,41 @@ TEST_F(AdapterFixture, NoRestoreWithoutPressure) {
   pm.apply(idle);
   sim.run_until();
   EXPECT_EQ(pm.restores(), 0u);
+}
+
+using PowerManagerConfigValidation = AdapterFixture;
+
+TEST_F(PowerManagerConfigValidation, InvalidConfigsFailAtConstruction) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::function<void(PowerManagerConfig&)> bad[] = {
+      [](PowerManagerConfig& c) { c.cap_watts = -1.0; },
+      [nan](PowerManagerConfig& c) { c.cap_watts = nan; },
+      [inf](PowerManagerConfig& c) { c.cap_watts = inf; },
+      [](PowerManagerConfig& c) { c.restore_margin_watts = -1.0; },
+      [nan](PowerManagerConfig& c) { c.restore_margin_watts = nan; },
+      [inf](PowerManagerConfig& c) { c.restore_margin_watts = inf; },
+      [](PowerManagerConfig& c) { c.max_ops_per_epoch = -1; },
+  };
+  for (std::size_t i = 0; i < std::size(bad); ++i) {
+    PowerManagerConfig cfg;
+    bad[i](cfg);
+    EXPECT_THROW((void)PowerManager(rack.engine.get(), rack.plant.get(), cfg),
+                 std::invalid_argument)
+        << "case " << i;
+  }
+
+  // set_cap holds the cap to the same rule; a rejected cap leaves the
+  // old one in force.
+  PowerManagerConfig zero;
+  zero.cap_watts = 0.0;
+  zero.restore_margin_watts = 0.0;
+  zero.max_ops_per_epoch = 0;
+  PowerManager pm(rack.engine.get(), rack.plant.get(), zero);
+  for (const double cap : {-1.0, nan, inf, -inf}) {
+    EXPECT_THROW(pm.set_cap(cap), std::invalid_argument) << "cap " << cap;
+  }
+  EXPECT_EQ(pm.config().cap_watts, 0.0);
 }
 
 }  // namespace

@@ -215,5 +215,24 @@ TEST_F(HealthFixture, EndToEndRecoveryUnderTraffic) {
   EXPECT_TRUE(rack.plant->validate().empty());
 }
 
+using HealthManagerConfigValidation = HealthFixture;
+
+TEST_F(HealthManagerConfigValidation, InvalidConfigsFailAtConstruction) {
+  for (const int ops : {-1, -100}) {
+    HealthManagerConfig cfg;
+    cfg.max_ops_per_epoch = ops;
+    EXPECT_THROW((void)HealthManager(rack.engine.get(), rack.plant.get(), cfg),
+                 std::invalid_argument)
+        << "max_ops_per_epoch " << ops;
+  }
+  // Zero is a valid budget: a failed lane is left alone.
+  const LinkId victim = *rack.topology->link_between(0, 1);
+  rack.plant->fail_lane(LaneRef{rack.plant->link(victim).segments().front().cable, 0});
+  HealthManagerConfig idle;
+  idle.max_ops_per_epoch = 0;
+  HealthManager hm(rack.engine.get(), rack.plant.get(), idle);
+  EXPECT_EQ(hm.apply(take_snapshot()), 0);
+}
+
 }  // namespace
 }  // namespace rsf::core

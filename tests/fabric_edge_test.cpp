@@ -47,7 +47,7 @@ TEST(FabricEdge, TtlBackstopTriggersRetransmitNotOrbit) {
   Rack rack = fabric::build_grid(&sim, p);
   std::optional<bool> delivered;
   rack.network->send_probe(rack.node_at(0, 0), rack.node_at(3, 3), DataSize::bytes(256),
-                           [&](SimTime, int, bool ok) { delivered = ok; });
+                           [&](const fabric::FlowResult& r) { delivered = !r.failed; });
   sim.run_until();
   // The probe keeps being returned to the source until retries
   // exhaust: it is dropped, never delivered, and the simulation
@@ -67,9 +67,9 @@ TEST(FabricEdge, MaxHopsDefaultAdmitsDiameterPaths) {
   Rack rack = fabric::build_grid(&sim, p);
   std::optional<bool> delivered;
   rack.network->send_probe(rack.node_at(0, 0), rack.node_at(7, 7), DataSize::bytes(256),
-                           [&](SimTime, int hops, bool ok) {
-                             delivered = ok;
-                             EXPECT_EQ(hops, 14);
+                           [&](const fabric::FlowResult& r) {
+                             delivered = !r.failed;
+                             EXPECT_EQ(r.hops, 14);
                            });
   sim.run_until();
   ASSERT_TRUE(delivered.has_value());
@@ -103,7 +103,7 @@ TEST(FabricEdge, ProbeOverReservedOnlyPathIsDropped) {
   rack.plant->set_reservation(only, 7);
   std::optional<bool> delivered;
   rack.network->send_probe(0, 1, DataSize::bytes(64),
-                           [&](SimTime, int, bool ok) { delivered = ok; });
+                           [&](const fabric::FlowResult& r) { delivered = !r.failed; });
   sim.run_until();
   ASSERT_TRUE(delivered.has_value());
   EXPECT_FALSE(*delivered);
@@ -137,10 +137,10 @@ TEST(FabricEdge, IdleChainLatencyMatchesClosedFormsToThePicosecond) {
               : sp.nic_latency + (ser + prop) * h + sp.switch_latency * (h - 1) + sp.nic_latency;
 
       std::optional<SimTime> probe;
-      rack.network->send_probe(0, kHops, size, [&](SimTime lat, int hops, bool ok) {
-        EXPECT_TRUE(ok);
-        EXPECT_EQ(hops, kHops);
-        probe = lat;
+      rack.network->send_probe(0, kHops, size, [&](const fabric::FlowResult& r) {
+        EXPECT_FALSE(r.failed);
+        EXPECT_EQ(r.hops, kHops);
+        probe = r.completion_time();
       });
       sim.run_until();
       ASSERT_TRUE(probe.has_value());

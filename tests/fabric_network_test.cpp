@@ -33,9 +33,9 @@ struct NetFixture : ::testing::Test {
   SimTime probe_latency(phy::NodeId src, phy::NodeId dst,
                         DataSize size = DataSize::bytes(1024)) {
     std::optional<SimTime> out;
-    rack.network->send_probe(src, dst, size, [&](SimTime lat, int, bool ok) {
-      ASSERT_TRUE(ok);
-      out = lat;
+    rack.network->send_probe(src, dst, size, [&](const FlowResult& r) {
+      ASSERT_FALSE(r.failed);
+      out = r.completion_time();
     });
     sim.run_until();
     EXPECT_TRUE(out.has_value());
@@ -74,7 +74,7 @@ TEST_F(NetFixture, CutThroughBeatsStoreAndForward) {
   std::optional<SimTime> sf_lat;
   rack_sf.network->send_probe(rack_sf.node_at(0, 0), rack_sf.node_at(3, 0),
                               DataSize::bytes(1024),
-                              [&](SimTime lat, int, bool) { sf_lat = lat; });
+                              [&](const FlowResult& r) { sf_lat = r.completion_time(); });
   sim2.run_until();
   const SimTime ct_lat = probe_latency(rack.node_at(0, 0), rack.node_at(3, 0));
   ASSERT_TRUE(sf_lat.has_value());
@@ -84,7 +84,7 @@ TEST_F(NetFixture, CutThroughBeatsStoreAndForward) {
 TEST_F(NetFixture, ProbeHopCountMatchesRoute) {
   std::optional<int> hops;
   rack.network->send_probe(rack.node_at(0, 0), rack.node_at(3, 3), DataSize::bytes(256),
-                           [&](SimTime, int h, bool) { hops = h; });
+                           [&](const FlowResult& r) { hops = r.hops; });
   sim.run_until();
   EXPECT_EQ(hops, 6);
 }
@@ -185,6 +185,64 @@ TEST_F(NetFixture, FrameLossCausesRetransmitsButFlowsComplete) {
   EXPECT_GT(rack.network->counters().get("net.frames_corrupted"), 0u);
 }
 
+TEST_F(NetFixture, ProbeIsAnUntrackedOnePacketFlow) {
+  const DataSize size = DataSize::bytes(512);
+  std::optional<FlowResult> probe;
+  rack.network->send_probe(rack.node_at(0, 0), rack.node_at(3, 2), size,
+                           [&](const FlowResult& r) { probe = r; });
+  sim.run_until();
+  ASSERT_TRUE(probe.has_value());
+  EXPECT_FALSE(probe->failed);
+  EXPECT_EQ(probe->packets, 1u);
+
+  // The probe moved net.probes and the packet counters only.
+  const auto& c = rack.network->counters();
+  EXPECT_EQ(c.get("net.probes"), 1u);
+  EXPECT_EQ(c.get("net.packets_delivered"), 1u);
+  EXPECT_EQ(c.get("net.flows_started"), 0u);
+  EXPECT_EQ(c.get("net.flows_completed"), 0u);
+  EXPECT_EQ(c.get("net.flows_failed"), 0u);
+  EXPECT_EQ(rack.network->flows_completed(), 0u);
+  EXPECT_EQ(rack.network->flows_failed(), 0u);
+  EXPECT_EQ(rack.network->flow_completion().count(), 0u);
+
+  // A one-packet flow of the same size on the idle rack takes the
+  // same path in the same time.
+  FlowSpec spec;
+  spec.id = 1;
+  spec.src = rack.node_at(0, 0);
+  spec.dst = rack.node_at(3, 2);
+  spec.size = size;
+  spec.packet_size = size;
+  std::optional<FlowResult> flow;
+  rack.network->start_flow(spec, [&](const FlowResult& r) { flow = r; });
+  sim.run_until();
+  ASSERT_TRUE(flow.has_value());
+  EXPECT_EQ(flow->completion_time(), probe->completion_time());
+  EXPECT_EQ(flow->hops, probe->hops);
+  EXPECT_EQ(flow->hops, 5);
+  EXPECT_EQ(c.get("net.probes"), 1u);
+  EXPECT_EQ(c.get("net.flows_completed"), 1u);
+  EXPECT_EQ(rack.network->flow_completion().count(), 1u);
+}
+
+TEST_F(NetFixture, ChainedProbesReuseTheFreedSlot) {
+  // Recycle-before-callback: a probe whose callback sends the next one
+  // hands that probe the slot it just freed.
+  int left = 100;
+  std::function<void(const FlowResult&)> next = [&](const FlowResult& r) {
+    ASSERT_FALSE(r.failed);
+    EXPECT_EQ(rack.network->free_flow_slots(), 1u);
+    if (--left > 0) rack.network->send_probe(0, 15, DataSize::bytes(256), next);
+  };
+  rack.network->send_probe(0, 15, DataSize::bytes(256), next);
+  sim.run_until();
+  EXPECT_EQ(left, 0);
+  EXPECT_EQ(rack.network->flow_slots(), 1u);
+  EXPECT_EQ(rack.network->free_flow_slots(), 1u);
+  EXPECT_EQ(rack.network->counters().get("net.probes"), 100u);
+}
+
 TEST_F(NetFixture, ProbeDropsWhenDestinationUnreachable) {
   for (LinkId id : rack.topology->links_at(rack.node_at(3, 3))) {
     rack.engine->submit(plp::ShutdownCommand{id});
@@ -192,7 +250,7 @@ TEST_F(NetFixture, ProbeDropsWhenDestinationUnreachable) {
   sim.run_until();
   std::optional<bool> delivered;
   rack.network->send_probe(rack.node_at(0, 0), rack.node_at(3, 3), DataSize::bytes(64),
-                           [&](SimTime, int, bool ok) { delivered = ok; });
+                           [&](const FlowResult& r) { delivered = !r.failed; });
   sim.run_until();
   ASSERT_TRUE(delivered.has_value());
   EXPECT_FALSE(*delivered);
@@ -264,7 +322,7 @@ TEST_F(NetFixture, RejectsBadFlowSpecs) {
 }
 
 TEST_F(NetFixture, RejectsEndpointsOutsideTheRackAndEmptyProbes) {
-  const auto never = [](SimTime, int, bool) { ADD_FAILURE() << "a rejected probe fired"; };
+  const auto never = [](const FlowResult&) { ADD_FAILURE() << "a rejected probe fired"; };
   EXPECT_THROW(rack.network->send_probe(0, 99, DataSize::bytes(64), never),
                std::invalid_argument);
   EXPECT_THROW(rack.network->send_probe(16, 0, DataSize::bytes(64), never),
@@ -335,7 +393,7 @@ TEST(NetworkConfigValidation, InvalidConfigsFailAtConstruction) {
   Rack rack = build_grid(&sim, p);
   std::optional<bool> delivered;
   rack.network->send_probe(0, 15, DataSize::bytes(64),
-                           [&](SimTime, int, bool ok) { delivered = ok; });
+                           [&](const FlowResult& r) { delivered = !r.failed; });
   sim.run_until();
   EXPECT_EQ(delivered, true);
 }
@@ -351,7 +409,7 @@ TEST_F(NetFixture, SwitchPowerGrowsWithTraffic) {
   rack.network->start_flow(spec, [&](const FlowResult&) { done = true; });
   // Sample power mid-flow.
   sim.run_until(100_us);
-  const double busy = rack.network->switch_power_watts(100_us);
+  const double busy = rack.network->switch_power_watts();
   sim.run_until();
   EXPECT_TRUE(done);
   EXPECT_GT(busy, idle);

@@ -75,8 +75,7 @@ TEST(Integration, TorusConversionPreservesLanePowerBudget) {
 
   // Same lanes up, plus only the bypass elements.
   const double power_after = rt.plant().total_power_watts();
-  const double bypass_w =
-      rt.plant().config().bypass_power_w * rt.plant().total_bypass_joints();
+  const double bypass_w = phy::kBypassPowerW * rt.plant().total_bypass_joints();
   EXPECT_NEAR(power_after, power_before + bypass_w, 1e-6);
   // Fewer logical links than a native torus would need ports for:
   // switching-port count drops (that is the power win of PLP #2).

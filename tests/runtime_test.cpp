@@ -164,8 +164,8 @@ TEST(FabricRuntime, StandaloneNetworkStillOwnsPrivateMetrics) {
   fabric::Rack rack = fabric::build_grid(&sim, p);
   std::optional<SimTime> latency;
   rack.network->send_probe(0, 1, DataSize::bytes(1024),
-                           [&](SimTime lat, int, bool ok) {
-                             if (ok) latency = lat;
+                           [&](const fabric::FlowResult& r) {
+                             if (!r.failed) latency = r.completion_time();
                            });
   sim.run_until();
   ASSERT_TRUE(latency.has_value());

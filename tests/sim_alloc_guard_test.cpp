@@ -13,6 +13,7 @@
 // the assertion covers only the bracketed drain.
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdlib>
 #include <new>
 
@@ -215,10 +216,28 @@ TEST(SimAllocGuardTest, DrainingFarFutureChainIsAllocationFree) {
   EXPECT_EQ(sim.executed(), (128u + 64u) * 201u);
 }
 
+// A fleet rack leg's shape: every probe's completion callback captures
+// only [this, idx] (small enough for std::function's inline buffer) and
+// sends the chain's next probe, which reuses the flow slot just freed.
+struct ProbeChains {
+  fabric::Network* net;
+  bool stop = false;
+  std::uint64_t delivered = 0;
+
+  void send(std::uint32_t idx) {
+    net->send_probe(idx, 15 - idx, phy::DataSize::bytes(1024),
+                    [this, idx](const fabric::FlowResult& r) {
+                      if (!r.failed) ++delivered;
+                      if (!stop) send(idx);
+                    });
+  }
+};
+
 // The rack hop path under the same bar: once a CRC-less rack is warm
 // (router tables built, port and link-use vectors sized, the
 // switched-bits ring grown to its retention window, every link's frame
-// memo keyed), forwarding the middle of a long flow allocates nothing.
+// memo keyed), forwarding the middle of a long flow allocates nothing,
+// and neither does steady-state probe churn.
 TEST(SimAllocGuardTest, RackHopPathIsAllocationFree) {
   runtime::RuntimeConfig cfg;
   cfg.rack.width = 4;
@@ -248,6 +267,27 @@ TEST(SimAllocGuardTest, RackHopPathIsAllocationFree) {
 
   rt.run_until();
   EXPECT_EQ(rt.network().flows_completed(), 1u);
+
+  // Fleet legs: eight probe chains, warmed for two retention windows.
+  ProbeChains chains{&rt.network()};
+  for (std::uint32_t idx = 0; idx < 8; ++idx) chains.send(idx);
+  const SimTime t0 = rt.sim().now();
+  rt.run_until(t0 + SimTime::milliseconds(2));
+  const std::uint64_t delivered_before = chains.delivered;
+  const std::size_t probe_allocs_before = g_allocations;
+  const std::size_t probe_deallocs_before = g_deallocations;
+  rt.run_until(t0 + SimTime::milliseconds(4));
+  const std::size_t probe_allocs = g_allocations - probe_allocs_before;
+  const std::size_t probe_deallocs = g_deallocations - probe_deallocs_before;
+  EXPECT_GT(chains.delivered, delivered_before + 1'000);
+  EXPECT_EQ(probe_allocs, 0u) << "probe churn touched the heap";
+  EXPECT_EQ(probe_deallocs, 0u) << "probe churn freed to the heap";
+
+  chains.stop = true;
+  rt.run_until();
+  EXPECT_EQ(rt.network().flow_slots(), 8u);
+  EXPECT_EQ(rt.network().free_flow_slots(), 8u);
+  EXPECT_EQ(rt.network().flows_completed(), 1u) << "probes stay out of the flow tallies";
 }
 
 }  // namespace
