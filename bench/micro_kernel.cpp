@@ -66,14 +66,15 @@ void BM_SimulatorFarFuture(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorFarFuture);
 
-// One continuation of the deep-queue workload: a 96-byte inline
-// capture (the size of a rack hop's) that reschedules itself at a
-// pseudo-random gap until the shared budget runs out.
+// One continuation of the deep-queue workload: a full-size inline
+// capture (kInlineEventBytes, the size of a rack hop's) that
+// reschedules itself at a pseudo-random gap until the shared budget
+// runs out.
 struct DeepQueueHop {
   sim::Simulator* sim;
   std::uint64_t* budget;
   std::uint64_t rng;
-  std::uint64_t pad[9];
+  std::uint64_t pad[(sim::kInlineEventBytes - 3 * sizeof(std::uint64_t)) / sizeof(std::uint64_t)];
 
   void operator()() {
     if (*budget == 0) return;

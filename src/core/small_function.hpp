@@ -11,10 +11,16 @@
 //
 // The trade-offs against std::function are deliberate and enforced at
 // compile time: the target must itself be trivially copyable and
-// destructible and fit in Capacity bytes. Per-packet callbacks
-// (Interconnect delivery/loss continuations) capture a few words of
-// POD and meet the bar naturally; anything that doesn't belongs on a
-// cold path and should keep using std::function.
+// destructible, no more than pointer-aligned, and fit in Capacity
+// bytes. Per-packet callbacks (Interconnect delivery/loss
+// continuations) capture a few pointers and indices and meet the bar
+// naturally; anything that doesn't belongs on a cold path and should
+// keep using std::function.
+//
+// Layout: the trampoline pointer and a pointer-aligned buffer, so the
+// default 24-byte capacity makes the wrapper exactly 32 bytes — one
+// event's whole inline payload (sim::kInlineEventBytes). The wrapper
+// can then be scheduled as the event itself.
 #pragma once
 
 #include <cstddef>
@@ -24,7 +30,7 @@
 
 namespace rsf::core {
 
-template <typename Signature, std::size_t Capacity = 32>
+template <typename Signature, std::size_t Capacity = 24>
 class SmallFunction;
 
 template <typename R, typename... Args, std::size_t Capacity>
@@ -44,7 +50,8 @@ class SmallFunction<R(Args...), Capacity> {
                   "for owning captures");
     static_assert(sizeof(Fn) <= Capacity,
                   "SmallFunction: capture exceeds the inline capacity");
-    static_assert(alignof(Fn) <= alignof(std::max_align_t));
+    static_assert(alignof(Fn) <= alignof(void*),
+                  "SmallFunction: the buffer is pointer-aligned");
     ::new (static_cast<void*>(buffer_)) Fn(std::forward<F>(f));
     invoke_ = [](void* buffer, Args... args) -> R {
       return (*std::launder(reinterpret_cast<Fn*>(buffer)))(
@@ -60,7 +67,7 @@ class SmallFunction<R(Args...), Capacity> {
 
  private:
   R (*invoke_)(void*, Args...) = nullptr;
-  alignas(std::max_align_t) std::byte buffer_[Capacity] = {};
+  alignas(void*) std::byte buffer_[Capacity] = {};
 };
 
 }  // namespace rsf::core

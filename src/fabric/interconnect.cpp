@@ -574,11 +574,18 @@ bool Interconnect::send_packet(SpineLinkId id, std::uint32_t from_rack, phy::Dat
     ++ml.dir[d].drops;
     ++drops_slot_;
   }
-  if (cb) {
-    const auto complete = [cb = std::move(cb), arrival, lost] { cb(arrival, !lost); };
-    static_assert(sim::is_inline_event_v<decltype(complete)>,
-                  "the spine packet completion must stay on the inline event arm");
-    sim_->schedule_at(arrival, complete);
+  // The outcome picks the closure, so neither carries a flag and both
+  // fit the inline payload.
+  if (cb && lost) {
+    const auto lost_packet = [cb] { cb(false); };
+    static_assert(sim::is_inline_event_v<decltype(lost_packet)>,
+                  "the spine loss completion must stay on the inline event arm");
+    sim_->schedule_at(arrival, lost_packet);
+  } else if (cb) {
+    const auto delivered = [cb] { cb(true); };
+    static_assert(sim::is_inline_event_v<decltype(delivered)>,
+                  "the spine delivery completion must stay on the inline event arm");
+    sim_->schedule_at(arrival, delivered);
   }
   return true;
 }
@@ -593,9 +600,9 @@ bool Interconnect::transfer(SpineLinkId id, std::uint32_t from_rack, phy::DataSi
   }
   const SimTime arrival = occupy(links_[id], d, size);
   counters_.add("spine.transfers");
-  if (cb) {
-    sim_->schedule_at(arrival, [cb = std::move(cb), arrival] { cb(arrival); });
-  }
+  static_assert(sim::is_inline_event_v<DeliveryCallback>,
+                "the spine transfer completion must stay on the inline event arm");
+  if (cb) sim_->schedule_at(arrival, cb);
   return true;
 }
 

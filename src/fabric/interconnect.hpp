@@ -135,16 +135,16 @@ struct SpineLinkParams {
 
 class Interconnect {
  public:
-  /// cb(arrival): the transfer's last bit reaches the far gateway.
-  /// SmallFunction (not std::function) keeps the scheduled completion
-  /// continuation trivially copyable, so it rides the Simulator's
-  /// inline event arm — per-packet spine sends never allocate.
-  using DeliveryCallback = core::SmallFunction<void(rsf::sim::SimTime arrival)>;
-  /// cb(arrival, delivered): the packet's last bit reaches the far
-  /// gateway (delivered == false when the hop lost it — the sender
-  /// owns retransmission).
-  using PacketCallback =
-      core::SmallFunction<void(rsf::sim::SimTime arrival, bool delivered)>;
+  /// cb(): the transfer's last bit reaches the far gateway, at the
+  /// simulator's now(). SmallFunction (not std::function) keeps the
+  /// scheduled completion trivially copyable and 32 bytes, so it rides
+  /// the Simulator's inline event arm — per-packet spine sends never
+  /// allocate.
+  using DeliveryCallback = core::SmallFunction<void()>;
+  /// cb(delivered): the packet's last bit reaches the far gateway, at
+  /// now() (delivered == false when the hop lost it — the sender owns
+  /// retransmission).
+  using PacketCallback = core::SmallFunction<void(bool delivered)>;
 
   /// Metrics go to `registry` under "spine.*" (never null; the
   /// FleetRuntime hands the fleet registry in). `seed` feeds the loss

@@ -96,7 +96,8 @@ void Network::pump_flow(std::uint32_t flow_idx) {
         flow.next_seq >= flow.packets_total) {
       return;
     }
-    Packet pkt;
+    const std::uint32_t pkt_idx = packets_.claim().index;
+    Packet& pkt = packets_[pkt_idx];
     pkt.flow_idx = flow_idx;
     pkt.flow_gen = flows_.generation(flow_idx);
     pkt.src = flow.spec.src;
@@ -104,7 +105,7 @@ void Network::pump_flow(std::uint32_t flow_idx) {
     pkt.size = flow.spec.size.packet_at(static_cast<std::int64_t>(flow.next_seq++),
                                         flow.spec.packet_size);
     ++flow.inflight;
-    inject(pkt, sim_->now());
+    inject(pkt_idx, sim_->now());
   }
 }
 
@@ -126,38 +127,74 @@ void Network::send_probe(phy::NodeId src, phy::NodeId dst, phy::DataSize size, F
   pump_flow(idx);
 }
 
-void Network::inject(Packet pkt, SimTime when) {
+void Network::inject(std::uint32_t pkt_idx, SimTime when) {
+  Packet& pkt = packets_[pkt_idx];
   pkt.injected = when;
   pkt.hops = 0;
   ++injected_slot_;
-  const SimTime ready = when + config_.switch_params.nic_latency;
   // The whole packet sits in host memory: head and tail both available.
-  sim_->schedule_at(ready, [this, pkt, ready] { hop(pkt, pkt.src, ready, ready); });
+  enter_at_source(pkt_idx, when + config_.switch_params.nic_latency);
 }
 
-void Network::record_switched_bits(const Packet& pkt) {
+void Network::enter_at_source(std::uint32_t pkt_idx, SimTime ready) {
+  const auto first_hop = [this, pkt_idx, src = packets_[pkt_idx].src, ready] {
+    hop(pkt_idx, src, ready, ready);
+  };
+  static_assert(sim::is_inline_event_v<decltype(first_hop)>,
+                "the per-packet inject must stay on the inline event arm");
+  sim_->schedule_at(ready, first_hop);
+}
+
+Packet Network::release_packet(std::uint32_t pkt_idx) {
+  const Packet pkt = packets_[pkt_idx];
+  packets_.recycle(pkt_idx);
+  return pkt;
+}
+
+void Network::record_switched_bits(std::uint64_t bits) {
   // Dynamic switching energy is charged at the sending node's element
-  // (the source NIC for hop 0).
-  switched_bits_total_ += static_cast<std::uint64_t>(pkt.size.bit_count());
-  switched_bits_log_.push_back({sim_->now(), switched_bits_total_});
-  // Age out entries older than the retention window so the log stays
-  // bounded however long the run is.
+  // (the source NIC for hop 0). Prune first: what remains lies within
+  // kPowerWindow of now, so the gap to the newest entry fits 32 bits.
+  const SimTime now = sim_->now();
+  prune_switched_bits();
+  if (switched_bits_log_.empty()) {
+    switched_bits_front_ = now;
+    switched_bits_back_ = now;
+  }
+  auto dt = static_cast<std::uint32_t>((now - switched_bits_back_).ps());
+  switched_bits_back_ = now;
+  switched_bits_window_ += bits;
+  constexpr std::uint64_t kMaxEntryBits = 0xFFFFFFFFu;
+  for (; bits > kMaxEntryBits; bits -= kMaxEntryBits, dt = 0) {
+    switched_bits_log_.push_back({dt, static_cast<std::uint32_t>(kMaxEntryBits)});
+  }
+  switched_bits_log_.push_back({dt, static_cast<std::uint32_t>(bits)});
+}
+
+void Network::prune_switched_bits() const {
   const SimTime cutoff = sim_->now() - kPowerWindow;
-  while (!switched_bits_log_.empty() && switched_bits_log_.front().t < cutoff) {
-    switched_bits_pruned_ = switched_bits_log_.front().bits;
+  while (!switched_bits_log_.empty() && switched_bits_front_ < cutoff) {
+    switched_bits_window_ -= switched_bits_log_.front().bits;
     switched_bits_log_.pop_front();
+    if (!switched_bits_log_.empty()) {
+      switched_bits_front_ += SimTime::picoseconds(switched_bits_log_.front().dt_ps);
+    }
   }
 }
 
-void Network::hop(Packet pkt, phy::NodeId node, SimTime head_ready, SimTime tail_ready) {
+void Network::hop(std::uint32_t pkt_idx, phy::NodeId node, SimTime head_ready,
+                  SimTime tail_ready) {
+  // Valid through this hop: nothing here claims a packet slot, and
+  // every path that releases one returns at once.
+  Packet& pkt = packets_[pkt_idx];
   if (node == pkt.dst) {
-    deliver(pkt, tail_ready + config_.switch_params.nic_latency);
+    deliver(pkt_idx, tail_ready + config_.switch_params.nic_latency);
     return;
   }
   if (pkt.hops >= config_.max_hops) {
     // Routing-loop backstop: retransmit from the source rather than
     // orbit (stale tables self-correct within a version bump).
-    retransmit(pkt);
+    retransmit(pkt_idx);
     return;
   }
   // A flow that owns a reserved circuit from here toward its
@@ -185,12 +222,15 @@ void Network::hop(Packet pkt, phy::NodeId node, SimTime head_ready, SimTime tail
       const SimTime wait = config_.retry_delay * (std::int64_t{1} << shift);
       ++pkt.retries;
       counters_.add("net.reroute_waits");
-      sim_->schedule_after(wait, [this, pkt, node] {
+      const auto retry_here = [this, pkt_idx, node] {
         const SimTime t = sim_->now();
-        hop(pkt, node, t, t);
-      });
+        hop(pkt_idx, node, t, t);
+      };
+      static_assert(sim::is_inline_event_v<decltype(retry_here)>,
+                    "the no-route retry must stay on the inline event arm");
+      sim_->schedule_after(wait, retry_here);
     } else {
-      drop(pkt, "no_route");
+      drop(pkt_idx, "no_route");
     }
     return;
   }
@@ -220,7 +260,7 @@ void Network::hop(Packet pkt, phy::NodeId node, SimTime head_ready, SimTime tail
   // telemetry (corrected codewords) for the BER estimator.
   plant_->account_frame(link, pkt.size, rng_);
 
-  record_switched_bits(pkt);
+  record_switched_bits(static_cast<std::uint64_t>(pkt.size.bit_count()));
 
   // Loss is decided per-link from the analytic FEC model.
   const double loss_p = l.frame_loss_prob(pkt.size);
@@ -232,7 +272,10 @@ void Network::hop(Packet pkt, phy::NodeId node, SimTime head_ready, SimTime tail
 
   if (lost) {
     counters_.add("net.frames_corrupted");
-    sim_->schedule_at(tail_arrival, [this, pkt] { retransmit(pkt); });
+    const auto lost_frame = [this, pkt_idx] { retransmit(pkt_idx); };
+    static_assert(sim::is_inline_event_v<decltype(lost_frame)>,
+                  "the FEC-loss retransmit must stay on the inline event arm");
+    sim_->schedule_at(tail_arrival, lost_frame);
     return;
   }
   // Cut-through forwards once the head has cleared the switch
@@ -241,8 +284,8 @@ void Network::hop(Packet pkt, phy::NodeId node, SimTime head_ready, SimTime tail
   const SimTime next_head_ready = basis + config_.switch_params.switch_latency;
   // One event per hop, fired when the packet becomes actionable at the
   // next element.
-  const auto continue_hop = [this, pkt, next, next_head_ready, tail_arrival] {
-    hop(pkt, next, next_head_ready, tail_arrival);
+  const auto continue_hop = [this, pkt_idx, next, next_head_ready, tail_arrival] {
+    hop(pkt_idx, next, next_head_ready, tail_arrival);
   };
   static_assert(sim::is_inline_event_v<decltype(continue_hop)>,
                 "the per-hop continuation sizes kInlineEventBytes; growing it off "
@@ -250,24 +293,26 @@ void Network::hop(Packet pkt, phy::NodeId node, SimTime head_ready, SimTime tail
   sim_->schedule_at(basis, continue_hop);
 }
 
-void Network::deliver(const Packet& pkt, SimTime when) {
-  const auto finalize = [this, pkt, when] {
-    packet_latency_.record(when - pkt.injected);
-    hop_counts_.record(static_cast<double>(pkt.hops));
-    ++delivered_slot_;
-    if (FlowState* flow = live_flow(pkt)) {
-      flow->hops = pkt.hops;
-      flow_packet_delivered(pkt.flow_idx);
-    }
-  };
+void Network::deliver(std::uint32_t pkt_idx, SimTime when) {
   if (when > sim_->now()) {
+    const auto finalize = [this, pkt_idx, when] { deliver(pkt_idx, when); };
+    static_assert(sim::is_inline_event_v<decltype(finalize)>,
+                  "the per-packet delivery must stay on the inline event arm");
     sim_->schedule_at(when, finalize);
-  } else {
-    finalize();
+    return;
+  }
+  const Packet pkt = release_packet(pkt_idx);
+  packet_latency_.record(when - pkt.injected);
+  hop_counts_.record(static_cast<double>(pkt.hops));
+  ++delivered_slot_;
+  if (FlowState* flow = live_flow(pkt)) {
+    flow->hops = pkt.hops;
+    flow_packet_delivered(pkt.flow_idx);
   }
 }
 
-void Network::drop(const Packet& pkt, const char* reason) {
+void Network::drop(std::uint32_t pkt_idx, const char* reason) {
+  const Packet pkt = release_packet(pkt_idx);
   counters_.add(std::string("net.drops.") + reason);
   log_.debug("drop packet ", pkt.src, "->", pkt.dst, " (", reason, ")");
   if (FlowState* flow = live_flow(pkt)) {
@@ -278,9 +323,10 @@ void Network::drop(const Packet& pkt, const char* reason) {
   }
 }
 
-void Network::retransmit(Packet pkt) {
+void Network::retransmit(std::uint32_t pkt_idx) {
+  Packet& pkt = packets_[pkt_idx];
   if (pkt.retries >= config_.max_retries) {
-    drop(pkt, "retries_exhausted");
+    drop(pkt_idx, "retries_exhausted");
     return;
   }
   FlowState* flow = live_flow(pkt);
@@ -288,18 +334,21 @@ void Network::retransmit(Packet pkt) {
     // The flow already failed (another packet exhausted its budget):
     // don't keep retransmitting into a dead flow — account the packet
     // out of flight so the slot can recycle.
+    const std::uint32_t flow_idx = release_packet(pkt_idx).flow_idx;
     --flow->inflight;
-    maybe_recycle_flow(pkt.flow_idx);
+    maybe_recycle_flow(flow_idx);
     return;
   }
   ++pkt.retries;
+  pkt.hops = 0;
   counters_.add("net.retransmits");
   if (flow != nullptr) ++flow->retransmits;
-  sim_->schedule_after(config_.retry_delay, [this, pkt]() mutable {
-    pkt.hops = 0;
-    const SimTime ready = sim_->now() + config_.switch_params.nic_latency;
-    sim_->schedule_at(ready, [this, pkt, ready] { hop(pkt, pkt.src, ready, ready); });
-  });
+  const auto resend = [this, pkt_idx] {
+    enter_at_source(pkt_idx, sim_->now() + config_.switch_params.nic_latency);
+  };
+  static_assert(sim::is_inline_event_v<decltype(resend)>,
+                "the per-packet retransmit must stay on the inline event arm");
+  sim_->schedule_after(config_.retry_delay, resend);
 }
 
 void Network::flow_packet_delivered(std::uint32_t flow_idx) {
@@ -408,28 +457,10 @@ double Network::switch_power_watts() const {
   // against the topology version; see switching_port_count).
   const double static_w =
       config_.switch_params.port_static_w * static_cast<double>(switching_port_count());
-  // Dynamic: bits switched in the trailing kPowerWindow, which is
-  // exactly what the log retains.
-  const SimTime now = sim_->now();
-  const SimTime from = now >= kPowerWindow ? now - kPowerWindow : SimTime::zero();
-  // Baseline: cumulative bits at the last entry before the window
-  // starts. If every retained entry is inside the window the baseline
-  // is whatever was pruned off the front.
-  // Entries are appended in clock order, so those before the window
-  // form a prefix of the log: binary-search its end.
-  std::size_t lo = 0;
-  std::size_t hi = switched_bits_log_.size();
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (switched_bits_log_[mid].t < from) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  const std::uint64_t bits_before =
-      lo == 0 ? switched_bits_pruned_ : switched_bits_log_[lo - 1].bits;
-  const double bits_in_window = static_cast<double>(switched_bits_total_ - bits_before);
+  // Dynamic: bits switched in the trailing kPowerWindow — the running
+  // sum over the log once entries older than the window are pruned.
+  prune_switched_bits();
+  const auto bits_in_window = static_cast<double>(switched_bits_window_);
   const double dynamic_w =
       bits_in_window * config_.switch_params.pj_per_bit * 1e-12 / kPowerWindow.sec();
   return static_w + dynamic_w;

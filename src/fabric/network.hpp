@@ -14,6 +14,12 @@
 // provides without simulating per-hop credits. Frames lost to
 // uncorrectable FEC errors (sampled per hop from the link's analytic
 // loss probability) are retransmitted from the source.
+//
+// In-flight packets live in a packet pool; every per-packet event
+// (hop, inject, retransmit, no-route retry, deliver) captures the
+// packet's slot index, not the packet, so it fits the 32-byte inline
+// event payload. A packet slot has exactly one pending event at a
+// time, and is released before any flow callback runs.
 #pragma once
 
 #include <functional>
@@ -129,6 +135,10 @@ class Network {
   /// recycle through a SlotPool.
   [[nodiscard]] std::size_t flow_slots() const { return flows_.size(); }
   [[nodiscard]] std::size_t free_flow_slots() const { return flows_.free_count(); }
+  /// Packet-pool observability, the same pair for in-flight packets:
+  /// slots() is the peak number of packets in flight at once.
+  [[nodiscard]] std::size_t packet_slots() const { return packets_.size(); }
+  [[nodiscard]] std::size_t free_packet_slots() const { return packets_.free_count(); }
 
   /// Physical switching ports currently in use (one per cable end that
   /// terminates in switching logic). Cached against the topology
@@ -176,14 +186,19 @@ class Network {
 
   void check_endpoints(phy::NodeId src, phy::NodeId dst, const char* who) const;
   void pump_flow(std::uint32_t flow_idx);
-  void inject(Packet pkt, rsf::sim::SimTime when);
-  /// Head of `pkt` is available at `node` at head_ready (switch/NIC
+  /// Packet-event entry points take the packet's slot in packets_.
+  void inject(std::uint32_t pkt_idx, rsf::sim::SimTime when);
+  /// Schedules the packet's first hop out of its source at `ready`.
+  void enter_at_source(std::uint32_t pkt_idx, rsf::sim::SimTime ready);
+  /// Head of the packet is available at `node` at head_ready (switch/NIC
   /// latency already applied); tail fully arrived at tail_ready.
-  void hop(Packet pkt, phy::NodeId node, rsf::sim::SimTime head_ready,
+  void hop(std::uint32_t pkt_idx, phy::NodeId node, rsf::sim::SimTime head_ready,
            rsf::sim::SimTime tail_ready);
-  void deliver(const Packet& pkt, rsf::sim::SimTime when);
-  void drop(const Packet& pkt, const char* reason);
-  void retransmit(Packet pkt);
+  void deliver(std::uint32_t pkt_idx, rsf::sim::SimTime when);
+  void drop(std::uint32_t pkt_idx, const char* reason);
+  void retransmit(std::uint32_t pkt_idx);
+  /// Frees the packet's slot and returns the packet it held.
+  Packet release_packet(std::uint32_t pkt_idx);
   void flow_packet_delivered(std::uint32_t flow_idx);
   void finish_flow(std::uint32_t flow_idx, bool failed);
   /// Release the slot to the free list once the flow is done and its
@@ -195,7 +210,9 @@ class Network {
   [[nodiscard]] FlowState* live_flow(const Packet& pkt) {
     return flows_.get_live(pkt.flow_idx, pkt.flow_gen);
   }
-  void record_switched_bits(const Packet& pkt);
+  void record_switched_bits(std::uint64_t bits);
+  /// Drops log entries older than kPowerWindow before now.
+  void prune_switched_bits() const;
 
   /// A port is one cable end in switching use: every link has exactly
   /// two, so (link, side) indexes a dense pool with no hashing.
@@ -230,23 +247,27 @@ class Network {
   core::SlotPool<FlowState, std::uint32_t, FlowDrained> flows_;
   // rsf-lint: order-insensitive(cold point lookups at start_flow/recycle; never iterated)
   std::unordered_map<FlowId, std::uint32_t> flow_index_;
+  // Packets in flight, each named by its slot index in every event
+  // that carries it.
+  core::SlotPool<Packet> packets_;
   std::uint64_t flows_completed_ = 0;
   std::uint64_t flows_failed_ = 0;
 
-  // Sliding window accounting for dynamic switch power: (time,
-  // cumulative switched bits) per hop, oldest first. The log keeps
-  // only the trailing kPowerWindow: entries age out on append, so the
-  // log stays bounded over arbitrarily long runs, and once it spans
-  // the window appending reuses slots instead of allocating.
+  // Sliding window accounting for dynamic switch power: one 8-byte
+  // entry per hop, {ps since the previous entry, bits switched},
+  // oldest first, plus the running sum over the log. Entries older than
+  // kPowerWindow are pruned on every push and query, so the sum is
+  // exactly the bits switched in the trailing window. After a prune the
+  // log spans at most kPowerWindow (< 2^32 ps), so a gap always fits
+  // 32 bits; a frame over 2^32 bits splits into entries at one time.
   struct SwitchedBits {
-    rsf::sim::SimTime t;
-    std::uint64_t bits = 0;
+    std::uint32_t dt_ps;
+    std::uint32_t bits;
   };
-  std::uint64_t switched_bits_total_ = 0;
-  core::ChunkedRing<SwitchedBits> switched_bits_log_;
-  /// Cumulative bits at the newest pruned entry: the baseline for a
-  /// query whose window spans the whole retained log.
-  std::uint64_t switched_bits_pruned_ = 0;
+  mutable core::ChunkedRing<SwitchedBits> switched_bits_log_;
+  mutable std::uint64_t switched_bits_window_ = 0;  // sum over the log
+  mutable rsf::sim::SimTime switched_bits_front_ = rsf::sim::SimTime::zero();  // oldest entry
+  rsf::sim::SimTime switched_bits_back_ = rsf::sim::SimTime::zero();  // newest entry
 
   // Static switching-end count, cached against the topology version
   // (0 = never computed; real versions start at 1). Lane-state and

@@ -12,12 +12,13 @@ namespace rsf::fabric {
 using FlowId = std::uint64_t;
 inline constexpr FlowId kNoFlow = 0;
 
-/// A packet in flight. Packets are passed by value through hop events;
-/// there is no central packet table. Every packet belongs to a flow
-/// slot (a probe is a one-packet flow), named by the dense index and
-/// claim generation resolved once at injection, so the per-hop path
-/// never hashes the 64-bit flow id and a stale packet can never touch
-/// a recycled slot's next occupant.
+/// A packet in flight. Network keeps every in-flight packet in one
+/// slot pool, and each hop event carries the packet's slot index, not
+/// the packet. Every packet belongs to a flow slot (a probe is a
+/// one-packet flow), named by the dense index and claim generation
+/// resolved once at injection, so the per-hop path never hashes the
+/// 64-bit flow id and a stale packet can never touch a recycled slot's
+/// next occupant.
 struct Packet {
   phy::NodeId src = phy::kInvalidNode;
   phy::NodeId dst = phy::kInvalidNode;
@@ -28,7 +29,7 @@ struct Packet {
   std::uint32_t flow_idx = 0;
   std::uint32_t flow_gen = 0;
 };
-static_assert(sizeof(Packet) == 40, "Packet rides by value in every per-hop event capture");
+static_assert(sizeof(Packet) == 40, "one packet-pool slot per packet in flight");
 
 /// A flow request: `size` bytes from src to dst, injected as
 /// `packet_size` packets starting at `start`. Network::send_probe

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cmath>
+#include <initializer_list>
 #include <stdexcept>
 #include <vector>
 
@@ -28,12 +29,19 @@ class Cable {
       : id_(id), end_a_(end_a), end_b_(end_b), length_m_(length_m), medium_(medium) {
     if (end_a == end_b) throw std::invalid_argument("Cable: self-loop");
     if (lane_count <= 0) throw std::invalid_argument("Cable: need >= 1 lane");
-    if (length_m <= 0) throw std::invalid_argument("Cable: non-positive length");
+    if (!(std::isfinite(length_m) && length_m > 0)) {
+      throw std::invalid_argument("Cable: length must be positive and finite");
+    }
     const double bps = lane_rate.bits_per_second();
     if (!(std::isfinite(bps) && bps > 0)) {
       throw std::invalid_argument("Cable: lane rate must be positive and finite");
     }
     if (!is_valid_ber(initial_ber)) throw std::invalid_argument("Cable: BER outside [0, 0.5]");
+    for (const double w : {lane_power.active_w, lane_power.training_w, lane_power.off_w}) {
+      if (!(std::isfinite(w) && w >= 0)) {
+        throw std::invalid_argument("Cable: lane power must be finite and >= 0");
+      }
+    }
     lanes_.reserve(static_cast<std::size_t>(lane_count));
     for (int i = 0; i < lane_count; ++i) {
       lanes_.emplace_back(lane_rate, lane_power, initial_ber);

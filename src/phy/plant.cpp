@@ -32,6 +32,23 @@ class LaneShare {
   int pos_ = 0;
 };
 
+/// Rejects a FecSpec no link may carry: an overhead outside [0, 1)
+/// (NaN included), a negative latency, or a coded spec (n > 0) whose
+/// code parameters are not a real code.
+void check_fec(const FecSpec& fec, const char* who) {
+  if (!(fec.overhead >= 0.0 && fec.overhead < 1.0)) {
+    throw std::invalid_argument(std::string(who) + ": FEC overhead outside [0, 1)");
+  }
+  if (fec.latency < rsf::sim::SimTime::zero()) {
+    throw std::invalid_argument(std::string(who) + ": negative FEC latency");
+  }
+  if (fec.n < 0 || (fec.n > 0 && (fec.symbol_bits <= 0 || fec.k <= 0 || fec.k > fec.n ||
+                                  fec.t < 0))) {
+    throw std::invalid_argument(std::string(who) +
+                                ": FEC code needs symbol_bits > 0, 0 < k <= n, t >= 0");
+  }
+}
+
 }  // namespace
 
 CableId PhysicalPlant::add_cable(NodeId a, NodeId b, double length_m, Medium medium,
@@ -119,6 +136,7 @@ LinkId PhysicalPlant::install_link(NodeId end_a, NodeId end_b,
   // Internal callers (split/bundle/join/sever) construct segments from
   // already-valid links, but re-validating is cheap defence in depth.
   check_segments(end_a, end_b, segments);
+  check_fec(fec, "link");
   const LinkId id = next_link_id_++;
   claim_lanes(segments, id);
   if (links_.size() <= id) links_.resize(id + 1);
@@ -321,6 +339,7 @@ void PhysicalPlant::lane_power_off(LinkId id) {
 }
 
 void PhysicalPlant::set_fec(LinkId id, FecSpec fec) {
+  check_fec(fec, "set_fec");
   LogicalLink& l = mutable_link(id);
   l.fec_ = fec;
   l.invalidate_fec_caches();

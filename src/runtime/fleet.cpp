@@ -356,7 +356,7 @@ void FleetRuntime::packet_spine_hop(std::uint32_t pkt_idx) {
   FleetPacket& pkt = packets_[pkt_idx];
   const fabric::SpineLinkId hop = (*pkt.path)[pkt.next_hop];
   const std::uint32_t from_rack = pkt.at.rack;
-  const auto on_hop = [this, pkt_idx](SimTime, bool delivered) {
+  const auto on_hop = [this, pkt_idx](bool delivered) {
     // rsf-lint: unguarded-slot-ok(each packet slot has exactly one in-flight event; release happens only inside it)
     FleetPacket& p = packets_[pkt_idx];
     const FleetFlowState* f = live_flow(p);
@@ -454,7 +454,7 @@ void FleetRuntime::advance(std::uint32_t flow_idx) {
     const std::uint32_t from_rack = f.at.rack;
     const std::uint64_t gen = flows_.generation(flow_idx);
     const bool ok =
-        spine_->transfer(hop, from_rack, f.spec.size, [this, flow_idx, gen](SimTime) {
+        spine_->transfer(hop, from_rack, f.spec.size, [this, flow_idx, gen] {
           if (!flows_.is_live(flow_idx, gen)) return;  // slot recycled since
           advance(flow_idx);
         });

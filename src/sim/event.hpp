@@ -7,9 +7,10 @@
 //    destructible, and at most kInlineEventBytes big is placement-new'd
 //    straight into the record's payload, with a monomorphized
 //    trampoline as the invoke pointer. This covers every per-packet
-//    continuation on the hot paths (rack-fabric hops, spine hops, FIFO
-//    releases, probe/flow pumps) — scheduling one is a memcpy into a
-//    bucket, not a heap allocation.
+//    continuation on the hot paths (rack-fabric hops, which capture a
+//    packet-pool index rather than the packet; spine completions, which
+//    are 32-byte core::SmallFunctions; fleet retries and pumps) —
+//    scheduling one is a memcpy into a bucket, not a heap allocation.
 //  - **Cold arm.** Anything else (move-captured vectors, stored
 //    std::functions, oversized captures) is wrapped in an EventHandler
 //    parked in the Simulator's small handler pool; the record's payload
@@ -48,12 +49,13 @@ using EventHandler = std::function<void()>;
 
 /// Inline payload budget. Sized for the largest per-packet
 /// continuation on the hot paths — Network::hop's
-/// [this, Packet, NodeId, SimTime, SimTime] capture (96 bytes) —
-/// which also lands the whole record on exactly two cache lines
-/// (static_assert below). A capture that outgrows the budget falls
-/// off the fast path onto the cold arm; the hot paths pin themselves
-/// with static_asserts at the call site.
-inline constexpr std::size_t kInlineEventBytes = 96;
+/// [this, packet index, NodeId, SimTime, SimTime] capture (32 bytes;
+/// the packet itself waits in Network's packet pool) — which lands the
+/// whole record on exactly one cache line (static_assert below). A
+/// capture that outgrows the budget falls off the fast path onto the
+/// cold arm; the hot paths pin themselves with static_asserts at the
+/// call site.
+inline constexpr std::size_t kInlineEventBytes = 32;
 
 /// True when scheduling `F` takes the inline arm: invocable, trivially
 /// copyable and destructible (records move between buckets by memcpy,
@@ -74,7 +76,10 @@ inline constexpr bool is_inline_event_v =
 /// constructed in place inside the calendar slab and every field is
 /// written at schedule time — a trivial default constructor keeps slab
 /// growth a pure reallocation.
-struct EventRecord {
+/// Cache-line aligned: the slab hands out 64-byte aligned storage, so
+/// every touch of a pending record (schedule, promotion, sweep,
+/// extraction, drain) costs one line, never two.
+struct alignas(64) EventRecord {
   SimTime time;
   std::uint64_t seq;
   /// Liveness: `live` while pending. Cancel clears it, leaving a
@@ -91,8 +96,9 @@ struct EventRecord {
 };
 
 static_assert(std::is_trivially_copyable_v<EventRecord>);
-// Exactly two cache lines: slab addressing is a shift, and a record
-// never straddles a third line.
-static_assert(sizeof(EventRecord) == 128);
+// Exactly one cache line: slab addressing is a shift, and a record
+// never straddles two lines.
+static_assert(sizeof(EventRecord) == 64 && alignof(EventRecord) == 64);
+static_assert(kInlineEventBytes == 32);
 
 }  // namespace rsf::sim

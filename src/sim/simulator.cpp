@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <memory>
 #include <stdexcept>
 
 namespace rsf::sim {
@@ -10,6 +11,26 @@ Simulator::Simulator() {
   heads_.fill(kNilIndex);
   heads2_.fill(kNilIndex);
   batch_.reserve(16);
+}
+
+Simulator::~Simulator() { ::operator delete(record_block_); }
+
+void Simulator::grow_records() {
+  const std::uint32_t capacity = record_capacity_ == 0 ? 64 : record_capacity_ * 2;
+  const std::size_t bytes = std::size_t{capacity} * sizeof(EventRecord);
+  std::size_t space = bytes + alignof(EventRecord) - 1;
+  void* const block = ::operator new(space);
+  void* aligned = block;
+  std::align(alignof(EventRecord), bytes, aligned, space);
+  auto* records = static_cast<EventRecord*>(aligned);
+  // Records are trivially copyable: growth is a plain byte copy.
+  if (record_count_ != 0) {
+    std::memcpy(static_cast<void*>(records), records_, record_count_ * sizeof(EventRecord));
+  }
+  ::operator delete(record_block_);
+  record_block_ = block;
+  records_ = records;
+  record_capacity_ = capacity;
 }
 
 void Simulator::throw_empty_handler() {
@@ -41,7 +62,7 @@ void Simulator::link_beyond_ring(std::uint32_t index, SimTime when) {
 bool Simulator::cancel(EventId id) {
   // An invalid id wraps to an index past any slab.
   const std::uint64_t index = (id >> 32) - 1;
-  if (index >= records_.size()) return false;
+  if (index >= record_count_) return false;
   EventRecord& rec = records_[index];
   if (!rec.live || rec.generation != static_cast<std::uint32_t>(id)) return false;
   rec.live = false;
@@ -335,7 +356,7 @@ void Simulator::fast_forward_to(SimTime when) {
   batch_.clear();
   batch_cursor_ = 0;
   record_free_ = kNilIndex;
-  for (auto index = static_cast<std::uint32_t>(records_.size()); index-- > 0;) {
+  for (std::uint32_t index = record_count_; index-- > 0;) {
     free_record_index(index);
   }
   occupied_.fill(0);

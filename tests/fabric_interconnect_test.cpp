@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <limits>
 #include <optional>
+#include <type_traits>
 #include <vector>
 
 #include "sim/simulator.hpp"
@@ -159,17 +161,17 @@ TEST_F(SpineFixture, SendPacketSerializesFifoPerDirection) {
 
   const DataSize size = DataSize::bytes(1024);
   std::vector<SimTime> arrivals;
-  ASSERT_TRUE(spine.send_packet(id, 0, size, [&](SimTime t, bool ok) {
+  ASSERT_TRUE(spine.send_packet(id, 0, size, [&](bool ok) {
     EXPECT_TRUE(ok);
-    arrivals.push_back(t);
+    arrivals.push_back(sim.now());
   }));
-  ASSERT_TRUE(spine.send_packet(id, 0, size, [&](SimTime t, bool ok) {
+  ASSERT_TRUE(spine.send_packet(id, 0, size, [&](bool ok) {
     EXPECT_TRUE(ok);
-    arrivals.push_back(t);
+    arrivals.push_back(sim.now());
   }));
   // The reverse direction has its own FIFO: no queueing behind a->b.
   std::optional<SimTime> reverse;
-  ASSERT_TRUE(spine.send_packet(id, 1, size, [&](SimTime t, bool) { reverse = t; }));
+  ASSERT_TRUE(spine.send_packet(id, 1, size, [&](bool) { reverse = sim.now(); }));
   sim.run_until();
 
   const SimTime ser = phy::transmission_time(size, p.rate);
@@ -204,7 +206,7 @@ TEST_F(SpineFixture, PacketLossIsSampledAndCounted) {
   int lost = 0;
   for (int i = 0; i < 200; ++i) {
     spine.send_packet(id, 0, DataSize::bytes(256),
-                      [&](SimTime, bool ok) { (ok ? delivered : lost)++; });
+                      [&](bool ok) { (ok ? delivered : lost)++; });
   }
   sim.run_until();
   EXPECT_EQ(delivered + lost, 200);
@@ -214,6 +216,118 @@ TEST_F(SpineFixture, PacketLossIsSampledAndCounted) {
             static_cast<std::uint64_t>(lost));
   EXPECT_EQ(spine.link_drops(id, 0), static_cast<std::uint64_t>(lost));
   EXPECT_EQ(spine.counters().get("spine.packets"), 200u);
+}
+
+TEST_F(SpineFixture, CompletionsFireAtArrivalWithTheirOutcome) {
+  // Delivered and lost packets both complete at their arrival time,
+  // which is now() inside the callback; the flag says which. A clean,
+  // a blackhole and a half-lossy link cover both outcomes alone and
+  // interleaved on one FIFO.
+  const double losses[] = {0.0, 1.0, 0.5};
+  struct Completion {
+    SimTime at = SimTime::infinity();
+    bool delivered = false;
+    int calls = 0;
+  };
+  constexpr int kPackets = 64;
+  const DataSize size = DataSize::bytes(1000);
+  for (const double loss : losses) {
+    SpineLinkParams p;
+    p.a = {0, 0};
+    p.b = {1, 0};
+    p.rate = phy::DataRate::gbps(8);  // 1 us per packet
+    p.latency = 2_us;
+    p.loss_prob = loss;
+    const SpineLinkId id = spine.add_link(p);
+    const SimTime t0 = sim.now();
+    std::vector<Completion> done(kPackets);
+    for (int i = 0; i < kPackets; ++i) {
+      Completion* c = &done[static_cast<std::size_t>(i)];
+      ASSERT_TRUE(spine.send_packet(id, 0, size, [this, c](bool delivered) {
+        c->at = sim.now();
+        c->delivered = delivered;
+        ++c->calls;
+      }));
+    }
+    sim.run_until();
+    const SimTime ser = phy::transmission_time(size, p.rate);
+    int lost = 0;
+    for (int i = 0; i < kPackets; ++i) {
+      const Completion& c = done[static_cast<std::size_t>(i)];
+      EXPECT_EQ(c.calls, 1) << "packet " << i;
+      EXPECT_EQ(c.at, t0 + ser * std::int64_t{i + 1} + p.latency) << "packet " << i;
+      lost += c.delivered ? 0 : 1;
+    }
+    EXPECT_EQ(static_cast<std::uint64_t>(lost), spine.link_drops(id, 0)) << "loss " << loss;
+    if (loss == 0.0) {
+      EXPECT_EQ(lost, 0);
+    } else if (loss == 1.0) {
+      EXPECT_EQ(lost, kPackets);
+    } else {
+      EXPECT_GT(lost, 0);
+      EXPECT_LT(lost, kPackets);
+    }
+  }
+
+  // A bulk transfer's completion, too, fires at its arrival.
+  SpineLinkParams p;
+  p.a = {2, 0};
+  p.b = {3, 0};
+  p.rate = phy::DataRate::gbps(8);
+  p.latency = 3_us;
+  const SpineLinkId bulk = spine.add_link(p);
+  const SimTime t0 = sim.now();
+  std::optional<SimTime> arrived;
+  ASSERT_TRUE(spine.transfer(bulk, 2, DataSize::kilobytes(100),
+                             [this, &arrived] { arrived = sim.now(); }));
+  sim.run_until();
+  ASSERT_TRUE(arrived.has_value());
+  EXPECT_EQ(*arrived, t0 + phy::transmission_time(DataSize::kilobytes(100), p.rate) + p.latency);
+}
+
+// SmallFunction, the spine's callback type: exactly one event payload,
+// trivially copyable, so a completion is scheduled as the event itself.
+static_assert(sizeof(Interconnect::PacketCallback) == rsf::sim::kInlineEventBytes);
+static_assert(sizeof(Interconnect::DeliveryCallback) == rsf::sim::kInlineEventBytes);
+static_assert(alignof(Interconnect::PacketCallback) == alignof(void*));
+static_assert(std::is_trivially_copyable_v<Interconnect::PacketCallback>);
+static_assert(std::is_trivially_copyable_v<Interconnect::DeliveryCallback>);
+static_assert(rsf::sim::is_inline_event_v<Interconnect::DeliveryCallback>);
+
+TEST(SmallFunction, HoldsAFullCaptureAndCopiesByValue) {
+  std::uint64_t sum = 0;
+  std::uint32_t calls = 0;
+  // Three words: the whole 24-byte buffer.
+  struct Capture {
+    std::uint64_t* sum;
+    std::uint32_t* calls;
+    std::uint64_t add;
+    void operator()(bool twice) const {
+      *sum += twice ? 2 * add : add;
+      ++*calls;
+    }
+  };
+  static_assert(sizeof(Capture) == 24);
+  const core::SmallFunction<void(bool)> fn = Capture{&sum, &calls, 5};
+  ASSERT_TRUE(static_cast<bool>(fn));
+  fn(false);
+  const core::SmallFunction<void(bool)> copy = fn;  // a byte copy of target and trampoline
+  copy(true);
+  EXPECT_EQ(sum, 15u);
+  EXPECT_EQ(calls, 2u);
+
+  const core::SmallFunction<void()> empty;
+  const core::SmallFunction<void()> null = nullptr;
+  EXPECT_FALSE(static_cast<bool>(empty));
+  EXPECT_FALSE(static_cast<bool>(null));
+
+  // Scheduled as the event itself, it fires at its time.
+  Simulator sim;
+  std::optional<SimTime> fired;
+  const core::SmallFunction<void()> tick = [&sim, &fired] { fired = sim.now(); };
+  sim.schedule_at(7_ns, tick);
+  sim.run_until();
+  EXPECT_EQ(fired, 7_ns);
 }
 
 TEST_F(SpineFixture, DownLinkRefusesPacketsAndTransfers) {

@@ -607,5 +607,257 @@ TEST_F(NetFixture, DeferredStartOnRecycledSlotCarriesItsOwnGeneration) {
   EXPECT_EQ(rack.network->flows_completed(), 12u);
 }
 
+TEST_F(NetFixture, SwitchPowerMatchesBruteForceWindowSum) {
+  // The contract, whatever the log's layout: dynamic switch power is
+  // pj_per_bit x (bits switched at t >= now - kPowerWindow) over the
+  // window. A randomized trace of one-hop probes (each switches its
+  // bits exactly once, at send + nic_latency) and queries checks it
+  // against a brute-force sum over every recorded hop. The trace
+  // covers queries before 1 ms, several hops at one instant, idle gaps
+  // past the window and past 2^32 ps, probes over 2^32 bits, and
+  // queries exactly on the window edge and 1 ps past it.
+  for (std::size_t c = 0; c < rack.plant->cable_count(); ++c) {
+    rack.plant->set_cable_ber(static_cast<phy::CableId>(c), 0.0);  // no loss, no resend
+  }
+  const SwitchParams& sp = rack.network->config().switch_params;
+  const SimTime window = Network::kPowerWindow;
+  struct Hop {
+    SimTime t;
+    std::uint64_t bits;
+  };
+  std::vector<Hop> hops;
+  int queries = 0;
+  // Queries are all scheduled before the run, so at an instant shared
+  // with a hop the query fires first: only hops strictly before now
+  // have been recorded.
+  const auto query = [&] {
+    const SimTime now = sim.now();
+    std::uint64_t bits = 0;
+    for (const Hop& h : hops) {
+      if (h.t < now && h.t >= now - window) bits += h.bits;
+    }
+    const double expected =
+        sp.port_static_w * static_cast<double>(rack.network->switching_port_count()) +
+        static_cast<double>(bits) * sp.pj_per_bit * 1e-12 / window.sec();
+    EXPECT_DOUBLE_EQ(rack.network->switch_power_watts(), expected) << "at " << now.ps() << " ps";
+    ++queries;
+  };
+  const std::pair<phy::NodeId, phy::NodeId> pairs[] = {{0, 1}, {1, 0}, {5, 6}, {10, 14}};
+  for (const auto& [a, b] : pairs) ASSERT_TRUE(rack.topology->link_between(a, b).has_value());
+
+  sim::RandomStream rng(7, "switch-power-oracle");
+  SimTime t = SimTime::microseconds(1);
+  // Before 1 ms the window reaches back past time zero.
+  for (const SimTime at : {SimTime::zero(), SimTime::microseconds(500),
+                           window - SimTime::picoseconds(1), window}) {
+    sim.schedule_at(at, query);
+  }
+  bool huge_sent = false;
+  for (int step = 0; step < 400; ++step) {
+    // The first steps stay short, so they (and the first huge probe)
+    // land before 1 ms.
+    const std::int64_t kind = rng.uniform_int(0, step < 4 ? 5 : 9);
+    std::int64_t gap_ps = 0;
+    if (kind <= 1) {
+      gap_ps = 0;  // several sends at one instant
+    } else if (kind <= 5) {
+      gap_ps = rng.uniform_int(1, 50'000'000);  // up to 50 us
+    } else if (kind <= 7) {
+      gap_ps = rng.uniform_int(900'000'000, 1'100'000'000);  // about one window
+    } else if (kind == 8) {
+      gap_ps = rng.uniform_int(1'000'000'001, 3'000'000'000);  // idle past the window
+    } else {
+      gap_ps = rng.uniform_int(std::int64_t{1} << 32, std::int64_t{3} << 32);  // past 2^32 ps
+    }
+    t = t + SimTime::picoseconds(gap_ps);
+    const int sends = static_cast<int>(rng.uniform_int(1, 3));
+    for (int i = 0; i < sends; ++i) {
+      const auto& [a, b] = pairs[rng.uniform_int(0, 3)];
+      // Two probes over 2^32 bits (600 MB = 4.8e9 bits): one before
+      // 1 ms and one mid-trace.
+      const bool huge = (step == 3 && i == 0) || (step == 200 && i == 0);
+      huge_sent = huge_sent || huge;
+      const DataSize size =
+          huge ? DataSize::bytes(600'000'000) : DataSize::bytes(rng.uniform_int(64, 9'000));
+      sim.schedule_at(t, [&, a = a, b = b, size] {
+        rack.network->send_probe(a, b, size, nullptr);
+        hops.push_back({sim.now() + sp.nic_latency, static_cast<std::uint64_t>(size.bit_count())});
+      });
+      // Queries prune the log too, so some hops go unqueried: a push
+      // after a long idle gap must then prune a stale log itself.
+      if (rng.bernoulli(0.5)) {
+        const SimTime recorded = t + sp.nic_latency;
+        sim.schedule_at(recorded + window, query);                           // on the edge
+        sim.schedule_at(recorded + window + SimTime::picoseconds(1), query);  // just past it
+      }
+    }
+    if (rng.bernoulli(0.5)) {
+      sim.schedule_at(t + SimTime::picoseconds(rng.uniform_int(0, 2'000'000'000)), query);
+    }
+  }
+  sim.run_until();
+  EXPECT_TRUE(huge_sent);
+  EXPECT_GT(queries, 500);
+  EXPECT_EQ(rack.network->counters().get("net.packets_delivered"), hops.size());
+}
+
+/// Runs `scenario` on a fresh rack built from `p`, then checks
+/// that every packet and flow slot came back.
+template <typename Scenario>
+void expect_pools_drain(RackParams p, Scenario scenario) {
+  Simulator sim;
+  Rack rack = build_grid(&sim, p);
+  scenario(sim, rack);
+  sim.run_until();
+  EXPECT_GT(rack.network->packet_slots(), 0u);
+  EXPECT_EQ(rack.network->free_packet_slots(), rack.network->packet_slots());
+  EXPECT_EQ(rack.network->free_flow_slots(), rack.network->flow_slots());
+}
+
+FlowSpec make_flow(FlowId id, phy::NodeId src, phy::NodeId dst, DataSize size) {
+  FlowSpec spec;
+  spec.id = id;
+  spec.src = src;
+  spec.dst = dst;
+  spec.size = size;
+  return spec;
+}
+
+void lossy_no_fec(Rack& rack, double ber) {
+  for (std::size_t c = 0; c < rack.plant->cable_count(); ++c) {
+    rack.plant->set_cable_ber(static_cast<phy::CableId>(c), ber);
+  }
+  for (LinkId id : rack.plant->link_ids()) {
+    rack.plant->set_fec(id, phy::FecSpec::of(phy::FecScheme::kNone));
+  }
+}
+
+TEST(NetworkPacketPool, DrainsToAllFreeOnEveryPath) {
+  const RackParams base;
+  {
+    SCOPED_TRACE("delivery");
+    expect_pools_drain(base, [](Simulator&, Rack& rack) {
+      rack.network->start_flow(make_flow(1, 0, 15, DataSize::kilobytes(256)));
+      rack.network->send_probe(3, 12, DataSize::bytes(512), nullptr);
+    });
+  }
+  {
+    SCOPED_TRACE("FEC-loss retransmit");
+    expect_pools_drain(base, [](Simulator& sim, Rack& rack) {
+      lossy_no_fec(rack, 1e-6);
+      std::optional<FlowResult> result;
+      rack.network->start_flow(make_flow(1, 0, 2, DataSize::kilobytes(512)),
+                               [&](const FlowResult& r) { result = r; });
+      sim.run_until();
+      ASSERT_TRUE(result.has_value());
+      EXPECT_FALSE(result->failed);
+      EXPECT_GT(rack.network->counters().get("net.frames_corrupted"), 0u);
+      EXPECT_GT(result->retransmits, 0u);
+    });
+  }
+  {
+    SCOPED_TRACE("no-route backoff");
+    RackParams p = base;
+    p.width = 2;
+    p.height = 1;
+    expect_pools_drain(p, [](Simulator& sim, Rack& rack) {
+      // The rack's only link retrains under a FEC change: packets wait
+      // it out with backoff, then all deliver.
+      std::optional<FlowResult> result;
+      rack.network->start_flow(make_flow(1, 0, 1, DataSize::megabytes(1)),
+                               [&](const FlowResult& r) { result = r; });
+      sim.schedule_at(SimTime::microseconds(10), [&rack] {
+        rack.engine->submit(
+            plp::SetFecCommand{*rack.topology->link_between(0, 1), phy::FecScheme::kRsKp4});
+      });
+      sim.run_until();
+      ASSERT_TRUE(result.has_value());
+      EXPECT_FALSE(result->failed);
+      EXPECT_GT(rack.network->counters().get("net.reroute_waits"), 0u);
+    });
+  }
+  {
+    SCOPED_TRACE("max_hops backstop, then retries exhausted");
+    RackParams p = base;
+    p.net_config.max_hops = 1;  // a two-hop route always trips the backstop
+    p.net_config.max_retries = 3;
+    expect_pools_drain(p, [](Simulator& sim, Rack& rack) {
+      std::optional<FlowResult> result;
+      rack.network->start_flow(make_flow(1, 0, 2, DataSize::kilobytes(8)),
+                               [&](const FlowResult& r) { result = r; });
+      sim.run_until();
+      ASSERT_TRUE(result.has_value());
+      EXPECT_TRUE(result->failed);
+      const auto& c = rack.network->counters();
+      EXPECT_EQ(c.get("net.frames_corrupted"), 0u);
+      EXPECT_GT(c.get("net.retransmits"), 0u);
+      EXPECT_GT(c.get("net.drops.retries_exhausted"), 0u);
+    });
+  }
+  {
+    SCOPED_TRACE("FEC-loss retries exhausted, stragglers of the failed flow");
+    RackParams p = base;
+    p.net_config.max_retries = 1;
+    expect_pools_drain(p, [](Simulator& sim, Rack& rack) {
+      lossy_no_fec(rack, 1e-5);
+      std::optional<FlowResult> result;
+      rack.network->start_flow(make_flow(1, 0, 15, DataSize::kilobytes(64)),
+                               [&](const FlowResult& r) { result = r; });
+      sim.run_until();
+      ASSERT_TRUE(result.has_value());
+      EXPECT_TRUE(result->failed);
+      // Packets still in flight when the flow failed drained after it.
+      const auto& c = rack.network->counters();
+      EXPECT_GT(c.get("net.packets_injected"),
+                c.get("net.packets_delivered") + c.get("net.drops.retries_exhausted"));
+    });
+  }
+  {
+    SCOPED_TRACE("no-route drops, stragglers of the failed flow");
+    expect_pools_drain(base, [](Simulator& sim, Rack& rack) {
+      for (LinkId id : rack.topology->links_at(5)) {
+        rack.plant->fail_lane({rack.plant->link(id).segments().front().cable, 0});
+        rack.plant->fail_lane({rack.plant->link(id).segments().front().cable, 1});
+      }
+      std::optional<FlowResult> result;
+      rack.network->start_flow(make_flow(1, 0, 5, DataSize::kilobytes(8)),
+                               [&](const FlowResult& r) { result = r; });
+      sim.run_until();
+      ASSERT_TRUE(result.has_value());
+      EXPECT_TRUE(result->failed);
+      // All eight packets were in flight when the first one dropped.
+      EXPECT_EQ(rack.network->counters().get("net.drops.no_route"), 8u);
+      EXPECT_EQ(rack.network->packet_slots(), 8u);
+    });
+  }
+}
+
+TEST_F(NetFixture, PacketPoolHoldsPeakInFlightAndReusesSlots) {
+  // A flow keeps at most flow_window packets in flight, so the pool
+  // never grows past it, however many packets pass through.
+  const int window = rack.network->config().flow_window;
+  rack.network->start_flow(make_flow(1, 0, 15, DataSize::megabytes(2)));
+  sim.run_until(1_ns);  // the start event has pumped a full window
+  EXPECT_EQ(rack.network->packet_slots(), static_cast<std::size_t>(window));
+  EXPECT_EQ(rack.network->free_packet_slots(), 0u);
+  sim.run_until();
+  EXPECT_GT(rack.network->counters().get("net.packets_delivered"), 100u * window);
+  EXPECT_EQ(rack.network->packet_slots(), static_cast<std::size_t>(window));
+  EXPECT_EQ(rack.network->free_packet_slots(), static_cast<std::size_t>(window));
+
+  // Released before the callback runs: a probe chained from a probe's
+  // completion reuses the slot it just freed.
+  int left = 50;
+  std::function<void(const FlowResult&)> next = [&](const FlowResult& r) {
+    ASSERT_FALSE(r.failed);
+    EXPECT_EQ(rack.network->free_packet_slots(), static_cast<std::size_t>(window));
+    if (--left > 0) rack.network->send_probe(0, 15, DataSize::bytes(256), next);
+  };
+  rack.network->send_probe(0, 15, DataSize::bytes(256), next);
+  sim.run_until();
+  EXPECT_EQ(left, 0);
+  EXPECT_EQ(rack.network->packet_slots(), static_cast<std::size_t>(window));
+}
+
 }  // namespace
 }  // namespace rsf::fabric

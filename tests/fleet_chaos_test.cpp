@@ -183,7 +183,7 @@ TEST_F(SrlgFixture, BlackholeLinkDropsEveryPacketDeterministically) {
   int delivered = 0;
   for (int i = 0; i < 8; ++i) {
     EXPECT_TRUE(spine.send_packet(l, 0, DataSize::bytes(1000),
-                                  [&](SimTime, bool ok) {
+                                  [&](bool ok) {
                                     ++callbacks;
                                     delivered += ok ? 1 : 0;
                                   }));
@@ -225,7 +225,7 @@ TEST_F(SrlgFixture, PreemptionLandsWhileAReservedPacketIsMidSpineHop) {
   ASSERT_TRUE(h.has_value());
   std::optional<bool> outcome;
   EXPECT_TRUE(spine.send_packet(l, 0, DataSize::bytes(1000), *h,
-                                [&](SimTime, bool ok) { outcome = ok; }));
+                                [&](bool ok) { outcome = ok; }));
   // Mid-flight (propagation is 1 us): the trench backhoe arrives.
   sim.schedule_at(500_ns, [&] { spine.set_link_up(l, false); });
   sim.run_until();
@@ -237,7 +237,7 @@ TEST_F(SrlgFixture, PreemptionLandsWhileAReservedPacketIsMidSpineHop) {
   // residual instead of erroring.
   spine.set_link_up(l, true);
   EXPECT_TRUE(spine.send_packet(l, 0, DataSize::bytes(1000), *h,
-                                [](SimTime, bool) {}));
+                                [](bool) {}));
   sim.run_until();
   EXPECT_EQ(spine.booking_count(), 0u);
 }

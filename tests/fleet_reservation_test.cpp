@@ -64,7 +64,7 @@ struct ReservationFixture : ::testing::Test {
                SpineBookingHandle res = {}) {
     std::optional<SimTime> arrival;
     EXPECT_TRUE(spine.send_packet(id, from, DataSize::bytes(bytes), res,
-                                  [&](SimTime t, bool) { arrival = t; }));
+                                  [&](bool) { arrival = sim.now(); }));
     sim.run_until();
     EXPECT_TRUE(arrival.has_value());
     return arrival.value_or(SimTime::zero());
@@ -91,9 +91,9 @@ TEST_F(ReservationFixture, ResidualRateArithmeticIsExact) {
   std::optional<SimTime> shared_arrival;
   std::optional<SimTime> reserved_arrival;
   spine.send_packet(link, 0, DataSize::bytes(1000),
-                    [&](SimTime t, bool) { shared_arrival = t; });
+                    [&](bool) { shared_arrival = sim.now(); });
   spine.send_packet(link, 0, DataSize::bytes(1000), *res,
-                    [&](SimTime t, bool) { reserved_arrival = t; });
+                    [&](bool) { reserved_arrival = sim.now(); });
   sim.run_until();
   ASSERT_TRUE(shared_arrival && reserved_arrival);
   EXPECT_EQ((*shared_arrival - t1).us(), 2.0);

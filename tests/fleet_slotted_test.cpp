@@ -61,7 +61,7 @@ struct SlottedFixture : ::testing::Test {
                SpineBookingHandle sched = {}) {
     std::optional<SimTime> arrival;
     EXPECT_TRUE(spine.send_packet(id, from, DataSize::bytes(bytes), sched,
-                                  [&](SimTime t, bool) { arrival = t; }));
+                                  [&](bool) { arrival = sim.now(); }));
     sim.run_until();
     EXPECT_TRUE(arrival.has_value());
     return arrival.value_or(SimTime::zero());
@@ -91,7 +91,7 @@ TEST_F(SlottedFixture, WaitsForOwnedSlotsAndRidesThemAtFullRate) {
   // residual: the same bytes take 4/3 us.
   std::optional<SimTime> shared_arrival;
   spine.send_packet(link, 0, DataSize::bytes(1000),
-                    [&](SimTime t, bool) { shared_arrival = t; });
+                    [&](bool) { shared_arrival = sim.now(); });
   EXPECT_EQ(send(link, 0, 1000, *sched).ns(), 1000.0);
   ASSERT_TRUE(shared_arrival.has_value());
   EXPECT_EQ(shared_arrival->ps(), 1'333'333);
@@ -168,7 +168,7 @@ TEST_F(SlottedFixture, SendsRenewTheLeaseAndInactivityExpiresIt) {
   for (const auto t : {0_us, 6_us, 12_us, 18_us, 24_us, 30_us}) {
     sim.schedule_at(t, [this, link, sched] {
       spine.send_packet(link, 0, DataSize::bytes(500), *sched,
-                        [](SimTime, bool) {});
+                        [](bool) {});
     });
   }
   // Sentinel keeps the simulator alive past the (weak) expiry event.

@@ -98,6 +98,33 @@ TEST(Cable, RejectsUnusableLaneRateAndImpossibleBer) {
   EXPECT_EQ(plant.cable(c).lane(0).pre_fec_ber(), 0.0);
 }
 
+TEST(Cable, RejectsNanLengthAndBadLanePower) {
+  // A NaN length slips past a `<= 0` check and poisons every
+  // propagation delay; negative or non-finite lane power corrupts the
+  // power budget the CRC steers by.
+  PhysicalPlant plant;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double length : {nan, inf, 0.0}) {
+    EXPECT_THROW(plant.add_cable(0, 1, length, Medium::kFiber, 4, DataRate::gbps(25)),
+                 std::invalid_argument);
+  }
+  for (const double w : {-1.0, nan, inf}) {
+    for (int field = 0; field < 3; ++field) {
+      LanePowerParams power = test_power();
+      (field == 0 ? power.active_w : field == 1 ? power.training_w : power.off_w) = w;
+      EXPECT_THROW(
+          plant.add_cable(0, 1, 2.0, Medium::kFiber, 4, DataRate::gbps(25), power),
+          std::invalid_argument)
+          << "field " << field << " = " << w;
+    }
+  }
+  EXPECT_EQ(plant.cable_count(), 0u);
+  // Zero power is a valid (idealized) lane.
+  plant.add_cable(0, 1, 2.0, Medium::kFiber, 4, DataRate::gbps(25), LanePowerParams{0, 0, 0});
+  EXPECT_EQ(plant.cable_count(), 1u);
+}
+
 TEST(Cable, EndpointQueries) {
   ChainFixture f;
   const Cable& c = f.plant.cable(f.c01);
@@ -303,6 +330,58 @@ TEST(Plant, SetFecChangesLinkModel) {
   EXPECT_EQ(f.plant.link(id).fec().scheme, FecScheme::kRsKp4);
   const double raw = f.plant.link(id).raw_rate().gbps_value();
   EXPECT_LT(f.plant.link(id).effective_rate().gbps_value(), raw);
+}
+
+TEST(Plant, RejectsImpossibleFecSpecs) {
+  // Every FecSpec a link could be handed — at creation or by set_fec —
+  // must describe a real code: a payload fraction, a causal pipeline
+  // and, when coded, 0 < k <= n over positive symbols.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<FecSpec> bad;
+  for (const double overhead : {-0.01, 1.0, 1.5, nan, inf}) {
+    FecSpec fec = FecSpec::of(FecScheme::kRsKr4);
+    fec.overhead = overhead;
+    bad.push_back(fec);
+  }
+  FecSpec late = FecSpec::of(FecScheme::kNone);
+  late.latency = SimTime::nanoseconds(-1);
+  bad.push_back(late);
+  const auto coded = [](auto mutate) {
+    FecSpec fec = FecSpec::of(FecScheme::kRsKp4);
+    mutate(fec);
+    return fec;
+  };
+  bad.push_back(coded([](FecSpec& f) { f.symbol_bits = 0; }));
+  bad.push_back(coded([](FecSpec& f) { f.symbol_bits = -10; }));
+  bad.push_back(coded([](FecSpec& f) { f.k = 0; }));
+  bad.push_back(coded([](FecSpec& f) { f.k = -1; }));
+  bad.push_back(coded([](FecSpec& f) { f.k = f.n + 1; }));
+  bad.push_back(coded([](FecSpec& f) { f.t = -1; }));
+
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    ChainFixture f;
+    EXPECT_THROW(f.plant.create_adjacent_link(f.c01, {0, 1}, bad[i]), std::invalid_argument)
+        << "spec " << i;
+    EXPECT_EQ(f.plant.link_ids().size(), 0u) << "spec " << i;
+    const LinkId id = f.plant.create_adjacent_link(f.c01, {2, 3});
+    EXPECT_THROW(f.plant.set_fec(id, bad[i]), std::invalid_argument) << "spec " << i;
+    EXPECT_EQ(f.plant.link(id).fec().scheme, FecScheme::kNone) << "spec " << i;
+  }
+
+  // Every built-in scheme, and an uncoded spec with junk code fields
+  // (n == 0 means uncoded), stays installable.
+  ChainFixture f;
+  const LinkId id = f.plant.create_adjacent_link(f.c01, {0, 1});
+  for (const FecScheme s :
+       {FecScheme::kNone, FecScheme::kFireCode, FecScheme::kRsKr4, FecScheme::kRsKp4}) {
+    f.plant.set_fec(id, FecSpec::of(s));
+  }
+  FecSpec uncoded = FecSpec::of(FecScheme::kNone);
+  uncoded.k = -3;
+  uncoded.symbol_bits = 0;
+  f.plant.set_fec(id, uncoded);
+  EXPECT_EQ(f.plant.link(id).fec().k, -3);
 }
 
 TEST(Plant, AccountBitsSpreadsAcrossLanes) {

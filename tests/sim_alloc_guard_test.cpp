@@ -287,7 +287,64 @@ TEST(SimAllocGuardTest, RackHopPathIsAllocationFree) {
   rt.run_until();
   EXPECT_EQ(rt.network().flow_slots(), 8u);
   EXPECT_EQ(rt.network().free_flow_slots(), 8u);
+  EXPECT_EQ(rt.network().free_packet_slots(), rt.network().packet_slots());
   EXPECT_EQ(rt.network().flows_completed(), 1u) << "probes stay out of the flow tallies";
+}
+
+// The rack's resend paths under the same bar. FEC loss: with a lossy,
+// uncoded rack every few hops a frame is lost and resent from its
+// source through the packet pool. No route: packets toward a cut-off
+// node back off and retry from where they stand. Once warm, neither
+// path allocates; the brackets stop short of any drop (a drop names
+// its counter by string).
+TEST(SimAllocGuardTest, RetransmitAndNoRoutePathsAreAllocationFree) {
+  runtime::RuntimeConfig cfg;
+  cfg.rack.width = 4;
+  cfg.rack.height = 4;
+  cfg.rack.net_config.max_retries = 1'000;  // no drops inside the brackets
+  cfg.enable_crc = false;
+  runtime::FabricRuntime rt(cfg);
+  fabric::Network& net = rt.network();
+  for (std::size_t c = 0; c < rt.plant().cable_count(); ++c) {
+    rt.plant().set_cable_ber(static_cast<phy::CableId>(c), 1e-6);
+  }
+  for (const phy::LinkId id : rt.plant().link_ids()) {
+    rt.plant().set_fec(id, phy::FecSpec::of(phy::FecScheme::kNone));
+  }
+  fabric::FlowSpec lossy;
+  lossy.id = 1;
+  lossy.src = 0;
+  lossy.dst = 15;
+  lossy.size = phy::DataSize::megabytes(32);
+  net.start_flow(lossy, nullptr);
+  // Node 5 loses every lane: its flow's packets find no route.
+  for (const phy::LinkId id : rt.topology().links_at(5)) {
+    rt.plant().fail_lane({rt.plant().link(id).segments().front().cable, 0});
+    rt.plant().fail_lane({rt.plant().link(id).segments().front().cable, 1});
+  }
+  fabric::FlowSpec stranded;
+  stranded.id = 2;
+  stranded.src = 0;
+  stranded.dst = 5;
+  stranded.size = phy::DataSize::kilobytes(16);
+  net.start_flow(stranded, nullptr);
+
+  const auto& counters = net.counters();
+  rt.run_until(SimTime::milliseconds(2));
+  const std::uint64_t corrupted_before = counters.get("net.frames_corrupted");
+  const std::uint64_t waits_before = counters.get("net.reroute_waits");
+  const std::size_t allocs_before = g_allocations;
+  const std::size_t deallocs_before = g_deallocations;
+  rt.run_until(SimTime::milliseconds(4));
+  const std::size_t allocs = g_allocations - allocs_before;
+  const std::size_t deallocs = g_deallocations - deallocs_before;
+  EXPECT_GT(counters.get("net.frames_corrupted"), corrupted_before + 100);
+  EXPECT_GT(counters.get("net.reroute_waits"), waits_before);
+  ASSERT_EQ(net.flows_completed() + net.flows_failed(), 0u)
+      << "the bracket must sit inside both flows";
+  EXPECT_EQ(allocs, 0u) << "retransmit / no-route paths touched the heap";
+  EXPECT_EQ(deallocs, 0u) << "retransmit / no-route paths freed to the heap";
+  EXPECT_EQ(net.packet_slots(), 2u * static_cast<std::size_t>(cfg.rack.net_config.flow_window));
 }
 
 }  // namespace

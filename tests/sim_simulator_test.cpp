@@ -19,7 +19,8 @@ namespace rsf::sim {
 struct SimulatorTestPeer {
   static void set_record_generation(Simulator& sim, std::uint32_t index,
                                     std::uint32_t generation) {
-    sim.records_.at(index).generation = generation;
+    ASSERT_LT(index, sim.record_count_);
+    sim.records_[index].generation = generation;
   }
   static std::uint32_t slot_of(EventId id) {
     return static_cast<std::uint32_t>((id >> 32) - 1);
