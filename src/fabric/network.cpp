@@ -221,7 +221,7 @@ void Network::hop(std::uint32_t pkt_idx, phy::NodeId node, SimTime head_ready,
       const int shift = std::min(pkt.retries, 6);
       const SimTime wait = config_.retry_delay * (std::int64_t{1} << shift);
       ++pkt.retries;
-      counters_.add("net.reroute_waits");
+      bump(reroute_waits_);
       const auto retry_here = [this, pkt_idx, node] {
         const SimTime t = sim_->now();
         hop(pkt_idx, node, t, t);
@@ -230,7 +230,7 @@ void Network::hop(std::uint32_t pkt_idx, phy::NodeId node, SimTime head_ready,
                     "the no-route retry must stay on the inline event arm");
       sim_->schedule_after(wait, retry_here);
     } else {
-      drop(pkt_idx, "no_route");
+      drop(pkt_idx, no_route_drops_);
     }
     return;
   }
@@ -256,9 +256,9 @@ void Network::hop(std::uint32_t pkt_idx, phy::NodeId node, SimTime head_ready,
   ++use.queue_delay_samples;
   ++use.packets;
   use.bits += static_cast<std::uint64_t>(pkt.size.bit_count());
-  // Per-lane PLP #5 accounting, including sampled FEC decoder
-  // telemetry (corrected codewords) for the BER estimator.
-  plant_->account_frame(link, pkt.size, rng_);
+  // PLP #5 accounting, including the FEC decoder telemetry (corrected
+  // codewords) for the BER estimator: O(1), folded into the lanes on read.
+  plant_->account_frame(link, pkt.size);
 
   record_switched_bits(static_cast<std::uint64_t>(pkt.size.bit_count()));
 
@@ -271,7 +271,7 @@ void Network::hop(std::uint32_t pkt_idx, phy::NodeId node, SimTime head_ready,
   ++pkt.hops;
 
   if (lost) {
-    counters_.add("net.frames_corrupted");
+    bump(frames_corrupted_);
     const auto lost_frame = [this, pkt_idx] { retransmit(pkt_idx); };
     static_assert(sim::is_inline_event_v<decltype(lost_frame)>,
                   "the FEC-loss retransmit must stay on the inline event arm");
@@ -311,10 +311,10 @@ void Network::deliver(std::uint32_t pkt_idx, SimTime when) {
   }
 }
 
-void Network::drop(std::uint32_t pkt_idx, const char* reason) {
+void Network::drop(std::uint32_t pkt_idx, EventCounter& reason) {
   const Packet pkt = release_packet(pkt_idx);
-  counters_.add(std::string("net.drops.") + reason);
-  log_.debug("drop packet ", pkt.src, "->", pkt.dst, " (", reason, ")");
+  bump(reason);
+  log_.debug("drop packet ", pkt.src, "->", pkt.dst, " (", reason.name, ")");
   if (FlowState* flow = live_flow(pkt)) {
     flow->hops = pkt.hops;
     --flow->inflight;  // the dropped packet leaves flight here
@@ -326,7 +326,7 @@ void Network::drop(std::uint32_t pkt_idx, const char* reason) {
 void Network::retransmit(std::uint32_t pkt_idx) {
   Packet& pkt = packets_[pkt_idx];
   if (pkt.retries >= config_.max_retries) {
-    drop(pkt_idx, "retries_exhausted");
+    drop(pkt_idx, retries_exhausted_drops_);
     return;
   }
   FlowState* flow = live_flow(pkt);
@@ -341,7 +341,7 @@ void Network::retransmit(std::uint32_t pkt_idx) {
   }
   ++pkt.retries;
   pkt.hops = 0;
-  counters_.add("net.retransmits");
+  bump(retransmits_);
   if (flow != nullptr) ++flow->retransmits;
   const auto resend = [this, pkt_idx] {
     enter_at_source(pkt_idx, sim_->now() + config_.switch_params.nic_latency);

@@ -195,7 +195,19 @@ class Network {
   void hop(std::uint32_t pkt_idx, phy::NodeId node, rsf::sim::SimTime head_ready,
            rsf::sim::SimTime tail_ready);
   void deliver(std::uint32_t pkt_idx, rsf::sim::SimTime when);
-  void drop(std::uint32_t pkt_idx, const char* reason);
+  /// A counter bumped on a per-packet path, resolved to its slot on
+  /// first use: like counters_.add, it enters the table only once it
+  /// counts something, and then costs one increment.
+  struct EventCounter {
+    const char* name;
+    std::uint64_t* slot = nullptr;
+  };
+  void bump(EventCounter& c) {
+    if (c.slot == nullptr) c.slot = &counters_.slot(c.name);
+    ++*c.slot;
+  }
+  /// Drops the packet, counted under `reason` (a net.drops.* counter).
+  void drop(std::uint32_t pkt_idx, EventCounter& reason);
   void retransmit(std::uint32_t pkt_idx);
   /// Frees the packet's slot and returns the packet it held.
   Packet release_packet(std::uint32_t pkt_idx);
@@ -232,7 +244,7 @@ class Network {
   Topology* topo_;
   Router* router_;
   NetworkConfig config_;
-  rsf::sim::RandomStream rng_;
+  rsf::sim::RandomStream rng_;  // frame-loss draws only
   rsf::sim::Logger log_;
 
   // Hot-path state is vector-indexed: ports and link usage by (dense,
@@ -289,6 +301,11 @@ class Network {
   std::uint64_t& injected_slot_;
   std::uint64_t& delivered_slot_;
   std::uint64_t& probe_count_slot_;
+  EventCounter reroute_waits_{"net.reroute_waits"};
+  EventCounter retransmits_{"net.retransmits"};
+  EventCounter frames_corrupted_{"net.frames_corrupted"};
+  EventCounter no_route_drops_{"net.drops.no_route"};
+  EventCounter retries_exhausted_drops_{"net.drops.retries_exhausted"};
 };
 
 }  // namespace rsf::fabric

@@ -3,13 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <queue>
 #include <stdexcept>
 
 namespace rsf::fabric {
 
 namespace {
 constexpr double kUnreachable = std::numeric_limits<double>::infinity();
+// cost() never returns NaN: +inf prices out, NaN falls back to default.
+constexpr double kUnpriced = std::numeric_limits<double>::quiet_NaN();
 }  // namespace
 
 Router::Router(const Topology* topo, RoutingPolicy policy) : topo_(topo), policy_(policy) {
@@ -41,6 +42,34 @@ double Router::cost(phy::LinkId link) const {
   return default_cost(link);
 }
 
+void Router::refresh_graph() {
+  if (graph_topo_version_ == topo_->version() &&
+      graph_price_generation_ == price_generation_) {
+    return;
+  }
+  graph_topo_version_ = topo_->version();
+  graph_price_generation_ = price_generation_;
+  std::fill(link_cost_.begin(), link_cost_.end(), kUnpriced);
+  const std::uint32_t n = topo_->node_count();
+  row_start_.assign(n + 1, 0);
+  edges_.clear();
+  for (phy::NodeId node = 0; node < n; ++node) {
+    for (phy::LinkId id : topo_->links_at(node)) {
+      if (!topo_->usable(id)) continue;
+      // Reserved links are private circuits, invisible to public
+      // routing (their owner takes them directly in the transport).
+      const phy::LogicalLink& l = topo_->plant().link(id);
+      if (l.reserved_for().has_value()) continue;
+      const phy::NodeId next = l.other_end(node);
+      if (next >= n) continue;
+      if (id >= link_cost_.size()) link_cost_.resize(id + 1, kUnpriced);
+      if (std::isnan(link_cost_[id])) link_cost_[id] = cost(id);  // once per link
+      edges_.push_back(Edge{id, next, link_cost_[id]});
+    }
+    row_start_[node + 1] = static_cast<std::uint32_t>(edges_.size());
+  }
+}
+
 Router::DistTable& Router::table_for(phy::NodeId dst) {
   // Callers guarantee dst < node_count(); tables_ is sized to match at
   // construction (node count is fixed for a rack's lifetime).
@@ -49,31 +78,28 @@ Router::DistTable& Router::table_for(phy::NodeId dst) {
       !t.dist.empty()) {
     return t;
   }
+  refresh_graph();
   const std::uint32_t n = topo_->node_count();
   t.topo_version = topo_->version();
   t.price_generation = price_generation_;
   t.dist.assign(n, kUnreachable);
   t.next.assign(n, kNextUnknown);
-
-  using Item = std::pair<double, phy::NodeId>;  // (dist, node)
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
   t.dist[dst] = 0.0;
-  pq.emplace(0.0, dst);
-  while (!pq.empty()) {
-    const auto [d, node] = pq.top();
-    pq.pop();
+  // Dijkstra from dst over the edge graph, in a heap reused across
+  // rebuilds.
+  heap_.clear();
+  heap_.emplace_back(0.0, dst);
+  while (!heap_.empty()) {
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+    const auto [d, node] = heap_.back();
+    heap_.pop_back();
     if (d > t.dist[node]) continue;
-    for (phy::LinkId id : topo_->links_at(node)) {
-      if (!topo_->usable(id)) continue;
-      // Reserved links are private circuits, invisible to public
-      // routing (their owner takes them directly in the transport).
-      if (topo_->plant().link(id).reserved_for().has_value()) continue;
-      const phy::NodeId next = topo_->plant().link(id).other_end(node);
-      if (next >= n) continue;
-      const double nd = d + cost(id);
-      if (nd < t.dist[next]) {
-        t.dist[next] = nd;
-        pq.emplace(nd, next);
+    for (const Edge* e = row_begin(node); e != row_end(node); ++e) {
+      const double nd = d + e->cost;
+      if (nd < t.dist[e->to]) {
+        t.dist[e->to] = nd;
+        heap_.emplace_back(nd, e->to);
+        std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
       }
     }
   }
@@ -99,17 +125,16 @@ std::optional<phy::LinkId> Router::next_hop_min_cost(phy::NodeId at, phy::NodeId
   if (t.next[at] != kNextUnknown) {
     return t.next[at] == kNextNone ? std::nullopt : std::optional(t.next[at]);
   }
+  // The argmin walks the same edges, in links_at order; strict < keeps
+  // the first of equal-cost links.
   double best = kUnreachable;
   std::optional<phy::LinkId> best_link;
-  for (phy::LinkId id : topo_->links_at(at)) {
-    if (!topo_->usable(id)) continue;
-    if (topo_->plant().link(id).reserved_for().has_value()) continue;
-    const phy::NodeId next = topo_->plant().link(id).other_end(at);
-    if (next >= t.dist.size() || t.dist[next] == kUnreachable) continue;
-    const double through = cost(id) + t.dist[next];
+  for (const Edge* e = row_begin(at); e != row_end(at); ++e) {
+    if (t.dist[e->to] == kUnreachable) continue;
+    const double through = e->cost + t.dist[e->to];
     if (through < best) {
       best = through;
-      best_link = id;
+      best_link = e->link;
     }
   }
   t.next[at] = best_link.value_or(kNextNone);

@@ -11,8 +11,10 @@
 //  * kDimensionOrder — classic X-then-Y over grid/torus coordinates;
 //    the static baseline the paper's adaptive fabric is compared to.
 //
-// Distance tables are cached per destination and invalidated when the
-// topology version or the price generation changes.
+// Under one (topology version, price generation) stamp the router
+// builds one flat graph of the usable, unreserved links with their
+// costs, pricing each link once. Distance tables are cached per
+// destination over it and rebuilt lazily when the stamp changes.
 #pragma once
 
 #include <cmath>
@@ -90,12 +92,28 @@ class Router {
     std::vector<phy::LinkId> next;
   };
 
+  /// One direction of a usable, unreserved link, priced.
+  struct Edge {
+    phy::LinkId link;
+    phy::NodeId to;
+    double cost;
+  };
+
   /// next[] sentinels. Real LinkIds are dense small integers; these
   /// two top values can never be allocated.
   static constexpr phy::LinkId kNextUnknown = phy::kInvalidLink;
   static constexpr phy::LinkId kNextNone = phy::kInvalidLink - 1;
 
   [[nodiscard]] double cost(phy::LinkId link) const;
+  /// Rebuilds the edge graph if the stamp moved since it was built.
+  void refresh_graph();
+  /// Edges out of `node`, in links_at order.
+  [[nodiscard]] const Edge* row_begin(phy::NodeId node) const {
+    return edges_.data() + row_start_[node];
+  }
+  [[nodiscard]] const Edge* row_end(phy::NodeId node) const {
+    return edges_.data() + row_start_[node + 1];
+  }
   DistTable& table_for(phy::NodeId dst);
 
   const Topology* topo_;
@@ -106,6 +124,17 @@ class Router {
   // Destination-indexed (node ids are dense): the per-hop table lookup
   // is a single vector index instead of a hash probe.
   std::vector<DistTable> tables_;
+
+  // The edge graph (CSR: node `v`'s edges are edges_[row_start_[v],
+  // row_start_[v + 1])) and its stamp; 0 = never built.
+  std::uint64_t graph_topo_version_ = 0;
+  std::uint64_t graph_price_generation_ = 0;
+  std::vector<std::uint32_t> row_start_;
+  std::vector<Edge> edges_;
+  // refresh_graph's per-link price memo, by LinkId; NaN = unpriced.
+  std::vector<double> link_cost_;
+  // Dijkstra's heap, reused across rebuilds.
+  std::vector<std::pair<double, phy::NodeId>> heap_;
 
   [[nodiscard]] std::optional<phy::LinkId> next_hop_min_cost(phy::NodeId at, phy::NodeId dst);
   [[nodiscard]] std::optional<phy::LinkId> next_hop_dimension_order(phy::NodeId at,

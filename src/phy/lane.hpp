@@ -83,6 +83,8 @@ class Lane {
   void fail();
   void repair();
 
+  /// Lags the frames its link accounted since the plant's last fold;
+  /// PhysicalPlant::lane_stats folds first.
   [[nodiscard]] const LaneStats& stats() const { return stats_; }
   LaneStats& mutable_stats() { return stats_; }
 

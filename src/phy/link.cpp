@@ -71,7 +71,12 @@ double LogicalLink::frame_loss_prob(DataSize frame) const {
   // per-segment loss probabilities (worst-lane BER per segment).
   // The FEC tail sum is expensive (lgamma loop) and its inputs repeat
   // hop after hop, so memoize the result per (ber, frame) and the tail
-  // sum per ber — a fresh BER simply misses both.
+  // sum per ber — a fresh BER simply misses both. In front of them, the
+  // hot slot answers a repeat of the last frame size while no lane BER
+  // can have changed (the plant's BER epoch is unchanged).
+  const std::int64_t bits = frame.bit_count();
+  const std::uint64_t epoch = plant_->ber_epoch();
+  if (hot_frame_bits_ == bits && hot_ber_epoch_ == epoch) return hot_loss_;
   double survive = 1.0;
   for (const LinkSegment& seg : segments_) {
     const Cable& c = plant_->cable(seg.cable);
@@ -79,19 +84,22 @@ double LogicalLink::frame_loss_prob(DataSize frame) const {
     for (int lane : seg.lanes) seg_ber = std::max(seg_ber, c.lane(lane).pre_fec_ber());
     double seg_loss = -1.0;
     for (const LossMemo& m : loss_memo_) {
-      if (m.frame_bits == frame.bit_count() && m.ber == seg_ber) {
+      if (m.frame_bits == bits && m.ber == seg_ber) {
         seg_loss = m.loss;
         break;
       }
     }
     if (seg_loss < 0.0) {
       seg_loss = fec_.frame_loss_prob_from_cw_err(codeword_error_prob(seg_ber), frame);
-      loss_memo_[loss_memo_next_] = LossMemo{seg_ber, frame.bit_count(), seg_loss};
+      loss_memo_[loss_memo_next_] = LossMemo{seg_ber, bits, seg_loss};
       loss_memo_next_ = (loss_memo_next_ + 1) % loss_memo_.size();
     }
     survive *= 1.0 - seg_loss;
   }
-  return 1.0 - survive;
+  hot_frame_bits_ = bits;
+  hot_ber_epoch_ = epoch;
+  hot_loss_ = 1.0 - survive;
+  return hot_loss_;
 }
 
 double LogicalLink::codeword_error_prob(double ber) const {

@@ -10,7 +10,6 @@
 
 #include <array>
 #include <cstdint>
-#include <limits>
 #include <optional>
 #include <vector>
 
@@ -117,7 +116,7 @@ class LogicalLink {
     eff_rate_valid_ = false;
     loss_memo_.fill(LossMemo{});
     cw_err_memo_.fill(CwErrMemo{});
-    for (FrameMemo& m : frame_memo_) m.frame_bits = -1;
+    hot_frame_bits_ = -1;
   }
 
   const PhysicalPlant* plant_;
@@ -155,24 +154,24 @@ class LogicalLink {
   mutable unsigned cw_err_memo_next_ = 0;
   [[nodiscard]] double codeword_error_prob(double ber) const;
 
-  // PhysicalPlant::account_frame's memo for the two most recent frame
-  // sizes: each member lane's mean corrected-codeword count and its
-  // Knuth limit exp(-mean), with the lane BER they were computed at.
-  // Cable& is public, so a lane's BER can change without the plant
-  // seeing it: every frame compares each lane's BER and recomputes that
-  // lane on a mismatch. The initial NaN never compares equal.
-  struct LaneDraw {
-    double ber = std::numeric_limits<double>::quiet_NaN();
-    double mean = 0.0;
-    double limit = 1.0;
-  };
-  struct FrameMemo {
-    std::int64_t frame_bits = -1;
-    double codewords = 0.0;       // per frame, striped across lanes
-    std::vector<LaneDraw> lanes;  // in for_each_lane order
-  };
-  std::array<FrameMemo, 2> frame_memo_{};
-  unsigned frame_memo_last_ = 0;  // the slot a miss must not evict
+  // PLP #5 telemetry accounted but not yet folded into the member
+  // lanes (PhysicalPlant::fold_telemetry). A frame of b bits gives each
+  // lane b / lanes bits plus one to a segment's first b % lanes lanes,
+  // so the bit total and a count of frames per remainder reproduce the
+  // per-lane split exactly; the codeword total sets every lane's
+  // Poisson mean for corrected codewords at fold time. The counts live
+  // in the plant (pending_remainders_[remainder_base_ + r]), so a link
+  // costs no allocation of its own.
+  std::int64_t pending_bits_ = 0;
+  std::size_t remainder_base_ = 0;
+  std::uint64_t pending_codewords_ = 0;
+
+  // One hot frame_loss_prob slot in front of the memos above: the last
+  // frame size at the plant's BER epoch (see PhysicalPlant::ber_epoch).
+  // A hop hitting it skips the per-segment lane BER scan.
+  mutable std::int64_t hot_frame_bits_ = -1;
+  mutable std::uint64_t hot_ber_epoch_ = 0;
+  mutable double hot_loss_ = 0.0;
   /// -1 unknown, else 0/1. See ready().
   mutable std::int8_t ready_cache_ = -1;
 };

@@ -11,27 +11,6 @@ namespace rsf::phy {
 
 namespace {
 
-/// Splits a frame's bits across the lanes of every segment, called once
-/// per lane in for_each_lane order: bits / lanes each, plus one bit to
-/// each of a segment's first bits % lanes lanes.
-class LaneShare {
- public:
-  LaneShare(std::int64_t bits, int lanes)
-      : per_lane_(bits / lanes), extra_(bits % lanes), lanes_(lanes) {}
-
-  std::uint64_t next() {
-    const std::int64_t share = per_lane_ + (pos_ < extra_ ? 1 : 0);
-    if (++pos_ == lanes_) pos_ = 0;
-    return static_cast<std::uint64_t>(share);
-  }
-
- private:
-  std::int64_t per_lane_;
-  std::int64_t extra_;
-  int lanes_;
-  int pos_ = 0;
-};
-
 /// Rejects a FecSpec no link may carry: an overhead outside [0, 1)
 /// (NaN included), a negative latency, or a coded spec (n > 0) whose
 /// code parameters are not a real code.
@@ -62,6 +41,8 @@ CableId PhysicalPlant::add_cable(NodeId a, NodeId b, double length_m, Medium med
 
 Cable& PhysicalPlant::cable(CableId id) {
   if (id >= cables_.size()) throw std::out_of_range("PhysicalPlant::cable: bad id");
+  fold_telemetry();
+  ++ber_epoch_;
   return *cables_[id];
 }
 
@@ -142,6 +123,9 @@ LinkId PhysicalPlant::install_link(NodeId end_a, NodeId end_b,
   if (links_.size() <= id) links_.resize(id + 1);
   links_[id] =
       std::make_unique<LogicalLink>(this, id, end_a, end_b, std::move(segments), fec);
+  links_[id]->remainder_base_ = pending_remainders_.size();
+  pending_remainders_.resize(pending_remainders_.size() +
+                             static_cast<std::size_t>(links_[id]->lane_count()));
   ++link_count_;
   return id;
 }
@@ -160,6 +144,7 @@ LinkId PhysicalPlant::create_adjacent_link(CableId cable_id, std::vector<int> la
 
 void PhysicalPlant::destroy_link(LinkId id) {
   if (!has_link(id)) throw std::invalid_argument("destroy_link: unknown link");
+  fold_telemetry();  // the lanes keep what the link carried
   // A circuit torn down while still reserved stops counting here.
   if (links_[id]->reserved_for_) --reserved_links_;
   release_lanes(links_[id]->segments());
@@ -315,7 +300,7 @@ std::pair<LinkId, LinkId> PhysicalPlant::bypass_sever(LinkId id, NodeId at) {
 template <typename Fn>
 void PhysicalPlant::for_each_lane(const LogicalLink& l, Fn&& fn) {
   for (const LinkSegment& seg : l.segments()) {
-    Cable& c = cable(seg.cable);
+    Cable& c = *cables_[seg.cable];
     for (int lane : seg.lanes) fn(c.lane(lane));
   }
 }
@@ -341,6 +326,7 @@ void PhysicalPlant::lane_power_off(LinkId id) {
 void PhysicalPlant::set_fec(LinkId id, FecSpec fec) {
   check_fec(fec, "set_fec");
   LogicalLink& l = mutable_link(id);
+  fold_telemetry();  // pending codewords were coded under the old mode
   l.fec_ = fec;
   l.invalidate_fec_caches();
 }
@@ -364,71 +350,77 @@ void PhysicalPlant::account_bits(LinkId id, std::int64_t bits) {
   LogicalLink& l = mutable_link(id);
   const int lanes = l.lane_count();
   if (lanes == 0 || bits <= 0) return;
-  LaneShare share(bits, lanes);
-  for_each_lane(l, [&share](Lane& lane) { lane.mutable_stats().bits_carried += share.next(); });
+  l.pending_bits_ += bits;
+  ++pending_remainders_[l.remainder_base_ + static_cast<std::size_t>(bits % lanes)];
+  telemetry_pending_ = true;
 }
 
-LogicalLink::FrameMemo& PhysicalPlant::frame_memo(LogicalLink& l, std::int64_t frame_bits) {
-  // Two slots: a miss evicts the slot that did not serve the previous
-  // frame, so a flow's full-size frames keep theirs while one-off
-  // short tail frames take turns in the other.
-  unsigned slot = l.frame_memo_last_;
-  if (l.frame_memo_[slot].frame_bits != frame_bits) {
-    slot ^= 1U;
-    LogicalLink::FrameMemo& m = l.frame_memo_[slot];
-    if (m.frame_bits != frame_bits) {
-      const FecSpec& fec = l.fec();
-      m.frame_bits = frame_bits;
-      // Codewords per frame, striped across lanes.
-      const double payload_per_cw = static_cast<double>(fec.k * fec.symbol_bits);
-      m.codewords = std::ceil(static_cast<double>(frame_bits) / payload_per_cw);
-      m.lanes.assign(l.segments().size() * static_cast<std::size_t>(l.lane_count()),
-                     LogicalLink::LaneDraw{});
-    }
-    l.frame_memo_last_ = slot;
-  }
-  return l.frame_memo_[slot];
-}
-
-void PhysicalPlant::account_frame(LinkId id, DataSize frame, rsf::sim::RandomStream& rng) {
-  LogicalLink& l = mutable_link(id);
-  const int lanes = l.lane_count();
+void PhysicalPlant::account_frame(LinkId id, DataSize frame) {
   const std::int64_t bits = frame.bit_count();
-  if (lanes == 0 || bits <= 0) return;
+  account_bits(id, bits);
+  LogicalLink& l = *links_[id];
   const FecSpec& fec = l.fec();
-  if (fec.n == 0) {  // uncoded: no decoder telemetry
-    account_bits(id, bits);
-    return;
+  if (fec.n == 0 || bits <= 0) return;  // uncoded: no decoder telemetry
+  // Codewords per frame, striped across the lanes.
+  const std::int64_t payload_per_cw = std::int64_t{fec.k} * fec.symbol_bits;
+  l.pending_codewords_ += static_cast<std::uint64_t>((bits + payload_per_cw - 1) / payload_per_cw);
+}
+
+void PhysicalPlant::fold_telemetry() const {
+  if (!telemetry_pending_) return;
+  telemetry_pending_ = false;
+  for (const auto& l : links_) {
+    if (l != nullptr && l->pending_bits_ != 0) fold_link(*l);
   }
-  LaneShare share(bits, lanes);
-  LogicalLink::FrameMemo& memo = frame_memo(l, bits);
-  LogicalLink::LaneDraw* draw = memo.lanes.data();
-  for_each_lane(l, [&](Lane& lane) {
-    LaneStats& stats = lane.mutable_stats();
-    stats.bits_carried += share.next();
-    LogicalLink::LaneDraw& d = *draw++;
-    const double ber = lane.pre_fec_ber();
-    if (d.ber != ber) {
-      d.ber = ber;
-      // Mean corrected codewords on this lane: its share of codeword
-      // symbols times the symbol error rate (small-p approximation:
-      // one corrected codeword per symbol error). A lane with BER <= 0
-      // gets mean 0, which draws nothing.
-      d.mean = 0.0;
-      if (!(ber <= 0)) {
-        const double p_sym = 1.0 - std::pow(1.0 - ber, fec.symbol_bits);
-        d.mean = memo.codewords / lanes * fec.n * p_sym;
-      }
-      d.limit = std::exp(-d.mean);
+}
+
+void PhysicalPlant::fold_link(LogicalLink& l) const {
+  const int lanes = l.lane_count();
+  // Every frame gives each lane bits / lanes; the frames with
+  // remainder r > i give lane i of a segment one more bit.
+  std::uint64_t* remainders = pending_remainders_.data() + l.remainder_base_;
+  std::uint64_t frames = 0;
+  std::int64_t remainder_bits = 0;
+  for (int r = 0; r < lanes; ++r) {
+    frames += remainders[r];
+    remainder_bits += r * static_cast<std::int64_t>(remainders[r]);
+  }
+  const auto per_lane = static_cast<std::uint64_t>((l.pending_bits_ - remainder_bits) / lanes);
+  const FecSpec& fec = l.fec();
+  // Mean corrected codewords on a lane: its share of codeword symbols
+  // times the symbol error rate (small-p approximation: one corrected
+  // codeword per symbol error). A lane with BER <= 0 draws nothing.
+  const double symbols_per_lane =
+      static_cast<double>(l.pending_codewords_) / lanes * fec.n;
+  for (const LinkSegment& seg : l.segments()) {
+    Cable& c = *cables_[seg.cable];
+    std::uint64_t longer = frames;  // frames whose remainder exceeds i
+    for (std::size_t i = 0; i < seg.lanes.size(); ++i) {
+      longer -= remainders[i];
+      Lane& lane = c.lane(seg.lanes[i]);
+      LaneStats& stats = lane.mutable_stats();
+      stats.bits_carried += per_lane + longer;
+      const double ber = lane.pre_fec_ber();
+      if (l.pending_codewords_ == 0 || ber <= 0) continue;
+      const double p_sym = 1.0 - std::pow(1.0 - ber, fec.symbol_bits);
+      stats.corrected_codewords += telemetry_rng_.poisson(symbols_per_lane * p_sym);
     }
-    stats.corrected_codewords += rng.poisson(d.mean, d.limit);
-  });
+  }
+  l.pending_bits_ = 0;
+  std::fill(remainders, remainders + lanes, 0);
+  l.pending_codewords_ = 0;
+}
+
+const LaneStats& PhysicalPlant::lane_stats(LaneRef ref) const {
+  fold_telemetry();
+  return cable(ref.cable).lane(ref.lane).stats();
 }
 
 double PhysicalPlant::estimated_pre_fec_ber(LinkId id) const {
   const LogicalLink& l = link(id);
   const FecSpec& fec = l.fec();
   if (fec.n == 0) return 0.0;
+  fold_telemetry();
   double worst = 0.0;
   for (const LinkSegment& seg : l.segments()) {
     const Cable& c = cable(seg.cable);
@@ -451,7 +443,7 @@ double PhysicalPlant::estimated_pre_fec_ber(LinkId id) const {
 
 void PhysicalPlant::set_cable_ber(CableId id, double ber) {
   if (!is_valid_ber(ber)) throw std::invalid_argument("set_cable_ber: BER outside [0, 0.5]");
-  Cable& c = cable(id);
+  Cable& c = cable(id);  // folds and bumps the BER epoch
   for (int i = 0; i < c.lane_count(); ++i) c.lane(i).set_pre_fec_ber(ber);
 }
 

@@ -39,7 +39,8 @@ inline constexpr double kBypassPowerW = 0.3;
 
 class PhysicalPlant {
  public:
-  PhysicalPlant() = default;
+  /// `seed` seeds the decoder-telemetry stream (see lane_stats).
+  explicit PhysicalPlant(std::uint64_t seed = 0) : telemetry_rng_(seed, "phy.decoder") {}
 
   PhysicalPlant(const PhysicalPlant&) = delete;
   PhysicalPlant& operator=(const PhysicalPlant&) = delete;
@@ -50,6 +51,10 @@ class PhysicalPlant {
                     DataRate lane_rate, LanePowerParams lane_power = {},
                     double initial_ber = 1e-12);
 
+  /// Mutable access folds pending lane telemetry and bumps the BER
+  /// epoch first: the caller may read lane stats or write a lane BER.
+  /// Make such writes before the next frame is accounted. The const
+  /// overload does neither; read lane stats through lane_stats().
   [[nodiscard]] Cable& cable(CableId id);
   [[nodiscard]] const Cable& cable(CableId id) const;
   [[nodiscard]] std::size_t cable_count() const { return cables_.size(); }
@@ -137,20 +142,29 @@ class PhysicalPlant {
   /// a segment's first lanes, so every segment accounts all of `bits`.
   void account_bits(LinkId id, std::int64_t bits);
 
-  /// Account one frame crossing the link *and* sample the FEC decoder
+  /// Account one frame crossing the link, including the FEC decoder
   /// telemetry real transceivers expose: the number of corrected
-  /// codewords, drawn per lane from the lane's true BER. Feeds the
-  /// pre-FEC BER estimator below (PLP #5). One pass over the lanes;
-  /// each lane's Poisson mean and limit come from the link's frame
-  /// memo (see LogicalLink), recomputed only when the frame size, the
-  /// FEC mode or that lane's BER changed.
-  void account_frame(LinkId id, DataSize frame, rsf::sim::RandomStream& rng);
+  /// codewords, Poisson per lane at the lane's true BER. O(1): the
+  /// link accumulates the frame and the lanes see it at the next fold.
+  void account_frame(LinkId id, DataSize frame);
+
+  /// PLP #5 statistics of one lane, with the telemetry accounted since
+  /// the last fold folded in: the exact bit split, and corrected
+  /// codewords as one Poisson draw per lane of the frames' summed mean
+  /// from the plant's own stream. A sum of independent Poisson counts
+  /// is Poisson, so the count has the distribution per-frame draws
+  /// would give.
+  [[nodiscard]] const LaneStats& lane_stats(LaneRef ref) const;
 
   /// Pre-FEC BER of the link as *estimated from decoder telemetry*
   /// (worst estimating lane). Requires an RS FEC mode and traffic:
   /// returns 0 when nothing has been observed — exactly like a real
   /// transceiver MIB. Compare Lane::pre_fec_ber(), the oracle truth.
   [[nodiscard]] double estimated_pre_fec_ber(LinkId id) const;
+
+  /// Bumped by every lane BER write the plant can see: set_cable_ber
+  /// and mutable cable() access. Keys LogicalLink's hot loss slot.
+  [[nodiscard]] std::uint64_t ber_epoch() const { return ber_epoch_; }
 
   /// Set the environmental pre-FEC BER on every lane of a cable;
   /// throws std::invalid_argument outside [0, 0.5] (NaN included).
@@ -200,13 +214,14 @@ class PhysicalPlant {
   void check_segments(NodeId end_a, NodeId end_b,
                       const std::vector<LinkSegment>& segments) const;
   [[nodiscard]] LogicalLink& mutable_link(LinkId id);
-  /// Visit every member lane, segment by segment in stored order. A
-  /// template so the per-frame visitor inlines (defined in plant.cpp,
-  /// its only user).
+  /// Visit every member lane, segment by segment in stored order.
   template <typename Fn>
   void for_each_lane(const LogicalLink& link, Fn&& fn);
-  /// account_frame's memo slot for `frame_bits` (re-keyed on a miss).
-  LogicalLink::FrameMemo& frame_memo(LogicalLink& link, std::int64_t frame_bits);
+  /// Fold every link's pending telemetry into its lanes (see
+  /// lane_stats). Runs before anything reads lane stats or changes a
+  /// fold input: FEC, BER, the link set.
+  void fold_telemetry() const;
+  void fold_link(LogicalLink& link) const;
 
   std::vector<ChangeObserver> change_observers_;
   std::vector<std::unique_ptr<Cable>> cables_;
@@ -217,6 +232,15 @@ class PhysicalPlant {
   std::vector<std::unique_ptr<LogicalLink>> links_;
   std::size_t link_count_ = 0;
   std::size_t reserved_links_ = 0;
+  // Some link holds unfolded telemetry: a hop sets it, a fold clears
+  // it. Folds are rare next to hops, so a fold scans links_ rather than
+  // a hop maintaining a dirty list.
+  mutable bool telemetry_pending_ = false;
+  // Each link's frames per bits % lanes remainder, lane_count() slots
+  // from its remainder_base_ on (never reused, like link ids).
+  mutable std::vector<std::uint64_t> pending_remainders_;
+  mutable rsf::sim::RandomStream telemetry_rng_;
+  std::uint64_t ber_epoch_ = 1;
   // rsf-lint: order-insensitive(point lookups only — lane_owner()/free_lanes() probe by key, never iterate)
   std::unordered_map<LaneRef, LinkId> lane_owner_;
   LinkId next_link_id_ = 0;

@@ -408,8 +408,7 @@ LinkStatsReport PlpEngine::stats_report(phy::LinkId id) const {
   report.ready = l.ready() && !link_busy(id);
   std::uint64_t bits = 0;
   for (const phy::LinkSegment& seg : l.segments()) {
-    const phy::Cable& c = plant_->cable(seg.cable);
-    for (int lane : seg.lanes) bits += c.lane(lane).stats().bits_carried;
+    for (int lane : seg.lanes) bits += plant_->lane_stats({seg.cable, lane}).bits_carried;
   }
   report.bits_carried = bits;
   return report;

@@ -46,14 +46,10 @@ class RandomStream {
   /// Bounded Pareto on [lo, hi] with shape alpha — heavy-tailed flow
   /// sizes use this.
   double bounded_pareto(double alpha, double lo, double hi);
-  /// Poisson-distributed count with the given mean (Knuth for small
-  /// means, normal approximation above 64).
+  /// Poisson-distributed count with the given mean. Exact at every
+  /// mean: Knuth's product method below 10, Hörmann's transformed
+  /// rejection (PTRS) from 10 up.
   std::uint64_t poisson(double mean);
-  /// The same draw with the Knuth limit exp(-mean) precomputed by a
-  /// caller that samples one mean many times: identical result and
-  /// identical draws to poisson(mean). `limit` is read only when
-  /// 0 < mean <= 64.
-  std::uint64_t poisson(double mean, double limit);
 
   /// Derive an independent child stream; used to hand sub-components
   /// their own streams without threading the experiment seed around.

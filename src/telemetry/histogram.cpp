@@ -1,21 +1,55 @@
 #include "telemetry/histogram.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <limits>
 
 namespace rsf::telemetry {
 
+namespace {
+
+/// kLog2Round[e] is the least double whose std::log2 is >= e. Just
+/// below 2^e, log2 rounds up to e, so those values belong to exponent
+/// e although their binary exponent is e - 1: bucket_index keeps that
+/// placement (with sub-bucket 0), as when it took floor(log2(v)).
+const std::array<double, 64> kLog2Round = [] {
+  std::array<double, 64> t{};
+  for (int e = 0; e < 64; ++e) {
+    double v = std::ldexp(1.0, e);
+    while (std::log2(std::nextafter(v, 0.0)) >= e) v = std::nextafter(v, 0.0);
+    t[static_cast<std::size_t>(e)] = v;
+  }
+  return t;
+}();
+
+}  // namespace
+
 std::size_t Histogram::bucket_index(double v) {
   // v >= 1 guaranteed by caller (zero_or_negative_ handles the rest;
   // values in (0,1) clamp to bucket 0).
   if (v < 1.0) return 0;
-  const int exponent = std::min(62, static_cast<int>(std::floor(std::log2(v))));
-  const double base = std::exp2(exponent);
-  int sub = static_cast<int>((v - base) / base * kSubBuckets);
-  sub = std::clamp(sub, 0, kSubBuckets - 1);
-  return static_cast<std::size_t>(exponent) * kSubBuckets + static_cast<std::size_t>(sub);
+  // The binary exponent from the bits (v is a normal double >= 1),
+  // then one up where log2 rounds to the next power of two.
+  int exponent = static_cast<int>((std::bit_cast<std::uint64_t>(v) >> 52) & 0x7FF) - 1023;
+  if (exponent >= 62) {
+    exponent = 62;
+  } else if (v >= kLog2Round[static_cast<std::size_t>(exponent + 1)]) {
+    ++exponent;
+  }
+  // 2^exponent and 2^-exponent from their bits: scaling by the inverse
+  // power of two is exact, so this equals (v - base) / base.
+  const auto biased = static_cast<std::uint64_t>(exponent + 1023);
+  const double base = std::bit_cast<double>(biased << 52);
+  const double inv_base = std::bit_cast<double>((2046 - biased) << 52);
+  // Below base (the rounded-up case) truncates to sub-bucket 0; past
+  // 2^63 the last sub-bucket takes everything.
+  const double scaled = (v - base) * inv_base * kSubBuckets;
+  const int sub = scaled < kSubBuckets ? static_cast<int>(scaled) : kSubBuckets - 1;
+  return static_cast<std::size_t>(exponent) * kSubBuckets +
+         static_cast<std::size_t>(std::max(sub, 0));
 }
 
 double Histogram::bucket_upper_edge(std::size_t idx) {

@@ -57,11 +57,14 @@ class Histogram {
   /// Same but with raw unitless values.
   [[nodiscard]] std::string summary() const;
 
+  /// Bucket of a value >= 1: exponent floor(log2(v)) as std::log2
+  /// rounds it (capped at 62), times 64, plus the linear sub-bucket.
+  [[nodiscard]] static std::size_t bucket_index(double v);
+
  private:
   static constexpr int kSubBucketBits = 6;  // 64 sub-buckets => <1.6% error
   static constexpr int kSubBuckets = 1 << kSubBucketBits;
 
-  [[nodiscard]] static std::size_t bucket_index(double v);
   [[nodiscard]] static double bucket_upper_edge(std::size_t idx);
 
   std::vector<std::uint64_t> buckets_;

@@ -2,9 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <functional>
 #include <limits>
+#include <optional>
+#include <queue>
+#include <utility>
+#include <vector>
 
 #include "fabric/builders.hpp"
+#include "sim/random.hpp"
 
 namespace rsf::fabric {
 namespace {
@@ -214,6 +223,147 @@ TEST_F(GridFixture, SetReservationBumpsTheVersionAndRefreshesTheMemo) {
   EXPECT_EQ(rack.topology->version(), reserved_version);
   rack.plant->set_reservation(*direct, std::nullopt);
   EXPECT_EQ(rack.router->next_hop(a, b), before);
+}
+
+/// Router's min-cost search as written before the edge graph: a heap
+/// Dijkstra that prices every relaxation, and a next-hop argmin that
+/// prices every candidate link in links_at order.
+class ReferenceRouter {
+ public:
+  ReferenceRouter(const Rack& rack, const std::vector<double>* prices)
+      : rack_(rack), prices_(prices), hop_penalty_(rack.params.net_config.switch_params.switch_latency.ns()) {}
+
+  std::vector<double> dist_to(NodeId dst) const {
+    const auto& topo = *rack_.topology;
+    const std::uint32_t n = topo.node_count();
+    std::vector<double> dist(n, kInf);
+    using Item = std::pair<double, NodeId>;
+    std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
+    dist[dst] = 0.0;
+    pq.emplace(0.0, dst);
+    while (!pq.empty()) {
+      const auto [d, node] = pq.top();
+      pq.pop();
+      if (d > dist[node]) continue;
+      for (LinkId id : topo.links_at(node)) {
+        if (!public_link(id)) continue;
+        const NodeId next = rack_.plant->link(id).other_end(node);
+        if (next >= n) continue;
+        const double nd = d + cost(id);
+        if (nd < dist[next]) {
+          dist[next] = nd;
+          pq.emplace(nd, next);
+        }
+      }
+    }
+    return dist;
+  }
+
+  std::optional<LinkId> next_hop(NodeId at, const std::vector<double>& dist) const {
+    if (dist[at] == kInf) return std::nullopt;
+    double best = kInf;
+    std::optional<LinkId> best_link;
+    for (LinkId id : rack_.topology->links_at(at)) {
+      if (!public_link(id)) continue;
+      const NodeId next = rack_.plant->link(id).other_end(at);
+      if (next >= dist.size() || dist[next] == kInf) continue;
+      const double through = cost(id) + dist[next];
+      if (through < best) {
+        best = through;
+        best_link = id;
+      }
+    }
+    return best_link;
+  }
+
+ private:
+  static constexpr double kInf = std::numeric_limits<double>::infinity();
+
+  bool public_link(LinkId id) const {
+    return rack_.topology->usable(id) && !rack_.plant->link(id).reserved_for().has_value();
+  }
+  double cost(LinkId id) const {
+    const double p = id < prices_->size() ? (*prices_)[id] : std::nan("");
+    if (!std::isnan(p)) return std::max(p, 0.0) + hop_penalty_;
+    return rack_.router->default_cost(id);
+  }
+
+  const Rack& rack_;
+  const std::vector<double>* prices_;
+  double hop_penalty_;
+};
+
+TEST(RouterOracle, EdgeGraphSearchMatchesHeapDijkstraOnRandomRacks) {
+  // Grids and tori from 3x3 to 9x9, random prices
+  // including NaN (no opinion), +inf (priced out), negatives and ties,
+  // random lane failures and reservations. Every pair's next hop, path
+  // cost and path must match the reference exactly.
+  rsf::sim::RandomStream rng(53, "router-oracle");
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  int compared = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    Simulator sim;
+    RackParams p;
+    p.width = static_cast<int>(rng.uniform_int(3, trial % 4 == 3 ? 9 : 6));
+    p.height = static_cast<int>(rng.uniform_int(3, trial % 4 == 3 ? 9 : 6));
+    Rack rack = trial % 2 == 0 ? build_grid(&sim, p) : build_torus(&sim, p);
+    std::vector<double> prices;
+    const ReferenceRouter ref(rack, &prices);
+    for (int round = 0; round < 4; ++round) {
+      const std::vector<LinkId> ids = rack.plant->link_ids();
+      if (round > 0) {
+        prices.assign(ids.back() + 1, std::nan(""));
+        for (const LinkId id : ids) {
+          const int kind = static_cast<int>(rng.uniform_int(0, 9));
+          prices[id] = kind == 0   ? std::nan("")
+                       : kind == 1 ? std::numeric_limits<double>::infinity()
+                       : kind == 2 ? -5.0
+                       : kind <= 5 ? 100.0  // ties
+                                   : rng.uniform(0.0, 2000.0);
+        }
+        rack.router->set_price_fn([&prices](LinkId id) {
+          return id < prices.size() ? prices[id] : std::nan("");
+        });
+      }
+      if (round >= 2) {
+        const LinkId failed = ids[pick(ids.size())];
+        rack.plant->fail_lane({rack.plant->link(failed).segments().front().cable, 0});
+        rack.plant->set_reservation(ids[pick(ids.size())], 7);
+      }
+      const auto n = static_cast<NodeId>(rack.node_count());
+      std::vector<NodeId> order(n);
+      for (NodeId v = 0; v < n; ++v) order[v] = v;
+      for (NodeId i = n; i > 1; --i) std::swap(order[i - 1], order[pick(i)]);
+      for (const NodeId dst : order) {
+        const std::vector<double> dist = ref.dist_to(dst);
+        for (NodeId src = 0; src < n; ++src) {
+          const auto cost = rack.router->path_cost(src, dst);
+          if (src == dst) {
+            EXPECT_EQ(cost, std::optional<double>(0.0));
+            continue;
+          }
+          ASSERT_EQ(cost.has_value(), dist[src] != std::numeric_limits<double>::infinity());
+          if (cost) ASSERT_EQ(*cost, dist[src]) << src << "->" << dst;
+          ASSERT_EQ(rack.router->next_hop(src, dst), ref.next_hop(src, dist))
+              << "trial " << trial << " round " << round << " " << src << "->" << dst;
+          std::vector<LinkId> want;
+          NodeId at = src;
+          for (std::uint32_t hop = 0; hop <= n && at != dst; ++hop) {
+            const auto link = ref.next_hop(at, dist);
+            if (!link) break;
+            want.push_back(*link);
+            at = rack.plant->link(*link).other_end(at);
+          }
+          if (at != dst) want.clear();
+          ASSERT_EQ(rack.router->path(src, dst), want) << src << "->" << dst;
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 10000);
 }
 
 TEST_F(GridFixture, HopPenaltyMustBeFiniteAndNonNegative) {

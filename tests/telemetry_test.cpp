@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <sstream>
 
 #include "sim/random.hpp"
@@ -135,6 +139,50 @@ TEST(Histogram, SinceDiffsPhaseWindowExactly) {
   EXPECT_GE(window.min(), 1000.0 * (1.0 - 2.0 / 64));
   // The cumulative histogram is untouched.
   EXPECT_EQ(h.count(), 150u);
+}
+
+/// Histogram::bucket_index as it was written with log2/exp2/floor.
+/// Valid below 2^87, where the sub-bucket still fits an int.
+std::size_t reference_bucket_index(double v) {
+  if (v < 1.0) return 0;
+  const int exponent = std::min(62, static_cast<int>(std::floor(std::log2(v))));
+  const double base = std::exp2(exponent);
+  int sub = static_cast<int>((v - base) / base * 64);
+  sub = std::clamp(sub, 0, 63);
+  return static_cast<std::size_t>(exponent) * 64 + static_cast<std::size_t>(sub);
+}
+
+TEST(Histogram, BucketIndexMatchesTheLog2Formula) {
+  // Every power of two up to 2^64, +-8 ulps around it: just below 2^e
+  // log2 rounds up to e, and the bucket must stay (e, sub 0).
+  int rounded_up = 0;
+  for (int e = 0; e <= 64; ++e) {
+    const double p = std::ldexp(1.0, e);
+    double below = p;
+    double above = p;
+    for (int ulp = 0; ulp <= 8; ++ulp) {
+      for (const double v : {below, above}) {
+        ASSERT_EQ(Histogram::bucket_index(v), reference_bucket_index(v)) << std::hexfloat << v;
+      }
+      if (below >= 1.0 && std::floor(std::log2(below)) == e && below < p) ++rounded_up;
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, HUGE_VAL);
+    }
+  }
+  EXPECT_GT(rounded_up, 0);  // the edge case really occurs
+  for (const double v : {0.0, 1e-300, 0.25, 0.5, std::nextafter(1.0, 0.0), -3.0}) {
+    EXPECT_EQ(Histogram::bucket_index(v), reference_bucket_index(v)) << v;
+  }
+  // Random doubles: uniform bit patterns over [1, 2^64) and uniform
+  // values at ps-latency scales.
+  rsf::sim::RandomStream rng(47, "histogram-buckets");
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double v = i % 2 == 0
+                         ? std::bit_cast<double>(std::bit_cast<std::uint64_t>(1.0) +
+                                                 (rng() % (std::uint64_t{64} << 52)))
+                         : rng.uniform(1.0, 1e12);
+    ASSERT_EQ(Histogram::bucket_index(v), reference_bucket_index(v)) << std::hexfloat << v;
+  }
 }
 
 TEST(Histogram, SinceOfEqualOrNewerSnapshotIsEmpty) {
