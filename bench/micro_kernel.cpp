@@ -142,8 +142,9 @@ BENCHMARK(BM_FecFrameLoss);
 void BM_AccountFrame(benchmark::State& state) {
   // PLP #5 accounting of one 1 KB frame per iteration, as every rack
   // hop does: Arg(1) is a 2-lane adjacent RS-KR4 link, Arg(5) a 2-lane
-  // bypass link over 5 cable segments. O(1) in both: the 10 lanes are
-  // visited once, at the final fold.
+  // bypass link over 5 cable segments. O(1) in both: every iteration
+  // after the first hits the link's frame-cost memo, and the 10 lanes
+  // are visited once, at the final fold.
   const int segments = static_cast<int>(state.range(0));
   phy::PhysicalPlant plant;
   std::vector<phy::LinkSegment> path;
@@ -156,7 +157,9 @@ void BM_AccountFrame(benchmark::State& state) {
       plant.create_link(0, static_cast<phy::NodeId>(segments), std::move(path),
                         phy::FecSpec::of(phy::FecScheme::kRsKr4));
   for (auto _ : state) {
-    plant.account_frame(link, phy::DataSize::bytes(1024));
+    const phy::FrameCost& cost =
+        plant.account_frame(link, phy::DataSize::bytes(1024), phy::DataSize::bytes(64));
+    benchmark::DoNotOptimize(cost.loss);
   }
   benchmark::DoNotOptimize(plant.lane_stats({0, 0}).corrected_codewords);
   state.SetItemsProcessed(state.iterations());
@@ -178,6 +181,31 @@ void BM_RouterDijkstra(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RouterDijkstra)->Arg(4)->Arg(8)->Arg(16);
+
+void BM_RouterNextHopWarm(benchmark::State& state) {
+  // The per-hop routing decision under fixed prices: every (at, dst)
+  // pair of a 6x6 torus, memos warm, so each lookup is the inline
+  // stamp check and one array read. items/s is lookups per second.
+  runtime::RuntimeConfig cfg;
+  cfg.shape = runtime::RackShape::kTorus;
+  cfg.rack.width = 6;
+  cfg.rack.height = 6;
+  cfg.enable_crc = false;
+  runtime::FabricRuntime rt(cfg);
+  fabric::Router& router = rt.router();
+  const phy::NodeId n = rt.node_count();
+  const auto sweep = [&] {
+    for (phy::NodeId at = 0; at < n; ++at) {
+      for (phy::NodeId dst = 0; dst < n; ++dst) {
+        benchmark::DoNotOptimize(router.next_hop(at, dst));
+      }
+    }
+  };
+  sweep();  // warm every row and memo
+  for (auto _ : state) sweep();
+  state.SetItemsProcessed(state.iterations() * n * n);
+}
+BENCHMARK(BM_RouterNextHopWarm);
 
 void BM_PacketTransportOneFlow(benchmark::State& state) {
   // The end-to-end hot path: one 256 KB flow corner to corner on a 4x4

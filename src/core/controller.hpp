@@ -101,9 +101,6 @@ class CrcController {
   [[nodiscard]] const telemetry::TimeSeries& utilization_series() const {
     return util_series_;
   }
-  [[nodiscard]] const telemetry::TimeSeries& mean_price_series() const {
-    return price_series_;
-  }
   [[nodiscard]] const telemetry::CounterSet& counters() const { return counters_; }
 
  private:

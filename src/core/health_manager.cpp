@@ -33,7 +33,6 @@ int HealthManager::apply(const RackSnapshot& snapshot) {
 
 void HealthManager::remediate(phy::LinkId link) {
   const phy::LogicalLink& l = plant_->link(link);
-  ++started_;
   in_flight_.insert(link);
 
   // Multi-segment (bypass) links: tear down only. The planner that
@@ -43,7 +42,7 @@ void HealthManager::remediate(phy::LinkId link) {
   if (l.segments().size() != 1) {
     engine_->submit(plp::DecommissionCommand{link}, [this, link](const plp::PlpResult& r) {
       in_flight_.erase(link);
-      r.ok ? ++completed_ : ++failed_;
+      if (r.ok) ++completed_;
     });
     return;
   }
@@ -71,7 +70,7 @@ void HealthManager::remediate(phy::LinkId link) {
     // Nothing usable on this cable: decommission and let routing cope.
     engine_->submit(plp::DecommissionCommand{link}, [this, link](const plp::PlpResult& r) {
       in_flight_.erase(link);
-      r.ok ? ++completed_ : ++failed_;
+      if (r.ok) ++completed_;
     });
     return;
   }
@@ -83,13 +82,12 @@ void HealthManager::remediate(phy::LinkId link) {
       [this, link, cable, new_lanes, fec](const plp::PlpResult& r) {
         if (!r.ok) {
           in_flight_.erase(link);
-          ++failed_;
           return;
         }
         engine_->submit(plp::ProvisionCommand{cable, new_lanes, fec},
                         [this, link](const plp::PlpResult& r2) {
                           in_flight_.erase(link);
-                          r2.ok ? ++completed_ : ++failed_;
+                          if (r2.ok) ++completed_;
                         });
       });
 }

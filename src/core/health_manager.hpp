@@ -34,9 +34,7 @@ class HealthManager {
   /// dark links with failed lanes. Returns remediations started.
   int apply(const RackSnapshot& snapshot);
 
-  [[nodiscard]] std::uint64_t remediations_started() const { return started_; }
   [[nodiscard]] std::uint64_t remediations_completed() const { return completed_; }
-  [[nodiscard]] std::uint64_t remediations_failed() const { return failed_; }
 
  private:
   void remediate(phy::LinkId link);
@@ -45,9 +43,7 @@ class HealthManager {
   phy::PhysicalPlant* plant_;
   HealthManagerConfig config_;
   std::set<phy::LinkId> in_flight_;
-  std::uint64_t started_ = 0;
   std::uint64_t completed_ = 0;
-  std::uint64_t failed_ = 0;
 };
 
 }  // namespace rsf::core

@@ -439,17 +439,6 @@ phy::DataRate Interconnect::residual_rate(SpineLinkId id, std::uint32_t from_rac
   return l.params.rate * (1.0 - l.dir[direction_index(l, from_rack)].booked_fraction);
 }
 
-void Interconnect::set_slot_duration(SimTime d) {
-  if (d <= SimTime::zero()) {
-    throw std::invalid_argument("Interconnect: non-positive slot duration");
-  }
-  if (calendar_.booking_count() > 0) {
-    throw std::logic_error(
-        "Interconnect: slot duration cannot change under live schedules");
-  }
-  slot_duration_ = d;
-}
-
 void Interconnect::set_slot_timeout(SimTime timeout) {
   if (timeout <= SimTime::zero()) {
     throw std::invalid_argument("Interconnect: non-positive slot timeout");

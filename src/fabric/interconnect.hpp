@@ -289,10 +289,7 @@ class Interconnect {
   [[nodiscard]] phy::DataRate residual_rate(SpineLinkId id, std::uint32_t from_rack) const;
 
   /// Wall-clock length of one calendar slot; slot s of the repeating
-  /// frame covers [s·d, (s+1)·d) modulo kFrameSlots·d. Changing it
-  /// mid-run is refused while any slot booking is live (booked slot
-  /// sets would silently shift under their owners).
-  void set_slot_duration(rsf::sim::SimTime d);
+  /// frame covers [s·d, (s+1)·d) modulo kFrameSlots·d.
   [[nodiscard]] rsf::sim::SimTime slot_duration() const { return slot_duration_; }
 
   /// Inactivity window after which a slot booking self-expires: a pair

@@ -237,37 +237,35 @@ void Network::hop(std::uint32_t pkt_idx, phy::NodeId node, SimTime head_ready,
   const phy::LinkId link = *link_opt;
   const phy::LogicalLink& l = plant_->link(link);
   const phy::NodeId next = l.other_end(node);
+  // PLP #5 accounting, including the FEC decoder telemetry (corrected
+  // codewords) for the BER estimator: O(1), folded into the lanes on
+  // read. It hands back the link's frame-cost row, which carries the
+  // frame's timing and its loss probability (the analytic FEC model).
+  const phy::FrameCost& cost = plant_->account_frame(link, pkt.size, kHeader);
+  const SimTime ser = cost.serialization;
 
-  const SimTime ser = l.serialization_delay(pkt.size);
-  const SimTime header_ser = l.serialization_delay(std::min(kHeader, pkt.size));
-  const SimTime prop = l.propagation_delay() + l.fec().latency;
-
-  PortState& port = port_at(node, link, l);
+  LinkRow& row = row_at(link);
+  SimTime& busy_until = row.busy_until[l.end_a() == node ? 0 : 1];
   // Start rule: head available (head_ready already includes the
   // switch/NIC pipeline), port free, and the no-underrun constraint
   // (transmission may not finish before the tail has arrived here).
-  SimTime start = std::max(head_ready, port.busy_until);
+  SimTime start = std::max(head_ready, busy_until);
   if (tail_ready - ser > start) start = tail_ready - ser;
-  port.busy_until = start + ser;
+  busy_until = start + ser;
 
-  LinkUse& use = link_use_at(link);
+  LinkUse& use = row.use;
   use.busy += ser;
   use.queue_delay_sum += start - std::max(head_ready, tail_ready - ser);
   ++use.queue_delay_samples;
   ++use.packets;
   use.bits += static_cast<std::uint64_t>(pkt.size.bit_count());
-  // PLP #5 accounting, including the FEC decoder telemetry (corrected
-  // codewords) for the BER estimator: O(1), folded into the lanes on read.
-  plant_->account_frame(link, pkt.size);
 
   record_switched_bits(static_cast<std::uint64_t>(pkt.size.bit_count()));
 
-  // Loss is decided per-link from the analytic FEC model.
-  const double loss_p = l.frame_loss_prob(pkt.size);
-  const bool lost = loss_p > 0.0 && rng_.bernoulli(loss_p);
+  const bool lost = cost.loss > 0.0 && rng_.bernoulli(cost.loss);
 
-  const SimTime head_arrival = start + header_ser + prop;
-  const SimTime tail_arrival = start + ser + prop;
+  const SimTime head_arrival = start + cost.header_serialization + cost.transit;
+  const SimTime tail_arrival = start + ser + cost.transit;
   ++pkt.hops;
 
   if (lost) {
@@ -408,19 +406,19 @@ void Network::maybe_recycle_flow(std::uint32_t flow_idx) {
 }
 
 SimTime Network::link_busy_time(phy::LinkId id) const {
-  return id < link_use_.size() ? link_use_[id].busy : SimTime::zero();
+  return id < link_rows_.size() ? link_rows_[id].use.busy : SimTime::zero();
 }
 
 SimTime Network::link_mean_queue_delay(phy::LinkId id) const {
-  if (id >= link_use_.size() || link_use_[id].queue_delay_samples == 0) {
+  if (id >= link_rows_.size() || link_rows_[id].use.queue_delay_samples == 0) {
     return SimTime::zero();
   }
-  return link_use_[id].queue_delay_sum /
-         static_cast<std::int64_t>(link_use_[id].queue_delay_samples);
+  const LinkUse& use = link_rows_[id].use;
+  return use.queue_delay_sum / static_cast<std::int64_t>(use.queue_delay_samples);
 }
 
 std::uint64_t Network::link_packets(phy::LinkId id) const {
-  return id < link_use_.size() ? link_use_[id].packets : 0;
+  return id < link_rows_.size() ? link_rows_[id].use.packets : 0;
 }
 
 std::size_t Network::switching_port_count() const {

@@ -22,6 +22,7 @@
 // time, and is released before any flow callback runs.
 #pragma once
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -163,16 +164,20 @@ class Network {
     bool done = false;
   };
 
-  struct PortState {
-    rsf::sim::SimTime busy_until = rsf::sim::SimTime::zero();
-  };
-
   struct LinkUse {
     rsf::sim::SimTime busy = rsf::sim::SimTime::zero();
     rsf::sim::SimTime queue_delay_sum = rsf::sim::SimTime::zero();
     std::uint64_t queue_delay_samples = 0;
     std::uint64_t packets = 0;
     std::uint64_t bits = 0;
+  };
+
+  /// Everything the transport keeps per link, in one record: when each
+  /// of its two ports (cable ends in switching use; [0] transmits from
+  /// end_a, [1] from end_b) frees up, and the link's usage.
+  struct LinkRow {
+    std::array<rsf::sim::SimTime, 2> busy_until{};
+    LinkUse use;
   };
 
   /// SlotPool recycle gate for flows_: a slot returns to the free list
@@ -226,17 +231,9 @@ class Network {
   /// Drops log entries older than kPowerWindow before now.
   void prune_switched_bits() const;
 
-  /// A port is one cable end in switching use: every link has exactly
-  /// two, so (link, side) indexes a dense pool with no hashing.
-  [[nodiscard]] PortState& port_at(phy::NodeId node, phy::LinkId link,
-                                   const phy::LogicalLink& l) {
-    const std::size_t idx = static_cast<std::size_t>(link) * 2 + (l.end_a() == node ? 0 : 1);
-    if (idx >= ports_.size()) ports_.resize((static_cast<std::size_t>(link) + 1) * 2);
-    return ports_[idx];
-  }
-  [[nodiscard]] LinkUse& link_use_at(phy::LinkId link) {
-    if (link >= link_use_.size()) link_use_.resize(link + 1);
-    return link_use_[link];
+  [[nodiscard]] LinkRow& row_at(phy::LinkId link) {
+    if (link >= link_rows_.size()) link_rows_.resize(link + 1);
+    return link_rows_[link];
   }
 
   rsf::sim::Simulator* sim_;
@@ -247,12 +244,10 @@ class Network {
   rsf::sim::RandomStream rng_;  // frame-loss draws only
   rsf::sim::Logger log_;
 
-  // Hot-path state is vector-indexed: ports and link usage by (dense,
-  // monotonically assigned) LinkId, flow state by the dense index each
-  // Packet carries. The only hash map left is the cold FlowId -> index
+  // Hot-path state is vector-indexed: link rows by (dense, monotonically
+  // assigned) LinkId, flow state by the dense index each Packet carries. The only hash map left is the cold FlowId -> index
   // resolver used at start_flow time (probes, id kNoFlow, skip it).
-  std::vector<PortState> ports_;   // 2 slots per link: [link*2 + side]
-  std::vector<LinkUse> link_use_;  // by LinkId
+  std::vector<LinkRow> link_rows_;
   // Flows and probes share one SlotPool addressed by the {index,
   // generation} each Packet carries; a slot recycles at done +
   // last-straggler-drained (the FlowDrained gate).

@@ -13,12 +13,11 @@ constexpr double kUnreachable = std::numeric_limits<double>::infinity();
 constexpr double kUnpriced = std::numeric_limits<double>::quiet_NaN();
 }  // namespace
 
-Router::Router(const Topology* topo, RoutingPolicy policy) : topo_(topo), policy_(policy) {
+Router::Router(const Topology* topo, RoutingPolicy policy)
+    : topo_(topo), policy_(policy), n_(topo != nullptr ? topo->node_count() : 0) {
   if (topo_ == nullptr) throw std::invalid_argument("Router: null topology");
-  tables_.resize(topo_->node_count());
+  stamps_.resize(n_);  // no stamp matches until its row is built
 }
-
-void Router::set_policy(RoutingPolicy p) { policy_ = p; }
 
 void Router::set_price_fn(PriceFn fn) {
   price_fn_ = std::move(fn);
@@ -70,21 +69,24 @@ void Router::refresh_graph() {
   }
 }
 
-Router::DistTable& Router::table_for(phy::NodeId dst) {
-  // Callers guarantee dst < node_count(); tables_ is sized to match at
-  // construction (node count is fixed for a rack's lifetime).
-  DistTable& t = tables_[dst];
-  if (t.topo_version == topo_->version() && t.price_generation == price_generation_ &&
-      !t.dist.empty()) {
-    return t;
+const double* Router::dist_row(phy::NodeId dst) {
+  // Callers guarantee dst < n_.
+  Stamp& s = stamps_[dst];
+  if (s.topo_version == topo_->version() && s.price_generation == price_generation_) {
+    return dist_.data() + std::size_t{dst} * n_;
+  }
+  if (dist_.empty()) {  // the rows' storage, allocated on the first build
+    dist_.resize(std::size_t{n_} * n_);
+    next_.resize(std::size_t{n_} * n_);
   }
   refresh_graph();
-  const std::uint32_t n = topo_->node_count();
-  t.topo_version = topo_->version();
-  t.price_generation = price_generation_;
-  t.dist.assign(n, kUnreachable);
-  t.next.assign(n, kNextUnknown);
-  t.dist[dst] = 0.0;
+  s = Stamp{topo_->version(), price_generation_};
+  double* dist = dist_.data() + std::size_t{dst} * n_;
+  phy::LinkId* next = next_.data() + std::size_t{dst} * n_;
+  std::fill(dist, dist + n_, kUnreachable);
+  std::fill(next, next + n_, kNextUnknown);
+  next[dst] = kNextNone;  // lets the inline path answer at == dst
+  dist[dst] = 0.0;
   // Dijkstra from dst over the edge graph, in a heap reused across
   // rebuilds.
   heap_.clear();
@@ -93,20 +95,20 @@ Router::DistTable& Router::table_for(phy::NodeId dst) {
     std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
     const auto [d, node] = heap_.back();
     heap_.pop_back();
-    if (d > t.dist[node]) continue;
+    if (d > dist[node]) continue;
     for (const Edge* e = row_begin(node); e != row_end(node); ++e) {
       const double nd = d + e->cost;
-      if (nd < t.dist[e->to]) {
-        t.dist[e->to] = nd;
+      if (nd < dist[e->to]) {
+        dist[e->to] = nd;
         heap_.emplace_back(nd, e->to);
         std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
       }
     }
   }
-  return t;
+  return dist;
 }
 
-std::optional<phy::LinkId> Router::next_hop(phy::NodeId at, phy::NodeId dst) {
+std::optional<phy::LinkId> Router::next_hop_slow(phy::NodeId at, phy::NodeId dst) {
   if (at == dst) return std::nullopt;
   if (policy_ == RoutingPolicy::kDimensionOrder) {
     return next_hop_dimension_order(at, dst);
@@ -115,29 +117,29 @@ std::optional<phy::LinkId> Router::next_hop(phy::NodeId at, phy::NodeId dst) {
 }
 
 std::optional<phy::LinkId> Router::next_hop_min_cost(phy::NodeId at, phy::NodeId dst) {
-  if (dst >= tables_.size()) return std::nullopt;
-  DistTable& t = table_for(dst);
-  if (at >= t.dist.size() || t.dist[at] == kUnreachable) return std::nullopt;
-  // The per-(node, dst) argmin is memoized alongside dist and shares
-  // its validity: any topology-version bump (lane state, reconfig,
-  // reservations — set_reservation notifies the plant's observers) or
-  // price bump rebuilt the table above and reset next[] with it.
-  if (t.next[at] != kNextUnknown) {
-    return t.next[at] == kNextNone ? std::nullopt : std::optional(t.next[at]);
+  if (dst >= n_) return std::nullopt;
+  const double* dist = dist_row(dst);
+  if (at >= n_ || dist[at] == kUnreachable) return std::nullopt;
+  // The per-(node, dst) argmin is memoized in the row and shares its
+  // stamp: any topology-version or price bump rebuilt the row above
+  // and reset its next_ entries with it.
+  phy::LinkId& memo = next_[std::size_t{dst} * n_ + at];
+  if (memo != kNextUnknown) {
+    return memo == kNextNone ? std::nullopt : std::optional(memo);
   }
   // The argmin walks the same edges, in links_at order; strict < keeps
   // the first of equal-cost links.
   double best = kUnreachable;
   std::optional<phy::LinkId> best_link;
   for (const Edge* e = row_begin(at); e != row_end(at); ++e) {
-    if (t.dist[e->to] == kUnreachable) continue;
-    const double through = e->cost + t.dist[e->to];
+    if (dist[e->to] == kUnreachable) continue;
+    const double through = e->cost + dist[e->to];
     if (through < best) {
       best = through;
       best_link = e->link;
     }
   }
-  t.next[at] = best_link.value_or(kNextNone);
+  memo = best_link.value_or(kNextNone);
   return best_link;
 }
 
@@ -192,10 +194,10 @@ std::optional<phy::LinkId> Router::next_hop_dimension_order(phy::NodeId at,
 
 std::optional<double> Router::path_cost(phy::NodeId src, phy::NodeId dst) {
   if (src == dst) return 0.0;
-  if (dst >= tables_.size()) return std::nullopt;
-  const DistTable& t = table_for(dst);
-  if (src >= t.dist.size() || t.dist[src] == kUnreachable) return std::nullopt;
-  return t.dist[src];
+  if (dst >= n_) return std::nullopt;
+  const double* dist = dist_row(dst);
+  if (src >= n_ || dist[src] == kUnreachable) return std::nullopt;
+  return dist[src];
 }
 
 std::vector<phy::LinkId> Router::path(phy::NodeId src, phy::NodeId dst) {

@@ -13,7 +13,7 @@
 //
 // Under one (topology version, price generation) stamp the router
 // builds one flat graph of the usable, unreserved links with their
-// costs, pricing each link once. Distance tables are cached per
+// costs, pricing each link once. Distance rows are cached per
 // destination over it and rebuilt lazily when the stamp changes.
 #pragma once
 
@@ -40,7 +40,6 @@ class Router {
   Router(const Topology* topo, RoutingPolicy policy = RoutingPolicy::kMinCost);
 
   [[nodiscard]] RoutingPolicy policy() const { return policy_; }
-  void set_policy(RoutingPolicy p);
 
   /// Install live prices (CRC). Pass nullptr to restore the default
   /// unloaded-latency cost. Bumps the price generation.
@@ -49,8 +48,20 @@ class Router {
   void bump_prices() { ++price_generation_; }
 
   /// Next usable link from `at` toward `dst`, or nullopt if
-  /// unreachable right now.
-  [[nodiscard]] std::optional<phy::LinkId> next_hop(phy::NodeId at, phy::NodeId dst);
+  /// unreachable right now. Inline: a memoized min-cost answer in a
+  /// fresh row is one stamp compare and one array read; every other
+  /// case goes out of line.
+  [[nodiscard]] std::optional<phy::LinkId> next_hop(phy::NodeId at, phy::NodeId dst) {
+    if (policy_ == RoutingPolicy::kMinCost && at < n_ && dst < n_) {
+      const Stamp& s = stamps_[dst];
+      if (s.topo_version == topo_->version() && s.price_generation == price_generation_) {
+        const phy::LinkId memo = next_[std::size_t{dst} * n_ + at];
+        if (memo == kNextNone) return std::nullopt;
+        if (memo != kNextUnknown) return memo;
+      }
+    }
+    return next_hop_slow(at, dst);
+  }
 
   /// Total min-cost from src to dst under current prices (kMinCost
   /// semantics regardless of policy); nullopt if unreachable.
@@ -78,18 +89,11 @@ class Router {
   }
 
  private:
-  struct DistTable {
+  /// The (topology version, price generation) a destination's row was
+  /// built under. {0, 0} never matches: price generations start at 1.
+  struct Stamp {
     std::uint64_t topo_version = 0;
     std::uint64_t price_generation = 0;
-    // dist[node] = min cost node -> dst; kUnreachable if none.
-    std::vector<double> dist;
-    // next[node] = memoized argmin next link node -> dst, filled
-    // lazily by next_hop_min_cost (kNextUnknown until asked, kNextNone
-    // when no usable hop exists). Shares the table's validity stamps:
-    // topology-version bumps — including reservation changes, which
-    // notify the plant's change observers — and price-generation
-    // bumps reset it with dist.
-    std::vector<phy::LinkId> next;
   };
 
   /// One direction of a usable, unreserved link, priced.
@@ -99,7 +103,7 @@ class Router {
     double cost;
   };
 
-  /// next[] sentinels. Real LinkIds are dense small integers; these
+  /// next_ sentinels. Real LinkIds are dense small integers; these
   /// two top values can never be allocated.
   static constexpr phy::LinkId kNextUnknown = phy::kInvalidLink;
   static constexpr phy::LinkId kNextNone = phy::kInvalidLink - 1;
@@ -114,16 +118,24 @@ class Router {
   [[nodiscard]] const Edge* row_end(phy::NodeId node) const {
     return edges_.data() + row_start_[node + 1];
   }
-  DistTable& table_for(phy::NodeId dst);
+  /// dst's distance row, rebuilt first if its stamp is stale.
+  const double* dist_row(phy::NodeId dst);
 
   const Topology* topo_;
-  RoutingPolicy policy_;
+  const RoutingPolicy policy_;
+  const std::uint32_t n_;  // node count, fixed for a rack's lifetime
   PriceFn price_fn_;
   std::uint64_t price_generation_ = 1;
   double hop_penalty_ns_ = 450.0;  // cut-through pipeline, see SwitchParams
-  // Destination-indexed (node ids are dense): the per-hop table lookup
-  // is a single vector index instead of a hash probe.
-  std::vector<DistTable> tables_;
+  // Row dst of dist_ and next_ starts at dst * n_ and is valid while
+  // stamps_[dst] matches: dist = min cost at -> dst (kUnreachable if
+  // none), next = the memoized argmin (kNextUnknown until asked,
+  // kNextNone if no usable hop, and preset on the diagonal so at == dst
+  // needs no test). Topology-version bumps (reservations included) and
+  // price bumps stale every row at once.
+  std::vector<Stamp> stamps_;
+  std::vector<double> dist_;
+  std::vector<phy::LinkId> next_;
 
   // The edge graph (CSR: node `v`'s edges are edges_[row_start_[v],
   // row_start_[v + 1])) and its stamp; 0 = never built.
@@ -136,6 +148,7 @@ class Router {
   // Dijkstra's heap, reused across rebuilds.
   std::vector<std::pair<double, phy::NodeId>> heap_;
 
+  [[nodiscard]] std::optional<phy::LinkId> next_hop_slow(phy::NodeId at, phy::NodeId dst);
   [[nodiscard]] std::optional<phy::LinkId> next_hop_min_cost(phy::NodeId at, phy::NodeId dst);
   [[nodiscard]] std::optional<phy::LinkId> next_hop_dimension_order(phy::NodeId at,
                                                                     phy::NodeId dst) const;

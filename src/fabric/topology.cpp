@@ -49,14 +49,6 @@ bool Topology::usable(phy::LinkId link) const {
   return plant_->has_link(link) && plant_->link(link).ready() && !engine_->link_busy(link);
 }
 
-std::vector<phy::LinkId> Topology::usable_links_at(phy::NodeId node) const {
-  std::vector<phy::LinkId> out;
-  for (phy::LinkId id : links_at(node)) {
-    if (usable(id)) out.push_back(id);
-  }
-  return out;
-}
-
 std::optional<phy::LinkId> Topology::link_between(phy::NodeId a, phy::NodeId b) const {
   for (phy::LinkId id : links_at(a)) {
     const phy::LogicalLink& l = plant_->link(id);

@@ -48,8 +48,6 @@ class Topology {
   /// actuating on it.
   [[nodiscard]] bool usable(phy::LinkId link) const;
 
-  /// All usable links terminating at `node`.
-  [[nodiscard]] std::vector<phy::LinkId> usable_links_at(phy::NodeId node) const;
 
   /// Any usable link between the two nodes (lowest id if several).
   [[nodiscard]] std::optional<phy::LinkId> link_between(phy::NodeId a, phy::NodeId b) const;

@@ -65,7 +65,6 @@ class Lane {
   /// revive it; only repair() (a physical intervention) clears it.
   [[nodiscard]] bool is_failed() const { return failed_; }
   [[nodiscard]] double power_watts() const { return power_.watts(state_); }
-  [[nodiscard]] const LanePowerParams& power_params() const { return power_; }
 
   /// Current environmental pre-FEC BER on this lane.
   [[nodiscard]] double pre_fec_ber() const { return pre_fec_ber_; }

@@ -9,9 +9,7 @@ namespace rsf::phy {
 
 using rsf::sim::SimTime;
 
-NodeId LogicalLink::other_end(NodeId n) const {
-  if (n == end_a_) return end_b_;
-  if (n == end_b_) return end_a_;
+void LogicalLink::throw_not_an_endpoint() {
   throw std::invalid_argument("LogicalLink::other_end: node not an endpoint");
 }
 
@@ -71,12 +69,9 @@ double LogicalLink::frame_loss_prob(DataSize frame) const {
   // per-segment loss probabilities (worst-lane BER per segment).
   // The FEC tail sum is expensive (lgamma loop) and its inputs repeat
   // hop after hop, so memoize the result per (ber, frame) and the tail
-  // sum per ber — a fresh BER simply misses both. In front of them, the
-  // hot slot answers a repeat of the last frame size while no lane BER
-  // can have changed (the plant's BER epoch is unchanged).
+  // sum per ber — a fresh BER simply misses both. (A hop reaches this
+  // only on a frame_cost miss.)
   const std::int64_t bits = frame.bit_count();
-  const std::uint64_t epoch = plant_->ber_epoch();
-  if (hot_frame_bits_ == bits && hot_ber_epoch_ == epoch) return hot_loss_;
   double survive = 1.0;
   for (const LinkSegment& seg : segments_) {
     const Cable& c = plant_->cable(seg.cable);
@@ -96,10 +91,27 @@ double LogicalLink::frame_loss_prob(DataSize frame) const {
     }
     survive *= 1.0 - seg_loss;
   }
-  hot_frame_bits_ = bits;
-  hot_ber_epoch_ = epoch;
-  hot_loss_ = 1.0 - survive;
-  return hot_loss_;
+  return 1.0 - survive;
+}
+
+const FrameCost& LogicalLink::refresh_frame_cost(DataSize frame, DataSize header,
+                                                 std::uint64_t ber_epoch) const {
+  FrameCost& c = frame_cost_;
+  const std::int64_t bits = frame.bit_count();
+  c.frame_bits = bits;
+  c.header_bits = header.bit_count();
+  c.ber_epoch = ber_epoch;
+  c.serialization = serialization_delay(frame);
+  c.header_serialization = serialization_delay(std::min(header, frame));
+  c.transit = propagation_delay() + fec_.latency;
+  c.loss = frame_loss_prob(frame);
+  // Codewords per frame, striped across the lanes.
+  const std::int64_t payload_per_cw = std::int64_t{fec_.k} * fec_.symbol_bits;
+  c.codewords = fec_.n == 0 || bits <= 0
+                    ? 0
+                    : static_cast<std::uint64_t>((bits + payload_per_cw - 1) / payload_per_cw);
+  c.remainder = bits % lane_count();
+  return c;
 }
 
 double LogicalLink::codeword_error_prob(double ber) const {

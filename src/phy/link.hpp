@@ -22,6 +22,20 @@ namespace rsf::phy {
 
 class PhysicalPlant;
 
+/// What one frame costs on a link, for one (frame, header) size pair
+/// at one plant BER epoch (the key): see LogicalLink::frame_cost.
+struct FrameCost {
+  std::int64_t frame_bits = -1;  // -1 = never filled
+  std::int64_t header_bits = -1;
+  std::uint64_t ber_epoch = 0;
+  rsf::sim::SimTime serialization;         // of the frame
+  rsf::sim::SimTime header_serialization;  // of min(header, frame)
+  rsf::sim::SimTime transit;               // propagation + FEC latency
+  double loss = 0.0;                       // frame_loss_prob(frame)
+  std::uint64_t codewords = 0;             // 0 when uncoded
+  std::int64_t remainder = 0;              // frame_bits % lane_count()
+};
+
 /// One hop of a logical link across one cable, using a subset of that
 /// cable's lanes.
 struct LinkSegment {
@@ -44,7 +58,11 @@ class LogicalLink {
   [[nodiscard]] NodeId end_a() const { return end_a_; }
   [[nodiscard]] NodeId end_b() const { return end_b_; }
   [[nodiscard]] bool connects(NodeId n) const { return n == end_a_ || n == end_b_; }
-  [[nodiscard]] NodeId other_end(NodeId n) const;
+  [[nodiscard]] NodeId other_end(NodeId n) const {
+    if (n == end_a_) return end_b_;
+    if (n == end_b_) return end_a_;
+    throw_not_an_endpoint();
+  }
 
   [[nodiscard]] const std::vector<LinkSegment>& segments() const { return segments_; }
   /// Number of physical bypass joints traffic crosses (segments - 1).
@@ -76,6 +94,18 @@ class LogicalLink {
   [[nodiscard]] double worst_pre_fec_ber() const;
   /// Probability a frame is lost to uncorrectable errors end-to-end.
   [[nodiscard]] double frame_loss_prob(DataSize frame) const;
+  /// Everything a hop needs of one frame, memoized for the last frame
+  /// at plant BER epoch `ber_epoch` (PhysicalPlant::ber_epoch()). A
+  /// miss fills it from serialization_delay, propagation_delay and
+  /// frame_loss_prob; set_fec clears it.
+  [[nodiscard]] const FrameCost& frame_cost(DataSize frame, DataSize header,
+                                            std::uint64_t ber_epoch) const {
+    if (frame_cost_.frame_bits == frame.bit_count() &&
+        frame_cost_.header_bits == header.bit_count() && frame_cost_.ber_epoch == ber_epoch) {
+      return frame_cost_;
+    }
+    return refresh_frame_cost(frame, header, ber_epoch);
+  }
   /// Residual post-FEC BER at the link's current worst-lane BER.
   [[nodiscard]] double post_fec_ber() const;
 
@@ -103,6 +133,9 @@ class LogicalLink {
   friend class PhysicalPlant;
   std::optional<std::uint64_t> reserved_for_;
 
+  [[noreturn]] static void throw_not_an_endpoint();
+  const FrameCost& refresh_frame_cost(DataSize frame, DataSize header,
+                                      std::uint64_t ber_epoch) const;
   [[nodiscard]] bool compute_ready() const;
   /// Called by the plant whenever a member lane's state may have
   /// changed (training transitions, power-off, hard failure/repair).
@@ -116,7 +149,7 @@ class LogicalLink {
     eff_rate_valid_ = false;
     loss_memo_.fill(LossMemo{});
     cw_err_memo_.fill(CwErrMemo{});
-    hot_frame_bits_ = -1;
+    frame_cost_ = FrameCost{};
   }
 
   const PhysicalPlant* plant_;
@@ -166,12 +199,9 @@ class LogicalLink {
   std::size_t remainder_base_ = 0;
   std::uint64_t pending_codewords_ = 0;
 
-  // One hot frame_loss_prob slot in front of the memos above: the last
-  // frame size at the plant's BER epoch (see PhysicalPlant::ber_epoch).
-  // A hop hitting it skips the per-segment lane BER scan.
-  mutable std::int64_t hot_frame_bits_ = -1;
-  mutable std::uint64_t hot_ber_epoch_ = 0;
-  mutable double hot_loss_ = 0.0;
+  // frame_cost's memo: a hop hitting it skips the divisions and the
+  // per-segment lane BER scan.
+  mutable FrameCost frame_cost_;
   /// -1 unknown, else 0/1. See ready().
   mutable std::int8_t ready_cache_ = -1;
 };

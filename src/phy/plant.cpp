@@ -152,11 +152,6 @@ void PhysicalPlant::destroy_link(LinkId id) {
   --link_count_;
 }
 
-LogicalLink& PhysicalPlant::mutable_link(LinkId id) {
-  if (!has_link(id)) throw std::invalid_argument("link: unknown id");
-  return *links_[id];
-}
-
 std::vector<LinkId> PhysicalPlant::link_ids() const {
   std::vector<LinkId> ids;
   ids.reserve(link_count_);
@@ -344,26 +339,6 @@ void PhysicalPlant::set_reservation(LinkId id, std::optional<std::uint64_t> flow
   // the link set: notify, so topology versions bump and memoized
   // routing state (dist tables, next-hop argmins) refreshes.
   for (const auto& obs : change_observers_) obs();
-}
-
-void PhysicalPlant::account_bits(LinkId id, std::int64_t bits) {
-  LogicalLink& l = mutable_link(id);
-  const int lanes = l.lane_count();
-  if (lanes == 0 || bits <= 0) return;
-  l.pending_bits_ += bits;
-  ++pending_remainders_[l.remainder_base_ + static_cast<std::size_t>(bits % lanes)];
-  telemetry_pending_ = true;
-}
-
-void PhysicalPlant::account_frame(LinkId id, DataSize frame) {
-  const std::int64_t bits = frame.bit_count();
-  account_bits(id, bits);
-  LogicalLink& l = *links_[id];
-  const FecSpec& fec = l.fec();
-  if (fec.n == 0 || bits <= 0) return;  // uncoded: no decoder telemetry
-  // Codewords per frame, striped across the lanes.
-  const std::int64_t payload_per_cw = std::int64_t{fec.k} * fec.symbol_bits;
-  l.pending_codewords_ += static_cast<std::uint64_t>((bits + payload_per_cw - 1) / payload_per_cw);
 }
 
 void PhysicalPlant::fold_telemetry() const {

@@ -137,16 +137,24 @@ class PhysicalPlant {
 
   // --- PLP #5: statistics ---
 
-  /// Account `bits` carried by every segment of the link, split evenly
-  /// across its lanes; the bits % lanes remainder goes one bit each to
-  /// a segment's first lanes, so every segment accounts all of `bits`.
-  void account_bits(LinkId id, std::int64_t bits);
-
-  /// Account one frame crossing the link, including the FEC decoder
-  /// telemetry real transceivers expose: the number of corrected
-  /// codewords, Poisson per lane at the lane's true BER. O(1): the
-  /// link accumulates the frame and the lanes see it at the next fold.
-  void account_frame(LinkId id, DataSize frame);
+  /// Account one frame crossing the link: its bits on every segment,
+  /// split evenly across the lanes with the bits % lanes remainder one
+  /// bit each to a segment's first lanes, and the FEC decoder telemetry
+  /// real transceivers expose, corrected codewords Poisson per lane at
+  /// the lane's true BER. O(1) and inline: the link's frame_cost memo
+  /// carries the frame's codewords and remainder, and the link sums
+  /// them until the next fold. Returns the memo: the hop's link row.
+  const FrameCost& account_frame(LinkId id, DataSize frame, DataSize header) {
+    LogicalLink& l = mutable_link(id);
+    const FrameCost& cost = l.frame_cost(frame, header, ber_epoch_);
+    if (cost.frame_bits > 0) {
+      l.pending_bits_ += cost.frame_bits;
+      ++pending_remainders_[l.remainder_base_ + static_cast<std::size_t>(cost.remainder)];
+      l.pending_codewords_ += cost.codewords;
+      telemetry_pending_ = true;
+    }
+    return cost;
+  }
 
   /// PLP #5 statistics of one lane, with the telemetry accounted since
   /// the last fold folded in: the exact bit split, and corrected
@@ -163,7 +171,7 @@ class PhysicalPlant {
   [[nodiscard]] double estimated_pre_fec_ber(LinkId id) const;
 
   /// Bumped by every lane BER write the plant can see: set_cable_ber
-  /// and mutable cable() access. Keys LogicalLink's hot loss slot.
+  /// and mutable cable() access. Keys LogicalLink::frame_cost's memo.
   [[nodiscard]] std::uint64_t ber_epoch() const { return ber_epoch_; }
 
   /// Set the environmental pre-FEC BER on every lane of a cable;
@@ -213,7 +221,10 @@ class PhysicalPlant {
   void release_lanes(const std::vector<LinkSegment>& segments);
   void check_segments(NodeId end_a, NodeId end_b,
                       const std::vector<LinkSegment>& segments) const;
-  [[nodiscard]] LogicalLink& mutable_link(LinkId id);
+  [[nodiscard]] LogicalLink& mutable_link(LinkId id) {
+    if (!has_link(id)) throw std::invalid_argument("link: unknown id");
+    return *links_[id];
+  }
   /// Visit every member lane, segment by segment in stored order.
   template <typename Fn>
   void for_each_lane(const LogicalLink& link, Fn&& fn);

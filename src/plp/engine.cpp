@@ -67,7 +67,6 @@ void PlpEngine::execute_now(Pending pending) {
       return;
     }
   }
-  ++inflight_;
   struct Visitor {
     PlpEngine& e;
     Pending& p;
@@ -90,7 +89,6 @@ void PlpEngine::finish(Pending pending, PlpResult result) {
   result.completed_at = sim_->now();
   counters_.add(result.ok ? "plp.completed." + command_name(pending.cmd)
                           : "plp.failed." + command_name(pending.cmd));
-  --inflight_;
   clear_busy(result.removed);
   clear_busy(result.created);
   if (pending.callback) pending.callback(result);
@@ -168,7 +166,6 @@ void PlpEngine::run_split(Pending pending) {
   try {
     halves = plant_->split_link(cmd.link, cmd.k);
   } catch (const std::exception& ex) {
-    --inflight_;
     fail(pending, ex.what());
     return;
   }
@@ -195,7 +192,6 @@ void PlpEngine::run_bundle(Pending pending) {
   try {
     merged = plant_->bundle_links(cmd.first, cmd.second);
   } catch (const std::exception& ex) {
-    --inflight_;
     fail(pending, ex.what());
     return;
   }
@@ -219,7 +215,6 @@ void PlpEngine::run_bypass_join(Pending pending) {
   try {
     joined = plant_->bypass_join(cmd.first, cmd.second);
   } catch (const std::exception& ex) {
-    --inflight_;
     fail(pending, ex.what());
     return;
   }
@@ -249,7 +244,6 @@ void PlpEngine::run_bypass_sever(Pending pending) {
   try {
     halves = plant_->bypass_sever(cmd.link, cmd.at);
   } catch (const std::exception& ex) {
-    --inflight_;
     fail(pending, ex.what());
     return;
   }
@@ -355,7 +349,6 @@ void PlpEngine::run_provision(Pending pending) {
     }
     id = plant_->create_adjacent_link(cmd.cable, cmd.lanes, phy::FecSpec::of(cmd.fec));
   } catch (const std::exception& ex) {
-    --inflight_;
     fail(pending, ex.what());
     return;
   }

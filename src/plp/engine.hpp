@@ -92,7 +92,6 @@ class PlpEngine {
     return id < busy_.size() && busy_[id];
   }
   [[nodiscard]] std::size_t queued_commands() const { return queue_.size(); }
-  [[nodiscard]] std::size_t inflight_commands() const { return inflight_; }
   [[nodiscard]] const PlpTimings& timings() const { return timings_; }
   [[nodiscard]] const PlpCapabilities& capabilities() const { return caps_; }
   [[nodiscard]] const telemetry::CounterSet& counters() const { return counters_; }
@@ -139,7 +138,6 @@ class PlpEngine {
   // reused); grown on demand by mark_busy.
   std::vector<bool> busy_;
   std::deque<Pending> queue_;
-  std::size_t inflight_ = 0;
   std::vector<TopologyObserver> topo_observers_;
   std::vector<ReadinessObserver> readiness_observers_;
   telemetry::CounterSet counters_;

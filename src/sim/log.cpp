@@ -30,7 +30,6 @@ namespace {
 struct GlobalLogState {
   std::mutex mu;
   LogLevel level = LogLevel::kWarn;
-  LogConfig::Sink sink;  // empty => stderr
 };
 
 GlobalLogState& state() {
@@ -50,27 +49,8 @@ void LogConfig::set_level(LogLevel level) {
   state().level = level;
 }
 
-void LogConfig::set_sink(Sink sink) {
-  std::lock_guard lock(state().mu);
-  state().sink = std::move(sink);
-}
-
-void LogConfig::reset_sink() {
-  std::lock_guard lock(state().mu);
-  state().sink = nullptr;
-}
-
-void LogConfig::emit(LogLevel level, std::string_view line) {
-  Sink sink_copy;
-  {
-    std::lock_guard lock(state().mu);
-    sink_copy = state().sink;
-  }
-  if (sink_copy) {
-    sink_copy(level, line);
-  } else {
-    std::fprintf(stderr, "%.*s\n", static_cast<int>(line.size()), line.data());
-  }
+void LogConfig::emit(std::string_view line) {
+  std::fprintf(stderr, "%.*s\n", static_cast<int>(line.size()), line.data());
 }
 
 void Logger::format_prefix(std::ostream& os, LogLevel level) const {

@@ -1,11 +1,9 @@
 // rsf::sim — lightweight leveled logging bound to simulation time.
 //
 // Components log through a Logger that prefixes simulation time and a
-// component tag. The sink is process-global but injectable, so tests
-// can capture output and benches can silence it.
+// component tag. The level is process-global, so benches can silence it.
 #pragma once
 
-#include <functional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -20,17 +18,12 @@ enum class LogLevel { kTrace = 0, kDebug = 1, kInfo = 2, kWarn = 3, kError = 4, 
 
 [[nodiscard]] std::string_view to_string(LogLevel level);
 
-/// Global log configuration. Defaults: level kWarn, sink = stderr.
+/// Global log configuration. Default level kWarn; lines go to stderr.
 class LogConfig {
  public:
-  using Sink = std::function<void(LogLevel, std::string_view line)>;
-
   static LogLevel level();
   static void set_level(LogLevel level);
-  static void set_sink(Sink sink);
-  /// Restore the default stderr sink.
-  static void reset_sink();
-  static void emit(LogLevel level, std::string_view line);
+  static void emit(std::string_view line);
 };
 
 /// Per-component logger. Cheap to copy; holds only a tag and a pointer
@@ -48,28 +41,12 @@ class Logger {
     std::ostringstream oss;
     format_prefix(oss, level);
     (oss << ... << args);
-    LogConfig::emit(level, oss.str());
+    LogConfig::emit(oss.str());
   }
 
   template <typename... Args>
-  void trace(const Args&... args) const {
-    log(LogLevel::kTrace, args...);
-  }
-  template <typename... Args>
   void debug(const Args&... args) const {
     log(LogLevel::kDebug, args...);
-  }
-  template <typename... Args>
-  void info(const Args&... args) const {
-    log(LogLevel::kInfo, args...);
-  }
-  template <typename... Args>
-  void warn(const Args&... args) const {
-    log(LogLevel::kWarn, args...);
-  }
-  template <typename... Args>
-  void error(const Args&... args) const {
-    log(LogLevel::kError, args...);
   }
 
   [[nodiscard]] const std::string& tag() const { return tag_; }

@@ -9,6 +9,7 @@
 #include <limits>
 #include <optional>
 #include <queue>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -132,17 +133,24 @@ TEST_F(GridFixture, DefaultCostReflectsLatencyPlusHopPenalty) {
 }
 
 TEST_F(GridFixture, DimensionOrderRoutesXThenY) {
-  rack.router->set_policy(RoutingPolicy::kDimensionOrder);
-  const NodeId src = rack.node_at(0, 0);
-  const NodeId dst = rack.node_at(2, 2);
+  // The policy is fixed at construction: build the same grid with
+  // dimension-order routing.
+  Simulator dim_sim;
+  RackParams p;
+  p.width = 4;
+  p.height = 4;
+  p.routing = RoutingPolicy::kDimensionOrder;
+  const Rack dim = build_grid(&dim_sim, p);
+  const NodeId src = dim.node_at(0, 0);
+  const NodeId dst = dim.node_at(2, 2);
   // First hop must move in x.
-  const auto first = rack.router->next_hop(src, dst);
+  const auto first = dim.router->next_hop(src, dst);
   ASSERT_TRUE(first.has_value());
-  EXPECT_EQ(rack.plant->link(*first).other_end(src), rack.node_at(1, 0));
+  EXPECT_EQ(dim.plant->link(*first).other_end(src), dim.node_at(1, 0));
   // From (2,0) the x is correct: moves in y.
-  const auto later = rack.router->next_hop(rack.node_at(2, 0), dst);
+  const auto later = dim.router->next_hop(dim.node_at(2, 0), dst);
   ASSERT_TRUE(later.has_value());
-  EXPECT_EQ(rack.plant->link(*later).other_end(rack.node_at(2, 0)), rack.node_at(2, 1));
+  EXPECT_EQ(dim.plant->link(*later).other_end(dim.node_at(2, 0)), dim.node_at(2, 1));
 }
 
 TEST(RouterTorus, DimensionOrderUsesWraparound) {
@@ -232,6 +240,10 @@ class ReferenceRouter {
  public:
   ReferenceRouter(const Rack& rack, const std::vector<double>* prices)
       : rack_(rack), prices_(prices), hop_penalty_(rack.params.net_config.switch_params.switch_latency.ns()) {}
+
+  /// Mirrors Router::set_hop_penalty_ns for priced links (default costs
+  /// read the router's own penalty through default_cost).
+  void set_hop_penalty(double ns) { hop_penalty_ = ns; }
 
   std::vector<double> dist_to(NodeId dst) const {
     const auto& topo = *rack_.topology;
@@ -364,6 +376,128 @@ TEST(RouterOracle, EdgeGraphSearchMatchesHeapDijkstraOnRandomRacks) {
     }
   }
   EXPECT_GT(compared, 10000);
+}
+
+TEST(RouterOracle, InterleavedInvalidationsNeverServeAStaleRow) {
+  // Every invalidation the router keys on, one at a time: in-place
+  // price changes with bump_prices, set_price_fn, set_hop_penalty_ns,
+  // reservation set and clear, lane failure and repair. Between them,
+  // queries on a random subset of destinations, so rows built under
+  // older stamps sit next to fresh ones. After every step, next_hop,
+  // path_cost and path match the reference for every source of the
+  // queried destinations, and at == dst and out-of-range nodes answer
+  // nullopt (cost 0 for src == dst).
+  rsf::sim::RandomStream rng(67, "router-interleave");
+  const auto pick = [&rng](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  int compared = 0;
+  int invalidations = 0;
+  for (int trial = 0; trial < 12; ++trial) {
+    Simulator sim;
+    RackParams p;
+    p.width = static_cast<int>(rng.uniform_int(3, 7));
+    p.height = static_cast<int>(rng.uniform_int(3, 7));
+    Rack rack = trial % 2 == 0 ? build_grid(&sim, p) : build_torus(&sim, p);
+    Router& router = *rack.router;
+    const auto n = static_cast<NodeId>(rack.node_count());
+    const std::vector<LinkId> ids = rack.plant->link_ids();
+    std::vector<double> prices(ids.back() + 1, std::nan(""));
+    ReferenceRouter ref(rack, &prices);
+    const auto random_price = [&] {
+      const int kind = static_cast<int>(rng.uniform_int(0, 9));
+      return kind == 0   ? std::nan("")
+             : kind == 1 ? kInf
+             : kind == 2 ? -5.0
+             : kind <= 5 ? 100.0  // ties
+                         : rng.uniform(0.0, 2000.0);
+    };
+    bool priced = false;  // the router has a price function installed
+    std::vector<phy::LaneRef> failed;
+    for (int step = 0; step < 80; ++step) {
+      const int op = static_cast<int>(rng.uniform_int(0, 6));
+      const LinkId id = ids[pick(ids.size())];
+      if (op == 0) {
+        // In place, behind the router's back, then announced.
+        if (priced) {
+          for (int k = 0; k < 4; ++k) prices[ids[pick(ids.size())]] = random_price();
+        }
+        router.bump_prices();
+      } else if (op == 1) {
+        priced = rng.uniform_int(0, 3) != 0;
+        if (!priced) {
+          std::fill(prices.begin(), prices.end(), std::nan(""));
+          router.set_price_fn(nullptr);
+        } else {
+          for (const LinkId l : ids) prices[l] = random_price();
+          router.set_price_fn([&prices](LinkId l) { return l < prices.size() ? prices[l] : std::nan(""); });
+        }
+      } else if (op == 2) {
+        const double ns = rng.uniform_int(0, 2) == 0 ? 0.0 : rng.uniform(0.0, 900.0);
+        router.set_hop_penalty_ns(ns);
+        ref.set_hop_penalty(ns);
+      } else if (op == 3) {
+        rack.plant->set_reservation(id, rng.uniform_int(0, 1) == 0 ? std::optional<std::uint64_t>(7)
+                                                                   : std::nullopt);
+      } else if (op == 4 && rack.plant->has_link(id)) {
+        const phy::LaneRef lane{rack.plant->link(id).segments().front().cable,
+                                static_cast<int>(pick(static_cast<std::size_t>(p.lanes_per_cable)))};
+        rack.plant->fail_lane(lane);
+        failed.push_back(lane);
+      } else if (op == 5 && !failed.empty()) {
+        const std::size_t i = pick(failed.size());
+        const phy::LaneRef lane = failed[i];
+        failed.erase(failed.begin() + static_cast<std::ptrdiff_t>(i));
+        rack.plant->repair_lane(lane);
+        if (const auto owner = rack.plant->lane_owner(lane)) {
+          rack.engine->submit(plp::BringUpCommand{*owner});
+          sim.run_until();  // retrained: the readiness change bumps the version
+        }
+      }
+      if (op <= 5) ++invalidations;
+      // A random third of the destinations, in random order.
+      for (NodeId dst = 0; dst < n; ++dst) {
+        if (rng.uniform_int(0, 2) != 0) continue;
+        const std::vector<double> dist = ref.dist_to(dst);
+        for (NodeId src = 0; src < n; ++src) {
+          const auto where = [&] {
+            return "trial " + std::to_string(trial) + " step " + std::to_string(step) + " op " +
+                   std::to_string(op) + " " + std::to_string(src) + "->" + std::to_string(dst);
+          };
+          if (src == dst) {
+            ASSERT_EQ(router.next_hop(src, dst), std::nullopt) << where();
+            ASSERT_EQ(router.path_cost(src, dst), std::optional<double>(0.0)) << where();
+            ASSERT_TRUE(router.path(src, dst).empty()) << where();
+            continue;
+          }
+          const auto cost = router.path_cost(src, dst);
+          ASSERT_EQ(cost.has_value(), dist[src] != kInf) << where();
+          if (cost) ASSERT_EQ(*cost, dist[src]) << where();
+          ASSERT_EQ(router.next_hop(src, dst), ref.next_hop(src, dist)) << where();
+          std::vector<LinkId> want;
+          NodeId at = src;
+          for (std::uint32_t hop = 0; hop <= n && at != dst; ++hop) {
+            const auto link = ref.next_hop(at, dist);
+            if (!link) break;
+            want.push_back(*link);
+            at = rack.plant->link(*link).other_end(at);
+          }
+          if (at != dst) want.clear();
+          ASSERT_EQ(router.path(src, dst), want) << where();
+          ++compared;
+        }
+        for (const NodeId out : {n, n + 1, phy::kInvalidNode}) {
+          ASSERT_EQ(router.next_hop(out, dst), std::nullopt) << out << "->" << dst;
+          ASSERT_EQ(router.next_hop(dst, out), std::nullopt) << dst << "->" << out;
+          ASSERT_EQ(router.path_cost(out, dst), std::nullopt) << out << "->" << dst;
+          ASSERT_TRUE(router.path(dst, out).empty()) << dst << "->" << out;
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 20000);
+  EXPECT_GT(invalidations, 700);
 }
 
 TEST_F(GridFixture, HopPenaltyMustBeFiniteAndNonNegative) {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <limits>
 #include <map>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -22,6 +23,9 @@ using rsf::sim::SimTime;
 using namespace rsf::sim::literals;
 
 LanePowerParams test_power() { return LanePowerParams{1.0, 1.0, 0.1}; }
+
+/// The header size the rack transport serializes ahead of cut-through.
+constexpr DataSize kHeader = DataSize::bytes(64);
 
 /// Plant with a 4-node chain 0-1-2-3, each cable 4 lanes of 25G, 2 m.
 struct ChainFixture {
@@ -389,7 +393,7 @@ TEST(Plant, RejectsImpossibleFecSpecs) {
 TEST(Plant, AccountBitsSpreadsAcrossLanes) {
   ChainFixture f;
   const LinkId id = f.plant.create_adjacent_link(f.c01, {0, 1});
-  f.plant.account_bits(id, 1000);
+  f.plant.account_frame(id, DataSize::bits(1000), kHeader);
   EXPECT_EQ(f.plant.cable(f.c01).lane(0).stats().bits_carried, 500u);
   EXPECT_EQ(f.plant.cable(f.c01).lane(1).stats().bits_carried, 500u);
   EXPECT_EQ(f.plant.cable(f.c01).lane(2).stats().bits_carried, 0u);
@@ -398,8 +402,8 @@ TEST(Plant, AccountBitsSpreadsAcrossLanes) {
 TEST(Plant, AccountBitsKeepsRemainderOnThreeLaneLink) {
   ChainFixture f;
   const LinkId id = f.plant.create_adjacent_link(f.c01, {0, 1, 2});
-  f.plant.account_bits(id, 1000);                    // 333 each + 1
-  f.plant.account_frame(id, DataSize::bits(1001));  // 333 each + 2
+  f.plant.account_frame(id, DataSize::bits(1000), kHeader);  // 333 each + 1
+  f.plant.account_frame(id, DataSize::bits(1001), kHeader);  // 333 each + 2
   const auto carried = [&](int lane) { return f.plant.cable(f.c01).lane(lane).stats().bits_carried; };
   EXPECT_EQ(carried(0) + carried(1) + carried(2), 2001u);
   // The remainder goes to a segment's first lanes, deterministically.
@@ -413,7 +417,7 @@ TEST(Plant, AccountBitsCountsEverySegmentOfABypassLink) {
   const LinkId id = f.plant.create_link(
       0, 3,
       {LinkSegment{f.c01, {0, 1, 2}}, LinkSegment{f.c12, {0, 1, 2}}, LinkSegment{f.c23, {0, 1, 2}}});
-  f.plant.account_bits(id, 1001);
+  f.plant.account_frame(id, DataSize::bits(1001), kHeader);
   for (const CableId c : {f.c01, f.c12, f.c23}) {
     std::uint64_t sum = 0;
     for (int lane = 0; lane < 3; ++lane) sum += f.plant.cable(c).lane(lane).stats().bits_carried;
@@ -511,7 +515,7 @@ TEST(BerEstimator, ReturnsZeroWithoutTrafficOrFec) {
       f.plant.create_adjacent_link(f.c01, {0, 1}, FecSpec::of(FecScheme::kRsKr4));
   EXPECT_EQ(f.plant.estimated_pre_fec_ber(coded), 0.0);  // no traffic yet
   const LinkId uncoded = f.plant.create_adjacent_link(f.c12, {0, 1});
-  f.plant.account_frame(uncoded, DataSize::kilobytes(64));
+  f.plant.account_frame(uncoded, DataSize::kilobytes(64), kHeader);
   EXPECT_EQ(f.plant.estimated_pre_fec_ber(uncoded), 0.0);  // no decoder => no telemetry
 }
 
@@ -531,7 +535,7 @@ TEST_P(BerEstimatorConvergence, TracksTrueBerWithinFactorTwo) {
   plant.set_cable_ber(cable, c.true_ber);
   // ~64 MB of observed traffic: plenty of codewords at these BERs.
   for (int i = 0; i < 4096; ++i) {
-    plant.account_frame(link, DataSize::kilobytes(16));
+    plant.account_frame(link, DataSize::kilobytes(16), kHeader);
   }
   const double est = plant.estimated_pre_fec_ber(link);
   EXPECT_GT(est, c.true_ber / 2) << "scheme=" << to_string(c.scheme);
@@ -624,7 +628,7 @@ TEST(AccountFrameOracle, FoldedBitsMatchEagerSplitAtEveryStep) {
                     ? DataSize::bits(ops.uniform_int(1, 8 * 9000))
                     : DataSize::bytes(kFullFrameBytes[pick(kFullFrameBytes.size())]);
             reference_account_bits(o.plant, id, frame.bit_count(), expected_bits);
-            o.plant.account_frame(id, frame);
+            o.plant.account_frame(id, frame, kHeader);
           } else if (op == 12) {
             o.plant.set_fec(id, FecSpec::of(kAllFecSchemes[pick(kAllFecSchemes.size())]));
           } else if (op == 13) {
@@ -690,7 +694,7 @@ TEST(AccountFrameOracle, FoldsBeforeTheCodewordInputsChange) {
     ChainFixture f;
     const LinkId id = f.plant.create_adjacent_link(f.c01, {0, 1}, FecSpec::of(FecScheme::kRsKp4));
     f.plant.set_cable_ber(f.c01, 1e-4);
-    for (int i = 0; i < 64; ++i) f.plant.account_frame(id, DataSize::kilobytes(16));
+    for (int i = 0; i < 64; ++i) f.plant.account_frame(id, DataSize::kilobytes(16), kHeader);
     change(f, id);
     return f.plant.lane_stats({f.c01, 0}).corrected_codewords;
   };
@@ -709,7 +713,7 @@ TEST(AccountFrameOracle, FoldsBeforeTheCodewordInputsChange) {
 TEST(AccountFrameOracle, MutableCableAccessSeesFoldedStats) {
   ChainFixture f;
   const LinkId id = f.plant.create_adjacent_link(f.c01, {0, 1, 2});
-  f.plant.account_frame(id, DataSize::bits(1001));  // 334, 334, 333
+  f.plant.account_frame(id, DataSize::bits(1001), kHeader);  // 334, 334, 333
   EXPECT_EQ(f.plant.cable(f.c01).lane(0).stats().bits_carried, 334u);
   EXPECT_EQ(f.plant.cable(f.c01).lane(2).stats().bits_carried, 333u);
 }
@@ -720,7 +724,7 @@ TEST(AccountFrameOracle, MutableCableAccessSeesFoldedStats) {
 struct TelemetryPlant {
   PhysicalPlant plant;
   explicit TelemetryPlant(std::uint64_t seed) : plant(seed) {}
-  void account(LinkId id, DataSize frame) { plant.account_frame(id, frame); }
+  void account(LinkId id, DataSize frame) { plant.account_frame(id, frame, kHeader); }
 };
 
 TEST(AccountFrameDistribution, CorrectedCodewordsArePoissonWithTheSummedMean) {
@@ -777,15 +781,65 @@ double reference_frame_loss(const PhysicalPlant& plant, LinkId id, DataSize fram
   return 1.0 - survive;
 }
 
+/// LogicalLink::frame_cost without its memo or the link's caches: the
+/// timing from the member lanes and cables, the loss from the model,
+/// the PLP #5 figures from the FEC spec and the lane count.
+FrameCost reference_frame_cost(const PhysicalPlant& plant, LinkId id, DataSize frame,
+                               DataSize header) {
+  const LogicalLink& l = plant.link(id);
+  const FecSpec& fec = l.fec();
+  DataRate raw = DataRate::zero();
+  for (const int lane : l.segments().front().lanes) {
+    raw = raw + plant.cable(l.segments().front().cable).lane(lane).rate();
+  }
+  SimTime transit = fec.latency;
+  for (const LinkSegment& seg : l.segments()) transit += plant.cable(seg.cable).propagation_delay();
+  transit += kBypassLatency * static_cast<std::int64_t>(l.segments().size() - 1);
+  const std::int64_t bits = frame.bit_count();
+  const std::int64_t cw_bits = std::int64_t{fec.k} * fec.symbol_bits;
+  FrameCost c;
+  c.frame_bits = bits;
+  c.header_bits = header.bit_count();
+  c.ber_epoch = plant.ber_epoch();
+  c.serialization = transmission_time(frame, fec.effective_rate(raw));
+  c.header_serialization = transmission_time(std::min(header, frame), fec.effective_rate(raw));
+  c.transit = transit;
+  c.loss = reference_frame_loss(plant, id, frame);
+  c.codewords = fec.n == 0 ? 0 : static_cast<std::uint64_t>((bits + cw_bits - 1) / cw_bits);
+  c.remainder = bits % l.lane_count();
+  return c;
+}
+
 TEST(FrameLossOracle, MemoizedLossMatchesModelExactly) {
   // Frame sizes, FEC switches and BER writes (through the plant and
   // behind its back) in random order: both memo levels, the (BER, frame)
-  // result and the per-BER codeword error, must never serve a stale value.
+  // result and the per-BER codeword error, must never serve a stale
+  // value. After every op, every link's frame-cost row, read through
+  // account_frame as a hop reads it, equals the unmemoized computation
+  // field by field, at a repeated full-size frame and at a random size
+  // (odd tails and frames shorter than the header included).
   constexpr std::array<double, 6> kBers = {0.0, 1e-9, 1e-6, 1e-4, 1e-3, 2e-2};
   OraclePlant o;
   rsf::sim::RandomStream ops(11, "loss-oracle");
   const auto pick = [&ops](std::size_t n) {
     return static_cast<std::size_t>(ops.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  const auto expect_row = [&o](LinkId id, DataSize frame, int step) {
+    const FrameCost want = reference_frame_cost(o.plant, id, frame, kHeader);
+    const FrameCost& got = o.plant.account_frame(id, frame, kHeader);
+    const auto where = [&] {
+      return "step " + std::to_string(step) + " link " + std::to_string(id) + " frame " +
+             std::to_string(frame.bit_count());
+    };
+    ASSERT_EQ(got.frame_bits, want.frame_bits) << where();
+    ASSERT_EQ(got.header_bits, want.header_bits) << where();
+    ASSERT_EQ(got.ber_epoch, want.ber_epoch) << where();
+    ASSERT_EQ(got.serialization, want.serialization) << where();
+    ASSERT_EQ(got.header_serialization, want.header_serialization) << where();
+    ASSERT_EQ(got.transit, want.transit) << where();
+    ASSERT_EQ(got.loss, want.loss) << where();
+    ASSERT_EQ(got.codewords, want.codewords) << where();
+    ASSERT_EQ(got.remainder, want.remainder) << where();
   };
   for (int step = 0; step < 6000; ++step) {
     const int op = static_cast<int>(ops.uniform_int(0, 9));
@@ -799,12 +853,21 @@ TEST(FrameLossOracle, MemoizedLossMatchesModelExactly) {
           .lane(static_cast<int>(pick(4)))
           .set_pre_fec_ber(kBers[pick(kBers.size())]);
     }
-    const DataSize frame = ops.uniform_int(0, 1) == 0
-                               ? DataSize::bytes(1024)
-                               : DataSize::bits(ops.uniform_int(1, 8 * 9000));
+    const int kind = static_cast<int>(ops.uniform_int(0, 3));
+    const DataSize frame = kind == 0   ? DataSize::bytes(1024)
+                           : kind == 1 ? DataSize::bits(ops.uniform_int(1, 8 * 64))
+                                       : DataSize::bits(ops.uniform_int(1, 8 * 9000));
     const LinkId id = o.links[pick(o.links.size())];
     ASSERT_EQ(o.plant.link(id).frame_loss_prob(frame), reference_frame_loss(o.plant, id, frame))
         << "step " << step << " link " << id;
+    // Each link's memo holds the full-size frame from the last step, so
+    // the first read is a hit unless the op above invalidated it; the
+    // second is a miss unless the sizes match; the third re-arms it.
+    for (const LinkId l : o.links) {
+      expect_row(l, DataSize::bytes(1024), step);
+      expect_row(l, frame, step);
+      expect_row(l, DataSize::bytes(1024), step);
+    }
   }
 }
 
