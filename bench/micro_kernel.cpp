@@ -207,6 +207,45 @@ void BM_RouterNextHopWarm(benchmark::State& state) {
 }
 BENCHMARK(BM_RouterNextHopWarm);
 
+void BM_PlpReconfigChurn(benchmark::State& state) {
+  // What a PLP reconfiguration costs routing: split/bundle round trips
+  // on one link of a 6x6 grid, with an all-pairs next_hop sweep after
+  // each command's submit and after its completion, so every version
+  // bump the plant makes is paid for as row rebuilds. items/s is round
+  // trips per second.
+  runtime::RuntimeConfig cfg;
+  cfg.rack.width = 6;
+  cfg.rack.height = 6;
+  cfg.enable_crc = false;
+  runtime::FabricRuntime rt(cfg);
+  fabric::Router& router = rt.router();
+  plp::PlpEngine& engine = rt.engine();
+  const phy::NodeId n = rt.node_count();
+  const auto sweep = [&] {
+    for (phy::NodeId at = 0; at < n; ++at) {
+      for (phy::NodeId dst = 0; dst < n; ++dst) {
+        benchmark::DoNotOptimize(router.next_hop(at, dst));
+      }
+    }
+  };
+  phy::LinkId link = *rt.topology().link_between(14, 15);  // (2,2)-(3,2)
+  std::vector<phy::LinkId> halves;
+  for (auto _ : state) {
+    engine.submit(plp::SplitCommand{link, 1},
+                  [&](const plp::PlpResult& r) { halves = r.created; });
+    sweep();
+    rt.run_until();
+    sweep();
+    engine.submit(plp::BundleCommand{halves[0], halves[1]},
+                  [&](const plp::PlpResult& r) { link = r.created.front(); });
+    sweep();
+    rt.run_until();
+    sweep();
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PlpReconfigChurn);
+
 void BM_PacketTransportOneFlow(benchmark::State& state) {
   // The end-to-end hot path: one 256 KB flow corner to corner on a 4x4
   // grid. items/s is simulator events per second — the figure the

@@ -92,14 +92,15 @@ int main() {
                 r.straggler_ratio());
   });
 
-  // --- 3. All-to-all incast: everyone piles onto one storage node ---
-  workload::CrossRackIncastConfig incast;
-  for (int x = 0; x < 4; ++x) incast.sources.push_back(fleet.at(0, x, 0));
-  for (int x = 0; x < 4; ++x) incast.sources.push_back(fleet.at(1, x, 0));
-  incast.sink = {2, 0};
-  incast.bytes_per_source = phy::DataSize::kilobytes(128);
+  // --- 3. All-to-all incast: everyone piles onto one storage node
+  //        (a shuffle with one reducer) ---
+  workload::CrossRackShuffleConfig incast;
+  for (int x = 0; x < 4; ++x) incast.mappers.push_back(fleet.at(0, x, 0));
+  for (int x = 0; x < 4; ++x) incast.mappers.push_back(fleet.at(1, x, 0));
+  incast.reducers = {{2, 0}};
+  incast.bytes_per_pair = phy::DataSize::kilobytes(128);
   incast.start = 50_us;
-  auto& sink_job = fleet.add_incast(incast);
+  auto& sink_job = fleet.add_shuffle(incast);
   sink_job.run([](const workload::CrossRackResult& r) {
     std::printf("incast done:  %llu flows (%llu cross-rack), job %.1f us, "
                 "straggler x%.2f\n",

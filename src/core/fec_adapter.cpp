@@ -64,7 +64,7 @@ int FecAdapter::apply(const RackSnapshot& snapshot) {
     if (!obs.ready || !plant_->has_link(obs.link)) continue;
     const phy::FecScheme current = plant_->link(obs.link).fec().scheme;
     const phy::FecScheme want = choose(obs.worst_pre_fec_ber, current);
-    if (want != current && !engine_->link_busy(obs.link)) {
+    if (want != current && !plant_->link_busy(obs.link)) {
       engine_->submit(plp::SetFecCommand{obs.link, want});
       ++changes_;
       ++submitted;

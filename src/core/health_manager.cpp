@@ -22,7 +22,7 @@ int HealthManager::apply(const RackSnapshot& snapshot) {
     if (ops >= config_.max_ops_per_epoch) break;
     if (obs.ready) continue;
     if (!plant_->has_link(obs.link)) continue;          // already gone
-    if (engine_->link_busy(obs.link)) continue;         // being actuated
+    if (plant_->link_busy(obs.link)) continue;          // being actuated
     if (in_flight_.contains(obs.link)) continue;        // already remediating
     if (plant_->failed_lanes_of_link(obs.link).empty()) continue;  // dark, not broken
     remediate(obs.link);

@@ -76,7 +76,7 @@ void PowerManager::shed_one(const RackSnapshot& snapshot) {
   const LinkObservation* best = nullptr;
   for (const LinkObservation& obs : snapshot.links) {
     if (!obs.ready || obs.lane_count <= kMinLanes) continue;
-    if (!plant_->has_link(obs.link) || engine_->link_busy(obs.link)) continue;
+    if (!plant_->has_link(obs.link) || plant_->link_busy(obs.link)) continue;
     if (best == nullptr || obs.utilization < best->utilization) best = &obs;
   }
   if (best == nullptr) return;

@@ -48,7 +48,7 @@ std::optional<CircuitScheduler::CircuitPlan> CircuitScheduler::plan_for(
   for (phy::LinkId id : path) {
     const phy::LogicalLink& l = plant_->link(id);
     // A circuit needs a spare lane on an adjacent, idle-to-actuate link.
-    if (l.bypass_joints() != 0 || l.lane_count() < 2 || engine_->link_busy(id)) {
+    if (l.bypass_joints() != 0 || l.lane_count() < 2 || plant_->link_busy(id)) {
       return std::nullopt;
     }
     // What the packet fabric can actually give this flow is the link's

@@ -30,12 +30,11 @@ Rack make_rack_shell(rsf::sim::Simulator* sim, RackParams params) {
 
 void finish_rack(Rack& rack, const std::vector<phy::LinkId>& initial_links) {
   const RackParams& p = rack.params;
-  rack.engine = std::make_unique<plp::PlpEngine>(rack.sim, rack.plant.get(), p.plp_timings,
-                                                 p.plp_caps);
+  rack.engine = std::make_unique<plp::PlpEngine>(rack.sim, rack.plant.get(),
+                                                 plp::PlpTimings{}, p.plp_caps);
   for (phy::LinkId id : initial_links) rack.engine->instant_bring_up(id);
-  rack.topology = std::make_unique<Topology>(
-      rack.plant.get(), rack.engine.get(),
-      static_cast<std::uint32_t>(p.width * p.height));
+  rack.topology = std::make_unique<Topology>(rack.plant.get(),
+                                             static_cast<std::uint32_t>(p.width * p.height));
   rack.topology->set_grid_dims(p.width, p.height);
   for (int y = 0; y < p.height; ++y) {
     for (int x = 0; x < p.width; ++x) {
@@ -54,7 +53,7 @@ void wire(Rack& rack, phy::NodeId a, phy::NodeId b, double meters,
   const RackParams& p = rack.params;
   const phy::CableId cable =
       rack.plant->add_cable(a, b, meters, p.medium, p.lanes_per_cable, p.lane_rate,
-                            p.lane_power, p.initial_ber);
+                            phy::LanePowerParams{}, p.initial_ber);
   links_out.push_back(rack.plant->create_adjacent_link(cable, first_lanes(p.lanes_per_link),
                                                        phy::FecSpec::of(p.fec)));
 }

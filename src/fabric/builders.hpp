@@ -38,10 +38,8 @@ struct RackParams {
   /// element every ~2 m of rack).
   double hop_meters = 2.0;
   phy::Medium medium = phy::Medium::kFiber;
-  phy::LanePowerParams lane_power{};
   double initial_ber = 1e-12;
   phy::FecScheme fec = phy::FecScheme::kRsKr4;
-  plp::PlpTimings plp_timings{};
   plp::PlpCapabilities plp_caps = plp::PlpCapabilities::all();
   NetworkConfig net_config{};
   RoutingPolicy routing = RoutingPolicy::kMinCost;

@@ -429,11 +429,10 @@ std::size_t Network::switching_port_count() const {
   // ports: both halves terminate on the same cable ends (deduplicated
   // here), and dark cables cost nothing.
   //
-  // The count only changes when the link set does, and every mutation
-  // that can change it (PLP reconfigs, lane failures/repairs, manual
-  // rebuilds) bumps the topology version — so the O(links) set walk
-  // runs once per version instead of once per power query (the CRC
-  // asks every epoch).
+  // The count only changes when the link set does, and the plant bumps
+  // the topology version on every link install or destroy — so the
+  // O(links) set walk runs once per version instead of once per power
+  // query (the CRC asks every epoch).
   if (switching_ends_version_ != topo_->version()) {
     std::set<std::uint64_t> switching_ends;
     for (phy::LinkId id : plant_->link_ids()) {

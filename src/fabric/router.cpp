@@ -14,7 +14,10 @@ constexpr double kUnpriced = std::numeric_limits<double>::quiet_NaN();
 }  // namespace
 
 Router::Router(const Topology* topo, RoutingPolicy policy)
-    : topo_(topo), policy_(policy), n_(topo != nullptr ? topo->node_count() : 0) {
+    : topo_(topo),
+      plant_(topo != nullptr ? &topo->plant() : nullptr),
+      policy_(policy),
+      n_(topo != nullptr ? topo->node_count() : 0) {
   if (topo_ == nullptr) throw std::invalid_argument("Router: null topology");
   stamps_.resize(n_);  // no stamp matches until its row is built
 }
@@ -25,7 +28,7 @@ void Router::set_price_fn(PriceFn fn) {
 }
 
 double Router::default_cost(phy::LinkId link) const {
-  const phy::LogicalLink& l = topo_->plant().link(link);
+  const phy::LogicalLink& l = plant_->link(link);
   // Unloaded one-way latency of the reference frame, in nanoseconds,
   // plus the switching penalty paid at the hop's receiving node.
   return l.one_way_latency(phy::kReferenceFrame).ns() + hop_penalty_ns_;
@@ -42,11 +45,11 @@ double Router::cost(phy::LinkId link) const {
 }
 
 void Router::refresh_graph() {
-  if (graph_topo_version_ == topo_->version() &&
+  if (graph_topo_version_ == plant_->version() &&
       graph_price_generation_ == price_generation_) {
     return;
   }
-  graph_topo_version_ = topo_->version();
+  graph_topo_version_ = plant_->version();
   graph_price_generation_ = price_generation_;
   std::fill(link_cost_.begin(), link_cost_.end(), kUnpriced);
   const std::uint32_t n = topo_->node_count();
@@ -57,7 +60,7 @@ void Router::refresh_graph() {
       if (!topo_->usable(id)) continue;
       // Reserved links are private circuits, invisible to public
       // routing (their owner takes them directly in the transport).
-      const phy::LogicalLink& l = topo_->plant().link(id);
+      const phy::LogicalLink& l = plant_->link(id);
       if (l.reserved_for().has_value()) continue;
       const phy::NodeId next = l.other_end(node);
       if (next >= n) continue;
@@ -72,7 +75,7 @@ void Router::refresh_graph() {
 const double* Router::dist_row(phy::NodeId dst) {
   // Callers guarantee dst < n_.
   Stamp& s = stamps_[dst];
-  if (s.topo_version == topo_->version() && s.price_generation == price_generation_) {
+  if (s.topo_version == plant_->version() && s.price_generation == price_generation_) {
     return dist_.data() + std::size_t{dst} * n_;
   }
   if (dist_.empty()) {  // the rows' storage, allocated on the first build
@@ -80,7 +83,7 @@ const double* Router::dist_row(phy::NodeId dst) {
     next_.resize(std::size_t{n_} * n_);
   }
   refresh_graph();
-  s = Stamp{topo_->version(), price_generation_};
+  s = Stamp{plant_->version(), price_generation_};
   double* dist = dist_.data() + std::size_t{dst} * n_;
   phy::LinkId* next = next_.data() + std::size_t{dst} * n_;
   std::fill(dist, dist + n_, kUnreachable);
@@ -174,7 +177,7 @@ std::optional<phy::LinkId> Router::next_hop_dimension_order(phy::NodeId at,
 
   for (phy::LinkId id : topo_->links_at(at)) {
     if (!topo_->usable(id)) continue;
-    const phy::LogicalLink& l = topo_->plant().link(id);
+    const phy::LogicalLink& l = plant_->link(id);
     // Dimension-order is the packet-switched baseline: it only uses
     // single-segment (adjacent) links.
     if (l.bypass_joints() != 0) continue;
@@ -209,7 +212,7 @@ std::vector<phy::LinkId> Router::path(phy::NodeId src, phy::NodeId dst) {
     const auto link = next_hop_min_cost(at, dst);
     if (!link) return {};
     out.push_back(*link);
-    at = topo_->plant().link(*link).other_end(at);
+    at = plant_->link(*link).other_end(at);
   }
   return at == dst ? out : std::vector<phy::LinkId>{};
 }

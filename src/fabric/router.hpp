@@ -54,7 +54,7 @@ class Router {
   [[nodiscard]] std::optional<phy::LinkId> next_hop(phy::NodeId at, phy::NodeId dst) {
     if (policy_ == RoutingPolicy::kMinCost && at < n_ && dst < n_) {
       const Stamp& s = stamps_[dst];
-      if (s.topo_version == topo_->version() && s.price_generation == price_generation_) {
+      if (s.topo_version == plant_->version() && s.price_generation == price_generation_) {
         const phy::LinkId memo = next_[std::size_t{dst} * n_ + at];
         if (memo == kNextNone) return std::nullopt;
         if (memo != kNextUnknown) return memo;
@@ -122,6 +122,9 @@ class Router {
   const double* dist_row(phy::NodeId dst);
 
   const Topology* topo_;
+  // The topology's plant, held directly so the inline stamp compare
+  // loads the version through one pointer.
+  const phy::PhysicalPlant* plant_;
   const RoutingPolicy policy_;
   const std::uint32_t n_;  // node count, fixed for a rack's lifetime
   PriceFn price_fn_;

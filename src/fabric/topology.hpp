@@ -1,11 +1,12 @@
 // rsf::fabric — the topology view.
 //
 // Topology is the routing-facing projection of the physical plant: the
-// set of nodes and the logical links currently connecting them. It
-// stays synchronised with PLP reconfigurations by observing the engine
-// (split/bundle/bypass change the link set at simulation time) and
-// exposes a monotonically increasing version so routers know when to
-// invalidate caches.
+// set of nodes and the logical links currently connecting them, plus
+// the grid coordinates the builders attach. It keeps no graph state of
+// its own: adjacency, busy bits and the version routers key their
+// caches on are the plant's, which bumps the version itself on every
+// change to a routing input (see PhysicalPlant::version), so a link
+// created or destroyed by anyone is seen at once.
 #pragma once
 
 #include <cstdint>
@@ -14,7 +15,6 @@
 
 #include "phy/plant.hpp"
 #include "phy/types.hpp"
-#include "plp/engine.hpp"
 
 namespace rsf::fabric {
 
@@ -29,9 +29,8 @@ struct Coord {
 
 class Topology {
  public:
-  /// Builds the view and subscribes to the engine's change feed.
-  /// `plant` and `engine` must outlive the topology.
-  Topology(phy::PhysicalPlant* plant, plp::PlpEngine* engine, std::uint32_t node_count);
+  /// `plant` must outlive the topology.
+  Topology(const phy::PhysicalPlant* plant, std::uint32_t node_count);
 
   Topology(const Topology&) = delete;
   Topology& operator=(const Topology&) = delete;
@@ -39,21 +38,23 @@ class Topology {
   [[nodiscard]] std::uint32_t node_count() const { return node_count_; }
   [[nodiscard]] const phy::PhysicalPlant& plant() const { return *plant_; }
 
-  /// Logical links terminating at `node` (any readiness state).
+  /// Logical links terminating at `node` (any readiness state), in
+  /// ascending id order.
   [[nodiscard]] const std::vector<phy::LinkId>& links_at(phy::NodeId node) const {
-    return node < links_at_.size() ? links_at_[node] : empty_;
+    return plant_->links_at(node);
   }
 
   /// A link is usable when all its lanes are up and no PLP command is
   /// actuating on it.
-  [[nodiscard]] bool usable(phy::LinkId link) const;
-
+  [[nodiscard]] bool usable(phy::LinkId link) const {
+    return plant_->has_link(link) && plant_->link(link).ready() && !plant_->link_busy(link);
+  }
 
   /// Any usable link between the two nodes (lowest id if several).
   [[nodiscard]] std::optional<phy::LinkId> link_between(phy::NodeId a, phy::NodeId b) const;
 
-  /// Bumped on any structural or readiness change.
-  [[nodiscard]] std::uint64_t version() const { return version_; }
+  /// The plant's version: bumped on any change to a routing input.
+  [[nodiscard]] std::uint64_t version() const { return plant_->version(); }
 
   void set_coord(phy::NodeId node, Coord c);
   [[nodiscard]] std::optional<Coord> coord(phy::NodeId node) const {
@@ -80,28 +81,16 @@ class Topology {
   [[nodiscard]] bool wrap_x() const { return wrap_x_; }
   [[nodiscard]] bool wrap_y() const { return wrap_y_; }
 
-  /// Force a full rebuild from the plant (builders call this after
-  /// creating links outside the engine).
-  void rebuild();
-
  private:
-  void on_links_changed(const std::vector<phy::LinkId>& removed,
-                        const std::vector<phy::LinkId>& created);
-
-  phy::PhysicalPlant* plant_;
-  plp::PlpEngine* engine_;
+  const phy::PhysicalPlant* plant_;
   std::uint32_t node_count_;
-  // Node ids are dense [0, node_count): adjacency and coordinates are
-  // plain vectors so the per-hop links_at()/coord() lookups are one
-  // index each.
-  std::vector<std::vector<phy::LinkId>> links_at_;
+  // Node ids are dense [0, node_count): coordinates are a plain vector
+  // so the per-hop coord() lookup is one index.
   std::vector<std::optional<Coord>> coords_;
-  std::uint64_t version_ = 1;
   int grid_w_ = 0;
   int grid_h_ = 0;
   bool wrap_x_ = false;
   bool wrap_y_ = false;
-  std::vector<phy::LinkId> empty_;
 };
 
 }  // namespace rsf::fabric

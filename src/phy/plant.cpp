@@ -127,6 +127,11 @@ LinkId PhysicalPlant::install_link(NodeId end_a, NodeId end_b,
   pending_remainders_.resize(pending_remainders_.size() +
                              static_cast<std::size_t>(links_[id]->lane_count()));
   ++link_count_;
+  const NodeId top = std::max(end_a, end_b);
+  if (links_at_.size() <= top) links_at_.resize(top + 1);
+  links_at_[end_a].push_back(id);
+  links_at_[end_b].push_back(id);
+  ++version_;
   return id;
 }
 
@@ -148,8 +153,13 @@ void PhysicalPlant::destroy_link(LinkId id) {
   // A circuit torn down while still reserved stops counting here.
   if (links_[id]->reserved_for_) --reserved_links_;
   release_lanes(links_[id]->segments());
+  for (NodeId end : {links_[id]->end_a(), links_[id]->end_b()}) {
+    std::vector<LinkId>& at = links_at_[end];
+    at.erase(std::find(at.begin(), at.end(), id));
+  }
   links_[id].reset();
   --link_count_;
+  ++version_;
 }
 
 std::vector<LinkId> PhysicalPlant::link_ids() const {
@@ -304,18 +314,21 @@ void PhysicalPlant::lane_begin_training(LinkId id) {
   LogicalLink& l = mutable_link(id);
   for_each_lane(l, [](Lane& lane) { lane.begin_training(); });
   l.invalidate_ready();
+  ++version_;
 }
 
 void PhysicalPlant::lane_complete_training(LinkId id) {
   LogicalLink& l = mutable_link(id);
   for_each_lane(l, [](Lane& lane) { lane.complete_training(); });
   l.invalidate_ready();
+  ++version_;
 }
 
 void PhysicalPlant::lane_power_off(LinkId id) {
   LogicalLink& l = mutable_link(id);
   for_each_lane(l, [](Lane& lane) { lane.power_off(); });
   l.invalidate_ready();
+  ++version_;
 }
 
 void PhysicalPlant::set_fec(LinkId id, FecSpec fec) {
@@ -324,6 +337,7 @@ void PhysicalPlant::set_fec(LinkId id, FecSpec fec) {
   fold_telemetry();  // pending codewords were coded under the old mode
   l.fec_ = fec;
   l.invalidate_fec_caches();
+  ++version_;
 }
 
 void PhysicalPlant::set_reservation(LinkId id, std::optional<std::uint64_t> flow) {
@@ -335,10 +349,15 @@ void PhysicalPlant::set_reservation(LinkId id, std::optional<std::uint64_t> flow
     --reserved_links_;
   }
   l.reserved_for_ = flow;
-  // Reservations change what public routing may use without changing
-  // the link set: notify, so topology versions bump and memoized
-  // routing state (dist tables, next-hop argmins) refreshes.
-  for (const auto& obs : change_observers_) obs();
+  // Reserved links are invisible to public routing.
+  ++version_;
+}
+
+void PhysicalPlant::set_link_busy(LinkId id, bool busy) {
+  if (link_busy(id) == busy) return;
+  if (id >= busy_.size()) busy_.resize(id + 1, false);
+  busy_[id] = busy;
+  ++version_;
 }
 
 void PhysicalPlant::fold_telemetry() const {
@@ -425,13 +444,13 @@ void PhysicalPlant::set_cable_ber(CableId id, double ber) {
 void PhysicalPlant::fail_lane(LaneRef ref) {
   cable(ref.cable).lane(ref.lane).fail();
   if (const auto owner = lane_owner(ref)) mutable_link(*owner).invalidate_ready();
-  for (const auto& obs : change_observers_) obs();
+  ++version_;
 }
 
 void PhysicalPlant::repair_lane(LaneRef ref) {
   cable(ref.cable).lane(ref.lane).repair();
   if (const auto owner = lane_owner(ref)) mutable_link(*owner).invalidate_ready();
-  for (const auto& obs : change_observers_) obs();
+  ++version_;
 }
 
 std::vector<int> PhysicalPlant::failed_lanes(CableId cable_id) const {

@@ -7,6 +7,11 @@
 // state changes with validated preconditions*; the PLP engine layers
 // actuation latency and lane retraining on top.
 //
+// It also owns everything routing reads about the link graph: the
+// per-node adjacency, the actuation-busy bitmap (written by the PLP
+// engine) and one version() it bumps itself on every change to a
+// routing input, so no component has to notify anyone.
+//
 // Invariants maintained (checked by validate(), exercised by the
 // property tests):
 //   I1  every lane belongs to at most one logical link;
@@ -16,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -126,8 +130,7 @@ class PhysicalPlant {
   void set_fec(LinkId id, FecSpec fec);
 
   /// Reserve a link for one flow (or clear with nullopt). See
-  /// LogicalLink::reserved_for. An effective change notifies the
-  /// change observers (routing caches key on the topology version).
+  /// LogicalLink::reserved_for. An effective change bumps version().
   void set_reservation(LinkId id, std::optional<std::uint64_t> flow);
 
   /// Links currently reserved. Kept by set_reservation and
@@ -178,19 +181,32 @@ class PhysicalPlant {
   /// throws std::invalid_argument outside [0, 0.5] (NaN included).
   void set_cable_ber(CableId id, double ber);
 
+  // --- Routing inputs ---
+
+  /// Links terminating at `node`, any readiness state, in ascending id
+  /// order: install_link appends and link ids only grow.
+  [[nodiscard]] const std::vector<LinkId>& links_at(NodeId node) const {
+    return node < links_at_.size() ? links_at_[node] : no_links_;
+  }
+  /// Whether a PLP command is actuating on the link. O(1): this sits
+  /// on the per-hop usability test.
+  [[nodiscard]] bool link_busy(LinkId id) const { return id < busy_.size() && busy_[id]; }
+  /// Written by the PLP engine only, around each actuation window.
+  void set_link_busy(LinkId id, bool busy);
+  /// Moves on every change to a routing input: install_link and
+  /// destroy_link (so split, bundle, join, sever, provision and
+  /// decommission), lane training and power-off, set_fec, fail_lane,
+  /// repair_lane, an effective set_reservation and an effective
+  /// set_link_busy. BER writes and frame accounting move ber_epoch()
+  /// instead.
+  [[nodiscard]] std::uint64_t version() const { return version_; }
+
   // --- Failures ---
 
-  /// Observer of out-of-band physical changes (lane failure/repair).
-  /// Loss-of-signal propagates to the fabric layer immediately, the
-  /// way real PHYs raise link-down interrupts; routing caches must
-  /// invalidate on it.
-  using ChangeObserver = std::function<void()>;
-  void add_change_observer(ChangeObserver obs) {
-    change_observers_.push_back(std::move(obs));
-  }
-
   /// Hard-fail one lane (see Lane::fail). Any link using it goes
-  /// not-ready until the control plane re-provisions around it.
+  /// not-ready until the control plane re-provisions around it; the
+  /// version bump reaches routing at once, the way real PHYs raise
+  /// link-down interrupts.
   void fail_lane(LaneRef ref);
   /// Out-of-band physical repair of a lane.
   void repair_lane(LaneRef ref);
@@ -234,7 +250,6 @@ class PhysicalPlant {
   void fold_telemetry() const;
   void fold_link(LogicalLink& link) const;
 
-  std::vector<ChangeObserver> change_observers_;
   std::vector<std::unique_ptr<Cable>> cables_;
   // Dense id-indexed pool: link ids are assigned sequentially and never
   // reused, so the per-hop link(id) lookup is one bounds check and one
@@ -243,6 +258,7 @@ class PhysicalPlant {
   std::vector<std::unique_ptr<LogicalLink>> links_;
   std::size_t link_count_ = 0;
   std::size_t reserved_links_ = 0;
+  std::uint64_t version_ = 1;  // read on every hop, beside the link pool
   // Some link holds unfolded telemetry: a hop sets it, a fold clears
   // it. Folds are rare next to hops, so a fold scans links_ rather than
   // a hop maintaining a dirty list.
@@ -255,6 +271,11 @@ class PhysicalPlant {
   // rsf-lint: order-insensitive(point lookups only — lane_owner()/free_lanes() probe by key, never iterate)
   std::unordered_map<LaneRef, LinkId> lane_owner_;
   LinkId next_link_id_ = 0;
+  // Adjacency by dense node id, grown by install_link.
+  std::vector<std::vector<LinkId>> links_at_;
+  std::vector<LinkId> no_links_;
+  // Busy bitmap by LinkId, grown on demand by set_link_busy.
+  std::vector<bool> busy_;
 };
 
 }  // namespace rsf::phy

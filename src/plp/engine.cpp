@@ -50,7 +50,7 @@ void PlpEngine::try_execute(Pending pending) {
   const bool intrusive = !std::holds_alternative<QueryStatsCommand>(pending.cmd);
   if (intrusive) {
     for (phy::LinkId id : referenced_links(pending.cmd)) {
-      if (link_busy(id)) {
+      if (plant_->link_busy(id)) {
         queue_.push_back(std::move(pending));
         return;
       }
@@ -89,8 +89,8 @@ void PlpEngine::finish(Pending pending, PlpResult result) {
   result.completed_at = sim_->now();
   counters_.add(result.ok ? "plp.completed." + command_name(pending.cmd)
                           : "plp.failed." + command_name(pending.cmd));
-  clear_busy(result.removed);
-  clear_busy(result.created);
+  set_busy(result.removed, false);
+  set_busy(result.created, false);
   if (pending.callback) pending.callback(result);
   drain_queue();
 }
@@ -115,8 +115,8 @@ void PlpEngine::drain_queue() {
       bool blocked = false;
       bool dead = false;
       for (phy::LinkId id : referenced_links(it->cmd)) {
-        if (link_busy(id)) blocked = true;
-        if (!plant_->has_link(id) && !link_busy(id)) dead = true;
+        if (plant_->link_busy(id)) blocked = true;
+        if (!plant_->has_link(id) && !plant_->link_busy(id)) dead = true;
       }
       if (dead) {
         Pending p = std::move(*it);
@@ -136,26 +136,8 @@ void PlpEngine::drain_queue() {
   }
 }
 
-void PlpEngine::mark_busy(const std::vector<phy::LinkId>& links) {
-  for (phy::LinkId id : links) {
-    if (id >= busy_.size()) busy_.resize(id + 1, false);
-    busy_[id] = true;
-  }
-}
-
-void PlpEngine::clear_busy(const std::vector<phy::LinkId>& links) {
-  for (phy::LinkId id : links) {
-    if (id < busy_.size()) busy_[id] = false;
-  }
-}
-
-void PlpEngine::notify_topology(const std::vector<phy::LinkId>& removed,
-                                const std::vector<phy::LinkId>& created) {
-  for (const auto& obs : topo_observers_) obs(removed, created);
-}
-
-void PlpEngine::notify_readiness(phy::LinkId id, bool ready) {
-  for (const auto& obs : readiness_observers_) obs(id, ready);
+void PlpEngine::set_busy(const std::vector<phy::LinkId>& links, bool busy) {
+  for (phy::LinkId id : links) plant_->set_link_busy(id, busy);
 }
 
 // --- primitives ---
@@ -176,12 +158,10 @@ void PlpEngine::run_split(Pending pending) {
   // The datapath pauses for the reconfiguration window: both halves are
   // busy (unusable) until actuation completes. Lane states carry over,
   // so no retrain is needed.
-  mark_busy(result.created);
-  notify_topology(result.removed, result.created);
+  set_busy(result.created, true);
   const SimTime duration = timings_.command_overhead + timings_.split;
   sim_->schedule_after(duration, [this, pending = std::move(pending),
                                   result = std::move(result)]() mutable {
-    for (phy::LinkId id : result.created) notify_readiness(id, plant_->link(id).ready());
     finish(std::move(pending), std::move(result));
   });
 }
@@ -199,12 +179,10 @@ void PlpEngine::run_bundle(Pending pending) {
   result.ok = true;
   result.removed = {cmd.first, cmd.second};
   result.created = {merged};
-  mark_busy(result.created);
-  notify_topology(result.removed, result.created);
+  set_busy(result.created, true);
   const SimTime duration = timings_.command_overhead + timings_.bundle;
   sim_->schedule_after(duration, [this, pending = std::move(pending),
                                   result = std::move(result)]() mutable {
-    for (phy::LinkId id : result.created) notify_readiness(id, plant_->link(id).ready());
     finish(std::move(pending), std::move(result));
   });
 }
@@ -222,18 +200,15 @@ void PlpEngine::run_bypass_join(Pending pending) {
   result.ok = true;
   result.removed = {cmd.first, cmd.second};
   result.created = {joined};
-  mark_busy(result.created);
+  set_busy(result.created, true);
   // The joined path must retrain end-to-end through the new bypass
   // element, so the link is down for setup + retrain.
   plant_->lane_begin_training(joined);
-  notify_topology(result.removed, result.created);
-  notify_readiness(joined, false);
   const SimTime duration =
       timings_.command_overhead + timings_.bypass_setup + timings_.lane_retrain;
   sim_->schedule_after(duration, [this, joined, pending = std::move(pending),
                                   result = std::move(result)]() mutable {
     plant_->lane_complete_training(joined);
-    notify_readiness(joined, true);
     finish(std::move(pending), std::move(result));
   });
 }
@@ -251,18 +226,15 @@ void PlpEngine::run_bypass_sever(Pending pending) {
   result.ok = true;
   result.removed = {cmd.link};
   result.created = {halves.first, halves.second};
-  mark_busy(result.created);
+  set_busy(result.created, true);
   plant_->lane_begin_training(halves.first);
   plant_->lane_begin_training(halves.second);
-  notify_topology(result.removed, result.created);
   const SimTime duration =
       timings_.command_overhead + timings_.bypass_teardown + timings_.lane_retrain;
   sim_->schedule_after(duration, [this, halves, pending = std::move(pending),
                                   result = std::move(result)]() mutable {
     plant_->lane_complete_training(halves.first);
     plant_->lane_complete_training(halves.second);
-    notify_readiness(halves.first, true);
-    notify_readiness(halves.second, true);
     finish(std::move(pending), std::move(result));
   });
 }
@@ -270,7 +242,7 @@ void PlpEngine::run_bypass_sever(Pending pending) {
 void PlpEngine::run_bring_up(Pending pending) {
   const auto& cmd = std::get<BringUpCommand>(pending.cmd);
   const phy::LinkId id = cmd.link;
-  mark_busy({id});
+  plant_->set_link_busy(id, true);
   plant_->lane_begin_training(id);
   PlpResult result;
   result.ok = true;
@@ -280,7 +252,6 @@ void PlpEngine::run_bring_up(Pending pending) {
   sim_->schedule_after(duration, [this, id, pending = std::move(pending),
                                   result = std::move(result)]() mutable {
     plant_->lane_complete_training(id);
-    notify_readiness(id, true);
     finish(std::move(pending), std::move(result));
   });
 }
@@ -288,8 +259,7 @@ void PlpEngine::run_bring_up(Pending pending) {
 void PlpEngine::run_shutdown(Pending pending) {
   const auto& cmd = std::get<ShutdownCommand>(pending.cmd);
   const phy::LinkId id = cmd.link;
-  mark_busy({id});
-  notify_readiness(id, false);
+  plant_->set_link_busy(id, true);
   PlpResult result;
   result.ok = true;
   result.created = {id};  // still exists, just dark
@@ -304,8 +274,7 @@ void PlpEngine::run_shutdown(Pending pending) {
 void PlpEngine::run_set_fec(Pending pending) {
   const auto& cmd = std::get<SetFecCommand>(pending.cmd);
   const phy::LinkId id = cmd.link;
-  mark_busy({id});
-  notify_readiness(id, false);
+  plant_->set_link_busy(id, true);
   PlpResult result;
   result.ok = true;
   result.created = {id};
@@ -314,7 +283,6 @@ void PlpEngine::run_set_fec(Pending pending) {
                                   pending = std::move(pending),
                                   result = std::move(result)]() mutable {
     plant_->set_fec(id, phy::FecSpec::of(scheme));
-    notify_readiness(id, plant_->link(id).ready());
     finish(std::move(pending), std::move(result));
   });
 }
@@ -355,15 +323,13 @@ void PlpEngine::run_provision(Pending pending) {
   PlpResult result;
   result.ok = true;
   result.created = {id};
-  mark_busy(result.created);
+  set_busy(result.created, true);
   plant_->lane_begin_training(id);
-  notify_topology({}, result.created);
   const SimTime duration =
       timings_.command_overhead + timings_.lane_power_on + timings_.lane_retrain;
   sim_->schedule_after(duration, [this, id, pending = std::move(pending),
                                   result = std::move(result)]() mutable {
     plant_->lane_complete_training(id);
-    notify_readiness(id, plant_->link(id).ready());
     finish(std::move(pending), std::move(result));
   });
 }
@@ -371,8 +337,7 @@ void PlpEngine::run_provision(Pending pending) {
 void PlpEngine::run_decommission(Pending pending) {
   const auto& cmd = std::get<DecommissionCommand>(pending.cmd);
   const phy::LinkId id = cmd.link;
-  mark_busy({id});
-  notify_readiness(id, false);
+  plant_->set_link_busy(id, true);
   PlpResult result;
   result.ok = true;
   result.removed = {id};
@@ -381,7 +346,6 @@ void PlpEngine::run_decommission(Pending pending) {
                                   result = std::move(result)]() mutable {
     plant_->lane_power_off(id);
     plant_->destroy_link(id);
-    notify_topology(result.removed, {});
     finish(std::move(pending), std::move(result));
   });
 }
@@ -398,7 +362,7 @@ LinkStatsReport PlpEngine::stats_report(phy::LinkId id) const {
   report.post_fec_ber = l.post_fec_ber();
   report.power_watts = l.power_watts();
   report.propagation = l.propagation_delay();
-  report.ready = l.ready() && !link_busy(id);
+  report.ready = l.ready() && !plant_->link_busy(id);
   std::uint64_t bits = 0;
   for (const phy::LinkSegment& seg : l.segments()) {
     for (int lane : seg.lanes) bits += plant_->lane_stats({seg.cable, lane}).bits_carried;
@@ -410,7 +374,6 @@ LinkStatsReport PlpEngine::stats_report(phy::LinkId id) const {
 void PlpEngine::instant_bring_up(phy::LinkId link) {
   plant_->lane_begin_training(link);
   plant_->lane_complete_training(link);
-  notify_readiness(link, true);
 }
 
 }  // namespace rsf::plp

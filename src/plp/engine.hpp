@@ -3,9 +3,11 @@
 // PlpEngine is the actuator between the control plane and the physical
 // plant. It executes PlpCommands asynchronously on the simulator:
 // each primitive has an actuation latency (from the PlpTimings table),
-// links under reconfiguration are marked busy (their lanes retrain, so
-// the fabric sees them not-ready), and completion fires a callback and
-// notifies registered observers of topology-visible changes.
+// links under reconfiguration are marked busy in the plant (their
+// lanes retrain, so the fabric sees them not-ready), and completion
+// fires a callback. The engine notifies nobody: every plant mutation
+// it makes, busy bits included, moves the plant's version(), which is
+// all routing keys on.
 //
 // Commands referencing busy links queue FIFO; commands referencing
 // links destroyed while queued fail cleanly. One engine serves the
@@ -57,11 +59,6 @@ struct PlpCapabilities {
 class PlpEngine {
  public:
   using Callback = std::function<void(const PlpResult&)>;
-  /// Observer of structural changes: (removed link ids, created link ids).
-  using TopologyObserver =
-      std::function<void(const std::vector<phy::LinkId>&, const std::vector<phy::LinkId>&)>;
-  /// Observer of link availability: (link id, now_ready).
-  using ReadinessObserver = std::function<void(phy::LinkId, bool)>;
 
   PlpEngine(rsf::sim::Simulator* sim, phy::PhysicalPlant* plant, PlpTimings timings = {},
             PlpCapabilities caps = PlpCapabilities::all());
@@ -78,19 +75,6 @@ class PlpEngine {
   /// starts): power + train a link with no simulated delay.
   void instant_bring_up(phy::LinkId link);
 
-  void add_topology_observer(TopologyObserver obs) {
-    topo_observers_.push_back(std::move(obs));
-  }
-  void add_readiness_observer(ReadinessObserver obs) {
-    readiness_observers_.push_back(std::move(obs));
-  }
-
-  /// O(1): links under actuation are tracked in a dense bitmap (link
-  /// ids are small sequential integers) — this sits on the per-hop
-  /// Topology::usable() path.
-  [[nodiscard]] bool link_busy(phy::LinkId id) const {
-    return id < busy_.size() && busy_[id];
-  }
   [[nodiscard]] std::size_t queued_commands() const { return queue_.size(); }
   [[nodiscard]] const PlpTimings& timings() const { return timings_; }
   [[nodiscard]] const PlpCapabilities& capabilities() const { return caps_; }
@@ -111,11 +95,7 @@ class PlpEngine {
   void finish(Pending pending, PlpResult result);
   void fail(const Pending& pending, std::string error);
   void drain_queue();
-  void mark_busy(const std::vector<phy::LinkId>& links);
-  void clear_busy(const std::vector<phy::LinkId>& links);
-  void notify_topology(const std::vector<phy::LinkId>& removed,
-                       const std::vector<phy::LinkId>& created);
-  void notify_readiness(phy::LinkId id, bool ready);
+  void set_busy(const std::vector<phy::LinkId>& links, bool busy);
 
   // Per-primitive implementations. Each returns the simulated duration
   // and schedules the plant mutation appropriately.
@@ -134,12 +114,7 @@ class PlpEngine {
   phy::PhysicalPlant* plant_;
   PlpTimings timings_;
   PlpCapabilities caps_;
-  // Dense busy bitmap indexed by LinkId (ids are sequential, never
-  // reused); grown on demand by mark_busy.
-  std::vector<bool> busy_;
   std::deque<Pending> queue_;
-  std::vector<TopologyObserver> topo_observers_;
-  std::vector<ReadinessObserver> readiness_observers_;
   telemetry::CounterSet counters_;
   rsf::sim::Logger log_;
 };

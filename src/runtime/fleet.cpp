@@ -538,11 +538,6 @@ workload::CrossRackShuffle& FleetRuntime::add_shuffle(workload::CrossRackShuffle
   return *shuffles_.back();
 }
 
-workload::CrossRackIncast& FleetRuntime::add_incast(workload::CrossRackIncastConfig cfg) {
-  incasts_.push_back(std::make_unique<workload::CrossRackIncast>(this, std::move(cfg)));
-  return *incasts_.back();
-}
-
 telemetry::Registry& FleetRuntime::metrics() {
   for (std::size_t i = 0; i < racks_.size(); ++i) {
     registry_.import_prefixed(racks_[i]->metrics(), "rack" + std::to_string(i) + ".");

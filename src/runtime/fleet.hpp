@@ -209,7 +209,6 @@ class FleetRuntime {
   // --- workloads (owned by the fleet, destroyed with it) ---
 
   workload::CrossRackShuffle& add_shuffle(workload::CrossRackShuffleConfig cfg);
-  workload::CrossRackIncast& add_incast(workload::CrossRackIncastConfig cfg);
 
   // --- telemetry ---
 
@@ -363,7 +362,6 @@ class FleetRuntime {
   std::uint64_t flows_completed_ = 0;
   std::uint64_t flows_failed_ = 0;
   std::vector<std::unique_ptr<workload::CrossRackShuffle>> shuffles_;
-  std::vector<std::unique_ptr<workload::CrossRackIncast>> incasts_;
 };
 
 }  // namespace rsf::runtime

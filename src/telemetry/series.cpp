@@ -1,7 +1,6 @@
 #include "telemetry/series.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
 
 namespace rsf::telemetry {
@@ -31,14 +30,6 @@ double TimeSeries::time_weighted_mean(SimTime from, SimTime to, double fallback)
   }
   acc += current * static_cast<double>((to - cursor).ps());
   return acc / static_cast<double>((to - from).ps());
-}
-
-SimTime TimeSeries::first_reach(double target, double tol, SimTime from) const {
-  for (const Sample& s : samples_) {
-    if (s.time < from) continue;
-    if (std::abs(s.value - target) <= tol) return s.time;
-  }
-  return SimTime::infinity();
 }
 
 double TimeSeries::max_value() const {

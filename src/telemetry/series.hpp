@@ -40,13 +40,6 @@ class TimeSeries {
   [[nodiscard]] double time_weighted_mean(rsf::sim::SimTime from, rsf::sim::SimTime to,
                                           double fallback = 0.0) const;
 
-  /// Earliest time >= `from` at which the value satisfies
-  /// |value - target| <= tol, or SimTime::infinity() if never. Used to
-  /// measure the CRC's reaction/settling time.
-  [[nodiscard]] rsf::sim::SimTime first_reach(double target, double tol,
-                                              rsf::sim::SimTime from =
-                                                  rsf::sim::SimTime::zero()) const;
-
   [[nodiscard]] double max_value() const;
   [[nodiscard]] double min_value() const;
 

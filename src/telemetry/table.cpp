@@ -80,34 +80,4 @@ std::string Table::to_string() const {
   return oss.str();
 }
 
-namespace {
-void csv_field(std::ostream& os, const std::string& v) {
-  if (v.find_first_of(",\"\n") == std::string::npos) {
-    os << v;
-    return;
-  }
-  os << '"';
-  for (char ch : v) {
-    if (ch == '"') os << '"';
-    os << ch;
-  }
-  os << '"';
-}
-}  // namespace
-
-void Table::write_csv(std::ostream& os) const {
-  for (std::size_t c = 0; c < columns_.size(); ++c) {
-    if (c) os << ',';
-    csv_field(os, columns_[c]);
-  }
-  os << '\n';
-  for (const auto& r : rows_) {
-    for (std::size_t c = 0; c < r.size(); ++c) {
-      if (c) os << ',';
-      csv_field(os, r[c]);
-    }
-    os << '\n';
-  }
-}
-
 }  // namespace rsf::telemetry

@@ -33,8 +33,6 @@ class Table {
 
   /// Aligned, boxed text rendering.
   void print(std::ostream& os) const;
-  /// RFC-4180-ish CSV (quotes cells containing separators).
-  void write_csv(std::ostream& os) const;
   /// Convenience: print() to stdout.
   void print() const;
   /// The print() rendering as a string (tests diff tables byte-wise).

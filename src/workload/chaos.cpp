@@ -231,7 +231,7 @@ ChaosScenarioResult ChaosScenario::run() {
                                            : 0.0;
   std::vector<SimTime> completions;
   for (const auto* side : {&jobs().hot, &jobs().background}) {
-    for (const CrossRackJob* job : *side) {
+    for (const CrossRackShuffle* job : *side) {
       completions.insert(completions.end(), job->completion_times().begin(),
                          job->completion_times().end());
     }

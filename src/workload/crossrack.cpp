@@ -8,19 +8,28 @@
 
 namespace rsf::workload {
 
-using rsf::sim::SimTime;
-
-CrossRackJob::CrossRackJob(runtime::FleetRuntime* fleet, phy::DataSize packet_size,
-                           SimTime start)
-    : fleet_(fleet), packet_size_(packet_size), start_(start) {
-  if (fleet_ == nullptr) throw std::invalid_argument("CrossRackJob: null fleet");
+CrossRackShuffle::CrossRackShuffle(runtime::FleetRuntime* fleet,
+                                   CrossRackShuffleConfig config)
+    : fleet_(fleet), config_(std::move(config)) {
+  if (fleet_ == nullptr) throw std::invalid_argument("CrossRackShuffle: null fleet");
+  if (config_.mappers.empty() || config_.reducers.empty()) {
+    throw std::invalid_argument("CrossRackShuffle: need mappers and reducers");
+  }
 }
 
-void CrossRackJob::launch(
-    const std::vector<std::pair<fabric::RackNode, fabric::RackNode>>& pairs,
-    phy::DataSize bytes_per_pair, DoneCallback on_done) {
-  if (offered_ > 0) throw std::logic_error("CrossRackJob: run() called twice");
-  if (pairs.empty()) throw std::invalid_argument("CrossRackJob: no (src, dst) pairs");
+void CrossRackShuffle::run(DoneCallback on_done) {
+  if (offered_ > 0) throw std::logic_error("CrossRackShuffle: run() called twice");
+  std::vector<std::pair<fabric::RackNode, fabric::RackNode>> pairs;
+  pairs.reserve(config_.mappers.size() * config_.reducers.size());
+  for (const fabric::RackNode& m : config_.mappers) {
+    for (const fabric::RackNode& r : config_.reducers) {
+      if (m == r) continue;  // a node keeps its own partition locally
+      pairs.emplace_back(m, r);
+    }
+  }
+  if (pairs.empty()) {
+    throw std::invalid_argument("CrossRackShuffle: every mapper is its own reducer");
+  }
   on_done_ = std::move(on_done);
   offered_ = pairs.size();
   outstanding_ = pairs.size();
@@ -31,9 +40,9 @@ void CrossRackJob::launch(
     spec.id = job_flow++;
     spec.src = src;
     spec.dst = dst;
-    spec.size = bytes_per_pair;
-    spec.packet_size = packet_size_;
-    spec.start = start_;
+    spec.size = config_.bytes_per_pair;
+    spec.packet_size = config_.packet_size;
+    spec.start = config_.start;
     if (src.rack != dst.rack) ++result_.cross_rack_flows;
     fleet_->start_flow(spec, [this](const runtime::FleetFlowResult& r) {
       ++result_.flows;
@@ -56,49 +65,6 @@ void CrossRackJob::launch(
       }
     });
   }
-}
-
-CrossRackShuffle::CrossRackShuffle(runtime::FleetRuntime* fleet,
-                                   CrossRackShuffleConfig config)
-    : CrossRackJob(fleet, config.packet_size, config.start), config_(std::move(config)) {
-  if (config_.mappers.empty() || config_.reducers.empty()) {
-    throw std::invalid_argument("CrossRackShuffle: need mappers and reducers");
-  }
-}
-
-void CrossRackShuffle::run(DoneCallback on_done) {
-  std::vector<std::pair<fabric::RackNode, fabric::RackNode>> pairs;
-  pairs.reserve(config_.mappers.size() * config_.reducers.size());
-  for (const fabric::RackNode& m : config_.mappers) {
-    for (const fabric::RackNode& r : config_.reducers) {
-      if (m == r) continue;  // a node keeps its own partition locally
-      pairs.emplace_back(m, r);
-    }
-  }
-  if (pairs.empty()) {
-    throw std::invalid_argument("CrossRackShuffle: every mapper is its own reducer");
-  }
-  launch(pairs, config_.bytes_per_pair, std::move(on_done));
-}
-
-CrossRackIncast::CrossRackIncast(runtime::FleetRuntime* fleet, CrossRackIncastConfig config)
-    : CrossRackJob(fleet, config.packet_size, config.start), config_(std::move(config)) {
-  if (config_.sources.empty()) {
-    throw std::invalid_argument("CrossRackIncast: need sources");
-  }
-}
-
-void CrossRackIncast::run(DoneCallback on_done) {
-  std::vector<std::pair<fabric::RackNode, fabric::RackNode>> pairs;
-  pairs.reserve(config_.sources.size());
-  for (const fabric::RackNode& s : config_.sources) {
-    if (s == config_.sink) continue;
-    pairs.emplace_back(s, config_.sink);
-  }
-  if (pairs.empty()) {
-    throw std::invalid_argument("CrossRackIncast: sink is the only source");
-  }
-  launch(pairs, config_.bytes_per_source, std::move(on_done));
 }
 
 }  // namespace rsf::workload

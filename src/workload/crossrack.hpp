@@ -6,21 +6,20 @@
 // shards, because rate allocation, spine queueing and tail latency
 // only show up once traffic crosses the rack boundary:
 //
-//  * CrossRackShuffle — the MapReduce barrier stretched over racks:
-//    every mapper sends to every reducer, mappers and reducers living
-//    in different shards (shuffle-between-racks);
-//  * CrossRackIncast  — all-to-all incast: many sources across the
-//    fleet converge on one sink node, the spine's pathological case.
+// CrossRackShuffle is the MapReduce barrier stretched over racks:
+// every mapper sends to every reducer, mappers and reducers living in
+// different shards (shuffle-between-racks). An incast — many sources
+// across the fleet converging on one sink node, the spine's
+// pathological case — is a shuffle with one reducer.
 //
-// Both drive FleetRuntime::start_flow and aggregate per-flow results
-// into a job view (completion, straggler gap, spine hop counts). The
-// fleet scenario families (workload/scenario.hpp) run their hot and
-// background traffic as these jobs.
+// The job drives FleetRuntime::start_flow and aggregates per-flow
+// results into a job view (completion, straggler gap, spine hop
+// counts). The fleet scenario families (workload/scenario.hpp) run
+// their hot and background traffic as these jobs.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <utility>
 #include <vector>
 
 #include "fabric/interconnect.hpp"
@@ -38,15 +37,6 @@ struct CrossRackShuffleConfig {
   std::vector<fabric::RackNode> reducers;
   /// Bytes each mapper sends to each reducer.
   phy::DataSize bytes_per_pair = phy::DataSize::megabytes(1);
-  phy::DataSize packet_size = phy::DataSize::bytes(1024);
-  rsf::sim::SimTime start = rsf::sim::SimTime::zero();
-};
-
-struct CrossRackIncastConfig {
-  std::vector<fabric::RackNode> sources;
-  fabric::RackNode sink;
-  /// Bytes each source sends to the sink.
-  phy::DataSize bytes_per_source = phy::DataSize::kilobytes(256);
   phy::DataSize packet_size = phy::DataSize::bytes(1024);
   rsf::sim::SimTime start = rsf::sim::SimTime::zero();
 };
@@ -73,17 +63,22 @@ struct CrossRackResult {
   }
 };
 
-/// Shared fan-out/fan-in engine: launches one fleet flow per (src,
-/// dst) pair at `start`, fires the done callback when the last lands.
-class CrossRackJob {
+/// Fan-out/fan-in job: launches one fleet flow per (mapper, reducer)
+/// pair at `start`, fires the done callback when the last lands.
+class CrossRackShuffle {
  public:
   using DoneCallback = std::function<void(const CrossRackResult&)>;
 
-  virtual ~CrossRackJob() = default;
+  CrossRackShuffle(runtime::FleetRuntime* fleet, CrossRackShuffleConfig config);
 
-  /// Launch the job's flows at its configured start; the callback
-  /// fires when the last flow lands. Call once.
-  virtual void run(DoneCallback on_done) = 0;
+  // The fleet's flow callbacks hold `this`.
+  CrossRackShuffle(const CrossRackShuffle&) = delete;
+  CrossRackShuffle& operator=(const CrossRackShuffle&) = delete;
+
+  /// Launch all mapper->reducer flows at config.start. The callback
+  /// fires when the last flow lands (the reducer barrier clears).
+  /// Call once.
+  void run(DoneCallback on_done);
 
   [[nodiscard]] bool finished() const { return finished_; }
   /// Live while the job runs: every field but median_flow tallies the
@@ -97,47 +92,15 @@ class CrossRackJob {
     return completion_times_;
   }
 
- protected:
-  CrossRackJob(runtime::FleetRuntime* fleet, phy::DataSize packet_size,
-               rsf::sim::SimTime start);
-
-  /// Launch every (src, dst, bytes) tuple; call once.
-  void launch(const std::vector<std::pair<fabric::RackNode, fabric::RackNode>>& pairs,
-              phy::DataSize bytes_per_pair, DoneCallback on_done);
-
  private:
   runtime::FleetRuntime* fleet_;
-  phy::DataSize packet_size_;
-  rsf::sim::SimTime start_;
+  CrossRackShuffleConfig config_;
   DoneCallback on_done_;
   std::vector<rsf::sim::SimTime> completion_times_;
   std::uint64_t offered_ = 0;
   std::uint64_t outstanding_ = 0;
   bool finished_ = false;
   CrossRackResult result_;
-};
-
-class CrossRackShuffle : public CrossRackJob {
- public:
-  CrossRackShuffle(runtime::FleetRuntime* fleet, CrossRackShuffleConfig config);
-
-  /// Launch all mapper->reducer flows at config.start. The callback
-  /// fires when the last flow lands (the reducer barrier clears).
-  void run(DoneCallback on_done) override;
-
- private:
-  CrossRackShuffleConfig config_;
-};
-
-class CrossRackIncast : public CrossRackJob {
- public:
-  CrossRackIncast(runtime::FleetRuntime* fleet, CrossRackIncastConfig config);
-
-  /// Launch all source->sink flows at config.start.
-  void run(DoneCallback on_done) override;
-
- private:
-  CrossRackIncastConfig config_;
 };
 
 }  // namespace rsf::workload

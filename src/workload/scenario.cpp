@@ -83,21 +83,21 @@ runtime::FleetConfig scenario_fleet(std::uint64_t seed, double utilization_weigh
   return fc;
 }
 
-std::pair<CrossRackJob*, CrossRackJob*> hot_rack_incast(runtime::FleetRuntime& f,
-                                                        phy::DataSize bytes) {
+std::pair<CrossRackShuffle*, CrossRackShuffle*> hot_rack_incast(runtime::FleetRuntime& f,
+                                                                phy::DataSize bytes) {
   // Hot: rack 3's row-0 nodes swarm one sink in rack 0 — the (3, 0)
   // pair crosses every inbound leg, the fleet's hottest pair.
-  CrossRackIncastConfig hot;
-  for (int x = 0; x < 4; ++x) hot.sources.push_back(f.at(3, x, 0));
-  hot.sink = f.at(0, 0, 0);
-  hot.bytes_per_source = bytes;
+  CrossRackShuffleConfig hot;
+  for (int x = 0; x < 4; ++x) hot.mappers.push_back(f.at(3, x, 0));
+  hot.reducers = {f.at(0, 0, 0)};
+  hot.bytes_per_pair = bytes;
   // Background: racks 1 and 2 feed a second sink in rack 0, sharing
   // the 1 -> 0 leg with everything the hot pair sends.
-  CrossRackIncastConfig bg;
-  bg.sources = {f.at(1, 0, 3), f.at(1, 3, 3), f.at(2, 0, 3), f.at(2, 3, 3)};
-  bg.sink = f.at(0, 3, 3);
-  bg.bytes_per_source = bytes;
-  return {&f.add_incast(hot), &f.add_incast(bg)};
+  CrossRackShuffleConfig bg;
+  bg.mappers = {f.at(1, 0, 3), f.at(1, 3, 3), f.at(2, 0, 3), f.at(2, 3, 3)};
+  bg.reducers = {f.at(0, 3, 3)};
+  bg.bytes_per_pair = bytes;
+  return {&f.add_shuffle(hot), &f.add_shuffle(bg)};
 }
 
 FleetScenario::FleetScenario(const char* name, runtime::FleetConfig config,
@@ -119,8 +119,8 @@ FleetScenarioResult FleetScenario::drive(OnViolation on_violation, SimTime horiz
   jobs_ = make_jobs(f);
   // Scheduling order is part of the byte-identity contract: every
   // flow's start event (hot jobs first), the timeline, then start().
-  for (CrossRackJob* job : jobs_.hot) job->run(nullptr);
-  for (CrossRackJob* job : jobs_.background) job->run(nullptr);
+  for (CrossRackShuffle* job : jobs_.hot) job->run(nullptr);
+  for (CrossRackShuffle* job : jobs_.background) job->run(nullptr);
   schedule_timeline();
   f.start();
   f.run_until(horizon);
@@ -128,8 +128,8 @@ FleetScenarioResult FleetScenario::drive(OnViolation on_violation, SimTime horiz
   f.run_until(horizon);  // drain anything the stop released
 
   FleetScenarioResult r;
-  auto tally = [&r](const std::vector<CrossRackJob*>& side, CrossRackResult& into) {
-    for (const CrossRackJob* job : side) {
+  auto tally = [&r](const std::vector<CrossRackShuffle*>& side, CrossRackResult& into) {
+    for (const CrossRackShuffle* job : side) {
       fold(into, job->result());
       r.flows_offered += job->offered();
     }

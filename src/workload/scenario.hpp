@@ -4,7 +4,7 @@
 // at fleet scale: skewed fleets (SkewedFleetScenario), the slotted
 // crossover (SlottedFleetScenario) and correlated failures
 // (ChaosScenario). Each supplies only its fleet shape, its hot and
-// background CrossRackJobs and its weak-event timeline; the shared
+// background CrossRackShuffles and its weak-event timeline; the shared
 // rack, spine and booking pieces, the drive (launch, start, run to the
 // horizon, stop, drain), the verifier and the result live here. The
 // verifier checks every run for conservation (offered = delivered +
@@ -87,8 +87,8 @@ runtime::FleetConfig scenario_fleet(std::uint64_t seed, double utilization_weigh
 /// row-0 nodes swarm sink (0, 0, 0) while racks 1 and 2 feed a second
 /// sink (0, 3, 3) through the same inbound legs. Every source moves
 /// `bytes`. Returns {hot, background}.
-std::pair<CrossRackJob*, CrossRackJob*> hot_rack_incast(runtime::FleetRuntime& f,
-                                                        phy::DataSize bytes);
+std::pair<CrossRackShuffle*, CrossRackShuffle*> hot_rack_incast(runtime::FleetRuntime& f,
+                                                                phy::DataSize bytes);
 
 /// The driver: owns the FleetRuntime, launches a family's jobs, drives
 /// the run and verifies it. A family supplies its fleet, its jobs and
@@ -106,8 +106,8 @@ class FleetScenario {
 
  protected:
   struct Jobs {
-    std::vector<CrossRackJob*> hot;
-    std::vector<CrossRackJob*> background;
+    std::vector<CrossRackShuffle*> hot;
+    std::vector<CrossRackShuffle*> background;
   };
   enum class OnViolation { kThrow, kReport };
 

@@ -62,26 +62,26 @@ FleetScenario::Jobs SkewedFleetScenario::make_jobs(runtime::FleetRuntime& f) {
     }
     case SkewedScenarioKind::kSlowSpineLeg: {
       // Hot: rack 1 -> rack 0 across the slow leg (or its detour).
-      CrossRackIncastConfig hot;
-      for (int x = 0; x < 4; ++x) hot.sources.push_back(f.at(1, x, 0));
-      hot.sink = f.at(0, 0, 0);
-      hot.bytes_per_source = config_.hot_bytes;
+      CrossRackShuffleConfig hot;
+      for (int x = 0; x < 4; ++x) hot.mappers.push_back(f.at(1, x, 0));
+      hot.reducers = {f.at(0, 0, 0)};
+      hot.bytes_per_pair = config_.hot_bytes;
       // Background: rack 2 -> rack 0 on the fast 2 -> 0 leg — the
       // detour's victim when repricing pushes hot traffic around.
-      CrossRackIncastConfig bg;
-      bg.sources = {f.at(2, 0, 0), f.at(2, 1, 0), f.at(2, 2, 0)};
-      bg.sink = f.at(0, 3, 3);
-      bg.bytes_per_source = config_.hot_bytes;
-      return {{&f.add_incast(hot)}, {&f.add_incast(bg)}};
+      CrossRackShuffleConfig bg;
+      bg.mappers = {f.at(2, 0, 0), f.at(2, 1, 0), f.at(2, 2, 0)};
+      bg.reducers = {f.at(0, 3, 3)};
+      bg.bytes_per_pair = config_.hot_bytes;
+      return {{&f.add_shuffle(hot)}, {&f.add_shuffle(bg)}};
     }
     case SkewedScenarioKind::kMixedRackSizes: {
       // Hot: the mid rack transits the big rack into the edge rack's
       // sink — pair (2, 0) crosses two legs, the fleet's biggest
       // spine consumer in byte·hops and the promotion target.
-      CrossRackIncastConfig hot;
-      hot.sources = {f.at(2, 0, 0), f.at(2, 1, 0), f.at(2, 2, 0)};
-      hot.sink = f.at(0, 0, 0);
-      hot.bytes_per_source = config_.hot_bytes;
+      CrossRackShuffleConfig hot;
+      hot.mappers = {f.at(2, 0, 0), f.at(2, 1, 0), f.at(2, 2, 0)};
+      hot.reducers = {f.at(0, 0, 0)};
+      hot.bytes_per_pair = config_.hot_bytes;
       // Background: one shuffle spanning all three rack sizes — the
       // big rack's mappers fan out to reducers in the small and mid
       // racks (pairs (1, 0) and (1, 2)); its (1, 0) flows share the
@@ -90,7 +90,7 @@ FleetScenario::Jobs SkewedFleetScenario::make_jobs(runtime::FleetRuntime& f) {
       bg.mappers = {f.at(1, 0, 0), f.at(1, 1, 0), f.at(1, 2, 0)};
       bg.reducers = {f.at(0, 1, 1), f.at(2, 2, 2)};
       bg.bytes_per_pair = config_.hot_bytes;
-      return {{&f.add_incast(hot)}, {&f.add_shuffle(bg)}};
+      return {{&f.add_shuffle(hot)}, {&f.add_shuffle(bg)}};
     }
   }
   throw std::logic_error("SkewedFleetScenario: unknown kind");

@@ -88,15 +88,15 @@ FleetScenario::Jobs SlottedFleetScenario::make_jobs(runtime::FleetRuntime& f) {
   const phy::DataSize wave_bytes =
       phy::DataSize::bits(config_.hot_bytes.bit_count() / waves);
   for (int w = 0; w < waves; ++w) {
-    CrossRackIncastConfig hot;
-    hot.sources.reserve(8);
+    CrossRackShuffleConfig hot;
+    hot.mappers.reserve(8);
     for (int y = 0; y < 2; ++y) {
-      for (int x = 0; x < 4; ++x) hot.sources.push_back(f.at(kHotSrcRack, x, y));
+      for (int x = 0; x < 4; ++x) hot.mappers.push_back(f.at(kHotSrcRack, x, y));
     }
-    hot.sink = f.at(kHotDstRack, 0, 0);
-    hot.bytes_per_source = wave_bytes;
+    hot.reducers = {f.at(kHotDstRack, 0, 0)};
+    hot.bytes_per_pair = wave_bytes;
     hot.start = SimTime::picoseconds(kChurnCadence.ps() * w);
-    jobs.hot.push_back(&f.add_incast(hot));
+    jobs.hot.push_back(&f.add_shuffle(hot));
   }
 
   // Background: rack 1 -> rack 0, one hop on the leg the hot primary
@@ -105,14 +105,14 @@ FleetScenario::Jobs SlottedFleetScenario::make_jobs(runtime::FleetRuntime& f) {
   // per-source bytes: enough demand to outlast every hot wave on the
   // shared leg while its single hop keeps it below the hot pair in
   // byte·hops.
-  CrossRackIncastConfig bg;
-  bg.sources.reserve(8);
+  CrossRackShuffleConfig bg;
+  bg.mappers.reserve(8);
   for (int y = 0; y < 2; ++y) {
-    for (int x = 0; x < 4; ++x) bg.sources.push_back(f.at(1, x, y));
+    for (int x = 0; x < 4; ++x) bg.mappers.push_back(f.at(1, x, y));
   }
-  bg.sink = f.at(kHotDstRack, 3, 3);
-  bg.bytes_per_source = phy::DataSize::bits(config_.hot_bytes.bit_count() * 2);
-  jobs.background.push_back(&f.add_incast(bg));
+  bg.reducers = {f.at(kHotDstRack, 3, 3)};
+  bg.bytes_per_pair = phy::DataSize::bits(config_.hot_bytes.bit_count() * 2);
+  jobs.background.push_back(&f.add_shuffle(bg));
   return jobs;
 }
 

@@ -22,17 +22,11 @@ void TrafficMatrix::set_demand(phy::NodeId s, phy::NodeId d, double weight) {
   w_[idx(s, d)] = weight;
 }
 
-void TrafficMatrix::add_demand(phy::NodeId s, phy::NodeId d, double weight) {
-  w_[idx(s, d)] += weight;
-}
-
 double TrafficMatrix::row_sum(phy::NodeId s) const {
   const std::size_t base = idx(s, 0);
   return std::accumulate(w_.begin() + static_cast<long>(base),
                          w_.begin() + static_cast<long>(base + n_), 0.0);
 }
-
-double TrafficMatrix::total() const { return std::accumulate(w_.begin(), w_.end(), 0.0); }
 
 phy::NodeId TrafficMatrix::sample_dst(phy::NodeId src, rsf::sim::RandomStream& rng) const {
   const double sum = row_sum(src);
@@ -46,36 +40,12 @@ phy::NodeId TrafficMatrix::sample_dst(phy::NodeId src, rsf::sim::RandomStream& r
   return n_ - 1;
 }
 
-void TrafficMatrix::normalize() {
-  const double sum = total();
-  if (sum <= 0) return;
-  for (double& v : w_) v /= sum;
-}
-
 TrafficMatrix TrafficMatrix::uniform(std::uint32_t nodes) {
   TrafficMatrix m(nodes);
   for (std::uint32_t s = 0; s < nodes; ++s) {
     for (std::uint32_t d = 0; d < nodes; ++d) {
       if (s != d) m.set_demand(s, d, 1.0);
     }
-  }
-  return m;
-}
-
-TrafficMatrix TrafficMatrix::permutation(std::uint32_t nodes, rsf::sim::RandomStream& rng) {
-  TrafficMatrix m(nodes);
-  std::vector<phy::NodeId> perm(nodes);
-  for (std::uint32_t i = 0; i < nodes; ++i) perm[i] = i;
-  // Fisher-Yates, then rotate self-mappings away.
-  for (std::uint32_t i = nodes - 1; i > 0; --i) {
-    const auto j = static_cast<std::uint32_t>(rng.uniform_int(0, i));
-    std::swap(perm[i], perm[j]);
-  }
-  for (std::uint32_t i = 0; i < nodes; ++i) {
-    if (perm[i] == i) std::swap(perm[i], perm[(i + 1) % nodes]);
-  }
-  for (std::uint32_t i = 0; i < nodes; ++i) {
-    if (perm[i] != i) m.set_demand(i, perm[i], 1.0);
   }
   return m;
 }

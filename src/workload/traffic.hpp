@@ -22,27 +22,18 @@ class TrafficMatrix {
 
   [[nodiscard]] double demand(phy::NodeId src, phy::NodeId dst) const;
   void set_demand(phy::NodeId src, phy::NodeId dst, double weight);
-  void add_demand(phy::NodeId src, phy::NodeId dst, double weight);
 
   /// Total outbound demand of `src`.
   [[nodiscard]] double row_sum(phy::NodeId src) const;
-  /// Total demand in the matrix.
-  [[nodiscard]] double total() const;
 
   /// Draw a destination for `src` proportional to demand(src, *).
   /// Returns src itself if the row is empty (callers skip those).
   [[nodiscard]] phy::NodeId sample_dst(phy::NodeId src, rsf::sim::RandomStream& rng) const;
 
-  /// Scale all entries so total() == 1.
-  void normalize();
-
   // --- Canonical patterns ---
 
   /// Every ordered pair equally likely.
   [[nodiscard]] static TrafficMatrix uniform(std::uint32_t nodes);
-  /// A random permutation: node i talks only to p(i).
-  [[nodiscard]] static TrafficMatrix permutation(std::uint32_t nodes,
-                                                 rsf::sim::RandomStream& rng);
   /// `hot_fraction` of all demand targets `hot_node`; rest uniform.
   [[nodiscard]] static TrafficMatrix hotspot(std::uint32_t nodes, phy::NodeId hot_node,
                                              double hot_fraction);

@@ -31,7 +31,7 @@ TEST(FabricEdge, FailedLaneImmediatelyVisibleToRouting) {
   const std::uint64_t v0 = rack.topology->version();
   const LinkId l01 = *rack.topology->link_between(0, 1);
   rack.plant->fail_lane(phy::LaneRef{rack.plant->link(l01).segments().front().cable, 0});
-  // The plant change observer bumps the version; routing re-runs
+  // fail_lane bumps the plant's version; routing re-runs
   // Dijkstra and the dead link is excluded.
   EXPECT_GT(rack.topology->version(), v0);
   EXPECT_FALSE(rack.topology->usable(l01));

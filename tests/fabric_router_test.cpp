@@ -211,8 +211,7 @@ TEST_F(GridFixture, SetReservationBumpsTheVersionAndRefreshesTheMemo) {
   EXPECT_EQ(*before, *direct);
 
   // Reserving the link must invalidate the memo: set_reservation
-  // notifies the plant's change observers, which bump the topology
-  // version the router's tables key on.
+  // bumps the plant's version, which the router's tables key on.
   const std::uint64_t version = rack.topology->version();
   rack.plant->set_reservation(*direct, 42);
   EXPECT_GT(rack.topology->version(), version);
@@ -235,7 +234,8 @@ TEST_F(GridFixture, SetReservationBumpsTheVersionAndRefreshesTheMemo) {
 
 /// Router's min-cost search as written before the edge graph: a heap
 /// Dijkstra that prices every relaxation, and a next-hop argmin that
-/// prices every candidate link in links_at order.
+/// prices every candidate link in links_at order. It reads the graph
+/// from a fresh scan of the plant, never from Topology.
 class ReferenceRouter {
  public:
   ReferenceRouter(const Rack& rack, const std::vector<double>* prices)
@@ -245,9 +245,25 @@ class ReferenceRouter {
   /// read the router's own penalty through default_cost).
   void set_hop_penalty(double ns) { hop_penalty_ = ns; }
 
+  /// Links at `node` from a fresh scan of the plant's link set, in
+  /// ascending id order — what Topology::links_at must return.
+  std::vector<LinkId> links_at(NodeId node) const {
+    std::vector<LinkId> out;
+    for (const LinkId id : rack_.plant->link_ids()) {
+      if (rack_.plant->link(id).connects(node)) out.push_back(id);
+    }
+    return out;
+  }
+
+  /// What Topology::usable must return: the link exists, its lanes
+  /// are up and no PLP command is actuating on it.
+  bool usable(LinkId id) const {
+    return rack_.plant->has_link(id) && rack_.plant->link(id).ready() &&
+           !rack_.plant->link_busy(id);
+  }
+
   std::vector<double> dist_to(NodeId dst) const {
-    const auto& topo = *rack_.topology;
-    const std::uint32_t n = topo.node_count();
+    const std::uint32_t n = rack_.topology->node_count();
     std::vector<double> dist(n, kInf);
     using Item = std::pair<double, NodeId>;
     std::priority_queue<Item, std::vector<Item>, std::greater<>> pq;
@@ -257,7 +273,7 @@ class ReferenceRouter {
       const auto [d, node] = pq.top();
       pq.pop();
       if (d > dist[node]) continue;
-      for (LinkId id : topo.links_at(node)) {
+      for (LinkId id : links_at(node)) {
         if (!public_link(id)) continue;
         const NodeId next = rack_.plant->link(id).other_end(node);
         if (next >= n) continue;
@@ -275,7 +291,7 @@ class ReferenceRouter {
     if (dist[at] == kInf) return std::nullopt;
     double best = kInf;
     std::optional<LinkId> best_link;
-    for (LinkId id : rack_.topology->links_at(at)) {
+    for (LinkId id : links_at(at)) {
       if (!public_link(id)) continue;
       const NodeId next = rack_.plant->link(id).other_end(at);
       if (next >= dist.size() || dist[next] == kInf) continue;
@@ -292,7 +308,7 @@ class ReferenceRouter {
   static constexpr double kInf = std::numeric_limits<double>::infinity();
 
   bool public_link(LinkId id) const {
-    return rack_.topology->usable(id) && !rack_.plant->link(id).reserved_for().has_value();
+    return usable(id) && !rack_.plant->link(id).reserved_for().has_value();
   }
   double cost(LinkId id) const {
     const double p = id < prices_->size() ? (*prices_)[id] : std::nan("");
@@ -379,14 +395,18 @@ TEST(RouterOracle, EdgeGraphSearchMatchesHeapDijkstraOnRandomRacks) {
 }
 
 TEST(RouterOracle, InterleavedInvalidationsNeverServeAStaleRow) {
-  // Every invalidation the router keys on, one at a time: in-place
+  // Every input the router keys on, changed one step at a time: in-place
   // price changes with bump_prices, set_price_fn, set_hop_penalty_ns,
-  // reservation set and clear, lane failure and repair. Between them,
-  // queries on a random subset of destinations, so rows built under
-  // older stamps sit next to fresh ones. After every step, next_hop,
-  // path_cost and path match the reference for every source of the
-  // queried destinations, and at == dst and out-of-range nodes answer
-  // nullopt (cost 0 for src == dst).
+  // reservation set and clear, lane failure and repair, PLP commands
+  // run only part-way (so busy windows overlap the queries), and, on
+  // the plant with no engine involved, link creation and destruction,
+  // lane training and power-off, and FEC changes. After every step,
+  // Topology's adjacency equals a fresh scan of the plant, usable()
+  // equals has_link && ready && !busy, and on a random subset of
+  // destinations (rows built under older stamps sit next to fresh
+  // ones) next_hop, path_cost and path match the reference for every
+  // source; at == dst and out-of-range nodes answer nullopt (cost 0
+  // for src == dst).
   rsf::sim::RandomStream rng(67, "router-interleave");
   const auto pick = [&rng](std::size_t n) {
     return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
@@ -394,16 +414,21 @@ TEST(RouterOracle, InterleavedInvalidationsNeverServeAStaleRow) {
   constexpr double kInf = std::numeric_limits<double>::infinity();
   int compared = 0;
   int invalidations = 0;
+  int commands = 0;
+  int plant_edits = 0;
   for (int trial = 0; trial < 12; ++trial) {
     Simulator sim;
     RackParams p;
     p.width = static_cast<int>(rng.uniform_int(3, 7));
     p.height = static_cast<int>(rng.uniform_int(3, 7));
+    // Spare lanes on every cable for provisioning and plant-side links.
+    p.lanes_per_cable = static_cast<int>(rng.uniform_int(2, 4));
     Rack rack = trial % 2 == 0 ? build_grid(&sim, p) : build_torus(&sim, p);
     Router& router = *rack.router;
+    phy::PhysicalPlant& plant = *rack.plant;
+    const Topology& topo = *rack.topology;
     const auto n = static_cast<NodeId>(rack.node_count());
-    const std::vector<LinkId> ids = rack.plant->link_ids();
-    std::vector<double> prices(ids.back() + 1, std::nan(""));
+    std::vector<double> prices;
     ReferenceRouter ref(rack, &prices);
     const auto random_price = [&] {
       const int kind = static_cast<int>(rng.uniform_int(0, 9));
@@ -413,10 +438,68 @@ TEST(RouterOracle, InterleavedInvalidationsNeverServeAStaleRow) {
              : kind <= 5 ? 100.0  // ties
                          : rng.uniform(0.0, 2000.0);
     };
+    const auto price_links = [&](const std::vector<LinkId>& ids) {
+      if (prices.size() <= ids.back()) prices.resize(ids.back() + 1, std::nan(""));
+    };
+    // A cable with free, unfailed lanes (eight random tries), and a
+    // partner for `a` that a bundle or a bypass join accepts.
+    const auto free_cable_lanes = [&](std::vector<int>& lanes) -> std::optional<phy::CableId> {
+      for (std::size_t tries = 0; tries < 8; ++tries) {
+        const auto cable = static_cast<phy::CableId>(pick(plant.cable_count()));
+        lanes = plant.free_lanes(cable);
+        const phy::Cable& c = std::as_const(plant).cable(cable);
+        std::erase_if(lanes, [&c](int l) { return c.lane(l).is_failed(); });
+        if (!lanes.empty()) return cable;
+      }
+      return std::nullopt;
+    };
+    const auto bundle_pair = [&](LinkId a) -> std::optional<LinkId> {
+      const phy::LogicalLink& la = plant.link(a);
+      for (const LinkId b : plant.links_at(la.end_a())) {
+        const phy::LogicalLink& lb = plant.link(b);
+        if (b == a || lb.end_a() != la.end_a() || lb.end_b() != la.end_b()) continue;
+        if (lb.segments().size() != la.segments().size()) continue;
+        bool same_chain = true;
+        for (std::size_t i = 0; i < la.segments().size(); ++i) {
+          same_chain = same_chain && la.segments()[i].cable == lb.segments()[i].cable;
+        }
+        if (same_chain) return b;
+      }
+      return std::nullopt;
+    };
+    const auto join_pair = [&](LinkId a) -> std::optional<LinkId> {
+      const phy::LogicalLink& la = plant.link(a);
+      for (const NodeId joint : {la.end_a(), la.end_b()}) {
+        for (const LinkId b : plant.links_at(joint)) {
+          const phy::LogicalLink& lb = plant.link(b);
+          if (b == a || lb.lane_count() != la.lane_count()) continue;
+          if (lb.connects(la.other_end(joint))) continue;  // shares both ends
+          return b;
+        }
+      }
+      return std::nullopt;
+    };
+    // Whether every live lane of the link is training: only then may
+    // the plant complete its training.
+    const auto training = [&](LinkId a) {
+      bool any = false;
+      for (const phy::LinkSegment& seg : plant.link(a).segments()) {
+        for (const int lane : seg.lanes) {
+          const phy::Lane& ln = std::as_const(plant).cable(seg.cable).lane(lane);
+          if (ln.is_failed()) continue;
+          if (ln.state() != phy::LaneState::kTraining) return false;
+          any = true;
+        }
+      }
+      return any;
+    };
     bool priced = false;  // the router has a price function installed
     std::vector<phy::LaneRef> failed;
     for (int step = 0; step < 80; ++step) {
-      const int op = static_cast<int>(rng.uniform_int(0, 6));
+      const int op = static_cast<int>(rng.uniform_int(0, 9));
+      const std::vector<LinkId> ids = plant.link_ids();
+      ASSERT_FALSE(ids.empty());
+      price_links(ids);
       const LinkId id = ids[pick(ids.size())];
       if (op == 0) {
         // In place, behind the router's back, then announced.
@@ -438,24 +521,99 @@ TEST(RouterOracle, InterleavedInvalidationsNeverServeAStaleRow) {
         router.set_hop_penalty_ns(ns);
         ref.set_hop_penalty(ns);
       } else if (op == 3) {
-        rack.plant->set_reservation(id, rng.uniform_int(0, 1) == 0 ? std::optional<std::uint64_t>(7)
-                                                                   : std::nullopt);
-      } else if (op == 4 && rack.plant->has_link(id)) {
-        const phy::LaneRef lane{rack.plant->link(id).segments().front().cable,
+        plant.set_reservation(id, rng.uniform_int(0, 1) == 0 ? std::optional<std::uint64_t>(7)
+                                                             : std::nullopt);
+      } else if (op == 4) {
+        const phy::LaneRef lane{plant.link(id).segments().front().cable,
                                 static_cast<int>(pick(static_cast<std::size_t>(p.lanes_per_cable)))};
-        rack.plant->fail_lane(lane);
+        plant.fail_lane(lane);
         failed.push_back(lane);
       } else if (op == 5 && !failed.empty()) {
         const std::size_t i = pick(failed.size());
         const phy::LaneRef lane = failed[i];
-        failed.erase(failed.begin() + static_cast<std::ptrdiff_t>(i));
-        rack.plant->repair_lane(lane);
-        if (const auto owner = rack.plant->lane_owner(lane)) {
-          rack.engine->submit(plp::BringUpCommand{*owner});
-          sim.run_until();  // retrained: the readiness change bumps the version
+        const auto owner = plant.lane_owner(lane);
+        // A lane repaired under a retrain would leave the retrain's
+        // completion a dark lane; repair only idle, untrained ones.
+        if (!owner || (!plant.link_busy(*owner) && !training(*owner))) {
+          failed.erase(failed.begin() + static_cast<std::ptrdiff_t>(i));
+          plant.repair_lane(lane);
+          if (owner) rack.engine->submit(plp::BringUpCommand{*owner});
         }
+      } else if (op == 6) {
+        // A PLP command, run only part-way: its busy window, queueing
+        // and completion land between later queries.
+        plp::PlpCommand cmd = plp::ShutdownCommand{id};  // kind 6, and the fallback
+        const int kind = static_cast<int>(rng.uniform_int(0, 8));
+        const phy::LogicalLink& l = plant.link(id);
+        std::vector<int> lanes;
+        if (kind == 0 && l.lane_count() >= 2) {
+          cmd = plp::SplitCommand{id, static_cast<int>(rng.uniform_int(1, l.lane_count() - 1))};
+        } else if (kind == 1 && bundle_pair(id)) {
+          cmd = plp::BundleCommand{id, *bundle_pair(id)};
+        } else if (kind == 2 && join_pair(id)) {
+          cmd = plp::BypassJoinCommand{id, *join_pair(id)};
+        } else if (kind == 3 && l.segments().size() >= 2) {
+          cmd = plp::BypassSeverCommand{
+              id, std::as_const(plant).cable(l.segments().front().cable).other_end(l.end_a())};
+        } else if (kind == 4) {
+          if (const auto cable = free_cable_lanes(lanes)) {
+            cmd = plp::ProvisionCommand{*cable, lanes, phy::FecScheme::kRsKr4};
+          }
+        } else if (kind == 5) {
+          cmd = plp::DecommissionCommand{id};
+        } else if (kind == 7) {
+          cmd = plp::BringUpCommand{id};
+        } else if (kind == 8) {
+          cmd = plp::SetFecCommand{id, phy::kAllFecSchemes[pick(phy::kAllFecSchemes.size())]};
+        }
+        rack.engine->submit(cmd);
+        sim.run_until(sim.now() + rsf::sim::SimTime::nanoseconds(rng.uniform_int(0, 80'000)));
+        ++commands;
+      } else if (op == 7) {
+        // The plant changed with no engine involved: a link created
+        // (sometimes trained) on free lanes, or an idle link destroyed.
+        std::vector<int> lanes;
+        if (rng.uniform_int(0, 1) == 0) {
+          if (const auto cable = free_cable_lanes(lanes)) {
+            const LinkId made = plant.create_adjacent_link(*cable, lanes);
+            if (rng.uniform_int(0, 1) == 0) {
+              plant.lane_begin_training(made);
+              plant.lane_complete_training(made);
+            }
+          }
+        } else if (!plant.link_busy(id) && ids.size() > 4) {
+          plant.destroy_link(id);
+        }
+        ++plant_edits;
+      } else if (op == 8) {
+        sim.run_until();  // every in-flight command completes
+      } else if (op == 9 && !plant.link_busy(id)) {
+        // An idle link's lanes or FEC changed on the plant directly,
+        // one transition per step.
+        if (training(id)) {
+          plant.lane_complete_training(id);
+        } else if (const int kind = static_cast<int>(rng.uniform_int(0, 2)); kind == 0) {
+          const phy::FecScheme scheme = phy::kAllFecSchemes[pick(phy::kAllFecSchemes.size())];
+          plant.set_fec(id, phy::FecSpec::of(scheme));
+        } else if (kind == 1 && plant.link(id).ready()) {
+          plant.lane_power_off(id);
+        } else {
+          plant.lane_begin_training(id);
+        }
+        ++plant_edits;
       }
-      if (op <= 5) ++invalidations;
+      ++invalidations;
+      const std::vector<LinkId> now_ids = plant.link_ids();
+      ASSERT_FALSE(now_ids.empty());
+      price_links(now_ids);
+      for (NodeId v = 0; v < n; ++v) {
+        ASSERT_EQ(topo.links_at(v), ref.links_at(v)) << "trial " << trial << " step " << step
+                                                     << " node " << v;
+      }
+      for (LinkId l = 0; l <= now_ids.back() + 1; ++l) {
+        ASSERT_EQ(topo.usable(l), ref.usable(l)) << "trial " << trial << " step " << step
+                                                 << " link " << l;
+      }
       // A random third of the destinations, in random order.
       for (NodeId dst = 0; dst < n; ++dst) {
         if (rng.uniform_int(0, 2) != 0) continue;
@@ -481,7 +639,7 @@ TEST(RouterOracle, InterleavedInvalidationsNeverServeAStaleRow) {
             const auto link = ref.next_hop(at, dist);
             if (!link) break;
             want.push_back(*link);
-            at = rack.plant->link(*link).other_end(at);
+            at = plant.link(*link).other_end(at);
           }
           if (at != dst) want.clear();
           ASSERT_EQ(router.path(src, dst), want) << where();
@@ -497,7 +655,9 @@ TEST(RouterOracle, InterleavedInvalidationsNeverServeAStaleRow) {
     }
   }
   EXPECT_GT(compared, 20000);
-  EXPECT_GT(invalidations, 700);
+  EXPECT_GT(invalidations, 900);
+  EXPECT_GT(commands, 80);
+  EXPECT_GT(plant_edits, 80);
 }
 
 TEST_F(GridFixture, HopPenaltyMustBeFiniteAndNonNegative) {

@@ -48,18 +48,18 @@ class LineScenario : public FleetScenario {
   Jobs make_jobs(runtime::FleetRuntime& f) override {
     Jobs jobs;
     for (const SimTime start : {SimTime::zero(), 50_us}) {
-      workload::CrossRackIncastConfig hot;
-      hot.sources = {f.at(1, 0, 0), f.at(1, 1, 0)};
-      hot.sink = f.at(0, 0, 0);
-      hot.bytes_per_source = bytes_;
+      workload::CrossRackShuffleConfig hot;
+      hot.mappers = {f.at(1, 0, 0), f.at(1, 1, 0)};
+      hot.reducers = {f.at(0, 0, 0)};
+      hot.bytes_per_pair = bytes_;
       hot.start = start;
-      jobs.hot.push_back(&f.add_incast(hot));
+      jobs.hot.push_back(&f.add_shuffle(hot));
     }
-    workload::CrossRackIncastConfig bg;
-    bg.sources = {f.at(1, 3, 3)};
-    bg.sink = f.at(0, 3, 3);
-    bg.bytes_per_source = bytes_;
-    jobs.background.push_back(&f.add_incast(bg));
+    workload::CrossRackShuffleConfig bg;
+    bg.mappers = {f.at(1, 3, 3)};
+    bg.reducers = {f.at(0, 3, 3)};
+    bg.bytes_per_pair = bytes_;
+    jobs.background.push_back(&f.add_shuffle(bg));
     return jobs;
   }
 

@@ -1,5 +1,6 @@
 // Tests of the PLP execution engine: actuation timing, busy tracking,
-// queueing, observers, capabilities, and failure handling.
+// queueing, the plant's adjacency and version, capabilities, and
+// failure handling.
 #include "plp/engine.hpp"
 
 #include <gtest/gtest.h>
@@ -36,7 +37,7 @@ struct EngineFixture : ::testing::Test {
 
 TEST_F(EngineFixture, InstantBringUpMakesReady) {
   EXPECT_TRUE(plant.link(l01).ready());
-  EXPECT_FALSE(engine->link_busy(l01));
+  EXPECT_FALSE(plant.link_busy(l01));
 }
 
 TEST_F(EngineFixture, SplitCompletesAfterActuationTime) {
@@ -64,11 +65,11 @@ TEST_F(EngineFixture, LinksBusyDuringActuation) {
   const auto ids = plant.link_ids();
   int busy = 0;
   for (LinkId id : ids) {
-    if (engine->link_busy(id)) ++busy;
+    if (plant.link_busy(id)) ++busy;
   }
   EXPECT_EQ(busy, 2);
   sim.run_until();
-  for (LinkId id : plant.link_ids()) EXPECT_FALSE(engine->link_busy(id));
+  for (LinkId id : plant.link_ids()) EXPECT_FALSE(plant.link_busy(id));
 }
 
 TEST_F(EngineFixture, BundleRoundTrip) {
@@ -86,27 +87,30 @@ TEST_F(EngineFixture, BundleRoundTrip) {
 }
 
 TEST_F(EngineFixture, BypassJoinRetrainsAndReportsReadiness) {
-  std::vector<std::pair<LinkId, bool>> readiness_events;
-  engine->add_readiness_observer(
-      [&](LinkId id, bool ready) { readiness_events.emplace_back(id, ready); });
-
+  const std::uint64_t before = plant.version();
   std::optional<PlpResult> result;
-  engine->submit(BypassJoinCommand{l01, l12}, [&](const PlpResult& r) { result = r; });
-  // Immediately after submission the joined link exists but trains.
+  bool usable_at_completion = false;
+  engine->submit(BypassJoinCommand{l01, l12}, [&](const PlpResult& r) {
+    result = r;
+    const LinkId id = r.created.front();
+    usable_at_completion = plant.link(id).ready() && !plant.link_busy(id);
+  });
+  // Immediately after submission the joined link exists but trains,
+  // busy, and the plant's version has moved.
   ASSERT_EQ(plant.link_count(), 1u);
   const LinkId joined = plant.link_ids().front();
   EXPECT_FALSE(plant.link(joined).ready());
+  EXPECT_TRUE(plant.link_busy(joined));
+  const std::uint64_t at_submit = plant.version();
+  EXPECT_GT(at_submit, before);
 
   sim.run_until();
   ASSERT_TRUE(result && result->ok);
   EXPECT_EQ(result->created.front(), joined);
-  EXPECT_TRUE(plant.link(joined).ready());
+  EXPECT_TRUE(usable_at_completion);
+  EXPECT_GT(plant.version(), at_submit);
   EXPECT_EQ(result->completed_at,
             timings.command_overhead + timings.bypass_setup + timings.lane_retrain);
-  // Observed: down at join, up at completion.
-  ASSERT_GE(readiness_events.size(), 2u);
-  EXPECT_EQ(readiness_events.front(), std::make_pair(joined, false));
-  EXPECT_EQ(readiness_events.back(), std::make_pair(joined, true));
 }
 
 TEST_F(EngineFixture, BypassSeverRestores) {
@@ -216,21 +220,21 @@ TEST_F(EngineFixture, InvalidSplitFailsViaCallback) {
   EXPECT_FALSE(result->ok);
   // The link is untouched and not leaked into the busy set.
   EXPECT_TRUE(plant.has_link(l01));
-  EXPECT_FALSE(engine->link_busy(l01));
+  EXPECT_FALSE(plant.link_busy(l01));
 }
 
-TEST_F(EngineFixture, TopologyObserverSeesChanges) {
-  std::vector<phy::LinkId> removed;
-  std::vector<phy::LinkId> created;
-  engine->add_topology_observer([&](const std::vector<LinkId>& r,
-                                    const std::vector<LinkId>& c) {
-    removed.insert(removed.end(), r.begin(), r.end());
-    created.insert(created.end(), c.begin(), c.end());
-  });
-  engine->submit(SplitCommand{l01, 1});
+TEST_F(EngineFixture, SplitResultAndPlantAdjacencyShowTheChange) {
+  std::optional<PlpResult> result;
+  engine->submit(SplitCommand{l01, 1}, [&](const PlpResult& r) { result = r; });
   sim.run_until();
-  EXPECT_EQ(removed, std::vector<LinkId>{l01});
-  EXPECT_EQ(created.size(), 2u);
+  ASSERT_TRUE(result && result->ok);
+  EXPECT_EQ(result->removed, std::vector<LinkId>{l01});
+  ASSERT_EQ(result->created.size(), 2u);
+  // Both endpoints list the halves, not the split link, in ascending
+  // id order.
+  const std::vector<LinkId>& halves = result->created;
+  EXPECT_EQ(plant.links_at(0), halves);
+  EXPECT_EQ(plant.links_at(1), (std::vector<LinkId>{l12, halves[0], halves[1]}));
 }
 
 TEST_F(EngineFixture, CountersTrackCommands) {

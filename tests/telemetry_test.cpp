@@ -304,16 +304,6 @@ TEST(TimeSeries, TimeWeightedMean) {
   EXPECT_DOUBLE_EQ(s.time_weighted_mean(0_ns, 20_ns), 2.0);
 }
 
-TEST(TimeSeries, FirstReachFindsSettlingTime) {
-  TimeSeries s("x");
-  s.record(0_ns, 10.0);
-  s.record(5_ns, 7.0);
-  s.record(9_ns, 5.05);
-  EXPECT_EQ(s.first_reach(5.0, 0.1), 9_ns);
-  EXPECT_EQ(s.first_reach(5.0, 0.1, 10_ns), SimTime::infinity());
-  EXPECT_EQ(s.first_reach(100.0, 0.1), SimTime::infinity());
-}
-
 TEST(TimeSeries, MinMax) {
   TimeSeries s("x");
   s.record(0_ns, 3.0);
@@ -383,14 +373,6 @@ TEST(Table, BuildsAndPrints) {
   EXPECT_NE(out.find("demo"), std::string::npos);
   EXPECT_NE(out.find("1.5"), std::string::npos);
   EXPECT_NE(out.find("42"), std::string::npos);
-}
-
-TEST(Table, CsvEscaping) {
-  Table t("csv", {"c1", "c2"});
-  t.row().cell("plain").cell("has,comma");
-  std::ostringstream oss;
-  t.write_csv(oss);
-  EXPECT_NE(oss.str().find("\"has,comma\""), std::string::npos);
 }
 
 TEST(Table, RejectsMalformedUse) {
