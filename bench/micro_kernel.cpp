@@ -161,7 +161,7 @@ void BM_AccountFrame(benchmark::State& state) {
         plant.account_frame(link, phy::DataSize::bytes(1024), phy::DataSize::bytes(64));
     benchmark::DoNotOptimize(cost.loss);
   }
-  benchmark::DoNotOptimize(plant.lane_stats({0, 0}).corrected_codewords);
+  benchmark::DoNotOptimize(plant.lane_bits_carried({0, 0}));
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_AccountFrame)->Arg(1)->Arg(5);

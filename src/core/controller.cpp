@@ -18,7 +18,7 @@ CrcController::CrcController(rsf::sim::Simulator* sim, phy::PhysicalPlant* plant
       ring_(sim, plant, engine, topo, net, config.ring),
       planner_(sim, engine, plant, topo),
       circuits_(sim, engine, plant, topo, router, net, config.circuits),
-      fec_(engine, plant, config.fec),
+      fec_(engine, plant),
       power_(engine, plant, config.power),
       health_(engine, plant, config.health),
       own_registry_(registry ? nullptr : std::make_unique<telemetry::Registry>()),

@@ -42,7 +42,6 @@ struct CrcConfig {
   PriceWeights weights = PriceWeights::balanced();
 
   bool enable_adaptive_fec = false;
-  FecAdapterConfig fec;
 
   bool enable_power_manager = false;
   PowerManagerConfig power;

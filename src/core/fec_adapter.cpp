@@ -19,9 +19,8 @@ int ladder_index(phy::FecScheme s) {
 }
 }  // namespace
 
-FecAdapter::FecAdapter(plp::PlpEngine* engine, phy::PhysicalPlant* plant,
-                       FecAdapterConfig config)
-    : engine_(engine), plant_(plant), config_(config) {
+FecAdapter::FecAdapter(plp::PlpEngine* engine, phy::PhysicalPlant* plant)
+    : engine_(engine), plant_(plant) {
   if (engine_ == nullptr || plant_ == nullptr) {
     throw std::invalid_argument("FecAdapter: null dependency");
   }
@@ -29,11 +28,10 @@ FecAdapter::FecAdapter(plp::PlpEngine* engine, phy::PhysicalPlant* plant,
 
 phy::FecScheme FecAdapter::choose(double ber, phy::FecScheme current) const {
   const int cur_idx = ladder_index(current);
-  const int floor_idx = ladder_index(config_.floor_scheme);
 
-  // Lightest mode meeting the plain target, not below the floor.
+  // Lightest mode meeting the plain target.
   int want = -1;
-  for (std::size_t i = static_cast<std::size_t>(floor_idx); i < kLadder.size(); ++i) {
+  for (std::size_t i = 0; i < kLadder.size(); ++i) {
     const auto spec = phy::FecSpec::of(kLadder[i]);
     if (spec.frame_loss_prob(ber, phy::kReferenceFrame) <= kTargetFrameLoss) {
       want = static_cast<int>(i);

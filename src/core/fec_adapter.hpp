@@ -19,15 +19,6 @@
 
 namespace rsf::core {
 
-struct FecAdapterConfig {
-  /// Never relax below this mode. Essential when the control loop
-  /// runs on *estimated* BER (ControlRingConfig::use_estimated_ber):
-  /// an uncoded link has no decoder and therefore no telemetry, so
-  /// de-escalating to kNone would blind the estimator permanently —
-  /// keep at least a light RS code watching the channel.
-  phy::FecScheme floor_scheme = phy::FecScheme::kNone;
-};
-
 class FecAdapter {
  public:
   /// Maximum acceptable loss probability for phy::kReferenceFrame.
@@ -36,11 +27,11 @@ class FecAdapter {
   /// this factor (loss <= kTargetFrameLoss * kRelaxMargin).
   static constexpr double kRelaxMargin = 1e-2;
 
-  FecAdapter(plp::PlpEngine* engine, phy::PhysicalPlant* plant, FecAdapterConfig config = {});
+  FecAdapter(plp::PlpEngine* engine, phy::PhysicalPlant* plant);
 
   /// The mode the policy wants for a link at bit-error-rate `ber`,
-  /// given it currently runs `current`. Pure function of config —
-  /// exposed for tests and for the bench's static-vs-adaptive sweep.
+  /// given it currently runs `current`. A pure function, exposed for
+  /// tests and for the bench's static-vs-adaptive sweep.
   [[nodiscard]] phy::FecScheme choose(double ber, phy::FecScheme current) const;
 
   /// Inspect a snapshot and submit SetFec commands where the policy
@@ -48,13 +39,11 @@ class FecAdapter {
   /// submitted.
   int apply(const RackSnapshot& snapshot);
 
-  [[nodiscard]] const FecAdapterConfig& config() const { return config_; }
   [[nodiscard]] std::uint64_t changes_submitted() const { return changes_; }
 
  private:
   plp::PlpEngine* engine_;
   phy::PhysicalPlant* plant_;
-  FecAdapterConfig config_;
   std::uint64_t changes_ = 0;
 };
 

@@ -67,9 +67,7 @@ void ControlRing::collect_node(phy::NodeId node, SimTime epoch_length, RackSnaps
     obs.ready = topo_->usable(id);
     obs.unloaded_latency_ns = l.one_way_latency(phy::kReferenceFrame).ns();
     obs.effective_gbps = l.effective_rate().gbps_value();
-    obs.worst_pre_fec_ber = config_.use_estimated_ber
-                                ? plant_->estimated_pre_fec_ber(id)
-                                : l.worst_pre_fec_ber();
+    obs.worst_pre_fec_ber = l.worst_pre_fec_ber();
     obs.post_fec_ber = l.post_fec_ber();
     obs.frame_loss = l.frame_loss_prob(phy::kReferenceFrame);
     obs.power_watts = l.power_watts();

@@ -30,11 +30,6 @@ struct ControlRingConfig {
   rsf::sim::SimTime hop_latency = rsf::sim::SimTime::nanoseconds(200);
   /// Per-node processing (stat readout, append).
   rsf::sim::SimTime node_processing = rsf::sim::SimTime::nanoseconds(100);
-  /// Report the BER *estimated from FEC decoder telemetry* instead of
-  /// the oracle lane value — what a real deployment has to live with.
-  /// Links without RS FEC (no telemetry) then report BER 0 until the
-  /// adaptive-FEC ladder gives them one.
-  bool use_estimated_ber = false;
 };
 
 class ControlRing {

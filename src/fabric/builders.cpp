@@ -24,7 +24,7 @@ Rack make_rack_shell(rsf::sim::Simulator* sim, RackParams params) {
   Rack rack;
   rack.sim = sim;
   rack.params = params;
-  rack.plant = std::make_unique<phy::PhysicalPlant>(params.net_config.seed);
+  rack.plant = std::make_unique<phy::PhysicalPlant>();
   return rack;
 }
 

@@ -237,10 +237,9 @@ void Network::hop(std::uint32_t pkt_idx, phy::NodeId node, SimTime head_ready,
   const phy::LinkId link = *link_opt;
   const phy::LogicalLink& l = plant_->link(link);
   const phy::NodeId next = l.other_end(node);
-  // PLP #5 accounting, including the FEC decoder telemetry (corrected
-  // codewords) for the BER estimator: O(1), folded into the lanes on
-  // read. It hands back the link's frame-cost row, which carries the
-  // frame's timing and its loss probability (the analytic FEC model).
+  // PLP #5 bit accounting: O(1), folded into the lanes on read. It
+  // hands back the link's frame-cost row, which carries the frame's
+  // timing and its loss probability (the analytic FEC model).
   const phy::FrameCost& cost = plant_->account_frame(link, pkt.size, kHeader);
   const SimTime ser = cost.serialization;
 

@@ -1,6 +1,7 @@
 #include "phy/lane.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 namespace rsf::phy {
 
@@ -17,6 +18,7 @@ std::string_view to_string(LaneState s) {
 }
 
 void Lane::begin_training() {
+  training_begun_ = true;
   if (failed_) return;  // the PHY retrains in vain; the lane stays dark
   // Training can be (re)entered from any state: power-on (off->training)
   // or retrain after a re-bundle (up->training).
@@ -24,11 +26,15 @@ void Lane::begin_training() {
 }
 
 void Lane::complete_training() {
+  const bool begun = std::exchange(training_begun_, false);
   if (failed_) return;
-  if (state_ != LaneState::kTraining) {
+  if (state_ == LaneState::kTraining) {
+    state_ = LaneState::kUp;
+  } else if (!begun) {
     throw std::logic_error("Lane::complete_training: lane not training");
   }
-  state_ = LaneState::kUp;
+  // Otherwise a failure (repaired since) or a power-off cut the
+  // training: the lane stays dark until it is retrained.
 }
 
 void Lane::power_off() {

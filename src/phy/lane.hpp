@@ -11,7 +11,6 @@
 #include <string_view>
 
 #include "phy/units.hpp"
-#include "sim/time.hpp"
 
 namespace rsf::phy {
 
@@ -43,16 +42,6 @@ struct LanePowerParams {
   }
 };
 
-/// PLP #5 — per-lane statistics the control plane can query.
-struct LaneStats {
-  std::uint64_t bits_carried = 0;
-  std::uint64_t corrected_codewords = 0;
-  std::uint64_t uncorrected_codewords = 0;
-  double observed_pre_fec_ber = 0.0;
-  rsf::sim::SimTime total_up_time = rsf::sim::SimTime::zero();
-  rsf::sim::SimTime total_training_time = rsf::sim::SimTime::zero();
-};
-
 class Lane {
  public:
   Lane(DataRate rate, LanePowerParams power, double pre_fec_ber)
@@ -73,7 +62,10 @@ class Lane {
   /// State transitions. The *timing* of transitions (training takes
   /// tens of microseconds) is enforced by the PLP engine; the lane
   /// object only validates legality. Failed lanes ignore training
-  /// transitions (the PHY keeps trying, the lane stays dark).
+  /// transitions (the PHY keeps trying, the lane stays dark). A
+  /// training that a failure or power-off cut since begin_training
+  /// completes dark; complete_training throws only when no training
+  /// was begun.
   void begin_training();
   void complete_training();
   void power_off();
@@ -82,10 +74,10 @@ class Lane {
   void fail();
   void repair();
 
-  /// Lags the frames its link accounted since the plant's last fold;
-  /// PhysicalPlant::lane_stats folds first.
-  [[nodiscard]] const LaneStats& stats() const { return stats_; }
-  LaneStats& mutable_stats() { return stats_; }
+  /// PLP #5: bits this lane has carried. Lags the frames its link
+  /// accounted since the plant's last fold;
+  /// PhysicalPlant::lane_bits_carried folds first.
+  [[nodiscard]] std::uint64_t bits_carried() const { return bits_carried_; }
 
  private:
   DataRate rate_;
@@ -93,7 +85,10 @@ class Lane {
   double pre_fec_ber_;
   LaneState state_ = LaneState::kOff;
   bool failed_ = false;
-  LaneStats stats_;
+  bool training_begun_ = false;  // begin_training with no completion since
+  std::uint64_t bits_carried_ = 0;
+
+  friend class PhysicalPlant;  // folds accounted bits into bits_carried_
 };
 
 }  // namespace rsf::phy

@@ -105,11 +105,6 @@ const FrameCost& LogicalLink::refresh_frame_cost(DataSize frame, DataSize header
   c.header_serialization = serialization_delay(std::min(header, frame));
   c.transit = propagation_delay() + fec_.latency;
   c.loss = frame_loss_prob(frame);
-  // Codewords per frame, striped across the lanes.
-  const std::int64_t payload_per_cw = std::int64_t{fec_.k} * fec_.symbol_bits;
-  c.codewords = fec_.n == 0 || bits <= 0
-                    ? 0
-                    : static_cast<std::uint64_t>((bits + payload_per_cw - 1) / payload_per_cw);
   c.remainder = bits % lane_count();
   return c;
 }

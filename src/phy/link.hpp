@@ -32,7 +32,6 @@ struct FrameCost {
   rsf::sim::SimTime header_serialization;  // of min(header, frame)
   rsf::sim::SimTime transit;               // propagation + FEC latency
   double loss = 0.0;                       // frame_loss_prob(frame)
-  std::uint64_t codewords = 0;             // 0 when uncoded
   std::int64_t remainder = 0;              // frame_bits % lane_count()
 };
 
@@ -187,17 +186,15 @@ class LogicalLink {
   mutable unsigned cw_err_memo_next_ = 0;
   [[nodiscard]] double codeword_error_prob(double ber) const;
 
-  // PLP #5 telemetry accounted but not yet folded into the member
-  // lanes (PhysicalPlant::fold_telemetry). A frame of b bits gives each
-  // lane b / lanes bits plus one to a segment's first b % lanes lanes,
-  // so the bit total and a count of frames per remainder reproduce the
-  // per-lane split exactly; the codeword total sets every lane's
-  // Poisson mean for corrected codewords at fold time. The counts live
-  // in the plant (pending_remainders_[remainder_base_ + r]), so a link
-  // costs no allocation of its own.
+  // PLP #5 bits accounted but not yet folded into the member lanes
+  // (PhysicalPlant::fold_telemetry). A frame of b bits gives each lane
+  // b / lanes bits plus one to a segment's first b % lanes lanes, so
+  // the bit total and a count of frames per remainder reproduce the
+  // per-lane split exactly. The counts live in the plant
+  // (pending_remainders_[remainder_base_ + r]), so a link costs no
+  // allocation of its own.
   std::int64_t pending_bits_ = 0;
   std::size_t remainder_base_ = 0;
-  std::uint64_t pending_codewords_ = 0;
 
   // frame_cost's memo: a hop hitting it skips the divisions and the
   // per-segment lane BER scan.

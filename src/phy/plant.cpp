@@ -1,7 +1,6 @@
 #include "phy/plant.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <map>
 #include <set>
 #include <sstream>
@@ -334,7 +333,6 @@ void PhysicalPlant::lane_power_off(LinkId id) {
 void PhysicalPlant::set_fec(LinkId id, FecSpec fec) {
   check_fec(fec, "set_fec");
   LogicalLink& l = mutable_link(id);
-  fold_telemetry();  // pending codewords were coded under the old mode
   l.fec_ = fec;
   l.invalidate_fec_caches();
   ++version_;
@@ -380,59 +378,21 @@ void PhysicalPlant::fold_link(LogicalLink& l) const {
     remainder_bits += r * static_cast<std::int64_t>(remainders[r]);
   }
   const auto per_lane = static_cast<std::uint64_t>((l.pending_bits_ - remainder_bits) / lanes);
-  const FecSpec& fec = l.fec();
-  // Mean corrected codewords on a lane: its share of codeword symbols
-  // times the symbol error rate (small-p approximation: one corrected
-  // codeword per symbol error). A lane with BER <= 0 draws nothing.
-  const double symbols_per_lane =
-      static_cast<double>(l.pending_codewords_) / lanes * fec.n;
   for (const LinkSegment& seg : l.segments()) {
     Cable& c = *cables_[seg.cable];
     std::uint64_t longer = frames;  // frames whose remainder exceeds i
     for (std::size_t i = 0; i < seg.lanes.size(); ++i) {
       longer -= remainders[i];
-      Lane& lane = c.lane(seg.lanes[i]);
-      LaneStats& stats = lane.mutable_stats();
-      stats.bits_carried += per_lane + longer;
-      const double ber = lane.pre_fec_ber();
-      if (l.pending_codewords_ == 0 || ber <= 0) continue;
-      const double p_sym = 1.0 - std::pow(1.0 - ber, fec.symbol_bits);
-      stats.corrected_codewords += telemetry_rng_.poisson(symbols_per_lane * p_sym);
+      c.lane(seg.lanes[i]).bits_carried_ += per_lane + longer;
     }
   }
   l.pending_bits_ = 0;
   std::fill(remainders, remainders + lanes, 0);
-  l.pending_codewords_ = 0;
 }
 
-const LaneStats& PhysicalPlant::lane_stats(LaneRef ref) const {
+std::uint64_t PhysicalPlant::lane_bits_carried(LaneRef ref) const {
   fold_telemetry();
-  return cable(ref.cable).lane(ref.lane).stats();
-}
-
-double PhysicalPlant::estimated_pre_fec_ber(LinkId id) const {
-  const LogicalLink& l = link(id);
-  const FecSpec& fec = l.fec();
-  if (fec.n == 0) return 0.0;
-  fold_telemetry();
-  double worst = 0.0;
-  for (const LinkSegment& seg : l.segments()) {
-    const Cable& c = cable(seg.cable);
-    for (int lane_idx : seg.lanes) {
-      const LaneStats& st = c.lane(lane_idx).stats();
-      if (st.bits_carried == 0) continue;
-      // Symbols this lane has carried, including parity expansion.
-      const double symbols = static_cast<double>(st.bits_carried) *
-                             (static_cast<double>(fec.n) / fec.k) / fec.symbol_bits;
-      if (symbols <= 0) continue;
-      const double p_sym = static_cast<double>(st.corrected_codewords) / symbols;
-      // Invert the symbol error rate to a bit error rate.
-      const double ber = p_sym >= 1.0 ? 1.0
-                                      : -std::expm1(std::log1p(-p_sym) / fec.symbol_bits);
-      worst = std::max(worst, ber);
-    }
-  }
-  return worst;
+  return cable(ref.cable).lane(ref.lane).bits_carried();
 }
 
 void PhysicalPlant::set_cable_ber(CableId id, double ber) {

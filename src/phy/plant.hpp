@@ -30,7 +30,6 @@
 #include <vector>
 
 #include "phy/cable.hpp"
-#include "sim/random.hpp"
 #include "phy/link.hpp"
 #include "phy/types.hpp"
 
@@ -43,8 +42,7 @@ inline constexpr double kBypassPowerW = 0.3;
 
 class PhysicalPlant {
  public:
-  /// `seed` seeds the decoder-telemetry stream (see lane_stats).
-  explicit PhysicalPlant(std::uint64_t seed = 0) : telemetry_rng_(seed, "phy.decoder") {}
+  PhysicalPlant() = default;
 
   PhysicalPlant(const PhysicalPlant&) = delete;
   PhysicalPlant& operator=(const PhysicalPlant&) = delete;
@@ -55,10 +53,10 @@ class PhysicalPlant {
                     DataRate lane_rate, LanePowerParams lane_power = {},
                     double initial_ber = 1e-12);
 
-  /// Mutable access folds pending lane telemetry and bumps the BER
-  /// epoch first: the caller may read lane stats or write a lane BER.
-  /// Make such writes before the next frame is accounted. The const
-  /// overload does neither; read lane stats through lane_stats().
+  /// Mutable access folds pending lane bits and bumps the BER epoch
+  /// first: the caller may read lane bits or write a lane BER. Make
+  /// such writes before the next frame is accounted. The const
+  /// overload does neither; read lane bits through lane_bits_carried().
   [[nodiscard]] Cable& cable(CableId id);
   [[nodiscard]] const Cable& cable(CableId id) const;
   [[nodiscard]] std::size_t cable_count() const { return cables_.size(); }
@@ -142,36 +140,25 @@ class PhysicalPlant {
 
   /// Account one frame crossing the link: its bits on every segment,
   /// split evenly across the lanes with the bits % lanes remainder one
-  /// bit each to a segment's first lanes, and the FEC decoder telemetry
-  /// real transceivers expose, corrected codewords Poisson per lane at
-  /// the lane's true BER. O(1) and inline: the link's frame_cost memo
-  /// carries the frame's codewords and remainder, and the link sums
-  /// them until the next fold. Returns the memo: the hop's link row.
+  /// bit each to a segment's first lanes. O(1) and inline: the link's
+  /// frame_cost memo carries the frame's remainder, and the link sums
+  /// bits and remainders until the next fold. Returns the memo: the
+  /// hop's link row.
   const FrameCost& account_frame(LinkId id, DataSize frame, DataSize header) {
     LogicalLink& l = mutable_link(id);
     const FrameCost& cost = l.frame_cost(frame, header, ber_epoch_);
     if (cost.frame_bits > 0) {
       l.pending_bits_ += cost.frame_bits;
       ++pending_remainders_[l.remainder_base_ + static_cast<std::size_t>(cost.remainder)];
-      l.pending_codewords_ += cost.codewords;
       telemetry_pending_ = true;
     }
     return cost;
   }
 
-  /// PLP #5 statistics of one lane, with the telemetry accounted since
-  /// the last fold folded in: the exact bit split, and corrected
-  /// codewords as one Poisson draw per lane of the frames' summed mean
-  /// from the plant's own stream. A sum of independent Poisson counts
-  /// is Poisson, so the count has the distribution per-frame draws
-  /// would give.
-  [[nodiscard]] const LaneStats& lane_stats(LaneRef ref) const;
-
-  /// Pre-FEC BER of the link as *estimated from decoder telemetry*
-  /// (worst estimating lane). Requires an RS FEC mode and traffic:
-  /// returns 0 when nothing has been observed — exactly like a real
-  /// transceiver MIB. Compare Lane::pre_fec_ber(), the oracle truth.
-  [[nodiscard]] double estimated_pre_fec_ber(LinkId id) const;
+  /// PLP #5: bits one lane has carried, with the frames accounted
+  /// since the last fold folded in. Equal, bit for bit, to splitting
+  /// every frame across the lanes as it crossed.
+  [[nodiscard]] std::uint64_t lane_bits_carried(LaneRef ref) const;
 
   /// Bumped by every lane BER write the plant can see: set_cable_ber
   /// and mutable cable() access. Keys LogicalLink::frame_cost's memo.
@@ -244,9 +231,9 @@ class PhysicalPlant {
   /// Visit every member lane, segment by segment in stored order.
   template <typename Fn>
   void for_each_lane(const LogicalLink& link, Fn&& fn);
-  /// Fold every link's pending telemetry into its lanes (see
-  /// lane_stats). Runs before anything reads lane stats or changes a
-  /// fold input: FEC, BER, the link set.
+  /// Fold every link's pending bits into its lanes (see
+  /// lane_bits_carried). Runs before anything reads lane bits
+  /// (lane_bits_carried, mutable cable()) or destroys a link.
   void fold_telemetry() const;
   void fold_link(LogicalLink& link) const;
 
@@ -259,14 +246,12 @@ class PhysicalPlant {
   std::size_t link_count_ = 0;
   std::size_t reserved_links_ = 0;
   std::uint64_t version_ = 1;  // read on every hop, beside the link pool
-  // Some link holds unfolded telemetry: a hop sets it, a fold clears
-  // it. Folds are rare next to hops, so a fold scans links_ rather than
+  // Some link holds unfolded bits: a hop sets it, a fold clears it. Folds are rare next to hops, so a fold scans links_ rather than
   // a hop maintaining a dirty list.
   mutable bool telemetry_pending_ = false;
   // Each link's frames per bits % lanes remainder, lane_count() slots
   // from its remainder_base_ on (never reused, like link ids).
   mutable std::vector<std::uint64_t> pending_remainders_;
-  mutable rsf::sim::RandomStream telemetry_rng_;
   std::uint64_t ber_epoch_ = 1;
   // rsf-lint: order-insensitive(point lookups only — lane_owner()/free_lanes() probe by key, never iterate)
   std::unordered_map<LaneRef, LinkId> lane_owner_;

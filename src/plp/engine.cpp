@@ -365,7 +365,7 @@ LinkStatsReport PlpEngine::stats_report(phy::LinkId id) const {
   report.ready = l.ready() && !plant_->link_busy(id);
   std::uint64_t bits = 0;
   for (const phy::LinkSegment& seg : l.segments()) {
-    for (int lane : seg.lanes) bits += plant_->lane_stats({seg.cable, lane}).bits_carried;
+    for (int lane : seg.lanes) bits += plant_->lane_bits_carried({seg.cable, lane});
   }
   report.bits_carried = bits;
   return report;

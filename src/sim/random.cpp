@@ -111,43 +111,6 @@ double RandomStream::bounded_pareto(double alpha, double lo, double hi) {
   return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
 }
 
-std::uint64_t RandomStream::poisson(double mean) {
-  if (!(mean >= 0)) throw std::invalid_argument("poisson: mean must be >= 0");
-  if (mean == 0) return 0;
-  if (mean < 10.0) {
-    const double limit = std::exp(-mean);
-    double product = uniform();
-    std::uint64_t count = 0;
-    while (product > limit) {
-      ++count;
-      product *= uniform();
-    }
-    return count;
-  }
-  // PTRS: W. Hörmann, "The transformed rejection method for generating
-  // Poisson random variables", Insurance: Mathematics and Economics 12
-  // (1993). A transformed-uniform candidate k with a squeeze that
-  // accepts most draws at once, else an exact acceptance test against
-  // the Poisson pmf.
-  const double log_mean = std::log(mean);
-  const double b = 0.931 + 2.53 * std::sqrt(mean);
-  const double a = -0.059 + 0.02483 * b;
-  const double inv_alpha = 1.1239 + 1.1328 / (b - 3.4);
-  const double v_r = 0.9277 - 3.6224 / (b - 2.0);
-  while (true) {
-    const double u = uniform() - 0.5;
-    const double v = uniform();
-    const double us = 0.5 - std::fabs(u);
-    const double k = std::floor((2.0 * a / us + b) * u + mean + 0.43);
-    if (us >= 0.07 && v <= v_r) return static_cast<std::uint64_t>(k);
-    if (k < 0 || (us < 0.013 && v > us)) continue;
-    if (std::log(v) + std::log(inv_alpha) - std::log(a / (us * us) + b) <=
-        -mean + k * log_mean - std::lgamma(k + 1.0)) {
-      return static_cast<std::uint64_t>(k);
-    }
-  }
-}
-
 RandomStream RandomStream::fork(std::string_view child_name) const {
   return RandomStream(origin_seed_ ^ 0xA5A5A5A55A5A5A5AULL, child_name);
 }

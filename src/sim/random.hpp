@@ -46,10 +46,6 @@ class RandomStream {
   /// Bounded Pareto on [lo, hi] with shape alpha — heavy-tailed flow
   /// sizes use this.
   double bounded_pareto(double alpha, double lo, double hi);
-  /// Poisson-distributed count with the given mean. Exact at every
-  /// mean: Knuth's product method below 10, Hörmann's transformed
-  /// rejection (PTRS) from 10 up.
-  std::uint64_t poisson(double mean);
 
   /// Derive an independent child stream; used to hand sub-components
   /// their own streams without threading the experiment seed around.

@@ -1,6 +1,6 @@
 // Edge-case and robustness tests of the transport and routing layers:
 // TTL backstops, reservations, exact idle-path latency, and the
-// estimated-BER control path end to end.
+// adaptive-FEC control loop under traffic end to end.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -163,25 +163,19 @@ TEST(FabricEdge, IdleChainLatencyMatchesClosedFormsToThePicosecond) {
   }
 }
 
-TEST(FabricEdge, EstimatedBerDrivesAdaptiveFecEndToEnd) {
-  // Full loop on *estimated* (telemetry-derived) BER: ramp a cable,
-  // keep traffic flowing so the estimator has codewords to count, and
-  // check the CRC still escalates FEC — without ever reading the
-  // oracle BER.
+TEST(FabricEdge, LaneBerDrivesAdaptiveFecUnderTraffic) {
+  // Full loop on the lanes' BER with traffic flowing: ramp a cable and
+  // check the CRC escalates FEC while frames keep crossing the link.
   Simulator sim;
   RackParams p;
   p.width = 3;
   p.height = 1;
-  p.fec = phy::FecScheme::kRsKr4;  // estimator needs a decoder running
+  p.fec = phy::FecScheme::kRsKr4;
   Rack rack = fabric::build_grid(&sim, p);
 
   core::CrcConfig cfg;
   cfg.epoch = 200_us;
   cfg.enable_adaptive_fec = true;
-  cfg.ring.use_estimated_ber = true;
-  // Estimator-driven control must keep a decoder running (see
-  // FecAdapterConfig::floor_scheme) or it goes blind.
-  cfg.fec.floor_scheme = phy::FecScheme::kRsKr4;
   core::CrcController crc(&sim, rack.plant.get(), rack.engine.get(), rack.topology.get(),
                           rack.router.get(), rack.network.get(), cfg);
   crc.start();
@@ -207,10 +201,6 @@ TEST(FabricEdge, EstimatedBerDrivesAdaptiveFecEndToEnd) {
   const auto link_now = rack.topology->link_between(0, 1);
   ASSERT_TRUE(link_now.has_value());
   EXPECT_EQ(rack.plant->link(*link_now).fec().scheme, phy::FecScheme::kRsKp4);
-  // And the estimate itself is in the right decade.
-  const double est = rack.plant->estimated_pre_fec_ber(*link_now);
-  EXPECT_GT(est, 2e-5);
-  EXPECT_LT(est, 2e-3);
 }
 
 TEST(FabricEdge, RepeatedSplitBundleCyclesAreStable) {

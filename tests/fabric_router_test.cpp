@@ -397,16 +397,16 @@ TEST(RouterOracle, EdgeGraphSearchMatchesHeapDijkstraOnRandomRacks) {
 TEST(RouterOracle, InterleavedInvalidationsNeverServeAStaleRow) {
   // Every input the router keys on, changed one step at a time: in-place
   // price changes with bump_prices, set_price_fn, set_hop_penalty_ns,
-  // reservation set and clear, lane failure and repair, PLP commands
-  // run only part-way (so busy windows overlap the queries), and, on
-  // the plant with no engine involved, link creation and destruction,
-  // lane training and power-off, and FEC changes. After every step,
-  // Topology's adjacency equals a fresh scan of the plant, usable()
-  // equals has_link && ready && !busy, and on a random subset of
-  // destinations (rows built under older stamps sit next to fresh
-  // ones) next_hop, path_cost and path match the reference for every
-  // source; at == dst and out-of-range nodes answer nullopt (cost 0
-  // for src == dst).
+  // reservation set and clear, lane failure and repair (under a retrain
+  // too), PLP commands run only part-way (so busy windows overlap the
+  // queries), and, on the plant with no engine involved, link creation
+  // and destruction, lane training and power-off, and FEC changes.
+  // After every step, Topology's adjacency equals a fresh scan of the
+  // plant, usable() equals has_link && ready && !busy, and on a random
+  // subset of destinations (rows built under older stamps sit next to
+  // fresh ones) next_hop, path_cost and path match the reference for
+  // every source; at == dst and out-of-range nodes answer nullopt (cost
+  // 0 for src == dst).
   rsf::sim::RandomStream rng(67, "router-interleave");
   const auto pick = [&rng](std::size_t n) {
     return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
@@ -416,6 +416,7 @@ TEST(RouterOracle, InterleavedInvalidationsNeverServeAStaleRow) {
   int invalidations = 0;
   int commands = 0;
   int plant_edits = 0;
+  int retrain_repairs = 0;
   for (int trial = 0; trial < 12; ++trial) {
     Simulator sim;
     RackParams p;
@@ -529,15 +530,16 @@ TEST(RouterOracle, InterleavedInvalidationsNeverServeAStaleRow) {
         plant.fail_lane(lane);
         failed.push_back(lane);
       } else if (op == 5 && !failed.empty()) {
+        // Repairs land under a retrain too: its completion leaves the
+        // repaired lane dark, and the bring-up (queued behind a busy
+        // link) retrains it.
         const std::size_t i = pick(failed.size());
         const phy::LaneRef lane = failed[i];
-        const auto owner = plant.lane_owner(lane);
-        // A lane repaired under a retrain would leave the retrain's
-        // completion a dark lane; repair only idle, untrained ones.
-        if (!owner || (!plant.link_busy(*owner) && !training(*owner))) {
-          failed.erase(failed.begin() + static_cast<std::ptrdiff_t>(i));
-          plant.repair_lane(lane);
-          if (owner) rack.engine->submit(plp::BringUpCommand{*owner});
+        failed.erase(failed.begin() + static_cast<std::ptrdiff_t>(i));
+        plant.repair_lane(lane);
+        if (const auto owner = plant.lane_owner(lane)) {
+          if (plant.link_busy(*owner) || training(*owner)) ++retrain_repairs;
+          rack.engine->submit(plp::BringUpCommand{*owner});
         }
       } else if (op == 6) {
         // A PLP command, run only part-way: its busy window, queueing
@@ -658,6 +660,7 @@ TEST(RouterOracle, InterleavedInvalidationsNeverServeAStaleRow) {
   EXPECT_GT(invalidations, 900);
   EXPECT_GT(commands, 80);
   EXPECT_GT(plant_edits, 80);
+  EXPECT_GT(retrain_repairs, 0);
 }
 
 TEST_F(GridFixture, HopPenaltyMustBeFiniteAndNonNegative) {

@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -53,6 +52,30 @@ TEST(Lane, StateMachine) {
 
 TEST(Lane, CompleteTrainingRequiresTraining) {
   Lane lane(DataRate::gbps(25), test_power(), 1e-12);
+  EXPECT_THROW(lane.complete_training(), std::logic_error);
+}
+
+TEST(Lane, TrainingCutByFailureOrPowerOffCompletesDark) {
+  Lane lane(DataRate::gbps(25), test_power(), 1e-12);
+  lane.begin_training();
+  lane.fail();
+  lane.repair();
+  lane.complete_training();
+  EXPECT_EQ(lane.state(), LaneState::kOff);
+  lane.begin_training();
+  lane.power_off();
+  lane.complete_training();
+  EXPECT_EQ(lane.state(), LaneState::kOff);
+  // Failed before the training began, repaired before it completed.
+  lane.fail();
+  lane.begin_training();
+  lane.repair();
+  lane.complete_training();
+  EXPECT_EQ(lane.state(), LaneState::kOff);
+  // One completion per training: a second finds the lane up.
+  lane.begin_training();
+  lane.complete_training();
+  EXPECT_TRUE(lane.is_up());
   EXPECT_THROW(lane.complete_training(), std::logic_error);
 }
 
@@ -394,9 +417,9 @@ TEST(Plant, AccountBitsSpreadsAcrossLanes) {
   ChainFixture f;
   const LinkId id = f.plant.create_adjacent_link(f.c01, {0, 1});
   f.plant.account_frame(id, DataSize::bits(1000), kHeader);
-  EXPECT_EQ(f.plant.cable(f.c01).lane(0).stats().bits_carried, 500u);
-  EXPECT_EQ(f.plant.cable(f.c01).lane(1).stats().bits_carried, 500u);
-  EXPECT_EQ(f.plant.cable(f.c01).lane(2).stats().bits_carried, 0u);
+  EXPECT_EQ(f.plant.cable(f.c01).lane(0).bits_carried(), 500u);
+  EXPECT_EQ(f.plant.cable(f.c01).lane(1).bits_carried(), 500u);
+  EXPECT_EQ(f.plant.cable(f.c01).lane(2).bits_carried(), 0u);
 }
 
 TEST(Plant, AccountBitsKeepsRemainderOnThreeLaneLink) {
@@ -404,7 +427,7 @@ TEST(Plant, AccountBitsKeepsRemainderOnThreeLaneLink) {
   const LinkId id = f.plant.create_adjacent_link(f.c01, {0, 1, 2});
   f.plant.account_frame(id, DataSize::bits(1000), kHeader);  // 333 each + 1
   f.plant.account_frame(id, DataSize::bits(1001), kHeader);  // 333 each + 2
-  const auto carried = [&](int lane) { return f.plant.cable(f.c01).lane(lane).stats().bits_carried; };
+  const auto carried = [&](int lane) { return f.plant.cable(f.c01).lane(lane).bits_carried(); };
   EXPECT_EQ(carried(0) + carried(1) + carried(2), 2001u);
   // The remainder goes to a segment's first lanes, deterministically.
   EXPECT_EQ(carried(0), 668u);
@@ -420,7 +443,7 @@ TEST(Plant, AccountBitsCountsEverySegmentOfABypassLink) {
   f.plant.account_frame(id, DataSize::bits(1001), kHeader);
   for (const CableId c : {f.c01, f.c12, f.c23}) {
     std::uint64_t sum = 0;
-    for (int lane = 0; lane < 3; ++lane) sum += f.plant.cable(c).lane(lane).stats().bits_carried;
+    for (int lane = 0; lane < 3; ++lane) sum += f.plant.cable(c).lane(lane).bits_carried();
     EXPECT_EQ(sum, 1001u) << "cable " << c;
   }
 }
@@ -507,49 +530,7 @@ TEST(Plant, LinkOneWayLatencyComposition) {
   EXPECT_GT(l.serialization_delay(frame), SimTime::zero());
 }
 
-// --- PLP #5: BER estimation from FEC decoder telemetry ---
-
-TEST(BerEstimator, ReturnsZeroWithoutTrafficOrFec) {
-  ChainFixture f;
-  const LinkId coded =
-      f.plant.create_adjacent_link(f.c01, {0, 1}, FecSpec::of(FecScheme::kRsKr4));
-  EXPECT_EQ(f.plant.estimated_pre_fec_ber(coded), 0.0);  // no traffic yet
-  const LinkId uncoded = f.plant.create_adjacent_link(f.c12, {0, 1});
-  f.plant.account_frame(uncoded, DataSize::kilobytes(64), kHeader);
-  EXPECT_EQ(f.plant.estimated_pre_fec_ber(uncoded), 0.0);  // no decoder => no telemetry
-}
-
-struct BerEstimatorCase {
-  double true_ber;
-  FecScheme scheme;
-};
-
-class BerEstimatorConvergence : public ::testing::TestWithParam<BerEstimatorCase> {};
-
-TEST_P(BerEstimatorConvergence, TracksTrueBerWithinFactorTwo) {
-  const auto& c = GetParam();
-  PhysicalPlant plant(7);
-  const CableId cable =
-      plant.add_cable(0, 1, 2.0, Medium::kFiber, 2, DataRate::gbps(25), test_power());
-  const LinkId link = plant.create_adjacent_link(cable, {0, 1}, FecSpec::of(c.scheme));
-  plant.set_cable_ber(cable, c.true_ber);
-  // ~64 MB of observed traffic: plenty of codewords at these BERs.
-  for (int i = 0; i < 4096; ++i) {
-    plant.account_frame(link, DataSize::kilobytes(16), kHeader);
-  }
-  const double est = plant.estimated_pre_fec_ber(link);
-  EXPECT_GT(est, c.true_ber / 2) << "scheme=" << to_string(c.scheme);
-  EXPECT_LT(est, c.true_ber * 2) << "scheme=" << to_string(c.scheme);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, BerEstimatorConvergence,
-    ::testing::Values(BerEstimatorCase{1e-7, FecScheme::kRsKr4},
-                      BerEstimatorCase{1e-6, FecScheme::kRsKr4},
-                      BerEstimatorCase{1e-5, FecScheme::kRsKp4},
-                      BerEstimatorCase{1e-4, FecScheme::kRsKp4}));
-
-// --- PLP #5 exactness: folded lane telemetry against the eager split ---
+// --- PLP #5 exactness: folded lane bits against the eager split ---
 
 /// A chain 0-1-...-6 of 4-lane cables carrying 1-, 2-, 3- and 4-lane
 /// adjacent links and two bypass links (2 lanes x 3 segments, 1 lane x
@@ -598,18 +579,16 @@ void reference_account_bits(const PhysicalPlant& plant, LinkId id, std::int64_t 
 
 TEST(AccountFrameOracle, FoldedBitsMatchEagerSplitAtEveryStep) {
   // Frames of full and odd tail sizes on 1-4-lane and multi-segment
-  // links, interleaved with every fold trigger: FEC switches, BER
+  // links, interleaved with FEC switches (which do not fold), BER
   // writes through the plant and behind its back, split, bundle,
   // bypass join/sever, destroy and re-provision. After every op each
-  // lane's bits, read through the plant, equal the eager split exactly,
-  // and no lane's corrected-codeword count ever runs backwards.
+  // lane's bits, read through the plant, equal the eager split exactly.
   constexpr std::array<double, 6> kBers = {0.0, 1e-12, 1e-9, 1e-6, 1e-4, 2e-2};
   constexpr std::array<std::int64_t, 4> kFullFrameBytes = {64, 1024, 1500, 9000};
   int structural = 0;
   for (std::uint64_t seed : {1u, 2u, 3u}) {
     OraclePlant o;
     std::map<LaneRef, std::uint64_t> expected_bits;
-    std::map<LaneRef, std::uint64_t> last_codewords;
     rsf::sim::RandomStream ops(seed, "oracle-ops");
     const auto pick = [&ops](std::size_t n) {
       return static_cast<std::size_t>(ops.uniform_int(0, static_cast<std::int64_t>(n) - 1));
@@ -673,11 +652,8 @@ TEST(AccountFrameOracle, FoldedBitsMatchEagerSplitAtEveryStep) {
       for (CableId c = 0; c < o.plant.cable_count(); ++c) {
         for (int i = 0; i < 4; ++i) {
           const LaneRef ref{c, i};
-          const LaneStats& st = o.plant.lane_stats(ref);
-          ASSERT_EQ(st.bits_carried, expected_bits[ref])
+          ASSERT_EQ(o.plant.lane_bits_carried(ref), expected_bits[ref])
               << "seed " << seed << " step " << step << " cable " << c << " lane " << i;
-          ASSERT_GE(st.corrected_codewords, last_codewords[ref]);
-          last_codewords[ref] = st.corrected_codewords;
         }
       }
     }
@@ -685,85 +661,12 @@ TEST(AccountFrameOracle, FoldedBitsMatchEagerSplitAtEveryStep) {
   EXPECT_GT(structural, 500);  // the link set really churned
 }
 
-TEST(AccountFrameOracle, FoldsBeforeTheCodewordInputsChange) {
-  // Frames crossed at BER 1e-4 under RS-KP4 (hundreds of corrected
-  // codewords expected per lane), then an input changes to one under
-  // which the same frames would draw none: the counts must still show
-  // the frames as they crossed.
-  const auto corrected_after = [](const auto& change) {
-    ChainFixture f;
-    const LinkId id = f.plant.create_adjacent_link(f.c01, {0, 1}, FecSpec::of(FecScheme::kRsKp4));
-    f.plant.set_cable_ber(f.c01, 1e-4);
-    for (int i = 0; i < 64; ++i) f.plant.account_frame(id, DataSize::kilobytes(16), kHeader);
-    change(f, id);
-    return f.plant.lane_stats({f.c01, 0}).corrected_codewords;
-  };
-  EXPECT_GT(corrected_after([](ChainFixture& f, LinkId id) {
-              f.plant.set_fec(id, FecSpec::of(FecScheme::kNone));
-            }),
-            0u);
-  EXPECT_GT(corrected_after([](ChainFixture& f, LinkId) { f.plant.set_cable_ber(f.c01, 0.0); }), 0u);
-  EXPECT_GT(corrected_after([](ChainFixture& f, LinkId) {
-              f.plant.cable(f.c01).lane(0).set_pre_fec_ber(0.0);
-            }),
-            0u);
-  EXPECT_GT(corrected_after([](ChainFixture& f, LinkId id) { f.plant.destroy_link(id); }), 0u);
-}
-
 TEST(AccountFrameOracle, MutableCableAccessSeesFoldedStats) {
   ChainFixture f;
   const LinkId id = f.plant.create_adjacent_link(f.c01, {0, 1, 2});
   f.plant.account_frame(id, DataSize::bits(1001), kHeader);  // 334, 334, 333
-  EXPECT_EQ(f.plant.cable(f.c01).lane(0).stats().bits_carried, 334u);
-  EXPECT_EQ(f.plant.cable(f.c01).lane(2).stats().bits_carried, 333u);
-}
-
-/// The one seam between the eager (per-frame draw) and the folded
-/// telemetry APIs: the distribution test below runs unchanged against
-/// either once this adapter is swapped.
-struct TelemetryPlant {
-  PhysicalPlant plant;
-  explicit TelemetryPlant(std::uint64_t seed) : plant(seed) {}
-  void account(LinkId id, DataSize frame) { plant.account_frame(id, frame, kHeader); }
-};
-
-TEST(AccountFrameDistribution, CorrectedCodewordsArePoissonWithTheSummedMean) {
-  // Per lane, the corrected-codeword count after F frames is a sum of F
-  // independent Poisson draws: Poisson with the summed mean, so its
-  // mean and variance both equal it. The two BERs put the per-lane sum
-  // in the small (Knuth) and large (PTRS) sampler ranges.
-  const FecSpec kr4 = FecSpec::of(FecScheme::kRsKr4);
-  constexpr int kFrames = 64;
-  constexpr int kSeeds = 1000;
-  const DataSize frame = DataSize::kilobytes(16);
-  for (const double ber : {1e-6, 1e-5, 1e-4}) {
-    const double codewords =
-        std::ceil(static_cast<double>(frame.bit_count()) / (kr4.k * kr4.symbol_bits));
-    const double p_sym = 1.0 - std::pow(1.0 - ber, kr4.symbol_bits);
-    const double mean = kFrames * (codewords / 2 * kr4.n * p_sym);
-    double sum = 0.0;
-    double sum_sq = 0.0;
-    int samples = 0;
-    for (int seed = 0; seed < kSeeds; ++seed) {
-      TelemetryPlant t(static_cast<std::uint64_t>(seed) + 1);
-      const CableId cable =
-          t.plant.add_cable(0, 1, 2.0, Medium::kFiber, 2, DataRate::gbps(25), test_power());
-      const LinkId link = t.plant.create_adjacent_link(cable, {0, 1}, kr4);
-      t.plant.set_cable_ber(cable, ber);
-      for (int i = 0; i < kFrames; ++i) t.account(link, frame);
-      for (int lane = 0; lane < 2; ++lane) {
-        const auto x = static_cast<double>(t.plant.cable(cable).lane(lane).stats().corrected_codewords);
-        sum += x;
-        sum_sq += x * x;
-        ++samples;
-      }
-    }
-    const double m = sum / samples;
-    const double var = (sum_sq - samples * m * m) / (samples - 1);
-    // Five standard errors of the sample mean and sample variance.
-    EXPECT_NEAR(m, mean, 5 * std::sqrt(mean / samples)) << "ber " << ber;
-    EXPECT_NEAR(var, mean, 5 * std::sqrt((mean + 2 * mean * mean) / samples)) << "ber " << ber;
-  }
+  EXPECT_EQ(f.plant.cable(f.c01).lane(0).bits_carried(), 334u);
+  EXPECT_EQ(f.plant.cable(f.c01).lane(2).bits_carried(), 333u);
 }
 
 /// LogicalLink::frame_loss_prob without its memos: the FEC model per
@@ -783,7 +686,7 @@ double reference_frame_loss(const PhysicalPlant& plant, LinkId id, DataSize fram
 
 /// LogicalLink::frame_cost without its memo or the link's caches: the
 /// timing from the member lanes and cables, the loss from the model,
-/// the PLP #5 figures from the FEC spec and the lane count.
+/// the bit remainder from the lane count.
 FrameCost reference_frame_cost(const PhysicalPlant& plant, LinkId id, DataSize frame,
                                DataSize header) {
   const LogicalLink& l = plant.link(id);
@@ -796,7 +699,6 @@ FrameCost reference_frame_cost(const PhysicalPlant& plant, LinkId id, DataSize f
   for (const LinkSegment& seg : l.segments()) transit += plant.cable(seg.cable).propagation_delay();
   transit += kBypassLatency * static_cast<std::int64_t>(l.segments().size() - 1);
   const std::int64_t bits = frame.bit_count();
-  const std::int64_t cw_bits = std::int64_t{fec.k} * fec.symbol_bits;
   FrameCost c;
   c.frame_bits = bits;
   c.header_bits = header.bit_count();
@@ -805,7 +707,6 @@ FrameCost reference_frame_cost(const PhysicalPlant& plant, LinkId id, DataSize f
   c.header_serialization = transmission_time(std::min(header, frame), fec.effective_rate(raw));
   c.transit = transit;
   c.loss = reference_frame_loss(plant, id, frame);
-  c.codewords = fec.n == 0 ? 0 : static_cast<std::uint64_t>((bits + cw_bits - 1) / cw_bits);
   c.remainder = bits % l.lane_count();
   return c;
 }
@@ -838,7 +739,6 @@ TEST(FrameLossOracle, MemoizedLossMatchesModelExactly) {
     ASSERT_EQ(got.header_serialization, want.header_serialization) << where();
     ASSERT_EQ(got.transit, want.transit) << where();
     ASSERT_EQ(got.loss, want.loss) << where();
-    ASSERT_EQ(got.codewords, want.codewords) << where();
     ASSERT_EQ(got.remainder, want.remainder) << where();
   };
   for (int step = 0; step < 6000; ++step) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <utility>
 
 namespace rsf::plp {
 namespace {
@@ -141,6 +142,27 @@ TEST_F(EngineFixture, ShutdownAndBringUpCycle) {
   EXPECT_TRUE(plant.link(l01).ready());
   EXPECT_EQ(up->completed_at - down->completed_at,
             timings.command_overhead + timings.lane_power_on + timings.lane_retrain);
+}
+
+TEST_F(EngineFixture, LaneFailedAndRepairedDuringBringUpStaysDark) {
+  // The failure cuts the bring-up's training and the repair leaves the
+  // lane off, so the completion finds it not training: it stays dark,
+  // the link reports not ready, and a second bring-up retrains it.
+  std::optional<PlpResult> up;
+  engine->submit(BringUpCommand{l01}, [&](const PlpResult& r) { up = r; });
+  plant.fail_lane({c01, 0});
+  plant.repair_lane({c01, 0});
+  ASSERT_NO_THROW(sim.run_until());
+  ASSERT_TRUE(up && up->ok);
+  EXPECT_EQ(std::as_const(plant).cable(c01).lane(0).state(), phy::LaneState::kOff);
+  EXPECT_EQ(std::as_const(plant).cable(c01).lane(1).state(), phy::LaneState::kUp);
+  EXPECT_FALSE(plant.link(l01).ready());
+
+  std::optional<PlpResult> again;
+  engine->submit(BringUpCommand{l01}, [&](const PlpResult& r) { again = r; });
+  sim.run_until();
+  ASSERT_TRUE(again && again->ok);
+  EXPECT_TRUE(plant.link(l01).ready());
 }
 
 TEST_F(EngineFixture, SetFecSwapsSpec) {
