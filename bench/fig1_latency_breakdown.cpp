@@ -26,7 +26,7 @@ void run(bool cut_through) {
   cfg.shape = runtime::RackShape::kChain;
   cfg.nodes = kMaxNodes;
   cfg.rack.hop_meters = 2.0;
-  cfg.rack.net_config.switch_params.cut_through = cut_through;
+  cfg.rack.net_config.cut_through = cut_through;
   cfg.enable_crc = false;
   runtime::FabricRuntime rt(cfg);
   const auto& params = rt.rack_params();
@@ -50,8 +50,8 @@ void run(bool cut_through) {
     const double media_ns = phy::propagation_delay(params.medium, distance_m).ns();
     // Every intermediate node is a switching element; both end NICs
     // also pay their pipeline.
-    const auto& sp = params.net_config.switch_params;
-    const double switching_ns = sp.switch_latency.ns() * (k - 1) + sp.nic_latency.ns() * 2;
+    const double switching_ns =
+        fabric::kSwitchLatency.ns() * (k - 1) + fabric::kNicLatency.ns() * 2;
     const phy::LogicalLink& l = rt.plant().link(*rt.topology().link_between(0, 1));
     // Cut-through pays serialization once plus a header per extra hop;
     // store-and-forward pays it on every hop.

@@ -15,9 +15,9 @@ CrcController::CrcController(rsf::sim::Simulator* sim, phy::PhysicalPlant* plant
     : sim_(sim),
       router_(router),
       config_(config),
-      ring_(sim, plant, engine, topo, net, config.ring),
+      ring_(sim, plant, engine, topo, net),
       planner_(sim, engine, plant, topo),
-      circuits_(sim, engine, plant, topo, router, net, config.circuits),
+      circuits_(sim, engine, plant, topo, router, net),
       fec_(engine, plant),
       power_(engine, plant, config.power),
       health_(engine, plant, config.health),

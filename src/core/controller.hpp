@@ -56,9 +56,6 @@ struct CrcConfig {
   bool enable_auto_torus = false;
   double torus_util_threshold = 0.45;
   int torus_trigger_epochs = 2;
-
-  ControlRingConfig ring;
-  CircuitSchedulerConfig circuits;
 };
 
 class CrcController {

@@ -8,6 +8,9 @@
 namespace rsf::core {
 
 namespace {
+/// Lanes are restored only while power stays below cap minus this
+/// margin (an anti-flap gap).
+constexpr double kRestoreMarginWatts = 10.0;
 /// Lanes are restored only while some link runs at least this hot.
 constexpr double kRestoreUtilization = 0.6;
 /// Never shed below this many lanes on a link.
@@ -29,9 +32,6 @@ PowerManager::PowerManager(plp::PlpEngine* engine, phy::PhysicalPlant* plant,
     throw std::invalid_argument("PowerManager: null dependency");
   }
   check_cap(config_.cap_watts);
-  if (!(std::isfinite(config_.restore_margin_watts) && config_.restore_margin_watts >= 0)) {
-    throw std::invalid_argument("PowerManager: restore_margin_watts must be finite and >= 0");
-  }
   if (config_.max_ops_per_epoch < 0) {
     throw std::invalid_argument("PowerManager: max_ops_per_epoch < 0");
   }
@@ -53,7 +53,7 @@ int PowerManager::apply(const RackSnapshot& snapshot) {
       if (sheds_ == before) break;  // no candidate left
       ++ops;
     }
-  } else if (snapshot.rack_power_watts < config_.cap_watts - config_.restore_margin_watts &&
+  } else if (snapshot.rack_power_watts < config_.cap_watts - kRestoreMarginWatts &&
              !shed_.empty()) {
     // Restore only under demand pressure: some link is running hot.
     const bool pressure =

@@ -20,14 +20,9 @@ namespace rsf::core {
 
 /// Checked by the PowerManager constructor (and set_cap for the cap),
 /// which throws std::invalid_argument on a negative or non-finite
-/// cap_watts or restore_margin_watts, or max_ops_per_epoch < 0.
+/// cap_watts, or max_ops_per_epoch < 0.
 struct PowerManagerConfig {
   double cap_watts = 1e18;  // effectively uncapped by default
-  /// Restore lanes only when projected power stays below
-  /// cap - restore_margin (anti-flap gap). Lanes are restored only
-  /// while some link runs at or above 60% utilisation, and a link is
-  /// never shed below one lane.
-  double restore_margin_watts = 10.0;
   /// Max shed/restore operations per epoch (actuation budget).
   int max_ops_per_epoch = 2;
 };

@@ -10,27 +10,22 @@ using rsf::sim::SimTime;
 
 ControlRing::ControlRing(rsf::sim::Simulator* sim, phy::PhysicalPlant* plant,
                          plp::PlpEngine* engine, fabric::Topology* topo,
-                         fabric::Network* net, ControlRingConfig config)
-    : sim_(sim), plant_(plant), engine_(engine), topo_(topo), net_(net), config_(config) {
+                         fabric::Network* net)
+    : sim_(sim), plant_(plant), engine_(engine), topo_(topo), net_(net) {
   if (sim_ == nullptr || plant_ == nullptr || engine_ == nullptr || topo_ == nullptr ||
       net_ == nullptr) {
     throw std::invalid_argument("ControlRing: null dependency");
   }
-  // A negative delay would schedule the token into the past mid-run.
-  if (config_.hop_latency < SimTime::zero() || config_.node_processing < SimTime::zero()) {
-    throw std::invalid_argument("ControlRing: negative hop_latency or node_processing");
-  }
 }
 
 SimTime ControlRing::circulation_time() const {
-  return (config_.hop_latency + config_.node_processing) *
-         static_cast<std::int64_t>(topo_->node_count());
+  return (kHopLatency + kNodeProcessing) * static_cast<std::int64_t>(topo_->node_count());
 }
 
 void ControlRing::circulate(SimTime epoch_length, SnapshotCallback cb) {
   auto snap = std::make_shared<RackSnapshot>();
   snap->epoch_length = epoch_length;
-  const SimTime per_node = config_.hop_latency + config_.node_processing;
+  const SimTime per_node = kHopLatency + kNodeProcessing;
   const std::uint32_t n = topo_->node_count();
   // The token visits node i at i-th multiple of the per-node time; the
   // snapshot completes after the full loop.

@@ -23,21 +23,17 @@
 
 namespace rsf::core {
 
-struct ControlRingConfig {
-  /// Token flight time between adjacent nodes on the control ring.
-  /// This and node_processing must not be negative (the constructor
-  /// throws).
-  rsf::sim::SimTime hop_latency = rsf::sim::SimTime::nanoseconds(200);
-  /// Per-node processing (stat readout, append).
-  rsf::sim::SimTime node_processing = rsf::sim::SimTime::nanoseconds(100);
-};
-
 class ControlRing {
  public:
   using SnapshotCallback = std::function<void(const RackSnapshot&)>;
 
   ControlRing(rsf::sim::Simulator* sim, phy::PhysicalPlant* plant, plp::PlpEngine* engine,
-              fabric::Topology* topo, fabric::Network* net, ControlRingConfig config = {});
+              fabric::Topology* topo, fabric::Network* net);
+
+  /// Token flight time between adjacent nodes on the control ring.
+  static constexpr rsf::sim::SimTime kHopLatency = rsf::sim::SimTime::nanoseconds(200);
+  /// Per-node processing (stat readout, append).
+  static constexpr rsf::sim::SimTime kNodeProcessing = rsf::sim::SimTime::nanoseconds(100);
 
   /// Launch one token circulation. `epoch_length` is the window the
   /// utilisation numbers are normalised over (time since the previous
@@ -48,8 +44,6 @@ class ControlRing {
   /// Simulated time one full circulation takes right now.
   [[nodiscard]] rsf::sim::SimTime circulation_time() const;
 
-  [[nodiscard]] const ControlRingConfig& config() const { return config_; }
-
  private:
   void collect_node(phy::NodeId node, rsf::sim::SimTime epoch_length, RackSnapshot* snap);
 
@@ -58,7 +52,6 @@ class ControlRing {
   plp::PlpEngine* engine_;
   fabric::Topology* topo_;
   fabric::Network* net_;
-  ControlRingConfig config_;
   // Cumulative counters from the previous circulation, for epoch diffs,
   // indexed by LinkId (dense). Links first seen get a zero baseline.
   std::vector<rsf::sim::SimTime> prev_busy_;

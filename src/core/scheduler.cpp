@@ -19,15 +19,13 @@ constexpr DataSize kMinCircuitSize = DataSize::kilobytes(256);
 
 CircuitScheduler::CircuitScheduler(rsf::sim::Simulator* sim, plp::PlpEngine* engine,
                                    phy::PhysicalPlant* plant, fabric::Topology* topo,
-                                   fabric::Router* router, fabric::Network* net,
-                                   CircuitSchedulerConfig config)
+                                   fabric::Router* router, fabric::Network* net)
     : sim_(sim),
       engine_(engine),
       plant_(plant),
       topo_(topo),
       router_(router),
-      net_(net),
-      config_(config) {
+      net_(net) {
   if (sim_ == nullptr || engine_ == nullptr || plant_ == nullptr || topo_ == nullptr ||
       router_ == nullptr || net_ == nullptr) {
     throw std::invalid_argument("CircuitScheduler: null dependency");
@@ -68,13 +66,11 @@ std::optional<CircuitScheduler::CircuitPlan> CircuitScheduler::plan_for(
   plan.packet_rate = bottleneck;
   plan.circuit_rate = circuit_rate;
 
-  const auto& net_cfg = net_->config();
   const auto hops = static_cast<std::int64_t>(path.size());
   plan.packet_latency_overhead =
-      prop_total + net_cfg.switch_params.switch_latency * (hops - 1) +
-      net_cfg.switch_params.nic_latency * std::int64_t{2};
-  plan.circuit_prop = prop_total + phy::kBypassLatency * (hops - 1) +
-                      net_cfg.switch_params.nic_latency * std::int64_t{2};
+      prop_total + fabric::kSwitchLatency * (hops - 1) + fabric::kNicLatency * std::int64_t{2};
+  plan.circuit_prop =
+      prop_total + phy::kBypassLatency * (hops - 1) + fabric::kNicLatency * std::int64_t{2};
 
   // Setup: all splits run concurrently, joins tree-reduce.
   const auto& t = engine_->timings();
@@ -100,7 +96,7 @@ ScheduleDecision CircuitScheduler::decide(const fabric::FlowSpec& spec) {
                                              plan->setup + plan->circuit_prop);
   d.break_even = break_even_size(plan->packet_rate, plan->circuit_rate, plan->setup);
   d.use_circuit = spec.size >= kMinCircuitSize &&
-                  active_circuits_ < config_.max_concurrent_circuits &&
+                  active_circuits_ < kMaxConcurrentCircuits &&
                   d.est_circuit_completion < d.est_packet_completion;
   return d;
 }

@@ -25,12 +25,6 @@
 
 namespace rsf::core {
 
-/// Flows below 256 KB never consider a circuit (fast path).
-struct CircuitSchedulerConfig {
-  /// Concurrent circuits the scheduler will hold.
-  int max_concurrent_circuits = 4;
-};
-
 /// The scheduler's reasoning about one flow, exposed for benches and
 /// tests (EXT2 prints these columns).
 struct ScheduleDecision {
@@ -48,8 +42,12 @@ class CircuitScheduler {
 
   CircuitScheduler(rsf::sim::Simulator* sim, plp::PlpEngine* engine,
                    phy::PhysicalPlant* plant, fabric::Topology* topo,
-                   fabric::Router* router, fabric::Network* net,
-                   CircuitSchedulerConfig config = {});
+                   fabric::Router* router, fabric::Network* net);
+
+  /// Concurrent circuits the scheduler will hold; a flow that would
+  /// exceed it runs on the packet fabric. Flows below 256 KB never
+  /// consider a circuit (fast path).
+  static constexpr int kMaxConcurrentCircuits = 4;
 
   /// Evaluate the circuit-vs-packet decision without acting.
   [[nodiscard]] ScheduleDecision decide(const fabric::FlowSpec& spec);
@@ -84,7 +82,6 @@ class CircuitScheduler {
   fabric::Topology* topo_;
   fabric::Router* router_;
   fabric::Network* net_;
-  CircuitSchedulerConfig config_;
   std::uint64_t circuits_built_ = 0;
   std::uint64_t circuit_flows_ = 0;
   std::uint64_t packet_flows_ = 0;

@@ -7,6 +7,9 @@ namespace rsf::fabric {
 
 namespace {
 
+/// Every cable's lanes run at the paper's 25 Gb/s.
+constexpr phy::DataRate kLaneRate = phy::DataRate::gbps(25);
+
 std::vector<int> first_lanes(int k) {
   std::vector<int> lanes(static_cast<std::size_t>(k));
   std::iota(lanes.begin(), lanes.end(), 0);
@@ -42,7 +45,6 @@ void finish_rack(Rack& rack, const std::vector<phy::LinkId>& initial_links) {
     }
   }
   rack.router = std::make_unique<Router>(rack.topology.get(), p.routing);
-  rack.router->set_hop_penalty_ns(p.net_config.switch_params.switch_latency.ns());
   rack.network = std::make_unique<Network>(rack.sim, rack.plant.get(), rack.topology.get(),
                                            rack.router.get(), p.net_config, p.registry);
 }
@@ -52,8 +54,7 @@ void wire(Rack& rack, phy::NodeId a, phy::NodeId b, double meters,
           std::vector<phy::LinkId>& links_out) {
   const RackParams& p = rack.params;
   const phy::CableId cable =
-      rack.plant->add_cable(a, b, meters, p.medium, p.lanes_per_cable, p.lane_rate,
-                            phy::LanePowerParams{}, p.initial_ber);
+      rack.plant->add_cable(a, b, meters, p.medium, p.lanes_per_cable, kLaneRate);
   links_out.push_back(rack.plant->create_adjacent_link(cable, first_lanes(p.lanes_per_link),
                                                        phy::FecSpec::of(p.fec)));
 }

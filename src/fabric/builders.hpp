@@ -8,9 +8,10 @@
 //            the adaptive fabric *reaches* this shape via PLP instead);
 //  * ring / chain — 1-D shapes for latency breakdown experiments.
 //
-// All cables get `lanes_per_cable` lanes, but only `lanes_per_link`
-// are claimed by the initial links — the rest stay free (dark) for the
-// CRC to provision. Figure 2's "grid at two lanes per link" is
+// Every lane runs at the paper's 25 Gb/s and starts at a pre-FEC BER
+// of 1e-12. All cables get `lanes_per_cable` lanes, but only
+// `lanes_per_link` are claimed by the initial links — the rest stay
+// free (dark) for the CRC to provision. Figure 2's "grid at two lanes per link" is
 // grid(w, h, lanes_per_cable=2, lanes_per_link=2).
 #pragma once
 
@@ -33,12 +34,10 @@ struct RackParams {
   int lanes_per_cable = 2;
   /// Lanes claimed by each initial logical link (<= lanes_per_cable).
   int lanes_per_link = 2;
-  phy::DataRate lane_rate = phy::DataRate::gbps(25);
   /// Distance between adjacent nodes (the paper assumes a switching
   /// element every ~2 m of rack).
   double hop_meters = 2.0;
   phy::Medium medium = phy::Medium::kFiber;
-  double initial_ber = 1e-12;
   phy::FecScheme fec = phy::FecScheme::kRsKr4;
   plp::PlpCapabilities plp_caps = plp::PlpCapabilities::all();
   NetworkConfig net_config{};

@@ -56,7 +56,7 @@ SpineLinkId Interconnect::add_link(SpineLinkParams params) {
   }
   // The closed interval: loss_prob == 1 is a blackhole link — a
   // legitimate chaos configuration (the retransmit path above it is
-  // bounded by max_retries), not a misconfiguration.
+  // bounded by kMaxRetries), not a misconfiguration.
   if (!(params.loss_prob >= 0 && params.loss_prob <= 1)) {
     throw std::invalid_argument("Interconnect: loss_prob outside [0, 1]");
   }

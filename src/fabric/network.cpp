@@ -1,7 +1,6 @@
 #include "fabric/network.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <set>
 #include <stdexcept>
 
@@ -35,18 +34,6 @@ Network::Network(rsf::sim::Simulator* sim, phy::PhysicalPlant* plant, Topology* 
       probe_count_slot_(counters_.slot("net.probes")) {
   if (sim_ == nullptr || plant_ == nullptr || topo_ == nullptr || router_ == nullptr) {
     throw std::invalid_argument("Network: null dependency");
-  }
-  if (config_.flow_window < 1) throw std::invalid_argument("Network: flow_window < 1");
-  if (config_.max_retries < 0) throw std::invalid_argument("Network: max_retries < 0");
-  if (config_.max_hops < 1) throw std::invalid_argument("Network: max_hops < 1");
-  const SwitchParams& sp = config_.switch_params;
-  if (sp.switch_latency < SimTime::zero() || sp.nic_latency < SimTime::zero() ||
-      config_.retry_delay < SimTime::zero()) {
-    throw std::invalid_argument("Network: negative latency or retry_delay");
-  }
-  if (!(std::isfinite(sp.port_static_w) && sp.port_static_w >= 0) ||
-      !(std::isfinite(sp.pj_per_bit) && sp.pj_per_bit >= 0)) {
-    throw std::invalid_argument("Network: port_static_w and pj_per_bit must be finite, >= 0");
   }
 }
 
@@ -92,8 +79,7 @@ void Network::pump_flow(std::uint32_t flow_idx) {
   // re-entry), but flows_ may have grown between packets.
   while (true) {
     FlowState& flow = flows_[flow_idx];
-    if (flow.done || flow.inflight >= config_.flow_window ||
-        flow.next_seq >= flow.packets_total) {
+    if (flow.done || flow.inflight >= kFlowWindow || flow.next_seq >= flow.packets_total) {
       return;
     }
     const std::uint32_t pkt_idx = packets_.claim().index;
@@ -133,7 +119,7 @@ void Network::inject(std::uint32_t pkt_idx, SimTime when) {
   pkt.hops = 0;
   ++injected_slot_;
   // The whole packet sits in host memory: head and tail both available.
-  enter_at_source(pkt_idx, when + config_.switch_params.nic_latency);
+  enter_at_source(pkt_idx, when + kNicLatency);
 }
 
 void Network::enter_at_source(std::uint32_t pkt_idx, SimTime ready) {
@@ -188,10 +174,10 @@ void Network::hop(std::uint32_t pkt_idx, phy::NodeId node, SimTime head_ready,
   // every path that releases one returns at once.
   Packet& pkt = packets_[pkt_idx];
   if (node == pkt.dst) {
-    deliver(pkt_idx, tail_ready + config_.switch_params.nic_latency);
+    deliver(pkt_idx, tail_ready + kNicLatency);
     return;
   }
-  if (pkt.hops >= config_.max_hops) {
+  if (pkt.hops >= kMaxHops) {
     // Routing-loop backstop: retransmit from the source rather than
     // orbit (stale tables self-correct within a version bump).
     retransmit(pkt_idx);
@@ -217,9 +203,9 @@ void Network::hop(std::uint32_t pkt_idx, phy::NodeId node, SimTime head_ready,
     // here with exponential backoff, bounded by the retry budget. The
     // backoff matters during large reconfigurations (a grid -> torus
     // move keeps links retraining for hundreds of microseconds).
-    if (pkt.retries < config_.max_retries) {
+    if (pkt.retries < kMaxRetries) {
       const int shift = std::min(pkt.retries, 6);
-      const SimTime wait = config_.retry_delay * (std::int64_t{1} << shift);
+      const SimTime wait = kRetryDelay * (std::int64_t{1} << shift);
       ++pkt.retries;
       bump(reroute_waits_);
       const auto retry_here = [this, pkt_idx, node] {
@@ -277,8 +263,8 @@ void Network::hop(std::uint32_t pkt_idx, phy::NodeId node, SimTime head_ready,
   }
   // Cut-through forwards once the head has cleared the switch
   // pipeline; store-and-forward must buffer the whole packet first.
-  const SimTime basis = config_.switch_params.cut_through ? head_arrival : tail_arrival;
-  const SimTime next_head_ready = basis + config_.switch_params.switch_latency;
+  const SimTime basis = config_.cut_through ? head_arrival : tail_arrival;
+  const SimTime next_head_ready = basis + kSwitchLatency;
   // One event per hop, fired when the packet becomes actionable at the
   // next element.
   const auto continue_hop = [this, pkt_idx, next, next_head_ready, tail_arrival] {
@@ -322,7 +308,7 @@ void Network::drop(std::uint32_t pkt_idx, EventCounter& reason) {
 
 void Network::retransmit(std::uint32_t pkt_idx) {
   Packet& pkt = packets_[pkt_idx];
-  if (pkt.retries >= config_.max_retries) {
+  if (pkt.retries >= kMaxRetries) {
     drop(pkt_idx, retries_exhausted_drops_);
     return;
   }
@@ -341,11 +327,11 @@ void Network::retransmit(std::uint32_t pkt_idx) {
   bump(retransmits_);
   if (flow != nullptr) ++flow->retransmits;
   const auto resend = [this, pkt_idx] {
-    enter_at_source(pkt_idx, sim_->now() + config_.switch_params.nic_latency);
+    enter_at_source(pkt_idx, sim_->now() + kNicLatency);
   };
   static_assert(sim::is_inline_event_v<decltype(resend)>,
                 "the per-packet retransmit must stay on the inline event arm");
-  sim_->schedule_after(config_.retry_delay, resend);
+  sim_->schedule_after(kRetryDelay, resend);
 }
 
 void Network::flow_packet_delivered(std::uint32_t flow_idx) {
@@ -451,14 +437,12 @@ std::size_t Network::switching_port_count() const {
 double Network::switch_power_watts() const {
   // Static: every cable end in switching use costs a port (cached
   // against the topology version; see switching_port_count).
-  const double static_w =
-      config_.switch_params.port_static_w * static_cast<double>(switching_port_count());
+  const double static_w = kPortStaticW * static_cast<double>(switching_port_count());
   // Dynamic: bits switched in the trailing kPowerWindow — the running
   // sum over the log once entries older than the window are pruned.
   prune_switched_bits();
   const auto bits_in_window = static_cast<double>(switched_bits_window_);
-  const double dynamic_w =
-      bits_in_window * config_.switch_params.pj_per_bit * 1e-12 / kPowerWindow.sec();
+  const double dynamic_w = bits_in_window * kPjPerBit * 1e-12 / kPowerWindow.sec();
   return static_w + dynamic_w;
 }
 

@@ -2,18 +2,20 @@
 //
 // Network simulates packet movement over the topology at packet-event
 // granularity (one event per hop). The switch model is cut-through:
-// a packet's head can leave a node `switch_latency` after it arrives,
+// a packet's head can leave a node kSwitchLatency after it arrives,
 // while its tail is still streaming in, subject to (a) output-port
 // serialization (ports are modelled with busy-until arithmetic, FIFO)
 // and (b) the no-underrun constraint — a hop may not *finish*
 // transmitting before the tail has arrived. Store-and-forward mode is
 // available as the comparison baseline (Figure 1's dominant term).
 //
-// Sources are window-limited: a flow keeps at most `flow_window`
+// Sources are window-limited: a flow keeps at most kFlowWindow
 // packets in flight, modelling the lossless backpressure a rack fabric
 // provides without simulating per-hop credits. Frames lost to
 // uncorrectable FEC errors (sampled per hop from the link's analytic
-// loss probability) are retransmitted from the source.
+// loss probability) are retransmitted from the source. The switch
+// figures and the window/retry policy are the named constants below;
+// the fleet layer's cross-rack packets read the same window/retry trio.
 //
 // In-flight packets live in a packet pool; every per-packet event
 // (hop, inject, retransmit, no-route retry, deliver) captures the
@@ -44,34 +46,34 @@
 
 namespace rsf::fabric {
 
-struct SwitchParams {
-  /// Per-hop pipeline latency of the switching element (cut-through
-  /// lookup + crossbar). State-of-the-art L2 cut-through, ~450 ns.
-  rsf::sim::SimTime switch_latency = rsf::sim::SimTime::nanoseconds(450);
-  /// Injection / delivery overhead at the end hosts' NICs.
-  rsf::sim::SimTime nic_latency = rsf::sim::SimTime::nanoseconds(300);
-  bool cut_through = true;
-  /// Static power per switch port that is in switching (non-bypassed)
-  /// use, and dynamic energy per switched bit.
-  double port_static_w = 1.5;
-  double pj_per_bit = 15.0;
-};
+/// The rack's end-host and switch hardware, the same in every rack
+/// (the hop pipeline latency, kSwitchLatency, lives in router.hpp).
+/// Injection / delivery overhead at the end hosts' NICs.
+inline constexpr rsf::sim::SimTime kNicLatency = rsf::sim::SimTime::nanoseconds(300);
+/// Static power per switch port in switching (non-bypassed) use, and
+/// dynamic energy per switched bit.
+inline constexpr double kPortStaticW = 1.5;
+inline constexpr double kPjPerBit = 15.0;
+/// Drop-and-retransmit packets that have crossed this many hops
+/// (routing-loop backstop; transient loops can occur while tables
+/// refresh).
+inline constexpr int kMaxHops = 64;
 
-/// Checked by the Network constructor, which throws
-/// std::invalid_argument on a negative latency or retry_delay,
-/// flow_window < 1, max_retries < 0, max_hops < 1, or a negative or
-/// non-finite port_static_w / pj_per_bit.
+/// The window/retry policy of both transports: the rack Network and
+/// the FleetRuntime's cross-rack packets read these, and nothing else
+/// defines them. A flow keeps at most kFlowWindow packets in flight
+/// (source backpressure window); a packet is given up on after
+/// kMaxRetries retransmits; a retransmit or retry re-enters the
+/// pipeline kRetryDelay after the loss (the rack's no-route retry
+/// backs off exponentially from it).
+inline constexpr int kFlowWindow = 16;
+inline constexpr int kMaxRetries = 16;
+inline constexpr rsf::sim::SimTime kRetryDelay = rsf::sim::SimTime::microseconds(5);
+
 struct NetworkConfig {
-  SwitchParams switch_params;
-  /// Max packets a flow keeps in flight (source backpressure window).
-  int flow_window = 16;
-  /// Give up after this many retransmits of one packet.
-  int max_retries = 16;
-  /// Drop packets that have crossed this many hops (routing-loop
-  /// backstop; transient loops can occur while tables refresh).
-  int max_hops = 64;
-  /// Delay before a retransmit or a no-route retry re-enters the NIC.
-  rsf::sim::SimTime retry_delay = rsf::sim::SimTime::microseconds(5);
+  /// Cut-through forwarding (the paper's switch); false buffers every
+  /// packet whole at each hop (store-and-forward, Figure 1's baseline).
+  bool cut_through = true;
   std::uint64_t seed = 1;
 };
 
@@ -127,7 +129,6 @@ class Network {
 
   [[nodiscard]] std::uint64_t flows_completed() const { return flows_completed_; }
   [[nodiscard]] std::uint64_t flows_failed() const { return flows_failed_; }
-  [[nodiscard]] const NetworkConfig& config() const { return config_; }
 
   /// Flow-slot pool observability: total slots ever allocated and how
   /// many are currently free. Probes occupy flow slots too. A

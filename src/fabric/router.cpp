@@ -11,6 +11,8 @@ namespace {
 constexpr double kUnreachable = std::numeric_limits<double>::infinity();
 // cost() never returns NaN: +inf prices out, NaN falls back to default.
 constexpr double kUnpriced = std::numeric_limits<double>::quiet_NaN();
+// The switching penalty every hop pays at its receiving node, in ns.
+constexpr double kHopPenaltyNs = kSwitchLatency.ns();
 }  // namespace
 
 Router::Router(const Topology* topo, RoutingPolicy policy)
@@ -31,7 +33,7 @@ double Router::default_cost(phy::LinkId link) const {
   const phy::LogicalLink& l = plant_->link(link);
   // Unloaded one-way latency of the reference frame, in nanoseconds,
   // plus the switching penalty paid at the hop's receiving node.
-  return l.one_way_latency(phy::kReferenceFrame).ns() + hop_penalty_ns_;
+  return l.one_way_latency(phy::kReferenceFrame).ns() + kHopPenaltyNs;
 }
 
 double Router::cost(phy::LinkId link) const {
@@ -39,7 +41,7 @@ double Router::cost(phy::LinkId link) const {
     const double p = price_fn_(link);
     // +inf means "priced out" and must exclude the link, not fall back
     // to the default cost. Only NaN (no opinion) falls through.
-    if (!std::isnan(p)) return std::max(p, 0.0) + hop_penalty_ns_;
+    if (!std::isnan(p)) return std::max(p, 0.0) + kHopPenaltyNs;
   }
   return default_cost(link);
 }

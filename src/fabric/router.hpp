@@ -17,10 +17,8 @@
 // destination over it and rebuilt lazily when the stamp changes.
 #pragma once
 
-#include <cmath>
 #include <functional>
 #include <optional>
-#include <stdexcept>
 #include <vector>
 
 #include "fabric/topology.hpp"
@@ -29,6 +27,11 @@
 #include "sim/time.hpp"
 
 namespace rsf::fabric {
+
+/// A hop's switch pipeline latency (a state-of-the-art L2 cut-through
+/// lookup + crossbar), the same in every rack. The Network charges it
+/// at every forwarding node and the Router prices each hop with it.
+inline constexpr rsf::sim::SimTime kSwitchLatency = rsf::sim::SimTime::nanoseconds(450);
 
 enum class RoutingPolicy { kMinCost, kDimensionOrder };
 
@@ -77,17 +80,6 @@ class Router {
   /// can build price tags as latency + penalties.
   [[nodiscard]] double default_cost(phy::LinkId link) const;
 
-  /// Per-hop switching penalty included in default costs (ns units).
-  /// Negative or non-finite penalties throw: Dijkstra needs
-  /// non-negative edge costs to terminate.
-  void set_hop_penalty_ns(double ns) {
-    if (!(std::isfinite(ns) && ns >= 0)) {
-      throw std::invalid_argument("Router: hop penalty must be finite and non-negative");
-    }
-    hop_penalty_ns_ = ns;
-    ++price_generation_;
-  }
-
  private:
   /// The (topology version, price generation) a destination's row was
   /// built under. {0, 0} never matches: price generations start at 1.
@@ -129,7 +121,6 @@ class Router {
   const std::uint32_t n_;  // node count, fixed for a rack's lifetime
   PriceFn price_fn_;
   std::uint64_t price_generation_ = 1;
-  double hop_penalty_ns_ = 450.0;  // cut-through pipeline, see SwitchParams
   // Row dst of dist_ and next_ starts at dst * n_ and is valid while
   // stamps_[dst] matches: dist = min cost at -> dst (kUnreachable if
   // none), next = the memoized argmin (kNextUnknown until asked,

@@ -7,20 +7,9 @@
 
 namespace rsf::runtime {
 
-using rsf::sim::SimTime;
-
 FleetRuntime::FleetRuntime(FleetConfig config) : config_(std::move(config)) {
   if (config_.racks.empty()) {
     throw std::invalid_argument("FleetRuntime: need at least one rack");
-  }
-  if (config_.flow_window < 1) {
-    throw std::invalid_argument("FleetRuntime: flow_window < 1");
-  }
-  if (config_.max_retries < 0) {
-    throw std::invalid_argument("FleetRuntime: negative max_retries");
-  }
-  if (config_.retry_delay < SimTime::zero()) {
-    throw std::invalid_argument("FleetRuntime: negative retry_delay");
   }
   racks_.reserve(config_.racks.size());
   for (const RackSpec& spec : config_.racks) {
@@ -179,8 +168,7 @@ void FleetRuntime::pump_packets(std::uint32_t flow_idx) {
   while (true) {
     if (!flows_.is_live(flow_idx, gen)) return;
     FleetFlowState& f = flows_[flow_idx];
-    if (f.done || f.inflight >= config_.flow_window ||
-        f.next_seq >= f.packets_total) {
+    if (f.done || f.inflight >= fabric::kFlowWindow || f.next_seq >= f.packets_total) {
       return;
     }
     // Booking binding: when the spine's booking table moved, adopt
@@ -381,30 +369,30 @@ void FleetRuntime::packet_spine_hop(std::uint32_t pkt_idx) {
   // can't happen — but it is a failure-path event, not a logic
   // regression: treat a link that died between the check and the send
   // like a loss, so the retry's re-entry into packet_step re-resolves
-  // the route around the dead hop (bounded by max_retries) instead of
+  // the route around the dead hop (bounded by kMaxRetries) instead of
   // failing a flow a detour could still deliver.
   if (!ok) packet_retry(pkt_idx);
 }
 
 void FleetRuntime::packet_retry(std::uint32_t pkt_idx) {
   FleetPacket& pkt = packets_[pkt_idx];
-  if (pkt.retries >= config_.max_retries) {
+  if (pkt.retries >= fabric::kMaxRetries) {
     packet_failed(pkt_idx);
     return;
   }
   ++pkt.retries;
   if (FleetFlowState* f = live_flow(pkt)) ++f->retransmits;
   ++spine_retransmits_slot_;
-  // Even at retry_delay == 0 the retry lands in a follow-on batch at
-  // the same instant — after any link failure scheduled in the current
-  // batch has applied. packet_step then re-checks the (possibly stale)
-  // path's next hop against live administrative state and re-plans a
-  // dead hop before sending, so a zero-delay retry can never ping-pong
-  // a pre-failure route into a link that died in its own batch.
+  // The retry fires kRetryDelay after the loss, after any link failure
+  // scheduled earlier for the same instant has applied. packet_step
+  // then re-checks the (possibly stale) path's next hop against live
+  // administrative state and re-plans a dead hop before sending, so a
+  // retry can never ping-pong a pre-failure route into a link that
+  // died at its own instant.
   const auto retry = [this, pkt_idx] { packet_step(pkt_idx); };
   static_assert(sim::is_inline_event_v<decltype(retry)>,
                 "the per-packet retry must stay on the inline event arm");
-  sim_.schedule_after(config_.retry_delay, retry);
+  sim_.schedule_after(fabric::kRetryDelay, retry);
 }
 
 void FleetRuntime::packet_delivered(std::uint32_t pkt_idx) {

@@ -18,8 +18,10 @@
 // streams over the whole path — rack leg to the gateway, spine hop(s),
 // far rack leg — with cut-through pipelining across stages (while
 // packet k serializes on the spine, packet k+1 is already crossing the
-// source rack). The flow keeps at most `flow_window` packets in
-// flight; spine losses retransmit from the fleet layer; packets whose
+// source rack). The flow keeps at most fabric::kFlowWindow packets in
+// flight; spine losses and rack-leg drops retry from the fleet layer
+// fabric::kRetryDelay later, at most fabric::kMaxRetries times per
+// packet (the rack Network's own window/retry trio); packets whose
 // next spine hop died mid-flight re-plan from the rack they are in (or
 // fail the flow deterministically when the fleet is partitioned).
 // Routes are resolved per packet through the Interconnect's memoized
@@ -98,13 +100,6 @@ struct FleetConfig {
   std::vector<RackSpec> racks;
   std::vector<SpineSpec> spine;
   SpineTransport transport = SpineTransport::kPacketized;
-  /// Packets a fleet flow keeps in flight across the whole path.
-  int flow_window = 16;
-  /// Per-packet retry budget (spine loss or rack-leg drop) before the
-  /// flow fails.
-  int max_retries = 16;
-  /// Delay before a lost packet re-enters the pipeline.
-  rsf::sim::SimTime retry_delay = rsf::sim::SimTime::microseconds(5);
   /// Seeds the spine's loss sampler; racks derive their own streams
   /// from their RackSpec configs, so adding a rack never perturbs
   /// another rack's draws.

@@ -41,9 +41,6 @@ FleetController::FleetController(rsf::sim::Simulator* sim, fabric::Interconnect*
       !std::isfinite(config_.backlog_weight_per_us) || config_.backlog_weight_per_us < 0) {
     throw std::invalid_argument("FleetController: negative or non-finite cost weight");
   }
-  if (config_.demand_half_life_epochs < 0) {
-    throw std::invalid_argument("FleetController: negative demand half-life");
-  }
   const FleetBookingPolicy& bp = config_.booking;
   if (bp.discipline == BookingDiscipline::kNone) return;
   if (bp.discipline == BookingDiscipline::kCarve && !(bp.fraction > 0 && bp.fraction < 1)) {
@@ -210,24 +207,16 @@ void FleetController::run_booking_policy() {
   const FleetBookingPolicy& bp = config_.booking;
   // Counter names stay per discipline.
   const bool slots = bp.discipline == BookingDiscipline::kSlots;
-  // Per-epoch multiplicative decay of the ranking score: 2^(−1/h)
-  // halves a silent pair's score every h epochs, so ancient heat
-  // stops outranking current heat. Half-life 0 disables decay (factor
-  // 1): the score is then exactly the cumulative byte·hop total.
-  const double decay = config_.demand_half_life_epochs > 0
-                           ? std::exp2(-1.0 / config_.demand_half_life_epochs)
-                           : 1.0;
   // Pass 1 — streaks and demotions. The demand map only ever grows,
   // so iterating it visits every pair this fleet has offered
   // cross-rack load for — including pairs that went silent this
-  // epoch (their delta is 0, their score decays, and their idle
-  // streak advances).
+  // epoch (their delta is 0 and their idle streak advances).
   std::vector<std::pair<double, std::uint64_t>> candidates;  // (score, key)
   for (const auto& [key, total_bytes] : spine_->pair_demand()) {
     PairState& st = pair_state_[key];
     const std::uint64_t delta = total_bytes - st.last_bytes;
     st.last_bytes = total_bytes;
-    st.score = st.score * decay + static_cast<double>(delta);
+    st.score += static_cast<double>(delta);
     if (!st.bookings.empty() && !booked(st)) {
       // Preempted by a link failure (or, for slots, expired) since
       // the last epoch, possibly one leg of a split at a time: forfeit
@@ -239,7 +228,7 @@ void FleetController::run_booking_policy() {
     }
     if (st.bookings.empty()) {
       st.hot_streak = delta >= bp.hot_bytes_per_epoch ? st.hot_streak + 1 : 0;
-      // Rank candidates by the decayed demand score, not this epoch's
+      // Rank candidates by the cumulative demand score, not this epoch's
       // delta: a long multi-hop pair fills its pipeline slower and
       // would lose an early delta race to a short-haul burst.
       if (st.hot_streak >= bp.promote_after) candidates.emplace_back(st.score, key);
@@ -257,7 +246,7 @@ void FleetController::run_booking_policy() {
   }
   // Pass 2 — promotions, hottest first: when several pairs cleared
   // the streak this epoch, the scarce capacity goes to the largest
-  // decayed demand score (key ascending on ties — deterministic).
+  // cumulative demand score (key ascending on ties — deterministic).
   std::sort(candidates.begin(), candidates.end(),
             [](const auto& a, const auto& b) {
               return a.first != b.first ? a.first > b.first : a.second < b.second;

@@ -15,10 +15,10 @@
 // fleet scope: with a booking discipline configured it diffs the
 // spine's per-(src, dst) rack-pair demand between epochs, promotes
 // pairs that stay hot for `promote_after` consecutive epochs into spine
-// bookings (Interconnect::book, hottest decayed demand score first —
-// `demand_half_life_epochs` forgets ancient heat), and demotes pairs
-// that stay idle for `demote_after` epochs (release) — hysteresis on
-// both edges so bursty demand doesn't thrash the booking table. The
+// bookings (Interconnect::book, hottest cumulative demand score
+// first), and demotes pairs that stay idle for `demote_after` epochs
+// (release) — hysteresis on both edges so bursty demand doesn't
+// thrash the booking table. The
 // discipline only changes what a promotion books: one carve, or slots
 // split across two routes when the duty allows (rotor-style
 // multi-path). A pair that lost any booking to a link failure or to
@@ -105,18 +105,12 @@ struct FleetControllerConfig {
   double utilization_weight = 8.0;
   /// Cost added per microsecond of queued backlog at the tick.
   double backlog_weight_per_us = 0.25;
-  /// Half-life, in epochs, of the per-pair demand score the promotion
-  /// ranking orders by: each epoch the score decays by 2^(−1/h)
-  /// before the epoch's fresh byte·hops are added, so a pair that was
-  /// hot an hour ago stops outranking a pair that is hot now. 0
-  /// disables decay (a decay factor of 1 — the cumulative ranking).
-  double demand_half_life_epochs = 0.0;
   /// Spine booking promote/demote policy.
   FleetBookingPolicy booking{};
 };
 
 /// A serialized snapshot of the controller's learned state: per-pair
-/// demand baselines, decayed ranking scores, hysteresis streaks, and
+/// demand baselines, ranking scores, hysteresis streaks, and
 /// booking *intents*. Intents, not handles: a controller that died
 /// lost its leases (the fabric releases a dead controller's bookings,
 /// the mcsotdma renewal/timeout model collapsed to immediate expiry),
@@ -225,13 +219,12 @@ class FleetController {
   /// last tick.
   std::vector<std::array<rsf::sim::SimTime, 2>> last_busy_;
   /// Booking policy state per (src << 32 | dst) rack pair: demand
-  /// baseline, the decayed ranking score, hysteresis streaks, and the
+  /// baseline, the ranking score, hysteresis streaks, and the
   /// held handles. Ordered map → deterministic promote order within
   /// an epoch.
   struct PairState {
     std::uint64_t last_bytes = 0;
-    /// Decayed byte·hops: score × 2^(−1/half_life) per epoch, plus
-    /// the epoch's delta. With decay off this is the cumulative total.
+    /// Cumulative byte·hops: each epoch adds the epoch's delta.
     double score = 0.0;
     int hot_streak = 0;
     int idle_streak = 0;

@@ -32,8 +32,7 @@ std::uint64_t fnv1a(std::string_view s) {
 RandomStream::RandomStream(std::uint64_t seed) : RandomStream(seed, "") {}
 
 RandomStream::RandomStream(std::uint64_t seed, std::string_view component_name) {
-  origin_seed_ = seed ^ fnv1a(component_name);
-  std::uint64_t sm = origin_seed_;
+  std::uint64_t sm = seed ^ fnv1a(component_name);
   for (auto& w : s_) w = splitmix64(sm);
   // xoshiro requires a nonzero state; splitmix64 output of any seed is
   // astronomically unlikely to be all-zero, but guard anyway.
@@ -109,10 +108,6 @@ double RandomStream::bounded_pareto(double alpha, double lo, double hi) {
   const double la = std::pow(lo, alpha);
   const double ha = std::pow(hi, alpha);
   return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha);
-}
-
-RandomStream RandomStream::fork(std::string_view child_name) const {
-  return RandomStream(origin_seed_ ^ 0xA5A5A5A55A5A5A5AULL, child_name);
 }
 
 }  // namespace rsf::sim

@@ -47,15 +47,10 @@ class RandomStream {
   /// sizes use this.
   double bounded_pareto(double alpha, double lo, double hi);
 
-  /// Derive an independent child stream; used to hand sub-components
-  /// their own streams without threading the experiment seed around.
-  [[nodiscard]] RandomStream fork(std::string_view child_name) const;
-
  private:
   std::uint64_t next();
 
   std::uint64_t s_[4];
-  std::uint64_t origin_seed_ = 0;
   double cached_normal_ = 0.0;
   bool has_cached_normal_ = false;
 };

@@ -340,35 +340,4 @@ SimTime Simulator::first_live_time(const Buckets& heads, const Bitmap& occupied,
   return best;
 }
 
-void Simulator::fast_forward_to(SimTime when) {
-  if (strong_count_ != 0 || weak_count_ != 0) {
-    throw std::logic_error("Simulator::fast_forward_to: events pending");
-  }
-  if (when < now_) {
-    throw std::logic_error("Simulator::fast_forward_to: cannot rewind");
-  }
-  // Everything still queued is an ownerless tombstone. Free every index
-  // (high to low, so reuse starts at 0), bumping its generation: no id
-  // minted before the jump may cancel an event after it. Then re-anchor
-  // both levels at the new clock's window.
-  heads_.fill(kNilIndex);
-  heads2_.fill(kNilIndex);
-  batch_.clear();
-  batch_cursor_ = 0;
-  record_free_ = kNilIndex;
-  for (std::uint32_t index = record_count_; index-- > 0;) {
-    free_record_index(index);
-  }
-  occupied_.fill(0);
-  occupied2_.fill(0);
-  ring_count_ = 0;
-  sole_ring_index_ = kNilIndex;
-  tier2_count_ = 0;
-  far_head_ = kNilIndex;
-  far_min_ = SimTime::infinity();
-  now_ = when;
-  base2_ps_ = (when.ps() >> kWindowShift) << kWindowShift;
-  base_ps_ = base2_ps_;
-}
-
 }  // namespace rsf::sim

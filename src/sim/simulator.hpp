@@ -127,10 +127,6 @@ class Simulator {
   /// Total events executed since construction.
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
-  /// Advance the clock with no event processing. Only valid while idle;
-  /// used by tests to set up mid-run scenarios.
-  void fast_forward_to(SimTime when);
-
   /// Time of the earliest live pending event (strong or weak), or
   /// infinity when none remain. A pure peek: no batch is formed, no
   /// window re-anchor is committed (tombstones are skipped, not

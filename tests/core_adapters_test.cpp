@@ -170,7 +170,6 @@ TEST_F(AdapterFixture, RestoreRebundlesUnderPressure) {
   PowerManagerConfig cfg;
   cfg.cap_watts = rack.total_power_watts() - 1.0;
   cfg.max_ops_per_epoch = 1;
-  cfg.restore_margin_watts = 1.0;
   PowerManager pm(rack.engine.get(), rack.plant.get(), cfg);
   pm.apply(take_snapshot());
   sim.run_until();
@@ -219,9 +218,6 @@ TEST_F(PowerManagerConfigValidation, InvalidConfigsFailAtConstruction) {
       [](PowerManagerConfig& c) { c.cap_watts = -1.0; },
       [nan](PowerManagerConfig& c) { c.cap_watts = nan; },
       [inf](PowerManagerConfig& c) { c.cap_watts = inf; },
-      [](PowerManagerConfig& c) { c.restore_margin_watts = -1.0; },
-      [nan](PowerManagerConfig& c) { c.restore_margin_watts = nan; },
-      [inf](PowerManagerConfig& c) { c.restore_margin_watts = inf; },
       [](PowerManagerConfig& c) { c.max_ops_per_epoch = -1; },
   };
   for (std::size_t i = 0; i < std::size(bad); ++i) {
@@ -236,7 +232,6 @@ TEST_F(PowerManagerConfigValidation, InvalidConfigsFailAtConstruction) {
   // old one in force.
   PowerManagerConfig zero;
   zero.cap_watts = 0.0;
-  zero.restore_margin_watts = 0.0;
   zero.max_ops_per_epoch = 0;
   PowerManager pm(rack.engine.get(), rack.plant.get(), zero);
   for (const double cap : {-1.0, nan, inf, -inf}) {

@@ -26,32 +26,17 @@ struct RingFixture : ::testing::Test {
     rack = fabric::build_grid(&sim, p);
   }
 
-  ControlRing make_ring(ControlRingConfig cfg = {}) {
+  ControlRing make_ring() {
     return ControlRing(&sim, rack.plant.get(), rack.engine.get(), rack.topology.get(),
-                       rack.network.get(), cfg);
+                       rack.network.get());
   }
 };
 
 TEST_F(RingFixture, CirculationTimeScalesWithNodes) {
   ControlRing ring = make_ring();
   const SimTime expected =
-      (ring.config().hop_latency + ring.config().node_processing) * std::int64_t{16};
+      (ControlRing::kHopLatency + ControlRing::kNodeProcessing) * std::int64_t{16};
   EXPECT_EQ(ring.circulation_time(), expected);
-}
-
-// A negative delay would schedule the token into the past from inside
-// the run; it fails here instead.
-TEST_F(RingFixture, NegativeDelaysFailAtConstruction) {
-  ControlRingConfig bad_hop;
-  bad_hop.hop_latency = SimTime::zero() - 1_ns;
-  EXPECT_THROW(make_ring(bad_hop), std::invalid_argument);
-  ControlRingConfig bad_processing;
-  bad_processing.node_processing = SimTime::zero() - 1_ns;
-  EXPECT_THROW(make_ring(bad_processing), std::invalid_argument);
-  ControlRingConfig zero;
-  zero.hop_latency = SimTime::zero();
-  zero.node_processing = SimTime::zero();
-  EXPECT_EQ(make_ring(zero).circulation_time(), SimTime::zero());
 }
 
 TEST_F(RingFixture, SnapshotCoversEveryLinkOnce) {

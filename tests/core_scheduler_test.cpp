@@ -182,25 +182,53 @@ TEST_F(SchedFixture, CircuitBeatsContendedPacketFabricForBulk) {
   EXPECT_LT(circuit_time->sec(), packet_time->sec());
 }
 
-TEST_F(SchedFixture, ConcurrentCircuitLimitRespected) {
-  CircuitSchedulerConfig cfg;
-  cfg.max_concurrent_circuits = 1;
-  CircuitScheduler limited(&sim, rack.engine.get(), rack.plant.get(), rack.topology.get(),
-                           rack.router.get(), rack.network.get(), cfg);
+TEST(CircuitSchedulerLimit, ConcurrentCircuitLimitRespected) {
+  // One more circuit-worthy flow than the cap, each along its own row
+  // of a 6 x (cap + 1) grid, all submitted at one instant. Every row is
+  // saturated and has a spare lane on each hop, so each flow alone
+  // would get a circuit: only the cap sends the last one to the packet
+  // fabric.
+  constexpr int kRows = CircuitScheduler::kMaxConcurrentCircuits + 1;
+  constexpr int kWidth = 6;
+  Simulator sim;
+  fabric::RackParams p;
+  p.width = kWidth;
+  p.height = kRows;
+  fabric::Rack rack = fabric::build_grid(&sim, p);
+  CircuitScheduler sched(&sim, rack.engine.get(), rack.plant.get(), rack.topology.get(),
+                         rack.router.get(), rack.network.get());
+  const auto row_flow = [&](int row, DataSize size, fabric::FlowId id) {
+    fabric::FlowSpec spec;
+    spec.id = id;
+    spec.src = rack.node_at(0, row);
+    spec.dst = rack.node_at(kWidth - 1, row);
+    spec.size = size;
+    return spec;
+  };
+  fabric::FlowId bg_id = 900;
+  for (int row = 0; row < kRows; ++row) {
+    for (int i = 0; i < 3; ++i) {
+      rack.network->start_flow(row_flow(row, DataSize::megabytes(2), bg_id++), nullptr);
+    }
+  }
+  sim.run_until(500_us);
   int circuits = 0;
   int packets = 0;
-  auto cb = [&](const fabric::FlowResult&, bool circuit) {
+  auto cb = [&](const fabric::FlowResult& r, bool circuit) {
+    EXPECT_FALSE(r.failed);
     circuit ? ++circuits : ++packets;
   };
-  saturate_path();
-  limited.submit(flow(0, 5, DataSize::megabytes(100), 1), cb);
-  limited.submit(flow(0, 4, DataSize::megabytes(100), 2), cb);
+  for (int row = 0; row < kRows; ++row) {
+    sched.submit(row_flow(row, DataSize::megabytes(8), static_cast<fabric::FlowId>(row + 1)),
+                 cb);
+  }
+  EXPECT_EQ(sched.active_circuits(), CircuitScheduler::kMaxConcurrentCircuits);
   sim.run_until();
-  EXPECT_EQ(circuits + packets, 2);
-  EXPECT_LE(limited.circuits_built(), 2u);
-  // The second flow was submitted while the first circuit was active:
-  // it must have fallen back (limit 1).
-  EXPECT_GE(packets, 1);
+  EXPECT_EQ(circuits + packets, kRows);
+  EXPECT_EQ(packets, 1);
+  EXPECT_EQ(sched.circuits_built(),
+            static_cast<std::uint64_t>(CircuitScheduler::kMaxConcurrentCircuits));
+  EXPECT_EQ(sched.active_circuits(), 0);
   EXPECT_TRUE(rack.plant->validate().empty());
 }
 

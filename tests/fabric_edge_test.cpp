@@ -14,6 +14,8 @@
 namespace rsf {
 namespace {
 
+using fabric::kNicLatency;
+using fabric::kSwitchLatency;
 using fabric::Rack;
 using fabric::RackParams;
 using phy::DataSize;
@@ -41,12 +43,12 @@ TEST(FabricEdge, FailedLaneImmediatelyVisibleToRouting) {
 TEST(FabricEdge, TtlBackstopTriggersRetransmitNotOrbit) {
   Simulator sim;
   RackParams p;
-  p.width = 4;
-  p.height = 4;
-  p.net_config.max_hops = 4;  // tighter than the 6-hop diameter
+  // Corner to corner is 66 hops, past the kMaxHops = 64 backstop.
+  p.width = 34;
+  p.height = 34;
   Rack rack = fabric::build_grid(&sim, p);
   std::optional<bool> delivered;
-  rack.network->send_probe(rack.node_at(0, 0), rack.node_at(3, 3), DataSize::bytes(256),
+  rack.network->send_probe(rack.node_at(0, 0), rack.node_at(33, 33), DataSize::bytes(256),
                            [&](const fabric::FlowResult& r) { delivered = !r.failed; });
   sim.run_until();
   // The probe keeps being returned to the source until retries
@@ -122,19 +124,17 @@ TEST(FabricEdge, IdleChainLatencyMatchesClosedFormsToThePicosecond) {
     for (const std::int64_t bytes : {64, 1024, 9000}) {
       Simulator sim;
       RackParams p;
-      p.net_config.switch_params.cut_through = cut_through;
+      p.net_config.cut_through = cut_through;
       Rack rack = fabric::build_chain(&sim, kHops + 1, p);
       const DataSize size = DataSize::bytes(bytes);
       const auto& l = rack.plant->link(*rack.topology->link_between(0, 1));
-      const auto& sp = rack.network->config().switch_params;
       const SimTime ser = l.serialization_delay(size);
       const SimTime head = l.serialization_delay(std::min(DataSize::bytes(64), size));
       const SimTime prop = l.propagation_delay() + l.fec().latency;
       const SimTime expected =
           cut_through
-              ? sp.nic_latency + (head + prop + sp.switch_latency) * (h - 1) + ser + prop +
-                    sp.nic_latency
-              : sp.nic_latency + (ser + prop) * h + sp.switch_latency * (h - 1) + sp.nic_latency;
+              ? kNicLatency + (head + prop + kSwitchLatency) * (h - 1) + ser + prop + kNicLatency
+              : kNicLatency + (ser + prop) * h + kSwitchLatency * (h - 1) + kNicLatency;
 
       std::optional<SimTime> probe;
       rack.network->send_probe(0, kHops, size, [&](const fabric::FlowResult& r) {

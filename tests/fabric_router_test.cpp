@@ -239,11 +239,7 @@ TEST_F(GridFixture, SetReservationBumpsTheVersionAndRefreshesTheMemo) {
 class ReferenceRouter {
  public:
   ReferenceRouter(const Rack& rack, const std::vector<double>* prices)
-      : rack_(rack), prices_(prices), hop_penalty_(rack.params.net_config.switch_params.switch_latency.ns()) {}
-
-  /// Mirrors Router::set_hop_penalty_ns for priced links (default costs
-  /// read the router's own penalty through default_cost).
-  void set_hop_penalty(double ns) { hop_penalty_ = ns; }
+      : rack_(rack), prices_(prices) {}
 
   /// Links at `node` from a fresh scan of the plant's link set, in
   /// ascending id order — what Topology::links_at must return.
@@ -312,13 +308,12 @@ class ReferenceRouter {
   }
   double cost(LinkId id) const {
     const double p = id < prices_->size() ? (*prices_)[id] : std::nan("");
-    if (!std::isnan(p)) return std::max(p, 0.0) + hop_penalty_;
+    if (!std::isnan(p)) return std::max(p, 0.0) + kSwitchLatency.ns();
     return rack_.router->default_cost(id);
   }
 
   const Rack& rack_;
   const std::vector<double>* prices_;
-  double hop_penalty_;
 };
 
 TEST(RouterOracle, EdgeGraphSearchMatchesHeapDijkstraOnRandomRacks) {
@@ -396,7 +391,7 @@ TEST(RouterOracle, EdgeGraphSearchMatchesHeapDijkstraOnRandomRacks) {
 
 TEST(RouterOracle, InterleavedInvalidationsNeverServeAStaleRow) {
   // Every input the router keys on, changed one step at a time: in-place
-  // price changes with bump_prices, set_price_fn, set_hop_penalty_ns,
+  // price changes with bump_prices and set_price_fn,
   // reservation set and clear, lane failure and repair (under a retrain
   // too), PLP commands run only part-way (so busy windows overlap the
   // queries), and, on the plant with no engine involved, link creation
@@ -497,7 +492,7 @@ TEST(RouterOracle, InterleavedInvalidationsNeverServeAStaleRow) {
     bool priced = false;  // the router has a price function installed
     std::vector<phy::LaneRef> failed;
     for (int step = 0; step < 80; ++step) {
-      const int op = static_cast<int>(rng.uniform_int(0, 9));
+      const int op = static_cast<int>(rng.uniform_int(0, 8));
       const std::vector<LinkId> ids = plant.link_ids();
       ASSERT_FALSE(ids.empty());
       price_links(ids);
@@ -518,18 +513,14 @@ TEST(RouterOracle, InterleavedInvalidationsNeverServeAStaleRow) {
           router.set_price_fn([&prices](LinkId l) { return l < prices.size() ? prices[l] : std::nan(""); });
         }
       } else if (op == 2) {
-        const double ns = rng.uniform_int(0, 2) == 0 ? 0.0 : rng.uniform(0.0, 900.0);
-        router.set_hop_penalty_ns(ns);
-        ref.set_hop_penalty(ns);
-      } else if (op == 3) {
         plant.set_reservation(id, rng.uniform_int(0, 1) == 0 ? std::optional<std::uint64_t>(7)
                                                              : std::nullopt);
-      } else if (op == 4) {
+      } else if (op == 3) {
         const phy::LaneRef lane{plant.link(id).segments().front().cable,
                                 static_cast<int>(pick(static_cast<std::size_t>(p.lanes_per_cable)))};
         plant.fail_lane(lane);
         failed.push_back(lane);
-      } else if (op == 5 && !failed.empty()) {
+      } else if (op == 4 && !failed.empty()) {
         // Repairs land under a retrain too: its completion leaves the
         // repaired lane dark, and the bring-up (queued behind a busy
         // link) retrains it.
@@ -541,7 +532,7 @@ TEST(RouterOracle, InterleavedInvalidationsNeverServeAStaleRow) {
           if (plant.link_busy(*owner) || training(*owner)) ++retrain_repairs;
           rack.engine->submit(plp::BringUpCommand{*owner});
         }
-      } else if (op == 6) {
+      } else if (op == 5) {
         // A PLP command, run only part-way: its busy window, queueing
         // and completion land between later queries.
         plp::PlpCommand cmd = plp::ShutdownCommand{id};  // kind 6, and the fallback
@@ -571,7 +562,7 @@ TEST(RouterOracle, InterleavedInvalidationsNeverServeAStaleRow) {
         rack.engine->submit(cmd);
         sim.run_until(sim.now() + rsf::sim::SimTime::nanoseconds(rng.uniform_int(0, 80'000)));
         ++commands;
-      } else if (op == 7) {
+      } else if (op == 6) {
         // The plant changed with no engine involved: a link created
         // (sometimes trained) on free lanes, or an idle link destroyed.
         std::vector<int> lanes;
@@ -587,9 +578,9 @@ TEST(RouterOracle, InterleavedInvalidationsNeverServeAStaleRow) {
           plant.destroy_link(id);
         }
         ++plant_edits;
-      } else if (op == 8) {
+      } else if (op == 7) {
         sim.run_until();  // every in-flight command completes
-      } else if (op == 9 && !plant.link_busy(id)) {
+      } else if (op == 8 && !plant.link_busy(id)) {
         // An idle link's lanes or FEC changed on the plant directly,
         // one transition per step.
         if (training(id)) {
@@ -661,17 +652,6 @@ TEST(RouterOracle, InterleavedInvalidationsNeverServeAStaleRow) {
   EXPECT_GT(commands, 80);
   EXPECT_GT(plant_edits, 80);
   EXPECT_GT(retrain_repairs, 0);
-}
-
-TEST_F(GridFixture, HopPenaltyMustBeFiniteAndNonNegative) {
-  // Dijkstra does not terminate on negative edge costs, so a negative
-  // penalty must fail at the setter rather than hang next_hop.
-  for (const double ns : {-5000.0, -1e-3, std::numeric_limits<double>::infinity(),
-                          std::numeric_limits<double>::quiet_NaN()}) {
-    EXPECT_THROW(rack.router->set_hop_penalty_ns(ns), std::invalid_argument);
-  }
-  rack.router->set_hop_penalty_ns(0.0);
-  EXPECT_EQ(rack.router->hop_count(0, 15), 6);
 }
 
 }  // namespace

@@ -272,7 +272,6 @@ SpineSpec fast_link(std::uint32_t a, std::uint32_t b, double cost, double loss) 
 TEST(FleetChaosBugfix, FlowOverBlackholeOnlyRouteFailsCleanly) {
   FleetConfig fc = two_rack_fleet();
   fc.spine.push_back(fast_link(0, 1, 1.0, 1.0));  // the only route: a blackhole
-  fc.max_retries = 3;
   FleetRuntime fleet(fc);
 
   runtime::FleetFlowSpec spec;
@@ -285,7 +284,9 @@ TEST(FleetChaosBugfix, FlowOverBlackholeOnlyRouteFailsCleanly) {
 
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->failed);  // retry exhaustion, not a hang
-  EXPECT_GE(result->retransmits, 3u);
+  // The eight packets are lost in lockstep, so each spends its whole
+  // kMaxRetries budget before the first one exhausts and fails the flow.
+  EXPECT_EQ(result->retransmits, 8u * static_cast<std::uint64_t>(fabric::kMaxRetries));
   EXPECT_EQ(fleet.flows_failed(), 1u);
   EXPECT_EQ(fleet.flows_completed(), 0u);
   // The failure path recycled every flow and packet slot.
@@ -293,22 +294,24 @@ TEST(FleetChaosBugfix, FlowOverBlackholeOnlyRouteFailsCleanly) {
   EXPECT_EQ(fleet.free_packet_slots(), fleet.packet_slots());
 }
 
-TEST(FleetChaosBugfix, ZeroDelayRetryReresolvesARouteThatDiedInTheSameBatch) {
+TEST(FleetChaosBugfix, RetryReresolvesARouteThatDiedInTheSameBatch) {
   // Link 0 is cheap but loses every packet; link 1 is pricier and
-  // clean. With retry_delay = 0 a loss's retry re-enters the pipeline
-  // at the very instant the loss landed — and if link 0 was cut in
-  // that same batch, the retry must re-resolve the route (finding
-  // link 1) instead of blindly re-entering the dead hop. Two runs
-  // must agree byte for byte.
+  // clean. The source sits on the gateway, so packet 0 goes straight
+  // onto link 0 and is lost at the far end one 1 KiB serialization
+  // plus the 2 us latency later; its retry fires kRetryDelay after
+  // that. Link 0 is cut at exactly that instant, by an event
+  // scheduled earlier, so the cut runs first in the retry's own batch:
+  // the retry must re-resolve the route (finding link 1) instead of
+  // blindly re-entering the dead hop. Two runs must agree byte for
+  // byte.
   auto run = [] {
     FleetConfig fc = two_rack_fleet();
     fc.spine.push_back(fast_link(0, 1, 1.0, 1.0));
     fc.spine.push_back(fast_link(0, 1, 3.0, 0.0));
-    fc.retry_delay = SimTime::zero();
     FleetRuntime fleet(fc);
-    // The cut lands mid-run, between the first losses' arrivals, as a
-    // fleet-ring event.
-    fleet.sim().schedule_weak_at(2300_ns,
+    const SimTime first_loss =
+        2_us + phy::transmission_time(DataSize::bytes(1024), phy::DataRate::gbps(25));
+    fleet.sim().schedule_weak_at(first_loss + fabric::kRetryDelay,
                                  [&] { fleet.spine().set_link_up(0, false); });
     runtime::FleetFlowSpec spec;
     spec.src = fleet.at(0, 0, 0);

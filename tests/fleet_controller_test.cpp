@@ -191,61 +191,52 @@ TEST(FleetController, CarvedDirectionRepricesAgainstTheAdvertisedResidual) {
   EXPECT_GT(carved.cost, 5.0);
 }
 
-TEST(FleetController, DemandDecayForgetsAncientHeatInThePromotionRanking) {
+TEST(FleetController, PromotionRanksPairsByCumulativeDemand) {
   // Pair (0,1) had a massive burst eleven epochs ago and now trickles
   // at just-hot rate; pair (2,3) is genuinely hot right now. Both
   // clear the promote streak at the same tick and compete for the one
-  // allowed carve. The cumulative ranking (decay off) hands it to the
-  // ancient pair; with a one-epoch half-life the currently hot pair
-  // wins.
-  auto promoted_new_pair = [](double half_life) {
-    rsf::sim::Simulator sim;
-    telemetry::Registry registry;
-    fabric::Interconnect spine(&sim, &registry);
-    fabric::SpineLinkParams p;
-    p.a = {0, 0};
-    p.b = {1, 0};
-    spine.add_link(p);
-    p.a = {2, 0};
-    p.b = {3, 0};
-    spine.add_link(p);
-    FleetControllerConfig cfg;
-    cfg.epoch = 100_us;
-    cfg.demand_half_life_epochs = half_life;
-    cfg.booking.discipline = runtime::BookingDiscipline::kCarve;
-    cfg.booking.fraction = 0.4;
-    cfg.booking.hot_bytes_per_epoch = 1000;
-    cfg.booking.idle_bytes_per_epoch = 10;
-    cfg.booking.promote_after = 2;
-    cfg.booking.demote_after = 100;
-    cfg.booking.max_pairs = 1;
-    FleetController ctrl(&sim, &spine, cfg, &registry);
-    std::uint64_t& old_hot = spine.pair_demand_slot(0, 1);
-    std::uint64_t& new_hot = spine.pair_demand_slot(2, 3);
-    // Epoch 1: the ancient burst. Epochs 2-9: silence (the old pair's
-    // streak resets; with decay on, its score halves every epoch).
-    sim.schedule_at(50_us, [&] { old_hot += 10'000'000; });
-    // Epochs 10 and 11: the old pair trickles just above the hot
-    // threshold while the new pair runs genuinely hot — both reach
-    // streak 2 at the epoch-11 tick.
-    for (const auto t : {950_us, 1050_us}) {
-      sim.schedule_at(t, [&] {
-        old_hot += 2'000;
-        new_hot += 500'000;
-      });
-    }
-    ctrl.start();
-    sim.run_until(1150_us);
-    ctrl.stop();
-    EXPECT_EQ(ctrl.promotions(), 1u);  // exactly one carve to hand out
-    const bool new_pair = !spine.find_bookings(2, 3).empty();
-    EXPECT_NE(new_pair, !spine.find_bookings(0, 1).empty());
-    return new_pair;
-  };
-  // Decay off reproduces the cumulative ranking: ancient heat wins.
-  EXPECT_FALSE(promoted_new_pair(0.0));
-  // With a one-epoch half-life the pair that is hot *now* wins.
-  EXPECT_TRUE(promoted_new_pair(1.0));
+  // allowed carve. The ranking is the cumulative byte·hop total, not
+  // this epoch's delta, so the pair with the larger total wins.
+  rsf::sim::Simulator sim;
+  telemetry::Registry registry;
+  fabric::Interconnect spine(&sim, &registry);
+  fabric::SpineLinkParams p;
+  p.a = {0, 0};
+  p.b = {1, 0};
+  spine.add_link(p);
+  p.a = {2, 0};
+  p.b = {3, 0};
+  spine.add_link(p);
+  FleetControllerConfig cfg;
+  cfg.epoch = 100_us;
+  cfg.booking.discipline = runtime::BookingDiscipline::kCarve;
+  cfg.booking.fraction = 0.4;
+  cfg.booking.hot_bytes_per_epoch = 1000;
+  cfg.booking.idle_bytes_per_epoch = 10;
+  cfg.booking.promote_after = 2;
+  cfg.booking.demote_after = 100;
+  cfg.booking.max_pairs = 1;
+  FleetController ctrl(&sim, &spine, cfg, &registry);
+  std::uint64_t& old_hot = spine.pair_demand_slot(0, 1);
+  std::uint64_t& new_hot = spine.pair_demand_slot(2, 3);
+  // Epoch 1: the ancient burst. Epochs 2-9: silence (the old pair's
+  // streak resets, its score does not).
+  sim.schedule_at(50_us, [&] { old_hot += 10'000'000; });
+  // Epochs 10 and 11: the old pair trickles just above the hot
+  // threshold while the new pair runs genuinely hot — both reach
+  // streak 2 at the epoch-11 tick.
+  for (const auto t : {950_us, 1050_us}) {
+    sim.schedule_at(t, [&] {
+      old_hot += 2'000;
+      new_hot += 500'000;
+    });
+  }
+  ctrl.start();
+  sim.run_until(1150_us);
+  ctrl.stop();
+  EXPECT_EQ(ctrl.promotions(), 1u);  // exactly one carve to hand out
+  EXPECT_FALSE(spine.find_bookings(0, 1).empty());
+  EXPECT_TRUE(spine.find_bookings(2, 3).empty());
 }
 
 TEST(FleetController, RejectsBadConstruction) {
@@ -257,9 +248,6 @@ TEST(FleetController, RejectsBadConstruction) {
   FleetControllerConfig bad_epoch;
   bad_epoch.epoch = SimTime::zero();
   EXPECT_THROW(FleetController(&sim, &spine, bad_epoch), std::invalid_argument);
-  FleetControllerConfig bad_half_life;
-  bad_half_life.demand_half_life_epochs = -1.0;
-  EXPECT_THROW(FleetController(&sim, &spine, bad_half_life), std::invalid_argument);
   // Cost weights that would price a loaded link at a non-positive or
   // NaN cost fail here, not from the first loaded tick mid-run.
   FleetControllerConfig bad_weight;

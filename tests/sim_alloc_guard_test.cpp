@@ -295,13 +295,14 @@ TEST(SimAllocGuardTest, RackHopPathIsAllocationFree) {
 // uncoded rack every few hops a frame is lost and resent from its
 // source through the packet pool. No route: packets toward a cut-off
 // node back off and retry from where they stand. Once warm, neither
-// path allocates; the brackets stop short of any drop (a drop names
-// its counter by string).
+// path allocates; the bracket stops short of any drop (a drop names
+// its counter by string): the stranded flow's packets spend their
+// fabric::kMaxRetries no-route backoffs (5 us doubling to a 320 us
+// cap) by about 3.5 ms, so the bracket closes at 3.4 ms.
 TEST(SimAllocGuardTest, RetransmitAndNoRoutePathsAreAllocationFree) {
   runtime::RuntimeConfig cfg;
   cfg.rack.width = 4;
   cfg.rack.height = 4;
-  cfg.rack.net_config.max_retries = 1'000;  // no drops inside the brackets
   cfg.enable_crc = false;
   runtime::FabricRuntime rt(cfg);
   fabric::Network& net = rt.network();
@@ -335,7 +336,7 @@ TEST(SimAllocGuardTest, RetransmitAndNoRoutePathsAreAllocationFree) {
   const std::uint64_t waits_before = counters.get("net.reroute_waits");
   const std::size_t allocs_before = g_allocations;
   const std::size_t deallocs_before = g_deallocations;
-  rt.run_until(SimTime::milliseconds(4));
+  rt.run_until(SimTime::microseconds(3'400));
   const std::size_t allocs = g_allocations - allocs_before;
   const std::size_t deallocs = g_deallocations - deallocs_before;
   EXPECT_GT(counters.get("net.frames_corrupted"), corrupted_before + 100);
@@ -344,7 +345,7 @@ TEST(SimAllocGuardTest, RetransmitAndNoRoutePathsAreAllocationFree) {
       << "the bracket must sit inside both flows";
   EXPECT_EQ(allocs, 0u) << "retransmit / no-route paths touched the heap";
   EXPECT_EQ(deallocs, 0u) << "retransmit / no-route paths freed to the heap";
-  EXPECT_EQ(net.packet_slots(), 2u * static_cast<std::size_t>(cfg.rack.net_config.flow_window));
+  EXPECT_EQ(net.packet_slots(), 2u * static_cast<std::size_t>(fabric::kFlowWindow));
 }
 
 }  // namespace

@@ -164,13 +164,6 @@ TEST(RandomStream, BoundedParetoRejectsBadParams) {
   EXPECT_THROW(rng.bounded_pareto(1.0, 2.0, 2.0), std::invalid_argument);
 }
 
-TEST(RandomStream, ForkIsIndependentAndDeterministic) {
-  RandomStream parent(31, "root");
-  RandomStream c1 = parent.fork("child");
-  RandomStream c2 = RandomStream(31, "root").fork("child");
-  for (int i = 0; i < 50; ++i) EXPECT_EQ(c1(), c2());
-}
-
 TEST(Fnv1a, StableKnownValues) {
   // FNV-1a 64-bit of empty string is the offset basis.
   EXPECT_EQ(fnv1a(""), 0xCBF29CE484222325ULL);

@@ -200,16 +200,6 @@ TEST(Simulator, ExecutedCounterAccumulates) {
   EXPECT_EQ(sim.executed(), 7u);
 }
 
-TEST(Simulator, FastForwardRequiresIdle) {
-  Simulator sim;
-  sim.schedule_at(10_ns, [] {});
-  EXPECT_THROW(sim.fast_forward_to(1_us), std::logic_error);
-  sim.run_until();
-  sim.fast_forward_to(1_us);
-  EXPECT_EQ(sim.now(), 1_us);
-  EXPECT_THROW(sim.fast_forward_to(1_ns), std::logic_error);
-}
-
 TEST(Simulator, HandlerSchedulingAtCurrentInstantRuns) {
   Simulator sim;
   bool ran = false;
@@ -273,13 +263,6 @@ TEST(Simulator, WeakAndStrongInterleaveInTimeOrder) {
   sim.schedule_weak_at(15_ns, [&] { order.push_back(3); });
   sim.run_until();
   EXPECT_EQ(order, (std::vector<int>{1, 3, 2}));
-}
-
-TEST(Simulator, FastForwardBlockedByWeakEvents) {
-  Simulator sim;
-  sim.schedule_weak_at(10_ns, [] {});
-  // Jumping past a queued weak event would let it fire "in the past".
-  EXPECT_THROW(sim.fast_forward_to(1_us), std::logic_error);
 }
 
 TEST(Simulator, ManyEventsStaySorted) {
@@ -391,31 +374,6 @@ TEST(Simulator, GenerationWrapKeepsStaleIdsStale) {
   EXPECT_FALSE(sim.cancel(mid));
   EXPECT_EQ(sim.run_until(), 1u);
   EXPECT_TRUE(fired);
-}
-
-// fast_forward_to drops every tombstone, but not their generations:
-// ids that fired or were cancelled before the jump — including a
-// cancelled far event whose tombstone was never swept — cannot cancel
-// the events that reuse their record indices after it.
-TEST(Simulator, FastForwardKeepsStaleIdsStale) {
-  Simulator sim;
-  std::vector<EventId> stale;
-  for (SimTime at : {1_ns, 2_ns, 3_ns, 1_ms}) {
-    stale.push_back(sim.schedule_at(at, [] {}));
-  }
-  EXPECT_TRUE(sim.cancel(stale[1]));
-  EXPECT_TRUE(sim.cancel(stale[3]));
-  EXPECT_EQ(sim.run_until(), 2u);
-  sim.fast_forward_to(2_ms);
-
-  int fired = 0;
-  for (int i = 0; i < 4; ++i) {
-    sim.schedule_at(2_ms + SimTime::nanoseconds(i + 1), [&] { ++fired; });
-  }
-  for (EventId id : stale) EXPECT_FALSE(sim.cancel(id));
-  EXPECT_EQ(sim.pending(), 4u);
-  EXPECT_EQ(sim.run_until(), 4u);
-  EXPECT_EQ(fired, 4);
 }
 
 // Cancelling a cold-arm event destroys its handler at once: captured
@@ -563,10 +521,9 @@ TEST(Simulator, HorizonBetweenTiersNeverReAnchors) {
   EXPECT_EQ(sim.next_time(), SimTime::infinity());
 }
 
-// With every far event cancelled the kernel is idle, so fast_forward_to
-// may jump; the tombstones it drops must not resurface, and the
-// re-anchored levels take new near and far work.
-TEST(Simulator, FastForwardAfterCancellingEveryFarEvent) {
+// With every far event cancelled the kernel is idle; the tombstones
+// must not resurface, and both levels take new near and far work.
+TEST(Simulator, CancellingEveryFarEventLeavesTheKernelIdleAndReusable) {
   Simulator sim;
   int stale = 0;
   std::vector<EventId> ids;
@@ -577,17 +534,14 @@ TEST(Simulator, FastForwardAfterCancellingEveryFarEvent) {
   for (EventId id : ids) EXPECT_TRUE(sim.cancel(id));
   EXPECT_TRUE(sim.idle());
   EXPECT_EQ(sim.next_time(), SimTime::infinity());
-  const SimTime jump = SimTime::milliseconds(123.456789);
-  sim.fast_forward_to(jump);
-  EXPECT_EQ(sim.now(), jump);
   std::vector<SimTime> at;
   for (SimTime d : {5_ms, 1_ns, 10_ms, 100_us}) {
-    sim.schedule_at(jump + d, [&] { at.push_back(sim.now()); });
+    sim.schedule_at(d, [&] { at.push_back(sim.now()); });
   }
-  EXPECT_EQ(sim.next_time(), jump + 1_ns);
+  EXPECT_EQ(sim.next_time(), 1_ns);
   EXPECT_EQ(sim.run_until(), 4u);
   EXPECT_EQ(stale, 0);
-  EXPECT_EQ(at, (std::vector<SimTime>{jump + 1_ns, jump + 100_us, jump + 5_ms, jump + 10_ms}));
+  EXPECT_EQ(at, (std::vector<SimTime>{1_ns, 100_us, 5_ms, 10_ms}));
 }
 
 // Randomized oracle: the calendar kernel against a straightforward
