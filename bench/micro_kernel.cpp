@@ -66,6 +66,20 @@ void BM_SimulatorFarFuture(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorFarFuture);
 
+void BM_SimulatorSameInstantBurst(benchmark::State& state) {
+  // 10^5 events at one instant, all in one ring bucket: each schedule
+  // appends at the bucket's tail and the drain is one batch, so the
+  // cost per event stays flat however large the burst grows.
+  constexpr int kEvents = 100'000;
+  for (auto _ : state) {
+    sim::Simulator sim;
+    for (int i = 0; i < kEvents; ++i) sim.schedule_at(1_ns, [] {});
+    benchmark::DoNotOptimize(sim.run_until());
+  }
+  state.SetItemsProcessed(state.iterations() * kEvents);
+}
+BENCHMARK(BM_SimulatorSameInstantBurst);
+
 // One continuation of the deep-queue workload: a full-size inline
 // capture (kInlineEventBytes, the size of a rack hop's) that
 // reschedules itself at a pseudo-random gap until the shared budget

@@ -1,9 +1,9 @@
 // rsf::core — a FIFO ring of fixed-size chunks.
 //
-// push_back / pop_front / random access by age, for a sliding window
-// that is pushed and popped on every event. It allocates only while it
-// grows to its peak occupancy, one chunk at a time and without moving
-// what it holds; after that every push reuses a slot. That is the
+// push_back / pop_front / clear / random access by age, for a sliding
+// window pushed on every event. It allocates only while it grows to
+// its peak occupancy, one chunk at a time and without moving what it
+// holds; after that every push reuses a slot. That is the
 // difference from its two alternatives: std::deque frees and allocates
 // a node buffer every few pushes forever, and a single contiguous ring
 // grows by doubling, so at its last growth it holds the old buffer, the
@@ -42,6 +42,9 @@ class ChunkedRing {
     if (++head_ == capacity()) head_ = 0;
     --size_;
   }
+
+  /// Drops every element and keeps the chunks.
+  void clear() { head_ = size_ = 0; }
 
  private:
   [[nodiscard]] T& slot(std::size_t i) const {

@@ -111,7 +111,7 @@ Interconnect::SrlgId Interconnect::add_shared_risk_group(std::vector<SpineLinkId
   }
   for (const SpineLinkId id : links) static_cast<void>(at(id));  // validate
   const auto gid = static_cast<SrlgId>(srlgs_.size());
-  srlgs_.push_back(SharedRiskGroup{std::move(links), true});
+  srlgs_.push_back(SharedRiskGroup{std::move(links), true, {}});
   return gid;
 }
 

@@ -139,10 +139,17 @@ Packet Network::release_packet(std::uint32_t pkt_idx) {
 
 void Network::record_switched_bits(std::uint64_t bits) {
   // Dynamic switching energy is charged at the sending node's element
-  // (the source NIC for hop 0). Prune first: what remains lies within
-  // kPowerWindow of now, so the gap to the newest entry fits 32 bits.
+  // (the source NIC for hop 0). No prune per hop: after a gap past
+  // kPowerWindow every entry is older than any later query's cutoff,
+  // so the log clears at once (and a stored gap fits 32 bits); else it
+  // is pruned only when full, so it never outgrows the window's peak.
   const SimTime now = sim_->now();
-  prune_switched_bits();
+  if (now - switched_bits_back_ > kPowerWindow) {
+    switched_bits_log_.clear();
+    switched_bits_window_ = 0;
+  } else if (switched_bits_log_.size() == switched_bits_log_.capacity()) {
+    prune_switched_bits();
+  }
   if (switched_bits_log_.empty()) {
     switched_bits_front_ = now;
     switched_bits_back_ = now;
@@ -440,6 +447,7 @@ double Network::switch_power_watts() const {
   const double static_w = kPortStaticW * static_cast<double>(switching_port_count());
   // Dynamic: bits switched in the trailing kPowerWindow — the running
   // sum over the log once entries older than the window are pruned.
+  // Cutoffs only move forward, so pruning here alone is exact.
   prune_switched_bits();
   const auto bits_in_window = static_cast<double>(switched_bits_window_);
   const double dynamic_w = bits_in_window * kPjPerBit * 1e-12 / kPowerWindow.sec();

@@ -263,11 +263,13 @@ class Network {
 
   // Sliding window accounting for dynamic switch power: one 8-byte
   // entry per hop, {ps since the previous entry, bits switched},
-  // oldest first, plus the running sum over the log. Entries older than
-  // kPowerWindow are pruned on every push and query, so the sum is
-  // exactly the bits switched in the trailing window. After a prune the
-  // log spans at most kPowerWindow (< 2^32 ps), so a gap always fits
-  // 32 bits; a frame over 2^32 bits splits into entries at one time.
+  // oldest first, plus the running sum over the log. A push only
+  // appends; entries older than kPowerWindow leave at a query (so the
+  // sum there is exactly the bits switched in the trailing window),
+  // when the log is full, or all at once when a push comes more than
+  // kPowerWindow after the newest entry. So a gap never exceeds
+  // kPowerWindow (< 2^32 ps) and fits 32 bits; a frame over 2^32 bits
+  // splits into entries at one time.
   struct SwitchedBits {
     std::uint32_t dt_ps;
     std::uint32_t bits;

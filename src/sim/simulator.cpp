@@ -1,6 +1,5 @@
 #include "sim/simulator.hpp"
 
-#include <algorithm>
 #include <bit>
 #include <memory>
 #include <stdexcept>
@@ -75,88 +74,57 @@ bool Simulator::next_batch(SimTime until) {
   for (;;) {
     if (ring_count_ == 0 && !promote_tier2(until)) return false;
     // Sole-record fast path: with exactly one record in the ring it is
-    // the earliest by definition and the head (and only node) of its
-    // bucket — no scan, no walk.
+    // the earliest by definition and the head of its bucket — no scan.
+    std::size_t b;
     if (sole_ring_index_ != kNilIndex) {
-      const std::uint32_t index = sole_ring_index_;
-      sole_ring_index_ = kNilIndex;
-      const EventRecord& rec = records_[index];
-      const auto b =
-          static_cast<std::size_t>((rec.time.ps() - base_ps_) >> kBucketShift);
-      if (!rec.live) {
-        // A tombstone: reclaim it here and fall back around the loop.
-        heads_[b] = kNilIndex;
-        occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-        free_record_index(index);
-        ring_count_ = 0;
-        continue;
-      }
-      if (rec.time > until) {
-        sole_ring_index_ = index;  // still pending; keep the hint
-        return false;
-      }
-      heads_[b] = kNilIndex;
-      occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-      ring_count_ = 0;
-      batch_.clear();
-      batch_cursor_ = 0;
-      batch_.push_back(index);
-      now_ = rec.time;
-      batch_time_ = rec.time;
-      return true;
+      b = static_cast<std::size_t>((records_[sole_ring_index_].time.ps() - base_ps_) >>
+                                   kBucketShift);
+    } else {
+      std::size_t word = scan_word_;
+      while (occupied_[word] == 0) ++word;
+      scan_word_ = word;
+      b = (word << 6) + static_cast<std::size_t>(std::countr_zero(occupied_[word]));
     }
-    std::size_t word = scan_word_;
-    while (occupied_[word] == 0) ++word;
-    scan_word_ = word;
-    const std::size_t b =
-        (word << 6) + static_cast<std::size_t>(std::countr_zero(occupied_[word]));
-    std::size_t freed = 0;
-    const SimTime min_time = sweep_tombstones(heads_[b], freed);
-    ring_count_ -= freed;
-    if (heads_[b] == kNilIndex) {
+    // The bucket is sorted: past the tombstones at its head, the head is
+    // the minimum and the batch is its run of equal-time records
+    // (tombstones inside the run ride along; drain_one frees them).
+    std::uint32_t index = heads_[b];
+    while (index != kNilIndex && !records_[index].live) {
+      const std::uint32_t next = record_next_[index];
+      free_record_index(index);
+      --ring_count_;
+      index = next;
+    }
+    if (index == kNilIndex) {
+      heads_[b] = kNilIndex;
       occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
       continue;
     }
-    if (min_time > until) return false;
+    const SimTime time = records_[index].time;
+    if (time > until) {
+      heads_[b] = index;
+      return false;
+    }
     batch_.clear();
     batch_cursor_ = 0;
-    if (record_next_[heads_[b]] == kNilIndex) {
-      // Lone record in the bucket: it is the whole batch.
-      batch_.push_back(heads_[b]);
-      heads_[b] = kNilIndex;
-      occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+    do {
+      batch_.push_back(index);
       --ring_count_;
-      now_ = min_time;
-      batch_time_ = min_time;
-      return true;
-    }
-    // Extract every record at min_time into the batch (their slab
-    // indices; the records stay in place until drained).
-    std::uint32_t index = heads_[b];
-    std::uint32_t prev = kNilIndex;
-    while (index != kNilIndex) {
-      const std::uint32_t next = record_next_[index];
-      if (records_[index].time == min_time) {
-        batch_.push_back(index);
-        (prev == kNilIndex ? heads_[b] : record_next_[prev]) = next;
-        --ring_count_;
-      } else {
-        prev = index;
-      }
-      index = next;
-    }
-    if (heads_[b] == kNilIndex) {
-      occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
-    }
-    if (batch_.size() > 1) {
-      std::sort(batch_.begin(), batch_.end(), [this](std::uint32_t a, std::uint32_t c) {
-        return records_[a].seq < records_[c].seq;
-      });
-    }
-    now_ = min_time;
-    batch_time_ = min_time;
+      index = record_next_[index];
+    } while (index != kNilIndex && records_[index].time == time);
+    heads_[b] = index;
+    if (index == kNilIndex) occupied_[b >> 6] &= ~(std::uint64_t{1} << (b & 63));
+    now_ = time;
+    batch_time_ = time;
     return true;
   }
+}
+
+void Simulator::insert_before_tail(std::size_t b, std::uint32_t index) {
+  std::uint32_t* link = &heads_[b];
+  while (!fires_before(index, *link)) link = &record_next_[*link];
+  record_next_[index] = *link;
+  *link = index;
 }
 
 SimTime Simulator::sweep_tombstones(std::uint32_t& head, std::size_t& freed) {
@@ -318,7 +286,9 @@ SimTime Simulator::next_time() const {
   return best;
 }
 
-SimTime Simulator::first_live_time(const Buckets& heads, const Bitmap& occupied,
+template <std::size_t N>
+SimTime Simulator::first_live_time(const std::array<std::uint32_t, N>& heads,
+                                   const std::array<std::uint64_t, N / 64>& occupied,
                                    std::size_t word) const {
   // Earliest occupied bucket first. Buckets partition the level by
   // time, so the first bucket holding a live record contains the

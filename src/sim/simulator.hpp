@@ -14,14 +14,14 @@
 // constructing a Simulator allocates no records, steady-state
 // scheduling reuses slab slots, and no level ever copies a record:
 //
-//  - **Calendar ring.** 1024 buckets of 2^12 ps (~4 ns) cover a ~4.2 µs
-//    window starting at base_ps_; scheduling into the window is an
-//    index computation and a push onto that bucket's list.
-//  - **Tier 2.** 1024 buckets, each exactly one ring window (2^22 ps)
+//  - **Calendar ring.** 2048 buckets of 2^11 ps (~2 ns) cover a ~4.2 µs
+//    window from base_ps_. Each bucket is kept in (time, seq) order: a
+//    record not earlier than its tail (any same-instant or in-order
+//    schedule) appends in O(1); an earlier one walks to its place.
+//  - **Tier 2.** 1024 unsorted buckets, each one ring window (2^22 ps)
 //    wide, cover ~4.3 ms from base2_ps_. The ring window is always one
 //    tier-2 bucket, so when the ring drains the lowest occupied tier-2
-//    bucket is relinked into it whole: each event is promoted once, in
-//    O(1), and nothing is rescanned.
+//    bucket is relinked into it whole: each event is promoted once.
 //  - **Far list.** One unsorted list for everything beyond tier 2
 //    (watchdogs, far-future epochs). It is rescanned only when tier 2
 //    is empty, to re-anchor base2_ps_ at its minimum and distribute
@@ -34,12 +34,13 @@
 //  - **Liveness in the record.** EventId packs {slab index+1,
 //    generation}, so cancel() is a bounds check plus a live +
 //    generation compare on the record — no hashing, no side table. It
-//    leaves a tombstone, reclaimed when the queue next touches its
-//    bucket; freeing an index (drain or sweep) bumps its generation.
+//    leaves a tombstone, freed at its ring bucket's head or in a sweep
+//    of its tier-2 bucket or the far list; freeing bumps the generation.
 //    Cold-arm handlers wait in a small pool, indexed from the payload.
-//  - **Batch drain.** run_*() extracts every record sharing the
-//    earliest pending timestamp as one batch, sorts it by insertion
-//    sequence, advances the clock once, and fires the batch in order.
+//  - **Batch drain.** Once the tombstones at the earliest occupied
+//    ring bucket's head are freed, the head's run of equal-time records
+//    (in insertion-sequence order already) is the batch: the clock
+//    advances once and the batch fires in order, with no sort.
 //    Handlers scheduling at now() extend the drain with a follow-on
 //    batch at the same instant.
 //
@@ -136,18 +137,19 @@ class Simulator {
  private:
   friend struct SimulatorTestPeer;
 
-  // Calendar geometry: 1024 buckets of 2^12 ps give a ~4.2 us window,
+  // Calendar geometry: 2048 buckets of 2^11 ps give a ~4.2 us window,
   // matching the sub-us inter-event gaps of the packet paths. The ring
   // is a flat window [base_ps_, base_ps_ + kWindowPs) — it only
-  // re-anchors when empty, so buckets never wrap. Tier 2 repeats the
-  // shape one level up: 1024 buckets of one window each.
-  static constexpr int kBucketShift = 12;  // 2^12 ps ≈ 4 ns per bucket
-  static constexpr std::size_t kBucketCount = 1024;
-  static constexpr int kWindowShift = kBucketShift + 10;
+  // re-anchors when empty, so buckets never wrap. Tier 2 is 1024
+  // buckets of one window each.
+  static constexpr int kBucketShift = 11;  // 2^11 ps ≈ 2 ns per bucket
+  static constexpr std::size_t kRingBuckets = 2048;
+  static constexpr std::size_t kTier2Buckets = 1024;
+  static constexpr int kWindowShift = 22;
   static constexpr std::int64_t kWindowPs = std::int64_t{1} << kWindowShift;
   static constexpr std::int64_t kTier2SpanPs =
-      static_cast<std::int64_t>(kBucketCount) << kWindowShift;
-  static_assert(kWindowPs == static_cast<std::int64_t>(kBucketCount) << kBucketShift);
+      static_cast<std::int64_t>(kTier2Buckets) << kWindowShift;
+  static_assert(kWindowPs == static_cast<std::int64_t>(kRingBuckets) << kBucketShift);
 
   template <typename F>
   EventId schedule_arm(SimTime when, F&& f, bool weak) {
@@ -181,34 +183,44 @@ class Simulator {
   // not cost a cross-TU call.
   EventId schedule_cold(SimTime when, EventHandler handler, bool weak);
   EventRecord& acquire_record(SimTime when, bool weak);
-  /// Pushes slab record `index` onto its ring bucket; `rel` is its time
-  /// minus base_ps_, inside the window.
+  /// Links slab record `index` (time and seq set) into its ring bucket
+  /// in (time, seq) order; `rel` is its time minus base_ps_.
   void link_ring(std::uint32_t index, std::int64_t rel) {
     const auto b = static_cast<std::size_t>(rel >> kBucketShift);
-    record_next_[index] = heads_[b];
-    heads_[b] = index;
-    occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
-    if ((b >> 6) < scan_word_) scan_word_ = b >> 6;
+    if (heads_[b] != kNilIndex && fires_before(index, tails_[b])) {
+      insert_before_tail(b, index);
+    } else {
+      record_next_[index] = kNilIndex;
+      (heads_[b] == kNilIndex ? heads_[b] : record_next_[tails_[b]]) = index;
+      tails_[b] = index;
+      occupied_[b >> 6] |= std::uint64_t{1} << (b & 63);
+      if ((b >> 6) < scan_word_) scan_word_ = b >> 6;
+    }
     sole_ring_index_ = ring_count_ == 0 ? index : kNilIndex;
     ++ring_count_;
   }
+  bool fires_before(std::uint32_t a, std::uint32_t b) const {
+    const EventRecord &x = records_[a], &y = records_[b];
+    return x.time < y.time || (x.time == y.time && x.seq < y.seq);
+  }
+  /// Walks ring bucket `b` to the place of `index`, earlier than its tail.
+  void insert_before_tail(std::size_t b, std::uint32_t index);
   /// Pushes slab record `index`, due at `when` past the ring window,
   /// onto its tier-2 bucket or the far list.
   void link_beyond_ring(std::uint32_t index, SimTime when);
   [[noreturn]] static void throw_empty_handler();
   [[noreturn]] void throw_past_time(SimTime when) const;
 
-  using Buckets = std::array<std::uint32_t, kBucketCount>;
-  using Bitmap = std::array<std::uint64_t, kBucketCount / 64>;
-
   bool next_batch(SimTime until);
-  /// Unlinks and frees the tombstones of the list at `head`, counting
-  /// them into `freed`; returns the earliest live time left (infinity
-  /// when none is).
+  /// Unlinks and frees the tombstones of the unsorted list at `head`
+  /// (a tier-2 bucket or the far list), counting them into `freed`;
+  /// returns the earliest live time left (infinity when none is).
   SimTime sweep_tombstones(std::uint32_t& head, std::size_t& freed);
   bool promote_tier2(SimTime until);
   bool refill_tier2(SimTime until);
-  SimTime first_live_time(const Buckets& heads, const Bitmap& occupied,
+  template <std::size_t N>
+  SimTime first_live_time(const std::array<std::uint32_t, N>& heads,
+                          const std::array<std::uint64_t, N / 64>& occupied,
                           std::size_t word) const;
   std::size_t drain_one();
 
@@ -272,25 +284,26 @@ class Simulator {
   std::uint32_t record_capacity_ = 0;
   std::vector<std::uint32_t> record_next_;
   std::uint32_t record_free_ = kNilIndex;  // head of the free list
-  Buckets heads_;
+  std::array<std::uint32_t, kRingBuckets> heads_, tails_;  // tail read only if non-empty
   // One bit per non-empty bucket; the next candidate bucket is the
-  // lowest set bit (buckets below it were swept empty). scan_word_ is
+  // lowest set bit (buckets below it were drained). scan_word_ is
   // a lower bound on the first non-zero word: every word below it is
   // zero. Scans advance it past zeros; inserts pull it back down.
-  Bitmap occupied_{};
+  std::array<std::uint64_t, kRingBuckets / 64> occupied_{};
   std::size_t scan_word_ = 0;
   std::int64_t base_ps_ = 0;        // ring window origin, a tier-2 bucket start
   std::size_t ring_count_ = 0;      // records (live + tombstone) in the ring
-  // When ring_count_ == 1, the slab index of that one record (else
-  // kNilIndex). Chained workloads — one pending event at a time —
-  // spend their whole life in this state, and next_batch() then skips
-  // the bitmap scan and bucket walk outright.
+  // While ring_count_ == 1, the slab index of that one record, or
+  // kNilIndex if others have left (read only while the ring is not
+  // empty). Chained workloads — one pending event at a time — spend
+  // their whole life in this state, and next_batch() then skips the
+  // bitmap scan outright.
   std::uint32_t sole_ring_index_ = kNilIndex;
 
   // Tier 2: window-wide buckets over [base2_ps_, base2_ps_ +
   // kTier2SpanPs); every occupied one lies later than the ring window.
-  Buckets heads2_;
-  Bitmap occupied2_{};
+  std::array<std::uint32_t, kTier2Buckets> heads2_;
+  std::array<std::uint64_t, kTier2Buckets / 64> occupied2_{};
   std::int64_t base2_ps_ = 0;       // tier-2 origin, window-aligned
   std::size_t tier2_count_ = 0;     // records (live + tombstone) in tier 2
   // The far list, past tier 2. far_min_ is a lower bound on its
@@ -312,17 +325,17 @@ inline EventRecord& Simulator::acquire_record(SimTime when, bool weak) {
   if (when < now_) throw_past_time(when);
   ++(weak ? weak_count_ : strong_count_);
   const std::uint32_t index = claim_record_index();
+  EventRecord& rec = records_[index];
+  rec.time = when;
+  rec.seq = next_seq_++;
+  rec.live = true;
+  rec.weak = weak;
   const std::int64_t rel = when.ps() - base_ps_;
   if (rel < kWindowPs) {
     link_ring(index, rel);
   } else {
     link_beyond_ring(index, when);
   }
-  EventRecord& rec = records_[index];
-  rec.time = when;
-  rec.seq = next_seq_++;
-  rec.live = true;
-  rec.weak = weak;
   return rec;
 }
 

@@ -1,6 +1,7 @@
 // core::ChunkedRing against a std::deque reference: FIFO order and
 // random access across wrap-around, growth while wrapped (the chunk
-// insertion that moves the newest elements), and slot reuse once warm.
+// insertion that moves the newest elements), slot reuse once warm, and
+// clear() keeping its chunks.
 #include "core/chunked_ring.hpp"
 
 #include <gtest/gtest.h>
@@ -87,6 +88,33 @@ TEST(ChunkedRing, SteadyWindowStopsGrowing) {
   EXPECT_EQ(ring.size(), 10u);
   EXPECT_EQ(ring.front(), 9'990u);
   EXPECT_EQ(ring[9], 9'999u);
+}
+
+TEST(ChunkedRing, ClearEmptiesAndKeepsItsChunks) {
+  SmallRing ring;
+  std::deque<std::uint64_t> ref;
+  // Wrapped first: the head sits mid-chunk when the ring is cleared.
+  for (std::uint64_t v = 0; v < 10; ++v) ring.push_back(v);
+  for (int i = 0; i < 3; ++i) ring.pop_front();
+  const std::size_t held = ring.capacity();
+  ring.clear();
+  expect_same(ring, ref, 0);
+  EXPECT_EQ(ring.capacity(), held);
+  // Refilled to capacity it reuses every slot in FIFO order; one more
+  // push grows it by a chunk.
+  for (std::uint64_t v = 100; v < 100 + held; ++v) {
+    ring.push_back(v);
+    ref.push_back(v);
+  }
+  expect_same(ring, ref, 1);
+  EXPECT_EQ(ring.capacity(), held);
+  ring.push_back(999);
+  ref.push_back(999);
+  expect_same(ring, ref, 2);
+  EXPECT_EQ(ring.capacity(), held + SmallRing::kChunk);
+  ring.clear();
+  ring.clear();  // clearing an empty ring is a no-op
+  EXPECT_TRUE(ring.empty());
 }
 
 }  // namespace

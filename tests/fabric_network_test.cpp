@@ -567,7 +567,10 @@ TEST_F(NetFixture, SwitchPowerMatchesBruteForceWindowSum) {
   // against a brute-force sum over every recorded hop. The trace
   // covers queries before 1 ms, several hops at one instant, idle gaps
   // past the window and past 2^32 ps, probes over 2^32 bits, and
-  // queries exactly on the window edge and 1 ps past it.
+  // queries exactly on the window edge and 1 ps past it, then a
+  // query-free stretch of several windows while hops go on (the log
+  // then prunes only when full) and idle gaps past 2^32 ps with the log
+  // still holding entries.
   for (std::size_t c = 0; c < rack.plant->cable_count(); ++c) {
     rack.plant->set_cable_ber(static_cast<phy::CableId>(c), 0.0);  // no loss, no resend
   }
@@ -603,6 +606,12 @@ TEST_F(NetFixture, SwitchPowerMatchesBruteForceWindowSum) {
                            window - SimTime::picoseconds(1), window}) {
     sim.schedule_at(at, query);
   }
+  const auto send_at = [&](SimTime at, phy::NodeId a, phy::NodeId b, DataSize size) {
+    sim.schedule_at(at, [&, a, b, size] {
+      rack.network->send_probe(a, b, size, nullptr);
+      hops.push_back({sim.now() + kNicLatency, static_cast<std::uint64_t>(size.bit_count())});
+    });
+  };
   bool huge_sent = false;
   for (int step = 0; step < 400; ++step) {
     // The first steps stay short, so they (and the first huge probe)
@@ -630,12 +639,9 @@ TEST_F(NetFixture, SwitchPowerMatchesBruteForceWindowSum) {
       huge_sent = huge_sent || huge;
       const DataSize size =
           huge ? DataSize::bytes(600'000'000) : DataSize::bytes(rng.uniform_int(64, 9'000));
-      sim.schedule_at(t, [&, a = a, b = b, size] {
-        rack.network->send_probe(a, b, size, nullptr);
-        hops.push_back({sim.now() + kNicLatency, static_cast<std::uint64_t>(size.bit_count())});
-      });
-      // Queries prune the log too, so some hops go unqueried: a push
-      // after a long idle gap must then prune a stale log itself.
+      send_at(t, a, b, size);
+      // Some hops go unqueried: a push after a long idle gap must
+      // then clear a stale log itself.
       if (rng.bernoulli(0.5)) {
         const SimTime recorded = t + kNicLatency;
         sim.schedule_at(recorded + window, query);                           // on the edge
@@ -646,7 +652,40 @@ TEST_F(NetFixture, SwitchPowerMatchesBruteForceWindowSum) {
       sim.schedule_at(t + SimTime::picoseconds(rng.uniform_int(0, 2'000'000'000)), query);
     }
   }
+  // The stretch starts past every query scheduled above and sends a
+  // probe every 0.1-0.4 us for 3.5 windows: thousands of entries per
+  // window, none pruned by a query.
+  t = t + SimTime::milliseconds(3);
+  const SimTime stretch_end = t + SimTime::microseconds(3500);
+  std::size_t stretch_sends = 0;
+  while (t < stretch_end) {
+    t = t + SimTime::picoseconds(rng.uniform_int(100'000, 400'000));
+    const auto& [a, b] = pairs[rng.uniform_int(0, 3)];
+    send_at(t, a, b, DataSize::bytes(rng.uniform_int(64, 1'500)));
+    ++stretch_sends;
+  }
+  // Queries inside and past an idle gap over 2^32 ps that follows the
+  // stretch with its last window still logged.
+  const SimTime last = t + kNicLatency;
+  for (const SimTime at : {last + SimTime::picoseconds(1), last + window,
+                           last + window + SimTime::picoseconds(1),
+                           last + SimTime::picoseconds((std::int64_t{1} << 32) + 1)}) {
+    sim.schedule_at(at, query);
+  }
+  // One more short stretch, then an idle gap over 2^32 ps with no
+  // query in it: the next push finds every entry stale.
+  t = last + SimTime::picoseconds((std::int64_t{1} << 32) + 2);
+  for (int i = 0; i < 50; ++i, t = t + SimTime::nanoseconds(500)) {
+    send_at(t, 5, 6, DataSize::bytes(1'000));
+  }
+  t = t + SimTime::picoseconds((std::int64_t{1} << 32) + 3);
+  send_at(t, 10, 14, DataSize::bytes(2'000));
+  for (const SimTime at : {t, t + kNicLatency + SimTime::picoseconds(1), t + window,
+                           t + kNicLatency + window + SimTime::picoseconds(1)}) {
+    sim.schedule_at(at, query);
+  }
   sim.run_until();
+  EXPECT_GT(stretch_sends, 8'000u);
   EXPECT_TRUE(huge_sent);
   EXPECT_GT(queries, 500);
   EXPECT_EQ(rack.network->counters().get("net.packets_delivered"), hops.size());

@@ -125,8 +125,8 @@ TEST(Topology, BuilderValidation) {
 TEST(Topology, NodeAtBoundsChecked) {
   Simulator sim;
   Rack rack = build_grid(&sim, RackParams{});
-  EXPECT_THROW(rack.node_at(-1, 0), std::out_of_range);
-  EXPECT_THROW(rack.node_at(4, 0), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(rack.node_at(-1, 0)), std::out_of_range);
+  EXPECT_THROW(static_cast<void>(rack.node_at(4, 0)), std::out_of_range);
 }
 
 TEST(Topology, DarkLanesStayFree) {

@@ -31,6 +31,7 @@ struct SimulatorTestPeer {
   // The calendar geometry, for tests that aim at level boundaries.
   static constexpr std::int64_t kWindowPs = Simulator::kWindowPs;
   static constexpr std::int64_t kTier2SpanPs = Simulator::kTier2SpanPs;
+  static constexpr std::int64_t kBucketPs = std::int64_t{1} << Simulator::kBucketShift;
   /// The re-anchor rule: tier 2's base, then the ring's, at or before
   /// the clock.
   static bool bases_behind_clock(const Simulator& sim) {
@@ -544,10 +545,84 @@ TEST(Simulator, CancellingEveryFarEventLeavesTheKernelIdleAndReusable) {
   EXPECT_EQ(at, (std::vector<SimTime>{1_ns, 100_us, 5_ms, 10_ms}));
 }
 
+// One ring bucket, filled out of time order: the bucket keeps (time,
+// seq) order, so every record earlier than the tail finds its place.
+TEST(Simulator, OneRingBucketFiresOutOfOrderSchedulesInTimeOrder) {
+  constexpr std::int64_t kB = SimulatorTestPeer::kBucketPs;
+  static_assert(kB > 1500);
+  Simulator sim;
+  std::vector<std::pair<std::int64_t, int>> fired;
+  int tag = 0;
+  // Head, middle and tail insertions, and a tie behind an earlier seq.
+  for (const std::int64_t ps : {std::int64_t{900}, std::int64_t{1500}, std::int64_t{200},
+                                kB - 1, std::int64_t{900}, std::int64_t{0}, std::int64_t{1200},
+                                std::int64_t{200}}) {
+    const int t = tag++;
+    sim.schedule_at(SimTime::picoseconds(ps), [&, t] { fired.emplace_back(sim.now().ps(), t); });
+  }
+  EXPECT_EQ(sim.run_until(), 8u);
+  const std::vector<std::pair<std::int64_t, int>> expected = {
+      {0, 5}, {200, 2}, {200, 7}, {900, 0}, {900, 4}, {1200, 6}, {1500, 1}, {kB - 1, 3}};
+  EXPECT_EQ(fired, expected);
+}
+
+// Records promoted from tier 2 keep their older seq: at one instant
+// they fire before a record scheduled into the ring after the
+// promotion, and the tier-2 list's reverse order does not leak.
+TEST(Simulator, PromotedRecordsKeepTheirSeqInARingBucket) {
+  constexpr std::int64_t kW = SimulatorTestPeer::kWindowPs;
+  Simulator sim;
+  std::vector<int> order;
+  const SimTime t = SimTime::picoseconds(kW + 100);
+  sim.schedule_at(SimTime::picoseconds(kW + 10), [&] {
+    order.push_back(0);
+    // The bucket now holds the promoted records; these come later.
+    sim.schedule_at(t, [&] { order.push_back(4); });
+    sim.schedule_at(t - SimTime::picoseconds(50), [&] { order.push_back(1); });
+  });
+  for (int i = 0; i < 3; ++i) sim.schedule_at(t, [&order, i] { order.push_back(10 + i); });
+  sim.schedule_at(t + SimTime::picoseconds(50), [&] { order.push_back(5); });
+  EXPECT_EQ(sim.run_until(), 7u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 10, 11, 12, 4, 5}));
+}
+
+// Tombstones at a ring bucket's head, in its middle (inside an
+// equal-time run, too) and at its tail: none fires, none moves the
+// clock, and a record scheduled behind them still lands in order.
+TEST(Simulator, TombstonesAnywhereInARingBucketNeitherFireNorMoveTheClock) {
+  Simulator sim;
+  std::vector<std::pair<std::int64_t, int>> fired;
+  std::vector<EventId> ids;
+  for (const std::int64_t ps : {100, 200, 300, 300, 300, 400, 500}) {
+    const int t = static_cast<int>(ids.size());
+    ids.push_back(sim.schedule_at(SimTime::picoseconds(ps),
+                                  [&, t] { fired.emplace_back(sim.now().ps(), t); }));
+  }
+  EXPECT_TRUE(sim.cancel(ids[0]));  // head
+  EXPECT_TRUE(sim.cancel(ids[3]));  // middle of the 300 ps run
+  EXPECT_TRUE(sim.cancel(ids[6]));  // tail
+  sim.schedule_at(SimTime::picoseconds(450), [&] { fired.emplace_back(sim.now().ps(), 7); });
+  EXPECT_EQ(sim.next_time(), SimTime::picoseconds(200));
+  // A horizon past the head tombstone but short of the first live
+  // record: nothing fires and the clock stays put.
+  EXPECT_EQ(sim.run_until(SimTime::picoseconds(150)), 0u);
+  EXPECT_EQ(sim.now(), SimTime::zero());
+  EXPECT_EQ(sim.run_until(SimTime::picoseconds(300)), 3u);
+  EXPECT_EQ(sim.now(), SimTime::picoseconds(300));
+  EXPECT_EQ(sim.run_until(), 2u);
+  const std::vector<std::pair<std::int64_t, int>> expected = {
+      {200, 1}, {300, 2}, {300, 4}, {400, 5}, {450, 7}};
+  EXPECT_EQ(fired, expected);
+  EXPECT_EQ(sim.now(), SimTime::picoseconds(450));
+  EXPECT_EQ(sim.pending(), 0u);
+  EXPECT_EQ(sim.next_time(), SimTime::infinity());
+}
+
 // Randomized oracle: the calendar kernel against a straightforward
 // sorted-reference kernel, over a seeded op mix of schedules (same
-// instant, in the ring, in tier 2, on the far list, weak), cancels
-// (live and stale), and bounded runs. Execution order, cancel results,
+// instant, in the ring, in tier 2, on the far list, weak; or all
+// within one ring bucket of now), cancels (live and stale), and
+// bounded runs. Execution order, cancel results,
 // clocks, the next_time() peek and the executed counter must agree
 // exactly.
 struct RefEvent {
@@ -609,6 +684,7 @@ struct OracleMix {
   std::uint32_t schedule_pct;  // share of ops that schedule
   std::uint32_t cancel_pct;    // share that cancel; the rest run
   bool far_heavy;              // draw delays from the beyond-ring set only
+  std::int64_t dense_ps;       // when non-zero: every delay and horizon below this
 };
 
 void run_oracle(std::uint64_t seed, const OracleMix& mix) {
@@ -645,7 +721,9 @@ void run_oracle(std::uint64_t seed, const OracleMix& mix) {
       const std::size_t d = mix.far_heavy
                                 ? kFirstBeyondRing + rand_u32() % (kDelayCount - kFirstBeyondRing)
                                 : rand_u32() % kDelayCount;
-      const SimTime when = sim.now() + SimTime::picoseconds(kDelaysPs[d]);
+      const std::int64_t delay =
+          mix.dense_ps != 0 ? static_cast<std::int64_t>(rand_u32()) % mix.dense_ps : kDelaysPs[d];
+      const SimTime when = sim.now() + SimTime::picoseconds(delay);
       const bool weak = rand_u32() % 4 == 0;
       const int tag = next_tag++;
       EventId id;
@@ -669,7 +747,9 @@ void run_oracle(std::uint64_t seed, const OracleMix& mix) {
       // Horizons from within the ring to well past the far list.
       static constexpr std::int64_t kHorizonPs[] = {20'000'000, 10'000'000'000,
                                                     2'000'000'000'000};
-      const std::int64_t h = kHorizonPs[rand_u32() % 3];
+      // A dense mix advances a quarter bucket at most per run, so about
+      // two dozen records stay pending within a bucket or two.
+      const std::int64_t h = mix.dense_ps != 0 ? mix.dense_ps / 4 : kHorizonPs[rand_u32() % 3];
       const SimTime until = sim.now() + SimTime::picoseconds(
                                             static_cast<std::int64_t>(rand_u32()) % h);
       expect_peek_agrees(round);
@@ -690,8 +770,11 @@ void run_oracle(std::uint64_t seed, const OracleMix& mix) {
 
 TEST(Simulator, RandomizedOracleAgainstSortedReference) {
   static constexpr OracleMix kMixes[] = {
-      {"balanced", 60, 20, false},
-      {"far-and-cancel-heavy", 45, 40, true},
+      {"balanced", 60, 20, false, 0},
+      {"far-and-cancel-heavy", 45, 40, true, 0},
+      // Many records in one 2 ns ring bucket, out of order, with
+      // cancels: bucket order, head tombstones and equal-time runs.
+      {"dense-bucket", 65, 25, false, SimulatorTestPeer::kBucketPs},
   };
   for (const OracleMix& mix : kMixes) {
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {

@@ -37,11 +37,11 @@ TEST(SlotCalendar, PeriodicMaskShapesAndShapeValidation) {
   EXPECT_EQ(SlotCalendar::periodic_mask(2, 1), odd);
   // The pattern must tile the frame exactly: a period that does not
   // divide it, and offsets outside [0, period), are caller bugs.
-  EXPECT_THROW(SlotCalendar::periodic_mask(3, 0), std::invalid_argument);
-  EXPECT_THROW(SlotCalendar::periodic_mask(0, 0), std::invalid_argument);
-  EXPECT_THROW(SlotCalendar::periodic_mask(128, 0), std::invalid_argument);
-  EXPECT_THROW(SlotCalendar::periodic_mask(2, 2), std::invalid_argument);
-  EXPECT_THROW(SlotCalendar::periodic_mask(2, -1), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(SlotCalendar::periodic_mask(3, 0)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(SlotCalendar::periodic_mask(0, 0)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(SlotCalendar::periodic_mask(128, 0)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(SlotCalendar::periodic_mask(2, 2)), std::invalid_argument);
+  EXPECT_THROW(static_cast<void>(SlotCalendar::periodic_mask(2, -1)), std::invalid_argument);
 
   SlotCalendar cal;
   EXPECT_THROW(static_cast<void>(cal.propose({1}, 3, 1)), std::invalid_argument);

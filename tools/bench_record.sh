@@ -121,9 +121,9 @@ fi
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
-# The kernel's deep-queue benchmarks ride along with the headline three:
-# they are where an event-kernel change shows.
-MICRO_FILTER='BM_SimulatorSelfRescheduling$|BM_SimulatorFarFuture$|BM_SimulatorDeepQueue$|BM_PacketTransportOneFlow$'
+# The kernel's deep-queue and same-instant benchmarks ride along with
+# the headline three: they are where an event-kernel change shows.
+MICRO_FILTER='BM_SimulatorSelfRescheduling$|BM_SimulatorFarFuture$|BM_SimulatorDeepQueue$|BM_SimulatorSameInstantBurst$|BM_PacketTransportOneFlow$'
 
 echo "recording: $REPS interleaved repetitions, min_time=${MIN_TIME}s" >&2
 for rep in $(seq 1 "$REPS"); do
@@ -148,7 +148,8 @@ import glob, json, os, statistics, sys
 
 tmp, out, pr, commit, reps, min_time, baseline, layer = sys.argv[1:9]
 MICRO = ("BM_SimulatorSelfRescheduling", "BM_SimulatorFarFuture",
-         "BM_SimulatorDeepQueue", "BM_PacketTransportOneFlow")
+         "BM_SimulatorDeepQueue", "BM_SimulatorSameInstantBurst",
+         "BM_PacketTransportOneFlow")
 
 def samples(pattern, name, field, required=True):
     vals = []
