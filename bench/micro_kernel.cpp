@@ -285,6 +285,40 @@ void BM_PacketTransportOneFlow(benchmark::State& state) {
 }
 BENCHMARK(BM_PacketTransportOneFlow);
 
+void BM_PacketTransportManyInFlight(benchmark::State& state) {
+  // The deep in-flight regime of a rack under heavy load (fig2 runs
+  // thousands of concurrent flows): 6,250 flows of one window each,
+  // all started at once on a 6x6 grid, hold 10^5 packets in flight,
+  // so per-packet state no longer fits in cache. items/s is simulator
+  // events per second.
+  constexpr int kFlows = 6'250;
+  std::uint64_t events = 0;
+  std::size_t in_flight = 0;
+  for (auto _ : state) {
+    runtime::RuntimeConfig cfg;
+    cfg.rack.width = 6;
+    cfg.rack.height = 6;
+    cfg.enable_crc = false;
+    runtime::FabricRuntime rt(cfg);
+    const int nodes = cfg.rack.width * cfg.rack.height;
+    for (int i = 0; i < kFlows; ++i) {
+      fabric::FlowSpec spec;
+      spec.id = static_cast<fabric::FlowId>(i + 1);
+      spec.src = static_cast<phy::NodeId>(i % nodes);
+      spec.dst = static_cast<phy::NodeId>((i + 1 + i / nodes % (nodes - 1)) % nodes);
+      spec.size = phy::DataSize::bytes(1024 * fabric::kFlowWindow);
+      rt.network().start_flow(spec, nullptr);
+    }
+    rt.run_until();
+    benchmark::DoNotOptimize(rt.network().flows_completed());
+    events += rt.sim().executed();
+    in_flight = rt.network().packet_slots();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(events));
+  state.counters["peak_in_flight"] = static_cast<double>(in_flight);
+}
+BENCHMARK(BM_PacketTransportManyInFlight)->Unit(benchmark::kMillisecond);
+
 }  // namespace
 
 BENCHMARK_MAIN();

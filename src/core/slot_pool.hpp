@@ -169,6 +169,18 @@ class SlotPool {
   [[nodiscard]] T& operator[](std::uint32_t index) { return slots_[index]; }
   [[nodiscard]] const T& operator[](std::uint32_t index) const { return slots_[index]; }
 
+  /// Hint that slot `index` and its liveness entry will be read soon:
+  /// a caller that knows ahead of time starts the cache misses early.
+  /// The slot's first and last bytes are both fetched, so a slot of up
+  /// to one cache line is covered where it straddles two. No effect on
+  /// the pool's state.
+  void prefetch(std::uint32_t index) const {
+    const auto* slot = reinterpret_cast<const char*>(&slots_[index]);
+    __builtin_prefetch(slot);
+    __builtin_prefetch(slot + sizeof(T) - 1);
+    __builtin_prefetch(&meta_[index]);
+  }
+
   /// Whether the slot at `index` is currently claimed (pool-iteration
   /// sites skip free slots).
   [[nodiscard]] bool live(std::uint32_t index) const { return meta_[index].live; }

@@ -61,7 +61,7 @@ void Network::start_flow(const FlowSpec& spec, FlowCallback on_complete) {
   flow.on_complete = std::move(on_complete);
   flow.packets_total = static_cast<std::uint64_t>(spec.size.packet_count(spec.packet_size));
   flow_index_.emplace(spec.id, idx);
-  counters_.add("net.flows_started");
+  bump(flows_started_);
   // A start time already in the past means "now". The start event can
   // outlive the slot (a zero-packet flow drains and recycles before a
   // deferred start fires), so it carries the claim generation and
@@ -75,7 +75,7 @@ void Network::start_flow(const FlowSpec& spec, FlowCallback on_complete) {
 }
 
 void Network::pump_flow(std::uint32_t flow_idx) {
-  // Index, not reference: inject() only schedules (no synchronous
+  // Index, not reference: enter_at_source() only schedules (no synchronous
   // re-entry), but flows_ may have grown between packets.
   while (true) {
     FlowState& flow = flows_[flow_idx];
@@ -87,11 +87,19 @@ void Network::pump_flow(std::uint32_t flow_idx) {
     pkt.flow_idx = flow_idx;
     pkt.flow_gen = flows_.generation(flow_idx);
     pkt.src = flow.spec.src;
-    pkt.dst = flow.spec.dst;
     pkt.size = flow.spec.size.packet_at(static_cast<std::int64_t>(flow.next_seq++),
                                         flow.spec.packet_size);
+    pkt.injected = sim_->now();
+    const auto bits = std::min<std::int64_t>(pkt.size.bit_count(), HopState::kInSlot);
     ++flow.inflight;
-    inject(pkt_idx, sim_->now());
+    ++injected_slot_;
+    enter_at_source({.pkt = pkt_idx,
+                     .node = pkt.src,
+                     .dst = flow.spec.dst,
+                     .hops = 0,
+                     .bits = static_cast<std::uint32_t>(bits),
+                     .tail_ps = 0},
+                    pkt.injected + kNicLatency);
   }
 }
 
@@ -113,19 +121,10 @@ void Network::send_probe(phy::NodeId src, phy::NodeId dst, phy::DataSize size, F
   pump_flow(idx);
 }
 
-void Network::inject(std::uint32_t pkt_idx, SimTime when) {
-  Packet& pkt = packets_[pkt_idx];
-  pkt.injected = when;
-  pkt.hops = 0;
-  ++injected_slot_;
-  // The whole packet sits in host memory: head and tail both available.
-  enter_at_source(pkt_idx, when + kNicLatency);
-}
-
-void Network::enter_at_source(std::uint32_t pkt_idx, SimTime ready) {
-  const auto first_hop = [this, pkt_idx, src = packets_[pkt_idx].src, ready] {
-    hop(pkt_idx, src, ready, ready);
-  };
+void Network::enter_at_source(const HopState& st, SimTime ready) {
+  // The whole packet sits in host memory: head and tail both available
+  // at the event time (st.tail_ps is 0).
+  const auto first_hop = [this, st] { hop(st, sim_->now()); };
   static_assert(sim::is_inline_event_v<decltype(first_hop)>,
                 "the per-packet inject must stay on the inline event arm");
   sim_->schedule_at(ready, first_hop);
@@ -175,69 +174,80 @@ void Network::prune_switched_bits() const {
   }
 }
 
-void Network::hop(std::uint32_t pkt_idx, phy::NodeId node, SimTime head_ready,
-                  SimTime tail_ready) {
-  // Valid through this hop: nothing here claims a packet slot, and
-  // every path that releases one returns at once.
-  Packet& pkt = packets_[pkt_idx];
-  if (node == pkt.dst) {
-    deliver(pkt_idx, tail_ready + kNicLatency);
+void Network::hop(const HopState& st, SimTime head_ready) {
+  // Everything read here rides in the event; the packet's slot is read
+  // only when a circuit may claim the flow, on the rare paths, and for
+  // a frame or tail gap past 32 bits.
+  const SimTime now = sim_->now();
+  const SimTime tail_ready = st.tail_ps == HopState::kInSlot
+                                 ? packets_[st.pkt].tail
+                                 : now + SimTime::picoseconds(st.tail_ps);
+  if (st.node == st.dst) {
+    // The NIC hands the packet up kNicLatency after its tail: start
+    // pulling the slot in now, for the finalize event to read.
+    packets_.prefetch(st.pkt);
+    const auto finalize = [this, pkt_idx = st.pkt, hops = st.hops] { deliver(pkt_idx, hops); };
+    static_assert(sim::is_inline_event_v<decltype(finalize)>,
+                  "the per-packet delivery must stay on the inline event arm");
+    sim_->schedule_at(tail_ready + kNicLatency, finalize);
     return;
   }
-  if (pkt.hops >= kMaxHops) {
+  if (st.hops >= static_cast<std::uint32_t>(kMaxHops)) {
     // Routing-loop backstop: retransmit from the source rather than
     // orbit (stale tables self-correct within a version bump).
-    retransmit(pkt_idx);
+    retransmit(st);
     return;
   }
   // A flow that owns a reserved circuit from here toward its
   // destination takes it unconditionally (the CRC built it for us).
   std::optional<phy::LinkId> link_opt;
-  const FlowState* owner = plant_->reserved_link_count() != 0 ? live_flow(pkt) : nullptr;
+  const FlowState* owner =
+      plant_->reserved_link_count() != 0 ? live_flow(packets_[st.pkt]) : nullptr;
   if (owner != nullptr && owner->spec.id != kNoFlow) {
-    for (phy::LinkId id : topo_->links_at(node)) {
+    for (phy::LinkId id : topo_->links_at(st.node)) {
       if (!topo_->usable(id)) continue;
       const phy::LogicalLink& l = plant_->link(id);
-      if (l.reserved_for() == owner->spec.id && l.other_end(node) == pkt.dst) {
+      if (l.reserved_for() == owner->spec.id && l.other_end(st.node) == st.dst) {
         link_opt = id;
         break;
       }
     }
   }
-  if (!link_opt) link_opt = router_->next_hop(node, pkt.dst);
+  if (!link_opt) link_opt = router_->next_hop(st.node, st.dst);
   if (!link_opt) {
     // No usable path right now (e.g. mid-reconfiguration): retry from
     // here with exponential backoff, bounded by the retry budget. The
     // backoff matters during large reconfigurations (a grid -> torus
     // move keeps links retraining for hundreds of microseconds).
+    Packet& pkt = packets_[st.pkt];
     if (pkt.retries < kMaxRetries) {
       const int shift = std::min(pkt.retries, 6);
       const SimTime wait = kRetryDelay * (std::int64_t{1} << shift);
       ++pkt.retries;
       bump(reroute_waits_);
-      const auto retry_here = [this, pkt_idx, node] {
-        const SimTime t = sim_->now();
-        hop(pkt_idx, node, t, t);
-      };
+      HopState here = st;
+      here.tail_ps = 0;  // head and tail both wait here
+      const auto retry_here = [this, here] { hop(here, sim_->now()); };
       static_assert(sim::is_inline_event_v<decltype(retry_here)>,
                     "the no-route retry must stay on the inline event arm");
       sim_->schedule_after(wait, retry_here);
     } else {
-      drop(pkt_idx, no_route_drops_);
+      drop(st, no_route_drops_);
     }
     return;
   }
   const phy::LinkId link = *link_opt;
   const phy::LogicalLink& l = plant_->link(link);
-  const phy::NodeId next = l.other_end(node);
+  const phy::DataSize size = st.bits == HopState::kInSlot ? packets_[st.pkt].size
+                                                          : phy::DataSize::bits(st.bits);
   // PLP #5 bit accounting: O(1), folded into the lanes on read. It
   // hands back the link's frame-cost row, which carries the frame's
   // timing and its loss probability (the analytic FEC model).
-  const phy::FrameCost& cost = plant_->account_frame(link, pkt.size, kHeader);
+  const phy::FrameCost& cost = plant_->account_frame(link, size, kHeader);
   const SimTime ser = cost.serialization;
 
   LinkRow& row = row_at(link);
-  SimTime& busy_until = row.busy_until[l.end_a() == node ? 0 : 1];
+  SimTime& busy_until = row.busy_until[l.end_a() == st.node ? 0 : 1];
   // Start rule: head available (head_ready already includes the
   // switch/NIC pipeline), port free, and the no-underrun constraint
   // (transmission may not finish before the tail has arrived here).
@@ -250,19 +260,21 @@ void Network::hop(std::uint32_t pkt_idx, phy::NodeId node, SimTime head_ready,
   use.queue_delay_sum += start - std::max(head_ready, tail_ready - ser);
   ++use.queue_delay_samples;
   ++use.packets;
-  use.bits += static_cast<std::uint64_t>(pkt.size.bit_count());
+  use.bits += static_cast<std::uint64_t>(size.bit_count());
 
-  record_switched_bits(static_cast<std::uint64_t>(pkt.size.bit_count()));
+  record_switched_bits(static_cast<std::uint64_t>(size.bit_count()));
 
   const bool lost = cost.loss > 0.0 && rng_.bernoulli(cost.loss);
 
   const SimTime head_arrival = start + cost.header_serialization + cost.transit;
   const SimTime tail_arrival = start + ser + cost.transit;
-  ++pkt.hops;
+  const std::uint32_t hops = st.hops + 1;
 
   if (lost) {
     bump(frames_corrupted_);
-    const auto lost_frame = [this, pkt_idx] { retransmit(pkt_idx); };
+    HopState at_far_end = st;
+    at_far_end.hops = hops;
+    const auto lost_frame = [this, at_far_end] { retransmit(at_far_end); };
     static_assert(sim::is_inline_event_v<decltype(lost_frame)>,
                   "the FEC-loss retransmit must stay on the inline event arm");
     sim_->schedule_at(tail_arrival, lost_frame);
@@ -271,52 +283,55 @@ void Network::hop(std::uint32_t pkt_idx, phy::NodeId node, SimTime head_ready,
   // Cut-through forwards once the head has cleared the switch
   // pipeline; store-and-forward must buffer the whole packet first.
   const SimTime basis = config_.cut_through ? head_arrival : tail_arrival;
-  const SimTime next_head_ready = basis + kSwitchLatency;
+  auto tail_ps = static_cast<std::uint64_t>((tail_arrival - basis).ps());
+  if (tail_ps >= HopState::kInSlot) {
+    packets_[st.pkt].tail = tail_arrival;
+    tail_ps = HopState::kInSlot;
+  }
   // One event per hop, fired when the packet becomes actionable at the
-  // next element.
-  const auto continue_hop = [this, pkt_idx, next, next_head_ready, tail_arrival] {
-    hop(pkt_idx, next, next_head_ready, tail_arrival);
-  };
+  // next element: its head is ready kSwitchLatency later. Built field
+  // by field: `st` may lie in the firing event's fresh copy, where a
+  // whole-struct load straddling two of its stores would stall.
+  const HopState next{.pkt = st.pkt,
+                      .node = l.other_end(st.node),
+                      .dst = st.dst,
+                      .hops = hops,
+                      .bits = st.bits,
+                      .tail_ps = static_cast<std::uint32_t>(tail_ps)};
+  const auto continue_hop = [this, next] { hop(next, sim_->now() + kSwitchLatency); };
   static_assert(sim::is_inline_event_v<decltype(continue_hop)>,
                 "the per-hop continuation sizes kInlineEventBytes; growing it off "
                 "the inline arm would put an allocation on every simulated hop");
   sim_->schedule_at(basis, continue_hop);
 }
 
-void Network::deliver(std::uint32_t pkt_idx, SimTime when) {
-  if (when > sim_->now()) {
-    const auto finalize = [this, pkt_idx, when] { deliver(pkt_idx, when); };
-    static_assert(sim::is_inline_event_v<decltype(finalize)>,
-                  "the per-packet delivery must stay on the inline event arm");
-    sim_->schedule_at(when, finalize);
-    return;
-  }
+void Network::deliver(std::uint32_t pkt_idx, std::uint32_t hops) {
   const Packet pkt = release_packet(pkt_idx);
-  packet_latency_.record(when - pkt.injected);
-  hop_counts_.record(static_cast<double>(pkt.hops));
+  packet_latency_.record(sim_->now() - pkt.injected);
+  hop_counts_.record(static_cast<double>(hops));
   ++delivered_slot_;
   if (FlowState* flow = live_flow(pkt)) {
-    flow->hops = pkt.hops;
+    flow->hops = static_cast<int>(hops);
     flow_packet_delivered(pkt.flow_idx);
   }
 }
 
-void Network::drop(std::uint32_t pkt_idx, EventCounter& reason) {
-  const Packet pkt = release_packet(pkt_idx);
+void Network::drop(const HopState& st, EventCounter& reason) {
+  const Packet pkt = release_packet(st.pkt);
   bump(reason);
-  log_.debug("drop packet ", pkt.src, "->", pkt.dst, " (", reason.name, ")");
+  log_.debug("drop packet ", pkt.src, "->", st.dst, " (", reason.name, ")");
   if (FlowState* flow = live_flow(pkt)) {
-    flow->hops = pkt.hops;
+    flow->hops = static_cast<int>(st.hops);
     --flow->inflight;  // the dropped packet leaves flight here
     if (!flow->done) finish_flow(pkt.flow_idx, /*failed=*/true);
     maybe_recycle_flow(pkt.flow_idx);
   }
 }
 
-void Network::retransmit(std::uint32_t pkt_idx) {
-  Packet& pkt = packets_[pkt_idx];
+void Network::retransmit(const HopState& st) {
+  Packet& pkt = packets_[st.pkt];
   if (pkt.retries >= kMaxRetries) {
-    drop(pkt_idx, retries_exhausted_drops_);
+    drop(st, retries_exhausted_drops_);
     return;
   }
   FlowState* flow = live_flow(pkt);
@@ -324,18 +339,19 @@ void Network::retransmit(std::uint32_t pkt_idx) {
     // The flow already failed (another packet exhausted its budget):
     // don't keep retransmitting into a dead flow — account the packet
     // out of flight so the slot can recycle.
-    const std::uint32_t flow_idx = release_packet(pkt_idx).flow_idx;
+    const std::uint32_t flow_idx = release_packet(st.pkt).flow_idx;
     --flow->inflight;
     maybe_recycle_flow(flow_idx);
     return;
   }
   ++pkt.retries;
-  pkt.hops = 0;
   bump(retransmits_);
   if (flow != nullptr) ++flow->retransmits;
-  const auto resend = [this, pkt_idx] {
-    enter_at_source(pkt_idx, sim_->now() + kNicLatency);
-  };
+  HopState again = st;
+  again.node = pkt.src;
+  again.hops = 0;
+  again.tail_ps = 0;
+  const auto resend = [this, again] { enter_at_source(again, sim_->now() + kNicLatency); };
   static_assert(sim::is_inline_event_v<decltype(resend)>,
                 "the per-packet retransmit must stay on the inline event arm");
   sim_->schedule_after(kRetryDelay, resend);
@@ -369,11 +385,9 @@ void Network::finish_flow(std::uint32_t flow_idx, bool failed) {
   result.failed = failed;
   if (flow.spec.id != kNoFlow) {  // a probe counts in net.probes only
     if (failed) {
-      ++flows_failed_;
-      counters_.add("net.flows_failed");
+      bump(flows_failed_);
     } else {
-      ++flows_completed_;
-      counters_.add("net.flows_completed");
+      bump(flows_completed_);
       flow_completion_.record(result.completion_time());
     }
   }

@@ -17,11 +17,16 @@
 // figures and the window/retry policy are the named constants below;
 // the fleet layer's cross-rack packets read the same window/retry trio.
 //
-// In-flight packets live in a packet pool; every per-packet event
-// (hop, inject, retransmit, no-route retry, deliver) captures the
-// packet's slot index, not the packet, so it fits the 32-byte inline
-// event payload. A packet slot has exactly one pending event at a
-// time, and is released before any flow callback runs.
+// In-flight packets live in a packet pool. Every per-packet event
+// (hop, inject, retransmit, no-route retry) carries a HopState: the
+// slot index plus the packet state a hop reads (node, destination, hop
+// count, frame size, tail arrival as an offset from the event time),
+// so a hop never touches the slot and the event still fits the
+// 32-byte inline payload. The slot owns the rest (source, injection
+// time, retries, flow handle, full size) and is read at delivery,
+// prefetched kNicLatency ahead, and on the rare paths. A packet slot
+// has exactly one pending event at a time, and is released before any
+// flow callback runs.
 #pragma once
 
 #include <array>
@@ -127,8 +132,8 @@ class Network {
   [[nodiscard]] double switch_power_watts() const;
   static constexpr rsf::sim::SimTime kPowerWindow = rsf::sim::SimTime::milliseconds(1);
 
-  [[nodiscard]] std::uint64_t flows_completed() const { return flows_completed_; }
-  [[nodiscard]] std::uint64_t flows_failed() const { return flows_failed_; }
+  [[nodiscard]] std::uint64_t flows_completed() const { return count(flows_completed_); }
+  [[nodiscard]] std::uint64_t flows_failed() const { return count(flows_failed_); }
 
   /// Flow-slot pool observability: total slots ever allocated and how
   /// many are currently free. Probes occupy flow slots too. A
@@ -190,20 +195,33 @@ class Network {
     }
   };
 
+  /// The packet state one per-packet event carries: with `this` it is
+  /// the whole 32-byte inline capture. The event's own time supplies
+  /// the rest (a hop's head is ready then, or kSwitchLatency later).
+  struct HopState {
+    /// Marks a frame size or tail offset that does not fit 32 bits:
+    /// the exact value is in the packet's slot (Packet::size, ::tail).
+    static constexpr std::uint32_t kInSlot = 0xFFFFFFFFu;
+    std::uint32_t pkt;   // slot in packets_
+    phy::NodeId node;    // where the head is
+    phy::NodeId dst;
+    std::uint32_t hops;  // links crossed since the last (re)injection
+    std::uint32_t bits;  // frame size, or kInSlot
+    std::uint32_t tail_ps;  // tail arrival minus the event time, or kInSlot
+  };
+
   void check_endpoints(phy::NodeId src, phy::NodeId dst, const char* who) const;
   void pump_flow(std::uint32_t flow_idx);
-  /// Packet-event entry points take the packet's slot in packets_.
-  void inject(std::uint32_t pkt_idx, rsf::sim::SimTime when);
   /// Schedules the packet's first hop out of its source at `ready`.
-  void enter_at_source(std::uint32_t pkt_idx, rsf::sim::SimTime ready);
-  /// Head of the packet is available at `node` at head_ready (switch/NIC
-  /// latency already applied); tail fully arrived at tail_ready.
-  void hop(std::uint32_t pkt_idx, phy::NodeId node, rsf::sim::SimTime head_ready,
-           rsf::sim::SimTime tail_ready);
-  void deliver(std::uint32_t pkt_idx, rsf::sim::SimTime when);
-  /// A counter bumped on a per-packet path, resolved to its slot on
-  /// first use: like counters_.add, it enters the table only once it
-  /// counts something, and then costs one increment.
+  void enter_at_source(const HopState& st, rsf::sim::SimTime ready);
+  /// Head of the packet is available at st.node at head_ready
+  /// (switch/NIC latency already applied); the tail per st.tail_ps.
+  void hop(const HopState& st, rsf::sim::SimTime head_ready);
+  /// Runs kNicLatency after the tail reached the destination.
+  void deliver(std::uint32_t pkt_idx, std::uint32_t hops);
+  /// A counter resolved to its slot on first use: like counters_.add,
+  /// it enters the table only once it counts something, and then
+  /// costs one increment.
   struct EventCounter {
     const char* name;
     std::uint64_t* slot = nullptr;
@@ -212,9 +230,12 @@ class Network {
     if (c.slot == nullptr) c.slot = &counters_.slot(c.name);
     ++*c.slot;
   }
+  [[nodiscard]] static std::uint64_t count(const EventCounter& c) {
+    return c.slot == nullptr ? 0 : *c.slot;
+  }
   /// Drops the packet, counted under `reason` (a net.drops.* counter).
-  void drop(std::uint32_t pkt_idx, EventCounter& reason);
-  void retransmit(std::uint32_t pkt_idx);
+  void drop(const HopState& st, EventCounter& reason);
+  void retransmit(const HopState& st);
   /// Frees the packet's slot and returns the packet it held.
   Packet release_packet(std::uint32_t pkt_idx);
   void flow_packet_delivered(std::uint32_t flow_idx);
@@ -258,8 +279,6 @@ class Network {
   // Packets in flight, each named by its slot index in every event
   // that carries it.
   core::SlotPool<Packet> packets_;
-  std::uint64_t flows_completed_ = 0;
-  std::uint64_t flows_failed_ = 0;
 
   // Sliding window accounting for dynamic switch power: one 8-byte
   // entry per hop, {ps since the previous entry, bits switched},
@@ -304,6 +323,9 @@ class Network {
   EventCounter frames_corrupted_{"net.frames_corrupted"};
   EventCounter no_route_drops_{"net.drops.no_route"};
   EventCounter retries_exhausted_drops_{"net.drops.retries_exhausted"};
+  EventCounter flows_started_{"net.flows_started"};
+  EventCounter flows_completed_{"net.flows_completed"};
+  EventCounter flows_failed_{"net.flows_failed"};
 };
 
 }  // namespace rsf::fabric

@@ -12,20 +12,24 @@ namespace rsf::fabric {
 using FlowId = std::uint64_t;
 inline constexpr FlowId kNoFlow = 0;
 
-/// A packet in flight. Network keeps every in-flight packet in one
-/// slot pool, and each hop event carries the packet's slot index, not
-/// the packet. Every packet belongs to a flow slot (a probe is a
+/// What a packet in flight keeps outside its events. Network keeps
+/// every in-flight packet in one slot pool; each hop event carries the
+/// slot index plus the state a hop reads (node, destination, hop
+/// count, frame size, tail arrival), so a hop leaves this slot alone.
+/// The slot is read at delivery and on the rare paths (reroute wait,
+/// retransmit, drop). Every packet belongs to a flow slot (a probe is a
 /// one-packet flow), named by the dense index and claim generation
-/// resolved once at injection, so the per-hop path never hashes the
-/// 64-bit flow id and a stale packet can never touch a recycled slot's
-/// next occupant.
+/// resolved once at injection, so no path hashes the 64-bit flow id
+/// and a stale packet can never touch a recycled slot's next occupant.
 struct Packet {
   phy::NodeId src = phy::kInvalidNode;
-  phy::NodeId dst = phy::kInvalidNode;
+  int retries = 0;
+  /// The full frame size; an event carries it only below 2^32 bits.
   phy::DataSize size = phy::DataSize::zero();
   rsf::sim::SimTime injected = rsf::sim::SimTime::zero();
-  int hops = 0;
-  int retries = 0;
+  /// Tail arrival at the next node, written only when it lies 2^32 ps
+  /// or more after the hop event that reads it.
+  rsf::sim::SimTime tail = rsf::sim::SimTime::zero();
   std::uint32_t flow_idx = 0;
   std::uint32_t flow_gen = 0;
 };

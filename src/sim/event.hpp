@@ -48,10 +48,10 @@ inline constexpr EventId kInvalidEventId = 0;
 using EventHandler = std::function<void()>;
 
 /// Inline payload budget. Sized for the largest per-packet
-/// continuation on the hot paths — Network::hop's
-/// [this, packet index, NodeId, SimTime, SimTime] capture (32 bytes;
-/// the packet itself waits in Network's packet pool) — which lands the
-/// whole record on exactly one cache line (static_assert below). A
+/// continuation on the hot paths — Network::hop's [this, HopState]
+/// capture (32 bytes: the slot index and the packet state a hop reads;
+/// the rest waits in Network's packet pool) — which lands the whole
+/// record on exactly one cache line (static_assert below). A
 /// capture that outgrows the budget falls off the fast path onto the
 /// cold arm; the hot paths pin themselves with static_asserts at the
 /// call site.

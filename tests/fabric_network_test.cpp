@@ -824,6 +824,117 @@ TEST(NetworkPacketPool, DrainsToAllFreeOnEveryPath) {
   }
 }
 
+TEST_F(NetFixture, HopStateSurvivesEveryDetour) {
+  // A hop event carries the packet's node, destination, hop count,
+  // frame size and tail offset; the slot holds the rest. Each detour
+  // below hands that state from one event to the next, and each
+  // probe's hops, hop-count record and latency must match its closed
+  // form exactly. All links of one rack are alike, so any link's
+  // figures serve.
+  const DataSize header = DataSize::bytes(64);
+  struct Leg {
+    SimTime ser, hdr, transit;
+  };
+  const auto leg_of = [&](const Rack& r, DataSize size) {
+    const phy::LogicalLink& l = r.plant->link(*r.topology->link_between(0, 1));
+    return Leg{l.serialization_delay(size), l.serialization_delay(std::min(header, size)),
+               l.propagation_delay() + l.fec().latency};
+  };
+  const auto send = [](Simulator& s, Rack& r, phy::NodeId src, phy::NodeId dst, DataSize size) {
+    std::optional<FlowResult> out;
+    r.network->send_probe(src, dst, size, [&](const FlowResult& res) { out = res; });
+    s.run_until();
+    EXPECT_TRUE(out.has_value());
+    return out.value_or(FlowResult{});
+  };
+
+  {
+    SCOPED_TRACE("probe over 2^32 bits, tail 2^32 ps past its hop event");
+    const DataSize size = DataSize::bytes(600'000'000);
+    const Leg leg = leg_of(rack, size);
+    ASSERT_GT(size.bit_count(), std::int64_t{1} << 32);
+    ASSERT_GT((leg.ser - leg.hdr).ps(), std::int64_t{1} << 32);
+    // Cut-through: each further hop starts when the head clears the
+    // next switch; the last one streams the whole frame.
+    const FlowResult r = send(sim, rack, rack.node_at(0, 0), rack.node_at(3, 0), size);
+    EXPECT_FALSE(r.failed);
+    EXPECT_EQ(r.hops, 3);
+    EXPECT_EQ(r.completion_time(), kNicLatency + 2 * (leg.hdr + leg.transit + kSwitchLatency) +
+                                       leg.ser + leg.transit + kNicLatency);
+    EXPECT_EQ(rack.network->hop_counts().count(), 1u);
+    EXPECT_EQ(rack.network->hop_counts().max(), 3.0);
+  }
+  {
+    SCOPED_TRACE("FEC-loss retransmits on the uncoded BER-1e-4 rack");
+    Simulator s;
+    Rack r = build_grid(&s, RackParams{});
+    lossy_no_fec(r, 1e-4);
+    const DataSize size = DataSize::bytes(1024);
+    const Leg leg = leg_of(r, size);
+    const SimTime attempt = kNicLatency + leg.ser + leg.transit;
+    std::uint64_t retransmits = 0;
+    for (int i = 0; i < 20; ++i) {
+      const FlowResult res = send(s, r, 0, 1, size);
+      ASSERT_FALSE(res.failed);
+      EXPECT_EQ(res.hops, 1);
+      // Every lost attempt reaches the far end, then waits kRetryDelay.
+      const auto lost = static_cast<std::int64_t>(res.retransmits);
+      EXPECT_EQ(res.completion_time(), lost * (attempt + kRetryDelay) + attempt + kNicLatency);
+      retransmits += res.retransmits;
+    }
+    EXPECT_GT(retransmits, 0u);
+    EXPECT_EQ(r.network->hop_counts().count(), 20u);
+    EXPECT_EQ(r.network->hop_counts().max(), 1.0);
+  }
+  {
+    SCOPED_TRACE("no-route wait while the rack's only link retrains");
+    Simulator s;
+    RackParams p;
+    p.width = 2;
+    p.height = 1;
+    Rack r = build_grid(&s, p);
+    r.engine->submit(plp::SetFecCommand{*r.topology->link_between(0, 1), phy::FecScheme::kRsKp4});
+    const DataSize size = DataSize::bytes(1024);
+    const FlowResult res = send(s, r, 0, 1, size);
+    EXPECT_FALSE(res.failed);
+    EXPECT_EQ(res.hops, 1);
+    const std::uint64_t waits = r.network->counters().get("net.reroute_waits");
+    ASSERT_GT(waits, 0u);
+    // Backoff kRetryDelay x 2^min(k, 6) before retry k, then one hop
+    // with head and tail both at the retry.
+    SimTime waited = SimTime::zero();
+    for (std::uint64_t k = 0; k < waits; ++k) {
+      waited += kRetryDelay * (std::int64_t{1} << std::min<std::uint64_t>(k, 6));
+    }
+    const Leg leg = leg_of(r, size);
+    EXPECT_EQ(res.completion_time(),
+              kNicLatency + waited + leg.ser + leg.transit + kNicLatency);
+    EXPECT_EQ(r.network->hop_counts().count(), 1u);
+    EXPECT_EQ(r.network->hop_counts().max(), 1.0);
+  }
+  {
+    SCOPED_TRACE("kMaxHops backstop on every attempt, then retries exhausted");
+    Simulator s;
+    RackParams p;
+    p.width = 34;  // corner to corner is 66 hops
+    p.height = 34;
+    Rack r = build_grid(&s, p);
+    const DataSize size = DataSize::bytes(1024);
+    const FlowResult res = send(s, r, r.node_at(0, 0), r.node_at(33, 33), size);
+    EXPECT_TRUE(res.failed);
+    EXPECT_EQ(res.hops, kMaxHops);
+    EXPECT_EQ(res.retransmits, static_cast<std::uint64_t>(kMaxRetries));
+    // Each attempt crosses kMaxHops links cut-through and turns back
+    // when the head reaches the last one's far end.
+    const Leg leg = leg_of(r, size);
+    const SimTime attempt = kNicLatency + kMaxHops * (leg.hdr + leg.transit) +
+                            (kMaxHops - 1) * kSwitchLatency;
+    EXPECT_EQ(res.completion_time(), (kMaxRetries + 1) * attempt + kMaxRetries * kRetryDelay);
+    EXPECT_EQ(r.network->hop_counts().count(), 0u);
+    EXPECT_EQ(r.network->counters().get("net.drops.retries_exhausted"), 1u);
+  }
+}
+
 TEST_F(NetFixture, PacketPoolHoldsPeakInFlightAndReusesSlots) {
   // A flow keeps at most kFlowWindow packets in flight, so the pool
   // never grows past it, however many packets pass through.

@@ -122,8 +122,10 @@ TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 
 # The kernel's deep-queue and same-instant benchmarks ride along with
-# the headline three: they are where an event-kernel change shows.
-MICRO_FILTER='BM_SimulatorSelfRescheduling$|BM_SimulatorFarFuture$|BM_SimulatorDeepQueue$|BM_SimulatorSameInstantBurst$|BM_PacketTransportOneFlow$'
+# the headline three: they are where an event-kernel change shows. The
+# many-in-flight transport benchmark is where packet state that falls
+# out of cache shows.
+MICRO_FILTER='BM_SimulatorSelfRescheduling$|BM_SimulatorFarFuture$|BM_SimulatorDeepQueue$|BM_SimulatorSameInstantBurst$|BM_PacketTransportOneFlow$|BM_PacketTransportManyInFlight$'
 
 echo "recording: $REPS interleaved repetitions, min_time=${MIN_TIME}s" >&2
 for rep in $(seq 1 "$REPS"); do
@@ -149,7 +151,7 @@ import glob, json, os, statistics, sys
 tmp, out, pr, commit, reps, min_time, baseline, layer = sys.argv[1:9]
 MICRO = ("BM_SimulatorSelfRescheduling", "BM_SimulatorFarFuture",
          "BM_SimulatorDeepQueue", "BM_SimulatorSameInstantBurst",
-         "BM_PacketTransportOneFlow")
+         "BM_PacketTransportOneFlow", "BM_PacketTransportManyInFlight")
 
 def samples(pattern, name, field, required=True):
     vals = []
@@ -174,7 +176,8 @@ throughput["BM_MultiRackShuffle/4"] = {
 
 baseline_block = None
 if baseline:
-    baseline_block = {"binary": baseline}
+    # The binary's name only: its directory is the recorder's own.
+    baseline_block = {"binary": os.path.basename(baseline)}
     for name in MICRO:
         # An older binary may predate a benchmark; it is then left out.
         old_samples = samples("micro_old_*.json", name, "items_per_second",
