@@ -3,14 +3,11 @@
 // Measures the fleet hot path end-to-end: build an N-rack fleet
 // (4x4 grid racks on a spine ring), run a shuffle whose mappers and
 // reducers live in *different* racks, and report simulated events per
-// wall second plus the job's simulated completion time. Since PR 3 the
-// default path is the per-packet spine transport; the store-and-
-// forward baseline runs the same shuffle at equal delivered bytes so
-// the JSON artifact carries the regression comparison, and a
-// controller variant measures the repricing loop's overhead. This is
-// the CI bench-smoke anchor for the FleetRuntime / Interconnect /
-// FleetController layer, the companion of micro_kernel's single-rack
-// numbers.
+// wall second plus the job's simulated completion time over the
+// per-packet spine transport; a controller variant measures the
+// repricing loop's overhead. This is the CI bench-smoke anchor for the
+// FleetRuntime / Interconnect / FleetController layer, the companion
+// of micro_kernel's single-rack numbers.
 #include <benchmark/benchmark.h>
 
 #include "runtime/fleet.hpp"
@@ -21,9 +18,8 @@ namespace {
 using namespace rsf;
 using namespace rsf::sim::literals;
 
-runtime::FleetConfig fleet_config(int racks, runtime::SpineTransport transport) {
+runtime::FleetConfig fleet_config(int racks) {
   runtime::FleetConfig cfg;
-  cfg.transport = transport;
   for (int i = 0; i < racks; ++i) {
     runtime::RackSpec rack;
     rack.config.shape = runtime::RackShape::kGrid;
@@ -47,7 +43,7 @@ runtime::FleetConfig fleet_config(int racks, runtime::SpineTransport transport) 
 
 /// One shuffle (mappers on rack 0, reducers spread over the other
 /// racks: every flow crosses the spine) at equal delivered bytes for
-/// every transport variant.
+/// every variant.
 void run_shuffle(benchmark::State& state, runtime::FleetConfig cfg, int racks) {
   sim::LogConfig::set_level(sim::LogLevel::kOff);
   std::uint64_t events = 0;
@@ -81,21 +77,14 @@ void run_shuffle(benchmark::State& state, runtime::FleetConfig cfg, int racks) {
 
 void BM_MultiRackShuffle(benchmark::State& state) {
   const int racks = static_cast<int>(state.range(0));
-  run_shuffle(state, fleet_config(racks, runtime::SpineTransport::kPacketized), racks);
-}
-
-void BM_MultiRackShuffleBulk(benchmark::State& state) {
-  // The PR 2 store-and-forward baseline at equal delivered bytes.
-  const int racks = static_cast<int>(state.range(0));
-  run_shuffle(state, fleet_config(racks, runtime::SpineTransport::kStoreAndForward),
-              racks);
+  run_shuffle(state, fleet_config(racks), racks);
 }
 
 void BM_MultiRackShuffleControlled(benchmark::State& state) {
-  // Packetized transport plus the repricing loop: the controller's
-  // epoch ticks and route re-plans ride on the same clock.
+  // The same shuffle plus the repricing loop: the controller's epoch
+  // ticks and route re-plans ride on the same clock.
   const int racks = static_cast<int>(state.range(0));
-  runtime::FleetConfig cfg = fleet_config(racks, runtime::SpineTransport::kPacketized);
+  runtime::FleetConfig cfg = fleet_config(racks);
   cfg.enable_controller = true;
   cfg.controller.epoch = 50_us;
   run_shuffle(state, std::move(cfg), racks);
@@ -105,7 +94,7 @@ void BM_CrossRackFlow(benchmark::State& state) {
   // One 1 MB flow across the diameter of a 3-rack line: the per-packet
   // orchestration overhead (legs + spine FIFO), amortised.
   sim::LogConfig::set_level(sim::LogLevel::kOff);
-  runtime::FleetConfig cfg = fleet_config(3, runtime::SpineTransport::kPacketized);
+  runtime::FleetConfig cfg = fleet_config(3);
   cfg.spine.pop_back();  // break the ring: line 0 - 1 - 2
   std::uint64_t events = 0;
   for (auto _ : state) {
@@ -130,7 +119,6 @@ void BM_CrossRackFlow(benchmark::State& state) {
 }  // namespace
 
 BENCHMARK(BM_MultiRackShuffle)->Unit(benchmark::kMillisecond)->Arg(2)->Arg(3)->Arg(4);
-BENCHMARK(BM_MultiRackShuffleBulk)->Unit(benchmark::kMillisecond)->Arg(2)->Arg(4);
 BENCHMARK(BM_MultiRackShuffleControlled)->Unit(benchmark::kMillisecond)->Arg(4);
 BENCHMARK(BM_CrossRackFlow)->Unit(benchmark::kMillisecond);
 

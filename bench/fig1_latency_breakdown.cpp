@@ -25,7 +25,6 @@ void run(bool cut_through) {
   runtime::RuntimeConfig cfg;
   cfg.shape = runtime::RackShape::kChain;
   cfg.nodes = kMaxNodes;
-  cfg.rack.hop_meters = 2.0;
   cfg.rack.net_config.cut_through = cut_through;
   cfg.enable_crc = false;
   runtime::FabricRuntime rt(cfg);

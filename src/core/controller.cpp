@@ -20,7 +20,7 @@ CrcController::CrcController(rsf::sim::Simulator* sim, phy::PhysicalPlant* plant
       circuits_(sim, engine, plant, topo, router, net),
       fec_(engine, plant),
       power_(engine, plant, config.power),
-      health_(engine, plant, config.health),
+      health_(engine, plant),
       own_registry_(registry ? nullptr : std::make_unique<telemetry::Registry>()),
       registry_(registry ? registry : own_registry_.get()),
       power_series_(registry_->series("crc.rack_power_w")),

@@ -47,7 +47,6 @@ struct CrcConfig {
   PowerManagerConfig power;
 
   bool enable_health_manager = false;
-  HealthManagerConfig health;
 
   /// Autonomous Figure-2 trigger: convert grid to torus after
   /// `torus_trigger_epochs` consecutive epochs of mean adjacent-link

@@ -5,21 +5,17 @@
 
 namespace rsf::core {
 
-HealthManager::HealthManager(plp::PlpEngine* engine, phy::PhysicalPlant* plant,
-                             HealthManagerConfig config)
-    : engine_(engine), plant_(plant), config_(config) {
+HealthManager::HealthManager(plp::PlpEngine* engine, phy::PhysicalPlant* plant)
+    : engine_(engine), plant_(plant) {
   if (engine_ == nullptr || plant_ == nullptr) {
     throw std::invalid_argument("HealthManager: null dependency");
-  }
-  if (config_.max_ops_per_epoch < 0) {
-    throw std::invalid_argument("HealthManager: max_ops_per_epoch < 0");
   }
 }
 
 int HealthManager::apply(const RackSnapshot& snapshot) {
   int ops = 0;
   for (const LinkObservation& obs : snapshot.links) {
-    if (ops >= config_.max_ops_per_epoch) break;
+    if (ops >= kMaxOpsPerEpoch) break;
     if (obs.ready) continue;
     if (!plant_->has_link(obs.link)) continue;          // already gone
     if (plant_->link_busy(obs.link)) continue;          // being actuated

@@ -18,20 +18,16 @@
 
 namespace rsf::core {
 
-/// Checked by the HealthManager constructor, which throws
-/// std::invalid_argument on max_ops_per_epoch < 0.
-struct HealthManagerConfig {
-  /// Maximum remediations started per epoch.
-  int max_ops_per_epoch = 2;
-};
-
 class HealthManager {
  public:
-  HealthManager(plp::PlpEngine* engine, phy::PhysicalPlant* plant,
-                HealthManagerConfig config = {});
+  /// Maximum remediations started per epoch.
+  static constexpr int kMaxOpsPerEpoch = 2;
+
+  HealthManager(plp::PlpEngine* engine, phy::PhysicalPlant* plant);
 
   /// Inspect the snapshot; start decommission+re-provision chains for
-  /// dark links with failed lanes. Returns remediations started.
+  /// dark links with failed lanes, at most kMaxOpsPerEpoch of them.
+  /// Returns remediations started.
   int apply(const RackSnapshot& snapshot);
 
   [[nodiscard]] std::uint64_t remediations_completed() const { return completed_; }
@@ -41,7 +37,6 @@ class HealthManager {
 
   plp::PlpEngine* engine_;
   phy::PhysicalPlant* plant_;
-  HealthManagerConfig config_;
   std::set<phy::LinkId> in_flight_;
   std::uint64_t completed_ = 0;
 };

@@ -9,6 +9,9 @@ namespace {
 
 /// Every cable's lanes run at the paper's 25 Gb/s.
 constexpr phy::DataRate kLaneRate = phy::DataRate::gbps(25);
+/// Distance between adjacent nodes: the paper assumes a switching
+/// element every ~2 m of rack.
+constexpr double kHopMeters = 2.0;
 
 std::vector<int> first_lanes(int k) {
   std::vector<int> lanes(static_cast<std::size_t>(k));
@@ -80,8 +83,8 @@ Rack build_grid(rsf::sim::Simulator* sim, RackParams params) {
   for (int y = 0; y < h; ++y) {
     for (int x = 0; x < w; ++x) {
       const auto n = static_cast<phy::NodeId>(y * w + x);
-      if (x + 1 < w) wire(rack, n, n + 1, params.hop_meters, links);
-      if (y + 1 < h) wire(rack, n, n + static_cast<phy::NodeId>(w), params.hop_meters, links);
+      if (x + 1 < w) wire(rack, n, n + 1, kHopMeters, links);
+      if (y + 1 < h) wire(rack, n, n + static_cast<phy::NodeId>(w), kHopMeters, links);
     }
   }
   finish_rack(rack, links);
@@ -96,8 +99,8 @@ Rack build_torus(rsf::sim::Simulator* sim, RackParams params) {
   for (int y = 0; y < h; ++y) {
     for (int x = 0; x < w; ++x) {
       const auto n = static_cast<phy::NodeId>(y * w + x);
-      if (x + 1 < w) wire(rack, n, n + 1, params.hop_meters, links);
-      if (y + 1 < h) wire(rack, n, n + static_cast<phy::NodeId>(w), params.hop_meters, links);
+      if (x + 1 < w) wire(rack, n, n + 1, kHopMeters, links);
+      if (y + 1 < h) wire(rack, n, n + static_cast<phy::NodeId>(w), kHopMeters, links);
     }
   }
   // Wraparound cables: physically they run the length of the row or
@@ -105,12 +108,12 @@ Rack build_torus(rsf::sim::Simulator* sim, RackParams params) {
   for (int y = 0; y < h && w > 2; ++y) {
     const auto west = static_cast<phy::NodeId>(y * w);
     const auto east = static_cast<phy::NodeId>(y * w + (w - 1));
-    wire(rack, east, west, params.hop_meters * (w - 1), links);
+    wire(rack, east, west, kHopMeters * (w - 1), links);
   }
   for (int x = 0; x < w && h > 2; ++x) {
     const auto north = static_cast<phy::NodeId>(x);
     const auto south = static_cast<phy::NodeId>((h - 1) * w + x);
-    wire(rack, south, north, params.hop_meters * (h - 1), links);
+    wire(rack, south, north, kHopMeters * (h - 1), links);
   }
   finish_rack(rack, links);
   rack.topology->set_wraps(w > 2, h > 2);
@@ -125,7 +128,7 @@ Rack build_chain(rsf::sim::Simulator* sim, int n, RackParams params) {
   std::vector<phy::LinkId> links;
   for (int i = 0; i + 1 < n; ++i) {
     wire(rack, static_cast<phy::NodeId>(i), static_cast<phy::NodeId>(i + 1),
-         params.hop_meters, links);
+         kHopMeters, links);
   }
   finish_rack(rack, links);
   return rack;
@@ -139,9 +142,9 @@ Rack build_ring(rsf::sim::Simulator* sim, int n, RackParams params) {
   std::vector<phy::LinkId> links;
   for (int i = 0; i + 1 < n; ++i) {
     wire(rack, static_cast<phy::NodeId>(i), static_cast<phy::NodeId>(i + 1),
-         params.hop_meters, links);
+         kHopMeters, links);
   }
-  wire(rack, static_cast<phy::NodeId>(n - 1), 0, params.hop_meters * (n - 1), links);
+  wire(rack, static_cast<phy::NodeId>(n - 1), 0, kHopMeters * (n - 1), links);
   finish_rack(rack, links);
   rack.topology->set_wraps(true, false);
   return rack;

@@ -34,9 +34,6 @@ struct RackParams {
   int lanes_per_cable = 2;
   /// Lanes claimed by each initial logical link (<= lanes_per_cable).
   int lanes_per_link = 2;
-  /// Distance between adjacent nodes (the paper assumes a switching
-  /// element every ~2 m of rack).
-  double hop_meters = 2.0;
   phy::Medium medium = phy::Medium::kFiber;
   phy::FecScheme fec = phy::FecScheme::kRsKr4;
   plp::PlpCapabilities plp_caps = plp::PlpCapabilities::all();

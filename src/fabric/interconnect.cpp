@@ -579,22 +579,6 @@ bool Interconnect::send_packet(SpineLinkId id, std::uint32_t from_rack, phy::Dat
   return true;
 }
 
-bool Interconnect::transfer(SpineLinkId id, std::uint32_t from_rack, phy::DataSize size,
-                            DeliveryCallback cb) {
-  const SpineLink& l = at(id);
-  const int d = direction_index(l, from_rack);
-  if (!l.up) {
-    counters_.add("spine.transfers_refused");
-    return false;
-  }
-  const SimTime arrival = occupy(links_[id], d, size);
-  counters_.add("spine.transfers");
-  static_assert(sim::is_inline_event_v<DeliveryCallback>,
-                "the spine transfer completion must stay on the inline event arm");
-  if (cb) sim_->schedule_at(arrival, cb);
-  return true;
-}
-
 SimTime Interconnect::busy_time(SpineLinkId id, std::uint32_t from_rack) const {
   const SpineLink& l = at(id);
   return l.dir[direction_index(l, from_rack)].busy_total;

@@ -3,12 +3,10 @@
 // An Interconnect models the links *between* racks of a fleet: spine
 // cables with a configurable rate and propagation latency, each
 // connecting a designated gateway node in one rack to a gateway node
-// in another. Since PR 3 the spine is a first-class packet-switched
-// layer: the fleet transport streams individual packets through
-// send_packet() (per-packet FIFO busy-until serialization, propagation
-// latency, and Bernoulli loss sampled from the link's loss_prob), while
-// the legacy bulk transfer() remains as the store-and-forward
-// comparison baseline.
+// in another. The spine is packet-switched: the fleet transport streams
+// individual packets through send_packet() (per-packet FIFO busy-until
+// serialization, propagation latency, and Bernoulli loss sampled from
+// the link's loss_prob).
 //
 // Rack-level routing is cost-aware shortest path over the rack graph
 // (Dijkstra; unit costs degenerate to breadth-first order) skipping
@@ -135,15 +133,12 @@ struct SpineLinkParams {
 
 class Interconnect {
  public:
-  /// cb(): the transfer's last bit reaches the far gateway, at the
-  /// simulator's now(). SmallFunction (not std::function) keeps the
+  /// cb(delivered): the packet's last bit reaches the far gateway, at
+  /// now() (delivered == false when the hop lost it — the sender owns
+  /// retransmission). SmallFunction (not std::function) keeps the
   /// scheduled completion trivially copyable and 32 bytes, so it rides
   /// the Simulator's inline event arm — per-packet spine sends never
   /// allocate.
-  using DeliveryCallback = core::SmallFunction<void()>;
-  /// cb(delivered): the packet's last bit reaches the far gateway, at
-  /// now() (delivered == false when the hop lost it — the sender owns
-  /// retransmission).
   using PacketCallback = core::SmallFunction<void(bool delivered)>;
 
   /// Metrics go to `registry` under "spine.*" (never null; the
@@ -323,7 +318,7 @@ class Interconnect {
     return pair_demand_;
   }
 
-  // --- packet / bulk transport ---
+  // --- packet transport ---
 
   /// Occupy `id` in the direction leaving `from_rack` for one packet
   /// of `size` bytes: FIFO serialization at the link rate, then
@@ -344,13 +339,6 @@ class Interconnect {
                    PacketCallback cb) {
     return send_packet(id, from_rack, size, SpineBookingHandle{}, std::move(cb));
   }
-
-  /// Bulk store-and-forward transfer: the whole payload occupies the
-  /// direction for its serialization time. Comparison baseline for
-  /// the packetized path (FleetConfig::transport selects). `cb` fires
-  /// at arrival. Returns false (no callback) when the link is down.
-  bool transfer(SpineLinkId id, std::uint32_t from_rack, phy::DataSize size,
-                DeliveryCallback cb);
 
   /// Cumulative time direction (`id`, leaving `from_rack`) has spent
   /// serializing — the spine utilisation input the FleetController

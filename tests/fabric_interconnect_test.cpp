@@ -268,31 +268,13 @@ TEST_F(SpineFixture, CompletionsFireAtArrivalWithTheirOutcome) {
       EXPECT_LT(lost, kPackets);
     }
   }
-
-  // A bulk transfer's completion, too, fires at its arrival.
-  SpineLinkParams p;
-  p.a = {2, 0};
-  p.b = {3, 0};
-  p.rate = phy::DataRate::gbps(8);
-  p.latency = 3_us;
-  const SpineLinkId bulk = spine.add_link(p);
-  const SimTime t0 = sim.now();
-  std::optional<SimTime> arrived;
-  ASSERT_TRUE(spine.transfer(bulk, 2, DataSize::kilobytes(100),
-                             [this, &arrived] { arrived = sim.now(); }));
-  sim.run_until();
-  ASSERT_TRUE(arrived.has_value());
-  EXPECT_EQ(*arrived, t0 + phy::transmission_time(DataSize::kilobytes(100), p.rate) + p.latency);
 }
 
 // SmallFunction, the spine's callback type: exactly one event payload,
 // trivially copyable, so a completion is scheduled as the event itself.
 static_assert(sizeof(Interconnect::PacketCallback) == rsf::sim::kInlineEventBytes);
-static_assert(sizeof(Interconnect::DeliveryCallback) == rsf::sim::kInlineEventBytes);
 static_assert(alignof(Interconnect::PacketCallback) == alignof(void*));
 static_assert(std::is_trivially_copyable_v<Interconnect::PacketCallback>);
-static_assert(std::is_trivially_copyable_v<Interconnect::DeliveryCallback>);
-static_assert(rsf::sim::is_inline_event_v<Interconnect::DeliveryCallback>);
 
 TEST(SmallFunction, HoldsAFullCaptureAndCopiesByValue) {
   std::uint64_t sum = 0;
@@ -330,13 +312,11 @@ TEST(SmallFunction, HoldsAFullCaptureAndCopiesByValue) {
   EXPECT_EQ(fired, 7_ns);
 }
 
-TEST_F(SpineFixture, DownLinkRefusesPacketsAndTransfers) {
+TEST_F(SpineFixture, DownLinkRefusesPackets) {
   const SpineLinkId id = add(0, 1);
   spine.set_link_up(id, false);
   EXPECT_FALSE(spine.send_packet(id, 0, DataSize::bytes(64), nullptr));
-  EXPECT_FALSE(spine.transfer(id, 0, DataSize::bytes(64), nullptr));
   EXPECT_EQ(spine.counters().get("spine.packets_refused"), 1u);
-  EXPECT_EQ(spine.counters().get("spine.transfers_refused"), 1u);
   EXPECT_EQ(spine.counters().get("spine.packets"), 0u);
 }
 

@@ -1,7 +1,7 @@
 // FleetRuntime: sharded multi-rack simulation on one clock. A 1-shard
 // fleet must be byte-identical to a standalone FabricRuntime, cross-
-// rack flows must stage correctly over the spine (including multi-hop
-// and failure), and the fleet registry must expose every shard's
+// rack flows must cross the spine correctly (including multi-hop and
+// failure), and the fleet registry must expose every shard's
 // metrics under its "rack<N>." prefix next to the live "spine.*" set.
 #include <gtest/gtest.h>
 
@@ -298,6 +298,7 @@ TEST(FleetRuntime, SameRackFleetFlowCollapsesToPlainNetworkFlow) {
   spec.src = fleet.at(0, 0, 0);
   spec.dst = fleet.at(0, 3, 3);
   spec.size = DataSize::kilobytes(16);
+  spec.start = 5_us;
   std::optional<runtime::FleetFlowResult> result;
   fleet.start_flow(spec, [&](const runtime::FleetFlowResult& r) { result = r; });
   fleet.run_until();
@@ -306,6 +307,41 @@ TEST(FleetRuntime, SameRackFleetFlowCollapsesToPlainNetworkFlow) {
   EXPECT_FALSE(result->failed);
   EXPECT_EQ(result->spine_hops, 0);
   EXPECT_EQ(result->rack_legs, 1);
+  EXPECT_EQ(fleet.spine().counters().get("spine.packets"), 0u);
+
+  // The same flow on a standalone rack of the same config: the fleet
+  // flow is that Network flow, started at its start, not a staged copy.
+  FabricRuntime rt(grid_config());
+  fabric::FlowSpec plain;
+  plain.id = 1;
+  plain.src = spec.src.node;
+  plain.dst = spec.dst.node;
+  plain.size = spec.size;
+  plain.packet_size = spec.packet_size;
+  plain.start = spec.start;
+  std::optional<fabric::FlowResult> reference;
+  rt.network().start_flow(plain, [&](const fabric::FlowResult& r) { reference = r; });
+  rt.run_until();
+  ASSERT_TRUE(reference.has_value());
+  ASSERT_FALSE(reference->failed);
+  EXPECT_EQ(result->started, spec.start);
+  EXPECT_EQ(result->completion_time(), reference->completion_time());
+  // One event more than the standalone run, the fleet flow's start: the
+  // leg starts from it directly.
+  EXPECT_EQ(fleet.sim().executed(), rt.sim().executed() + 1);
+
+  // A flow to its own node is done at its start: no leg, not failed.
+  runtime::FleetFlowSpec self = spec;
+  self.dst = spec.src;
+  self.start = fleet.now() + 3_us;
+  std::optional<runtime::FleetFlowResult> self_result;
+  fleet.start_flow(self, [&](const runtime::FleetFlowResult& r) { self_result = r; });
+  fleet.run_until();
+  ASSERT_TRUE(self_result.has_value());
+  EXPECT_FALSE(self_result->failed);
+  EXPECT_EQ(self_result->rack_legs, 0);
+  EXPECT_EQ(self_result->started, self.start);
+  EXPECT_EQ(self_result->finished, self.start);
 }
 
 TEST(FleetRuntime, MidFlowSpineFailureReroutesInFlightPackets) {
@@ -400,37 +436,6 @@ TEST(FleetRuntime, SpineLossRetransmitsUntilDelivered) {
   // Every drop was re-sent: packets on the wire = clean packets + drops.
   EXPECT_EQ(c.get("spine.packets"), 250u + c.get("spine.packet_drops"));
   EXPECT_EQ(fleet.spine().link_drops(0, 0), c.get("spine.packet_drops"));
-}
-
-TEST(FleetRuntime, StoreAndForwardBaselineStillStages) {
-  FleetConfig fc;
-  fc.transport = runtime::SpineTransport::kStoreAndForward;
-  fc.racks.push_back(RackSpec{grid_config(), 0});
-  fc.racks.push_back(RackSpec{grid_config(), 0});
-  SpineSpec s;
-  s.rack_a = 0;
-  s.rack_b = 1;
-  fc.spine.push_back(s);
-  FleetRuntime fleet(fc);
-
-  runtime::FleetFlowSpec spec;
-  spec.src = fleet.at(0, 3, 3);
-  spec.dst = fleet.at(1, 2, 2);
-  spec.size = DataSize::kilobytes(64);
-  std::optional<runtime::FleetFlowResult> result;
-  fleet.start_flow(spec, [&](const runtime::FleetFlowResult& r) { result = r; });
-  fleet.run_until();
-
-  ASSERT_TRUE(result.has_value());
-  EXPECT_FALSE(result->failed);
-  EXPECT_EQ(result->spine_hops, 1);
-  EXPECT_EQ(result->rack_legs, 2);
-  // Bulk mode: ONE spine transfer for the whole payload, and the rack
-  // legs run as real Network flows, not per-packet probes.
-  EXPECT_EQ(fleet.spine().counters().get("spine.transfers"), 1u);
-  EXPECT_EQ(fleet.spine().counters().get("spine.packets"), 0u);
-  EXPECT_GT(fleet.rack(0).network().flows_completed(), 0u);
-  EXPECT_GT(fleet.rack(1).network().flows_completed(), 0u);
 }
 
 /// Drive one fixed cross-rack workload against `fleet`; used by the

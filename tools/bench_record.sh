@@ -21,7 +21,9 @@
 #
 #   --pr N        trajectory index; default 7 (writes BENCH_PR<N>.json)
 #   --baseline    also interleave an old micro_kernel binary and record
-#                 median-vs-median speedups (local use; CI has no
+#                 median-vs-median speedups, each marked resolved only
+#                 when the gap between the medians exceeds the old
+#                 binary's interquartile range (local use; CI has no
 #                 pre-change binary)
 #   --layer NAME  the layer a claimed speedup is attributed to (e.g.
 #                 "event kernel"); recorded as the file's `layer`
@@ -81,11 +83,13 @@ for bin in "$MICRO" "$EXT8"; do
   fi
 done
 
+# validate_schema FILE [strict]: strict (a fresh recording) also
+# requires the IQR fields, which files recorded before them lack.
 validate_schema() {
-  python3 - "$1" <<'PY'
+  python3 - "$1" "${2:-}" <<'PY'
 import json, sys
 
-path = sys.argv[1]
+path, strict = sys.argv[1], sys.argv[2] == "strict"
 with open(path) as f:
     doc = json.load(f)
 
@@ -105,6 +109,23 @@ for name in ("BM_SimulatorSelfRescheduling", "BM_PacketTransportOneFlow",
     v = entry.get("median_items_per_second")
     if not isinstance(v, (int, float)) or v <= 0:
         die(f"throughput[{name!r}] needs a positive median_items_per_second")
+
+def check_iqr(where, entry):
+    iqr = entry.get("iqr_items_per_second")
+    if iqr is None and not strict:
+        return
+    if not isinstance(iqr, (int, float)) or iqr < 0:
+        die(f"{where} needs a non-negative iqr_items_per_second")
+
+for name, entry in doc["throughput"].items():
+    check_iqr(f"throughput[{name!r}]", entry)
+for name, entry in (doc.get("baseline") or {}).items():
+    if name == "binary":
+        continue
+    check_iqr(f"baseline[{name!r}]", entry)
+    if "resolved" in entry or strict:
+        if not isinstance(entry.get("resolved"), bool):
+            die(f"baseline[{name!r}] needs a boolean resolved")
 print(f"schema OK: {path}")
 PY
 }
@@ -127,19 +148,26 @@ trap 'rm -rf "$TMP"' EXIT
 # out of cache shows.
 MICRO_FILTER='BM_SimulatorSelfRescheduling$|BM_SimulatorFarFuture$|BM_SimulatorDeepQueue$|BM_SimulatorSameInstantBurst$|BM_PacketTransportOneFlow$|BM_PacketTransportManyInFlight$'
 
+micro() {  # micro BINARY SIDE REP
+  "$1" --benchmark_filter="$MICRO_FILTER" \
+       --benchmark_min_time="$MIN_TIME" --benchmark_format=json \
+       > "$TMP/micro_$2_$3.json" 2>/dev/null
+}
+
 echo "recording: $REPS interleaved repetitions, min_time=${MIN_TIME}s" >&2
 for rep in $(seq 1 "$REPS"); do
-  "$MICRO" --benchmark_filter="$MICRO_FILTER" \
-           --benchmark_min_time="$MIN_TIME" --benchmark_format=json \
-           > "$TMP/micro_new_$rep.json" 2>/dev/null
+  # With a baseline the two sides take turns running first, so an
+  # effect of the running order falls on both alike.
+  if [ -n "$BASELINE" ] && [ $((rep % 2)) = 0 ]; then
+    micro "$BASELINE" old "$rep"
+    micro "$MICRO" new "$rep"
+  else
+    micro "$MICRO" new "$rep"
+    if [ -n "$BASELINE" ]; then micro "$BASELINE" old "$rep"; fi
+  fi
   "$EXT8" --benchmark_filter='BM_MultiRackShuffle/4$' \
           --benchmark_min_time="$MIN_TIME" --benchmark_format=json \
           > "$TMP/ext8_rep_$rep.json" 2>/dev/null
-  if [ -n "$BASELINE" ]; then
-    "$BASELINE" --benchmark_filter="$MICRO_FILTER" \
-                --benchmark_min_time="$MIN_TIME" --benchmark_format=json \
-                > "$TMP/micro_old_$rep.json" 2>/dev/null
-  fi
   echo "  rep $rep/$REPS done" >&2
 done
 
@@ -165,14 +193,19 @@ def samples(pattern, name, field, required=True):
         sys.exit(f"no samples for {name} in {pattern}")
     return vals
 
+def summary(vals):
+    """Median and interquartile range of one side's repetitions."""
+    q1, _, q3 = (statistics.quantiles(vals, n=4, method="inclusive")
+                 if len(vals) > 1 else (vals[0],) * 3)
+    return {"median_items_per_second": statistics.median(vals),
+            "iqr_items_per_second": q3 - q1}
+
 throughput = {
-    name: {"median_items_per_second": statistics.median(
-        samples("micro_new_*.json", name, "items_per_second"))}
+    name: summary(samples("micro_new_*.json", name, "items_per_second"))
     for name in MICRO
 }
-throughput["BM_MultiRackShuffle/4"] = {
-    "median_items_per_second": statistics.median(
-        samples("ext8_rep_*.json", "BM_MultiRackShuffle/4", "events/s"))}
+throughput["BM_MultiRackShuffle/4"] = summary(
+    samples("ext8_rep_*.json", "BM_MultiRackShuffle/4", "events/s"))
 
 baseline_block = None
 if baseline:
@@ -184,12 +217,14 @@ if baseline:
                               required=False)
         if not old_samples:
             continue
-        old = statistics.median(old_samples)
+        entry = summary(old_samples)
+        old = entry["median_items_per_second"]
         new = throughput[name]["median_items_per_second"]
-        baseline_block[name] = {
-            "median_items_per_second": old,
-            "speedup": round(new / old, 3),
-        }
+        entry["speedup"] = round(new / old, 3)
+        # A gap between the medians inside the baseline's own spread is
+        # not a measured change.
+        entry["resolved"] = abs(new - old) > entry["iqr_items_per_second"]
+        baseline_block[name] = entry
 
 doc = {
     "schema": "rsf-bench-trajectory-v1",
@@ -212,4 +247,4 @@ with open(out, "w") as f:
 print(f"wrote {out}")
 PY
 
-validate_schema "$OUT"
+validate_schema "$OUT" strict
