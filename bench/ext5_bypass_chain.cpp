@@ -20,7 +20,7 @@ using phy::LinkId;
 
 double probe_us(runtime::FabricRuntime& rt, phy::NodeId dst) {
   double out = -1;
-  rt.network().send_probe(0, dst, DataSize::bytes(1024), [&](const fabric::FlowResult& r) {
+  rt.network().send_probe(0, dst, DataSize::bytes(1024), [&](const fabric::ProbeResult& r) {
     if (!r.failed) out = r.completion_time().us();
   });
   rt.run_until();

@@ -40,7 +40,7 @@ void run(bool cut_through) {
   for (int k = 1; k < kMaxNodes; ++k) {
     double measured_ns = 0;
     rt.network().send_probe(0, static_cast<phy::NodeId>(k), probe,
-                            [&](const fabric::FlowResult& r) {
+                            [&](const fabric::ProbeResult& r) {
                               if (!r.failed) measured_ns = r.completion_time().ns();
                             });
     rt.run_until();

@@ -140,8 +140,22 @@ void BM_HistogramRecord(benchmark::State& state) {
     h.record(rng.uniform(1.0, 1e9));
   }
   benchmark::DoNotOptimize(h.count());
+  state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HistogramRecord);
+
+void BM_HistogramRecordTime(benchmark::State& state) {
+  // The integer path every per-packet latency takes: the same values
+  // as BM_HistogramRecord, whole picoseconds, recorded as SimTime.
+  telemetry::Histogram h;
+  sim::RandomStream rng(2);
+  for (auto _ : state) {
+    h.record(sim::SimTime::picoseconds(static_cast<std::int64_t>(rng.uniform(1.0, 1e9))));
+  }
+  benchmark::DoNotOptimize(h.count());
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HistogramRecordTime);
 
 void BM_FecFrameLoss(benchmark::State& state) {
   const auto spec = phy::FecSpec::of(phy::FecScheme::kRsKp4);
@@ -318,6 +332,39 @@ void BM_PacketTransportManyInFlight(benchmark::State& state) {
   state.counters["peak_in_flight"] = static_cast<double>(in_flight);
 }
 BENCHMARK(BM_PacketTransportManyInFlight)->Unit(benchmark::kMillisecond);
+
+void BM_PacketTransportProbeChain(benchmark::State& state) {
+  // A fleet rack leg's shape: eight chains of 1 KB probes across a 4x4
+  // grid, each completion ([this, idx]) sending its chain's next probe.
+  // items/s is probes per second.
+  struct Chains {
+    fabric::Network* net;
+    std::uint64_t left;
+    void send(std::uint32_t idx) {
+      net->send_probe(idx, 15 - idx, phy::DataSize::bytes(1024),
+                      [this, idx](const fabric::ProbeResult&) {
+                        if (left == 0) return;
+                        --left;
+                        send(idx);
+                      });
+    }
+  };
+  constexpr std::uint64_t kProbes = 20'000;
+  std::uint64_t probes = 0;
+  for (auto _ : state) {
+    runtime::RuntimeConfig cfg;
+    cfg.rack.width = 4;
+    cfg.rack.height = 4;
+    cfg.enable_crc = false;
+    runtime::FabricRuntime rt(cfg);
+    Chains chains{&rt.network(), kProbes};
+    for (std::uint32_t idx = 0; idx < 8; ++idx) chains.send(idx);
+    rt.run_until();
+    probes += rt.network().counters().get("net.probes");
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(probes));
+}
+BENCHMARK(BM_PacketTransportProbeChain);
 
 }  // namespace
 

@@ -36,7 +36,7 @@ int main() {
 
   // 3. A latency probe: one 1 KB packet corner to corner.
   rt.network().send_probe(rt.node_at(0, 0), rt.node_at(3, 3), phy::DataSize::bytes(1024),
-                          [](const fabric::FlowResult& r) {
+                          [](const fabric::ProbeResult& r) {
                             std::printf("probe: %s over %d hops (%s)\n",
                                         r.completion_time().to_string().c_str(), r.hops,
                                         r.failed ? "dropped" : "delivered");

@@ -1,8 +1,8 @@
 // rsf::core — the shared dense-slot free-list pool.
 //
 // SlotPool<T> is the one implementation of the recycled-slot idiom the
-// hot paths rely on: Network flow slots (probes are one-packet flows)
-// and packet slots, Interconnect booking slots, FleetRuntime flow and
+// hot paths rely on: Network flow, probe-completion and packet slots,
+// Interconnect booking slots, FleetRuntime flow and
 // packet slots and the Simulator's cold-handler pool. Storage is a dense
 // std::vector<T> addressed by small integer indices; freed slots
 // return to a LIFO free list, so claim() reuses the most recently

@@ -5,7 +5,6 @@
 #include <limits>
 #include <queue>
 #include <stdexcept>
-#include <tuple>
 #include <utility>
 
 namespace rsf::fabric {
@@ -232,11 +231,20 @@ std::optional<std::vector<SpineLinkId>> Interconnect::compute_route(
   // relaxation scans link ids ascending, so among equal candidates
   // out of one rack the lowest-id edge wins. Deterministic — every
   // run picks the same route for the same graph and costs.
-  using Item = std::tuple<double, int, std::uint32_t>;
-  std::priority_queue<Item, std::vector<Item>, std::greater<>> frontier;
+  struct Item {
+    double cost;
+    int hops;
+    std::uint32_t rack;
+  };
+  const auto later = [](const Item& a, const Item& b) {
+    if (a.cost != b.cost) return a.cost > b.cost;
+    if (a.hops != b.hops) return a.hops > b.hops;
+    return a.rack > b.rack;
+  };
+  std::priority_queue<Item, std::vector<Item>, decltype(later)> frontier(later);
   cost[src_rack] = 0;
   hops[src_rack] = 0;
-  frontier.emplace(0.0, 0, src_rack);
+  frontier.push({0.0, 0, src_rack});
   while (!frontier.empty()) {
     const auto [c, h, rack] = frontier.top();
     frontier.pop();
@@ -260,7 +268,7 @@ std::optional<std::vector<SpineLinkId>> Interconnect::compute_route(
         cost[next] = nc;
         hops[next] = nh;
         via[next] = id;
-        frontier.emplace(nc, nh, next);
+        frontier.push({nc, nh, next});
       }
     }
   }

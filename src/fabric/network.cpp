@@ -12,6 +12,13 @@ namespace {
 /// Head flit size: how much of a packet must arrive before a
 /// cut-through switch can act on it (addresses live in the first bytes).
 constexpr auto kHeader = rsf::phy::DataSize::bytes(64);
+
+/// A claimed owner index, checked to leave kProbeTag clear: a flow's
+/// index and a tagged probe index then never alias.
+std::uint32_t owner_index(std::uint32_t idx) {
+  if (idx >= kProbeTag) throw std::length_error("Network: 2^31 flows or probes at once");
+  return idx;
+}
 }  // namespace
 
 Network::Network(rsf::sim::Simulator* sim, phy::PhysicalPlant* plant, Topology* topo,
@@ -55,7 +62,7 @@ void Network::start_flow(const FlowSpec& spec, FlowCallback on_complete) {
   // Claim a slot from the pool (a drained slot when one is free —
   // bounded pool under flow churn — else the dense pool grows).
   const auto handle = flows_.claim();
-  const std::uint32_t idx = handle.index;
+  const std::uint32_t idx = owner_index(handle.index);
   FlowState& flow = flows_[idx];
   flow.spec = spec;
   flow.on_complete = std::move(on_complete);
@@ -82,43 +89,54 @@ void Network::pump_flow(std::uint32_t flow_idx) {
     if (flow.done || flow.inflight >= kFlowWindow || flow.next_seq >= flow.packets_total) {
       return;
     }
-    const std::uint32_t pkt_idx = packets_.claim().index;
-    Packet& pkt = packets_[pkt_idx];
-    pkt.flow_idx = flow_idx;
-    pkt.flow_gen = flows_.generation(flow_idx);
-    pkt.src = flow.spec.src;
-    pkt.size = flow.spec.size.packet_at(static_cast<std::int64_t>(flow.next_seq++),
-                                        flow.spec.packet_size);
-    pkt.injected = sim_->now();
-    const auto bits = std::min<std::int64_t>(pkt.size.bit_count(), HopState::kInSlot);
+    const phy::DataSize size = flow.spec.size.packet_at(
+        static_cast<std::int64_t>(flow.next_seq++), flow.spec.packet_size);
     ++flow.inflight;
-    ++injected_slot_;
-    enter_at_source({.pkt = pkt_idx,
-                     .node = pkt.src,
-                     .dst = flow.spec.dst,
-                     .hops = 0,
-                     .bits = static_cast<std::uint32_t>(bits),
-                     .tail_ps = 0},
-                    pkt.injected + kNicLatency);
+    inject(flow_idx, flows_.generation(flow_idx), flow.spec.src, flow.spec.dst, size);
   }
 }
 
-void Network::send_probe(phy::NodeId src, phy::NodeId dst, phy::DataSize size, FlowCallback cb) {
+void Network::inject(std::uint32_t owner_idx, std::uint32_t owner_gen, phy::NodeId src,
+                     phy::NodeId dst, phy::DataSize size) {
+  const std::uint32_t pkt_idx = packets_.claim().index;
+  Packet& pkt = packets_[pkt_idx];
+  pkt.flow_idx = owner_idx;
+  pkt.flow_gen = owner_gen;
+  pkt.src = src;
+  pkt.size = size;
+  pkt.injected = sim_->now();
+  const auto bits = std::min<std::int64_t>(size.bit_count(), HopState::kInSlot);
+  ++injected_slot_;
+  enter_at_source({.pkt = pkt_idx,
+                   .node = src,
+                   .dst = dst,
+                   .hops = 0,
+                   .bits = static_cast<std::uint32_t>(bits),
+                   .tail_ps = 0},
+                  pkt.injected + kNicLatency);
+}
+
+void Network::send_probe(phy::NodeId src, phy::NodeId dst, phy::DataSize size, ProbeCallback cb) {
   check_endpoints(src, dst, "send_probe");
   if (size.bit_count() <= 0) throw std::invalid_argument("send_probe: non-positive size");
-  // An untracked one-packet flow, filled in place and pumped now: no
-  // start event, no flow_index_ entry, no flow tallies.
-  const std::uint32_t idx = flows_.claim().index;
-  FlowState& probe = flows_[idx];
-  probe.spec.src = src;
-  probe.spec.dst = dst;
-  probe.spec.size = size;
-  probe.spec.packet_size = size;
-  probe.on_complete = std::move(cb);
-  probe.packets_total = 1;
-  probe.started = sim_->now();
+  // One packet, injected now: no start event, no flow slot.
+  const auto handle = probes_.claim();
+  probes_[handle.index].on_complete = cb;
   ++probe_count_slot_;
-  pump_flow(idx);
+  inject(kProbeTag | owner_index(handle.index), handle.generation, src, dst, size);
+}
+
+void Network::finish_probe(const Packet& pkt, std::uint32_t hops, bool failed) {
+  const std::uint32_t idx = pkt.flow_idx & ~kProbeTag;
+  const ProbeState probe = probes_[idx];
+  probes_.recycle(idx);
+  if (probe.on_complete) {
+    probe.on_complete(ProbeResult{.started = pkt.injected,
+                                  .finished = sim_->now(),
+                                  .retransmits = probe.retransmits,
+                                  .hops = static_cast<int>(hops),
+                                  .failed = failed});
+  }
 }
 
 void Network::enter_at_source(const HopState& st, SimTime ready) {
@@ -203,7 +221,7 @@ void Network::hop(const HopState& st, SimTime head_ready) {
   std::optional<phy::LinkId> link_opt;
   const FlowState* owner =
       plant_->reserved_link_count() != 0 ? live_flow(packets_[st.pkt]) : nullptr;
-  if (owner != nullptr && owner->spec.id != kNoFlow) {
+  if (owner != nullptr) {
     for (phy::LinkId id : topo_->links_at(st.node)) {
       if (!topo_->usable(id)) continue;
       const phy::LogicalLink& l = plant_->link(id);
@@ -308,9 +326,11 @@ void Network::hop(const HopState& st, SimTime head_ready) {
 void Network::deliver(std::uint32_t pkt_idx, std::uint32_t hops) {
   const Packet pkt = release_packet(pkt_idx);
   packet_latency_.record(sim_->now() - pkt.injected);
-  hop_counts_.record(static_cast<double>(hops));
+  hop_counts_.record_count(hops);
   ++delivered_slot_;
-  if (FlowState* flow = live_flow(pkt)) {
+  if (is_probe(pkt)) {
+    finish_probe(pkt, hops, /*failed=*/false);
+  } else if (FlowState* flow = live_flow(pkt)) {
     flow->hops = static_cast<int>(hops);
     flow_packet_delivered(pkt.flow_idx);
   }
@@ -320,7 +340,9 @@ void Network::drop(const HopState& st, EventCounter& reason) {
   const Packet pkt = release_packet(st.pkt);
   bump(reason);
   log_.debug("drop packet ", pkt.src, "->", st.dst, " (", reason.name, ")");
-  if (FlowState* flow = live_flow(pkt)) {
+  if (is_probe(pkt)) {
+    finish_probe(pkt, st.hops, /*failed=*/true);
+  } else if (FlowState* flow = live_flow(pkt)) {
     flow->hops = static_cast<int>(st.hops);
     --flow->inflight;  // the dropped packet leaves flight here
     if (!flow->done) finish_flow(pkt.flow_idx, /*failed=*/true);
@@ -334,19 +356,22 @@ void Network::retransmit(const HopState& st) {
     drop(st, retries_exhausted_drops_);
     return;
   }
-  FlowState* flow = live_flow(pkt);
-  if (flow != nullptr && flow->done) {
-    // The flow already failed (another packet exhausted its budget):
-    // don't keep retransmitting into a dead flow — account the packet
-    // out of flight so the slot can recycle.
-    const std::uint32_t flow_idx = release_packet(st.pkt).flow_idx;
-    --flow->inflight;
-    maybe_recycle_flow(flow_idx);
-    return;
+  if (is_probe(pkt)) {
+    ++probes_[pkt.flow_idx & ~kProbeTag].retransmits;
+  } else if (FlowState* flow = live_flow(pkt)) {
+    if (flow->done) {
+      // The flow already failed (another packet exhausted its budget):
+      // don't keep retransmitting into a dead flow — account the
+      // packet out of flight so the slot can recycle.
+      const std::uint32_t flow_idx = release_packet(st.pkt).flow_idx;
+      --flow->inflight;
+      maybe_recycle_flow(flow_idx);
+      return;
+    }
+    ++flow->retransmits;
   }
   ++pkt.retries;
   bump(retransmits_);
-  if (flow != nullptr) ++flow->retransmits;
   HopState again = st;
   again.node = pkt.src;
   again.hops = 0;
@@ -383,13 +408,11 @@ void Network::finish_flow(std::uint32_t flow_idx, bool failed) {
   result.retransmits = flow.retransmits;
   result.hops = flow.hops;
   result.failed = failed;
-  if (flow.spec.id != kNoFlow) {  // a probe counts in net.probes only
-    if (failed) {
-      bump(flows_failed_);
-    } else {
-      bump(flows_completed_);
-      flow_completion_.record(result.completion_time());
-    }
+  if (failed) {
+    bump(flows_failed_);
+  } else {
+    bump(flows_completed_);
+    flow_completion_.record(result.completion_time());
   }
   // Move the callback out before invoking it: a completion callback may
   // start new flows, growing flows_ and invalidating `flow`. Recycle
@@ -406,9 +429,8 @@ void Network::maybe_recycle_flow(std::uint32_t flow_idx) {
   // drained; the recycle bumps the generation, so any (impossible by
   // the inflight gate, but cheap to guard) stale packet fails
   // live_flow() instead of corrupting the slot's next occupant.
-  flows_.maybe_recycle(flow_idx, [this](FlowState& flow) {
-    if (flow.spec.id != kNoFlow) flow_index_.erase(flow.spec.id);
-  });
+  flows_.maybe_recycle(flow_idx,
+                       [this](FlowState& flow) { flow_index_.erase(flow.spec.id); });
 }
 
 SimTime Network::link_busy_time(phy::LinkId id) const {

@@ -23,10 +23,15 @@
 // count, frame size, tail arrival as an offset from the event time),
 // so a hop never touches the slot and the event still fits the
 // 32-byte inline payload. The slot owns the rest (source, injection
-// time, retries, flow handle, full size) and is read at delivery,
+// time, retries, owner, full size) and is read at delivery,
 // prefetched kNicLatency ahead, and on the rare paths. A packet slot
 // has exactly one pending event at a time, and is released before any
-// flow callback runs.
+// completion callback runs.
+//
+// A packet's owner is a flow or a probe. A probe (send_probe) is one
+// packet with a completion: it holds a packet slot and a slot in a
+// small completion pool (the callable and a retransmit count), tagged
+// in the packet's owner field by kProbeTag, and never a flow slot.
 #pragma once
 
 #include <array>
@@ -38,6 +43,7 @@
 
 #include "core/chunked_ring.hpp"
 #include "core/slot_pool.hpp"
+#include "core/small_function.hpp"
 #include "fabric/packet.hpp"
 #include "fabric/router.hpp"
 #include "fabric/topology.hpp"
@@ -85,6 +91,9 @@ struct NetworkConfig {
 class Network {
  public:
   using FlowCallback = std::function<void(const FlowResult&)>;
+  /// A probe's completion: trivially copyable and inline (16 bytes of
+  /// capture, e.g. [this, index]), so a probe never allocates.
+  using ProbeCallback = core::SmallFunction<void(const ProbeResult&), 16>;
 
   /// Metrics land in `registry` under "net.*" when one is supplied
   /// (the FabricRuntime hands every component its registry); without
@@ -102,13 +111,14 @@ class Network {
   /// std::invalid_argument on a bad spec or an endpoint outside the rack.
   void start_flow(const FlowSpec& spec, FlowCallback on_complete = nullptr);
 
-  /// One tracer packet, injected now: an untracked one-packet flow
-  /// (id kNoFlow) that stays out of the flow tallies and counts in
-  /// net.probes. The callback fires at delivery or drop; its result
-  /// carries the latency (completion_time()) and the packet's hops.
-  /// Throws std::invalid_argument on a non-positive size or an
-  /// endpoint outside the rack.
-  void send_probe(phy::NodeId src, phy::NodeId dst, phy::DataSize size, FlowCallback cb);
+  /// One tracer packet, injected now, with no start event. It holds
+  /// no flow slot, stays out of the flow tallies and counts in
+  /// net.probes; its packet and completion slots are released before
+  /// the callback fires at delivery or drop. The result carries the
+  /// latency (completion_time()), the hops of the last attempt and the
+  /// retransmits. Throws std::invalid_argument on a non-positive size
+  /// or an endpoint outside the rack.
+  void send_probe(phy::NodeId src, phy::NodeId dst, phy::DataSize size, ProbeCallback cb);
 
   // --- observability ---
 
@@ -136,7 +146,7 @@ class Network {
   [[nodiscard]] std::uint64_t flows_failed() const { return count(flows_failed_); }
 
   /// Flow-slot pool observability: total slots ever allocated and how
-  /// many are currently free. Probes occupy flow slots too. A
+  /// many are currently free (probes hold none). A
   /// long-lived service churning millions of flows holds slots() at
   /// its peak concurrency, not its flow count — completed slots
   /// recycle through a SlotPool.
@@ -186,6 +196,14 @@ class Network {
     LinkUse use;
   };
 
+  /// A probe's completion slot: the callable and the retransmits its
+  /// packet has taken (the packet's own retries count no-route waits
+  /// too). The probe's start is its packet's injection time.
+  struct ProbeState {
+    ProbeCallback on_complete;
+    std::uint64_t retransmits = 0;
+  };
+
   /// SlotPool recycle gate for flows_: a slot returns to the free list
   /// only when the flow is done AND its last in-flight packet (a lost
   /// packet awaiting retransmit included) has drained.
@@ -212,6 +230,10 @@ class Network {
 
   void check_endpoints(phy::NodeId src, phy::NodeId dst, const char* who) const;
   void pump_flow(std::uint32_t flow_idx);
+  /// Claims a packet slot for `owner` (a flow handle, or kProbeTag |
+  /// probe index) and schedules its first hop kNicLatency from now.
+  void inject(std::uint32_t owner_idx, std::uint32_t owner_gen, phy::NodeId src,
+              phy::NodeId dst, phy::DataSize size);
   /// Schedules the packet's first hop out of its source at `ready`.
   void enter_at_source(const HopState& st, rsf::sim::SimTime ready);
   /// Head of the packet is available at st.node at head_ready
@@ -238,6 +260,11 @@ class Network {
   void retransmit(const HopState& st);
   /// Frees the packet's slot and returns the packet it held.
   Packet release_packet(std::uint32_t pkt_idx);
+  [[nodiscard]] static bool is_probe(const Packet& pkt) {
+    return (pkt.flow_idx & kProbeTag) != 0;
+  }
+  /// Frees the probe's completion slot, then runs its callback.
+  void finish_probe(const Packet& pkt, std::uint32_t hops, bool failed);
   void flow_packet_delivered(std::uint32_t flow_idx);
   void finish_flow(std::uint32_t flow_idx, bool failed);
   /// Release the slot to the free list once the flow is done and its
@@ -245,7 +272,8 @@ class Network {
   void maybe_recycle_flow(std::uint32_t flow_idx);
   /// The flow a packet belongs to, or nullptr when the slot has been
   /// recycled since (defensive: the inflight gate already keeps a
-  /// packet's slot alive until the packet drains).
+  /// packet's slot alive until the packet drains) or the packet is a
+  /// probe's (its tagged index lies past every flow slot).
   [[nodiscard]] FlowState* live_flow(const Packet& pkt) {
     return flows_.get_live(pkt.flow_idx, pkt.flow_gen);
   }
@@ -267,13 +295,17 @@ class Network {
   rsf::sim::Logger log_;
 
   // Hot-path state is vector-indexed: link rows by (dense, monotonically
-  // assigned) LinkId, flow state by the dense index each Packet carries. The only hash map left is the cold FlowId -> index
-  // resolver used at start_flow time (probes, id kNoFlow, skip it).
+  // assigned) LinkId, flow state by the dense index each Packet
+  // carries. The only hash map left is the cold FlowId -> index
+  // resolver used at start_flow time.
   std::vector<LinkRow> link_rows_;
-  // Flows and probes share one SlotPool addressed by the {index,
-  // generation} each Packet carries; a slot recycles at done +
-  // last-straggler-drained (the FlowDrained gate).
+  // Flows live in a SlotPool addressed by the {index, generation} each
+  // Packet carries; a slot recycles at done + last-straggler-drained
+  // (the FlowDrained gate).
   core::SlotPool<FlowState, std::uint32_t, FlowDrained> flows_;
+  // Probe completions, addressed by a probe packet's untagged index;
+  // a slot lives from send_probe to its packet's delivery or drop.
+  core::SlotPool<ProbeState> probes_;
   // rsf-lint: order-insensitive(cold point lookups at start_flow/recycle; never iterated)
   std::unordered_map<FlowId, std::uint32_t> flow_index_;
   // Packets in flight, each named by its slot index in every event

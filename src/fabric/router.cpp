@@ -93,11 +93,17 @@ const double* Router::dist_row(phy::NodeId dst) {
   next[dst] = kNextNone;  // lets the inline path answer at == dst
   dist[dst] = 0.0;
   // Dijkstra from dst over the edge graph, in a heap reused across
-  // rebuilds.
+  // rebuilds: a min-heap on (cost, node) in the order std::greater<>
+  // gives a pair, spelled out because C++20's synthesized <=> is not
+  // free in this loop.
+  const auto later = [](const std::pair<double, phy::NodeId>& a,
+                        const std::pair<double, phy::NodeId>& b) {
+    return a.first != b.first ? a.first > b.first : a.second > b.second;
+  };
   heap_.clear();
   heap_.emplace_back(0.0, dst);
   while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>());
+    std::pop_heap(heap_.begin(), heap_.end(), later);
     const auto [d, node] = heap_.back();
     heap_.pop_back();
     if (d > dist[node]) continue;
@@ -106,7 +112,7 @@ const double* Router::dist_row(phy::NodeId dst) {
       if (nd < dist[e->to]) {
         dist[e->to] = nd;
         heap_.emplace_back(nd, e->to);
-        std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
+        std::push_heap(heap_.begin(), heap_.end(), later);
       }
     }
   }

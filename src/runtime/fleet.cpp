@@ -322,10 +322,10 @@ void FleetRuntime::packet_step(std::uint32_t pkt_idx) {
 void FleetRuntime::packet_rack_leg(std::uint32_t pkt_idx, phy::NodeId to) {
   FleetPacket& pkt = packets_[pkt_idx];
   pkt.leg_to = to;
-  // The lambda fits std::function's inline buffer: no per-stage heap
-  // allocation on the packet hot path.
+  // The capture is the probe's whole 16-byte inline callable: no
+  // per-stage heap allocation on the packet hot path.
   racks_[pkt.at.rack]->network().send_probe(
-      pkt.at.node, to, pkt.size, [this, pkt_idx](const fabric::FlowResult& r) {
+      pkt.at.node, to, pkt.size, [this, pkt_idx](const fabric::ProbeResult& r) {
         // rsf-lint: unguarded-slot-ok(each packet slot has exactly one in-flight event; release happens only inside it)
         FleetPacket& p = packets_[pkt_idx];
         const FleetFlowState* f = live_flow(p);

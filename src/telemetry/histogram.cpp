@@ -60,22 +60,12 @@ double Histogram::bucket_upper_edge(std::size_t idx) {
 }
 
 void Histogram::record(double value) {
-  if (count_ == 0) {
-    min_ = max_ = value;
-  } else {
-    min_ = std::min(min_, value);
-    max_ = std::max(max_, value);
-  }
-  ++count_;
-  sum_ += value;
-  sum_sq_ += value * value;
+  add_moments(value);
   if (value < 1.0) {
     ++zero_or_negative_;
     return;
   }
-  const std::size_t idx = bucket_index(value);
-  if (idx >= buckets_.size()) buckets_.resize(idx + 1, 0);
-  ++buckets_[idx];
+  add_to_bucket(bucket_index(value));
 }
 
 double Histogram::min() const { return count_ == 0 ? 0.0 : min_; }

@@ -5,12 +5,14 @@
 // TrafficMatrix, sizes from a configurable distribution (fixed or
 // bounded-Pareto heavy tail, the empirical shape of data-centre flow
 // sizes). The generator tracks every result so benches can report
-// completion-time distributions per experiment.
+// completion-time distributions per experiment. Results are kept in a
+// deque: it grows by chunks, so a long run never holds an old and a
+// new copy of every result at once, as a doubling vector does.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "fabric/network.hpp"
 #include "sim/random.hpp"
@@ -70,7 +72,7 @@ class FlowGenerator {
   void start(rsf::sim::SimTime start = rsf::sim::SimTime::zero());
 
   [[nodiscard]] std::uint64_t flows_generated() const { return generated_; }
-  [[nodiscard]] const std::vector<fabric::FlowResult>& results() const { return results_; }
+  [[nodiscard]] const std::deque<fabric::FlowResult>& results() const { return results_; }
   [[nodiscard]] telemetry::Histogram completion_histogram() const;
   /// Aggregate goodput over completed flows: bytes / (last finish -
   /// first start).
@@ -87,7 +89,7 @@ class FlowGenerator {
   rsf::sim::RandomStream rng_;
   std::uint64_t generated_ = 0;
   fabric::FlowId next_flow_id_;
-  std::vector<fabric::FlowResult> results_;
+  std::deque<fabric::FlowResult> results_;
 };
 
 }  // namespace rsf::workload

@@ -49,7 +49,7 @@ TEST(FabricEdge, TtlBackstopTriggersRetransmitNotOrbit) {
   Rack rack = fabric::build_grid(&sim, p);
   std::optional<bool> delivered;
   rack.network->send_probe(rack.node_at(0, 0), rack.node_at(33, 33), DataSize::bytes(256),
-                           [&](const fabric::FlowResult& r) { delivered = !r.failed; });
+                           [&](const fabric::ProbeResult& r) { delivered = !r.failed; });
   sim.run_until();
   // The probe keeps being returned to the source until retries
   // exhaust: it is dropped, never delivered, and the simulation
@@ -69,7 +69,7 @@ TEST(FabricEdge, MaxHopsDefaultAdmitsDiameterPaths) {
   Rack rack = fabric::build_grid(&sim, p);
   std::optional<bool> delivered;
   rack.network->send_probe(rack.node_at(0, 0), rack.node_at(7, 7), DataSize::bytes(256),
-                           [&](const fabric::FlowResult& r) {
+                           [&](const fabric::ProbeResult& r) {
                              delivered = !r.failed;
                              EXPECT_EQ(r.hops, 14);
                            });
@@ -105,7 +105,7 @@ TEST(FabricEdge, ProbeOverReservedOnlyPathIsDropped) {
   rack.plant->set_reservation(only, 7);
   std::optional<bool> delivered;
   rack.network->send_probe(0, 1, DataSize::bytes(64),
-                           [&](const fabric::FlowResult& r) { delivered = !r.failed; });
+                           [&](const fabric::ProbeResult& r) { delivered = !r.failed; });
   sim.run_until();
   ASSERT_TRUE(delivered.has_value());
   EXPECT_FALSE(*delivered);
@@ -137,7 +137,7 @@ TEST(FabricEdge, IdleChainLatencyMatchesClosedFormsToThePicosecond) {
               : kNicLatency + (ser + prop) * h + kSwitchLatency * (h - 1) + kNicLatency;
 
       std::optional<SimTime> probe;
-      rack.network->send_probe(0, kHops, size, [&](const fabric::FlowResult& r) {
+      rack.network->send_probe(0, kHops, size, [&](const fabric::ProbeResult& r) {
         EXPECT_FALSE(r.failed);
         EXPECT_EQ(r.hops, kHops);
         probe = r.completion_time();

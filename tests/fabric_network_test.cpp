@@ -17,6 +17,14 @@ using rsf::sim::SimTime;
 using rsf::sim::Simulator;
 using namespace rsf::sim::literals;
 
+/// A trivially copyable handle on a longer-lived callable, so a
+/// std::function that sends the next probe fits send_probe's inline
+/// callback.
+template <typename F>
+auto by_ref(F& f) {
+  return [&f](const ProbeResult& r) { f(r); };
+}
+
 struct NetFixture : ::testing::Test {
   Simulator sim;
   Rack rack;
@@ -31,7 +39,7 @@ struct NetFixture : ::testing::Test {
   SimTime probe_latency(phy::NodeId src, phy::NodeId dst,
                         DataSize size = DataSize::bytes(1024)) {
     std::optional<SimTime> out;
-    rack.network->send_probe(src, dst, size, [&](const FlowResult& r) {
+    rack.network->send_probe(src, dst, size, [&](const ProbeResult& r) {
       ASSERT_FALSE(r.failed);
       out = r.completion_time();
     });
@@ -70,7 +78,7 @@ TEST_F(NetFixture, CutThroughBeatsStoreAndForward) {
   std::optional<SimTime> sf_lat;
   rack_sf.network->send_probe(rack_sf.node_at(0, 0), rack_sf.node_at(3, 0),
                               DataSize::bytes(1024),
-                              [&](const FlowResult& r) { sf_lat = r.completion_time(); });
+                              [&](const ProbeResult& r) { sf_lat = r.completion_time(); });
   sim2.run_until();
   const SimTime ct_lat = probe_latency(rack.node_at(0, 0), rack.node_at(3, 0));
   ASSERT_TRUE(sf_lat.has_value());
@@ -80,7 +88,7 @@ TEST_F(NetFixture, CutThroughBeatsStoreAndForward) {
 TEST_F(NetFixture, ProbeHopCountMatchesRoute) {
   std::optional<int> hops;
   rack.network->send_probe(rack.node_at(0, 0), rack.node_at(3, 3), DataSize::bytes(256),
-                           [&](const FlowResult& r) { hops = r.hops; });
+                           [&](const ProbeResult& r) { hops = r.hops; });
   sim.run_until();
   EXPECT_EQ(hops, 6);
 }
@@ -183,18 +191,20 @@ TEST_F(NetFixture, FrameLossCausesRetransmitsButFlowsComplete) {
 
 TEST_F(NetFixture, ProbeIsAnUntrackedOnePacketFlow) {
   const DataSize size = DataSize::bytes(512);
-  std::optional<FlowResult> probe;
+  std::optional<ProbeResult> probe;
   rack.network->send_probe(rack.node_at(0, 0), rack.node_at(3, 2), size,
-                           [&](const FlowResult& r) { probe = r; });
+                           [&](const ProbeResult& r) { probe = r; });
   sim.run_until();
   ASSERT_TRUE(probe.has_value());
   EXPECT_FALSE(probe->failed);
-  EXPECT_EQ(probe->packets, 1u);
 
-  // The probe moved net.probes and the packet counters only.
+  // The probe moved net.probes and the packet counters only, and held
+  // no flow slot.
   const auto& c = rack.network->counters();
   EXPECT_EQ(c.get("net.probes"), 1u);
+  EXPECT_EQ(c.get("net.packets_injected"), 1u);
   EXPECT_EQ(c.get("net.packets_delivered"), 1u);
+  EXPECT_EQ(rack.network->flow_slots(), 0u);
   EXPECT_EQ(c.get("net.flows_started"), 0u);
   EXPECT_EQ(c.get("net.flows_completed"), 0u);
   EXPECT_EQ(c.get("net.flows_failed"), 0u);
@@ -224,18 +234,19 @@ TEST_F(NetFixture, ProbeIsAnUntrackedOnePacketFlow) {
 
 TEST_F(NetFixture, ChainedProbesReuseTheFreedSlot) {
   // Recycle-before-callback: a probe whose callback sends the next one
-  // hands that probe the slot it just freed.
+  // hands that probe the packet slot it just freed.
   int left = 100;
-  std::function<void(const FlowResult&)> next = [&](const FlowResult& r) {
+  std::function<void(const ProbeResult&)> next = [&](const ProbeResult& r) {
     ASSERT_FALSE(r.failed);
-    EXPECT_EQ(rack.network->free_flow_slots(), 1u);
-    if (--left > 0) rack.network->send_probe(0, 15, DataSize::bytes(256), next);
+    EXPECT_EQ(rack.network->free_packet_slots(), 1u);
+    if (--left > 0) rack.network->send_probe(0, 15, DataSize::bytes(256), by_ref(next));
   };
-  rack.network->send_probe(0, 15, DataSize::bytes(256), next);
+  rack.network->send_probe(0, 15, DataSize::bytes(256), by_ref(next));
   sim.run_until();
   EXPECT_EQ(left, 0);
-  EXPECT_EQ(rack.network->flow_slots(), 1u);
-  EXPECT_EQ(rack.network->free_flow_slots(), 1u);
+  EXPECT_EQ(rack.network->packet_slots(), 1u);
+  EXPECT_EQ(rack.network->free_packet_slots(), 1u);
+  EXPECT_EQ(rack.network->flow_slots(), 0u);
   EXPECT_EQ(rack.network->counters().get("net.probes"), 100u);
 }
 
@@ -246,7 +257,7 @@ TEST_F(NetFixture, ProbeDropsWhenDestinationUnreachable) {
   sim.run_until();
   std::optional<bool> delivered;
   rack.network->send_probe(rack.node_at(0, 0), rack.node_at(3, 3), DataSize::bytes(64),
-                           [&](const FlowResult& r) { delivered = !r.failed; });
+                           [&](const ProbeResult& r) { delivered = !r.failed; });
   sim.run_until();
   ASSERT_TRUE(delivered.has_value());
   EXPECT_FALSE(*delivered);
@@ -318,7 +329,7 @@ TEST_F(NetFixture, RejectsBadFlowSpecs) {
 }
 
 TEST_F(NetFixture, RejectsEndpointsOutsideTheRackAndEmptyProbes) {
-  const auto never = [](const FlowResult&) { ADD_FAILURE() << "a rejected probe fired"; };
+  const auto never = [](const ProbeResult&) { ADD_FAILURE() << "a rejected probe fired"; };
   EXPECT_THROW(rack.network->send_probe(0, 99, DataSize::bytes(64), never),
                std::invalid_argument);
   EXPECT_THROW(rack.network->send_probe(16, 0, DataSize::bytes(64), never),
@@ -841,11 +852,11 @@ TEST_F(NetFixture, HopStateSurvivesEveryDetour) {
                l.propagation_delay() + l.fec().latency};
   };
   const auto send = [](Simulator& s, Rack& r, phy::NodeId src, phy::NodeId dst, DataSize size) {
-    std::optional<FlowResult> out;
-    r.network->send_probe(src, dst, size, [&](const FlowResult& res) { out = res; });
+    std::optional<ProbeResult> out;
+    r.network->send_probe(src, dst, size, [&](const ProbeResult& res) { out = res; });
     s.run_until();
     EXPECT_TRUE(out.has_value());
-    return out.value_or(FlowResult{});
+    return out.value_or(ProbeResult{});
   };
 
   {
@@ -856,7 +867,7 @@ TEST_F(NetFixture, HopStateSurvivesEveryDetour) {
     ASSERT_GT((leg.ser - leg.hdr).ps(), std::int64_t{1} << 32);
     // Cut-through: each further hop starts when the head clears the
     // next switch; the last one streams the whole frame.
-    const FlowResult r = send(sim, rack, rack.node_at(0, 0), rack.node_at(3, 0), size);
+    const ProbeResult r = send(sim, rack, rack.node_at(0, 0), rack.node_at(3, 0), size);
     EXPECT_FALSE(r.failed);
     EXPECT_EQ(r.hops, 3);
     EXPECT_EQ(r.completion_time(), kNicLatency + 2 * (leg.hdr + leg.transit + kSwitchLatency) +
@@ -874,7 +885,7 @@ TEST_F(NetFixture, HopStateSurvivesEveryDetour) {
     const SimTime attempt = kNicLatency + leg.ser + leg.transit;
     std::uint64_t retransmits = 0;
     for (int i = 0; i < 20; ++i) {
-      const FlowResult res = send(s, r, 0, 1, size);
+      const ProbeResult res = send(s, r, 0, 1, size);
       ASSERT_FALSE(res.failed);
       EXPECT_EQ(res.hops, 1);
       // Every lost attempt reaches the far end, then waits kRetryDelay.
@@ -895,7 +906,7 @@ TEST_F(NetFixture, HopStateSurvivesEveryDetour) {
     Rack r = build_grid(&s, p);
     r.engine->submit(plp::SetFecCommand{*r.topology->link_between(0, 1), phy::FecScheme::kRsKp4});
     const DataSize size = DataSize::bytes(1024);
-    const FlowResult res = send(s, r, 0, 1, size);
+    const ProbeResult res = send(s, r, 0, 1, size);
     EXPECT_FALSE(res.failed);
     EXPECT_EQ(res.hops, 1);
     const std::uint64_t waits = r.network->counters().get("net.reroute_waits");
@@ -920,7 +931,7 @@ TEST_F(NetFixture, HopStateSurvivesEveryDetour) {
     p.height = 34;
     Rack r = build_grid(&s, p);
     const DataSize size = DataSize::bytes(1024);
-    const FlowResult res = send(s, r, r.node_at(0, 0), r.node_at(33, 33), size);
+    const ProbeResult res = send(s, r, r.node_at(0, 0), r.node_at(33, 33), size);
     EXPECT_TRUE(res.failed);
     EXPECT_EQ(res.hops, kMaxHops);
     EXPECT_EQ(res.retransmits, static_cast<std::uint64_t>(kMaxRetries));
@@ -932,6 +943,96 @@ TEST_F(NetFixture, HopStateSurvivesEveryDetour) {
     EXPECT_EQ(res.completion_time(), (kMaxRetries + 1) * attempt + kMaxRetries * kRetryDelay);
     EXPECT_EQ(r.network->hop_counts().count(), 0u);
     EXPECT_EQ(r.network->counters().get("net.drops.retries_exhausted"), 1u);
+  }
+}
+
+TEST_F(NetFixture, ProbeMatchesAOnePacketFlow) {
+  // Two identical racks (same seed, same loss draws): a probe on one
+  // and a one-packet flow of the same size on the other must report the
+  // same latency, hops, retransmits and outcome on every path a packet
+  // can take.
+  struct Outcome {
+    SimTime latency;
+    int hops;
+    std::uint64_t retransmits;
+    bool failed;
+  };
+  const auto expect_same = [](const RackParams& p, const auto& prepare, phy::NodeId src,
+                              phy::NodeId dst, int sends) -> std::pair<std::uint64_t, int> {
+    Simulator probe_sim;
+    Simulator flow_sim;
+    Rack probe_rack = build_grid(&probe_sim, p);
+    Rack flow_rack = build_grid(&flow_sim, p);
+    prepare(probe_rack);
+    prepare(flow_rack);
+    const DataSize size = DataSize::bytes(1024);
+    std::uint64_t retransmits = 0;
+    int failures = 0;
+    for (int i = 0; i < sends; ++i) {
+      std::optional<Outcome> probe;
+      probe_rack.network->send_probe(src, dst, size, [&](const ProbeResult& r) {
+        probe = Outcome{r.completion_time(), r.hops, r.retransmits, r.failed};
+      });
+      probe_sim.run_until();
+      std::optional<Outcome> flow;
+      FlowSpec spec = make_flow(static_cast<FlowId>(i + 1), src, dst, size);
+      spec.packet_size = size;
+      spec.start = flow_sim.now();
+      flow_rack.network->start_flow(spec, [&](const FlowResult& r) {
+        flow = Outcome{r.completion_time(), r.hops, r.retransmits, r.failed};
+      });
+      flow_sim.run_until();
+      if (!probe.has_value() || !flow.has_value()) {
+        ADD_FAILURE() << "send " << i << ": a completion never fired";
+        break;
+      }
+      EXPECT_EQ(probe->latency, flow->latency) << "send " << i;
+      EXPECT_EQ(probe->hops, flow->hops) << "send " << i;
+      EXPECT_EQ(probe->retransmits, flow->retransmits) << "send " << i;
+      EXPECT_EQ(probe->failed, flow->failed) << "send " << i;
+      retransmits += probe->retransmits;
+      failures += probe->failed ? 1 : 0;
+    }
+    // The probes held no flow slot and left every pool drained.
+    EXPECT_EQ(probe_rack.network->flow_slots(), 0u);
+    EXPECT_EQ(probe_rack.network->free_packet_slots(), probe_rack.network->packet_slots());
+    return {retransmits, failures};
+  };
+  const auto nothing = [](Rack&) {};
+  {
+    SCOPED_TRACE("clean delivery");
+    const auto [retransmits, failures] = expect_same(RackParams{}, nothing, 0, 14, 3);
+    EXPECT_EQ(retransmits, 0u);
+    EXPECT_EQ(failures, 0);
+  }
+  {
+    SCOPED_TRACE("FEC-loss retransmits on the uncoded BER-1e-4 rack");
+    const auto lossy = [](Rack& r) { lossy_no_fec(r, 1e-4); };
+    const auto [retransmits, failures] = expect_same(RackParams{}, lossy, 0, 1, 20);
+    EXPECT_GT(retransmits, 0u);
+    EXPECT_EQ(failures, 0);
+  }
+  {
+    SCOPED_TRACE("kMaxHops backstop until retries are exhausted");
+    RackParams p;
+    p.width = 34;  // corner to corner is 66 hops
+    p.height = 34;
+    const auto [retransmits, failures] = expect_same(p, nothing, 0, 34 * 34 - 1, 1);
+    EXPECT_EQ(retransmits, static_cast<std::uint64_t>(kMaxRetries));
+    EXPECT_EQ(failures, 1);
+  }
+  {
+    SCOPED_TRACE("no-route wait while the rack's only link retrains");
+    RackParams p;
+    p.width = 2;
+    p.height = 1;
+    const auto retrain = [](Rack& r) {
+      r.engine->submit(
+          plp::SetFecCommand{*r.topology->link_between(0, 1), phy::FecScheme::kRsKp4});
+    };
+    const auto [retransmits, failures] = expect_same(p, retrain, 0, 1, 1);
+    EXPECT_EQ(retransmits, 0u);
+    EXPECT_EQ(failures, 0);
   }
 }
 
@@ -951,12 +1052,12 @@ TEST_F(NetFixture, PacketPoolHoldsPeakInFlightAndReusesSlots) {
   // Released before the callback runs: a probe chained from a probe's
   // completion reuses the slot it just freed.
   int left = 50;
-  std::function<void(const FlowResult&)> next = [&](const FlowResult& r) {
+  std::function<void(const ProbeResult&)> next = [&](const ProbeResult& r) {
     ASSERT_FALSE(r.failed);
     EXPECT_EQ(rack.network->free_packet_slots(), static_cast<std::size_t>(window));
-    if (--left > 0) rack.network->send_probe(0, 15, DataSize::bytes(256), next);
+    if (--left > 0) rack.network->send_probe(0, 15, DataSize::bytes(256), by_ref(next));
   };
-  rack.network->send_probe(0, 15, DataSize::bytes(256), next);
+  rack.network->send_probe(0, 15, DataSize::bytes(256), by_ref(next));
   sim.run_until();
   EXPECT_EQ(left, 0);
   EXPECT_EQ(rack.network->packet_slots(), static_cast<std::size_t>(window));

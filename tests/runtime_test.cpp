@@ -164,7 +164,7 @@ TEST(FabricRuntime, StandaloneNetworkStillOwnsPrivateMetrics) {
   fabric::Rack rack = fabric::build_grid(&sim, p);
   std::optional<SimTime> latency;
   rack.network->send_probe(0, 1, DataSize::bytes(1024),
-                           [&](const fabric::FlowResult& r) {
+                           [&](const fabric::ProbeResult& r) {
                              if (!r.failed) latency = r.completion_time();
                            });
   sim.run_until();

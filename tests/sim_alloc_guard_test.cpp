@@ -217,8 +217,9 @@ TEST(SimAllocGuardTest, DrainingFarFutureChainIsAllocationFree) {
 }
 
 // A fleet rack leg's shape: every probe's completion callback captures
-// only [this, idx] (small enough for std::function's inline buffer) and
-// sends the chain's next probe, which reuses the flow slot just freed.
+// only [this, idx] (the probe's whole 16-byte inline callable) and
+// sends the chain's next probe, which reuses the packet and completion
+// slots just freed.
 struct ProbeChains {
   fabric::Network* net;
   bool stop = false;
@@ -226,7 +227,7 @@ struct ProbeChains {
 
   void send(std::uint32_t idx) {
     net->send_probe(idx, 15 - idx, phy::DataSize::bytes(1024),
-                    [this, idx](const fabric::FlowResult& r) {
+                    [this, idx](const fabric::ProbeResult& r) {
                       if (!r.failed) ++delivered;
                       if (!stop) send(idx);
                     });
@@ -287,8 +288,9 @@ TEST(SimAllocGuardTest, RackHopPathIsAllocationFree) {
 
   chains.stop = true;
   rt.run_until();
-  EXPECT_EQ(rt.network().flow_slots(), 8u);
-  EXPECT_EQ(rt.network().free_flow_slots(), 8u);
+  // Probes hold no flow slot: the pool holds only the long flow's.
+  EXPECT_EQ(rt.network().flow_slots(), 1u);
+  EXPECT_EQ(rt.network().free_flow_slots(), 1u);
   EXPECT_EQ(rt.network().free_packet_slots(), rt.network().packet_slots());
   EXPECT_EQ(rt.network().flows_completed(), 1u) << "probes stay out of the flow tallies";
 }

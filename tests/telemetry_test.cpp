@@ -5,6 +5,8 @@
 #include <cmath>
 #include <cstdint>
 #include <sstream>
+#include <tuple>
+#include <vector>
 
 #include "sim/random.hpp"
 #include "telemetry/counters.hpp"
@@ -183,6 +185,108 @@ TEST(Histogram, BucketIndexMatchesTheLog2Formula) {
                          : rng.uniform(1.0, 1e12);
     ASSERT_EQ(Histogram::bucket_index(v), reference_bucket_index(v)) << std::hexfloat << v;
   }
+}
+
+/// Both histograms hold the same values, bit for bit in every moment
+/// and in every bucket (each quantile lands on the same edge).
+void expect_identical(const Histogram& a, const Histogram& b) {
+  EXPECT_EQ(a.count(), b.count());
+  for (const auto& [name, x, y] :
+       {std::tuple{"mean", a.mean(), b.mean()}, std::tuple{"stddev", a.stddev(), b.stddev()},
+        std::tuple{"min", a.min(), b.min()}, std::tuple{"max", a.max(), b.max()}}) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(x), std::bit_cast<std::uint64_t>(y)) << name;
+  }
+  for (int q = 0; q <= 1000; ++q) {
+    ASSERT_EQ(a.quantile(q / 1000.0), b.quantile(q / 1000.0)) << "q=" << q / 1000.0;
+  }
+}
+
+TEST(Histogram, IntegerPathMatchesTheDoublePath) {
+  // Every 2^k - 1, 2^k, 2^k + 1 below the integer path's limit, then
+  // random integers at every scale below it: the bit formula equals
+  // the log2 formula's bucket.
+  const std::uint64_t limit = Histogram::kIntegerPathLimit;
+  std::vector<std::uint64_t> values;
+  for (int k = 0; k <= 48; ++k) {
+    const std::uint64_t p = std::uint64_t{1} << k;
+    for (const std::uint64_t v : {p - 1, p, p + 1}) {
+      if (v >= 1 && v < limit) values.push_back(v);
+    }
+  }
+  rsf::sim::RandomStream rng(53, "histogram-integers");
+  for (int i = 0; i < 1'000'000; ++i) {
+    const int bits = 1 + static_cast<int>(rng() % 48);
+    values.push_back(1 + rng() % ((std::uint64_t{1} << bits) - 1));
+  }
+  for (const std::uint64_t v : values) {
+    ASSERT_LT(v, limit);
+    ASSERT_EQ(Histogram::integer_bucket_index(v),
+              reference_bucket_index(static_cast<double>(v)))
+        << v;
+  }
+  // Recorded through record(SimTime) and record_count, the same values
+  // (plus zero, negatives and values past the limit, which fall back
+  // to bucket_index) leave the histogram record(double) would.
+  for (const std::uint64_t v : {std::uint64_t{0}, limit, (limit << 1) - 1, limit << 1,
+                                std::uint64_t{1} << 62, ~std::uint64_t{0}}) {
+    values.push_back(v);
+  }
+  Histogram by_time;
+  Histogram by_count;
+  Histogram by_double;
+  Histogram signed_by_time;
+  Histogram signed_by_double;
+  for (const std::uint64_t v : values) {
+    by_count.record_count(v);
+    by_double.record(static_cast<double>(v));
+    if (v <= std::uint64_t{1} << 62) {
+      by_time.record(SimTime::picoseconds(static_cast<std::int64_t>(v)));
+      const auto neg = -static_cast<std::int64_t>(v);
+      signed_by_time.record(SimTime::picoseconds(neg));
+      signed_by_double.record(static_cast<double>(neg));
+    }
+  }
+  {
+    SCOPED_TRACE("record_count");
+    expect_identical(by_count, by_double);
+  }
+  {
+    SCOPED_TRACE("record(SimTime)");
+    Histogram time_subset;
+    for (const std::uint64_t v : values) {
+      if (v <= std::uint64_t{1} << 62) time_subset.record(static_cast<double>(v));
+    }
+    expect_identical(by_time, time_subset);
+  }
+  {
+    SCOPED_TRACE("negative and zero times");
+    expect_identical(signed_by_time, signed_by_double);
+  }
+}
+
+TEST(Histogram, IntegerPathEndsBeforeLog2RoundsUp) {
+  // Why the integer path stops at 2^48: the first 2^k - 1 whose double
+  // log2 rounds up to k is 2^49 - 1, which bucket_index (like the log2
+  // formula) places at exponent 49, sub-bucket 0, while its bits say
+  // exponent 48, sub-bucket 63.
+  int first_disagreement = 0;
+  for (int k = 1; k < 64 && first_disagreement == 0; ++k) {
+    const std::uint64_t v = (std::uint64_t{1} << k) - 1;
+    if (Histogram::integer_bucket_index(v) != reference_bucket_index(static_cast<double>(v))) {
+      first_disagreement = k;
+    }
+  }
+  EXPECT_EQ(first_disagreement, 49);
+  const std::uint64_t v = (std::uint64_t{1} << 49) - 1;
+  EXPECT_EQ(Histogram::integer_bucket_index(v), 48u * 64 + 63);
+  EXPECT_EQ(Histogram::bucket_index(static_cast<double>(v)), 49u * 64);
+  EXPECT_GT(v, Histogram::kIntegerPathLimit);
+  // record_count takes the fallback there, so it still agrees.
+  Histogram by_count;
+  Histogram by_double;
+  by_count.record_count(v);
+  by_double.record(static_cast<double>(v));
+  expect_identical(by_count, by_double);
 }
 
 TEST(Histogram, SinceOfEqualOrNewerSnapshotIsEmpty) {

@@ -20,11 +20,14 @@
 #                         [--layer NAME] [--out FILE] [--smoke]
 #
 #   --pr N        trajectory index; default 7 (writes BENCH_PR<N>.json)
-#   --baseline    also interleave an old micro_kernel binary and record
-#                 median-vs-median speedups, each marked resolved only
-#                 when the gap between the medians exceeds the old
-#                 binary's interquartile range (local use; CI has no
-#                 pre-change binary)
+#   --baseline    also run an old micro_kernel binary, one pair of runs
+#                 per repetition in alternating order (at least 10
+#                 pairs), and record per benchmark the median-vs-median
+#                 speedup and every pair's new/old ratio. A speedup is
+#                 marked resolved only when at least 9 in 10 pairs
+#                 agree with its direction AND the gap between the
+#                 medians exceeds the old binary's interquartile range
+#                 (local use; CI has no pre-change binary)
 #   --layer NAME  the layer a claimed speedup is attributed to (e.g.
 #                 "event kernel"); recorded as the file's `layer`
 #   --smoke       CI mode: validate the schema of the NEWEST committed
@@ -72,6 +75,11 @@ if [ "$SMOKE" = 1 ]; then
   fi
 else
   OUT="${OUT:-$COMMITTED}"
+fi
+# One pair of runs per repetition: fewer than 10 pairs cannot meet the
+# 9-in-10 rule a resolved speedup needs.
+if [ -n "$BASELINE" ] && [ "$REPS" -lt 10 ]; then
+  REPS=10
 fi
 
 MICRO="$BUILD_DIR/bench/micro_kernel"
@@ -126,6 +134,8 @@ for name, entry in (doc.get("baseline") or {}).items():
     if "resolved" in entry or strict:
         if not isinstance(entry.get("resolved"), bool):
             die(f"baseline[{name!r}] needs a boolean resolved")
+    if strict and not isinstance(entry.get("pair_ratios"), list):
+        die(f"baseline[{name!r}] needs its pair_ratios")
 print(f"schema OK: {path}")
 PY
 }
@@ -145,8 +155,9 @@ trap 'rm -rf "$TMP"' EXIT
 # The kernel's deep-queue and same-instant benchmarks ride along with
 # the headline three: they are where an event-kernel change shows. The
 # many-in-flight transport benchmark is where packet state that falls
-# out of cache shows.
-MICRO_FILTER='BM_SimulatorSelfRescheduling$|BM_SimulatorFarFuture$|BM_SimulatorDeepQueue$|BM_SimulatorSameInstantBurst$|BM_PacketTransportOneFlow$|BM_PacketTransportManyInFlight$'
+# out of cache shows; the probe chain is a fleet rack leg's shape; the
+# two histogram benchmarks are the double and the integer record paths.
+MICRO_FILTER='BM_SimulatorSelfRescheduling$|BM_SimulatorFarFuture$|BM_SimulatorDeepQueue$|BM_SimulatorSameInstantBurst$|BM_PacketTransportOneFlow$|BM_PacketTransportManyInFlight$|BM_PacketTransportProbeChain$|BM_HistogramRecord$|BM_HistogramRecordTime$'
 
 micro() {  # micro BINARY SIDE REP
   "$1" --benchmark_filter="$MICRO_FILTER" \
@@ -179,7 +190,9 @@ import glob, json, os, statistics, sys
 tmp, out, pr, commit, reps, min_time, baseline, layer = sys.argv[1:9]
 MICRO = ("BM_SimulatorSelfRescheduling", "BM_SimulatorFarFuture",
          "BM_SimulatorDeepQueue", "BM_SimulatorSameInstantBurst",
-         "BM_PacketTransportOneFlow", "BM_PacketTransportManyInFlight")
+         "BM_PacketTransportOneFlow", "BM_PacketTransportManyInFlight",
+         "BM_PacketTransportProbeChain", "BM_HistogramRecord",
+         "BM_HistogramRecordTime")
 
 def samples(pattern, name, field, required=True):
     vals = []
@@ -192,6 +205,15 @@ def samples(pattern, name, field, required=True):
     if not vals and required:
         sys.exit(f"no samples for {name} in {pattern}")
     return vals
+
+def rep_value(path, name):
+    """One benchmark's items/s in one run's file, or None if absent."""
+    with open(path) as f:
+        doc = json.load(f)
+    for bench in doc["benchmarks"]:
+        if bench["name"] == name:
+            return bench["items_per_second"]
+    return None
 
 def summary(vals):
     """Median and interquartile range of one side's repetitions."""
@@ -212,18 +234,29 @@ if baseline:
     # The binary's name only: its directory is the recorder's own.
     baseline_block = {"binary": os.path.basename(baseline)}
     for name in MICRO:
-        # An older binary may predate a benchmark; it is then left out.
-        old_samples = samples("micro_old_*.json", name, "items_per_second",
-                              required=False)
-        if not old_samples:
+        # Repetition r ran the pair micro_new_r / micro_old_r. An older
+        # binary may predate a benchmark; it is then left out.
+        pairs = []
+        for rep in range(1, int(reps) + 1):
+            new = rep_value(f"{tmp}/micro_new_{rep}.json", name)
+            old = rep_value(f"{tmp}/micro_old_{rep}.json", name)
+            if new is not None and old is not None:
+                pairs.append((new, old))
+        if not pairs:
             continue
-        entry = summary(old_samples)
+        entry = summary([old for _, old in pairs])
         old = entry["median_items_per_second"]
         new = throughput[name]["median_items_per_second"]
         entry["speedup"] = round(new / old, 3)
-        # A gap between the medians inside the baseline's own spread is
-        # not a measured change.
-        entry["resolved"] = abs(new - old) > entry["iqr_items_per_second"]
+        ratios = [n / o for n, o in pairs]
+        entry["pair_ratios"] = [round(r, 3) for r in ratios]
+        agreeing = sum(1 for r in ratios if (r > 1) == (new > old) and r != 1)
+        entry["pairs_agreeing"] = agreeing
+        # Resolved: at least 9 in 10 pairs move the way the medians do,
+        # and the gap between the medians exceeds the baseline's own
+        # spread. Either alone lets a noisy host mark noise resolved.
+        entry["resolved"] = (len(pairs) >= 10 and 10 * agreeing >= 9 * len(pairs)
+                             and abs(new - old) > entry["iqr_items_per_second"])
         baseline_block[name] = entry
 
 doc = {
