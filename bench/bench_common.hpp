@@ -10,13 +10,9 @@
 #include <string>
 
 #include "runtime/runtime.hpp"
-#include "sim/log.hpp"
 #include "telemetry/table.hpp"
 
 namespace rsf::bench {
-
-/// Benches run quiet: component logs off, results via tables only.
-inline void quiet_logs() { rsf::sim::LogConfig::set_level(rsf::sim::LogLevel::kOff); }
 
 /// Parses the fleet sweeps' (ext9/10/11) one flag, `--json <path>`
 /// (where the JSON artifact is written), and returns the path. Any

@@ -157,7 +157,6 @@ void emit_json(const std::vector<Arm>& arms, const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::quiet_logs();
   const std::string json_path =
       bench::parse_json_path(argc, argv, "bench-ext10_chaos_sweep.json");
   bench::print_header(

@@ -71,7 +71,6 @@ Row run_case(int side, bool use_crc, bool to_torus, phy::DataSize bytes_per_pair
 }  // namespace
 
 int main() {
-  rsf::bench::quiet_logs();
   rsf::bench::print_header(
       "EXT1", "the §2 MapReduce motivation",
       "the slowest link gates the job; the adaptive fabric shortens the tail");

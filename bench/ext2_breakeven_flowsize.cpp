@@ -145,7 +145,6 @@ void part_c() {
 }  // namespace
 
 int main() {
-  rsf::bench::quiet_logs();
   rsf::bench::print_header("EXT2", "§3.2 minimum-flow-size question",
                            "reconfigure iff the flow exceeds the break-even size");
   part_a();

@@ -73,7 +73,6 @@ CapResult run_cap(double cap_fraction) {
 }  // namespace
 
 int main() {
-  rsf::bench::quiet_logs();
   rsf::bench::print_header("EXT3", "the §2 power-budget constraint",
                            "a hard cap degrades bandwidth gracefully via lane shedding");
   telemetry::Table table("Power-capped operation, 6x6 rack under uniform load",

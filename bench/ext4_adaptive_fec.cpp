@@ -79,7 +79,6 @@ PolicyResult run_policy(bool adaptive, FecScheme static_scheme) {
 }  // namespace
 
 int main() {
-  rsf::bench::quiet_logs();
   rsf::bench::print_header("EXT4", "PLP #4 (adaptive FEC)",
                            "adaptive FEC tracks the best static mode at every BER");
   telemetry::Table table(

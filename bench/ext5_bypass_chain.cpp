@@ -30,7 +30,6 @@ double probe_us(runtime::FabricRuntime& rt, phy::NodeId dst) {
 }  // namespace
 
 int main() {
-  rsf::bench::quiet_logs();
   rsf::bench::print_header("EXT5", "PLP #2 (high-speed bypass)",
                            "bypass makes end-to-end latency almost flat in path length");
   telemetry::Table table(

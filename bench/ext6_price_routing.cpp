@@ -54,7 +54,6 @@ rsf::bench::RunMetrics run_mode(const Mode& mode) {
 }  // namespace
 
 int main() {
-  rsf::bench::quiet_logs();
   rsf::bench::print_header("EXT6", "§3.2 price-tag routing",
                            "congestion-aware prices beat static routing under hotspots");
   telemetry::Table table(

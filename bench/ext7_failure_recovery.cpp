@@ -92,7 +92,6 @@ Timeline run_mode(bool use_crc, bool healing) {
 }  // namespace
 
 int main() {
-  rsf::bench::quiet_logs();
   rsf::bench::print_header("EXT7", "§3.2 link health",
                            "the fabric heals a hard lane failure from dark spares");
   telemetry::Table table("Lane failure at t=4ms on a busy 4x4 rack (uniform load)",

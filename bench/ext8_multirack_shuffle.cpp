@@ -11,7 +11,6 @@
 #include <benchmark/benchmark.h>
 
 #include "runtime/fleet.hpp"
-#include "sim/log.hpp"
 
 namespace {
 
@@ -45,7 +44,6 @@ runtime::FleetConfig fleet_config(int racks) {
 /// racks: every flow crosses the spine) at equal delivered bytes for
 /// every variant.
 void run_shuffle(benchmark::State& state, runtime::FleetConfig cfg, int racks) {
-  sim::LogConfig::set_level(sim::LogLevel::kOff);
   std::uint64_t events = 0;
   double job_us = 0;
   for (auto _ : state) {
@@ -93,7 +91,6 @@ void BM_MultiRackShuffleControlled(benchmark::State& state) {
 void BM_CrossRackFlow(benchmark::State& state) {
   // One 1 MB flow across the diameter of a 3-rack line: the per-packet
   // orchestration overhead (legs + spine FIFO), amortised.
-  sim::LogConfig::set_level(sim::LogLevel::kOff);
   runtime::FleetConfig cfg = fleet_config(3);
   cfg.spine.pop_back();  // break the ring: line 0 - 1 - 2
   std::uint64_t events = 0;

@@ -113,7 +113,6 @@ void emit_json(const std::vector<SweepPoint>& points, const std::string& path) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  bench::quiet_logs();
   const std::string json_path =
       bench::parse_json_path(argc, argv, "bench-ext9_fleet_sweep.json");
   bench::print_header(

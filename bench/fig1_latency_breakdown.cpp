@@ -76,7 +76,6 @@ void run(bool cut_through) {
 }  // namespace
 
 int main() {
-  rsf::bench::quiet_logs();
   rsf::bench::print_header(
       "FIG1", "Figure 1",
       "switching dominates media latency at rack scale (switch every 2 m)");

@@ -173,7 +173,6 @@ void part_b() {
 }  // namespace
 
 int main() {
-  rsf::bench::quiet_logs();
   rsf::bench::print_header("FIG2", "Figure 2",
                            "CRC + PLP convert a 2-lane grid into a 1-lane torus in place");
   part_a();

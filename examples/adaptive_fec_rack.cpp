@@ -14,8 +14,6 @@ using namespace rsf;
 using namespace rsf::sim::literals;
 
 int main() {
-  sim::LogConfig::set_level(sim::LogLevel::kOff);
-
   runtime::RuntimeConfig cfg;
   cfg.rack.width = 3;
   cfg.rack.height = 3;

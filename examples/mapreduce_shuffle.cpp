@@ -35,8 +35,6 @@ workload::ShuffleResult run_shuffle(runtime::FabricRuntime& rt) {
 }  // namespace
 
 int main() {
-  sim::LogConfig::set_level(sim::LogLevel::kOff);
-
   runtime::RuntimeConfig cfg;
   cfg.rack.width = 6;
   cfg.rack.height = 6;

@@ -66,7 +66,6 @@ void run_fabric(const char* name, phy::Medium medium, plp::PlpCapabilities caps)
 }  // namespace
 
 int main() {
-  sim::LogConfig::set_level(sim::LogLevel::kOff);
   std::printf("Same CRC, two media (paper §2: media agnostic)\n\n");
 
   run_fabric("optical (full PLP)", phy::Medium::kFiber, plp::PlpCapabilities::all());

@@ -15,14 +15,11 @@
 #include <cstdio>
 
 #include "runtime/fleet.hpp"
-#include "sim/log.hpp"
 
 using namespace rsf;
 using namespace rsf::sim::literals;
 
 int main() {
-  sim::LogConfig::set_level(sim::LogLevel::kOff);
-
   // --- 1. Describe the fleet: three racks, three shapes ---
   runtime::FleetConfig cfg;
 

@@ -12,8 +12,6 @@ using namespace rsf;
 using namespace rsf::sim::literals;
 
 int main() {
-  sim::LogConfig::set_level(sim::LogLevel::kOff);
-
   // Build without the controller first to read the uncapped draw, then
   // the real run with the cap set 15% below it. Both racks are wired
   // identically from the same config.

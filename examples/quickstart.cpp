@@ -14,8 +14,6 @@ using namespace rsf;
 using namespace rsf::sim::literals;
 
 int main() {
-  sim::LogConfig::set_level(sim::LogLevel::kWarn);
-
   // 1. One RuntimeConfig wires the whole stack: a simulated clock and
   //    a 4x4 rack — grid topology, every cable has 2 lanes of 25G,
   //    nodes 2 m apart, RS(528,514) FEC — plus the Closed Ring

@@ -73,12 +73,11 @@ std::optional<CircuitScheduler::CircuitPlan> CircuitScheduler::plan_for(
       prop_total + phy::kBypassLatency * (hops - 1) + fabric::kNicLatency * std::int64_t{2};
 
   // Setup: all splits run concurrently, joins tree-reduce.
-  const auto& t = engine_->timings();
-  const SimTime split_stage = t.command_overhead + t.split;
+  const SimTime split_stage = plp::kCommandOverhead + plp::kSplit;
   const auto join_rounds = static_cast<std::int64_t>(
       std::ceil(std::log2(static_cast<double>(path.size()))));
   const SimTime join_stage =
-      (t.command_overhead + t.bypass_setup + t.lane_retrain) * join_rounds;
+      (plp::kCommandOverhead + plp::kBypassSetup + plp::kLaneRetrain) * join_rounds;
   plan.setup = split_stage + join_stage;
   return plan;
 }

@@ -36,8 +36,7 @@ Rack make_rack_shell(rsf::sim::Simulator* sim, RackParams params) {
 
 void finish_rack(Rack& rack, const std::vector<phy::LinkId>& initial_links) {
   const RackParams& p = rack.params;
-  rack.engine = std::make_unique<plp::PlpEngine>(rack.sim, rack.plant.get(),
-                                                 plp::PlpTimings{}, p.plp_caps);
+  rack.engine = std::make_unique<plp::PlpEngine>(rack.sim, rack.plant.get(), p.plp_caps);
   for (phy::LinkId id : initial_links) rack.engine->instant_bring_up(id);
   rack.topology = std::make_unique<Topology>(rack.plant.get(),
                                              static_cast<std::uint32_t>(p.width * p.height));

@@ -455,7 +455,7 @@ void Interconnect::set_slot_timeout(SimTime timeout) {
 }
 
 SimTime Interconnect::next_owned_time(SimTime from, SlotMask mask) const {
-  const std::int64_t d = slot_duration_.ps();
+  const std::int64_t d = kSlotDuration.ps();
   const std::int64_t slot = from.ps() / d;
   if ((mask >> (slot % SlotCalendar::kFrameSlots)) & 1) return from;
   // Scan forward to the next owned slot boundary; the mask is non-zero

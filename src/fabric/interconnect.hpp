@@ -283,9 +283,9 @@ class Interconnect {
   /// it is exactly the nameplate rate.
   [[nodiscard]] phy::DataRate residual_rate(SpineLinkId id, std::uint32_t from_rack) const;
 
-  /// Wall-clock length of one calendar slot; slot s of the repeating
+  /// Wall-clock length d of one calendar slot; slot s of the repeating
   /// frame covers [s·d, (s+1)·d) modulo kFrameSlots·d.
-  [[nodiscard]] rsf::sim::SimTime slot_duration() const { return slot_duration_; }
+  static constexpr rsf::sim::SimTime kSlotDuration = rsf::sim::SimTime::microseconds(1);
 
   /// Inactivity window after which a slot booking self-expires: a pair
   /// that stopped sending returns its slots without controller help
@@ -455,7 +455,6 @@ class Interconnect {
   std::uint64_t booking_version_ = 0;
   std::uint64_t carve_version_ = 0;
   SlotCalendar calendar_;
-  rsf::sim::SimTime slot_duration_ = rsf::sim::SimTime::microseconds(1);
   rsf::sim::SimTime slot_timeout_ = rsf::sim::SimTime::microseconds(150);
   std::map<std::uint64_t, std::uint64_t> pair_demand_;
   telemetry::CounterSet& counters_;

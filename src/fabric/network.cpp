@@ -29,7 +29,6 @@ Network::Network(rsf::sim::Simulator* sim, phy::PhysicalPlant* plant, Topology* 
       router_(router),
       config_(config),
       rng_(config.seed, "network"),
-      log_(sim, "net"),
       own_registry_(registry ? nullptr : std::make_unique<telemetry::Registry>()),
       registry_(registry ? registry : own_registry_.get()),
       packet_latency_(registry_->histogram("net.packet_latency")),
@@ -339,7 +338,6 @@ void Network::deliver(std::uint32_t pkt_idx, std::uint32_t hops) {
 void Network::drop(const HopState& st, EventCounter& reason) {
   const Packet pkt = release_packet(st.pkt);
   bump(reason);
-  log_.debug("drop packet ", pkt.src, "->", st.dst, " (", reason.name, ")");
   if (is_probe(pkt)) {
     finish_probe(pkt, st.hops, /*failed=*/true);
   } else if (FlowState* flow = live_flow(pkt)) {

@@ -48,7 +48,6 @@
 #include "fabric/router.hpp"
 #include "fabric/topology.hpp"
 #include "phy/plant.hpp"
-#include "sim/log.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/counters.hpp"
@@ -292,7 +291,6 @@ class Network {
   Router* router_;
   NetworkConfig config_;
   rsf::sim::RandomStream rng_;  // frame-loss draws only
-  rsf::sim::Logger log_;
 
   // Hot-path state is vector-indexed: link rows by (dense, monotonically
   // assigned) LinkId, flow state by the dense index each Packet

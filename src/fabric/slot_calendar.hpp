@@ -11,7 +11,7 @@
 //
 // The calendar is deliberately pure bookkeeping: no simulator, no
 // clock, no floating point. The Interconnect maps slot indices to
-// simulated time through its slot_duration; tests compare the calendar
+// simulated time through its kSlotDuration; tests compare the calendar
 // against a brute-force per-slot reference without standing up a
 // fleet. Everything is deterministic — propose() scans offsets
 // ascending, so equal demand always yields the same slot set.

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cmath>
-#include <initializer_list>
 #include <stdexcept>
 #include <vector>
 
@@ -24,8 +23,7 @@ namespace rsf::phy {
 class Cable {
  public:
   Cable(CableId id, NodeId end_a, NodeId end_b, double length_m, Medium medium,
-        int lane_count, DataRate lane_rate, LanePowerParams lane_power,
-        double initial_ber)
+        int lane_count, DataRate lane_rate, double initial_ber)
       : id_(id), end_a_(end_a), end_b_(end_b), length_m_(length_m), medium_(medium) {
     if (end_a == end_b) throw std::invalid_argument("Cable: self-loop");
     if (lane_count <= 0) throw std::invalid_argument("Cable: need >= 1 lane");
@@ -37,14 +35,9 @@ class Cable {
       throw std::invalid_argument("Cable: lane rate must be positive and finite");
     }
     if (!is_valid_ber(initial_ber)) throw std::invalid_argument("Cable: BER outside [0, 0.5]");
-    for (const double w : {lane_power.active_w, lane_power.training_w, lane_power.off_w}) {
-      if (!(std::isfinite(w) && w >= 0)) {
-        throw std::invalid_argument("Cable: lane power must be finite and >= 0");
-      }
-    }
     lanes_.reserve(static_cast<std::size_t>(lane_count));
     for (int i = 0; i < lane_count; ++i) {
-      lanes_.emplace_back(lane_rate, lane_power, initial_ber);
+      lanes_.emplace_back(lane_rate, initial_ber);
     }
   }
 

@@ -22,30 +22,15 @@ enum class LaneState {
 
 [[nodiscard]] std::string_view to_string(LaneState s);
 
-/// Power draw of one lane per state, in watts. Defaults follow
-/// published 25G SerDes figures (~1.1 W active including driver).
-struct LanePowerParams {
-  double active_w = 1.1;
-  double training_w = 1.1;  // training drives the line at full swing
-  double off_w = 0.05;      // leakage + wake logic
-
-  [[nodiscard]] double watts(LaneState s) const {
-    switch (s) {
-      case LaneState::kOff:
-        return off_w;
-      case LaneState::kTraining:
-        return training_w;
-      case LaneState::kUp:
-        return active_w;
-    }
-    return 0.0;
-  }
-};
+// Power draw of one lane per state, in watts. The figures follow
+// published 25G SerDes numbers (~1.1 W active including driver).
+inline constexpr double kLaneActiveWatts = 1.1;
+inline constexpr double kLaneTrainingWatts = 1.1;  // training drives the line at full swing
+inline constexpr double kLaneOffWatts = 0.05;      // leakage + wake logic
 
 class Lane {
  public:
-  Lane(DataRate rate, LanePowerParams power, double pre_fec_ber)
-      : rate_(rate), power_(power), pre_fec_ber_(pre_fec_ber) {}
+  Lane(DataRate rate, double pre_fec_ber) : rate_(rate), pre_fec_ber_(pre_fec_ber) {}
 
   [[nodiscard]] DataRate rate() const { return rate_; }
   [[nodiscard]] LaneState state() const { return state_; }
@@ -53,7 +38,17 @@ class Lane {
   /// A hard-failed lane (broken fibre, dead SerDes). Training cannot
   /// revive it; only repair() (a physical intervention) clears it.
   [[nodiscard]] bool is_failed() const { return failed_; }
-  [[nodiscard]] double power_watts() const { return power_.watts(state_); }
+  [[nodiscard]] double power_watts() const {
+    switch (state_) {
+      case LaneState::kOff:
+        return kLaneOffWatts;
+      case LaneState::kTraining:
+        return kLaneTrainingWatts;
+      case LaneState::kUp:
+        return kLaneActiveWatts;
+    }
+    return 0.0;
+  }
 
   /// Current environmental pre-FEC BER on this lane.
   [[nodiscard]] double pre_fec_ber() const { return pre_fec_ber_; }
@@ -81,7 +76,6 @@ class Lane {
 
  private:
   DataRate rate_;
-  LanePowerParams power_;
   double pre_fec_ber_;
   LaneState state_ = LaneState::kOff;
   bool failed_ = false;

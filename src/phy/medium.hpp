@@ -1,10 +1,10 @@
 // rsf::phy — transmission media.
 //
 // The architecture is media-agnostic (paper §2): the fabric only asks a
-// medium for its propagation velocity and which Physical Layer
-// Primitives it supports. Both optical and electrical media are
-// modelled; primitive support sets differ (e.g. wavelength-style
-// bundling vs copper lane bundling behave identically at this level).
+// medium for its propagation velocity. Which Physical Layer Primitives
+// a rack supports comes from RackParams::plp_caps, not from the medium.
+// Optical and electrical media are both modelled (wavelength-style and
+// copper lane bundling behave identically at this level).
 #pragma once
 
 #include <string_view>

@@ -30,11 +30,10 @@ void check_fec(const FecSpec& fec, const char* who) {
 }  // namespace
 
 CableId PhysicalPlant::add_cable(NodeId a, NodeId b, double length_m, Medium medium,
-                                 int lane_count, DataRate lane_rate,
-                                 LanePowerParams lane_power, double initial_ber) {
+                                 int lane_count, DataRate lane_rate, double initial_ber) {
   const auto id = static_cast<CableId>(cables_.size());
   cables_.push_back(std::make_unique<Cable>(id, a, b, length_m, medium, lane_count,
-                                            lane_rate, lane_power, initial_ber));
+                                            lane_rate, initial_ber));
   return id;
 }
 

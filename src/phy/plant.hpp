@@ -50,8 +50,7 @@ class PhysicalPlant {
   // --- Construction-time plumbing ---
 
   CableId add_cable(NodeId a, NodeId b, double length_m, Medium medium, int lane_count,
-                    DataRate lane_rate, LanePowerParams lane_power = {},
-                    double initial_ber = 1e-12);
+                    DataRate lane_rate, double initial_ber = 1e-12);
 
   /// Mutable access folds pending lane bits and bumps the BER epoch
   /// first: the caller may read lane bits or write a lane BER. Make

@@ -28,9 +28,8 @@ bool PlpCapabilities::supports(const PlpCommand& cmd) const {
   return std::visit(Visitor{*this}, cmd);
 }
 
-PlpEngine::PlpEngine(rsf::sim::Simulator* sim, phy::PhysicalPlant* plant,
-                     PlpTimings timings, PlpCapabilities caps)
-    : sim_(sim), plant_(plant), timings_(timings), caps_(caps), log_(sim, "plp") {
+PlpEngine::PlpEngine(rsf::sim::Simulator* sim, phy::PhysicalPlant* plant, PlpCapabilities caps)
+    : sim_(sim), plant_(plant), caps_(caps) {
   if (sim_ == nullptr || plant_ == nullptr) {
     throw std::invalid_argument("PlpEngine: null simulator or plant");
   }
@@ -96,7 +95,6 @@ void PlpEngine::finish(Pending pending, PlpResult result) {
 }
 
 void PlpEngine::fail(const Pending& pending, std::string error) {
-  log_.debug("command ", command_name(pending.cmd), " failed: ", error);
   counters_.add("plp.failed." + command_name(pending.cmd));
   if (pending.callback) {
     PlpResult result;
@@ -159,7 +157,7 @@ void PlpEngine::run_split(Pending pending) {
   // busy (unusable) until actuation completes. Lane states carry over,
   // so no retrain is needed.
   set_busy(result.created, true);
-  const SimTime duration = timings_.command_overhead + timings_.split;
+  const SimTime duration = kCommandOverhead + kSplit;
   sim_->schedule_after(duration, [this, pending = std::move(pending),
                                   result = std::move(result)]() mutable {
     finish(std::move(pending), std::move(result));
@@ -180,7 +178,7 @@ void PlpEngine::run_bundle(Pending pending) {
   result.removed = {cmd.first, cmd.second};
   result.created = {merged};
   set_busy(result.created, true);
-  const SimTime duration = timings_.command_overhead + timings_.bundle;
+  const SimTime duration = kCommandOverhead + kBundle;
   sim_->schedule_after(duration, [this, pending = std::move(pending),
                                   result = std::move(result)]() mutable {
     finish(std::move(pending), std::move(result));
@@ -204,8 +202,7 @@ void PlpEngine::run_bypass_join(Pending pending) {
   // The joined path must retrain end-to-end through the new bypass
   // element, so the link is down for setup + retrain.
   plant_->lane_begin_training(joined);
-  const SimTime duration =
-      timings_.command_overhead + timings_.bypass_setup + timings_.lane_retrain;
+  const SimTime duration = kCommandOverhead + kBypassSetup + kLaneRetrain;
   sim_->schedule_after(duration, [this, joined, pending = std::move(pending),
                                   result = std::move(result)]() mutable {
     plant_->lane_complete_training(joined);
@@ -229,8 +226,7 @@ void PlpEngine::run_bypass_sever(Pending pending) {
   set_busy(result.created, true);
   plant_->lane_begin_training(halves.first);
   plant_->lane_begin_training(halves.second);
-  const SimTime duration =
-      timings_.command_overhead + timings_.bypass_teardown + timings_.lane_retrain;
+  const SimTime duration = kCommandOverhead + kBypassTeardown + kLaneRetrain;
   sim_->schedule_after(duration, [this, halves, pending = std::move(pending),
                                   result = std::move(result)]() mutable {
     plant_->lane_complete_training(halves.first);
@@ -247,8 +243,7 @@ void PlpEngine::run_bring_up(Pending pending) {
   PlpResult result;
   result.ok = true;
   result.created = {id};  // becomes usable
-  const SimTime duration =
-      timings_.command_overhead + timings_.lane_power_on + timings_.lane_retrain;
+  const SimTime duration = kCommandOverhead + kLanePowerOn + kLaneRetrain;
   sim_->schedule_after(duration, [this, id, pending = std::move(pending),
                                   result = std::move(result)]() mutable {
     plant_->lane_complete_training(id);
@@ -263,7 +258,7 @@ void PlpEngine::run_shutdown(Pending pending) {
   PlpResult result;
   result.ok = true;
   result.created = {id};  // still exists, just dark
-  const SimTime duration = timings_.command_overhead + timings_.lane_power_off;
+  const SimTime duration = kCommandOverhead + kLanePowerOff;
   sim_->schedule_after(duration, [this, id, pending = std::move(pending),
                                   result = std::move(result)]() mutable {
     plant_->lane_power_off(id);
@@ -278,7 +273,7 @@ void PlpEngine::run_set_fec(Pending pending) {
   PlpResult result;
   result.ok = true;
   result.created = {id};
-  const SimTime duration = timings_.command_overhead + timings_.fec_switch;
+  const SimTime duration = kCommandOverhead + kFecSwitch;
   sim_->schedule_after(duration, [this, id, scheme = cmd.scheme,
                                   pending = std::move(pending),
                                   result = std::move(result)]() mutable {
@@ -292,7 +287,7 @@ void PlpEngine::run_query_stats(Pending pending) {
   PlpResult result;
   result.ok = true;
   result.stats = stats_report(cmd.link);
-  const SimTime duration = timings_.command_overhead + timings_.stats_query;
+  const SimTime duration = kCommandOverhead + kStatsQuery;
   sim_->schedule_after(duration, [this, pending = std::move(pending),
                                   result = std::move(result)]() mutable {
     finish(std::move(pending), std::move(result));
@@ -325,8 +320,7 @@ void PlpEngine::run_provision(Pending pending) {
   result.created = {id};
   set_busy(result.created, true);
   plant_->lane_begin_training(id);
-  const SimTime duration =
-      timings_.command_overhead + timings_.lane_power_on + timings_.lane_retrain;
+  const SimTime duration = kCommandOverhead + kLanePowerOn + kLaneRetrain;
   sim_->schedule_after(duration, [this, id, pending = std::move(pending),
                                   result = std::move(result)]() mutable {
     plant_->lane_complete_training(id);
@@ -341,7 +335,7 @@ void PlpEngine::run_decommission(Pending pending) {
   PlpResult result;
   result.ok = true;
   result.removed = {id};
-  const SimTime duration = timings_.command_overhead + timings_.lane_power_off;
+  const SimTime duration = kCommandOverhead + kLanePowerOff;
   sim_->schedule_after(duration, [this, id, pending = std::move(pending),
                                   result = std::move(result)]() mutable {
     plant_->lane_power_off(id);

@@ -2,7 +2,7 @@
 //
 // PlpEngine is the actuator between the control plane and the physical
 // plant. It executes PlpCommands asynchronously on the simulator:
-// each primitive has an actuation latency (from the PlpTimings table),
+// each primitive has an actuation latency (the plp::k* latency constants),
 // links under reconfiguration are marked busy in the plant (their
 // lanes retrain, so the fabric sees them not-ready), and completion
 // fires a callback. The engine notifies nobody: every plant mutation
@@ -20,28 +20,25 @@
 
 #include "phy/plant.hpp"
 #include "plp/command.hpp"
-#include "sim/log.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/counters.hpp"
 
 namespace rsf::plp {
 
-/// Actuation latency of each primitive. Defaults are calibrated to
-/// published reconfigurable-fabric figures: electrical circuit setup
-/// in the low microseconds (Shoal), lane retrain tens of microseconds
-/// for PAM4 refresh-style retraining, sub-µs management overhead.
-struct PlpTimings {
-  rsf::sim::SimTime command_overhead = rsf::sim::SimTime::nanoseconds(500);
-  rsf::sim::SimTime split = rsf::sim::SimTime::microseconds(1);
-  rsf::sim::SimTime bundle = rsf::sim::SimTime::microseconds(1);
-  rsf::sim::SimTime bypass_setup = rsf::sim::SimTime::microseconds(5);
-  rsf::sim::SimTime bypass_teardown = rsf::sim::SimTime::microseconds(5);
-  rsf::sim::SimTime lane_power_on = rsf::sim::SimTime::microseconds(10);
-  rsf::sim::SimTime lane_retrain = rsf::sim::SimTime::microseconds(50);
-  rsf::sim::SimTime lane_power_off = rsf::sim::SimTime::microseconds(1);
-  rsf::sim::SimTime fec_switch = rsf::sim::SimTime::microseconds(2);
-  rsf::sim::SimTime stats_query = rsf::sim::SimTime::nanoseconds(200);
-};
+// Actuation latency of each primitive, calibrated to published
+// reconfigurable-fabric figures: electrical circuit setup in the low
+// microseconds (Shoal), lane retrain tens of microseconds for
+// PAM4 refresh-style retraining, sub-µs management overhead.
+inline constexpr rsf::sim::SimTime kCommandOverhead = rsf::sim::SimTime::nanoseconds(500);
+inline constexpr rsf::sim::SimTime kSplit = rsf::sim::SimTime::microseconds(1);
+inline constexpr rsf::sim::SimTime kBundle = rsf::sim::SimTime::microseconds(1);
+inline constexpr rsf::sim::SimTime kBypassSetup = rsf::sim::SimTime::microseconds(5);
+inline constexpr rsf::sim::SimTime kBypassTeardown = rsf::sim::SimTime::microseconds(5);
+inline constexpr rsf::sim::SimTime kLanePowerOn = rsf::sim::SimTime::microseconds(10);
+inline constexpr rsf::sim::SimTime kLaneRetrain = rsf::sim::SimTime::microseconds(50);
+inline constexpr rsf::sim::SimTime kLanePowerOff = rsf::sim::SimTime::microseconds(1);
+inline constexpr rsf::sim::SimTime kFecSwitch = rsf::sim::SimTime::microseconds(2);
+inline constexpr rsf::sim::SimTime kStatsQuery = rsf::sim::SimTime::nanoseconds(200);
 
 /// Which primitives the underlying media supports (paper §2: a medium
 /// provides "some subset of the Physical Layer Primitives").
@@ -60,7 +57,7 @@ class PlpEngine {
  public:
   using Callback = std::function<void(const PlpResult&)>;
 
-  PlpEngine(rsf::sim::Simulator* sim, phy::PhysicalPlant* plant, PlpTimings timings = {},
+  PlpEngine(rsf::sim::Simulator* sim, phy::PhysicalPlant* plant,
             PlpCapabilities caps = PlpCapabilities::all());
 
   PlpEngine(const PlpEngine&) = delete;
@@ -76,7 +73,6 @@ class PlpEngine {
   void instant_bring_up(phy::LinkId link);
 
   [[nodiscard]] std::size_t queued_commands() const { return queue_.size(); }
-  [[nodiscard]] const PlpTimings& timings() const { return timings_; }
   [[nodiscard]] const PlpCapabilities& capabilities() const { return caps_; }
   [[nodiscard]] const telemetry::CounterSet& counters() const { return counters_; }
 
@@ -112,11 +108,9 @@ class PlpEngine {
 
   rsf::sim::Simulator* sim_;
   phy::PhysicalPlant* plant_;
-  PlpTimings timings_;
   PlpCapabilities caps_;
   std::deque<Pending> queue_;
   telemetry::CounterSet counters_;
-  rsf::sim::Logger log_;
 };
 
 }  // namespace rsf::plp

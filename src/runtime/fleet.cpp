@@ -267,7 +267,7 @@ std::uint32_t FleetRuntime::release_packet(std::uint32_t pkt_idx) {
   if (FleetFlowState* f = live_flow(pkt)) {
     --f->inflight;
     // The last straggler of a finished flow returns the flow slot.
-    maybe_recycle_flow(flow_idx);
+    flows_.maybe_recycle(flow_idx);
   }
   // The recycle resets the slot in place, dropping the route refcount
   // and the booking handle.
@@ -442,15 +442,8 @@ void FleetRuntime::finish_fleet_flow(std::uint32_t flow_idx, bool failed) {
   // the inflight gate until the last one drains).
   FleetFlowCallback cb = std::move(f.on_complete);
   f.on_complete = nullptr;
-  maybe_recycle_flow(flow_idx);
-  if (cb) cb(result);
-}
-
-void FleetRuntime::maybe_recycle_flow(std::uint32_t flow_idx) {
-  // Gated on done + last straggler drained. The pool reset drops the
-  // route/booking refs and the bumped generation makes every
-  // closure that captured the old (idx, gen) pair detectably stale.
   flows_.maybe_recycle(flow_idx);
+  if (cb) cb(result);
 }
 
 workload::CrossRackShuffle& FleetRuntime::add_shuffle(workload::CrossRackShuffleConfig cfg) {

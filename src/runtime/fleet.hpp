@@ -299,10 +299,6 @@ class FleetRuntime {
   std::uint32_t release_packet(std::uint32_t pkt_idx);
 
   void finish_fleet_flow(std::uint32_t flow_idx, bool failed);
-  /// Return the slot to the free list once the flow is done and its
-  /// last straggler packet has drained (the pool's FleetFlowDrained
-  /// gate); the recycle bumps the slot generation.
-  void maybe_recycle_flow(std::uint32_t flow_idx);
   /// The packet's flow, or nullptr when the slot was recycled since
   /// (the inflight gate makes that impossible for live packets;
   /// defensive, like Network::live_flow).
@@ -332,6 +328,10 @@ class FleetRuntime {
   std::unique_ptr<FleetController> controller_;
   // Flow and packet state live in shared SlotPools; flow closures
   // capture (index, generation) pairs validated through the pool.
+  // flows_.maybe_recycle returns a flow's slot only once it is done
+  // and its last straggler packet has drained (the FleetFlowDrained
+  // gate); the reset drops the route and booking refs, and the bumped
+  // generation makes every captured (index, generation) pair stale.
   core::SlotPool<FleetFlowState, std::uint64_t, FleetFlowDrained> flows_;
   core::SlotPool<FleetPacket> packets_;
   fabric::FlowId next_leg_id_ = kLegFlowBase;

@@ -252,15 +252,6 @@ __attribute__((flatten)) std::size_t Simulator::run_until(SimTime until) {
   return count;
 }
 
-__attribute__((flatten)) std::size_t Simulator::run_events(std::size_t max_events) {
-  std::size_t count = 0;
-  while (count < max_events) {
-    if (batch_cursor_ == batch_.size() && !next_batch(SimTime::infinity())) break;
-    count += drain_one();
-  }
-  return count;
-}
-
 SimTime Simulator::next_time() const {
   // An in-flight batch resumes first: any live remainder runs at
   // batch_time_, which is <= every still-queued time.

@@ -46,7 +46,7 @@
 //
 // The (time, insertion-sequence) total order is what callers observe;
 // bucket layout and batch boundaries are invisible to it. Handlers
-// must not re-enter run_until()/run_events().
+// must not re-enter run_until().
 #pragma once
 
 #include <array>
@@ -112,10 +112,6 @@ class Simulator {
   /// Run until the event set is empty or `until` is reached (events at
   /// exactly `until` DO fire). Returns the number of events processed.
   std::size_t run_until(SimTime until = SimTime::infinity());
-
-  /// Run at most `max_events` events. Useful to bound runaway loops in
-  /// tests. Returns the number processed.
-  std::size_t run_events(std::size_t max_events);
 
   /// True if no live *strong* events remain (weak events do not count).
   [[nodiscard]] bool idle() const { return strong_count_ == 0; }

@@ -187,8 +187,7 @@ TEST_F(RingFixture, ChainBypassTreeReductionIsLogDepth) {
     done_at = sim2.now();
   });
   sim2.run_until();
-  const auto& t = chain.engine->timings();
-  const SimTime per_round = t.command_overhead + t.bypass_setup + t.lane_retrain;
+  const SimTime per_round = plp::kCommandOverhead + plp::kBypassSetup + plp::kLaneRetrain;
   EXPECT_EQ(done_at, per_round * std::int64_t{3});
 }
 

@@ -147,6 +147,32 @@ TEST_F(SchedFixture, LargeFlowBuildsUsesAndTearsDownCircuit) {
   EXPECT_TRUE(rack.plant->validate().empty());
 }
 
+TEST_F(SchedFixture, SetupEstimateEqualsTheBuildItPlans) {
+  // decide() prices a circuit with a setup cost modelled from the PLP
+  // latencies (concurrent splits, tree-reduced joins); submit() then
+  // really builds it through the engine. The two must agree: the
+  // circuit flow starts exactly est_setup after the submit.
+  saturate_path();
+  const fabric::FlowSpec spec = flow(0, 5, DataSize::megabytes(100));
+  const ScheduleDecision d = sched->decide(spec);
+  ASSERT_TRUE(d.use_circuit);
+  const SimTime submitted = sim.now();
+  std::optional<fabric::FlowResult> result;
+  bool used_circuit = false;
+  sched->submit(spec, [&](const fabric::FlowResult& r, bool circuit) {
+    result = r;
+    used_circuit = circuit;
+  });
+  sim.run_until();
+  ASSERT_TRUE(result.has_value());
+  ASSERT_TRUE(used_circuit);
+  EXPECT_FALSE(result->failed);
+  EXPECT_GT(d.est_setup, SimTime::zero());
+  EXPECT_EQ(result->started - submitted, d.est_setup)
+      << "built in " << (result->started - submitted).to_string() << ", estimated "
+      << d.est_setup.to_string();
+}
+
 TEST_F(SchedFixture, CircuitBeatsContendedPacketFabricForBulk) {
   // Same bulk flow measured with the scheduler (builds a circuit) and
   // raw on the contended packet fabric.

@@ -21,8 +21,6 @@ namespace {
 using rsf::sim::SimTime;
 using namespace rsf::sim::literals;
 
-LanePowerParams test_power() { return LanePowerParams{1.0, 1.0, 0.1}; }
-
 /// The header size the rack transport serializes ahead of cut-through.
 constexpr DataSize kHeader = DataSize::bytes(64);
 
@@ -32,14 +30,14 @@ struct ChainFixture {
   CableId c01, c12, c23;
 
   ChainFixture() {
-    c01 = plant.add_cable(0, 1, 2.0, Medium::kFiber, 4, DataRate::gbps(25), test_power());
-    c12 = plant.add_cable(1, 2, 2.0, Medium::kFiber, 4, DataRate::gbps(25), test_power());
-    c23 = plant.add_cable(2, 3, 2.0, Medium::kFiber, 4, DataRate::gbps(25), test_power());
+    c01 = plant.add_cable(0, 1, 2.0, Medium::kFiber, 4, DataRate::gbps(25));
+    c12 = plant.add_cable(1, 2, 2.0, Medium::kFiber, 4, DataRate::gbps(25));
+    c23 = plant.add_cable(2, 3, 2.0, Medium::kFiber, 4, DataRate::gbps(25));
   }
 };
 
 TEST(Lane, StateMachine) {
-  Lane lane(DataRate::gbps(25), test_power(), 1e-12);
+  Lane lane(DataRate::gbps(25), 1e-12);
   EXPECT_EQ(lane.state(), LaneState::kOff);
   EXPECT_FALSE(lane.is_up());
   lane.begin_training();
@@ -51,12 +49,12 @@ TEST(Lane, StateMachine) {
 }
 
 TEST(Lane, CompleteTrainingRequiresTraining) {
-  Lane lane(DataRate::gbps(25), test_power(), 1e-12);
+  Lane lane(DataRate::gbps(25), 1e-12);
   EXPECT_THROW(lane.complete_training(), std::logic_error);
 }
 
 TEST(Lane, TrainingCutByFailureOrPowerOffCompletesDark) {
-  Lane lane(DataRate::gbps(25), test_power(), 1e-12);
+  Lane lane(DataRate::gbps(25), 1e-12);
   lane.begin_training();
   lane.fail();
   lane.repair();
@@ -80,12 +78,14 @@ TEST(Lane, TrainingCutByFailureOrPowerOffCompletesDark) {
 }
 
 TEST(Lane, PowerFollowsState) {
-  Lane lane(DataRate::gbps(25), test_power(), 1e-12);
-  EXPECT_DOUBLE_EQ(lane.power_watts(), 0.1);
+  Lane lane(DataRate::gbps(25), 1e-12);
+  EXPECT_DOUBLE_EQ(lane.power_watts(), kLaneOffWatts);
   lane.begin_training();
-  EXPECT_DOUBLE_EQ(lane.power_watts(), 1.0);
+  EXPECT_DOUBLE_EQ(lane.power_watts(), kLaneTrainingWatts);
   lane.complete_training();
-  EXPECT_DOUBLE_EQ(lane.power_watts(), 1.0);
+  EXPECT_DOUBLE_EQ(lane.power_watts(), kLaneActiveWatts);
+  lane.power_off();
+  EXPECT_DOUBLE_EQ(lane.power_watts(), kLaneOffWatts);
 }
 
 TEST(Cable, ValidatesConstruction) {
@@ -111,7 +111,7 @@ TEST(Cable, RejectsUnusableLaneRateAndImpossibleBer) {
   }
   for (const double ber : {-1e-9, 0.6, 2.0, nan}) {
     EXPECT_THROW(
-        plant.add_cable(0, 1, 2.0, Medium::kFiber, 4, DataRate::gbps(25), test_power(), ber),
+        plant.add_cable(0, 1, 2.0, Medium::kFiber, 4, DataRate::gbps(25), ber),
         std::invalid_argument);
   }
   EXPECT_EQ(plant.cable_count(), 0u);
@@ -119,7 +119,7 @@ TEST(Cable, RejectsUnusableLaneRateAndImpossibleBer) {
   // Both ends of [0, 0.5] are valid; set_cable_ber rejects the rest
   // and leaves the lanes untouched.
   const CableId c =
-      plant.add_cable(0, 1, 2.0, Medium::kFiber, 4, DataRate::gbps(25), test_power(), 0.5);
+      plant.add_cable(0, 1, 2.0, Medium::kFiber, 4, DataRate::gbps(25), 0.5);
   plant.set_cable_ber(c, 0.0);
   for (const double ber : {-1e-9, 0.6, 2.0, nan}) {
     EXPECT_THROW(plant.set_cable_ber(c, ber), std::invalid_argument);
@@ -127,10 +127,9 @@ TEST(Cable, RejectsUnusableLaneRateAndImpossibleBer) {
   EXPECT_EQ(plant.cable(c).lane(0).pre_fec_ber(), 0.0);
 }
 
-TEST(Cable, RejectsNanLengthAndBadLanePower) {
+TEST(Cable, RejectsNanLength) {
   // A NaN length slips past a `<= 0` check and poisons every
-  // propagation delay; negative or non-finite lane power corrupts the
-  // power budget the CRC steers by.
+  // propagation delay.
   PhysicalPlant plant;
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
@@ -138,20 +137,7 @@ TEST(Cable, RejectsNanLengthAndBadLanePower) {
     EXPECT_THROW(plant.add_cable(0, 1, length, Medium::kFiber, 4, DataRate::gbps(25)),
                  std::invalid_argument);
   }
-  for (const double w : {-1.0, nan, inf}) {
-    for (int field = 0; field < 3; ++field) {
-      LanePowerParams power = test_power();
-      (field == 0 ? power.active_w : field == 1 ? power.training_w : power.off_w) = w;
-      EXPECT_THROW(
-          plant.add_cable(0, 1, 2.0, Medium::kFiber, 4, DataRate::gbps(25), power),
-          std::invalid_argument)
-          << "field " << field << " = " << w;
-    }
-  }
   EXPECT_EQ(plant.cable_count(), 0u);
-  // Zero power is a valid (idealized) lane.
-  plant.add_cable(0, 1, 2.0, Medium::kFiber, 4, DataRate::gbps(25), LanePowerParams{0, 0, 0});
-  EXPECT_EQ(plant.cable_count(), 1u);
 }
 
 TEST(Cable, EndpointQueries) {
@@ -502,20 +488,21 @@ TEST(Plant, SetCableBerPropagatesToLinkModel) {
 
 TEST(Plant, PowerAccountsStatesAndBypass) {
   ChainFixture f;
-  // All 12 lanes off: 12 x 0.1 W.
-  EXPECT_NEAR(f.plant.total_power_watts(), 1.2, 1e-9);
+  // All 12 lanes off.
+  EXPECT_NEAR(f.plant.total_power_watts(), 12 * kLaneOffWatts, 1e-9);
   const LinkId l01 = f.plant.create_adjacent_link(f.c01, {0});
   const LinkId l12 = f.plant.create_adjacent_link(f.c12, {0});
   f.plant.lane_begin_training(l01);
   f.plant.lane_complete_training(l01);
   f.plant.lane_begin_training(l12);
   f.plant.lane_complete_training(l12);
-  // Two lanes up now: 10 x 0.1 + 2 x 1.0.
-  EXPECT_NEAR(f.plant.total_power_watts(), 3.0, 1e-9);
+  // Two lanes up now.
+  const double lanes_w = 10 * kLaneOffWatts + 2 * kLaneActiveWatts;
+  EXPECT_NEAR(f.plant.total_power_watts(), lanes_w, 1e-9);
   const LinkId j = f.plant.bypass_join(l01, l12);
-  // One bypass joint adds 0.3 W (default config).
-  EXPECT_NEAR(f.plant.total_power_watts(), 3.3, 1e-9);
-  EXPECT_NEAR(f.plant.link(j).power_watts(), 2.3, 1e-9);
+  // One bypass joint adds its own draw.
+  EXPECT_NEAR(f.plant.total_power_watts(), lanes_w + kBypassPowerW, 1e-9);
+  EXPECT_NEAR(f.plant.link(j).power_watts(), 2 * kLaneActiveWatts + kBypassPowerW, 1e-9);
 }
 
 TEST(Plant, LinkOneWayLatencyComposition) {
@@ -542,8 +529,7 @@ struct OraclePlant {
 
   OraclePlant() {
     for (NodeId n = 0; n < 6; ++n) {
-      cables.push_back(plant.add_cable(n, n + 1, 2.0, Medium::kFiber, 4, DataRate::gbps(25),
-                                       test_power()));
+      cables.push_back(plant.add_cable(n, n + 1, 2.0, Medium::kFiber, 4, DataRate::gbps(25)));
     }
     const FecSpec kr4 = FecSpec::of(FecScheme::kRsKr4);
     links.push_back(plant.create_adjacent_link(cables[0], {0}, kr4));
@@ -782,7 +768,7 @@ TEST(PlantProperty, RandomOpSequencePreservesInvariants) {
     for (int i = 0; i < 6; ++i) {
       cables.push_back(plant.add_cable(static_cast<NodeId>(i),
                                        static_cast<NodeId>((i + 1) % 6), 2.0,
-                                       Medium::kFiber, 4, DataRate::gbps(25), test_power()));
+                                       Medium::kFiber, 4, DataRate::gbps(25)));
     }
     for (CableId c : cables) plant.create_adjacent_link(c, {0, 1, 2, 3});
 

@@ -22,7 +22,6 @@ struct EngineFixture : ::testing::Test {
   phy::PhysicalPlant plant;
   CableId c01, c12;
   LinkId l01, l12;
-  PlpTimings timings;
   std::optional<PlpEngine> engine;
 
   void SetUp() override {
@@ -30,7 +29,7 @@ struct EngineFixture : ::testing::Test {
     c12 = plant.add_cable(1, 2, 2.0, phy::Medium::kFiber, 4, phy::DataRate::gbps(25));
     l01 = plant.create_adjacent_link(c01, {0, 1});
     l12 = plant.create_adjacent_link(c12, {0, 1});
-    engine.emplace(&sim, &plant, timings);
+    engine.emplace(&sim, &plant);
     engine->instant_bring_up(l01);
     engine->instant_bring_up(l12);
   }
@@ -51,7 +50,7 @@ TEST_F(EngineFixture, SplitCompletesAfterActuationTime) {
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->ok);
   EXPECT_EQ(result->created.size(), 2u);
-  EXPECT_EQ(result->completed_at, timings.command_overhead + timings.split);
+  EXPECT_EQ(result->completed_at, kCommandOverhead + kSplit);
   EXPECT_EQ(plant.link(result->created[0]).lane_count(), 1);
   EXPECT_EQ(plant.link(result->created[1]).lane_count(), 1);
   // Lane states carried over: both halves ready immediately.
@@ -61,7 +60,6 @@ TEST_F(EngineFixture, SplitCompletesAfterActuationTime) {
 TEST_F(EngineFixture, LinksBusyDuringActuation) {
   std::optional<PlpResult> result;
   engine->submit(SplitCommand{l01, 1}, [&](const PlpResult& r) { result = r; });
-  sim.run_events(0);  // nothing yet
   // The created links are busy until completion.
   const auto ids = plant.link_ids();
   int busy = 0;
@@ -110,8 +108,7 @@ TEST_F(EngineFixture, BypassJoinRetrainsAndReportsReadiness) {
   EXPECT_EQ(result->created.front(), joined);
   EXPECT_TRUE(usable_at_completion);
   EXPECT_GT(plant.version(), at_submit);
-  EXPECT_EQ(result->completed_at,
-            timings.command_overhead + timings.bypass_setup + timings.lane_retrain);
+  EXPECT_EQ(result->completed_at, kCommandOverhead + kBypassSetup + kLaneRetrain);
 }
 
 TEST_F(EngineFixture, BypassSeverRestores) {
@@ -141,7 +138,7 @@ TEST_F(EngineFixture, ShutdownAndBringUpCycle) {
   ASSERT_TRUE(up && up->ok);
   EXPECT_TRUE(plant.link(l01).ready());
   EXPECT_EQ(up->completed_at - down->completed_at,
-            timings.command_overhead + timings.lane_power_on + timings.lane_retrain);
+            kCommandOverhead + kLanePowerOn + kLaneRetrain);
 }
 
 TEST_F(EngineFixture, LaneFailedAndRepairedDuringBringUpStaysDark) {
@@ -210,7 +207,7 @@ TEST_F(EngineFixture, StatsQueriesBypassBusyQueue) {
     EXPECT_TRUE(r.ok);
   });
   EXPECT_EQ(engine->queued_commands(), 0u);  // not queued behind the busy link
-  sim.run_until(timings.command_overhead + timings.stats_query);
+  sim.run_until(kCommandOverhead + kStatsQuery);
   EXPECT_TRUE(stats_done);
   sim.run_until();
 }
@@ -276,7 +273,7 @@ TEST(PlpCapabilities, UnsupportedPrimitiveRejected) {
   const LinkId l = plant.create_adjacent_link(c, {0, 1});
   PlpCapabilities caps;
   caps.split_bundle = false;
-  PlpEngine engine(&sim, &plant, PlpTimings{}, caps);
+  PlpEngine engine(&sim, &plant, caps);
   std::optional<PlpResult> result;
   engine.submit(SplitCommand{l, 1}, [&](const PlpResult& r) { result = r; });
   ASSERT_TRUE(result.has_value());

@@ -171,17 +171,6 @@ TEST(Simulator, CancelledEventsDontBlockHorizon) {
   EXPECT_EQ(fired, 1);
 }
 
-TEST(Simulator, RunEventsBoundsExecution) {
-  Simulator sim;
-  int fired = 0;
-  for (int i = 1; i <= 5; ++i) {
-    sim.schedule_at(SimTime::nanoseconds(i), [&] { ++fired; });
-  }
-  EXPECT_EQ(sim.run_events(3), 3u);
-  EXPECT_EQ(fired, 3);
-  EXPECT_EQ(sim.pending(), 2u);
-}
-
 TEST(Simulator, SelfReschedulingEventTerminatesWithHorizon) {
   Simulator sim;
   int count = 0;
